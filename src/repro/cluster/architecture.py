@@ -18,7 +18,9 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["CoreId", "Machine", "LEVEL_PROCESSOR", "LEVEL_NODE", "LEVEL_NETWORK"]
 
@@ -29,13 +31,14 @@ LEVEL_NODE = 1  #: same node, different processors (memory bus)
 LEVEL_NETWORK = 2  #: different nodes (cluster interconnect)
 
 
-@dataclass(frozen=True, order=True)
-class CoreId:
+class CoreId(NamedTuple):
     """Identifier of a physical core, the ``nid.pid.cid`` label of Fig. 7.
 
     All three components are zero-based indices.  Instances are immutable,
     hashable and ordered lexicographically, which makes the *consecutive*
-    order of Section 3.4 simply the sorted order of core ids.
+    order of Section 3.4 simply the sorted order of core ids.  A named
+    tuple rather than a dataclass: core ids key every placement dict and
+    memo entry of the simulator, so hashing and comparing them runs in C.
     """
 
     node: int
@@ -76,6 +79,11 @@ class Machine:
     core_flops: float
     shared_memory_across_nodes: bool = False
     _cores: Tuple[CoreId, ...] = field(init=False, repr=False, compare=False, default=())
+    #: dense-index view of the leaves: position of every core in the
+    #: consecutive order, and the node / processor id at each position
+    _index: Dict[CoreId, int] = field(init=False, repr=False, compare=False, default=None)
+    _nodes: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _procs: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.node_shapes:
@@ -92,6 +100,11 @@ class Machine:
             for c in range(ncores)
         )
         object.__setattr__(self, "_cores", cores)
+        object.__setattr__(self, "_index", {c: i for i, c in enumerate(cores)})
+        for name, column in (("_nodes", 0), ("_procs", 1)):
+            ids = np.array([c[column] for c in cores], dtype=np.intp)
+            ids.flags.writeable = False
+            object.__setattr__(self, name, ids)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -165,6 +178,29 @@ class Machine:
 
     def __iter__(self) -> Iterator[CoreId]:
         return iter(self._cores)
+
+    # ------------------------------------------------------------------
+    # Dense-index view (array kernels of :mod:`repro.comm`)
+    # ------------------------------------------------------------------
+    def core_index(self, cores: Sequence[CoreId]) -> np.ndarray:
+        """Positions of ``cores`` in the consecutive order of
+        :meth:`cores`, so ``machine.cores()[i]`` inverts it."""
+        index = self._index
+        try:
+            return np.fromiter((index[c] for c in cores), dtype=np.intp, count=len(cores))
+        except KeyError as exc:
+            raise ValueError(f"core {exc.args[0]} does not exist on {self.name}") from None
+
+    @property
+    def core_nodes(self) -> np.ndarray:
+        """Node id of every core, by dense index (read-only)."""
+        return self._nodes
+
+    @property
+    def core_procs(self) -> np.ndarray:
+        """Processor id (within its node) of every core, by dense index
+        (read-only)."""
+        return self._procs
 
     def __contains__(self, core: CoreId) -> bool:
         return (

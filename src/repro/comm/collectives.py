@@ -27,11 +27,20 @@ scheduling, before any physical mapping exists.
 from __future__ import annotations
 
 from math import ceil, log2
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..cluster.architecture import CoreId, Machine
 from ..cluster.network import HierarchicalNetwork
-from .contention import ContentionContext, Edge, build_context, round_cost
+from .contention import (
+    ContentionContext,
+    Edge,
+    build_context,
+    edge_costs,
+    node_counts,
+    round_cost,
+)
 
 __all__ = [
     "ring_edges",
@@ -267,6 +276,36 @@ def collective_time(
     return fn(machine, network, group, total_bytes, ctx)
 
 
+#: Round-structured collectives and the round whose inter-node edges load
+#: the NICs while several groups run the operation at once (``None``: the
+#: groups' rounds do not contend).
+_SHARED_ROUND = {
+    "allgather": 0,
+    "allreduce": None,
+    "bcast": -1,
+    "reduce": -1,
+    "alltoall": 0,
+}
+
+
+def _rank_rounds(op: str, q: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Rounds of ``op`` among ``q >= 2`` ranks as ``(sender, receiver)``
+    rank arrays -- :func:`ring_edges`, :func:`binomial_rounds` and
+    :func:`alltoall_rounds` on rank positions."""
+    ranks = np.arange(q)
+    if op in ("allgather", "allreduce"):
+        return [(ranks, (ranks + 1) % q)]
+    if op == "alltoall":
+        return [(ranks, (ranks + r) % q) for r in range(1, q)]
+    rounds = []
+    span = 1
+    while span < q:
+        senders = ranks[: min(span, q - span)]
+        rounds.append((senders, senders + span))
+        span *= 2
+    return rounds
+
+
 def multi_group_time(
     op: str,
     machine: Machine,
@@ -279,26 +318,57 @@ def multi_group_time(
 
     All groups run simultaneously; the shared-NIC contention of every
     group's rounds is aggregated, and the phase ends when the slowest
-    group finishes.
+    group finishes.  Equals ``max`` over the groups of
+    :func:`collective_time` under that shared context; the rounds of all
+    groups are priced together by :func:`~repro.comm.contention.edge_costs`.
     """
     if not groups:
         return 0.0
-    if op == "allgather":
-        per_group_edges = [ring_edges(g) for g in groups]
-    elif op in ("bcast", "reduce"):
-        per_group_edges = [
-            (binomial_rounds(g)[-1] if len(g) > 1 else []) for g in groups
+    if op not in _SHARED_ROUND:  # serialised or latency-only: nothing is shared
+        uncontended = ContentionContext.none()
+        return max(
+            collective_time(op, machine, network, g, total_bytes, uncontended)
+            for g in groups
+        )
+
+    flat = machine.core_index([c for g in groups for c in g])
+    sizes = np.array([len(g) for g in groups])
+    starts = np.cumsum(sizes) - sizes
+    # groups of one size run the same rounds: one (groups x edges) block
+    # of sender / receiver core indices per round
+    blocks = {}
+    for q in set(sizes[sizes > 1].tolist()):
+        first = starts[sizes == q][:, None]
+        blocks[q] = [(flat[first + s], flat[first + r]) for s, r in _rank_rounds(op, q)]
+    if not blocks:
+        return 0.0
+
+    out = inc = np.zeros(machine.num_nodes, dtype=np.intp)
+    shared = _SHARED_ROUND[op]
+    if shared is not None:
+        out, inc = node_counts(
+            machine,
+            np.concatenate([rounds[shared][0].ravel() for rounds in blocks.values()]),
+            np.concatenate([rounds[shared][1].ravel() for rounds in blocks.values()]),
+        )
+    out_count, in_count = np.maximum(out, 1), np.maximum(inc, 1)
+
+    slowest = 0.0
+    for q, rounds in blocks.items():
+        nbytes = total_bytes if op in ("bcast", "reduce") else total_bytes / q
+        # a round ends with its slowest edge: one cost per group and round
+        costs = [
+            edge_costs(machine, network, u, v, nbytes, out_count, in_count).max(axis=1)
+            for u, v in rounds
         ]
-    elif op == "alltoall":
-        per_group_edges = [
-            (alltoall_rounds(g)[0] if len(g) > 1 else []) for g in groups
-        ]
-    else:
-        per_group_edges = [[] for _ in groups]
-    ctx = build_context(machine, per_group_edges)
-    return max(
-        collective_time(op, machine, network, g, total_bytes, ctx) for g in groups
-    )
+        if op == "allgather":
+            per_group = (q - 1) * costs[0]
+        elif op == "allreduce":
+            per_group = 2.0 * ((q - 1) * costs[0])
+        else:
+            per_group = sum(costs)
+        slowest = max(slowest, float(per_group.max()))
+    return slowest
 
 
 # ----------------------------------------------------------------------

@@ -14,17 +14,57 @@ The paper's ``TRe(M1, M2, q1, q2, mp1, mp2)`` (Section 3.1) is realised by
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster.architecture import LEVEL_NETWORK, CoreId, Machine
+from ..cluster.architecture import CoreId, Machine
 from ..cluster.network import HierarchicalNetwork
 from ..distribution import Distribution1D, transfer_counts
-from .contention import ContentionContext
+from .contention import ContentionContext, edge_costs
 
 __all__ = ["redistribution_messages", "redistribution_time"]
+
+
+def _physical_messages(
+    src_ids: np.ndarray,
+    dst_ids: np.ndarray,
+    src_dist: Distribution1D,
+    dst_dist: Distribution1D,
+    itemsize: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sender id, receiver id and bytes of every physical message.
+
+    ``src_ids[i]`` / ``dst_ids[j]`` identify the physical core behind
+    source rank ``i`` / target rank ``j`` (any non-negative integer
+    labelling).  Messages come in row-major order of the transfer matrix;
+    transfers between the same two cores (several ranks on one core)
+    merge into the first of them, and transfers within one core are
+    dropped -- the data never leaves the core.
+    """
+    if len(src_ids) != src_dist.nprocs:
+        raise ValueError(
+            f"source has {len(src_ids)} cores but distribution expects {src_dist.nprocs}"
+        )
+    if len(dst_ids) != dst_dist.nprocs:
+        raise ValueError(
+            f"target has {len(dst_ids)} cores but distribution expects {dst_dist.nprocs}"
+        )
+    counts = transfer_counts(src_dist, dst_dist)
+    i, j = np.nonzero(counts)
+    u, v, nbytes = src_ids[i], dst_ids[j], counts[i, j] * itemsize
+    off_core = u != v
+    u, v, nbytes = u[off_core], v[off_core], nbytes[off_core]
+    # two cells can only name the same core pair when ranks share a core
+    if len(np.unique(src_ids)) < len(src_ids) or len(np.unique(dst_ids)) < len(dst_ids):
+        pair = u * (int(dst_ids.max()) + 1) + v
+        _, first, group = np.unique(pair, return_index=True, return_inverse=True)
+        keep = np.sort(first)
+        slot = np.searchsorted(keep, first[group])
+        # float64 weights hold integer byte sums exactly below 2**53
+        nbytes = np.bincount(slot, weights=nbytes, minlength=len(keep)).astype(np.int64)
+        u, v = u[keep], v[keep]
+    return u, v, nbytes
 
 
 def redistribution_messages(
@@ -39,23 +79,18 @@ def redistribution_messages(
     Logical transfers between ranks that share a physical core are
     dropped -- the data never leaves the core.
     """
-    if len(src_cores) != src_dist.nprocs:
-        raise ValueError(
-            f"source has {len(src_cores)} cores but distribution expects {src_dist.nprocs}"
-        )
-    if len(dst_cores) != dst_dist.nprocs:
-        raise ValueError(
-            f"target has {len(dst_cores)} cores but distribution expects {dst_dist.nprocs}"
-        )
-    counts = transfer_counts(src_dist, dst_dist)
-    messages: Dict[Tuple[CoreId, CoreId], int] = {}
-    nz = np.argwhere(counts > 0)
-    for i, j in nz:
-        u, v = src_cores[int(i)], dst_cores[int(j)]
-        if u == v:
-            continue
-        messages[(u, v)] = messages.get((u, v), 0) + int(counts[i, j]) * itemsize
-    return messages
+    cores = list(dict.fromkeys([*src_cores, *dst_cores]))
+    label = {c: k for k, c in enumerate(cores)}
+    u, v, nbytes = _physical_messages(
+        np.array([label[c] for c in src_cores], dtype=np.intp),
+        np.array([label[c] for c in dst_cores], dtype=np.intp),
+        src_dist,
+        dst_dist,
+        itemsize,
+    )
+    return {
+        (cores[a], cores[b]): n for a, b, n in zip(u.tolist(), v.tolist(), nbytes.tolist())
+    }
 
 
 def redistribution_time(
@@ -76,43 +111,34 @@ def redistribution_time(
     additionally share each node's NIC with the other transfers of the
     phase.
     """
-    messages = redistribution_messages(src_cores, dst_cores, src_dist, dst_dist, itemsize)
-    if not messages:
+    u, v, nbytes = _physical_messages(
+        machine.core_index(src_cores),
+        machine.core_index(dst_cores),
+        src_dist,
+        dst_dist,
+        itemsize,
+    )
+    if not len(u):
         return 0.0
 
     if ctx is None:
         # Concurrency on a NIC comes from *different cores* of the node
         # sending/receiving at once; the fan-out of a single core is
         # serialised by that core and must not be double-counted.
-        out_cores: Dict[int, set] = defaultdict(set)
-        in_cores: Dict[int, set] = defaultdict(set)
-        for (u, v), _ in messages.items():
-            if machine.comm_level(u, v) == LEVEL_NETWORK:
-                out_cores[u.node].add(u)
-                in_cores[v.node].add(v)
-        ctx = ContentionContext(
-            out_per_node={n: len(cs) for n, cs in out_cores.items()},
-            in_per_node={n: len(cs) for n, cs in in_cores.items()},
-        )
+        nodes = machine.core_nodes
+        inter = nodes[u] != nodes[v]
 
-    send_busy: Dict[CoreId, float] = defaultdict(float)
-    recv_busy: Dict[CoreId, float] = defaultdict(float)
-    for (u, v), nbytes in messages.items():
-        lvl = machine.comm_level(u, v)
-        link = network.level(lvl)
-        if lvl == LEVEL_NETWORK:
-            per_byte = max(
-                link.beta,
-                ctx.out_count(u.node) / network.nic_bandwidth,
-                ctx.in_count(v.node) / network.nic_bandwidth,
-            )
-        else:
-            per_byte = link.beta
-        t = link.latency + nbytes * per_byte
-        send_busy[u] += t
-        recv_busy[v] += t
+        def busy_cores_per_node(ends: np.ndarray) -> np.ndarray:
+            active = np.zeros(machine.total_cores, dtype=bool)
+            active[ends[inter]] = True
+            return np.maximum(np.bincount(nodes[active], minlength=machine.num_nodes), 1)
 
-    busiest = 0.0
-    for core in set(send_busy) | set(recv_busy):
-        busiest = max(busiest, send_busy[core], recv_busy[core])
-    return busiest
+        out_count, in_count = busy_cores_per_node(u), busy_cores_per_node(v)
+    else:
+        out_count, in_count = ctx.counts(machine.num_nodes)
+
+    t = edge_costs(machine, network, u, v, nbytes, out_count, in_count)
+    # bincount adds in message order, the order a core posts its transfers
+    send_busy = np.bincount(u, weights=t)
+    recv_busy = np.bincount(v, weights=t)
+    return float(max(send_busy.max(), recv_busy.max()))

@@ -470,7 +470,8 @@ class CachedCostEvaluator:
         src_cores: Sequence[CoreId],
         dst_cores: Sequence[CoreId],
     ) -> float:
-        """Mapped redistribution cost (delegated, not memoized)."""
+        """Memoized mapped redistribution cost ``TRe`` (the simulator
+        re-costs the same edges on every contention pass)."""
         key = (
             "redistribution_time",
             tuple(flows),

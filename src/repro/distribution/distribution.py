@@ -227,6 +227,9 @@ def transfer_counts(src: Distribution1D, dst: Distribution1D) -> np.ndarray:
       ``j mod src.nprocs`` (balanced fan-out).
     * replicated target: every target rank needs the full array, split
       over the owning source ranks (an allgather-like pattern).
+
+    Two :class:`BlockCyclic` layouts cost ``O(n/b_src + n/b_dst)`` (the
+    number of ownership runs), not ``O(n)``.
     """
     if src.size != dst.size:
         raise ValueError(
@@ -250,11 +253,20 @@ def transfer_counts(src: Distribution1D, dst: Distribution1D) -> np.ndarray:
             counts[i, :] = src.local_size(i)
         return counts
 
-    so = src.owners()
-    do = dst.owners()
-    pair = so * qd + do
-    binc = np.bincount(pair, minlength=qs * qd)
-    return binc.reshape(qs, qd)
+    # Ownership is constant between consecutive block boundaries of
+    # either side, so one (source owner, target owner) pair and a length
+    # per such run gives the matrix without visiting single elements.
+    # (A boundary both sides share appears twice; its second copy starts
+    # a run of length zero.)
+    starts = np.concatenate(
+        [np.arange(0, src.size, src.block_size), np.arange(0, dst.size, dst.block_size)]
+    )
+    starts.sort(kind="stable")  # two sorted runs: a linear merge
+    lengths = np.diff(starts, append=src.size)
+    pair = (starts // src.block_size) % qs * qd + (starts // dst.block_size) % qd
+    # float64 weights hold integer sums exactly below 2**53 elements
+    binc = np.bincount(pair, weights=lengths, minlength=qs * qd)
+    return binc.astype(np.int64).reshape(qs, qd)
 
 
 def mesh_transfer_counts(src: MeshDistribution, dst: MeshDistribution) -> np.ndarray:

@@ -21,7 +21,8 @@ solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,22 +39,33 @@ class ODEProblem:
     ``f`` -- the ``n * teval(f)`` term of the cost function in
     Section 3.1 -- and drives the computational work of the M-task cost
     models.
+
+    ``initial_state`` builds the initial vector; :attr:`y0` calls it on
+    first access and keeps the result.  Building task graphs and pricing
+    them reads only ``n``, ``eval_flops`` and ``kind``, so a problem that
+    is scheduled but never integrated does not allocate its state.
     """
 
     name: str
     n: int
     f: Callable[[float, np.ndarray], np.ndarray]
-    y0: np.ndarray
+    initial_state: Callable[[], np.ndarray]
     t0: float = 0.0
     jac: Optional[Callable[[float, np.ndarray], object]] = None
     eval_flops: float = 0.0
     kind: str = "sparse"  #: "sparse" (linear f cost) or "dense" (quadratic)
 
     def __post_init__(self) -> None:
-        if self.n != len(self.y0):
-            raise ValueError(f"y0 has {len(self.y0)} components, expected n={self.n}")
         if self.kind not in ("sparse", "dense"):
             raise ValueError("kind must be 'sparse' or 'dense'")
+
+    @cached_property
+    def y0(self) -> np.ndarray:
+        """The initial state ``y(t0)``, built once (``n`` components)."""
+        y0 = self.initial_state()
+        if self.n != len(y0):
+            raise ValueError(f"y0 has {len(y0)} components, expected n={self.n}")
+        return y0
 
     def flops_per_component(self) -> float:
         """Average evaluation cost of one ODE component (``teval(f)``)."""
@@ -104,11 +116,12 @@ def bruss2d(N: int = 32, alpha: float = 2e-3) -> ODEProblem:
         dvv = sp.diags(-u * u) + lap
         return sp.bmat([[duu, duv], [dvu, dvv]], format="csc")
 
-    xs = np.linspace(0.0, 1.0, N)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    u0 = 22.0 * Y * (1.0 - Y) ** 1.5
-    v0 = 27.0 * X * (1.0 - X) ** 1.5
-    y0 = np.concatenate([u0.ravel(), v0.ravel()])
+    def initial_state() -> np.ndarray:
+        xs = np.linspace(0.0, 1.0, N)
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        u0 = 22.0 * Y * (1.0 - Y) ** 1.5
+        v0 = 27.0 * X * (1.0 - X) ** 1.5
+        return np.concatenate([u0.ravel(), v0.ravel()])
 
     # per component: ~8 arithmetic ops for the reaction terms plus the
     # 5-point stencil (6 ops) -> ~14 flops, linear in n
@@ -116,7 +129,7 @@ def bruss2d(N: int = 32, alpha: float = 2e-3) -> ODEProblem:
         name=f"BRUSS2D(N={N})",
         n=n,
         f=f,
-        y0=y0,
+        initial_state=initial_state,
         jac=jac,
         eval_flops=14.0 * n,
         kind="sparse",
@@ -158,13 +171,11 @@ def schroed(n: int = 128, coupling: float = 0.05, seed: int = 0) -> ODEProblem:
     def jac(t: float, y: np.ndarray) -> np.ndarray:
         return A + gamma * (np.diag(B @ y) + y[:, None] * B)
 
-    y0 = np.sin(np.linspace(0.0, np.pi, n)) + 0.1
-
     return ODEProblem(
         name=f"SCHROED(n={n})",
         n=n,
         f=f,
-        y0=y0,
+        initial_state=lambda: np.sin(np.linspace(0.0, np.pi, n)) + 0.1,
         jac=jac,
         eval_flops=4.0 * n * n,  # two dense matvecs
         kind="dense",
@@ -190,7 +201,7 @@ def linear_test_problem(n: int = 4, rate: float = -1.0) -> ODEProblem:
         name=f"linear(n={n})",
         n=n,
         f=f,
-        y0=y0,
+        initial_state=lambda: y0,
         jac=jac,
         eval_flops=2.0 * n,
         kind="sparse",

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from dataclasses import replace as replace_entry
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.architecture import CoreId
-from ..comm.collectives import ring_edges
-from ..comm.contention import ContentionContext, build_context
+import numpy as np
+
+from ..cluster.architecture import CoreId, Machine
+from ..comm.contention import ContentionContext, node_counts
 from ..core.costmodel import CostModel
 from ..core.graph import TaskGraph
 from ..core.schedule import Placement
@@ -75,11 +76,16 @@ class SimulationOptions:
     speculation: Optional[SpeculationPolicy] = None
 
 
-def _phase_edges(task: MTask, cores: Sequence[CoreId]):
-    """Representative communication round of a task (for contention)."""
+def _phase_counts(
+    machine: Machine, task: MTask, cores: Sequence[CoreId]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Inter-node messages per node (out, in) of a task's representative
+    communication round, a ring over its cores (for contention)."""
     if len(cores) < 2 or not task.comm:
-        return []
-    return ring_edges(list(cores))
+        idle = np.zeros(machine.num_nodes, dtype=np.intp)
+        return idle, idle
+    ring = machine.core_index(cores)
+    return node_counts(machine, ring, np.roll(ring, -1))
 
 
 def _overlaps(a: Tuple[float, float], b: Tuple[float, float]) -> bool:
@@ -116,14 +122,19 @@ def simulate(
                     ctxs[t] = None  # own edges only
                     peers[t] = []
             else:
+                # a task's context is the sum of the rounds of its
+                # concurrent set; each round is counted once per pass
+                phase = {
+                    t: _phase_counts(machine, t, placement.cores_of(t)) for t in graph
+                }
                 for t in graph:
                     mine = intervals[t]
                     concurrent = [
                         o for o in graph if o is t or _overlaps(intervals[o], mine)
                     ]
-                    ctxs[t] = build_context(
-                        machine,
-                        [_phase_edges(o, placement.cores_of(o)) for o in concurrent],
+                    ctxs[t] = ContentionContext.from_counts(
+                        sum(phase[o][0] for o in concurrent),
+                        sum(phase[o][1] for o in concurrent),
                     )
                     peers[t] = [tuple(placement.cores_of(o)) for o in concurrent]
             with obs.span("contention_pass", index=pass_no):

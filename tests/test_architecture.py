@@ -1,5 +1,7 @@
 """Tests for the cluster architecture model."""
 
+import pickle
+
 import pytest
 
 from repro.cluster import (
@@ -28,6 +30,14 @@ class TestCoreId:
     def test_hashable_and_eq(self):
         assert CoreId(1, 2, 3) == CoreId(1, 2, 3)
         assert len({CoreId(0, 0, 0), CoreId(0, 0, 0), CoreId(0, 0, 1)}) == 2
+
+    def test_immutable_and_pickles_as_itself(self):
+        c = CoreId(1, 2, 3)
+        with pytest.raises(AttributeError):
+            c.node = 0
+        back = pickle.loads(pickle.dumps(c))
+        assert type(back) is CoreId and back == c
+        assert str(c) == c.label == "2.3.4"
 
 
 class TestMachine:
@@ -98,6 +108,21 @@ class TestMachine:
         node_cores = m.cores_of_node(1)
         assert len(node_cores) == 4
         assert all(c.node == 1 for c in node_cores)
+
+    def test_index_view_round_trips_on_heterogeneous_shapes(self):
+        m = Machine("het", ((2, 2), (4,), (1, 3, 2), (1,)), 1e9)
+        cores = m.cores()
+        idx = m.core_index(cores)
+        assert idx.tolist() == list(range(m.total_cores))
+        picked = [cores[7], cores[0], cores[7], cores[-1]]  # any order, repeats
+        assert [cores[i] for i in m.core_index(picked)] == picked
+        assert m.core_nodes.tolist() == [c.node for c in cores]
+        assert m.core_procs.tolist() == [c.proc for c in cores]
+        assert len(m.core_index([])) == 0
+        with pytest.raises(ValueError, match="does not exist"):
+            m.core_index([CoreId(1, 1, 0)])  # node 2 has a single processor
+        with pytest.raises(ValueError):
+            m.core_nodes[0] = 5  # the view is read-only
 
     def test_tree_lines_structure(self):
         m = Machine.homogeneous("t", 1, 2, 2, 1e9)

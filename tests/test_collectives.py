@@ -1,8 +1,10 @@
 """Tests for collective cost models and communication patterns."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import CoreId, generic_cluster
+from repro.cluster import CoreId, Machine, chic, generic_cluster
 from repro.comm import (
     allgather_time,
     allreduce_time,
@@ -18,7 +20,8 @@ from repro.comm import (
     ptp_time,
     scatter_time,
 )
-from repro.comm.collectives import alltoall_rounds, binomial_rounds, ring_edges
+from repro.comm import build_context
+from repro.comm.collectives import _MAPPED, alltoall_rounds, binomial_rounds, ring_edges
 
 
 @pytest.fixture
@@ -149,6 +152,52 @@ class TestSymbolic:
     def test_symbolic_unknown_op(self, plat):
         with pytest.raises(ValueError):
             collective_time_symbolic("gossip", plat.network, 4, 1.0)
+
+
+#: four nodes of unequal shape under CHiC's link parameters
+HET = Machine("het", ((2, 2), (4,), (1, 3, 2), (2, 2)), 1e9)
+HET_CORES = HET.cores()
+
+
+def shared_context(op, groups):
+    """The round of every group that loads the NICs while all of them run
+    ``op`` at once (Fig. 14 right)."""
+    if op == "allgather":
+        edges = [ring_edges(g) for g in groups]
+    elif op in ("bcast", "reduce"):
+        edges = [binomial_rounds(g)[-1] if len(g) > 1 else [] for g in groups]
+    elif op == "alltoall":
+        edges = [alltoall_rounds(g)[0] if len(g) > 1 else [] for g in groups]
+    else:
+        edges = []
+    return build_context(HET, edges)
+
+
+class TestMultiGroupKernel:
+    @given(
+        op=st.sampled_from(sorted(_MAPPED)),
+        groups=st.lists(
+            # unequal sizes, one-member groups, a core in two groups or
+            # behind two ranks of one group
+            st.lists(st.sampled_from(HET_CORES), min_size=1, max_size=9),
+            min_size=1,
+            max_size=6,
+        ),
+        nbytes=st.sampled_from([0.0, 8.0, 12345.0, 1e6 / 3, 3e7]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_slowest_group_under_the_shared_context(self, op, groups, nbytes):
+        net = chic().network
+        ctx = shared_context(op, groups)
+        want = max(collective_time(op, HET, net, g, nbytes, ctx) for g in groups)
+        assert multi_group_time(op, HET, net, groups, nbytes) == want
+
+    def test_no_groups_and_unknown_op(self):
+        net = chic().network
+        assert multi_group_time("allgather", HET, net, [], 1e6) == 0.0
+        assert multi_group_time("allgather", HET, net, [HET_CORES[:1]], 1e6) == 0.0
+        with pytest.raises(ValueError, match="unknown collective"):
+            multi_group_time("gossip", HET, net, [HET_CORES[:2]], 1e6)
 
 
 class TestPatterns:

@@ -74,8 +74,8 @@ class TestBitwiseIdentical:
 
     def test_redistribution_mapped(self, models, graph):
         plain, cached = models
-        src = tuple(range(0, 8))
-        dst = tuple(range(8, 24))
+        cores = plain.platform.machine.cores()
+        src, dst = cores[:8], cores[8:24]
         for _u, _v, flows in graph.edges():
             if not flows:
                 continue

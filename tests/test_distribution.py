@@ -166,6 +166,36 @@ class TestTransferCounts:
         assert np.all(c >= 0)
 
 
+    @given(
+        n=st.integers(0, 200),
+        ps=procs,
+        pd=procs,
+        # blocks larger than the array, more ranks than blocks, the block
+        # and cyclic layouts and every mix of them
+        bs=st.one_of(st.just(None), st.integers(1, 250)),
+        bd=st.one_of(st.just(None), st.integers(1, 250)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_run_length_counts_equal_per_element_oracle(self, n, ps, pd, bs, bd):
+        src = block(n, ps) if bs is None else BlockCyclic(n, ps, bs)
+        dst = block(n, pd) if bd is None else BlockCyclic(n, pd, bd)
+        c = transfer_counts(src, dst)
+        oracle = np.bincount(
+            src.owners() * pd + dst.owners(), minlength=ps * pd
+        ).reshape(ps, pd)
+        assert c.dtype == np.int64
+        np.testing.assert_array_equal(c, oracle)
+        np.testing.assert_array_equal(c.sum(axis=1), [src.local_size(r) for r in range(ps)])
+        np.testing.assert_array_equal(c.sum(axis=0), [dst.local_size(r) for r in range(pd)])
+
+    def test_cost_follows_runs_not_elements(self):
+        # 10^9 elements in 16 + 64 ownership runs
+        n = 10**9
+        c = transfer_counts(block(n, 16), block(n, 64))
+        assert c.sum() == n
+        assert np.count_nonzero(c) <= 16 + 64
+
+
 class TestMeshTransferCounts:
     def test_matches_flat_owner_computation(self):
         import numpy as np

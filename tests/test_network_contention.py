@@ -1,10 +1,30 @@
 """Tests for link models and NIC contention."""
 
-import pytest
+from collections import defaultdict
 
-from repro.cluster import CoreId, HierarchicalNetwork, LinkLevel, Machine, generic_cluster
-from repro.comm import ContentionContext, build_context, edge_cost
-from repro.comm.contention import round_cost
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import (
+    CoreId,
+    HierarchicalNetwork,
+    LinkLevel,
+    Machine,
+    chic,
+    generic_cluster,
+)
+from repro.comm import (
+    ContentionContext,
+    build_context,
+    edge_cost,
+    redistribution_messages,
+    redistribution_time,
+)
+from repro.comm.collectives import ring_edges
+from repro.comm.contention import edge_costs, node_counts, round_cost
+from repro.distribution import BlockCyclic, Replicated, transfer_counts
 
 
 def simple_setup():
@@ -117,6 +137,147 @@ class TestContention:
     def test_round_cost_empty(self):
         machine, net = simple_setup()
         assert round_cost(machine, net, [], 1e5, ContentionContext.none()) == 0.0
+
+
+# ----------------------------------------------------------------------
+# array kernel == scalar definition, bit for bit
+# ----------------------------------------------------------------------
+#: four nodes of unequal shape under CHiC's link parameters
+HET = Machine("het", ((2, 2), (4,), (1, 3, 2), (2, 2)), 1e9)
+NET = chic().network
+HET_CORES = HET.cores()
+
+core_picks = st.integers(0, len(HET_CORES) - 1)
+node_loads = st.dictionaries(st.integers(0, HET.num_nodes - 1), st.integers(0, 9))
+contexts = st.builds(ContentionContext, out_per_node=node_loads, in_per_node=node_loads)
+
+
+@st.composite
+def layouts(draw, n):
+    """A 1-D distribution of ``n`` elements and the cores behind its ranks."""
+    q = draw(st.integers(1, 9))
+    dist = draw(
+        st.one_of(
+            st.builds(BlockCyclic, st.just(n), st.just(q), st.integers(1, 40)),
+            st.just(Replicated(n, q)),
+        )
+    )
+    where = draw(st.sampled_from(["anywhere", "distinct", "one node"]))
+    if where == "distinct":
+        picks = draw(st.permutations(range(len(HET_CORES))))[:q]
+    elif where == "one node":  # no inter-node edge at all
+        picks = draw(st.lists(st.integers(4, 7), min_size=q, max_size=q))
+    else:  # several ranks may share a physical core
+        picks = draw(st.lists(core_picks, min_size=q, max_size=q))
+    return dist, [HET_CORES[i] for i in picks]
+
+
+def messages_by_loop(src_cores, dst_cores, src_dist, dst_dist, itemsize):
+    """Cell-by-cell walk over the transfer matrix (the definition)."""
+    counts = transfer_counts(src_dist, dst_dist)
+    messages = {}
+    for i, j in np.argwhere(counts > 0):
+        u, v = src_cores[i], dst_cores[j]
+        if u != v:
+            messages[(u, v)] = messages.get((u, v), 0) + int(counts[i, j]) * itemsize
+    return messages
+
+
+def redistribution_time_by_loop(src_cores, dst_cores, src_dist, dst_dist, itemsize, ctx):
+    """Message-by-message reference built on the scalar ``edge_cost``."""
+    messages = messages_by_loop(src_cores, dst_cores, src_dist, dst_dist, itemsize)
+    if not messages:
+        return 0.0
+    if ctx is None:
+        out_cores, in_cores = defaultdict(set), defaultdict(set)
+        for u, v in messages:
+            if u.node != v.node:
+                out_cores[u.node].add(u)
+                in_cores[v.node].add(v)
+        ctx = ContentionContext(
+            {n: len(c) for n, c in out_cores.items()},
+            {n: len(c) for n, c in in_cores.items()},
+        )
+    send, recv = defaultdict(float), defaultdict(float)
+    for (u, v), nbytes in messages.items():
+        t = edge_cost(HET, NET, u, v, nbytes, ctx)
+        send[u] += t
+        recv[v] += t
+    return max(max(send.values()), max(recv.values()))
+
+
+class TestArrayKernel:
+    @given(
+        edges=st.lists(st.tuples(core_picks, core_picks), min_size=1, max_size=30),
+        nbytes=st.sampled_from([0.0, 8.0, 12345.0, 1e6 / 3]),
+        ctx=contexts,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_edge_costs_equal_scalar_edge_cost(self, edges, nbytes, ctx):
+        u = np.array([a for a, _ in edges])
+        v = np.array([b for _, b in edges])
+        got = edge_costs(HET, NET, u, v, nbytes, *ctx.counts(HET.num_nodes))
+        want = [edge_cost(HET, NET, HET_CORES[a], HET_CORES[b], nbytes, ctx) for a, b in edges]
+        assert got.tolist() == want
+
+    @given(edge_lists=st.lists(st.lists(st.tuples(core_picks, core_picks), max_size=12), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_node_counts_equal_build_context(self, edge_lists):
+        flat = [e for edges in edge_lists for e in edges]
+        out, inc = node_counts(
+            HET,
+            np.array([a for a, _ in flat], dtype=np.intp),
+            np.array([b for _, b in flat], dtype=np.intp),
+        )
+        assert ContentionContext.from_counts(out, inc) == build_context(
+            HET, [[(HET_CORES[a], HET_CORES[b]) for a, b in edges] for edges in edge_lists]
+        )
+
+    @given(
+        data=st.data(),
+        n=st.sampled_from([0, 1, 7, 100, 1000]),
+        itemsize=st.sampled_from([1, 8]),
+        ctx=st.one_of(st.none(), contexts),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_redistribution_equals_message_loop(self, data, n, itemsize, ctx):
+        src_dist, src_cores = data.draw(layouts(n))
+        dst_dist, dst_cores = data.draw(layouts(n))
+        args = (src_cores, dst_cores, src_dist, dst_dist, itemsize)
+        assert redistribution_messages(*args) == messages_by_loop(*args)
+        # same merged messages in the same first-seen order ...
+        assert list(redistribution_messages(*args)) == list(messages_by_loop(*args))
+        # ... so the per-core busy sums round identically
+        assert redistribution_time(HET, NET, *args, ctx=ctx) == redistribution_time_by_loop(
+            *args, ctx
+        )
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="source has 2 cores"):
+            redistribution_time(
+                HET, NET, HET_CORES[:2], HET_CORES[:3], Replicated(4, 3), Replicated(4, 3)
+            )
+
+    def test_simulator_phase_counts_sum_to_the_ring_context(self):
+        # the simulator adds up per-task counts instead of re-walking the
+        # rings of every concurrent task; both give the same context
+        from repro.core import CollectiveSpec, MTask
+        from repro.sim.executor import _phase_counts
+
+        talk = MTask("talk", work=1.0, comm=(CollectiveSpec("allgather", 8.0),))
+        quiet = MTask("quiet", work=1.0)
+        placed = [
+            (talk, HET_CORES[0:6]),
+            (talk, HET_CORES[3:13]),
+            (talk, HET_CORES[13:14]),
+            (quiet, HET_CORES[2:11]),
+        ]
+        counts = [_phase_counts(HET, t, cores) for t, cores in placed]
+        summed = ContentionContext.from_counts(
+            sum(c[0] for c in counts), sum(c[1] for c in counts)
+        )
+        rings = [ring_edges(list(cores)) for t, cores in placed if t.comm and len(cores) > 1]
+        assert summed == build_context(HET, rings)
 
 
 class TestCalibration:
