@@ -99,6 +99,10 @@ class Instrumentation:
         self._stack: List[SpanRecord] = []
         self._next_sid: int = 1
 
+    def now(self) -> float:
+        """Current time on this instrumentation's clock (span frame)."""
+        return self._clock()
+
     def epoch_of(self, clock_time: float) -> float:
         """Wall-clock epoch seconds of a clock timestamp (trace alignment)."""
         return self.epoch[0] + (clock_time - self.epoch[1])

@@ -1,17 +1,28 @@
 """The execution-backend interface of the functional runtime.
 
 :func:`~repro.runtime.run_program` owns the *semantics* of a run --
-dependency order, data re-distribution accounting, fault/retry handling,
-journaling, speculation, supervision -- and delegates the *mechanics* of
-running ready task bodies to an :class:`ExecutionBackend`:
+dependency order, data re-distribution accounting, failure handling,
+journaling, supervision -- and delegates the *mechanics* of running
+ready task bodies to an :class:`ExecutionBackend`.  The mechanics come
+in three layers, each written once:
 
-* :class:`~repro.runtime.backends.serial.SerialBackend` executes every
-  task in-process, one at a time, with accounted (not concurrent)
-  timing -- the historical, bit-identical execution path;
-* :class:`~repro.runtime.backends.pool.ProcessPoolBackend` dispatches
-  each batch of independent tasks to a persistent ``fork``-start
-  ``multiprocessing`` worker pool, moving numpy arrays through
-  ``multiprocessing.shared_memory`` instead of pickling them.
+* the **attempt engine** (:mod:`~repro.runtime.backends.attempts`):
+  one task body under the fault plan and retry policy, a pure function
+  returning the produced arrays plus one event per attempt.  Every
+  backend runs it -- in-process or inside a worker;
+* the **batch driver** (:mod:`~repro.runtime.backends.driver`):
+  prepare in order, submit, gather, age-based speculation, outcome
+  assembly, commit in order and the ``backend_*`` gauges, for every
+  backend whose bodies run in worker processes;
+* a **transport** behind the driver, the only thing those backends
+  differ in: :class:`~repro.runtime.backends.pool.ProcessPoolBackend`
+  moves arrays through ``multiprocessing.shared_memory`` to a
+  persistent ``fork``-start worker pool,
+  :class:`~repro.runtime.backends.cluster.ClusterBackend` frames them
+  over sockets to an elastic, failure-detected membership.
+
+:class:`~repro.runtime.backends.serial.SerialBackend` calls the engine
+directly, one task at a time with accounted (not concurrent) timing.
 
 The executor hands the backend *batches*: maximal contiguous runs of the
 graph's topological order in which no task depends on another
@@ -42,7 +53,7 @@ def emit_worker_crash(
     obs, backend: str, worker: Optional[int], pid: Optional[int], reason: str,
     in_flight: List[Dict[str, Any]],
 ) -> None:
-    """Emit the structured ``worker_crash`` record both backends share.
+    """Emit the structured ``worker_crash`` record the worker backends share.
 
     ``in_flight`` rows are ``{"task": name, "attempt": attempt}`` -- the
     work that was at risk when the worker died.  The pool backend emits
@@ -66,8 +77,8 @@ class RunContext:
     Built once per :func:`~repro.runtime.run_program` call and passed to
     :meth:`ExecutionBackend.open`.  ``history`` is the live list of
     completed effective durations (the speculation quantile history) --
-    the executor appends to it at commit time, the pool backend reads it
-    when deciding whether an outstanding task is straggling.
+    the executor appends to it at commit time, the backends read it
+    when deciding whether a task is straggling.
     """
 
     graph: Any
@@ -99,14 +110,15 @@ class TaskRequest:
 
 @dataclass
 class AttemptEvent:
-    """Wall-clock record of one attempt executed by a pool worker.
+    """Wall-clock record of one attempt the attempt engine executed.
 
-    ``start`` is in the *parent* instrumentation clock frame (the pool
-    backend converts worker-side monotonic stamps before reporting), so
-    the events can be emitted as real spans and rendered as per-worker
-    Perfetto tracks.  ``kind`` is ``"ok"``, ``"injected"``, ``"timeout"``
-    or ``"error"``; ``backoff`` the delay accounted before the next
-    attempt (0.0 for the last one).
+    ``start`` is in the run's instrumentation clock frame (the batch
+    driver converts worker-side monotonic stamps before reporting), so
+    the events can be emitted as real spans.  ``kind`` is ``"ok"``,
+    ``"injected"``, ``"timeout"`` or ``"error"``; ``backoff`` the delay
+    accounted before the next attempt (0.0 for the last one);
+    ``worker`` the worker process that ran it (``None`` in-process),
+    which puts the span on that worker's Perfetto track.
     """
 
     attempt: int
@@ -122,14 +134,15 @@ class AttemptEvent:
 class TaskOutcome:
     """What executing one :class:`TaskRequest` produced.
 
-    Exactly one of ``produced`` / ``failure`` is non-``None``.  ``info``
-    carries the journal accounting (attempts, effective seconds, last
-    error, total backoff).  Backends that executed out-of-process also
-    report the per-attempt wall-clock ``events``, the body's collective
-    ``log`` and an optional ``speculation`` record so the executor can
-    reproduce the serial backend's side effects (counters, histograms,
-    failure records) at commit time; the serial backend applies those
-    effects inline and leaves ``events`` empty.
+    Exactly one of ``produced`` / ``failure`` is non-``None`` (both are
+    ``None`` for a worker-side crash, reported in ``info["crash"]``).
+    ``info`` carries the journal accounting (attempts, effective
+    seconds, last error, total backoff); ``events`` the per-attempt
+    wall-clock records, ``collectives`` the body's collective log and
+    ``speculation`` an optional ``(SpeculationRecord, backup event or
+    None)`` pair.  The executor turns all of it into spans, counters,
+    histograms and failure records when the task commits -- no backend
+    touches the instrumentation's counters or the run statistics.
     """
 
     produced: Optional[Dict[str, Any]] = None

@@ -1,8 +1,14 @@
 """Elastic socket-cluster execution backend with failure detection.
 
-:class:`ClusterBackend` dispatches each batch of independent M-tasks to
-worker *processes* connected over TCP sockets (localhost by default):
-an asyncio **coordinator** -- running on a dedicated thread inside the
+:class:`ClusterBackend` is the socket
+:class:`~repro.runtime.backends.driver.Transport`: batch dispatch,
+gathering, speculation races, outcome assembly and in-order commit are
+the shared :class:`~repro.runtime.backends.driver.DriverBackend`'s, and
+each worker runs tasks through
+:func:`~repro.runtime.backends.attempts.run_job` like a pool worker
+does.  What this module adds is how jobs reach worker *processes*
+connected over TCP sockets (localhost by default): an asyncio
+**coordinator** -- running on a dedicated thread inside the
 parent -- serves a length-prefixed, array-chunked pickle protocol
 (:mod:`repro.runtime.backends.wire`), and each worker is a forked child
 (:mod:`repro.runtime.backends.cluster_worker`) that inherits the task
@@ -50,11 +56,11 @@ Robustness is the point of this backend:
   a task outcome reaches the journal exactly once, so a cluster run
   under injected worker kills resumes bit-identical to an uninterrupted
   serial run.
-* **speculation.**  With a
-  :class:`~repro.recovery.SpeculationPolicy`, a task outstanding past
-  the policy threshold races a backup on another worker -- the remote
-  analogue of the pool backend's concurrent speculation, and the
-  mitigation for *slow* (rather than dead) remote workers.
+* **backups avoid the straggler.**  When the driver races a
+  speculative backup (:class:`~repro.recovery.SpeculationPolicy`), the
+  coordinator queues it at the head of the least-loaded worker *other
+  than* the one holding the primary -- the mitigation for *slow*
+  (rather than dead) remote workers.
 
 Commit order is the batch's topological order regardless of completion
 order, so journals, failure records and variable stores stay
@@ -76,16 +82,9 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...recovery.speculation import SpeculationRecord
-from .base import (
-    AttemptEvent,
-    ExecutionBackend,
-    RunContext,
-    TaskOutcome,
-    TaskRequest,
-    emit_worker_crash,
-)
+from .base import RunContext, emit_worker_crash
 from .cluster_worker import serve
+from .driver import DriverBackend, Job
 from .wire import read_message_async, write_message_async
 
 __all__ = ["ClusterBackend", "WorkerLoss"]
@@ -497,20 +496,6 @@ class _Coordinator:
 # ----------------------------------------------------------------------
 # backend (main thread)
 # ----------------------------------------------------------------------
-class _MainJob:
-    """Main-thread state of one dispatched cluster job."""
-
-    __slots__ = ("jid", "request", "backup_of", "dispatched", "threshold", "backup_jid")
-
-    def __init__(self, jid: int, request: TaskRequest, backup_of: Optional[int] = None):
-        self.jid = jid
-        self.request = request
-        self.backup_of = backup_of
-        self.dispatched = 0.0
-        self.threshold: Optional[float] = None
-        self.backup_jid: Optional[int] = None
-
-
 def _forked_worker(
     host, port, wid, registry, faults, retry, parent_pid, heartbeat_interval, delay
 ) -> None:
@@ -533,7 +518,7 @@ def _forked_worker(
     )
 
 
-class ClusterBackend(ExecutionBackend):
+class ClusterBackend(DriverBackend):
     """Run M-task batches on socket-connected worker processes.
 
     Parameters
@@ -602,23 +587,18 @@ class ClusterBackend(ExecutionBackend):
         self.on_worker_lost = on_worker_lost
         self.chaos_kill = chaos_kill
         self.host = host
-        self._run: Optional[RunContext] = None
+        super().__init__()
         self._coord: Optional[_Coordinator] = None
         self._results: "queue.Queue" = queue.Queue()
         self._events: Deque[Tuple] = collections.deque()
         self._procs: Dict[int, Any] = {}
-        self._jobs: Dict[int, _MainJob] = {}
-        self._next_jid = 0
         self._next_wid = 0
-        self._offset = 0.0
-        self._done = 0
         self._gathered = 0
         self._batch_index = -1
-        self._spec_inflight = 0
         self._chaos_fired = False
 
     # ------------------------------------------------------------------
-    def open(self, run: RunContext) -> None:
+    def start(self, run: RunContext) -> int:
         """Start the coordinator, fork the workers, await the handshakes."""
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
@@ -626,42 +606,31 @@ class ClusterBackend(ExecutionBackend):
                 "are closures and cannot be pickled); it is not available on "
                 "this platform -- use the serial backend"
             )
-        self._run = run
-        self._offset = time.perf_counter() - time.monotonic()
         self._results = queue.Queue()
         self._events = collections.deque()
+        self._gathered = 0
+        self._batch_index = -1
+        self._chaos_fired = False
         self._coord = _Coordinator(
             heartbeat_timeout=self.heartbeat_timeout,
             dispatch_retry=self.dispatch_retry,
             results=self._results,
             events=self._events,
         )
-        try:
-            self._coord.start(self.host)
-            n = self.workers if self.workers is not None else max(2, os.cpu_count() or 1)
-            for _ in range(n):
-                self.spawn_worker()
-            deadline = time.monotonic() + 15.0
-            while self._coord.alive_count() < n:
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"cluster backend: only {self._coord.alive_count()} of "
-                        f"{n} workers joined within 15s"
-                    )
-                time.sleep(0.005)
-        except Exception:
-            self.close()
-            raise
-        self._done = 0
-        self._gathered = 0
-        self._batch_index = -1
-        self._spec_inflight = 0
-        self._chaos_fired = False
-        run.obs.publish("backend_tasks_total", float(len(run.graph)), backend=self.name)
-        run.obs.publish("backend_tasks_done", 0.0, backend=self.name)
-        run.obs.publish("backend_workers", float(n), backend=self.name)
-        run.obs.publish("backend_speculation_in_flight", 0.0, backend=self.name)
+        self._coord.start(self.host)
+        n = self.workers if self.workers is not None else max(2, os.cpu_count() or 1)
+        for _ in range(n):
+            self.spawn_worker()
+        deadline = time.monotonic() + 15.0
+        while self._coord.alive_count() < n:
+            if time.monotonic() > deadline:
+                raise RuntimeError(
+                    f"cluster backend: only {self._coord.alive_count()} of "
+                    f"{n} workers joined within 15s"
+                )
+            time.sleep(0.005)
         self._drain_events()
+        return n
 
     # ------------------------------------------------------------------
     @property
@@ -716,107 +685,70 @@ class ClusterBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def run_batch(self, tasks, prepare, commit) -> None:
-        """Prepare in order, execute on the cluster, commit in order."""
-        run = self._run
-        assert run is not None, "open() must be called before run_batch()"
-        obs = run.obs
+        """Run the batch, applying membership events on either side."""
         self._batch_index += 1
         self._drain_events()
-        requests = [r for r in (prepare(t) for t in tasks) if r is not None]
-        skipped = len(tasks) - len(requests)
-        if skipped:
-            self._done += skipped
-            obs.publish("backend_tasks_done", float(self._done), backend=self.name)
-        if not requests:
-            return
-        order: List[int] = []
-        frames: List[Dict[str, Any]] = []
-        for req in requests:
-            jid = self._next_jid
-            self._next_jid += 1
-            job = _MainJob(jid, req)
-            job.dispatched = time.perf_counter()
-            self._jobs[jid] = job
-            order.append(jid)
-            frames.append(
-                {
-                    "type": "task",
-                    "job": jid,
-                    "name": req.task.name,
-                    "q": req.q,
-                    "env": dict(req.ctx.env),
-                    "values": dict(req.values),
-                    "backup": False,
-                }
-            )
-        asyncio.run_coroutine_threadsafe(
-            self._coord.submit(frames), self._coord.loop
-        ).result(timeout=30.0)
-        resolved = self._gather(set(order))
-        for jid, req in zip(order, requests):
-            commit(req, resolved[jid])
-            self._done += 1
-            obs.publish("backend_tasks_done", float(self._done), backend=self.name)
+        super().run_batch(tasks, prepare, commit)
         self._drain_events()
 
     # ------------------------------------------------------------------
-    def _gather(self, pending: set) -> Dict[int, TaskOutcome]:
-        run = self._run
-        resolved: Dict[int, TaskOutcome] = {}
-        while pending:
+    def _call(self, coro) -> None:
+        asyncio.run_coroutine_threadsafe(coro, self._coord.loop).result(timeout=30.0)
+
+    @staticmethod
+    def _frame(job: Job) -> Dict[str, Any]:
+        req = job.request
+        return {
+            "type": "task",
+            "job": job.jid,
+            "name": req.task.name,
+            "q": req.q,
+            "env": dict(req.ctx.env),
+            "values": dict(req.values),
+            "backup": job.backup_of is not None,
+        }
+
+    def submit(self, jobs: List[Job]) -> None:
+        """Frame the batch and let the coordinator shard it."""
+        self._call(self._coord.submit([self._frame(job) for job in jobs]))
+
+    def submit_backup(self, backup: Job, owner: Job) -> None:
+        """Queue a backup on a worker other than the owner's."""
+        self._call(self._coord.submit_backup(self._frame(backup), owner.jid))
+
+    def poll(self, timeout: float):
+        """Next coordinator result; raises when the batch cannot finish."""
+        self._drain_events()
+        self._maybe_chaos_kill()
+        try:
+            item = self._results.get(timeout=timeout)
+        except queue.Empty:
+            return None
+        kind = item[0]
+        if kind == "stranded":
             self._drain_events()
-            self._maybe_chaos_kill()
-            try:
-                item = self._results.get(timeout=self.poll_interval)
-            except queue.Empty:
-                if run.speculation is not None and run.history is not None:
-                    self._maybe_speculate(pending)
-                self._publish_heartbeats()
-                continue
-            kind = item[0]
-            if kind == "stranded":
-                self._drain_events()
-                raise RuntimeError(
-                    "cluster backend: every worker died; stranded tasks: "
-                    + ", ".join(repr(t) for t in item[1])
-                )
-            if kind == "dispatch_failed":
-                _, jid, name, attempts, reason = item
-                self._drain_events()
-                raise RuntimeError(
-                    f"cluster backend: task {name!r} exhausted {attempts} "
-                    f"dispatch attempt(s): {reason}"
-                )
-            _, jid, wid, attempt, payload = item
-            self._gathered += 1
-            job = self._jobs.get(jid)
-            if job is None:  # job of an earlier batch already released
-                continue
-            owner_jid = job.backup_of if job.backup_of is not None else jid
-            owner = self._jobs[owner_jid]
-            if job.backup_of is not None and self._spec_inflight > 0:
-                self._spec_inflight -= 1
-                run.obs.publish(
-                    "backend_speculation_in_flight",
-                    float(self._spec_inflight),
-                    backend=self.name,
-                )
-            if owner_jid not in pending:
-                continue  # race already decided
-            if job.backup_of is None:
-                resolved[owner_jid] = self._primary_outcome(payload, wid, owner)
-                pending.discard(owner_jid)
-            else:
-                outcome = self._backup_outcome(payload, wid, owner)
-                if outcome is not None:  # backup won the race
-                    resolved[owner_jid] = outcome
-                    pending.discard(owner_jid)
-        for jid in list(self._jobs):
-            job = self._jobs[jid]
-            owner_jid = job.backup_of if job.backup_of is not None else job.jid
-            if owner_jid in resolved or owner_jid not in self._jobs:
-                self._jobs.pop(jid, None)
-        return resolved
+            raise RuntimeError(
+                "cluster backend: every worker died; stranded tasks: "
+                + ", ".join(repr(t) for t in item[1])
+            )
+        if kind == "dispatch_failed":
+            _, jid, name, attempts, reason = item
+            self._drain_events()
+            raise RuntimeError(
+                f"cluster backend: task {name!r} exhausted {attempts} "
+                f"dispatch attempt(s): {reason}"
+            )
+        _, jid, wid, attempt, payload = item
+        self._gathered += 1
+        return jid, wid, payload
+
+    def idle(self, waiting: List[Job]) -> None:
+        """Publish every live member's heartbeat age."""
+        for wid, age in sorted(self._coord.heartbeat_ages().items()):
+            self._publish("backend_worker_heartbeat_age_seconds", age, worker=wid)
+
+    def release(self, job: Job) -> None:
+        """Nothing to free: frames are owned by the coordinator."""
 
     def _maybe_chaos_kill(self) -> None:
         if self.chaos_kill is None or self._chaos_fired:
@@ -825,45 +757,6 @@ class ClusterBackend(ExecutionBackend):
         if self._gathered >= after:
             self._chaos_fired = True
             self.kill_worker(wid)
-
-    def _maybe_speculate(self, pending: set) -> None:
-        run = self._run
-        threshold = run.speculation.threshold(completed=run.history)
-        if threshold is None:
-            return
-        now = time.perf_counter()
-        for jid in list(pending):
-            job = self._jobs.get(jid)
-            if job is None or job.backup_jid is not None:
-                continue
-            if now - job.dispatched > threshold:
-                self._dispatch_backup(job, threshold)
-
-    def _dispatch_backup(self, owner: _MainJob, threshold: float) -> None:
-        jid = self._next_jid
-        self._next_jid += 1
-        self._jobs[jid] = _MainJob(jid, owner.request, backup_of=owner.jid)
-        owner.backup_jid = jid
-        owner.threshold = threshold
-        req = owner.request
-        frame = {
-            "type": "task",
-            "job": jid,
-            "name": req.task.name,
-            "q": req.q,
-            "env": dict(req.ctx.env),
-            "values": dict(req.values),
-            "backup": True,
-        }
-        asyncio.run_coroutine_threadsafe(
-            self._coord.submit_backup(frame, owner.jid), self._coord.loop
-        ).result(timeout=30.0)
-        self._spec_inflight += 1
-        self._run.obs.publish(
-            "backend_speculation_in_flight",
-            float(self._spec_inflight),
-            backend=self.name,
-        )
 
     # ------------------------------------------------------------------
     def _drain_events(self) -> None:
@@ -927,88 +820,8 @@ class ClusterBackend(ExecutionBackend):
             elif tag == "deadline":
                 obs.count("cluster.dispatch_deadlines")
 
-    def _publish_heartbeats(self) -> None:
-        run, coord = self._run, self._coord
-        if run is None or coord is None:
-            return
-        for wid, age in sorted(coord.heartbeat_ages().items()):
-            run.obs.publish(
-                "backend_worker_heartbeat_age_seconds",
-                age,
-                backend=self.name,
-                worker=wid,
-            )
-
     # ------------------------------------------------------------------
-    def _primary_outcome(self, payload, wid, owner: _MainJob) -> TaskOutcome:
-        produced = payload.get("outputs")
-        info = dict(payload.get("info", {}))
-        events = [
-            AttemptEvent(
-                attempt=e.get("attempt", 0),
-                start=e.get("start", 0.0) + self._offset,
-                duration=e.get("duration", 0.0),
-                kind=e.get("kind", "ok"),
-                error=e.get("error", ""),
-                backoff=e.get("backoff", 0.0),
-                worker=wid,
-            )
-            for e in payload.get("events", [])
-        ]
-        outcome = TaskOutcome(
-            produced=produced,
-            failure=payload.get("failure"),
-            info=info,
-            events=events,
-            collectives=payload.get("collectives", []),
-            worker=wid,
-        )
-        if owner.backup_jid is not None and produced is not None:
-            outcome.speculation = (
-                SpeculationRecord(
-                    task=owner.request.task.name,
-                    primary_seconds=float(info.get("seconds", 0.0)),
-                    backup_seconds=-1.0,
-                    win=False,
-                ),
-                None,
-            )
-        return outcome
-
-    def _backup_outcome(self, payload, wid, owner: _MainJob) -> Optional[TaskOutcome]:
-        produced = payload.get("outputs")
-        if produced is None:
-            return None  # backup crashed or misbehaved: just a lost race
-        run = self._run
-        name = owner.request.task.name
-        slow = run.faults.slowdown(name, 1) if run.faults is not None else 1.0
-        events = payload.get("events", [])
-        duration = events[0].get("duration", 0.0) if events else 0.0
-        start = events[0].get("start", 0.0) + self._offset if events else 0.0
-        eff_backup = (owner.threshold or 0.0) + duration * slow
-        elapsed = time.perf_counter() - owner.dispatched
-        record = SpeculationRecord(
-            task=name,
-            primary_seconds=elapsed,
-            backup_seconds=eff_backup,
-            win=True,
-        )
-        backup_event = AttemptEvent(
-            attempt=0, start=start, duration=duration, kind="ok", worker=wid
-        )
-        return TaskOutcome(
-            produced=produced,
-            failure=None,
-            info={"attempts": 1, "seconds": eff_backup, "error": "",
-                  "backoff_seconds": 0.0},
-            events=[],
-            collectives=payload.get("collectives", []),
-            speculation=(record, backup_event),
-            worker=wid,
-        )
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
+    def stop(self) -> None:
         """Stop the coordinator and reap every worker process."""
         if self._coord is not None:
             self._coord.stop()
@@ -1020,10 +833,3 @@ class ClusterBackend(ExecutionBackend):
                 proc.terminate()
                 proc.join(timeout=1.0)
         self._procs = {}
-        self._jobs = {}
-        self._run = None
-        self._results = queue.Queue()
-        self._events = collections.deque()
-        self._done = 0
-        self._gathered = 0
-        self._spec_inflight = 0

@@ -8,9 +8,9 @@ life cycle:
    ``heartbeat_interval`` seconds (sharing the socket under a lock) and
    doubles as the orphan watchdog -- if the parent process disappears
    the worker exits instead of lingering;
-3. loop on the socket: each ``task`` frame is executed with exactly the
-   same deterministic attempt loop as a process-pool worker
-   (:func:`repro.runtime.backends.pool._execute_attempts` -- per
+3. loop on the socket: each ``task`` frame is executed by the attempt
+   engine every backend shares
+   (:func:`repro.runtime.backends.attempts.run_job` -- per
    ``(task, attempt)`` seeded fault/retry draws, so *which* worker runs
    an attempt never changes its outcome), and the result (output arrays
    chunked by the wire layer) is sent back as a ``result`` frame
@@ -41,6 +41,7 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
+from .attempts import run_job
 from .wire import recv_message, send_message
 
 __all__ = ["serve", "main"]
@@ -64,8 +65,6 @@ def serve(
     drive the same deterministic attempt loop as the serial and pool
     backends.  ``parent_pid`` arms the orphan watchdog.
     """
-    from .pool import _execute_attempts, _execute_backup
-
     sock = socket.create_connection((host, port))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     send_lock = threading.Lock()
@@ -101,15 +100,11 @@ def serve(
                 continue
             if delay > 0.0:
                 time.sleep(delay)
-            task = registry[msg["name"]]
-            if msg.get("backup"):
-                result = _execute_backup(task, msg["q"], msg["env"], msg["values"])
-            else:
-                result = _execute_attempts(
-                    task, msg["q"], msg["env"], msg["values"], faults, retry
-                )
-            payload = dict(result)
-            payload["outputs"] = payload.pop("produced", None)
+            payload = run_job(
+                registry[msg["name"]], msg["q"], msg["env"], msg["values"],
+                faults, retry, bool(msg.get("backup")),
+            )
+            payload["outputs"] = payload.pop("produced")
             try:
                 send_message(
                     sock,

@@ -1,7 +1,13 @@
 """Genuinely parallel execution on a persistent process pool.
 
-:class:`ProcessPoolBackend` dispatches each batch of independent
-M-tasks to a pool of long-lived ``multiprocessing`` workers:
+:class:`ProcessPoolBackend` is the shared-memory/queue
+:class:`~repro.runtime.backends.driver.Transport`: a pool of long-lived
+``multiprocessing`` workers pulling jobs from one queue.  Dispatch,
+gathering, speculation races, outcome assembly and in-order commit are
+the shared :class:`~repro.runtime.backends.driver.DriverBackend`'s, the
+retry loop each worker runs is
+:func:`~repro.runtime.backends.attempts.run_job`; what is specific to
+the pool:
 
 * **fork start method.**  Task bodies are closures defined inside the
   program builders (e.g. the IRK stage functions), which cannot be
@@ -24,21 +30,10 @@ M-tasks to a pool of long-lived ``multiprocessing`` workers:
   streams, injected failures, straggler factors and backoff jitter are
   identical no matter which worker runs which attempt -- the basis of
   the serial/pool equivalence guarantee.
-* **commit order.**  Results are gathered asynchronously but committed
-  strictly in the batch's (topological) order, so journals, failure
-  records and variable stores stay bit-identical to the serial backend.
-* **concurrent speculation.**  With a
-  :class:`~repro.recovery.SpeculationPolicy`, the parent watches each
-  outstanding primary; once its wall-clock age exceeds the policy
-  threshold a backup of the same task is dispatched to another worker
-  and the two genuinely race -- first successful arrival supplies the
-  outputs, the loser is discarded on arrival.
-
-Per-attempt wall-clock timings are reported back as
-:class:`~repro.runtime.backends.base.AttemptEvent` records (converted
-into the parent instrumentation's clock frame) and re-emitted by the
-executor as real per-worker spans, which the Perfetto exporter renders
-as one track per worker process.
+* **backups on the shared queue.**  A speculative backup re-reads the
+  primary's exported input segments and goes on the same queue, so
+  whichever worker is free takes it -- never the one still busy with
+  the straggler.
 
 Caveats: a task body that raises a *real* (non-injected) error with no
 retry policy surfaces as a :class:`RuntimeError` carrying the worker
@@ -53,24 +48,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
-import time
-import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 from multiprocessing import resource_tracker, shared_memory
 
-from ...faults.retry import FailureRecord, InjectedFault, TaskTimeout
-from ...recovery.speculation import SpeculationRecord
-from ..context import RuntimeContext
-from .base import (
-    AttemptEvent,
-    ExecutionBackend,
-    RunContext,
-    TaskOutcome,
-    TaskRequest,
-    emit_worker_crash,
-)
+from .attempts import crash_result, run_job
+from .base import RunContext, emit_worker_crash
+from .driver import DriverBackend, Job
 
 __all__ = ["ProcessPoolBackend"]
 
@@ -115,12 +100,13 @@ def _export_array(arr: np.ndarray) -> Tuple[shared_memory.SharedMemory, Tuple]:
     return shm, (shm.name, arr.shape, str(arr.dtype))
 
 
-def _import_array(desc: Tuple) -> np.ndarray:
+def _import_array(desc: Tuple, unlink: bool = False) -> np.ndarray:
     """Attach a segment descriptor, copy the array out, detach.
 
     The returned array owns its memory (bodies may keep references long
     after the segment is gone).  The attach never registers with the
-    resource tracker -- the segment stays owned by its creator.
+    resource tracker -- the segment stays owned by its creator, unless
+    ``unlink`` says this reader is its last.
     """
     name, shape, dtype = desc
     shm = _attach(name)
@@ -131,206 +117,23 @@ def _import_array(desc: Tuple) -> np.ndarray:
         return np.empty(shape, dtype=np.dtype(dtype))
     finally:
         shm.close()
+        if unlink:
+            try:
+                shm.unlink()
+            except FileNotFoundError:  # pragma: no cover - racing cleanup
+                pass
 
 
-def _discard_outputs(payload: Dict[str, Any]) -> None:
-    """Unlink the output segments of a result nobody will consume."""
-    for desc in (payload.get("outputs") or {}).values():
-        try:
-            shm = _attach(desc[0])
-        except FileNotFoundError:
-            continue
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - racing cleanup
-            pass
+def _claim_outputs(outputs: Optional[Dict[str, Tuple]]) -> Optional[Dict[str, np.ndarray]]:
+    """Copy a result's output segments out and unlink them (parent side)."""
+    if outputs is None:
+        return None
+    return {name: _import_array(desc, unlink=True) for name, desc in outputs.items()}
 
 
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _execute_attempts(task, q, env, values, faults, retry) -> Dict[str, Any]:
-    """Worker-side mirror of the serial attempt loop.
-
-    Same control flow and the same deterministic ``(task, attempt)``
-    fault/retry draws as ``backends.serial._run_attempts``, but timings
-    are reported as raw event dicts (monotonic clock) instead of being
-    applied to an :class:`~repro.obs.Instrumentation` -- the parent
-    replays them at commit time.
-    """
-    ctx = RuntimeContext(task.name, q, env=env)
-    name = task.name
-    attempts = retry.max_attempts if retry is not None else 1
-    deadline = retry.deadline_seconds if retry is not None else None
-    slowdown = faults.slowdown(name) if faults is not None else 1.0
-    total_backoff = 0.0
-    budget_used = 0.0  # effective attempt seconds + accounted backoff
-    last_error: Optional[BaseException] = None
-    events: List[Dict[str, Any]] = []
-    info: Dict[str, Any] = {
-        "attempts": attempts,
-        "seconds": 0.0,
-        "error": "",
-        "backoff_seconds": 0.0,
-    }
-    for attempt in range(attempts):
-        start = time.monotonic()
-        try:
-            if faults is not None and faults.fails(name, attempt):
-                raise InjectedFault(
-                    f"injected fault: task {name!r}, attempt {attempt}"
-                )
-            produced = task.func(ctx, values)
-            duration = time.monotonic() - start
-            if retry is not None and retry.timeout is not None:
-                effective = duration * slowdown
-                if effective > retry.timeout:
-                    raise TaskTimeout(
-                        f"task {name!r}, attempt {attempt}: effective duration "
-                        f"{effective:.3g}s exceeds timeout {retry.timeout:g}s"
-                    )
-            events.append(
-                {"attempt": attempt, "start": start, "duration": duration, "kind": "ok"}
-            )
-            info.update(
-                attempts=attempt + 1,
-                seconds=duration * slowdown,
-                error=str(last_error) if attempt else "",
-                backoff_seconds=total_backoff,
-            )
-            if produced is None:
-                produced = {}
-            if not isinstance(produced, dict):
-                info["crash"] = (
-                    f"task {name!r} body must return a dict of outputs, "
-                    f"got {type(produced).__name__}"
-                )
-                return {"produced": None, "failure": None, "info": info, "events": events}
-            return {
-                "produced": produced,
-                "failure": None,
-                "info": info,
-                "events": events,
-                "collectives": list(ctx.log),
-            }
-        except Exception as exc:  # noqa: BLE001 - retry boundary
-            duration = time.monotonic() - start
-            last_error = exc
-            kind = (
-                "timeout"
-                if isinstance(exc, TaskTimeout)
-                else "injected"
-                if isinstance(exc, InjectedFault)
-                else "error"
-            )
-            budget_used += duration * slowdown
-            backoff = 0.0
-            gave_up_deadline = False
-            if retry is not None and attempt + 1 < attempts:
-                backoff = retry.delay(name, attempt)
-                if deadline is not None and budget_used + backoff > deadline:
-                    # retrying would bust the overall budget: give up now
-                    gave_up_deadline = True
-                    backoff = 0.0
-                else:
-                    total_backoff += backoff
-                    budget_used += backoff
-            events.append(
-                {
-                    "attempt": attempt,
-                    "start": start,
-                    "duration": duration,
-                    "kind": kind,
-                    "error": str(exc),
-                    "backoff": backoff,
-                }
-            )
-            if gave_up_deadline:
-                info.update(
-                    attempts=attempt + 1,
-                    error=str(exc),
-                    backoff_seconds=total_backoff,
-                )
-                failure = FailureRecord(
-                    task=name,
-                    action="gave_up",
-                    attempts=attempt + 1,
-                    error=str(exc),
-                    cause="deadline",
-                    backoff_seconds=total_backoff,
-                )
-                return {
-                    "produced": None,
-                    "failure": failure,
-                    "info": info,
-                    "events": events,
-                    "collectives": list(ctx.log),
-                }
-            if retry is None and faults is None:
-                info.update(error=str(exc))
-                info["crash"] = traceback.format_exc()
-                return {"produced": None, "failure": None, "info": info, "events": events}
-    info.update(error=str(last_error), backoff_seconds=total_backoff)
-    failure = FailureRecord(
-        task=name,
-        action="gave_up",
-        attempts=attempts,
-        error=str(last_error),
-        backoff_seconds=total_backoff,
-    )
-    return {
-        "produced": None,
-        "failure": failure,
-        "info": info,
-        "events": events,
-        "collectives": list(ctx.log),
-    }
-
-
-def _execute_backup(task, q, env, values) -> Dict[str, Any]:
-    """Worker-side speculative backup: one attempt, no fault injection.
-
-    Mirrors the serial backend's accounting convention -- backups never
-    consume fault draws (their slowdown stream is applied parent-side)
-    and a failing backup is just a lost race, not a task failure.
-    """
-    ctx = RuntimeContext(task.name, q, env=env)
-    start = time.monotonic()
-    try:
-        produced = task.func(ctx, values)
-        duration = time.monotonic() - start
-        if produced is None:
-            produced = {}
-        if not isinstance(produced, dict):
-            raise TypeError("backup body returned a non-dict")
-        return {
-            "produced": produced,
-            "failure": None,
-            "info": {"attempts": 1, "seconds": duration, "error": "", "backoff_seconds": 0.0},
-            "events": [
-                {"attempt": 0, "start": start, "duration": duration, "kind": "ok"}
-            ],
-            "collectives": list(ctx.log),
-        }
-    except Exception as exc:  # noqa: BLE001 - lost race
-        duration = time.monotonic() - start
-        return {
-            "produced": None,
-            "failure": None,
-            "info": {"attempts": 1, "seconds": -1.0, "error": str(exc), "backoff_seconds": 0.0},
-            "events": [
-                {
-                    "attempt": 0,
-                    "start": start,
-                    "duration": duration,
-                    "kind": "error",
-                    "error": str(exc),
-                }
-            ],
-        }
-
-
 def _worker_main(worker_id, parent_pid, inq, outq, registry, faults, retry) -> None:
     """Entry point of one pool worker (forked child).
 
@@ -357,71 +160,30 @@ def _worker_main(worker_id, parent_pid, inq, outq, registry, faults, retry) -> N
         _, job_id, name, q, env, payload, backup = msg
         try:
             values = {k: _import_array(desc) for k, desc in payload.items()}
-            task = registry[name]
-            if backup:
-                result = _execute_backup(task, q, env, values)
-            else:
-                result = _execute_attempts(task, q, env, values, faults, retry)
-            produced = result.pop("produced", None)
-            if produced is not None:
-                descs = {}
-                for out_name, arr in produced.items():
+            result = run_job(registry[name], q, env, values, faults, retry, backup)
+            outputs = None
+            if result["produced"] is not None:
+                outputs = {}
+                for out_name, arr in result["produced"].items():
                     out = np.atleast_1d(np.asarray(arr, dtype=float))
-                    shm, desc = _export_array(out)
+                    shm, outputs[out_name] = _export_array(out)
                     shm.close()
-                    descs[out_name] = desc
-                result["outputs"] = descs
-            else:
-                result["outputs"] = None
-            outq.put(("result", job_id, worker_id, result))
         except BaseException:  # noqa: BLE001 - never kill the worker loop
-            outq.put(
-                (
-                    "result",
-                    job_id,
-                    worker_id,
-                    {
-                        "outputs": None,
-                        "failure": None,
-                        "info": {"crash": traceback.format_exc()},
-                        "events": [],
-                    },
-                )
-            )
+            result, outputs = crash_result(), None
+        del result["produced"]  # arrays travel as segment descriptors
+        result["outputs"] = outputs
+        outq.put(("result", job_id, worker_id, result))
 
 
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
-class _Job:
-    """Parent-side state of one dispatched worker job."""
-
-    __slots__ = (
-        "jid",
-        "request",
-        "backup_of",
-        "dispatched",
-        "threshold",
-        "backup_jid",
-        "segments",
-        "payload",
-        "arrivals_left",
-    )
-
-    def __init__(self, jid: int, request: TaskRequest, backup_of: Optional[int] = None):
-        self.jid = jid
-        self.request = request
-        self.backup_of = backup_of
-        self.dispatched = 0.0
-        self.threshold: Optional[float] = None
-        self.backup_jid: Optional[int] = None
-        self.segments: List[shared_memory.SharedMemory] = []
-        self.payload: Dict[str, Tuple] = {}
-        self.arrivals_left = 0
-
-
-class ProcessPoolBackend(ExecutionBackend):
+class ProcessPoolBackend(DriverBackend):
     """Run independent M-tasks concurrently on forked worker processes.
+
+    The shared-memory/queue :class:`~repro.runtime.backends.driver.Transport`:
+    dispatch, gathering, speculation and commit order are the
+    :class:`~repro.runtime.backends.driver.DriverBackend`'s.
 
     Parameters
     ----------
@@ -437,22 +199,15 @@ class ProcessPoolBackend(ExecutionBackend):
     name = "pool"
 
     def __init__(self, workers: Optional[int] = None, poll_interval: float = 0.02):
+        super().__init__()
         self.workers = workers
         self.poll_interval = poll_interval
-        self._run: Optional[RunContext] = None
         self._procs: List[Any] = []
         self._inq: Optional[Any] = None
         self._outq: Optional[Any] = None
-        self._offset = 0.0
-        self._next_job = 0
-        self._jobs: Dict[int, _Job] = {}
-        self._done = 0
-        self._opened = 0.0
-        self._busy: Dict[int, float] = {}
-        self._spec_inflight = 0
 
     # ------------------------------------------------------------------
-    def open(self, run: RunContext) -> None:
+    def start(self, run: RunContext) -> int:
         """Fork the workers (inheriting task bodies and fault plans)."""
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
@@ -461,14 +216,10 @@ class ProcessPoolBackend(ExecutionBackend):
                 "available on this platform -- use the serial backend"
             )
         mp_ctx = multiprocessing.get_context("fork")
-        self._run = run
         # the resource tracker must exist *before* the fork: started
         # lazily afterwards, every worker would spawn a private tracker
         # and register/unregister pairs would land on different ones
         resource_tracker.ensure_running()
-        # worker events use time.monotonic(); instrumentation spans use
-        # time.perf_counter() -- convert at the boundary
-        self._offset = time.perf_counter() - time.monotonic()
         self._inq = mp_ctx.Queue()
         self._outq = mp_ctx.Queue()
         registry = {t.name: t for t in run.graph.topological_order()}
@@ -481,103 +232,44 @@ class ProcessPoolBackend(ExecutionBackend):
             )
             proc.start()
             self._procs.append(proc)
-        self._done = 0
-        self._opened = time.perf_counter()
-        self._busy = {}
-        self._spec_inflight = 0
-        run.obs.publish(
-            "backend_tasks_total", float(len(run.graph)), backend=self.name
-        )
-        run.obs.publish("backend_tasks_done", 0.0, backend=self.name)
-        run.obs.publish("backend_workers", float(n), backend=self.name)
-        run.obs.publish("backend_speculation_in_flight", 0.0, backend=self.name)
+        return n
 
     # ------------------------------------------------------------------
-    def run_batch(self, tasks, prepare, commit) -> None:
-        """Prepare in order, execute concurrently, commit in order.
+    def submit(self, jobs: List[Job]) -> None:
+        """Export each job's inputs to shared memory and enqueue it."""
+        for job in jobs:
+            segments, payload = [], {}
+            for key, arr in job.request.values.items():
+                shm, payload[key] = _export_array(arr)
+                segments.append(shm)
+            job.carrier = (segments, payload)
+            self._enqueue(job, payload, backup=False)
 
-        Heartbeat gauges (``backend_tasks_done``, per-worker busy
-        fraction) are published as results commit, so a long pool run
-        can be watched live through the attached metrics registry.
+    def submit_backup(self, backup: Job, owner: Job) -> None:
+        """Enqueue a backup reading the owner's exported inputs.
+
+        Workers pull from one shared queue, so whichever is free takes
+        it -- never the one still busy with the straggling primary.
         """
-        obs = self._run.obs if self._run is not None else None
-        requests = [r for r in (prepare(t) for t in tasks) if r is not None]
-        skipped = len(tasks) - len(requests)
-        if skipped and obs is not None:
-            self._done += skipped  # resumed/journaled tasks count as done
-            obs.publish("backend_tasks_done", float(self._done), backend=self.name)
-        if not requests:
-            return
-        order = [self._dispatch(req) for req in requests]
-        resolved = self._gather(set(order))
-        for jid, req in zip(order, requests):
-            commit(req, resolved[jid])
-            self._done += 1
-            if obs is not None:
-                obs.publish(
-                    "backend_tasks_done", float(self._done), backend=self.name
-                )
+        self._enqueue(backup, owner.carrier[1], backup=True)
 
-    # ------------------------------------------------------------------
-    def _dispatch(self, request: TaskRequest) -> int:
-        jid = self._next_job
-        self._next_job += 1
-        job = _Job(jid, request)
-        for key, arr in request.values.items():
-            shm, desc = _export_array(arr)
-            job.segments.append(shm)
-            job.payload[key] = desc
-        job.arrivals_left = 1
-        job.dispatched = time.perf_counter()
-        self._jobs[jid] = job
+    def _enqueue(self, job: Job, payload: Dict[str, Tuple], backup: bool) -> None:
+        req = job.request
         self._inq.put(
-            ("task", jid, request.task.name, request.q, dict(request.ctx.env), job.payload, False)
+            ("task", job.jid, req.task.name, req.q, dict(req.ctx.env), payload, backup)
         )
-        return jid
 
-    def _dispatch_backup(self, owner: _Job, threshold: float) -> None:
-        jid = self._next_job
-        self._next_job += 1
-        self._jobs[jid] = _Job(jid, owner.request, backup_of=owner.jid)
-        owner.arrivals_left += 1
-        owner.backup_jid = jid
-        owner.threshold = threshold
-        req = owner.request
-        self._inq.put(
-            ("task", jid, req.task.name, req.q, dict(req.ctx.env), owner.payload, True)
-        )
-        self._spec_inflight += 1
-        if self._run is not None:
-            self._run.obs.publish(
-                "backend_speculation_in_flight",
-                float(self._spec_inflight),
-                backend=self.name,
-            )
+    def poll(self, timeout: float):
+        """Next worker result, its output segments claimed and unlinked."""
+        try:
+            _, jid, wid, payload = self._outq.get(timeout=timeout)
+        except queue.Empty:
+            return None
+        payload["outputs"] = _claim_outputs(payload["outputs"])
+        return jid, wid, payload
 
-    # ------------------------------------------------------------------
-    def _gather(self, pending: set) -> Dict[int, TaskOutcome]:
-        run = self._run
-        resolved: Dict[int, TaskOutcome] = {}
-        while pending:
-            try:
-                msg = self._outq.get(timeout=self.poll_interval)
-            except queue.Empty:
-                msg = None
-            if msg is not None:
-                self._handle_result(msg, pending, resolved)
-                continue
-            dead = [
-                (wid, proc) for wid, proc in enumerate(self._procs)
-                if not proc.is_alive()
-            ]
-            if dead:
-                raise self._worker_crash_error(dead, pending)
-            if run.speculation is not None and run.history is not None:
-                self._maybe_speculate(pending)
-        return resolved
-
-    def _worker_crash_error(self, dead, pending: set) -> RuntimeError:
-        """Build the hard-death error, naming the at-risk work.
+    def idle(self, waiting: List[Job]) -> None:
+        """Abort the run if a worker process died.
 
         Pool workers pull from one shared queue, so the parent cannot
         attribute a specific job to the dead worker -- it names every
@@ -585,27 +277,29 @@ class ProcessPoolBackend(ExecutionBackend):
         worker's id, pid and exit code, and emits the structured
         ``worker_crash`` record the cluster backend shares.
         """
+        dead = [
+            (wid, proc) for wid, proc in enumerate(self._procs)
+            if not proc.is_alive()
+        ]
+        if not dead:
+            return
         in_flight = []
-        for jid in sorted(pending):
-            owner = self._jobs.get(jid)
-            if owner is None:
-                continue
+        for owner in waiting:
             in_flight.append({"task": owner.request.task.name, "attempt": 0})
             if owner.backup_jid is not None:
                 in_flight.append(
                     {"task": owner.request.task.name, "attempt": 0,
                      "backup": True}
                 )
-        if self._run is not None:
-            for wid, proc in dead:
-                emit_worker_crash(
-                    self._run.obs,
-                    self.name,
-                    wid,
-                    proc.pid,
-                    f"process exited with code {proc.exitcode}",
-                    in_flight,
-                )
+        for wid, proc in dead:
+            emit_worker_crash(
+                self._run.obs,
+                self.name,
+                wid,
+                proc.pid,
+                f"process exited with code {proc.exitcode}",
+                in_flight,
+            )
         dead_desc = ", ".join(
             f"worker {wid} (pid {proc.pid}, exit code {proc.exitcode})"
             for wid, proc in dead
@@ -614,183 +308,25 @@ class ProcessPoolBackend(ExecutionBackend):
             f"{row['task']!r}" + (" [backup]" if row.get("backup") else "")
             for row in in_flight
         ) or "none"
-        return RuntimeError(
+        raise RuntimeError(
             f"pool {dead_desc} died while tasks were in flight; "
             f"at-risk task(s): {tasks_desc}"
         )
 
-    def _maybe_speculate(self, pending: set) -> None:
-        run = self._run
-        threshold = run.speculation.threshold(completed=run.history)
-        if threshold is None:
-            return
-        now = time.perf_counter()
-        for jid in list(pending):
-            job = self._jobs.get(jid)
-            if job is None or job.backup_jid is not None:
-                continue
-            if now - job.dispatched > threshold:
-                self._dispatch_backup(job, threshold)
-
-    def _handle_result(self, msg, pending: set, resolved: Dict[int, TaskOutcome]) -> None:
-        _, jid, wid, payload = msg
-        self._heartbeat(wid, payload)
-        job = self._jobs.get(jid)
-        if job is None:  # job of an earlier batch already released
-            _discard_outputs(payload)
-            return
-        if job.backup_of is not None and self._spec_inflight > 0:
-            self._spec_inflight -= 1
-            self._run.obs.publish(
-                "backend_speculation_in_flight",
-                float(self._spec_inflight),
-                backend=self.name,
-            )
-        owner_jid = job.backup_of if job.backup_of is not None else jid
-        owner = self._jobs[owner_jid]
-        owner.arrivals_left -= 1
-        if owner_jid not in pending:
-            _discard_outputs(payload)  # race already decided
-        elif job.backup_of is None:
-            outcome = self._primary_outcome(payload, wid, owner)
-            resolved[owner_jid] = outcome
-            pending.discard(owner_jid)
-        else:
-            outcome = self._backup_outcome(payload, wid, owner)
-            if outcome is not None:  # backup won the race
-                resolved[owner_jid] = outcome
-                pending.discard(owner_jid)
-        if owner.arrivals_left == 0:
-            self._release(owner)
-
-    def _heartbeat(self, wid: int, payload) -> None:
-        """Publish one worker's cumulative busy fraction.
-
-        Attempt durations reported by the worker accumulate into its
-        busy total; the fraction is busy seconds over seconds since the
-        pool opened, clamped to 1.0 (clock-frame jitter on very short
-        runs can nudge it past the bound).
-        """
-        run = self._run
-        if run is None:
-            return
-        busy = sum(e.get("duration", 0.0) for e in payload.get("events", []))
-        self._busy[wid] = self._busy.get(wid, 0.0) + busy
-        elapsed = time.perf_counter() - self._opened
-        fraction = min(1.0, self._busy[wid] / elapsed) if elapsed > 0 else 0.0
-        run.obs.publish(
-            "backend_worker_busy_fraction",
-            fraction,
-            backend=self.name,
-            worker=wid,
-        )
-
-    # ------------------------------------------------------------------
-    def _primary_outcome(self, payload, wid, owner: _Job) -> TaskOutcome:
-        produced = self._claim_outputs(payload)
-        info = dict(payload.get("info", {}))
-        events = [
-            AttemptEvent(
-                attempt=e.get("attempt", 0),
-                start=e.get("start", 0.0) + self._offset,
-                duration=e.get("duration", 0.0),
-                kind=e.get("kind", "ok"),
-                error=e.get("error", ""),
-                backoff=e.get("backoff", 0.0),
-                worker=wid,
-            )
-            for e in payload.get("events", [])
-        ]
-        outcome = TaskOutcome(
-            produced=produced,
-            failure=payload.get("failure"),
-            info=info,
-            events=events,
-            collectives=payload.get("collectives", []),
-            worker=wid,
-        )
-        if owner.backup_jid is not None and produced is not None:
-            # primary finished first: the backup lost the race (its
-            # result, still in flight, is discarded on arrival)
-            outcome.speculation = (
-                SpeculationRecord(
-                    task=owner.request.task.name,
-                    primary_seconds=float(info.get("seconds", 0.0)),
-                    backup_seconds=-1.0,
-                    win=False,
-                ),
-                None,
-            )
-        return outcome
-
-    def _backup_outcome(self, payload, wid, owner: _Job) -> Optional[TaskOutcome]:
-        produced = self._claim_outputs(payload)
-        if produced is None:
-            return None  # backup crashed or misbehaved: just a lost race
-        run = self._run
-        name = owner.request.task.name
-        slow = run.faults.slowdown(name, 1) if run.faults is not None else 1.0
-        events = payload.get("events", [])
-        duration = events[0].get("duration", 0.0) if events else 0.0
-        start = events[0].get("start", 0.0) + self._offset if events else 0.0
-        eff_backup = (owner.threshold or 0.0) + duration * slow
-        elapsed = time.perf_counter() - owner.dispatched
-        record = SpeculationRecord(
-            task=name,
-            primary_seconds=elapsed,
-            backup_seconds=eff_backup,
-            win=True,
-        )
-        backup_event = AttemptEvent(
-            attempt=0, start=start, duration=duration, kind="ok", worker=wid
-        )
-        return TaskOutcome(
-            produced=produced,
-            failure=None,
-            info={"attempts": 1, "seconds": eff_backup, "error": "", "backoff_seconds": 0.0},
-            events=[],
-            collectives=payload.get("collectives", []),
-            speculation=(record, backup_event),
-            worker=wid,
-        )
-
-    def _claim_outputs(self, payload) -> Optional[Dict[str, np.ndarray]]:
-        outputs = payload.get("outputs")
-        if outputs is None:
-            return None
-        produced: Dict[str, np.ndarray] = {}
-        for name, desc in outputs.items():
-            shm = _attach(desc[0])
-            try:
-                shape, dtype = desc[1], np.dtype(desc[2])
-                if int(np.prod(shape)):
-                    view = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-                    produced[name] = np.array(view, copy=True)
-                else:
-                    produced[name] = np.empty(shape, dtype=dtype)
-            finally:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-        return produced
-
-    def _release(self, owner: _Job) -> None:
-        for shm in owner.segments:
+    def release(self, job: Job) -> None:
+        """Unlink the job's exported input segments."""
+        segments, _ = job.carrier or ((), None)
+        for shm in segments:
             shm.close()
             try:
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover
                 pass
-        owner.segments = []
-        self._jobs.pop(owner.jid, None)
-        if owner.backup_jid is not None:
-            self._jobs.pop(owner.backup_jid, None)
+        job.carrier = None
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Stop the workers and release every outstanding segment."""
+    def stop(self) -> None:
+        """Stop the workers and unlink the outputs nobody collected."""
         if self._inq is not None:
             for _ in self._procs:
                 try:
@@ -814,19 +350,10 @@ class ProcessPoolBackend(ExecutionBackend):
                     msg = self._outq.get_nowait()
                 except Exception:
                     break
-                if msg and msg[0] == "result":
-                    _discard_outputs(msg[3])
-        for job in list(self._jobs.values()):
-            if job.backup_of is None:
-                self._release(job)
-        self._jobs = {}
+                _claim_outputs(msg[3]["outputs"])
         for chan in (self._inq, self._outq):
             if chan is not None:
                 chan.cancel_join_thread()
                 chan.close()
         self._inq = None
         self._outq = None
-        self._run = None
-        self._done = 0
-        self._busy = {}
-        self._spec_inflight = 0

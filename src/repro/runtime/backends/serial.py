@@ -1,212 +1,41 @@
-"""The serial, accounted execution backend (the historical path).
+"""The serial, accounted execution backend (the default).
 
-Every task body runs in-process, one at a time, in topological order;
-durations are measured wall clock, straggler factors and backoff delays
-are *accounted* rather than slept (unless a ``sleep`` callable is
-given), and a speculation "race" is resolved analytically -- the backup
-launches at the threshold and its effective finish is
-``threshold + duration``.  This module is a verbatim extraction of the
-attempt loop that used to live inline in
-:mod:`repro.runtime.executor`; running with ``backend=SerialBackend()``
-(or no backend at all) is bit-identical to every release before the
-backend split.
+Every task body runs in-process, one at a time, in topological order,
+through the same attempt engine the worker backends use
+(:mod:`repro.runtime.backends.attempts`) -- timed on the
+instrumentation's own clock, with backoff delays *accounted* rather
+than slept unless a ``sleep`` callable is given.  Two things stay
+deliberately the serial backend's own instead of going through the
+shared batch driver:
+
+* the loop commits each task before preparing the next, so a
+  :class:`~repro.recovery.Supervisor` budget is re-evaluated after
+  every single completion;
+* a speculation "race" is resolved analytically, not concurrently --
+  the backup launches at the threshold and its effective finish is
+  ``threshold + duration``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Optional, Tuple
 
-from ...faults.plan import FaultPlan
-from ...faults.retry import FailureRecord, InjectedFault, RetryPolicy, TaskTimeout
-from ...obs import Instrumentation
-from ...recovery.speculation import SpeculationPolicy, SpeculationRecord
-from ..context import RuntimeContext
-from .base import ExecutionBackend, RunContext, TaskOutcome, TaskRequest
+from ...recovery.speculation import SpeculationRecord
+from .attempts import backup_finish, run_attempts, run_backup
+from .base import AttemptEvent, ExecutionBackend, RunContext, TaskOutcome, TaskRequest
 
 __all__ = ["SerialBackend"]
-
-
-def _speculate(
-    task,
-    values: Dict[str, Any],
-    q: int,
-    eff_primary: float,
-    threshold: float,
-    obs: Instrumentation,
-    faults: Optional[FaultPlan],
-    stats,
-) -> float:
-    """Race a backup attempt against a straggling (finished) primary.
-
-    The serial backend executes sequentially, so the race is accounted
-    rather than concurrent: the backup launches at ``threshold`` and its
-    effective finish is ``threshold + duration``.  Both attempts compute
-    identical outputs for pure bodies, so the winner only changes the
-    accounting, never the variables.  Returns the winning effective
-    duration (fed back into the quantile history).
-    """
-    name = task.name
-    backup_ctx = RuntimeContext(name, q)
-    backup_slow = faults.slowdown(name, 1) if faults is not None else 1.0
-    try:
-        with obs.span("task_backup", task=name, q=q) as backup_span:
-            backup_produced = task.func(backup_ctx, values)
-        del backup_produced  # identical for pure bodies; primary's is kept
-        eff_backup = threshold + backup_span.duration * backup_slow
-    except Exception:  # noqa: BLE001 - backup failure is just a lost race
-        eff_backup = -1.0
-    win = 0.0 <= eff_backup < eff_primary
-    stats.speculations.append(
-        SpeculationRecord(
-            task=name,
-            primary_seconds=eff_primary,
-            backup_seconds=eff_backup,
-            win=win,
-        )
-    )
-    if win:
-        obs.count("speculation.wins")
-        obs.observe("speculation.saved_seconds", eff_primary - eff_backup)
-        return eff_backup
-    obs.count("speculation.losses")
-    return eff_primary
-
-
-def _run_attempts(
-    task,
-    ctx: RuntimeContext,
-    values: Dict[str, Any],
-    q: int,
-    obs: Instrumentation,
-    faults: Optional[FaultPlan],
-    retry: Optional[RetryPolicy],
-    stats,
-    sleep: Optional[Callable[[float], None]],
-    speculation: Optional[SpeculationPolicy] = None,
-    history: Optional[List[float]] = None,
-):
-    """Execute one task body under the retry policy.
-
-    Returns ``(produced, failure, info)``: exactly one of the first two
-    is non-``None`` -- ``produced`` on success (a ``"recovered"`` record
-    is appended to ``stats`` if earlier attempts failed), ``failure``
-    when every attempt failed.  ``info`` carries the attempt accounting
-    (attempts used, effective seconds, last error, total backoff) for
-    journaling.
-    """
-    name = task.name
-    attempts = retry.max_attempts if retry is not None else 1
-    deadline = retry.deadline_seconds if retry is not None else None
-    slowdown = faults.slowdown(name) if faults is not None else 1.0
-    total_backoff = 0.0
-    budget_used = 0.0  # effective attempt seconds + accounted backoff
-    last_error: Optional[BaseException] = None
-    info: Dict[str, Any] = {
-        "attempts": attempts,
-        "seconds": 0.0,
-        "error": "",
-        "backoff_seconds": 0.0,
-    }
-    for attempt in range(attempts):
-        meta: Dict[str, object] = {"task": name, "q": q}
-        if attempt:
-            meta["attempt"] = attempt
-        try:
-            with obs.span("task", **meta) as task_span:
-                if faults is not None and faults.fails(name, attempt):
-                    raise InjectedFault(
-                        f"injected fault: task {name!r}, attempt {attempt}"
-                    )
-                produced = task.func(ctx, values)
-            if retry is not None and retry.timeout is not None:
-                # the injected straggler factor scales the measured wall
-                # clock, so timeout behaviour is testable deterministically
-                effective = task_span.duration * slowdown
-                if effective > retry.timeout:
-                    raise TaskTimeout(
-                        f"task {name!r}, attempt {attempt}: effective duration "
-                        f"{effective:.3g}s exceeds timeout {retry.timeout:g}s"
-                    )
-            obs.observe("runtime.task_seconds", task_span.duration)
-            if attempt:
-                stats.retries += attempt
-                obs.observe("task_retries", attempt)
-                obs.count("faults.retries", attempt)
-                stats.failures.append(
-                    FailureRecord(
-                        task=name,
-                        action="recovered",
-                        attempts=attempt + 1,
-                        error=str(last_error),
-                        backoff_seconds=total_backoff,
-                    )
-                )
-            eff_primary = task_span.duration * slowdown
-            if speculation is not None and history is not None:
-                threshold = speculation.threshold(completed=history)
-                if threshold is not None and eff_primary > threshold:
-                    eff_primary = _speculate(
-                        task, values, q, eff_primary, threshold, obs, faults, stats
-                    )
-                history.append(eff_primary)
-            info.update(
-                attempts=attempt + 1,
-                seconds=eff_primary,
-                error=str(last_error) if attempt else "",
-                backoff_seconds=total_backoff,
-            )
-            return produced, None, info
-        except Exception as exc:  # noqa: BLE001 - retry boundary
-            if retry is None and faults is None:
-                raise
-            last_error = exc
-            obs.count("faults.failed_attempts")
-            if isinstance(exc, TaskTimeout):
-                obs.count("faults.timeouts")
-            elif isinstance(exc, InjectedFault):
-                obs.count("faults.injected")
-            budget_used += task_span.duration * slowdown
-            if retry is not None and attempt + 1 < attempts:
-                delay = retry.delay(name, attempt)
-                if deadline is not None and budget_used + delay > deadline:
-                    # retrying would bust the overall budget: give up now
-                    info.update(
-                        attempts=attempt + 1,
-                        error=str(last_error),
-                        backoff_seconds=total_backoff,
-                    )
-                    return None, FailureRecord(
-                        task=name,
-                        action="gave_up",
-                        attempts=attempt + 1,
-                        error=str(last_error),
-                        cause="deadline",
-                        backoff_seconds=total_backoff,
-                    ), info
-                total_backoff += delay
-                budget_used += delay
-                stats.backoff_seconds += delay
-                obs.observe("runtime.backoff_seconds", delay)
-                if sleep is not None:
-                    sleep(delay)
-    info.update(error=str(last_error), backoff_seconds=total_backoff)
-    return None, FailureRecord(
-        task=name,
-        action="gave_up",
-        attempts=attempts,
-        error=str(last_error),
-        backoff_seconds=total_backoff,
-    ), info
 
 
 class SerialBackend(ExecutionBackend):
     """Execute every task in-process, one at a time, in commit order.
 
-    The default backend of :func:`~repro.runtime.run_program`.  All
-    side effects (spans, counters, histograms, retry and speculation
-    accounting) are applied *inline* during execution, exactly as the
-    pre-backend executor did, so outcomes carry no replayable events --
-    the executor's commit phase only handles outputs and journaling.
+    The default backend of :func:`~repro.runtime.run_program`.  Like
+    every backend it reports what happened as
+    :class:`~repro.runtime.backends.base.AttemptEvent` records and
+    leaves spans, counters and failure records to the executor's commit
+    phase; a real (non-injected) error with no fault plan or retry
+    policy in force propagates with its original type.
     """
 
     name = "serial"
@@ -227,41 +56,73 @@ class SerialBackend(ExecutionBackend):
     def run_batch(self, tasks, prepare, commit) -> None:
         """Prepare, execute and commit each task strictly in order.
 
-        Interleaving commit with execution (instead of executing the
-        whole batch first) preserves the historical semantics exactly --
-        in particular a :class:`~repro.recovery.Supervisor` task budget
-        is re-evaluated after every single completion.  A heartbeat
-        gauge (``backend_tasks_done``) is published after each task --
-        resumed/skipped tasks count as done immediately.
+        A heartbeat gauge (``backend_tasks_done``) is published after
+        each task -- resumed/skipped tasks count as done immediately.
         """
-        obs = self._run.obs if self._run is not None else None
+        run = self._run
+        assert run is not None, "open() must be called before run_batch()"
         for task in tasks:
             request = prepare(task)
             if request is not None:
                 commit(request, self._execute(request))
             self._done += 1
-            if obs is not None:
-                obs.publish(
-                    "backend_tasks_done", float(self._done), backend=self.name
-                )
+            run.obs.publish(
+                "backend_tasks_done", float(self._done), backend=self.name
+            )
 
     def _execute(self, request: TaskRequest) -> TaskOutcome:
         run = self._run
-        assert run is not None, "open() must be called before run_batch()"
-        produced, failure, info = _run_attempts(
-            request.task,
-            request.ctx,
-            request.values,
-            request.q,
-            run.obs,
-            run.faults,
-            run.retry,
-            run.stats,
-            run.sleep,
-            run.speculation,
-            run.history,
+        result = run_attempts(
+            request.task, request.q, request.ctx.env, request.values,
+            run.faults, run.retry, run.sleep, run.obs.now,
         )
-        return TaskOutcome(produced=produced, failure=failure, info=info)
+        outcome = TaskOutcome(
+            produced=result["produced"],
+            failure=result["failure"],
+            info=result["info"],
+            events=[AttemptEvent(**e) for e in result["events"]],
+            collectives=result["collectives"],
+        )
+        if (
+            outcome.failure is None
+            and run.speculation is not None
+            and run.history is not None
+        ):
+            threshold = run.speculation.threshold(completed=run.history)
+            if threshold is not None and outcome.info["seconds"] > threshold:
+                outcome.speculation = self._race(request, outcome.info, threshold)
+        return outcome
+
+    def _race(
+        self, request: TaskRequest, info, threshold: float
+    ) -> Tuple[SpeculationRecord, AttemptEvent]:
+        """Race a backup attempt against a straggling (finished) primary.
+
+        Execution is sequential, so the race is accounted rather than
+        concurrent: the backup launches at ``threshold`` and its
+        effective finish is ``threshold + duration``.  Both attempts
+        compute identical outputs for pure bodies, so the winner only
+        changes the accounting (``info["seconds"]``, fed into the
+        quantile history), never the variables.
+        """
+        run = self._run
+        name = request.task.name
+        result = run_backup(
+            request.task, request.q, request.ctx.env, request.values, run.obs.now
+        )
+        event = AttemptEvent(**result["events"][0])
+        eff_backup = -1.0
+        if result["produced"] is not None:
+            eff_backup = backup_finish(run.faults, name, threshold, event.duration)
+        record = SpeculationRecord(
+            task=name,
+            primary_seconds=info["seconds"],
+            backup_seconds=eff_backup,
+            win=0.0 <= eff_backup < info["seconds"],
+        )
+        if record.win:
+            info["seconds"] = eff_backup
+        return record, event
 
     def close(self) -> None:
         """Nothing to release."""

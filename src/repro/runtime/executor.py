@@ -140,21 +140,22 @@ class RunResult:
         return self.stats.cancel_reason is not None
 
 
-def _replay_worker_events(
+def _replay_events(
     task_name: str,
     q: int,
     outcome: TaskOutcome,
     obs: Instrumentation,
     stats: RunStats,
 ) -> None:
-    """Apply the side effects of out-of-process attempts at commit time.
+    """Apply the side effects of a task's attempts at commit time.
 
-    The serial backend runs in-process and updates the instrumentation
-    and stats inline; a pool worker instead reports per-attempt
-    :class:`~repro.runtime.backends.AttemptEvent` records, which this
-    helper replays -- same counters, histograms and failure records as
-    the serial path, plus one real wall-clock span per attempt tagged
-    with the executing worker (rendered as per-worker Perfetto tracks).
+    Backends run attempts through the pure engine
+    (:mod:`repro.runtime.backends.attempts`) and report one
+    :class:`~repro.runtime.backends.AttemptEvent` each; this helper is
+    the single place that turns them into counters, histograms and
+    ``"recovered"`` failure records, plus one wall-clock span per
+    attempt -- tagged with the executing worker when there was one
+    (rendered as per-worker Perfetto tracks).
     """
     for ev in outcome.events:
         meta: Dict[str, object] = {"task": task_name, "q": q}
@@ -460,32 +461,27 @@ def run_program(
             redist_bytes=stats.redistributed_bytes - redist_before,
         )
 
-    #: speculation records already journaled (commit appends in order)
-    spec_journal_idx = [0]
+    run_backend = backend if backend is not None else SerialBackend()
 
     def commit(request: TaskRequest, outcome: TaskOutcome) -> None:
         """Post-execution phase of one task (always in commit order).
 
-        Replays out-of-process side effects, resolves failure handling,
+        Replays the attempts' side effects, resolves failure handling,
         validates and stores the outputs and journals the completion --
         identical bookkeeping regardless of which backend executed the
         body.
         """
         task, ctx, q = request.task, request.ctx, request.q
-        if outcome.collectives:
-            ctx.log.extend(outcome.collectives)
-        if outcome.events:
-            _replay_worker_events(task.name, q, outcome, obs, stats)
+        ctx.log.extend(outcome.collectives)
+        _replay_events(task.name, q, outcome, obs, stats)
         if outcome.speculation is not None:
             spec_record, backup_event = outcome.speculation
             if backup_event is not None:
+                meta: Dict[str, object] = {"task": task.name, "q": q}
+                if backup_event.worker is not None:
+                    meta["worker"] = backup_event.worker
                 obs.emit_span(
-                    "task_backup",
-                    backup_event.start,
-                    backup_event.duration,
-                    task=task.name,
-                    q=q,
-                    worker=backup_event.worker,
+                    "task_backup", backup_event.start, backup_event.duration, **meta
                 )
             stats.speculations.append(spec_record)
             if spec_record.win:
@@ -496,18 +492,10 @@ def run_program(
                 )
             else:
                 obs.count("speculation.losses")
-        if (
-            history is not None
-            and outcome.produced is not None
-            and (outcome.events or outcome.speculation is not None)
-        ):
-            # pool outcomes feed the quantile history at commit time; the
-            # serial backend already appended during execution
+            if journal is not None:
+                journal.record_speculation(spec_record.to_dict())
+        if history is not None and outcome.produced is not None:
             history.append(float(outcome.info.get("seconds", 0.0)))
-        if journal is not None:
-            for srec in stats.speculations[spec_journal_idx[0]:]:
-                journal.record_speculation(srec.to_dict())
-        spec_journal_idx[0] = len(stats.speculations)
         failure = outcome.failure
         if failure is not None:
             stats.failures.append(failure)
@@ -528,7 +516,7 @@ def run_program(
         produced = outcome.produced
         if produced is None and "crash" in outcome.info:
             raise RuntimeError(
-                f"task {task.name!r} crashed in a pool worker:\n"
+                f"task {task.name!r} crashed in a {run_backend.name} worker:\n"
                 f"{outcome.info['crash']}"
             )
         if produced is None:
@@ -572,7 +560,6 @@ def run_program(
             )
         stats.contexts[task] = ctx
 
-    run_backend = backend if backend is not None else SerialBackend()
     run_backend.open(
         RunContext(
             graph=graph,

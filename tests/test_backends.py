@@ -1,6 +1,6 @@
 """Tests for the execution backends: backend-spec parsing, contiguous
-independent batching, serial/pool bit-identity on every paper solver
-under injected faults, pool + journal resume, the worker-crash
+independent batching, serial/pool/cluster bit-identity on every paper
+solver under injected faults, pool + journal resume, the worker-crash
 sentinel, concurrent speculation races, and per-worker span export."""
 
 import os
@@ -18,8 +18,14 @@ from repro.obs import Instrumentation
 from repro.obs.perfetto import span_events, worker_span_events
 from repro.ode import MethodConfig, bruss2d
 from repro.ode.programs import build_ode_program
-from repro.recovery import SpeculationPolicy, array_digest
+from repro.recovery import (
+    CheckpointStore,
+    RunJournal,
+    SpeculationPolicy,
+    array_digest,
+)
 from repro.runtime import (
+    ClusterBackend,
     ProcessPoolBackend,
     SerialBackend,
     independent_batches,
@@ -146,37 +152,90 @@ SOLVERS = [
 ]
 
 
-class TestSerialPoolEquivalence:
-    @pytest.mark.parametrize("cfg", SOLVERS, ids=[c.method for c in SOLVERS])
-    def test_faulty_run_is_bit_identical(self, cfg):
-        body, store = functional_step(cfg)
-        kw = dict(
-            faults=FaultPlan(seed=11, failure_rate=0.3),
-            retry=RetryPolicy(seed=11),
-            on_failure="degrade",
-        )
-        serial = run_program(body, dict(store), **kw)
-        pool = run_program(
-            body, dict(store), backend=ProcessPoolBackend(workers=2), **kw
-        )
-        assert summarize(pool) == summarize(serial)
+WORKER_BACKENDS = {
+    "pool": lambda: ProcessPoolBackend(workers=2),
+    "cluster": lambda: ClusterBackend(workers=2),
+}
 
-    def test_clean_run_collectives_match(self):
+FAULTY = dict(
+    faults=FaultPlan(seed=11, failure_rate=0.3),
+    retry=RetryPolicy(seed=11),
+    on_failure="degrade",
+)
+
+
+class TestSerialPoolEquivalence:
+    """Serial <-> worker-backend bit-identity, one cell per backend.
+
+    The class and the pool cells keep their historical ids; the cluster
+    cells (``cluster-*``) were ``test_cluster.TestSerialClusterEquivalence``.
+    """
+
+    @pytest.mark.parametrize(
+        "kind,cfg",
+        [(kind, cfg) for kind in WORKER_BACKENDS for cfg in SOLVERS],
+        ids=[c.method if kind == "pool" else f"{kind}-{c.method}"
+             for kind in WORKER_BACKENDS for c in SOLVERS],
+    )
+    def test_faulty_run_is_bit_identical(self, kind, cfg):
+        body, store = functional_step(cfg)
+        serial = run_program(body, dict(store), **FAULTY)
+        parallel = run_program(
+            body, dict(store), backend=WORKER_BACKENDS[kind](), **FAULTY
+        )
+        assert summarize(parallel) == summarize(serial)
+
+    @pytest.mark.parametrize("kind", sorted(WORKER_BACKENDS))
+    def test_clean_run_collectives_match(self, kind):
         body, store = functional_step(MethodConfig("irk", K=4, m=2))
         serial = run_program(body, dict(store))
-        pool = run_program(
-            body, dict(store), backend=ProcessPoolBackend(workers=2)
+        parallel = run_program(
+            body, dict(store), backend=WORKER_BACKENDS[kind]()
         )
-        assert summarize(pool) == summarize(serial)
+        assert summarize(parallel) == summarize(serial)
         serial_ops = {
             t.name: ctx.counts_by_op()
             for t, ctx in serial.stats.contexts.items()
         }
-        pool_ops = {
+        parallel_ops = {
             t.name: ctx.counts_by_op()
-            for t, ctx in pool.stats.contexts.items()
+            for t, ctx in parallel.stats.contexts.items()
         }
-        assert pool_ops == serial_ops
+        assert parallel_ops == serial_ops
+
+    @pytest.mark.parametrize("kind", sorted(WORKER_BACKENDS))
+    def test_speculating_degraded_run_resumes_bit_identically(self, kind, tmp_path):
+        """Speculation + ``on_failure="degrade"`` + journal resume at once.
+
+        The policy is armed (thresholds are computed from the live and
+        the journaled history) but generous enough that no backup fires
+        against a healthy worker -- a backup that wins skips the
+        primary's retry accounting, which ``summarize`` would notice.
+        """
+        from tests.test_recovery import truncate_to_task_records
+
+        body, store = functional_step(MethodConfig("irk", K=4, m=2))
+        kw = dict(
+            speculation=SpeculationPolicy(factor=500.0, quantile=0.5, min_samples=1),
+            **FAULTY,
+        )
+        serial = run_program(body, dict(store), **kw)
+        assert serial.degraded or serial.stats.retries
+
+        def journaled(resume):
+            journal = RunJournal(tmp_path / "journal.jsonl",
+                                 store=CheckpointStore(tmp_path))
+            with journal:
+                return run_program(
+                    body, dict(store), journal=journal, resume=resume,
+                    backend=WORKER_BACKENDS[kind](), **kw
+                )
+
+        assert summarize(journaled(resume=False)) == summarize(serial)
+        truncate_to_task_records(tmp_path / "journal.jsonl", keep=5)
+        resumed = journaled(resume=True)
+        assert resumed.stats.resumed_tasks == 5
+        assert summarize(resumed) == summarize(serial)
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +291,15 @@ class TestWorkerCrash:
             run_program(
                 self._graph(), {"x": np.ones(4)},
                 backend=ProcessPoolBackend(workers=2),
+            )
+
+    def test_cluster_raises_runtime_error_with_traceback(self):
+        with pytest.raises(
+            RuntimeError, match=r"(?s)crashed in a cluster worker.*exploded"
+        ):
+            run_program(
+                self._graph(), {"x": np.ones(4)},
+                backend=ClusterBackend(workers=2),
             )
 
 

@@ -1,8 +1,8 @@
-"""Tests for the elastic cluster backend: spec parsing, serial/cluster
-bit-identity under faults, SIGKILL-driven requeues, heartbeat-timeout
-failure detection, work stealing, exactly-once result dedup, dispatch
-deadlines, elastic joins, stranded batches, journal resume and remote
-speculation races."""
+"""Tests for the elastic cluster backend (its serial bit-identity cells
+live in ``test_backends.TestSerialPoolEquivalence``): spec parsing,
+SIGKILL-driven requeues, heartbeat-timeout failure detection, work
+stealing, exactly-once result dedup, dispatch deadlines, elastic joins,
+stranded batches, journal resume and remote speculation races."""
 
 import collections
 import os
@@ -29,13 +29,8 @@ from repro.runtime.backends.cluster import _CoordJob, _Coordinator, _Member
 from repro.runtime.backends.base import RunContext
 from repro.runtime.backends.wire import send_message
 
-from tests.test_backends import functional_step, summarize, task
+from tests.test_backends import FAULTY, functional_step, summarize, task
 
-FAULTY = dict(
-    faults=FaultPlan(seed=11, failure_rate=0.3),
-    retry=RetryPolicy(seed=11),
-    on_failure="degrade",
-)
 
 
 # ----------------------------------------------------------------------
@@ -61,36 +56,6 @@ class TestParseClusterSpec:
     def test_error_message_names_all_backends(self):
         with pytest.raises(ValueError, match="cluster"):
             parse_backend_spec("threads")
-
-
-# ----------------------------------------------------------------------
-# serial <-> cluster bit-identity
-# ----------------------------------------------------------------------
-class TestSerialClusterEquivalence:
-    def test_faulty_run_is_bit_identical(self):
-        body, store = functional_step(MethodConfig("irk", K=4, m=3))
-        serial = run_program(body, dict(store), **FAULTY)
-        cluster = run_program(
-            body, dict(store), backend=ClusterBackend(workers=2), **FAULTY
-        )
-        assert summarize(cluster) == summarize(serial)
-
-    def test_clean_run_collectives_match(self):
-        body, store = functional_step(MethodConfig("pabm", K=4, m=2))
-        serial = run_program(body, dict(store))
-        cluster = run_program(
-            body, dict(store), backend=ClusterBackend(workers=2)
-        )
-        assert summarize(cluster) == summarize(serial)
-        serial_ops = {
-            t.name: ctx.counts_by_op()
-            for t, ctx in serial.stats.contexts.items()
-        }
-        cluster_ops = {
-            t.name: ctx.counts_by_op()
-            for t, ctx in cluster.stats.contexts.items()
-        }
-        assert cluster_ops == serial_ops
 
 
 # ----------------------------------------------------------------------
