@@ -34,17 +34,11 @@ from repro.core import CachedCostEvaluator, CostModel
 from repro.experiments.common import paper_group_count
 from repro.mapping import consecutive
 from repro.obs import Instrumentation
-from repro.ode import MethodConfig, bruss2d, step_graph
+from repro.ode import PAPER_CONFIGS, MethodConfig, bruss2d, step_graph
 from repro.pipeline import SchedulingPipeline
 from repro.scheduling import fixed_group_scheduler
 
-SOLVERS = (
-    MethodConfig("irk", K=4, m=7),
-    MethodConfig("diirk", K=4, m=3, I=2),
-    MethodConfig("epol", K=8),
-    MethodConfig("pab", K=8),
-    MethodConfig("pabm", K=8, m=2),
-)
+SOLVERS = tuple(PAPER_CONFIGS.values())
 
 CORES = 256
 N = 500

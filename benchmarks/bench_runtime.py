@@ -39,10 +39,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from repro.ode import MethodConfig, bruss2d
-from repro.ode.programs import build_ode_program
+from repro.ode import MethodConfig, bruss2d, functional_step
 from repro.recovery import array_digest
 from repro.runtime import (
     ClusterBackend,
@@ -59,22 +56,6 @@ SOLVERS = (
 N = 16  #: BRUSS2D grid size; tiny on purpose, the sleep load dominates
 WORKERS = 4
 TARGET_SERIAL_SECONDS = 1.5  #: serial wall-clock budget per solver
-
-
-def _functional_step(cfg: MethodConfig):
-    """Build one functional time step: ``(body graph, live-in store)``."""
-    problem = bruss2d(N)
-    build = build_ode_program(problem, cfg, functional=True)
-    loop = build.composed_nodes()[0]
-    body = build.body_of(loop)
-    params = {p.name for p in loop.params}
-    sol = next((c for c in ("eta", "eta_k", "y") if c in params), "eta")
-    inputs = {sol: problem.y0}
-    for p in loop.params:
-        if p.mode.reads and p.name not in inputs:
-            inputs[p.name] = np.zeros(p.elements)
-    store = dict(run_program(build.graph, inputs).variables)
-    return body, store
 
 
 def _add_sleep_load(body) -> float:
@@ -100,7 +81,7 @@ def _add_sleep_load(body) -> float:
 
 def bench_solver(cfg: MethodConfig) -> list:
     """Two result rows for one solver: the pool row and the cluster row."""
-    body, store = _functional_step(cfg)
+    _, _, body, store = functional_step(bruss2d(N), cfg)
     scale = _add_sleep_load(body)
 
     t0 = time.perf_counter()

@@ -369,12 +369,12 @@ def _validate_layered(
     # later one.  Graph tasks may appear contracted, so resolve members
     # to their contracted node's layer first.
     member_layer: Dict[MTask, int] = dict(layer_of)
-    member_pos: Dict[MTask, int] = {}
+    member_pos: Dict[MTask, Tuple[MTask, int]] = {}
     for node, members in schedule.expansion.items():
-        if node in layer_of:
-            for pos, m in enumerate(members):
+        for pos, m in enumerate(members):
+            member_pos[m] = (node, pos)
+            if node in layer_of:
                 member_layer[m] = layer_of[node]
-                member_pos[m] = pos
     for u, v, _flows in graph.edges():
         if u not in member_layer or v not in member_layer:
             continue
@@ -386,12 +386,9 @@ def _validate_layered(
             )
         if lu == lv:
             # legal only inside one contracted chain, in chain order
-            same_chain = any(
-                u in members and v in members
-                and members.index(u) < members.index(v)
-                for members in schedule.expansion.values()
-            )
-            if not same_chain:
+            chain_u, pos_u = member_pos.get(u, (None, 0))
+            chain_v, pos_v = member_pos.get(v, (None, 0))
+            if chain_u is None or chain_u is not chain_v or pos_u >= pos_v:
                 raise ValueError(
                     f"precedence violated: dependent tasks {u.name!r} and "
                     f"{v.name!r} share layer {lu} outside a contracted chain"

@@ -52,6 +52,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List
 
+from ..ode import MethodConfig, bruss2d, default_config
 from .fig13_scheduling import run_fig13
 from .fig14_collectives import run_fig14_left, run_fig14_right
 from .fig15_irk_diirk_epol import run_fig15
@@ -82,17 +83,17 @@ ARTEFACTS: Dict[str, Callable[[bool], List[str]]] = {
     "fig19": lambda quick: [run_fig19(quick=quick).table_str()],
 }
 
-#: solver whose time step stands in for each artefact in ``--trace-out``
-#: exports (MethodConfig keywords follow the artefact's workload family)
-REPRESENTATIVE = {
-    "table1": ("irk", dict(K=4, m=3)),
-    "fig13": ("pabm", dict(K=8, m=2)),
-    "fig14": ("irk", dict(K=4, m=7)),
-    "fig15": ("diirk", dict(K=4, m=3, I=2)),
-    "fig16": ("pab", dict(K=8)),
-    "fig17": ("epol", dict(K=8)),
-    "fig18": ("pabm", dict(K=8, m=2)),
-    "fig19": ("irk", dict(K=4, m=7)),
+#: solver configuration whose time step stands in for each artefact in
+#: ``--trace-out`` exports (the artefact's workload family)
+REPRESENTATIVE: Dict[str, MethodConfig] = {
+    "table1": MethodConfig("irk", K=4, m=3),
+    "fig13": default_config("pabm"),
+    "fig14": default_config("irk"),
+    "fig15": default_config("diirk"),
+    "fig16": default_config("pab"),
+    "fig17": default_config("epol"),
+    "fig18": default_config("pabm"),
+    "fig19": default_config("irk"),
 }
 
 
@@ -100,17 +101,12 @@ def _representative_run(name: str, quick: bool):
     """One instrumented pipeline run standing in for artefact ``name``."""
     from ..cluster.platforms import chic
     from ..mapping.strategies import consecutive
-    from ..ode import MethodConfig, bruss2d
     from .common import ode_pipeline
 
-    method, kwargs = REPRESENTATIVE[name]
     n = 120 if quick else 360
     cores = 64 if quick else 256
     return ode_pipeline(
-        bruss2d(n),
-        MethodConfig(method, **kwargs),
-        chic().with_cores(cores),
-        consecutive(),
+        bruss2d(n), REPRESENTATIVE[name], chic().with_cores(cores), consecutive()
     )
 
 
@@ -294,9 +290,8 @@ def main(argv: List[str] = None) -> int:
                 f"appended {recorded} shoot-out run record(s) to {registry.path}"
             )
     if args.checkpoint_dir:
-        from ..ode import MethodConfig, bruss2d
         from ..recovery import parse_speculation_spec
-        from .recovery_run import run_checkpointed_step
+        from .recovery_run import recovery_line, run_checkpointed_step
 
         from ..runtime.backends import parse_backend_spec
 
@@ -312,10 +307,7 @@ def main(argv: List[str] = None) -> int:
         print("### recovery " + "#" * 52)
         print(
             f"checkpointed IRK step in {args.checkpoint_dir} "
-            f"({rec.get('backend', 'serial')} backend): "
-            f"{rec['tasks_executed']} tasks executed, "
-            f"{rec['resumed_tasks']} resumed from journal, "
-            f"{rec['checkpoint_bytes']} checkpoint bytes"
+            f"({rec.get('backend', 'serial')} backend): {recovery_line(rec)}"
         )
     if (args.trace_out or args.registry_dir) and selected:
         # one representative run per artefact, shared by both exports
@@ -337,7 +329,7 @@ def main(argv: List[str] = None) -> int:
                         result,
                         spec={
                             "artefact": name,
-                            "solver": REPRESENTATIVE[name][0],
+                            "solver": REPRESENTATIVE[name].method,
                             "platform": "chic",
                             "quick": bool(args.quick),
                         },

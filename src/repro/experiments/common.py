@@ -19,6 +19,7 @@ from ..mapping.strategies import MappingStrategy
 from ..ode.problems import ODEProblem
 from ..ode.programs import MethodConfig, step_graph
 from ..pipeline import PipelineResult, SchedulingPipeline
+from ..scheduling.base import Scheduler
 from ..scheduling.baselines import data_parallel_scheduler, fixed_group_scheduler
 from ..sim.executor import SimulationOptions
 
@@ -29,6 +30,7 @@ __all__ = [
     "ode_pipeline",
     "simulate_ode_step",
     "paper_group_count",
+    "paper_scheduler",
 ]
 
 
@@ -116,6 +118,26 @@ def paper_group_count(cfg: MethodConfig) -> int:
     return cfg.K
 
 
+def paper_scheduler(
+    cfg: MethodConfig,
+    cost: CostModel,
+    version: str = "tp",
+    groups: Optional[int] = None,
+) -> Scheduler:
+    """Scheduler of one of the paper's two program versions.
+
+    ``"tp"`` is the task-parallel version (:func:`paper_group_count`
+    groups unless ``groups`` is given), ``"dp"`` the data-parallel one.
+    This is the only ``version`` branch: :func:`ode_pipeline`, the
+    service's workload requests and Fig. 13 all come through here.
+    """
+    if version == "dp":
+        return data_parallel_scheduler(cost)
+    if version == "tp":
+        return fixed_group_scheduler(cost, groups or paper_group_count(cfg))
+    raise ValueError("version must be 'dp' or 'tp'")
+
+
 def ode_pipeline(
     problem: ODEProblem,
     cfg: MethodConfig,
@@ -136,15 +158,9 @@ def ode_pipeline(
     """
     if cost is None:
         cost = CostModel(platform)
-    graph = step_graph(problem, cfg)
-    if version == "dp":
-        scheduler = data_parallel_scheduler(cost)
-    elif version == "tp":
-        scheduler = fixed_group_scheduler(cost, groups or paper_group_count(cfg))
-    else:
-        raise ValueError("version must be 'dp' or 'tp'")
+    scheduler = paper_scheduler(cfg, cost, version, groups)
     pipe = SchedulingPipeline(scheduler, strategy=strategy, options=options)
-    return pipe.run(graph, obs)
+    return pipe.run(step_graph(problem, cfg), obs)
 
 
 def simulate_ode_step(

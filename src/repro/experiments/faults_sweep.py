@@ -11,25 +11,16 @@ Runs are deterministic: the same spec yields the same table.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from ..cluster.platforms import chic
 from ..faults import parse_faults_spec
 from ..mapping.strategies import consecutive
-from ..ode import MethodConfig, bruss2d
+from ..ode import PAPER_CONFIGS, bruss2d
 from ..sim.executor import SimulationOptions
 from .common import ExperimentResult, ode_pipeline
 
 __all__ = ["run_faults_sweep"]
-
-#: the five paper solvers with their benchmark configurations
-SOLVERS: List[Tuple[str, dict]] = [
-    ("irk", dict(K=4, m=7)),
-    ("diirk", dict(K=4, m=3, I=2)),
-    ("epol", dict(K=8)),
-    ("pab", dict(K=8)),
-    ("pabm", dict(K=8, m=2)),
-]
 
 
 def run_faults_sweep(spec: str = "7:0.15", quick: bool = False) -> ExperimentResult:
@@ -53,14 +44,13 @@ def run_faults_sweep(spec: str = "7:0.15", quick: bool = False) -> ExperimentRes
             + f") on {platform.name}, {cores} cores, BRUSS2D N={n}"
         ),
         xlabel="solver",
-        x=[name for name, _ in SOLVERS],
+        x=list(PAPER_CONFIGS),
     )
     clean: List[float] = []
     degraded: List[float] = []
     overhead: List[float] = []
     retries: List[float] = []
-    for method, kwargs in SOLVERS:
-        cfg = MethodConfig(method, **kwargs)
+    for cfg in PAPER_CONFIGS.values():
         base = ode_pipeline(problem, cfg, platform, consecutive())
         faulted = ode_pipeline(
             problem,

@@ -27,11 +27,10 @@ from ..ode.problems import ODEProblem, bruss2d
 from ..ode.programs import MethodConfig, step_graph
 from ..pipeline import SchedulingPipeline
 from ..scheduling.base import Scheduler
-from ..scheduling.baselines import data_parallel_scheduler, fixed_group_scheduler
 from ..scheduling.cpa import CPAScheduler
 from ..scheduling.cpr import CPRScheduler
 from ..scheduling.mcpa import MCPAScheduler
-from .common import ExperimentResult, paper_group_count, sequential_step_time
+from .common import ExperimentResult, paper_scheduler, sequential_step_time
 
 __all__ = ["SCHEDULERS", "make_scheduler", "schedule_and_simulate", "run_pabm_speedups", "run_epol_times", "run_fig13"]
 
@@ -39,6 +38,10 @@ __all__ = ["SCHEDULERS", "make_scheduler", "schedule_and_simulate", "run_pabm_sp
 #: allocation-bounded CPA variant of reference [4]) is additionally
 #: accepted by :func:`schedule_and_simulate` as an extension
 SCHEDULERS = ("task parallel", "CPA", "CPR", "data parallel")
+
+#: the two decisions that are program versions of the paper, by the
+#: ``version`` name :func:`~repro.experiments.common.paper_scheduler` takes
+PAPER_VERSIONS = {"task parallel": "tp", "data parallel": "dp"}
 
 
 def make_scheduler(name: str, cost: CostModel, cfg: MethodConfig) -> Scheduler:
@@ -48,10 +51,8 @@ def make_scheduler(name: str, cost: CostModel, cfg: MethodConfig) -> Scheduler:
     contraction stage hands them the chain-contracted step graph, which
     keeps the comparison about allocation policy, not chain handling.
     """
-    if name == "task parallel":
-        return fixed_group_scheduler(cost, paper_group_count(cfg))
-    if name == "data parallel":
-        return data_parallel_scheduler(cost)
+    if name in PAPER_VERSIONS:
+        return paper_scheduler(cfg, cost, PAPER_VERSIONS[name])
     gran = max(1, cost.platform.total_cores // 128)
     if name == "CPA":
         return CPAScheduler(cost, granularity=gran)

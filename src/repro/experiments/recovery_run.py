@@ -15,16 +15,15 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-import numpy as np
-
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
+from ..ode.integrate import functional_step
 from ..ode.problems import ODEProblem
-from ..ode.programs import MethodConfig, build_ode_program
+from ..ode.programs import MethodConfig
 from ..recovery import CheckpointStore, RunJournal, SpeculationPolicy, Supervisor
 from ..runtime.executor import RunResult, run_program
 
-__all__ = ["run_checkpointed_step"]
+__all__ = ["run_checkpointed_step", "recovery_line"]
 
 
 def run_checkpointed_step(
@@ -55,19 +54,7 @@ def run_checkpointed_step(
     :class:`~repro.obs.Instrumentation` through it so per-worker spans
     reach the trace exporter.
     """
-    build = build_ode_program(problem, cfg, functional=True)
-    composed = build.composed_nodes()
-    if len(composed) != 1:
-        raise ValueError("expected exactly one time-stepping loop")
-    loop = composed[0]
-    body = build.body_of(loop)
-    params = {p.name for p in loop.params}
-    sol = next((c for c in ("eta", "eta_k", "y") if c in params), "eta")
-    inputs: Dict[str, np.ndarray] = {sol: problem.y0}
-    for p in loop.params:
-        if p.mode.reads and p.name not in inputs:
-            inputs[p.name] = np.zeros(p.elements)
-    store = dict(run_program(build.graph, inputs).variables)
+    _, _, body, store = functional_step(problem, cfg)
 
     root = Path(checkpoint_dir)
     journal = RunJournal(
@@ -97,3 +84,20 @@ def run_checkpointed_step(
     if run.stats.cancel_reason:
         summary["cancelled"] = run.stats.cancel_reason
     return run, summary
+
+
+def recovery_line(summary: Dict[str, Any]) -> str:
+    """One-line rendering of :func:`run_checkpointed_step`'s summary."""
+    line = (
+        f"{summary['tasks_executed']} tasks executed, "
+        f"{summary['resumed_tasks']} resumed from journal, "
+        f"{summary['checkpoint_bytes']} checkpoint bytes"
+    )
+    if summary.get("speculation_wins") or summary.get("speculation_losses"):
+        line += (
+            f", speculation {summary['speculation_wins']} win(s) / "
+            f"{summary['speculation_losses']} loss(es)"
+        )
+    if summary.get("cancelled"):
+        line += f", cancelled: {summary['cancelled']}"
+    return line

@@ -38,6 +38,7 @@ from ..scheduling import (
     MoldableLayerScheduler,
     Scheduler,
 )
+from ..sim.executor import SimulationOptions
 
 __all__ = ["ZOO", "ShootoutCell", "ShootoutResult", "run_shootout"]
 
@@ -173,7 +174,7 @@ def _run_cell(name: str, scenario: Scenario) -> ShootoutCell:
         faults = (
             parse_faults_spec(scenario.fault_spec) if scenario.fault_spec else None
         )
-        pipe = SchedulingPipeline(scheduler, faults=faults)
+        pipe = SchedulingPipeline(scheduler, options=SimulationOptions(faults=faults))
         result = pipe.run(scenario.graph)
         cell.predicted_makespan = float(result.predicted_makespan)
         cell.makespan = (

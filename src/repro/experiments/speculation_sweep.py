@@ -12,26 +12,17 @@ deterministic: the same specs yield the same table.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from ..cluster.platforms import chic
 from ..faults import parse_faults_spec
 from ..mapping.strategies import consecutive
-from ..ode import MethodConfig, bruss2d
+from ..ode import PAPER_CONFIGS, bruss2d
 from ..recovery import parse_speculation_spec
 from ..sim.executor import SimulationOptions
 from .common import ExperimentResult, ode_pipeline
 
 __all__ = ["run_speculation_sweep"]
-
-#: the five paper solvers with their benchmark configurations
-SOLVERS: List[Tuple[str, dict]] = [
-    ("irk", dict(K=4, m=7)),
-    ("diirk", dict(K=4, m=3, I=2)),
-    ("epol", dict(K=8)),
-    ("pab", dict(K=8)),
-    ("pabm", dict(K=8, m=2)),
-]
 
 
 def run_speculation_sweep(
@@ -61,7 +52,7 @@ def run_speculation_sweep(
             f"on {platform.name}, {cores} cores, BRUSS2D N={n}"
         ),
         xlabel="solver",
-        x=[name for name, _ in SOLVERS],
+        x=list(PAPER_CONFIGS),
     )
     clean: List[float] = []
     straggled: List[float] = []
@@ -69,8 +60,7 @@ def run_speculation_sweep(
     recovered: List[float] = []
     wins: List[float] = []
     losses: List[float] = []
-    for method, kwargs in SOLVERS:
-        cfg = MethodConfig(method, **kwargs)
+    for cfg in PAPER_CONFIGS.values():
         base = ode_pipeline(problem, cfg, platform, consecutive())
         slow = ode_pipeline(
             problem,

@@ -19,20 +19,14 @@ from ..ode.comm_counts import (
     table1_expected,
 )
 from ..ode.problems import ODEProblem, schroed
-from ..ode.programs import MethodConfig, step_graph
+from ..ode.programs import ODE_METHODS, PAPER_CONFIGS, MethodConfig, step_graph
 from ..scheduling.baselines import fixed_group_scheduler
 from .common import paper_group_count
 
 __all__ = ["Table1Row", "run_table1", "format_table1"]
 
 #: the method configurations Table 1 is stated for
-TABLE1_CONFIGS: List[MethodConfig] = [
-    MethodConfig("epol", K=8),
-    MethodConfig("irk", K=4, m=7),
-    MethodConfig("diirk", K=4, m=3, I=2),
-    MethodConfig("pab", K=8),
-    MethodConfig("pabm", K=8, m=2),
-]
+TABLE1_CONFIGS: List[MethodConfig] = [PAPER_CONFIGS[m] for m in ODE_METHODS]
 
 
 @dataclass(frozen=True)

@@ -46,16 +46,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["main", "build_parser", "flatten_metrics", "compare_metrics"]
 
-#: MethodConfig keywords of the five paper solvers (matches the
-#: benchmark harness)
-SOLVER_CFGS: Dict[str, Dict[str, int]] = {
-    "irk": dict(K=4, m=7),
-    "diirk": dict(K=4, m=3, I=2),
-    "epol": dict(K=8),
-    "pab": dict(K=8),
-    "pabm": dict(K=8, m=2),
-}
-
 #: metric name suffixes where an *increase* past the threshold regresses
 LOWER_IS_BETTER = (
     "makespan",
@@ -97,9 +87,11 @@ WALL_CLOCK_SUFFIXES = ("_seconds",)
 # shared run-spec plumbing
 # ----------------------------------------------------------------------
 def _add_run_arguments(ap: argparse.ArgumentParser) -> None:
+    from ..ode import ODE_METHODS
+
     ap.add_argument(
         "--solver",
-        choices=sorted(SOLVER_CFGS),
+        choices=sorted(ODE_METHODS),
         default="irk",
         help="ODE solver whose time step is scheduled (default: irk)",
     )
@@ -189,13 +181,13 @@ def _run_spec(args, obs=None) -> Tuple[Dict[str, Any], Any, Any]:
     from ..core.costmodel import CostModel
     from ..experiments.common import ode_pipeline
     from ..mapping.strategies import consecutive, scattered
-    from ..ode import MethodConfig, bruss2d
+    from ..ode import bruss2d, default_config
     from ..sim.executor import SimulationOptions
 
     n = 120 if args.quick else args.n
     platform = by_name(args.platform).with_cores(args.cores)
     cost = CostModel(platform)
-    cfg = MethodConfig(args.solver, **SOLVER_CFGS[args.solver])
+    cfg = default_config(args.solver)
     strategy = consecutive() if args.mapping == "consecutive" else scattered()
     faults = None
     if getattr(args, "faults", None):
@@ -263,22 +255,10 @@ def _run_spec(args, obs=None) -> Tuple[Dict[str, Any], Any, Any]:
 
 
 def _print_recovery(spec: Dict[str, Any]) -> None:
-    rec = spec.get("recovery")
-    if not rec:
-        return
-    line = (
-        f"recovery: {rec['tasks_executed']} tasks executed, "
-        f"{rec['resumed_tasks']} resumed from journal, "
-        f"{rec['checkpoint_bytes']} checkpoint bytes"
-    )
-    if rec.get("speculation_wins") or rec.get("speculation_losses"):
-        line += (
-            f", speculation {rec['speculation_wins']} win(s) / "
-            f"{rec['speculation_losses']} loss(es)"
-        )
-    if rec.get("cancelled"):
-        line += f", cancelled: {rec['cancelled']}"
-    print(line)
+    if spec.get("recovery"):
+        from ..experiments.recovery_run import recovery_line
+
+        print(f"recovery: {recovery_line(spec['recovery'])}")
 
 
 # ----------------------------------------------------------------------
@@ -572,25 +552,22 @@ def _cmd_calib(args) -> int:
     print(report.report(top=args.top))
     if checkpoint_dir:
         from ..experiments.recovery_run import run_checkpointed_step
-        from ..ode import MethodConfig, bruss2d
-        from ..ode.programs import build_ode_program
+        from ..ode import bruss2d, default_config, functional_step
         from ..runtime.backends import parse_backend_spec
         from .events import Instrumentation
 
-        n = 120 if args.quick else args.n
-        cfg = MethodConfig(args.solver, **SOLVER_CFGS[args.solver])
+        problem, cfg = bruss2d(spec["n"]), default_config(args.solver)
         wall_obs = Instrumentation()
         backend_spec = getattr(args, "backend", None) or "serial"
         run_checkpointed_step(
-            bruss2d(n),
+            problem,
             cfg,
             checkpoint_dir,
             resume=args.resume,
             backend=parse_backend_spec(backend_spec),
             obs=wall_obs,
         )
-        build = build_ode_program(bruss2d(n), cfg, functional=True)
-        body = build.body_of(build.composed_nodes()[0])
+        _, _, body, _ = functional_step(problem, cfg)
         wall = calibrate_spans(body, eval_cost, wall_obs)
         print()
         print(f"wall-clock calibration ({backend_spec} backend):")

@@ -35,14 +35,12 @@ class SpanRecord:
     ``sid`` is a per-:class:`Instrumentation` unique id and
     ``parent_id`` the enclosing span's ``sid``; same-named spans (e.g.
     one ``layer`` span per scheduled layer) stay distinguishable in the
-    reconstructed tree.  ``parent`` keeps the enclosing span's *name*
-    for backward compatibility.
+    reconstructed tree.
     """
 
     name: str
     start: float
     duration: float = 0.0
-    parent: Optional[str] = None
     meta: Dict[str, Any] = field(default_factory=dict)
     sid: int = 0
     parent_id: Optional[int] = None
@@ -55,8 +53,6 @@ class SpanRecord:
             "start": self.start,
             "duration": self.duration,
         }
-        if self.parent is not None:
-            out["parent"] = self.parent
         if self.parent_id is not None:
             out["parent_id"] = self.parent_id
         if self.meta:
@@ -116,7 +112,6 @@ class Instrumentation:
         rec = SpanRecord(
             name=name,
             start=self._clock(),
-            parent=self._stack[-1].name if self._stack else None,
             meta=dict(meta),
             sid=self._next_sid,
             parent_id=self._stack[-1].sid if self._stack else None,
@@ -145,7 +140,6 @@ class Instrumentation:
             name=name,
             start=start,
             duration=duration,
-            parent=self._stack[-1].name if self._stack else None,
             meta=dict(meta),
             sid=self._next_sid,
             parent_id=self._stack[-1].sid if self._stack else None,

@@ -5,11 +5,12 @@ from .base import ODESolution, explicit_rk_step, integrate_fixed
 from .comm_counts import StepCommCounts, counts_from_step_graph, table1_expected
 from .diirk import diirk_step, solve_diirk
 from .epol import extrapolation_step, solve_epol, solve_epol_adaptive
-from .integrate import FunctionalIntegration, integrate_functional
+from .integrate import FunctionalIntegration, functional_step, integrate_functional
 from .irk import irk_step, solve_irk
 from .problems import ODEProblem, bruss2d, linear_test_problem, schroed
 from .programs import (
     ODE_METHODS,
+    PAPER_CONFIGS,
     MethodConfig,
     build_ode_program,
     default_config,
@@ -52,8 +53,10 @@ __all__ = [
     "ODE_METHODS",
     "MethodConfig",
     "default_config",
+    "PAPER_CONFIGS",
     "build_ode_program",
     "step_graph",
+    "functional_step",
     "integrate_functional",
     "FunctionalIntegration",
     "StepCommCounts",

@@ -12,17 +12,19 @@ solvers and the SciPy reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..runtime.executor import RunStats, run_program
+from ..core.graph import TaskGraph
+from ..core.task import MTask
+from ..runtime.executor import run_program
 from ..spec.ast_nodes import Compare, Name, Num, eval_expr
 from ..spec.build import BuildResult
 from .problems import ODEProblem
 from .programs import MethodConfig, build_ode_program
 
-__all__ = ["FunctionalIntegration", "integrate_functional"]
+__all__ = ["FunctionalIntegration", "functional_step", "integrate_functional"]
 
 
 @dataclass
@@ -59,47 +61,52 @@ def _eval_cond(cond: Compare, store: Dict[str, np.ndarray], consts: Dict[str, in
     }[cond.op]
 
 
-def integrate_functional(
-    problem: ODEProblem,
-    cfg: MethodConfig,
-    max_steps: int = 10_000,
-    result: Optional[BuildResult] = None,
-    state_var: str = "eta",
-) -> FunctionalIntegration:
-    """Run a solver program functionally until its loop condition fails.
+def _solution_name(loop: MTask) -> str:
+    """Name of a program's solution variable (``eta_k`` for EPOL)."""
+    params = {p.name for p in loop.params}
+    return next((c for c in ("eta", "eta_k", "y") if c in params), "eta")
 
-    ``state_var`` names the solution variable of the program (``eta`` for
-    the stage-based programs, ``eta_k`` for EPOL -- auto-detected).
+
+def functional_step(
+    problem: ODEProblem, cfg: MethodConfig
+) -> Tuple[BuildResult, MTask, TaskGraph, Dict[str, np.ndarray]]:
+    """Build a solver's functional program up to its first time step.
+
+    Returns ``(build, loop, body, store)``: the built hierarchical
+    program, its one ``while`` node, that node's body graph (one time
+    step) and the body's live-in variable store, produced by running the
+    upper (initialisation) graph once.  The init graph is deterministic
+    -- one replicated scalar task, no collectives, no re-distribution --
+    so every caller (integration, journaled runs, ``/v1/run``, the
+    runtime benchmark) reconstructs the same store.
     """
-    if result is None:
-        result = build_ode_program(problem, cfg, functional=True)
-    composed = result.composed_nodes()
+    build = build_ode_program(problem, cfg, functional=True)
+    composed = build.composed_nodes()
     if len(composed) != 1:
         raise ValueError("expected exactly one time-stepping loop")
     loop = composed[0]
-    body = result.body_of(loop)
-    cond: Compare = loop.meta["cond"]  # type: ignore[assignment]
-
-    sol_name = state_var
-    if sol_name not in {p.name for p in loop.params}:
-        for cand in ("eta", "eta_k", "y"):
-            if cand in {p.name for p in loop.params}:
-                sol_name = cand
-                break
-
-    # 1. initialisation: run the upper graph once.  Loop-carried
-    # variables that are first written inside the body (e.g. the
-    # approximation vectors V of EPOL) are conservatively declared
-    # live-in by the builder; seed them with zeros ("uninitialised
-    # memory") -- the bodies never use a stale value before writing it.
-    inputs: Dict[str, np.ndarray] = {sol_name: problem.y0}
+    # Loop-carried variables that are first written inside the body
+    # (e.g. the approximation vectors V of EPOL) are conservatively
+    # declared live-in by the builder; seed them with zeros
+    # ("uninitialised memory") -- the bodies never use a stale value
+    # before writing it.
+    inputs: Dict[str, np.ndarray] = {_solution_name(loop): problem.y0}
     for p in loop.params:
         if p.mode.reads and p.name not in inputs:
             inputs[p.name] = np.zeros(p.elements)
-    upper = run_program(result.graph, inputs)
-    store = dict(upper.variables)
-    counts = upper.stats.collective_counts()
-    moved = upper.stats.redistributed_bytes
+    store = dict(run_program(build.graph, inputs).variables)
+    return build, loop, build.body_of(loop), store
+
+
+def integrate_functional(
+    problem: ODEProblem, cfg: MethodConfig, max_steps: int = 10_000
+) -> FunctionalIntegration:
+    """Run a solver program functionally until its loop condition fails."""
+    # 1. initialisation: run the upper graph once
+    result, loop, body, store = functional_step(problem, cfg)
+    cond: Compare = loop.meta["cond"]  # type: ignore[assignment]
+    counts: Dict[str, int] = {}
+    moved = 0
 
     # 2. time stepping
     steps = 0
@@ -116,7 +123,7 @@ def integrate_functional(
     t_final = float(np.atleast_1d(store.get("t", np.array([problem.t0])))[0])
     return FunctionalIntegration(
         t=t_final,
-        y=np.asarray(store[sol_name]),
+        y=np.asarray(store[_solution_name(loop)]),
         steps=steps,
         collective_counts=counts,
         redistributed_bytes=moved,

@@ -22,7 +22,7 @@ time-stepping ``while`` loop, accessible via :func:`step_graph`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -41,6 +41,7 @@ __all__ = [
     "build_ode_program",
     "step_graph",
     "default_config",
+    "PAPER_CONFIGS",
 ]
 
 ODE_METHODS = ("epol", "irk", "diirk", "pab", "pabm")
@@ -76,16 +77,28 @@ class MethodConfig:
             raise ValueError("tol must be positive")
 
 
+#: the paper's benchmark configurations (Section 4.2), the one solver
+#: table every consumer reads: experiments, ``python -m repro.obs`` and
+#: the ``repro.serve`` workload requests
+PAPER_CONFIGS: Dict[str, MethodConfig] = {
+    "irk": MethodConfig("irk", K=4, m=7),
+    "diirk": MethodConfig("diirk", K=4, m=3, I=2),
+    "epol": MethodConfig("epol", K=8),
+    "pab": MethodConfig("pab", K=8),
+    "pabm": MethodConfig("pabm", K=8, m=2),
+}
+
+
 def default_config(method: str, K: Optional[int] = None) -> MethodConfig:
-    """The configuration used in the paper's benchmarks."""
-    defaults = {
-        "epol": MethodConfig("epol", K=K or 8),
-        "irk": MethodConfig("irk", K=K or 4, m=2 * (K or 4) - 1),
-        "diirk": MethodConfig("diirk", K=K or 4, m=3, I=2),
-        "pab": MethodConfig("pab", K=K or 8),
-        "pabm": MethodConfig("pabm", K=K or 8, m=2),
-    }
-    return defaults[method]
+    """The configuration used in the paper's benchmarks.
+
+    ``K`` overrides the stage count; IRK's fixed-point iteration count
+    follows it as ``m = 2K - 1``.
+    """
+    cfg = PAPER_CONFIGS[method]
+    if not K:
+        return cfg
+    return replace(cfg, K=K, m=2 * K - 1 if method == "irk" else cfg.m)
 
 
 # ----------------------------------------------------------------------

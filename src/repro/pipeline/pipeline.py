@@ -27,12 +27,9 @@ from typing import Optional
 from ..core.costmodel import CachedCostEvaluator, CostModel
 from ..core.graph import TaskGraph
 from ..core.schedule import validate as validate_schedule
-from ..faults.plan import FaultPlan
-from ..faults.retry import RetryPolicy
 from ..mapping.mapper import place_result
 from ..mapping.strategies import MappingStrategy, consecutive
 from ..obs import Instrumentation
-from ..recovery.speculation import SpeculationPolicy
 from ..scheduling.base import Scheduler, SchedulingResult
 from ..scheduling.chains import contract_chains
 from ..sim.executor import SimulationOptions, simulate
@@ -55,7 +52,18 @@ class SchedulingPipeline:
     strategy:
         Mapping strategy for the physical placement stage.
     options:
-        Simulation knobs (contention passes, re-distribution).
+        Simulation knobs (contention passes, re-distribution) and the
+        one place fault options live: ``options.faults`` /
+        ``options.retry`` / ``options.speculation``
+        (:class:`~repro.sim.executor.SimulationOptions`) drive
+        deterministic fault injection, retry costing and speculative
+        straggler mitigation in the simulation stage.  When the fault
+        plan carries a ``core_loss`` and the scheduler produced a
+        layered schedule, a *reschedule* stage re-invokes the scheduler
+        through a fresh pipeline on the reduced core count for the
+        remaining layers and replaces the trace with the combined
+        degraded one.  ``None`` (or a disabled plan / policy) keeps
+        every stage bit-identical to the fault-free pipeline.
     contract:
         Run the chain-contraction stage for schedulers that do not
         handle chains themselves (CPA/CPR/MCPA); schedulers with
@@ -65,16 +73,6 @@ class SchedulingPipeline:
     simulate:
         Run the simulation stage; with ``False`` the pipeline stops
         after mapping + validation (``result.trace`` is ``None``).
-    faults / retry:
-        Deterministic fault injection and retry costing
-        (:class:`~repro.faults.FaultPlan` /
-        :class:`~repro.faults.RetryPolicy`); forwarded to the simulation
-        stage.  When the plan carries a ``core_loss`` and the scheduler
-        produced a layered schedule, a *reschedule* stage re-invokes the
-        scheduler through a fresh pipeline on the reduced core count for
-        the remaining layers and replaces the trace with the combined
-        degraded one.  ``None`` (or a disabled plan) keeps every stage
-        bit-identical to the fault-free pipeline.
     """
 
     scheduler: Scheduler
@@ -84,11 +82,6 @@ class SchedulingPipeline:
     check: bool = True
     simulate: bool = True
     cache: bool = True
-    faults: Optional[FaultPlan] = None
-    retry: Optional[RetryPolicy] = None
-    #: speculative straggler mitigation, forwarded to the simulation
-    #: stage (``None`` or a disabled policy keeps it bit-identical)
-    speculation: Optional[SpeculationPolicy] = None
 
     def __post_init__(self) -> None:
         if self.cache and not isinstance(self.scheduler.cost, CachedCostEvaluator):
@@ -116,25 +109,13 @@ class SchedulingPipeline:
         """Run all stages on ``graph`` and return a :class:`PipelineResult`."""
         obs = obs if obs is not None else Instrumentation()
         cost = self.scheduler.cost
-        plan = self.faults if self.faults is not None and self.faults.enabled else None
-        if plan is None and self.options.faults is not None and self.options.faults.enabled:
-            plan = self.options.faults
-        policy = self.retry if self.retry is not None else self.options.retry
-        spec = self.speculation if self.speculation is not None else self.options.speculation
+        options = self.options
+        plan = options.faults
+        if plan is not None and not plan.enabled:
+            plan = None
+        spec = options.speculation
         if spec is not None and not spec.enabled:
             spec = None
-        sim_options = self.options
-        if (
-            plan is not sim_options.faults
-            or policy is not sim_options.retry
-            or spec is not sim_options.speculation
-        ):
-            # the core loss is handled by the reschedule stage below, not
-            # inside the simulator
-            sim_plan = replace(plan, core_loss=None) if plan is not None else None
-            sim_options = replace(
-                self.options, faults=sim_plan, retry=policy, speculation=spec
-            )
         reschedule = None
         with obs.span("pipeline", scheduler=self.scheduler.name):
             # -- stage: chain contraction (for chain-unaware schedulers)
@@ -176,7 +157,7 @@ class SchedulingPipeline:
             # -- stage: simulation
             trace = result.trace
             if trace is None and self.simulate and placement is not None:
-                trace = simulate(graph, placement, cost, sim_options, obs=obs)
+                trace = simulate(graph, placement, cost, options, obs=obs)
 
             # -- stage: reschedule on core loss
             if (
@@ -199,7 +180,9 @@ class SchedulingPipeline:
                         self.strategy,
                         loss,
                         scheduler=self.scheduler,
-                        options=replace(sim_options, faults=replace(plan, core_loss=None)),
+                        # the suffix keeps the injected failures but must not
+                        # lose the same nodes again
+                        options=replace(options, faults=replace(plan, core_loss=None)),
                         obs=obs,
                     )
                 obs.observe("reschedule_seconds", rs_span.duration)

@@ -9,10 +9,6 @@ contract).  That union is gone: every :class:`Scheduler` now returns a
 produced plus the chain-expansion map and per-run statistics, and exposes
 uniform accessors (:meth:`SchedulingResult.symbolic_timeline`,
 :meth:`SchedulingResult.predicted_makespan`) the pipeline builds on.
-
-Code that still treats a :class:`SchedulingResult` like the old raw
-artefacts gets a targeted error message instead of an ``AttributeError``
-puzzle -- see :meth:`SchedulingResult.__getattr__`.
 """
 
 from __future__ import annotations
@@ -28,22 +24,6 @@ from ..core.task import MTask
 from ..obs import Instrumentation
 
 __all__ = ["Scheduler", "SchedulingResult", "symbolic_timeline"]
-
-
-#: old attribute -> migration hint, used by the misuse guard below
-_MIGRATION_HINTS = {
-    "layers": ".layered.layers",
-    "num_layers": ".layered.num_layers",
-    "describe": ".layered.describe()",
-    "expand": ".expand_task(task)",
-    "all_original_tasks": ".layered.all_original_tasks()",
-    "entries": ".timeline.entries",
-    "makespan": ".timeline.makespan (or .predicted_makespan(cost))",
-    "add": ".timeline.add",
-    "work_area": ".timeline.work_area()",
-    "idle_fraction": ".timeline.idle_fraction()",
-    "gantt_lines": ".timeline.gantt_lines()",
-}
 
 
 @dataclass
@@ -153,20 +133,6 @@ class SchedulingResult:
     def predicted_makespan(self, cost: CostModel) -> float:
         """Makespan of the symbolic timeline (the scheduler's estimate)."""
         return self.symbolic_timeline(cost).makespan
-
-    # ------------------------------------------------------------------
-    def __getattr__(self, name: str):
-        if name in _MIGRATION_HINTS:
-            raise AttributeError(
-                f"SchedulingResult has no attribute {name!r}: schedulers no "
-                f"longer return raw LayeredSchedule/Schedule objects (the old "
-                f"Union contract is gone). Use result{_MIGRATION_HINTS[name]} "
-                f"instead, or run the schedule through "
-                f"repro.pipeline.SchedulingPipeline."
-            )
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
 
 class Scheduler(abc.ABC):

@@ -29,6 +29,7 @@ import re
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from ..ode.programs import PAPER_CONFIGS as SOLVER_CFGS
 from ..recovery.checkpoint import json_digest
 
 __all__ = [
@@ -47,16 +48,6 @@ __all__ = [
 
 #: the service's POST endpoints (under ``/v1/``)
 ENDPOINTS = ("schedule", "simulate", "run")
-
-#: MethodConfig keywords of the five paper solvers (kept in sync with
-#: ``repro.obs.cli.SOLVER_CFGS`` by ``tests/test_serve.py``)
-SOLVER_CFGS: Dict[str, Dict[str, int]] = {
-    "irk": dict(K=4, m=7),
-    "diirk": dict(K=4, m=3, I=2),
-    "epol": dict(K=8),
-    "pab": dict(K=8),
-    "pabm": dict(K=8, m=2),
-}
 
 #: platform names ``repro.cluster.platforms.by_name`` accepts
 PLATFORMS = ("chic", "juropa", "sgi_altix")
@@ -323,14 +314,11 @@ def validate_request(endpoint: str, payload: Any) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 def _program_graph(request: Dict[str, Any]):
     """Build the M-task graph a request describes (workload or DSL)."""
-    topology = request["topology"]
     if "workload" in request:
-        from ..ode import MethodConfig, bruss2d
-        from ..ode.programs import step_graph
+        from ..ode import bruss2d, step_graph
 
         wl = request["workload"]
-        cfg = MethodConfig(wl["solver"], **SOLVER_CFGS[wl["solver"]])
-        return step_graph(bruss2d(wl["n"]), cfg)
+        return step_graph(bruss2d(wl["n"]), SOLVER_CFGS[wl["solver"]])
 
     from ..spec import GraphBuilder, LexError, ParseError, TaskCost, parse
 
@@ -385,25 +373,20 @@ def _program_graph(request: Dict[str, Any]):
             f"{', '.join(sorted(t.name for t in composed))})",
             code="ambiguous_loop",
         )
-    graph = build.graph
-    _ = topology  # cores are validated against min_procs at schedule time
-    return graph
+    return build.graph
 
 
 def _scheduler_for(request: Dict[str, Any], cost):
     """Instantiate the scheduler a canonical request selects."""
     options = request["options"]
     if "workload" in request:
-        from ..experiments.common import paper_group_count
-        from ..ode import MethodConfig
-        from ..scheduling import data_parallel_scheduler, fixed_group_scheduler
+        from ..experiments.common import paper_scheduler
 
-        if options.get("version", "tp") == "dp":
-            return data_parallel_scheduler(cost)
-        wl = request["workload"]
-        cfg = MethodConfig(wl["solver"], **SOLVER_CFGS[wl["solver"]])
-        return fixed_group_scheduler(
-            cost, options.get("groups") or paper_group_count(cfg)
+        return paper_scheduler(
+            SOLVER_CFGS[request["workload"]["solver"]],
+            cost,
+            options.get("version", "tp"),
+            options.get("groups"),
         )
     from ..scheduling import (
         AMTHAScheduler,
@@ -411,7 +394,7 @@ def _scheduler_for(request: Dict[str, Any], cost):
         MoldableLayerScheduler,
     )
 
-    name = request["options"].get("scheduler", "paper")
+    name = options.get("scheduler", "paper")
     if name == "amtha":
         return AMTHAScheduler(cost)
     if name == "moldable":
@@ -431,10 +414,14 @@ def request_digests(request: Dict[str, Any]) -> Dict[str, str]:
     equivalent DSL -- share cache entries; topology and options reuse
     the :func:`repro.recovery.json_digest` canonical-JSON hashing.
     """
+    return _graph_digests(request, _program_graph(request))
+
+
+def _graph_digests(request: Dict[str, Any], graph) -> Dict[str, str]:
+    """:func:`request_digests` of a request whose graph is already built."""
     from ..cluster.platforms import by_name
     from ..obs.registry import program_digest, topology_digest
 
-    graph = _program_graph(request)
     platform = by_name(request["topology"]["platform"]).with_cores(
         request["topology"]["cores"]
     )
@@ -539,12 +526,15 @@ def compute_response(request: Dict[str, Any]) -> Dict[str, Any]:
     t0 = time.perf_counter()
     endpoint = request["endpoint"]
     try:
-        digests = request_digests(request)
+        # the one graph build of a cold request: the digests and the
+        # pipeline both read it
+        graph = _program_graph(request)
+        digests = _graph_digests(request, graph)
         if endpoint == "run":
             body, tasks = _compute_run(request, digests)
             record = None
         else:
-            body, tasks, record = _compute_pipeline(request, digests)
+            body, tasks, record = _compute_pipeline(request, digests, graph)
     except RequestError as exc:
         return {"error": exc.to_dict()["error"], "status": exc.status}
     except Exception as exc:  # structured 422, never a traceback
@@ -564,7 +554,7 @@ def compute_response(request: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _compute_pipeline(
-    request: Dict[str, Any], digests: Dict[str, str]
+    request: Dict[str, Any], digests: Dict[str, str], graph
 ) -> Tuple[Dict[str, Any], int, Optional[Dict[str, Any]]]:
     """Run the scheduling pipeline for a schedule/simulate request."""
     from ..cluster.platforms import by_name
@@ -584,7 +574,6 @@ def _compute_pipeline(
         if options.get("mapping", "consecutive") == "scattered"
         else consecutive()
     )
-    graph = _program_graph(request)
     pipe = SchedulingPipeline(
         scheduler, strategy=strategy, simulate=endpoint == "simulate"
     )
@@ -628,33 +617,19 @@ def _compute_run(
 ) -> Tuple[Dict[str, Any], int]:
     """Execute one functional solver step for a run request.
 
-    Mirrors the ``--checkpoint-dir`` CLI path without the journal: the
-    deterministic init graph produces the live-ins, then the step body
-    executes for real on numpy arrays.  The response carries the
-    content digests of every output array -- deterministic, so run
-    responses cache like schedules do.
+    The ``--checkpoint-dir`` CLI path without the journal: the step body
+    of :func:`repro.ode.functional_step` executes for real on numpy
+    arrays.  The response carries the content digests of every output
+    array -- deterministic, so run responses cache like schedules do.
     """
-    import numpy as np
-
-    from ..ode import MethodConfig, bruss2d
-    from ..ode.programs import build_ode_program
+    from ..ode import bruss2d, functional_step
     from ..recovery import array_digest
     from ..runtime.executor import run_program
 
     wl = request["workload"]
-    cfg = MethodConfig(wl["solver"], **SOLVER_CFGS[wl["solver"]])
-    problem = bruss2d(wl["n"])
-    build = build_ode_program(problem, cfg, functional=True)
-    composed = build.composed_nodes()
-    loop = composed[0]
-    body_graph = build.body_of(loop)
-    params = {p.name for p in loop.params}
-    sol = next((c for c in ("eta", "eta_k", "y") if c in params), "eta")
-    inputs: Dict[str, np.ndarray] = {sol: problem.y0}
-    for p in loop.params:
-        if p.mode.reads and p.name not in inputs:
-            inputs[p.name] = np.zeros(p.elements)
-    store = dict(run_program(build.graph, inputs).variables)
+    _, _, body_graph, store = functional_step(
+        bruss2d(wl["n"]), SOLVER_CFGS[wl["solver"]]
+    )
     run = run_program(body_graph, store)
     body = {
         "schema": "repro.serve.run/1",

@@ -62,33 +62,26 @@ class ExecutionTrace:
     def __post_init__(self) -> None:
         self._by_task: Dict[MTask, TraceEntry] = {e.task: e for e in self.entries}
 
-    def _index(self) -> Dict[MTask, TraceEntry]:
-        # rebuild lazily when ``entries`` was mutated directly instead of
-        # through :meth:`add` (legacy callers extend the list in place)
-        if len(self._by_task) != len(self.entries):
-            self._by_task = {e.task: e for e in self.entries}
-        return self._by_task
-
     def add(self, entry: TraceEntry) -> None:
         """Record one simulated task execution (each task once)."""
-        if entry.task in self._index():
+        if entry.task in self._by_task:
             raise ValueError(f"task {entry.task.name!r} traced twice")
         self.entries.append(entry)
         self._by_task[entry.task] = entry
 
     def replace(self, entry: TraceEntry) -> None:
         """Swap the recorded entry of ``entry.task`` (speculation updates)."""
-        old = self._index().get(entry.task)
+        old = self._by_task.get(entry.task)
         if old is None:
             raise KeyError(f"task {entry.task.name!r} not traced yet")
         self.entries[self.entries.index(old)] = entry
         self._by_task[entry.task] = entry
 
     def __getitem__(self, task: MTask) -> TraceEntry:
-        return self._index()[task]
+        return self._by_task[task]
 
     def __contains__(self, task: MTask) -> bool:
-        return task in self._index()
+        return task in self._by_task
 
     def __len__(self) -> int:
         return len(self.entries)

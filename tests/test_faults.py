@@ -384,7 +384,7 @@ class TestFaultFreeEquivalence:
         guarded = SchedulingPipeline(
             LayerBasedScheduler(CostModel(platform)),
             strategy=consecutive(),
-            faults=FaultPlan.none(),
+            options=SimulationOptions(faults=FaultPlan.none()),
         ).run(graph2)
         assert flatten_metrics(base.metrics()) == flatten_metrics(guarded.metrics())
         assert "faults" not in guarded.meta
@@ -454,7 +454,7 @@ class TestRescheduleOnCoreLoss:
         return SchedulingPipeline(
             LayerBasedScheduler(CostModel(platform)),
             strategy=consecutive(),
-            faults=faults,
+            options=SimulationOptions(faults=faults),
         )
 
     def test_pipeline_reschedules(self):

@@ -148,23 +148,23 @@ class TestExecutionTraceHelpers:
         total = sum(trace.idle_time(c) for c in trace.machine.cores())
         assert total == pytest.approx(trace.idle_time())
 
-    def test_index_rebuilds_after_raw_append(self, run):
+    def test_index_follows_add(self, run):
         from repro.sim.trace import ExecutionTrace
 
         trace = run.trace
         fresh = ExecutionTrace(trace.machine)
-        # legacy pattern: mutate .entries directly, then look tasks up
-        fresh.entries.extend(trace.entries)
+        for entry in trace.entries:
+            fresh.add(entry)
         first = trace.entries[0].task
         assert first in fresh
         assert fresh[first] is trace.entries[0]
 
-    def test_add_rejects_duplicates_after_raw_append(self, run):
+    def test_add_rejects_duplicates(self, run):
         from repro.sim.trace import ExecutionTrace
 
         trace = run.trace
         fresh = ExecutionTrace(trace.machine)
-        fresh.entries.append(trace.entries[0])
+        fresh.add(trace.entries[0])
         with pytest.raises(ValueError):
             fresh.add(trace.entries[0])
 

@@ -34,8 +34,8 @@ class TestSpans:
             with obs.span("inner"):
                 pass
         spans = {s.name: s for s in obs.spans}
-        assert spans["outer"].parent is None
-        assert spans["inner"].parent == "outer"
+        assert spans["outer"].parent_id is None
+        assert spans["inner"].parent_id == spans["outer"].sid
 
     def test_span_meta_captured(self, obs):
         with obs.span("schedule", scheduler="layered", g=4):
@@ -58,7 +58,7 @@ class TestSpans:
         with obs.span("after"):
             pass
         (after,) = [s for s in obs.spans if s.name == "after"]
-        assert after.parent is None
+        assert after.parent_id is None
 
     def test_span_names_in_order(self, obs):
         with obs.span("a"):
@@ -110,18 +110,17 @@ class TestExport:
         assert parsed["spans"][0]["duration"] == pytest.approx(1.0)
 
     def test_span_record_to_dict(self):
-        rec = SpanRecord(name="s", start=1.0, duration=2.0, parent="p", meta={"k": 1})
+        rec = SpanRecord(name="s", start=1.0, duration=2.0, meta={"k": 1})
         d = rec.to_dict()
-        assert d["name"] == "s" and d["parent"] == "p" and d["meta"] == {"k": 1}
+        assert d["name"] == "s" and "parent_id" not in d and d["meta"] == {"k": 1}
 
     def test_span_record_to_dict_emits_parent_id(self):
         rec = SpanRecord(
-            name="s", start=1.0, duration=2.0, parent="p", sid=7, parent_id=3
+            name="s", start=1.0, duration=2.0, sid=7, parent_id=3
         )
         d = rec.to_dict()
         assert d["id"] == 7
         assert d["parent_id"] == 3
-        assert d["parent"] == "p"
 
 
 class TestSpanIds:
@@ -145,14 +144,12 @@ class TestSpanIds:
         assert probes[0].parent_id == outer1.sid
         assert probes[1].parent_id == outer2.sid
         assert outer1.sid != outer2.sid
-        # the legacy name-based field is ambiguous here; both say "layer"
-        assert {s.parent for s in probes} == {"layer"}
 
     def test_top_level_span_has_no_parent_id(self, obs):
         with obs.span("root"):
             pass
         (root,) = obs.spans
-        assert root.parent_id is None and root.parent is None
+        assert root.parent_id is None
 
 
 class TestHistogramsAndGauges:

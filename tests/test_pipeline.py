@@ -9,6 +9,7 @@ deprecated raw-artefact accesses must fail with actionable messages.
 """
 
 import json
+import time
 
 import pytest
 
@@ -190,6 +191,45 @@ class TestValidationStage:
         with pytest.raises(ValueError, match="share layer"):
             validate(bad, plat, graph=g)
 
+    def test_validate_long_contracted_chain(self):
+        """Every edge of a contracted chain is a same-layer edge; each is
+        resolved with two lookups, not a search through the chain."""
+        plat = generic_cluster(nodes=2, procs_per_node=2, cores_per_proc=2)
+        g = TaskGraph()
+        members = [g.add_task(MTask(f"c{i}", work=1e6)) for i in range(3000)]
+        for u, v in zip(members, members[1:]):
+            g.add_dependency(u, v)
+        stray = g.add_task(MTask("stray", work=1e6))
+        node = MTask("chain", work=3e9)
+        sched = LayeredSchedule(
+            nprocs=8,
+            layers=[Layer(groups=[[node], [stray]], group_sizes=[4, 4])],
+            expansion={node: members},
+        )
+        t0 = time.perf_counter()
+        validate(sched, plat, graph=g)
+        # ~3 ms; the per-edge chain search this replaced took ~250 ms
+        assert time.perf_counter() - t0 < 0.1
+        # a sideways edge out of the chain stays in the layer: still illegal
+        g.add_dependency(members[1500], stray)
+        with pytest.raises(ValueError, match="share layer 0 outside"):
+            validate(sched, plat, graph=g)
+
+    def test_validate_rejects_chain_order_violation(self):
+        plat = generic_cluster(nodes=2, procs_per_node=2, cores_per_proc=2)
+        g = TaskGraph()
+        a = g.add_task(MTask("a", work=1e9))
+        b = g.add_task(MTask("b", work=1e9))
+        g.add_dependency(a, b)
+        node = MTask("chain", work=2e9)
+        bad = LayeredSchedule(
+            nprocs=8,
+            layers=[Layer(groups=[[node]], group_sizes=[8])],
+            expansion={node: [b, a]},
+        )
+        with pytest.raises(ValueError, match="share layer"):
+            validate(bad, plat, graph=g)
+
     def test_validate_rejects_min_procs_violation(self):
         plat = generic_cluster(nodes=2, procs_per_node=2, cores_per_proc=2)
         t = MTask("wide", work=1e9, min_procs=8)
@@ -226,20 +266,6 @@ class TestMisuseGuards:
     def res(self):
         plat = generic_cluster(nodes=2, procs_per_node=2, cores_per_proc=2)
         return LayerBasedScheduler(CostModel(plat)).schedule(small_graph())
-
-    def test_old_layered_attrs_raise_with_hint(self):
-        result = self.res()
-        with pytest.raises(AttributeError, match=r"result\.layered\.num_layers"):
-            result.num_layers
-        with pytest.raises(AttributeError, match="layered"):
-            result.layers
-
-    def test_old_timeline_attrs_raise_with_hint(self):
-        result = self.res()
-        with pytest.raises(AttributeError, match=r"\.timeline\.makespan"):
-            result.makespan
-        with pytest.raises(AttributeError, match="timeline"):
-            result.entries
 
     def test_module_symbolic_timeline_rejects_result(self):
         result = self.res()

@@ -21,6 +21,7 @@ from repro.experiments.shootout import ZOO
 from repro.graphs import REGIMES, adversarial_suite
 from repro.ode import MethodConfig, bruss2d, step_graph
 from repro.pipeline import SchedulingPipeline
+from repro.sim.executor import SimulationOptions
 from repro.scheduling import AMTHAScheduler, MoldableLayerScheduler
 
 #: the documented tripwire: on home ODE workloads g-search may lose to a
@@ -121,7 +122,10 @@ class TestZooOnAdversarialSuite:
                     if scenario.fault_spec
                     else None
                 )
-                pipe = SchedulingPipeline(ZOO[name](cost, scenario.big), faults=faults)
+                pipe = SchedulingPipeline(
+                    ZOO[name](cost, scenario.big),
+                    options=SimulationOptions(faults=faults),
+                )
                 result = pipe.run(scenario.graph)
                 assert math.isfinite(result.trace.makespan), scenario.name
                 assert result.trace.makespan >= 0.0, scenario.name

@@ -387,12 +387,6 @@ class TestHttpWire:
 
 
 class TestDriftGuards:
-    def test_solver_cfgs_match_obs_cli(self):
-        """The serve solver table must stay in sync with repro.obs."""
-        from repro.obs.cli import SOLVER_CFGS as OBS_CFGS
-
-        assert SOLVER_CFGS == OBS_CFGS
-
     def test_endpoints_tuple(self):
         assert ENDPOINTS == ("schedule", "simulate", "run")
 
