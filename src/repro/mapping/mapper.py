@@ -23,19 +23,6 @@ from .strategies import MappingStrategy
 __all__ = ["map_layer", "place_layered", "place_timeline", "place_result"]
 
 
-def _reject_result(obj, fn: str) -> None:
-    # SchedulingResult is not imported here (layering); detect by name to
-    # give migrating callers a targeted error instead of an attribute
-    # failure deep inside the mapping arithmetic.
-    if type(obj).__name__ == "SchedulingResult":
-        raise TypeError(
-            f"{fn} expects a raw schedule artefact; you passed a "
-            "SchedulingResult -- use place_result(result, machine, strategy), "
-            "unwrap result.layered / result.timeline, or run a "
-            "repro.pipeline.SchedulingPipeline"
-        )
-
-
 def map_layer(
     layer: Layer, machine: Machine, strategy: MappingStrategy
 ) -> List[Tuple[CoreId, ...]]:
@@ -66,7 +53,6 @@ def place_layered(
     increasing priorities, and contracted chains expand into their member
     tasks on the same cores.
     """
-    _reject_result(schedule, "place_layered")
     if schedule.nprocs != machine.total_cores:
         raise ValueError(
             f"schedule is for {schedule.nprocs} cores, machine has "
@@ -108,7 +94,6 @@ def place_timeline(
     each node into its member tasks on the same cores, with fractional
     priority offsets preserving the chain order.
     """
-    _reject_result(schedule, "place_timeline")
     if schedule.nprocs != machine.total_cores:
         raise ValueError(
             f"schedule is for {schedule.nprocs} cores, machine has "

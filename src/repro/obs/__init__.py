@@ -1,11 +1,14 @@
 """Observability for pipeline runs: events, metrics, traces, rendering.
 
 * :mod:`repro.obs.events` -- the in-run collector
-  (:class:`Instrumentation`: spans, counters, records, histograms);
-* :mod:`repro.obs.metrics` -- :class:`Histogram` / :class:`Gauge`
-  primitives and the derived :class:`ScheduleAnalysis`;
-* :mod:`repro.obs.registry` -- the labeled :class:`MetricsRegistry`
-  (with Prometheus text exposition) and the persistent
+  (:class:`Instrumentation`: spans, records, and a front for the run's
+  metrics);
+* :mod:`repro.obs.metrics` -- the one metrics model: labelled
+  :class:`Counter` / :class:`Gauge` / :class:`Histogram` families in a
+  :class:`MetricsRegistry` with Prometheus text exposition (every
+  metric value in the package lives in one), and the derived
+  :class:`ScheduleAnalysis`;
+* :mod:`repro.obs.registry` -- run identity digests and the persistent
   :class:`RunRegistry` of digest-keyed :class:`RunRecord` entries;
 * :mod:`repro.obs.calibrate` -- predicted-vs-actual cost-model
   calibration (:class:`CalibrationReport`);
@@ -19,7 +22,7 @@
 from .calibrate import CalibrationReport, TaskCalibration, calibrate_result, calibrate_spans
 from .events import Instrumentation, SpanRecord
 from .gantt import render_layers, render_trace
-from .metrics import Gauge, Histogram, ScheduleAnalysis, analyze
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, ScheduleAnalysis, analyze
 from .perfetto import (
     execution_trace_events,
     merged_trace,
@@ -29,8 +32,6 @@ from .perfetto import (
     write_trace,
 )
 from .registry import (
-    Counter,
-    MetricsRegistry,
     RunRecord,
     RunRegistry,
     options_digest,

@@ -172,15 +172,15 @@ def _run_spec(args, obs=None) -> Tuple[Dict[str, Any], Any, Any]:
     :class:`~repro.pipeline.PipelineResult` and the cost model bound to
     the target platform (for symbolic re-rendering).  ``obs`` threads a
     caller-supplied :class:`~repro.obs.Instrumentation` through both the
-    pipeline and the optional functional ``--checkpoint-dir`` run (the
-    ``prom``/``calib`` subcommands attach a metrics registry this way).
+    pipeline and the optional functional ``--checkpoint-dir`` run
+    (``prom`` then renders both from the one ``result.obs``).
     With ``--registry-dir``, one :class:`~repro.obs.RunRecord` of the
     pipeline run is appended to the persistent registry.
     """
     from ..cluster.platforms import by_name
     from ..core.costmodel import CostModel
     from ..experiments.common import ode_pipeline
-    from ..mapping.strategies import consecutive, scattered
+    from ..mapping.strategies import strategy_by_name
     from ..ode import bruss2d, default_config
     from ..sim.executor import SimulationOptions
 
@@ -188,7 +188,6 @@ def _run_spec(args, obs=None) -> Tuple[Dict[str, Any], Any, Any]:
     platform = by_name(args.platform).with_cores(args.cores)
     cost = CostModel(platform)
     cfg = default_config(args.solver)
-    strategy = consecutive() if args.mapping == "consecutive" else scattered()
     faults = None
     if getattr(args, "faults", None):
         from ..faults import parse_faults_spec
@@ -204,7 +203,7 @@ def _run_spec(args, obs=None) -> Tuple[Dict[str, Any], Any, Any]:
         bruss2d(n),
         cfg,
         platform,
-        strategy,
+        strategy_by_name(args.mapping),
         version=args.version,
         cost=cost,
         options=options,
@@ -590,8 +589,7 @@ def _cmd_prom(args) -> int:
     from .registry import MetricsRegistry, publish_result
 
     registry = MetricsRegistry()
-    obs = Instrumentation(registry=registry)
-    spec, result, _ = _run_spec(args, obs=obs)
+    spec, result, _ = _run_spec(args, obs=Instrumentation())
     publish_result(
         registry,
         result,

@@ -5,8 +5,12 @@ collects three kinds of observations:
 
 * **spans** -- named wall-clock timers (``with obs.span("schedule"):``),
   nested spans record their parent for later tree reconstruction;
-* **counters** -- monotonically accumulated numeric totals
-  (``obs.count("gsearch.probes")``);
+* **metrics** -- counters (``obs.count("gsearch.probes")``), gauges
+  (``obs.gauge`` / ``obs.publish``) and histograms (``obs.observe``),
+  each optionally labelled.  Their values live in one
+  :class:`~repro.obs.metrics.MetricsRegistry` (``obs.registry``); the
+  methods here are a front for it and ``obs.counters`` / ``obs.gauges``
+  / ``obs.histograms`` are flat read-only views of it;
 * **records** -- structured per-event dictionaries, e.g. one record per
   scheduled layer with the chosen group count.
 
@@ -23,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from .metrics import Gauge, Histogram
+from .metrics import Gauge, Histogram, MetricsRegistry, child_key, flat_view
 
 __all__ = ["SpanRecord", "Instrumentation"]
 
@@ -69,29 +73,24 @@ class Instrumentation:
     origin sampled at construction (:attr:`epoch`, :meth:`epoch_of`)
     maps clock timestamps back to wall-clock time for trace alignment.
 
-    An optional :class:`~repro.obs.registry.MetricsRegistry` can be
-    attached; :meth:`publish` then mirrors live heartbeat gauges into it
-    with labels (backends report tasks done/total, per-worker busy
-    fraction, speculation in flight through this hook).
+    Counter, gauge and histogram values live in ``obs.registry``, one
+    labelled :class:`~repro.obs.metrics.MetricsRegistry` per run; every
+    metric method takes optional ``**labels`` selecting the child, and
+    ``obs.registry.render_prometheus()`` renders the run as it stands
+    (backends report tasks done/total, per-worker busy fraction and
+    speculation in flight through :meth:`publish`).
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        registry: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
-        #: optional labeled MetricsRegistry mirroring published gauges
-        self.registry = registry
+        #: the run's metric store -- the only place a value lives
+        self.registry = MetricsRegistry()
         #: ``(epoch seconds, clock seconds)`` sampled together at
         #: construction: wall time of any span is
         #: ``epoch[0] + (span.start - epoch[1])``
         self.epoch: tuple = (time.time(), self._clock())
         self.spans: List[SpanRecord] = []
-        self.counters: Dict[str, float] = {}
         self.records: List[Dict[str, Any]] = []
-        self.histograms: Dict[str, Histogram] = {}
-        self.gauges: Dict[str, Gauge] = {}
         self._stack: List[SpanRecord] = []
         self._next_sid: int = 1
 
@@ -159,58 +158,58 @@ class Instrumentation:
     # ------------------------------------------------------------------
     # counters
     # ------------------------------------------------------------------
-    def count(self, name: str, inc: float = 1) -> None:
+    def count(self, name: str, inc: float = 1, **labels: Any) -> None:
         """Accumulate ``inc`` into counter ``name``."""
-        self.counters[name] = self.counters.get(name, 0) + inc
+        # the hot path (no labels, counter exists) is one dict lookup
+        child = None if labels else self.registry.counters.get(name)
+        (child or self.registry.counter(name, **labels)).value += inc
 
-    def set_counter(self, name: str, value: float) -> None:
-        """Overwrite counter ``name`` (gauges, e.g. final cache stats)."""
-        self.counters[name] = value
+    def set_counter(self, name: str, value: float, **labels: Any) -> None:
+        """Overwrite counter ``name`` (final totals, e.g. cache stats)."""
+        self.registry.counter(name, **labels).value = value
 
-    def counter(self, name: str, default: float = 0) -> float:
+    def counter(self, name: str, default: float = 0, **labels: Any) -> float:
         """Current value of a counter (``default`` if never bumped)."""
-        return self.counters.get(name, default)
+        child = self.registry.counters.get(child_key(name, labels))
+        return default if child is None else child.value
+
+    @property
+    def counters(self) -> Dict[str, float]:
+        """Every counter's value by flat name (``name{k=v,...}`` if labelled)."""
+        return {k: c.value for k, c in flat_view(self.registry.counters).items()}
 
     # ------------------------------------------------------------------
     # histograms and gauges
     # ------------------------------------------------------------------
-    def observe(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: float, **labels: Any) -> None:
         """Record ``value`` into the histogram ``name``."""
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(name)
-        self.histograms[name].observe(value)
+        child = None if labels else self.registry.histograms.get(name)
+        (child or self.registry.histogram(name, **labels)).observe(value)
 
-    def histogram(self, name: str) -> Histogram:
+    def histogram(self, name: str, **labels: Any) -> Histogram:
         """The histogram ``name`` (an empty one when never observed)."""
-        return self.histograms.get(name, Histogram(name))
+        return self.registry.histograms.get(child_key(name, labels), Histogram(name))
 
-    def gauge(self, name: str, value: Optional[float] = None) -> Gauge:
+    def gauge(self, name: str, value: Optional[float] = None, **labels: Any) -> Gauge:
         """Get (and with ``value`` set) the gauge ``name``."""
-        if name not in self.gauges:
-            self.gauges[name] = Gauge(name)
+        gauge = self.registry.gauge(name, **labels)
         if value is not None:
-            self.gauges[name].set(value)
-        return self.gauges[name]
+            gauge.set(value)
+        return gauge
 
     def publish(self, name: str, value: float, **labels: Any) -> None:
-        """Publish a live heartbeat gauge, mirrored into the registry.
+        """Publish a live heartbeat gauge (:meth:`gauge` with a value)."""
+        self.gauge(name, value, **labels)
 
-        Always lands in the plain :attr:`gauges` (keyed
-        ``name{k=v,...}`` when labels are given, so distinct label sets
-        stay distinct); when a
-        :class:`~repro.obs.registry.MetricsRegistry` is attached, the
-        labeled gauge there is updated too -- that is what
-        ``repro.obs prom`` renders while a backend run is in flight.
-        """
-        if labels:
-            key = name + "{" + ",".join(
-                f"{k}={labels[k]}" for k in sorted(labels)
-            ) + "}"
-        else:
-            key = name
-        self.gauge(key, value)
-        if self.registry is not None:
-            self.registry.gauge(name, **labels).set(value)
+    @property
+    def histograms(self) -> Dict[str, Histogram]:
+        """Every histogram by flat name (``name{k=v,...}`` if labelled)."""
+        return flat_view(self.registry.histograms)
+
+    @property
+    def gauges(self) -> Dict[str, Gauge]:
+        """Every gauge by flat name (``name{k=v,...}`` if labelled)."""
+        return flat_view(self.registry.gauges)
 
     # ------------------------------------------------------------------
     # structured records
@@ -232,17 +231,16 @@ class Instrumentation:
         """Export all spans, counters, and records as a dict."""
         out: Dict[str, Any] = {
             "spans": [s.to_dict() for s in self.spans],
-            "counters": dict(self.counters),
+            "counters": self.counters,
             "records": [dict(r) for r in self.records],
             "epoch_origin": {
                 "epoch_seconds": self.epoch[0],
                 "clock_seconds": self.epoch[1],
             },
         }
-        if self.histograms:
-            out["histograms"] = {k: h.to_dict() for k, h in self.histograms.items()}
-        if self.gauges:
-            out["gauges"] = {k: g.to_dict() for k, g in self.gauges.items()}
+        for section, view in (("histograms", self.histograms), ("gauges", self.gauges)):
+            if view:
+                out[section] = {k: metric.to_dict() for k, metric in view.items()}
         return out
 
     def to_json(self, indent: Optional[int] = 2) -> str:
@@ -252,5 +250,5 @@ class Instrumentation:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Instrumentation(spans={len(self.spans)}, "
-            f"counters={len(self.counters)}, records={len(self.records)})"
+            f"counters={len(self.registry.counters)}, records={len(self.records)})"
         )

@@ -1,11 +1,18 @@
-"""Metrics primitives and derived schedule analytics.
+"""The one metrics model, and derived schedule analytics.
 
 Two layers live here:
 
-* **primitives** -- :class:`Histogram` (streaming value collector with
-  p50/p90/p99 summaries) and :class:`Gauge` (last-written value), the
-  vocabulary :class:`~repro.obs.Instrumentation` exposes via
-  :meth:`~repro.obs.Instrumentation.observe`;
+* **the model** -- :class:`Counter`, :class:`Gauge` and
+  :class:`Histogram` children grouped into labelled families by
+  :class:`MetricsRegistry`, which also renders them in the Prometheus
+  text exposition format.  Every metric value in the package lives in
+  one of these registries: an :class:`~repro.obs.Instrumentation` owns
+  one per run (``obs.registry``; ``obs.count`` / ``observe`` / ``gauge``
+  / ``publish`` write into it, ``obs.counters`` / ``gauges`` /
+  ``histograms`` are flat read-only views of it) and
+  :class:`~repro.serve.service.ScheduleService` owns one per server.  A
+  histogram keeps at most :data:`HISTOGRAM_CAP` samples, so a
+  long-lived registry holds bounded memory;
 * **derived analytics** -- :class:`ScheduleAnalysis`, computed by
   :func:`analyze` from any simulated pipeline run: per-core busy/idle/
   redist-wait fractions, per-layer load imbalance, the critical-path
@@ -21,42 +28,121 @@ cycles.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from itertools import groupby
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["Histogram", "Gauge", "CoreUsage", "LayerBalance", "ScheduleAnalysis", "analyze"]
+__all__ = [
+    "HISTOGRAM_CAP", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "child_key", "split_key", "flat_view",
+    "CoreUsage", "LayerBalance", "ScheduleAnalysis", "analyze",
+]
+
+#: the one histogram bound: a :class:`Histogram` never holds this many
+#: samples.  Below it every value is kept, so the per-run histograms
+#: (task seconds, layer times, calibration residuals) are exact; each
+#: time it is reached the histogram drops every other sample it holds
+#: and its quantiles become estimates
+HISTOGRAM_CAP = 8192
+
+#: canonical label set: ``(name, value)`` string pairs sorted by name
+LabelKey = Tuple[Tuple[str, str], ...]
+
+
+class Counter:
+    """An accumulating metric (Prometheus ``counter``).
+
+    The value keeps the type it was fed: integer increments stay an
+    ``int``, so exported JSON reads ``3``, not ``3.0``.
+    """
+
+    def __init__(self, name: str = "", value: float = 0) -> None:
+        self.name = name
+        self.value = value
+
+    def inc(self, amount: float = 1) -> None:
+        """Add ``amount`` (must be non-negative) to the counter."""
+        if amount < 0:
+            raise ValueError("counters only go up; use a gauge instead")
+        self.value += amount
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Counter({self.name!r}, {self.value:g})"
+
+
+class Gauge:
+    """A metric that holds its last-written value."""
+
+    def __init__(self, name: str = "", value: float = 0.0) -> None:
+        self.name = name
+        self.value = float(value)
+
+    def set(self, value: float) -> None:
+        """Overwrite the gauge with a new value."""
+        self.value = float(value)
+
+    def to_dict(self) -> Dict[str, float]:
+        """Export the current value."""
+        return {"value": self.value}
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Gauge({self.name!r}, {self.value:g})"
 
 
 class Histogram:
     """Streaming collection of numeric observations with percentiles.
 
-    Values are kept exactly (runs here observe at most a few thousand
-    task durations); percentiles use linear interpolation between order
-    statistics, matching ``numpy.percentile``'s default.
+    ``count``, ``total``, ``min`` and ``max`` are exact however many
+    samples arrive.  ``values`` holds every sample while there are fewer
+    than :data:`HISTOGRAM_CAP`; each time it fills up, every other
+    sample it holds is dropped into an exact summary (no random choice:
+    the same sequence always leaves the same sample).  Memory is bounded
+    and, past the cap, percentiles are estimates that weight recent
+    samples more -- every overflow halves the share of what was already
+    held, as a decaying reservoir does.  Percentiles use linear
+    interpolation between order statistics, matching
+    ``numpy.percentile``'s default.
     """
 
     def __init__(self, name: str = "", values: Iterable[float] = ()) -> None:
         self.name = name
-        self.values: List[float] = [float(v) for v in values]
+        self.values: List[float] = []
+        # exact summary of the samples ``values`` no longer holds
+        self._dropped = 0
+        self._dropped_total = 0.0
+        self._dropped_min = math.inf
+        self._dropped_max = -math.inf
         self._sorted: Optional[List[float]] = None
+        for v in values:
+            self.observe(v)
 
     def observe(self, value: float) -> None:
         """Record one sample."""
         self.values.append(float(value))
         self._sorted = None
+        if len(self.values) >= HISTOGRAM_CAP:
+            dropped = self.values[1::2]
+            del self.values[1::2]
+            self._dropped += len(dropped)
+            self._dropped_total += sum(dropped)
+            self._dropped_min = min(self._dropped_min, min(dropped))
+            self._dropped_max = max(self._dropped_max, max(dropped))
 
     # ------------------------------------------------------------------
     @property
     def count(self) -> int:
-        return len(self.values)
+        """Samples observed (exact)."""
+        return self._dropped + len(self.values)
 
     @property
     def total(self) -> float:
-        return sum(self.values)
+        """Sum of all samples (exact)."""
+        return sum(self.values, self._dropped_total)
 
     @property
     def mean(self) -> float:
-        return self.total / len(self.values) if self.values else 0.0
+        return self.total / self.count if self.values else 0.0
 
     @property
     def min(self) -> float:
@@ -64,12 +150,12 @@ class Histogram:
         has no extrema -- reporting ``0.0`` made the diff gate compare
         fabricated zeros (and flag them as regressions once a value
         arrived)."""
-        return min(self.values) if self.values else math.nan
+        return min(self._dropped_min, min(self.values)) if self.values else math.nan
 
     @property
     def max(self) -> float:
         """Largest observation; ``NaN`` when empty (see :attr:`min`)."""
-        return max(self.values) if self.values else math.nan
+        return max(self._dropped_max, max(self.values)) if self.values else math.nan
 
     def percentile(self, p: float) -> float:
         """The ``p``-th percentile (0..100), linearly interpolated."""
@@ -124,23 +210,153 @@ class Histogram:
         )
 
 
-class Gauge:
-    """A metric that holds its last-written value."""
+# ----------------------------------------------------------------------
+# labelled families and the Prometheus renderer
+# ----------------------------------------------------------------------
+def child_key(name: str, labels: Dict[str, Any]) -> Any:
+    """Store key of the child ``name`` with ``labels``.
 
-    def __init__(self, name: str = "", value: float = 0.0) -> None:
-        self.name = name
-        self.value = float(value)
+    An unlabelled child is keyed by its bare name -- which keeps
+    ``obs.count(name)`` a plain dict lookup -- and a labelled one by
+    ``(name, LabelKey)``, the labels stringified and sorted.
+    """
+    if not labels:
+        return name
+    return name, tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
-    def set(self, value: float) -> None:
-        """Overwrite the gauge with a new value."""
-        self.value = float(value)
 
-    def to_dict(self) -> Dict[str, float]:
-        """Export the current value."""
-        return {"value": self.value}
+def split_key(key: Any) -> Tuple[str, LabelKey]:
+    """``(name, LabelKey)`` of a store key (inverse of :func:`child_key`)."""
+    return (key, ()) if isinstance(key, str) else key
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Gauge({self.name!r}, {self.value:g})"
+
+def flat_view(store: Dict[Any, Any]) -> Dict[str, Any]:
+    """``store`` re-keyed by flat names, in insertion order.
+
+    An unlabelled child keeps its ``name``; a labelled one becomes
+    ``name{k=v,...}`` -- the keys exported JSON uses.
+    """
+    out = {}
+    for key, child in store.items():
+        name, labels = split_key(key)
+        if labels:
+            name += "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
+        out[name] = child
+    return out
+
+
+def _families(store: Dict[Any, Any]):
+    """``(name, rows)`` per metric name, rows being ``(name, LabelKey,
+    child)``; names and label sets sorted."""
+    rows = sorted(((*split_key(k), c) for k, c in store.items()), key=lambda row: row[:2])
+    return groupby(rows, key=lambda row: row[0])
+
+
+_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def _prom_name(name: str) -> str:
+    """Sanitize a metric name into the Prometheus charset."""
+    name = _NAME_RE.sub("_", name)
+    if name and name[0].isdigit():
+        name = "_" + name
+    return name
+
+
+def _prom_escape(value: str) -> str:
+    """Escape a label value for the text exposition format."""
+    return value.replace("\\", r"\\").replace('"', r'\"').replace("\n", r"\n")
+
+
+def _prom_labels(labels: LabelKey, extra: Tuple[Tuple[str, str], ...] = ()) -> str:
+    """Render a label set as ``{k="v",...}`` (empty string for none)."""
+    pairs = tuple(labels) + tuple(extra)
+    if not pairs:
+        return ""
+    body = ",".join(f'{_prom_name(k)}="{_prom_escape(v)}"' for k, v in pairs)
+    return "{" + body + "}"
+
+
+def _prom_value(value: float) -> str:
+    """Render a sample value (Prometheus spells non-finite values out)."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    return repr(float(value))
+
+
+class MetricsRegistry:
+    """Families of labelled counters, gauges and histograms.
+
+    A *family* is one metric name; each distinct label set within it is
+    a separate child metric.  Children are created on first access and
+    returned on every later access with the same labels, so callers can
+    freely write ``registry.counter("runs_total", solver="irk").inc()``
+    in hot paths.  The three stores (``counters``, ``gauges``,
+    ``histograms``) are insertion-ordered dicts keyed by
+    :func:`child_key`; :func:`flat_view` re-keys one for export.
+    """
+
+    def __init__(self) -> None:
+        self.counters: Dict[Any, Counter] = {}
+        self.gauges: Dict[Any, Gauge] = {}
+        self.histograms: Dict[Any, Histogram] = {}
+        self._help: Dict[str, str] = {}
+
+    # ------------------------------------------------------------------
+    def _child(self, store, cls, name: str, help: str, labels) -> Any:
+        if help:
+            self._help.setdefault(name, help)
+        key = child_key(name, labels)
+        child = store.get(key)
+        if child is None:
+            child = store[key] = cls(name)
+        return child
+
+    def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
+        """The counter ``name`` with the given label set."""
+        return self._child(self.counters, Counter, name, help, labels)
+
+    def gauge(self, name: str, help: str = "", **labels: Any) -> Gauge:
+        """The gauge ``name`` with the given label set."""
+        return self._child(self.gauges, Gauge, name, help, labels)
+
+    def histogram(self, name: str, help: str = "", **labels: Any) -> Histogram:
+        """The histogram ``name`` with the given label set."""
+        return self._child(self.histograms, Histogram, name, help, labels)
+
+    # ------------------------------------------------------------------
+    def render_prometheus(self) -> str:
+        """Render every metric in the Prometheus text exposition format.
+
+        Counters and gauges render one sample per label set; histograms
+        render as *summaries* (``{quantile="..."}`` samples plus
+        ``_sum``/``_count``) because quantiles are computed client-side
+        from the kept samples.
+        """
+        lines: List[str] = []
+        for kind, store in (
+            ("counter", self.counters),
+            ("gauge", self.gauges),
+            ("summary", self.histograms),
+        ):
+            for name, rows in _families(store):
+                prom = _prom_name(name)
+                if name in self._help:
+                    lines.append(f"# HELP {prom} {self._help[name]}")
+                lines.append(f"# TYPE {prom} {kind}")
+                for _, key, metric in rows:
+                    if kind != "summary":
+                        lines.append(f"{prom}{_prom_labels(key)} {_prom_value(metric.value)}")
+                        continue
+                    if metric.count:
+                        for q in (50, 90, 99):
+                            quantile = _prom_labels(key, (("quantile", str(q / 100)),))
+                            lines.append(f"{prom}{quantile} {_prom_value(metric.percentile(q))}")
+                    lines.append(f"{prom}_sum{_prom_labels(key)} {_prom_value(metric.total)}")
+                    lines.append(f"{prom}_count{_prom_labels(key)} {metric.count}")
+        return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +591,7 @@ class ScheduleAnalysis:
     def report(self, per_core: bool = False) -> str:
         """Human-readable multi-line summary."""
         lines = [
-            f"schedule analysis: {len(self.task_seconds.values)} tasks on "
+            f"schedule analysis: {self.task_seconds.count} tasks on "
             f"{self.total_cores} cores",
             f"  makespan            {self.makespan:.6g} s",
             f"  busy fraction       {self.busy_fraction * 100:6.2f} %",

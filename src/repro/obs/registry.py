@@ -1,42 +1,38 @@
-"""Labeled metrics registry and the persistent cross-run registry.
+"""Run identity digests, run records and the persistent run registry.
 
-Two registries live here, one in-memory and one on disk:
-
-* :class:`MetricsRegistry` -- labeled counters, gauges and histograms
-  (``registry.gauge("backend_tasks_done", backend="pool")``) wrapping
-  the label-less :class:`~repro.obs.metrics.Histogram` /
-  :class:`~repro.obs.metrics.Gauge` primitives, with a Prometheus
-  text-exposition renderer (:meth:`MetricsRegistry.render_prometheus`).
-  Backends publish live heartbeat gauges through it (tasks done/total,
-  per-worker busy fraction, speculation in flight) via
-  :meth:`~repro.obs.Instrumentation.publish`.
 * :class:`RunRegistry` -- an append-only JSONL store of structured
   :class:`RunRecord` entries, one per pipeline/runtime run, keyed by
   the content digests of the program, the topology and the run options
   (reusing the :mod:`repro.recovery` digest machinery).  The records
   are deterministic: two identical runs produce byte-identical JSON
   modulo the injected ``timestamp``.
+* :func:`publish_result` -- exposes a finished run in a
+  :class:`~repro.obs.metrics.MetricsRegistry` for Prometheus rendering.
+
+The metrics model itself (:class:`~repro.obs.metrics.Counter`,
+:class:`~repro.obs.metrics.MetricsRegistry`, ...) lives in
+:mod:`repro.obs.metrics`, which imports nothing from the package; this
+module imports :mod:`repro.recovery` and so cannot be imported by
+:mod:`repro.obs.events`.  Both names stay importable from here (they
+are not part of ``__all__``).
 
 ``python -m repro.obs history`` lists recorded runs, ``trend`` detects
 metric drift across the last N records of a matching digest key, and
-``prom`` renders a run's registry in Prometheus text format.
+``prom`` renders a run's metrics in Prometheus text format.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..recovery.checkpoint import json_digest
-from .metrics import Gauge, Histogram
+from .metrics import Counter, MetricsRegistry, child_key, split_key  # noqa: F401
 
 __all__ = [
-    "Counter",
-    "MetricsRegistry",
     "RunRecord",
     "RunRegistry",
     "program_digest",
@@ -45,173 +41,6 @@ __all__ = [
     "record_from_result",
     "publish_result",
 ]
-
-#: label key type: a canonically sorted tuple of (name, value) pairs
-LabelKey = Tuple[Tuple[str, str], ...]
-
-
-class Counter:
-    """A monotonically increasing metric (Prometheus ``counter``)."""
-
-    def __init__(self, name: str = "", value: float = 0.0) -> None:
-        self.name = name
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be non-negative) to the counter."""
-        if amount < 0:
-            raise ValueError("counters only go up; use a gauge instead")
-        self.value += float(amount)
-
-    def to_dict(self) -> Dict[str, float]:
-        """Export the current value."""
-        return {"value": self.value}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Counter({self.name!r}, {self.value:g})"
-
-
-def _label_key(labels: Dict[str, Any]) -> LabelKey:
-    """Canonical, hashable form of a label set."""
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str) -> str:
-    """Sanitize a metric name into the Prometheus charset."""
-    name = _NAME_RE.sub("_", name)
-    if name and name[0].isdigit():
-        name = "_" + name
-    return name
-
-
-def _prom_escape(value: str) -> str:
-    """Escape a label value for the text exposition format."""
-    return value.replace("\\", r"\\").replace('"', r'\"').replace("\n", r"\n")
-
-
-def _prom_labels(labels: LabelKey, extra: Tuple[Tuple[str, str], ...] = ()) -> str:
-    """Render a label set as ``{k="v",...}`` (empty string for none)."""
-    pairs = tuple(labels) + tuple(extra)
-    if not pairs:
-        return ""
-    body = ",".join(f'{_prom_name(k)}="{_prom_escape(v)}"' for k, v in pairs)
-    return "{" + body + "}"
-
-
-def _prom_value(value: float) -> str:
-    """Render a sample value (Prometheus spells non-finite values out)."""
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    return repr(float(value))
-
-
-class MetricsRegistry:
-    """Families of labeled counters, gauges and histograms.
-
-    A *family* is one metric name; each distinct label set within it is
-    a separate child metric.  Children are created on first access and
-    returned on every later access with the same labels, so callers can
-    freely write ``registry.counter("runs_total", solver="irk").inc()``
-    in hot paths.
-    """
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, Dict[LabelKey, Counter]] = {}
-        self._gauges: Dict[str, Dict[LabelKey, Gauge]] = {}
-        self._histograms: Dict[str, Dict[LabelKey, Histogram]] = {}
-        self._help: Dict[str, str] = {}
-
-    # ------------------------------------------------------------------
-    def _family(self, store, cls, name: str, help: str, labels) -> Any:
-        if help and name not in self._help:
-            self._help[name] = help
-        family = store.setdefault(name, {})
-        key = _label_key(labels)
-        child = family.get(key)
-        if child is None:
-            child = cls(name)
-            family[key] = child
-        return child
-
-    def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
-        """The counter ``name`` with the given label set."""
-        return self._family(self._counters, Counter, name, help, labels)
-
-    def gauge(self, name: str, help: str = "", **labels: Any) -> Gauge:
-        """The gauge ``name`` with the given label set."""
-        return self._family(self._gauges, Gauge, name, help, labels)
-
-    def histogram(self, name: str, help: str = "", **labels: Any) -> Histogram:
-        """The histogram ``name`` with the given label set."""
-        return self._family(self._histograms, Histogram, name, help, labels)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Export every family as ``name -> [{labels, ...metric}, ...]``."""
-        out: Dict[str, Any] = {}
-        for kind, store in (
-            ("counters", self._counters),
-            ("gauges", self._gauges),
-            ("histograms", self._histograms),
-        ):
-            section: Dict[str, List[Dict[str, Any]]] = {}
-            for name, family in sorted(store.items()):
-                section[name] = [
-                    {"labels": dict(key), **metric.to_dict()}
-                    for key, metric in sorted(family.items())
-                ]
-            if section:
-                out[kind] = section
-        return out
-
-    def render_prometheus(self) -> str:
-        """Render every metric in the Prometheus text exposition format.
-
-        Counters and gauges render one sample per label set; histograms
-        render as *summaries* (``{quantile="..."}`` samples plus
-        ``_sum``/``_count``) because observations are kept exactly and
-        quantiles are computed client-side.
-        """
-        lines: List[str] = []
-
-        def header(name: str, prom: str, kind: str) -> None:
-            help_text = self._help.get(name)
-            if help_text:
-                lines.append(f"# HELP {prom} {help_text}")
-            lines.append(f"# TYPE {prom} {kind}")
-
-        for name, family in sorted(self._counters.items()):
-            prom = _prom_name(name)
-            header(name, prom, "counter")
-            for key, c in sorted(family.items()):
-                lines.append(f"{prom}{_prom_labels(key)} {_prom_value(c.value)}")
-        for name, family in sorted(self._gauges.items()):
-            prom = _prom_name(name)
-            header(name, prom, "gauge")
-            for key, g in sorted(family.items()):
-                lines.append(f"{prom}{_prom_labels(key)} {_prom_value(g.value)}")
-        for name, family in sorted(self._histograms.items()):
-            prom = _prom_name(name)
-            header(name, prom, "summary")
-            for key, h in sorted(family.items()):
-                for q, value in (
-                    ("0.5", h.p50),
-                    ("0.9", h.p90),
-                    ("0.99", h.p99),
-                ):
-                    if h.count:
-                        lines.append(
-                            f"{prom}{_prom_labels(key, (('quantile', q),))} "
-                            f"{_prom_value(value)}"
-                        )
-                lines.append(f"{prom}_sum{_prom_labels(key)} {_prom_value(h.total)}")
-                lines.append(f"{prom}_count{_prom_labels(key)} {h.count}")
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ----------------------------------------------------------------------
@@ -394,22 +223,29 @@ def record_from_result(
 
 
 def publish_result(registry: MetricsRegistry, result, **labels: Any) -> None:
-    """Publish a pipeline run's summary metrics into ``registry``.
+    """Expose a pipeline run in ``registry`` for Prometheus rendering.
 
-    Every entry of ``result.metrics()`` becomes a labeled gauge
-    ``repro_run_<metric>`` and every instrumentation histogram a labeled
-    summary ``repro_<histogram>``; counters land in
-    ``repro_<counter>_total``.  Used by ``python -m repro.obs prom``.
+    Every entry of ``result.metrics()`` becomes a labelled gauge
+    ``repro_run_<metric>``.  The run's own metrics are not copied:
+    ``registry`` adopts the child objects of ``result.obs.registry`` --
+    counters as ``repro_<counter>_total`` and histograms as
+    ``repro_<histogram>``, with ``labels`` added beneath their own, and
+    the labelled gauges (the backends' ``backend_*`` heartbeats) under
+    their own names.  Unlabelled gauges are the pipeline's summary
+    values, which ``repro_run_*`` already carries.  Used by
+    ``python -m repro.obs prom``.
     """
     for name, value in sorted(result.metrics().items()):
         registry.gauge(f"repro_run_{name}", **labels).set(value)
-    for name, hist in sorted(result.obs.histograms.items()):
-        target = registry.histogram(f"repro_{name}", **labels)
-        for value in hist.values:
-            target.observe(value)
-    for name, value in sorted(result.obs.counters.items()):
-        counter = registry.counter(f"repro_{name}_total", **labels)
-        counter.value = float(value)
+    run = result.obs.registry
+    for store, children, suffix in (
+        (registry.counters, run.counters, "_total"),
+        (registry.histograms, run.histograms, ""),
+    ):
+        for key, child in children.items():
+            name, own = split_key(key)
+            store[child_key(f"repro_{name}{suffix}", {**labels, **dict(own)})] = child
+    registry.gauges.update((k, g) for k, g in run.gauges.items() if split_key(k)[1])
 
 
 # ----------------------------------------------------------------------

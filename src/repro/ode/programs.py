@@ -462,7 +462,7 @@ def _irk_functional(problem: ODEProblem, cfg: MethodConfig) -> Dict[str, TaskCos
 
 
 def _diirk_functional(problem: ODEProblem, cfg: MethodConfig) -> Dict[str, TaskCost]:
-    tab = radau_iia(min(cfg.K, 3) if cfg.K <= 3 else 3)
+    tab = radau_iia(cfg.K)
     return _jacobi_functional(problem, cfg, tab, implicit=True)
 
 

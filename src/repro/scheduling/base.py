@@ -192,11 +192,6 @@ def symbolic_timeline(
     This is the makespan the *scheduling* phase reasons about -- the
     simulator recomputes the real timeline after mapping.
     """
-    if isinstance(schedule, SchedulingResult):
-        raise TypeError(
-            "symbolic_timeline expects a LayeredSchedule; you passed a "
-            "SchedulingResult -- call result.symbolic_timeline(cost) instead"
-        )
     out = Schedule(schedule.nprocs)
     t_layer = 0.0
     for layer in schedule.layers:

@@ -559,7 +559,7 @@ def _compute_pipeline(
     """Run the scheduling pipeline for a schedule/simulate request."""
     from ..cluster.platforms import by_name
     from ..core.costmodel import CostModel
-    from ..mapping.strategies import consecutive, scattered
+    from ..mapping.strategies import strategy_by_name
     from ..obs.registry import record_from_result
     from ..pipeline import SchedulingPipeline
 
@@ -569,11 +569,7 @@ def _compute_pipeline(
     platform = by_name(topology["platform"]).with_cores(topology["cores"])
     cost = CostModel(platform)
     scheduler = _scheduler_for(request, cost)
-    strategy = (
-        scattered()
-        if options.get("mapping", "consecutive") == "scattered"
-        else consecutive()
-    )
+    strategy = strategy_by_name(options.get("mapping", "consecutive"))
     pipe = SchedulingPipeline(
         scheduler, strategy=strategy, simulate=endpoint == "simulate"
     )

@@ -61,6 +61,9 @@ def _error(status: int, code: str, message: str, **headers: str) -> Response:
 class ScheduleService:
     """Validates, caches, coalesces and computes scheduling requests.
 
+    All accounting lands in ``self.registry``, the service's own
+    :class:`~repro.obs.MetricsRegistry`, rendered at ``GET /metrics``.
+
     Parameters
     ----------
     cache_dir:
@@ -77,10 +80,6 @@ class ScheduleService:
         When given, every computed (non-cached) schedule/simulate
         response appends its :class:`~repro.obs.RunRecord` to the
         persistent run registry under this directory.
-    registry:
-        The :class:`~repro.obs.MetricsRegistry` accounting lands in
-        (defaults to a fresh one; pass a shared registry to co-locate
-        with other exporters).
     """
 
     def __init__(
@@ -89,14 +88,13 @@ class ScheduleService:
         workers: int = 2,
         max_queue: int = 16,
         registry_dir: Optional[object] = None,
-        registry: Optional[MetricsRegistry] = None,
         retry_after: float = 1.0,
     ) -> None:
         self.cache = ScheduleCache(cache_dir)
         self.workers = int(workers)
         self.max_queue = int(max_queue)
         self.retry_after = float(retry_after)
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.run_registry = (
             RunRegistry(registry_dir) if registry_dir is not None else None
         )

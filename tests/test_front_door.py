@@ -11,6 +11,7 @@ only in ``SimulationOptions``.  These tests pin that the consumers agree.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.cluster import chic
@@ -24,11 +25,13 @@ from repro.ode import PAPER_CONFIGS, bruss2d, functional_step
 from repro.pipeline import SchedulingPipeline
 from repro.recovery import array_digest, json_digest
 from repro.runtime import run_program
+from repro.runtime.backends import parse_backend_spec
 from repro.scheduling import LayerBasedScheduler
-from repro.serve import SOLVER_CFGS, api
+from repro.serve import SOLVER_CFGS, ScheduleService, api
 from repro.sim.executor import SimulationOptions
 
 from .test_faults import diamond_mgraph
+from .test_serve import call
 
 N, CORES = 24, 32
 
@@ -146,6 +149,32 @@ class TestFunctionalPrologue:
 
         run, _ = run_checkpointed_step(bruss2d(N), cfg, tmp_path)
         assert variables_digest(run.variables) == STEP_DIGESTS[solver]
+
+    @pytest.mark.parametrize("solver", sorted(PAPER_CONFIGS))
+    def test_every_paper_solver_steps_functionally(self, solver):
+        """DIIRK's bodies used a 3-stage tableau under a program declaring
+        ``K = 4``, so ``init_mu`` never produced ``MUNEW[4]``."""
+        _, _, body, store = functional_step(bruss2d(N), PAPER_CONFIGS[solver])
+        run = run_program(body, store)
+        assert not run.failures
+        assert all(np.isfinite(a).all() for a in run.variables.values())
+
+    def test_diirk_step_is_served_and_backend_independent(self):
+        service = ScheduleService(workers=0)
+        try:
+            served = call(
+                service, "POST", "/v1/run", {"workload": {"solver": "diirk", "n": N}}
+            )
+        finally:
+            service.close()
+        assert served.status == 200, served.body
+        _, _, body, store = functional_step(bruss2d(N), PAPER_CONFIGS["diirk"])
+        serial = run_program(body, dict(store))
+        pool = run_program(body, dict(store), backend=parse_backend_spec("pool:2"))
+        assert served.json["variables"] == {
+            k: array_digest(v) for k, v in sorted(serial.variables.items())
+        }
+        assert variables_digest(pool.variables) == variables_digest(serial.variables)
 
     @pytest.mark.parametrize("solver", sorted(PAPER_CONFIGS))
     def test_init_graph_moves_no_data(self, solver):

@@ -3,10 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import generic_cluster
 from repro.core import CostModel, MTask, TaskGraph
 from repro.obs import Gauge, Histogram, analyze
+from repro.obs.metrics import HISTOGRAM_CAP
 from repro.obs.gantt import render_analysis_bars, render_layers, render_trace
 from repro.pipeline import SchedulingPipeline
 from repro.scheduling import LayerBasedScheduler
@@ -53,6 +56,80 @@ class TestHistogram:
     def test_rejects_bad_percentile(self):
         with pytest.raises(ValueError):
             Histogram(values=[1.0]).percentile(101)
+
+
+def unbounded_to_dict(values):
+    """``Histogram.to_dict`` as it was while every sample was kept."""
+    if not values:
+        return {"count": 0}
+    xs = sorted(values)
+
+    def percentile(p):
+        if len(xs) == 1:
+            return xs[0]
+        rank = p / 100.0 * (len(xs) - 1)
+        lo = int(rank)
+        hi = min(lo + 1, len(xs) - 1)
+        return xs[lo] * (1.0 - (rank - lo)) + xs[hi] * (rank - lo)
+
+    return {
+        "count": len(values),
+        "total": sum(values),
+        "mean": sum(values) / len(values),
+        "min": min(values),
+        "max": max(values),
+        "p50": percentile(50),
+        "p90": percentile(90),
+        "p99": percentile(99),
+    }
+
+
+class TestHistogramBound:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), max_size=200), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_below_the_cap_nothing_changes(self, values, data):
+        h = Histogram()
+        reads = data.draw(st.sets(st.integers(0, len(values))))
+        for i, v in enumerate(values):
+            if i in reads:  # reading in between must not disturb anything
+                h.to_dict()
+            h.observe(v)
+        assert h.to_dict() == unbounded_to_dict(values)
+        assert h.values == values
+
+    def test_a_full_run_below_the_cap_is_exact(self):
+        values = [((i * 7919) % 1013) / 7.0 for i in range(HISTOGRAM_CAP - 1)]
+        h = Histogram(values=values)
+        assert h.values == values
+        assert h.to_dict() == unbounded_to_dict(values)
+
+    def test_a_million_samples_hold_at_most_cap_floats(self):
+        h = Histogram()
+        n = 10**6
+        for i in range(n):
+            h.observe((i * 7919) % 1000003)
+            if i % 99991 == 0:
+                assert len(h.values) <= HISTOGRAM_CAP
+        assert len(h.values) <= HISTOGRAM_CAP
+        # 7919 is coprime to the prime modulus: the samples are a
+        # permutation prefix, so the exact statistics are known
+        assert h.count == n
+        assert h.total == float(sum((i * 7919) % 1000003 for i in range(n)))
+        assert h.min == 0.0 and h.max == 1000002.0
+        # the sample is a subsequence of the arrivals, newest included
+        arrivals = iter(float((i * 7919) % 1000003) for i in range(n))
+        assert all(v in arrivals for v in h.values)
+        assert h.values[-1] == float(((n - 1) * 7919) % 1000003)
+        assert h.p50 == pytest.approx(500001, rel=0.05)
+
+    def test_decimation_is_deterministic(self):
+        a, b = Histogram(), Histogram()
+        for i in range(3 * HISTOGRAM_CAP):
+            a.observe(i % 977)
+            b.observe(i % 977)
+            if i % 1000 == 0:
+                a.to_dict()  # reading changes nothing
+        assert a.values == b.values and a.to_dict() == b.to_dict()
 
 
 class TestGauge:

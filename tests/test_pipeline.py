@@ -31,7 +31,6 @@ from repro.scheduling import (
     contract_chains,
     data_parallel_scheduler,
     fixed_group_scheduler,
-    symbolic_timeline,
 )
 from repro.sim import simulate
 
@@ -266,20 +265,6 @@ class TestMisuseGuards:
     def res(self):
         plat = generic_cluster(nodes=2, procs_per_node=2, cores_per_proc=2)
         return LayerBasedScheduler(CostModel(plat)).schedule(small_graph())
-
-    def test_module_symbolic_timeline_rejects_result(self):
-        result = self.res()
-        cost = CostModel(generic_cluster(nodes=2, procs_per_node=2, cores_per_proc=2))
-        with pytest.raises(TypeError, match="symbolic_timeline"):
-            symbolic_timeline(result, cost)
-        # the replacement works
-        assert result.symbolic_timeline(cost).makespan > 0
-
-    def test_place_layered_rejects_result(self):
-        plat = generic_cluster(nodes=2, procs_per_node=2, cores_per_proc=2)
-        result = self.res()
-        with pytest.raises(TypeError, match="place_result|SchedulingResult"):
-            place_layered(result, plat.machine, consecutive())
 
     def test_core_validate_rejects_result(self):
         plat = generic_cluster(nodes=2, procs_per_node=2, cores_per_proc=2)
