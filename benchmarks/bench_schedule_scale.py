@@ -11,7 +11,12 @@ random) across graph sizes from 10^3 to 10^5 tasks and reports, per
   ``g``-search probes, contracted chains, batched ``Tsymb`` cells and
   the predicted makespan.  These are seed-reproducible bit-for-bit, so
   the CI gate (``python -m repro.obs diff --threshold``) catches any
-  unintended decision drift at scale.
+  unintended decision drift at scale,
+* ``gsearch_lpt_runs``: the probes that still needed an LPT run because
+  the ``Tact`` lower bound could not decide them (``gsearch.probes`` -
+  ``gsearch.pruned``).  Written to fresh rows only -- the committed
+  baseline predates it and ``diff`` compares the name intersection --
+  and checked by its own CI step.
 
 Run:  PYTHONPATH=src python benchmarks/bench_schedule_scale.py \
           [output.json] [--sizes 1000,3000,10000]
@@ -64,6 +69,9 @@ def bench_case(family: str, n: int) -> dict:
         "tasks_per_second": len(graph) / schedule_seconds,
         "layers": int(result.stats["layers"]),
         "gsearch_probes": int(result.stats["gsearch_probes"]),
+        "gsearch_lpt_runs": int(
+            obs.counter("gsearch.probes") - obs.counter("gsearch.pruned")
+        ),
         "contracted_chains": int(result.stats["contracted_chains"]),
         "batched_tsymb_cells": cost.stats.total_batched,
         "predicted_makespan": makespan,
@@ -84,14 +92,16 @@ def main(argv=None) -> int:
 
     rows = []
     print(f"{'case':>16s} | {'tasks':>7s} | {'edges':>7s} | {'build [s]':>9s} | "
-          f"{'sched [s]':>9s} | {'tasks/s':>9s} | {'layers':>6s}")
+          f"{'sched [s]':>9s} | {'tasks/s':>9s} | {'layers':>6s} | "
+          f"{'probes':>7s} | {'LPT runs':>8s}")
     for family in sorted(FAMILIES):
         for n in sizes:
             row = bench_case(family, n)
             rows.append(row)
             print(f"{row['name']:>16s} | {row['tasks']:7d} | {row['edges']:7d} | "
                   f"{row['build_seconds']:9.2f} | {row['schedule_seconds']:9.2f} | "
-                  f"{row['tasks_per_second']:9,.0f} | {row['layers']:6d}")
+                  f"{row['tasks_per_second']:9,.0f} | {row['layers']:6d} | "
+                  f"{row['gsearch_probes']:7d} | {row['gsearch_lpt_runs']:8d}")
 
     payload = {
         "schema": "repro.obs.bench/1",

@@ -18,16 +18,19 @@ one numpy computation per layer:
 
 **Bit-identity contract.**  Every arithmetic expression here mirrors the
 scalar code's operation order (IEEE-754 double operations are
-deterministic, so equal operation sequences give equal bits).  Masked
-contributions are added as ``+0.0``, which is a bitwise no-op for the
-non-negative costs produced here.  ``tests/test_schedule_scale.py``
-asserts ``symbolic_cost_table == tsymb`` with exact ``==`` under
-hypothesis-generated tasks, platforms and widths.
+deterministic, so equal operation sequences give equal bits).  A task's
+collectives are priced class by class -- all ``(task, slot)`` pairs
+sharing a formula in one array call -- but *added* in the task's spec
+order by a sequential ``np.add.accumulate``, the scalar loop's
+summation order.  Masked contributions are added as ``+0.0``, which is
+a bitwise no-op for the non-negative costs produced here.
+``tests/test_schedule_scale.py`` asserts ``symbolic_cost_table == tsymb``
+with exact ``==`` under hypothesis-generated tasks, platforms and widths.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -97,19 +100,6 @@ def effective_widths(tasks: Sequence[MTask], widths) -> np.ndarray:
     return eff
 
 
-def _slot_classes(
-    tasks: Sequence[MTask], slot: int
-) -> List[Tuple[Tuple[str, str, bool], List[int]]]:
-    """Task indices owning communication slot ``slot``, grouped by the
-    spec fields that select a formula (op, scope, task_parallel_only)."""
-    classes: dict = {}
-    for i, t in enumerate(tasks):
-        if len(t.comm) > slot:
-            c = t.comm[slot]
-            classes.setdefault((c.op, c.scope, c.task_parallel_only), []).append(i)
-    return list(classes.items())
-
-
 def symbolic_cost_table(model, tasks: Sequence[MTask], widths) -> np.ndarray:
     """``Tsymb`` grid: ``table[i, j] == model.tsymb(tasks[i], eff(i, j))``
     with ``eff(i, j) = tasks[i].clamp_procs(max(widths[j], min_procs))``.
@@ -136,48 +126,59 @@ def symbolic_cost_table(model, tasks: Sequence[MTask], widths) -> np.ndarray:
     seq = work / model.core_rate
     tcomp = seq[:, np.newaxis] / eff_f
 
-    # Tcomm under dmp, accumulated slot by slot in each task's spec
-    # order (the scalar loop's summation order)
-    comm = np.zeros_like(tcomp)
-    max_slots = max((len(t.comm) for t in tasks), default=0)
-    for slot in range(max_slots):
-        contrib = np.zeros_like(tcomp)
-        for (op, scope, tpo), idxs in _slot_classes(tasks, slot):
-            idx = np.asarray(idxs, dtype=np.intp)
-            rows_eff = eff[idx]
-            rows_eff_f = eff_f[idx]
-            tb = np.fromiter(
-                (tasks[i].comm[slot].total_bytes for i in idxs),
-                dtype=np.float64,
-                count=len(idxs),
+    # Tcomm under dmp.  One row per (task, slot) collective, laid out
+    # slot-major over the tasks ranked by decreasing slot count, so the
+    # tasks still owning slot s are always ranks [0, active[s]).
+    nslots = [len(t.comm) for t in tasks]
+    max_slots = max(nslots)
+    ranked = sorted(range(n), key=nslots.__getitem__, reverse=True)
+    rank = [0] * n
+    for r, i in enumerate(ranked):
+        rank[i] = r
+    active = n - np.cumsum(np.bincount(nslots))[:max_slots]
+    start = [0, *np.cumsum(active).tolist()]
+    # every collective of one formula class (op, scope,
+    # task_parallel_only) is priced by one array call
+    classes: dict = {}
+    for i, t in enumerate(tasks):
+        for slot, c in enumerate(t.comm):
+            classes.setdefault((c.op, c.scope, c.task_parallel_only), []).append(
+                (start[slot] + rank[i], i, c.total_bytes, c.count)
             )
-            cnt = np.fromiter(
-                (tasks[i].comm[slot].count for i in idxs),
-                dtype=np.float64,
-                count=len(idxs),
+    contrib = np.empty((start[-1], w.size), dtype=np.float64)
+    for (op, scope, tpo), entries in classes.items():
+        rows, idx, tb, cnt = np.array(entries, dtype=np.float64).T
+        idx = idx.astype(np.intp)
+        tb, cnt = tb[:, np.newaxis], cnt[:, np.newaxis]
+        rows_eff = eff[idx]
+        if scope == "group":
+            vals = collective_time_symbolic_batch(op, network, eff_f[idx], tb)
+        elif scope == "global":
+            width = np.full(rows_eff.shape, float(P))
+            vals = collective_time_symbolic_batch(op, network, width, tb)
+            if tpo:
+                # ops a data-parallel (q == P) execution never issues
+                vals = np.where(rows_eff >= P, 0.0, vals)
+        else:  # orthogonal: one participant per concurrent group
+            # integer arithmetic exactly as the scalar path:
+            # width = max(1, P // max(1, q))
+            width = np.maximum(1, P // np.maximum(1, rows_eff))
+            # nbytes = total_bytes * width / max(1, q)
+            nbytes = tb * width.astype(np.float64)
+            nbytes = nbytes / np.maximum(1, rows_eff).astype(np.float64)
+            vals = collective_time_symbolic_batch(
+                op, network, width.astype(np.float64), nbytes
             )
-            if scope == "group":
-                vals = collective_time_symbolic_batch(
-                    op, network, rows_eff_f, tb[:, np.newaxis]
-                )
-            elif scope == "global":
-                width = np.full(rows_eff.shape, float(P))
-                vals = collective_time_symbolic_batch(
-                    op, network, width, tb[:, np.newaxis]
-                )
-                if tpo:
-                    # ops a data-parallel (q == P) execution never issues
-                    vals = np.where(rows_eff >= P, 0.0, vals)
-            else:  # orthogonal: one participant per concurrent group
-                # integer arithmetic exactly as the scalar path:
-                # width = max(1, P // max(1, q))
-                width = np.maximum(1, P // np.maximum(1, rows_eff))
-                # nbytes = total_bytes * width / max(1, q)
-                nbytes = tb[:, np.newaxis] * width.astype(np.float64)
-                nbytes = nbytes / np.maximum(1, rows_eff).astype(np.float64)
-                vals = collective_time_symbolic_batch(
-                    op, network, width.astype(np.float64), nbytes
-                )
-            contrib[idx] = cnt[:, np.newaxis] * vals
-        comm += contrib
-    return tcomp + comm
+        contrib[rows.astype(np.intp)] = cnt * vals
+    # add each task's slots in spec order (the scalar loop's summation
+    # order): slots between two distinct slot counts share their owners,
+    # so one sequential accumulate over the run adds them all
+    comm = np.zeros_like(tcomp)  # by rank
+    lo = 0
+    for hi in sorted(set(nslots) - {0}):
+        k = active[lo]
+        run = contrib[start[lo] : start[hi]].reshape(hi - lo, k, w.size)
+        run[0] += comm[:k]
+        comm[:k] = np.add.accumulate(run, axis=0)[-1]
+        lo = hi
+    return tcomp + comm[rank]

@@ -219,9 +219,12 @@ class TaskGraph:
             raise KeyError(f"no task named {name!r} in graph {self.name!r}") from None
 
     def edges(self) -> Iterator[Tuple[MTask, MTask, List[DataFlow]]]:
-        """Iterate over ``(producer, consumer, flows)`` edges."""
-        for u, v, data in self._g.edges(data=True):
-            yield u, v, data["flows"]
+        """Iterate over ``(producer, consumer, flows)`` edges, in the
+        order of networkx's edge view (producers in insertion order,
+        each with its consumers in insertion order)."""
+        for u, nbrs in self._g._succ.items():
+            for v, data in nbrs.items():
+                yield u, v, data["flows"]
 
     def flows(self, producer: MTask, consumer: MTask) -> List[DataFlow]:
         """Return the data flows on the edge producer -> consumer."""

@@ -270,10 +270,15 @@ class Placement:
 
     def validate(self, graph: TaskGraph) -> None:
         """Check the mapping covers the graph consistently."""
+        # tasks of one group share their core tuple; each distinct tuple
+        # (all kept alive by ``task_cores``) is scanned for duplicates once
+        checked = set()
         for t in graph:
             cores = self.cores_of(t)
-            if len(set(cores)) != len(cores):
-                raise ValueError(f"task {t.name!r} mapped to duplicate cores")
+            if id(cores) not in checked:
+                if len(set(cores)) != len(cores):
+                    raise ValueError(f"task {t.name!r} mapped to duplicate cores")
+                checked.add(id(cores))
             if not t.feasible_procs(len(cores)):
                 raise ValueError(
                     f"task {t.name!r} mapped to {len(cores)} cores, outside "

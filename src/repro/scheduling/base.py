@@ -131,7 +131,13 @@ class SchedulingResult:
         return out
 
     def predicted_makespan(self, cost: CostModel) -> float:
-        """Makespan of the symbolic timeline (the scheduler's estimate)."""
+        """Makespan of the symbolic timeline (the scheduler's estimate).
+
+        A layered result is summed directly (:func:`_layered_makespan`),
+        without building the timeline's ``ScheduledTask`` entries.
+        """
+        if self.layered is not None:
+            return _layered_makespan(self.layered, cost)
         return self.symbolic_timeline(cost).makespan
 
 
@@ -210,3 +216,24 @@ def symbolic_timeline(
             layer_end = max(layer_end, t)
         t_layer = layer_end
     return out
+
+
+def _layered_makespan(schedule: LayeredSchedule, cost: CostModel) -> float:
+    """``symbolic_timeline(schedule, cost).makespan`` without the timeline.
+
+    Issues the same ``cost.tsymb(member, width)`` requests in the same
+    order and adds the durations with the same float operations, so the
+    value (and a caching evaluator's request counts) equal the
+    timeline's exactly; ``tests/test_schedule_scale.py`` pins both.
+    """
+    t_layer = 0.0
+    for layer in schedule.layers:
+        layer_end = t_layer
+        for size, tasks in zip(layer.group_sizes, layer.groups):
+            t = t_layer
+            for task in tasks:
+                for m in schedule.expand(task):
+                    t += cost.tsymb(m, m.clamp_procs(size))
+            layer_end = max(layer_end, t)
+        t_layer = layer_end
+    return t_layer

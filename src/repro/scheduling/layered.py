@@ -15,15 +15,25 @@ The scheduler proceeds in three steps (Section 3.2):
 
 All decisions use symbolic cores interconnected by the slowest network
 level; the separate mapping step (:mod:`repro.mapping`) later pins the
-groups to physical cores.  The ``g``-search re-probes ``Tsymb`` heavily;
-running the scheduler through the pipeline's
-:class:`~repro.core.costmodel.CachedCostEvaluator` memoizes those probes.
+groups to physical cores.
+
+The ``g``-search reads every ``Tsymb`` it can need from one batched
+table per layer (:mod:`repro.core.costbatch`) and does not run LPT for
+every ``g``: the area / longest-task bound
+``Tact(g) >= max(max_i t_i, sum_i t_i / g)`` over that table orders the
+candidates and decides most of them, and the chosen ``g``, groups and
+tie-breaks are exactly those of the exhaustive ascending scan
+(``docs/guide/scaling.md`` has the argument, ``tests/test_schedule_scale.py``
+the exhaustive reference).  ``gsearch.probes`` counts every candidate
+decided, ``gsearch.pruned`` those decided by the bound alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.costmodel import CostModel
 from ..core.graph import TaskGraph
@@ -91,13 +101,9 @@ class LayerBasedScheduler(Scheduler):
             g *= 2
         return sorted(cands)
 
-    def _layer_feasible(self, tasks: Sequence[MTask], g: int) -> bool:
-        min_size = min(equal_partition(self.nprocs, g))
-        return all(t.min_procs <= min_size for t in tasks)
-
-    def _cost_columns(
+    def _cost_table(
         self, tasks: Sequence[MTask], feasible: Sequence[int]
-    ) -> Tuple[Dict[int, List[float]], int]:
+    ) -> Tuple[np.ndarray, List[int]]:
         """Batch-evaluate every ``Tsymb`` column the ``g``-search reads.
 
         The search probes each task at two kinds of width: the equal
@@ -105,8 +111,8 @@ class LayerBasedScheduler(Scheduler):
         ``equal_partition`` sizes of every possible non-empty group count
         (``floor(P/k)`` and its ceiling) -- ``O(sqrt(P) + |candidates|)``
         distinct widths in total.  One ``tsymb_table`` call scores all of
-        them; the returned map gives the per-task cost column of each raw
-        width as plain Python floats (bitwise equal to scalar ``tsymb``).
+        them; returns the table (bitwise equal to scalar ``tsymb``) and
+        the ascending raw widths its columns stand for.
         """
         P = self.nprocs
         widths = set()
@@ -118,9 +124,34 @@ class LayerBasedScheduler(Scheduler):
             if rem:
                 widths.add(base + 1)
         ordered = sorted(widths)
-        table = self.cost.tsymb_table(tasks, ordered)
-        columns = {w: table[:, j].tolist() for j, w in enumerate(ordered)}
-        return columns, len(ordered)
+        return self.cost.tsymb_table(tasks, ordered), ordered
+
+    def _tact_bounds(
+        self, table: np.ndarray, widths: Sequence[int], feasible: Sequence[int]
+    ) -> np.ndarray:
+        """Lower bound on ``Tact(g)`` of every feasible candidate.
+
+        With all ``g`` groups non-empty every group has ``P // g`` or
+        ``P // g + 1`` cores, so task ``i`` costs at least the smaller of
+        its two column entries, and the slowest group takes at least the
+        longest such task and at least the mean load:
+        ``Tact(g) >= max(max_i lo_i, sum_i lo_i / g)`` (the area /
+        longest-task bound of the moldable schedulers).  A zero in the
+        estimate column can leave groups empty, which widens the rest;
+        those candidates get ``-inf`` and are never pruned.  The bound is
+        shrunk by the worst-case rounding of two ``n``-term float sums
+        (the loads it is compared with and its own), so it holds for the
+        computed ``Tact``, not only for the real-valued one.
+        """
+        P = self.nprocs
+        g = np.asarray(feasible, dtype=np.int64)
+        floor_col = table[:, np.searchsorted(widths, P // g)]
+        ceil_col = table[:, np.searchsorted(widths, P // g + (P % g > 0))]
+        lo = np.minimum(floor_col, ceil_col)
+        bound = np.maximum(lo.max(axis=0), lo.sum(axis=0) / g)
+        bound *= 1.0 - max(1e-12, len(table) * 4.5e-16)
+        bound[~(floor_col > 0.0).all(axis=0)] = -np.inf
+        return bound
 
     def schedule_layer(
         self, tasks: Sequence[MTask], obs: Optional[Instrumentation] = None
@@ -129,11 +160,15 @@ class LayerBasedScheduler(Scheduler):
 
         *Decide* and *cost* are split: all symbolic cost columns the
         search can touch are batch-evaluated up front
-        (:meth:`_cost_columns`), then the ``g``-search, LPT assignment
+        (:meth:`_cost_table`), then the ``g``-search, LPT assignment
         and load maximisation run on plain float lookups without calling
-        the cost model again.  Decisions -- including floating-point
-        accumulation order and tie-breaks -- are bit-identical to the
-        historical scalar implementation.
+        the cost model again.  Candidates are visited in increasing order
+        of :meth:`_tact_bounds` and skipped once the bound exceeds the
+        best ``Tact`` found; the ascending ``tact < best - 1e-15`` rule
+        then picks among the evaluated ones.  Decisions -- including
+        floating-point accumulation order and tie-breaks -- are
+        bit-identical to an exhaustive ascending scan of every candidate
+        (see ``docs/guide/scaling.md`` for the argument).
         """
         obs = obs if obs is not None else Instrumentation()
         P = self.nprocs
@@ -150,18 +185,36 @@ class LayerBasedScheduler(Scheduler):
                 # matches the scalar path: probing a degenerate group
                 # count fails inside equal_partition
                 equal_partition(P, g)
-            if max_minp <= P // g:  # == _layer_feasible(tasks, g)
+            if max_minp <= P // g:  # the narrowest subset fits every task
                 feasible.append(g)
-        best: Optional[Tuple[float, int, List[List[int]], List[int]]] = None
-        if feasible:
-            columns, n_widths = self._cost_columns(tasks, feasible)
-            obs.count("gsearch.batch_widths", n_widths)
-            n = len(tasks)
-            # LPT's task order depends only on the cost column, so one
-            # sort per distinct width serves every candidate probing it
-            order_cache: Dict[int, List[int]] = {}
-        for g in feasible:
-            obs.count("gsearch.probes")
+        if not feasible:
+            raise ValueError(
+                "no feasible group count for layer "
+                f"[{', '.join(t.name for t in tasks)}] on {P} cores"
+            )
+        table, widths = self._cost_table(tasks, feasible)
+        obs.count("gsearch.batch_widths", len(widths))
+        obs.count("gsearch.probes", len(feasible))
+        bounds = self._tact_bounds(table, widths, feasible)
+        visit = np.argsort(bounds, kind="stable").tolist()
+        bounds = bounds.tolist()
+        columns = dict(zip(widths, table.T.tolist()))
+        n = len(tasks)
+        # LPT's task order depends only on the cost column, so one sort
+        # per distinct width serves every candidate probing it
+        order_cache: Dict[int, List[int]] = {}
+        # a skipped candidate's Tact exceeds the final minimum by more
+        # than this, so it can neither win the ascending scan nor (each
+        # disagreement between the scans uses up one evaluated candidate
+        # and lowers an incumbent by < 2e-15, the 1e-15 hysteresis plus
+        # its rounding) change which near-minimal candidate does
+        margin = (len(feasible) + 4) * 2e-15
+        best_tact = float("inf")
+        probed: Dict[int, Tuple[float, List[List[int]], List[int]]] = {}
+        for k in visit:
+            if bounds[k] > best_tact + margin:
+                continue
+            g = feasible[k]
             q_est = P // g  # the equal subset size the paper assumes
             est = columns[q_est]
             if self.assignment == "lpt":
@@ -186,14 +239,16 @@ class LayerBasedScheduler(Scheduler):
                 col = columns[sizes[gi]]
                 loads.append(sum(map(col.__getitem__, grp)))
             tact = max(loads) if loads else 0.0
-            if best is None or tact < best[0] - 1e-15:
-                best = (tact, g, groups, sizes)
-        if best is None:
-            raise ValueError(
-                "no feasible group count for layer "
-                f"[{', '.join(t.name for t in tasks)}] on {P} cores"
-            )
-        tact, g, idx_groups, sizes = best
+            probed[g] = (tact, groups, sizes)
+            if tact < best_tact:
+                best_tact = tact
+        if len(probed) < len(feasible):
+            obs.count("gsearch.pruned", len(feasible) - len(probed))
+        best: Optional[Tuple[float, List[List[int]], List[int]]] = None
+        for g in sorted(probed):  # the ascending scan, over the evaluated
+            if best is None or probed[g][0] < best[0] - 1e-15:
+                best = probed[g]
+        tact, idx_groups, sizes = best
         groups = [[tasks[i] for i in grp] for grp in idx_groups]
         if self.adjust and len(groups) > 1:
             with obs.span("adjust"):

@@ -23,7 +23,8 @@ def layer_index(graph: TaskGraph) -> Dict[MTask, int]:
     """Layer number of every task (longest-path depth from the sources).
 
     One pass over a prebuilt predecessor index -- strictly O(V + E),
-    no per-task adjacency tuples.
+    no per-task adjacency tuples.  The returned dict iterates in
+    topological order.
     """
     preds = graph.predecessor_index()
     depth: Dict[MTask, int] = {}
@@ -42,19 +43,9 @@ def build_layers(graph: TaskGraph) -> List[List[MTask]]:
     plus one bucketing pass in topological order (which fixes the
     within-layer task order the rest of the scheduler depends on).
     """
-    order = graph.topological_order()
-    if not order:
-        return []
-    preds = graph.predecessor_index()
-    depth: Dict[MTask, int] = {}
-    nlayers = 0
-    for t in order:
-        ps = preds[t]
-        d = 1 + max(depth[p] for p in ps) if ps else 0
-        depth[t] = d
-        if d + 1 > nlayers:
-            nlayers = d + 1
+    depth = layer_index(graph)
+    nlayers = max(depth.values(), default=-1) + 1
     layers: List[List[MTask]] = [[] for _ in range(nlayers)]
-    for t in order:
-        layers[depth[t]].append(t)
+    for t, d in depth.items():
+        layers[d].append(t)
     return layers

@@ -3,7 +3,16 @@
 import pytest
 
 from repro.cluster import CoreId, Machine, generic_cluster
-from repro.core import CostModel, Layer, LayeredSchedule, MTask, Schedule, ScheduledTask
+from repro.core import (
+    CostModel,
+    Layer,
+    LayeredSchedule,
+    MTask,
+    Placement,
+    Schedule,
+    ScheduledTask,
+    TaskGraph,
+)
 from repro.mapping import (
     consecutive,
     map_layer,
@@ -141,6 +150,25 @@ class TestPlacement:
         pl = place_timeline(s, machine, scattered())
         seq = scattered().sequence(machine)
         assert pl.cores_of(t) == tuple(seq[i] for i in range(4))
+
+    def test_validate_rejects_duplicate_core_in_shared_tuple(self, machine):
+        """One duplicate-check per distinct core tuple must still see a
+        bad tuple that many tasks share (and a second, healthy tuple
+        object must not be mistaken for an already-checked one)."""
+        seq = consecutive().sequence(machine)
+        good, bad = seq[:4], seq[4:7] + seq[4:5]
+        tasks = [MTask(f"t{i}") for i in range(6)]
+        graph = TaskGraph("shared")
+        graph.add_tasks(tasks)
+        Placement({t: good for t in tasks}).validate(graph)
+        cores = {t: good for t in tasks[:3]} | {t: bad for t in tasks[3:]}
+        with pytest.raises(ValueError, match="'t3' mapped to duplicate cores"):
+            Placement(cores).validate(graph)
+        # width limits are still checked per task, not per tuple
+        capped = MTask("capped", max_procs=2)
+        graph.add_task(capped)
+        with pytest.raises(ValueError, match="'capped' mapped to 4 cores"):
+            Placement({**{t: good for t in tasks}, capped: good}).validate(graph)
 
     def test_wrong_machine_size(self, machine):
         t = MTask("t")
