@@ -163,12 +163,26 @@ _REGISTRY: Dict[str, Callable[[], Platform]] = {
     "generic": generic_cluster,
 }
 
+#: full-size platforms already built in this process, by factory (four
+#: factories, so bounded by construction)
+_BUILT: Dict[Callable[[], Platform], Platform] = {}
+
 
 def by_name(name: str) -> Platform:
-    """Look up a platform factory by (case-insensitive) name."""
+    """The full-size platform of a (case-insensitive) name.
+
+    The platform is built once per process and shared: it is frozen and
+    the arrays of its :class:`Machine` are read-only, so
+    ``by_name(name).with_cores(c)`` costs O(``c``) instead of building
+    all 2 120 (CHiC) or 17 664 (JuRoPA) cores to slice a prefix off.
+    """
     try:
-        return _REGISTRY[name.lower()]()
+        factory = _REGISTRY[name.lower()]
     except KeyError:
         raise ValueError(
             f"unknown platform {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
+    platform = _BUILT.get(factory)
+    if platform is None:
+        platform = _BUILT[factory] = factory()
+    return platform

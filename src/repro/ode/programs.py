@@ -23,12 +23,14 @@ time-stepping ``while`` loop, accessible via :func:`step_graph`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.graph import TaskGraph
 from ..core.task import CollectiveSpec
+from ..spec.ast_nodes import Program
 from ..spec.build import BuildResult, GraphBuilder, TaskCost
 from ..spec.parser import parse
 from .adams import AdamsBlockMethod
@@ -607,6 +609,22 @@ def _attach(costs: Dict[str, TaskCost], **bodies) -> Dict[str, TaskCost]:
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
+#: distinct generated source texts whose AST is kept; a source depends
+#: only on (method, K, m, ceil(t_end), functional), never on the problem
+PARSED_SOURCES = 32
+
+
+@lru_cache(maxsize=PARSED_SOURCES)
+def _parsed(source: str) -> Program:
+    """The AST of one generated source text, parsed once per process.
+
+    Every build of the same solver configuration shares the tree
+    (:class:`GraphBuilder` only reads it); unrolling and graph
+    construction still run per problem size.
+    """
+    return parse(source)
+
+
 def build_ode_program(
     problem: ODEProblem,
     cfg: MethodConfig,
@@ -648,7 +666,7 @@ def build_ode_program(
             costs = _cost_tables("pabm", problem, cfg)
     else:  # pragma: no cover - guarded by MethodConfig
         raise ValueError(method)
-    builder = GraphBuilder(parse(source), sizes={"vector": problem.n}, costs=costs)
+    builder = GraphBuilder(_parsed(source), sizes={"vector": problem.n}, costs=costs)
     return builder.build()
 
 

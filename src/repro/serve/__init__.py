@@ -13,9 +13,10 @@ at ``/metrics``.
 Layering, bottom to top:
 
 - :mod:`repro.serve.api` -- pure request validation, canonicalization,
-  digesting and the picklable compute function (no asyncio, no sockets).
+  the one compile step (``compile_request`` -> ``CompiledProgram``) and
+  the picklable compute function (no asyncio, no sockets).
 - :mod:`repro.serve.cache` -- two-tier (memory + disk) byte cache with
-  atomic tmp-rename writes.
+  atomic tmp-rename writes, and the bounded ``LRU`` behind every memo.
 - :mod:`repro.serve.service` -- asyncio routing, backpressure,
   single-flight dedup and accounting.
 - :mod:`repro.serve.http` -- the minimal HTTP/1.1 wire layer and a
@@ -25,6 +26,7 @@ Run one with ``python -m repro.serve --port 8080 --workers 4``.
 """
 
 from .api import (
+    CompiledProgram,
     ENDPOINTS,
     OPTION_DEFAULTS,
     PLATFORMS,
@@ -32,6 +34,7 @@ from .api import (
     SOLVER_CFGS,
     cache_key,
     canonical_options,
+    compile_request,
     compute_response,
     render_body,
     request_digests,
@@ -42,6 +45,7 @@ from .http import HttpServer, ServerThread
 from .service import Response, ScheduleService
 
 __all__ = [
+    "CompiledProgram",
     "ENDPOINTS",
     "OPTION_DEFAULTS",
     "PLATFORMS",
@@ -54,6 +58,7 @@ __all__ = [
     "ServerThread",
     "cache_key",
     "canonical_options",
+    "compile_request",
     "compute_response",
     "render_body",
     "request_digests",

@@ -20,6 +20,13 @@ plus a ``"topology"`` (platform name and core count) and canonical
 ``"options"``.  :func:`canonical_options` normalizes the options dict --
 defaults are elided and keys sorted -- so two requests that differ only
 in spelling (key order, explicit defaults) share one cache entry.
+
+A request's front end runs once: :func:`compile_request` builds the task
+graph and digests it into a :class:`CompiledProgram`, the one artefact
+the cache key, :func:`request_digests` and :func:`compute_response` all
+read.  The service compiles on a server thread and ships the unit to the
+worker with the request; called with a request alone,
+:func:`compute_response` compiles for itself through the same function.
 """
 
 from __future__ import annotations
@@ -27,8 +34,10 @@ from __future__ import annotations
 import math
 import re
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..core.graph import TaskGraph
 from ..ode.programs import PAPER_CONFIGS as SOLVER_CFGS
 from ..recovery.checkpoint import json_digest
 
@@ -40,6 +49,8 @@ __all__ = [
     "PLATFORMS",
     "canonical_options",
     "validate_request",
+    "CompiledProgram",
+    "compile_request",
     "request_digests",
     "cache_key",
     "compute_response",
@@ -403,33 +414,74 @@ def _scheduler_for(request: Dict[str, Any], cost):
 
 
 # ----------------------------------------------------------------------
-# content-addressed identity
+# the compiled unit and its content-addressed identity
 # ----------------------------------------------------------------------
-def request_digests(request: Dict[str, Any]) -> Dict[str, str]:
-    """The ``(program, topology, options)`` digest triple of a request.
+@dataclass(frozen=True)
+class CompiledProgram:
+    """What compiling one request yields: its graph and its identity.
+
+    Immutable and picklable (named workloads and DSL programs alike:
+    their tasks carry no function bodies), so the service builds it on a
+    server thread, derives the cache key from it and sends it to the
+    pool worker, which neither rebuilds nor re-digests the graph.
+    """
+
+    graph: TaskGraph
+    #: :func:`repro.obs.registry.program_digest` of ``graph``
+    program_digest: str
+    topology_digest: str
+    options_digest: str
+    #: number of tasks in ``graph``
+    tasks: int
+
+    @property
+    def digests(self) -> Dict[str, str]:
+        """The ``(program, topology, options)`` digest triple."""
+        return {
+            "program": self.program_digest,
+            "topology": self.topology_digest,
+            "options": self.options_digest,
+        }
+
+
+def _platform(request: Dict[str, Any]):
+    """The platform prefix a request's topology names."""
+    from ..cluster.platforms import by_name
+
+    topology = request["topology"]
+    return by_name(topology["platform"]).with_cores(topology["cores"])
+
+
+def _compile(request: Dict[str, Any], platform) -> CompiledProgram:
+    from ..obs.registry import program_digest, topology_digest
+
+    graph = _program_graph(request)
+    return CompiledProgram(
+        graph=graph,
+        program_digest=program_digest(graph),
+        topology_digest=topology_digest(platform),
+        options_digest=json_digest(request["options"]),
+        tasks=len(graph),
+    )
+
+
+def compile_request(request: Dict[str, Any]) -> CompiledProgram:
+    """Compile one validated request: the only graph build and digest.
 
     The program digest hashes the *built* task graph's
     scheduling-relevant shape (:func:`repro.obs.registry.program_digest`),
     so two DSL spellings of the same graph -- or a workload and its
     equivalent DSL -- share cache entries; topology and options reuse
     the :func:`repro.recovery.json_digest` canonical-JSON hashing.
+    Raises :class:`RequestError` for a DSL program that does not parse
+    or build.
     """
-    return _graph_digests(request, _program_graph(request))
+    return _compile(request, _platform(request))
 
 
-def _graph_digests(request: Dict[str, Any], graph) -> Dict[str, str]:
-    """:func:`request_digests` of a request whose graph is already built."""
-    from ..cluster.platforms import by_name
-    from ..obs.registry import program_digest, topology_digest
-
-    platform = by_name(request["topology"]["platform"]).with_cores(
-        request["topology"]["cores"]
-    )
-    return {
-        "program": program_digest(graph),
-        "topology": topology_digest(platform),
-        "options": json_digest(request["options"]),
-    }
+def request_digests(request: Dict[str, Any]) -> Dict[str, str]:
+    """The ``(program, topology, options)`` digest triple of a request."""
+    return compile_request(request).digests
 
 
 def cache_key(endpoint: str, digests: Mapping[str, str]) -> str:
@@ -510,8 +562,14 @@ def _schedule_payload(result) -> Dict[str, Any]:
     return out
 
 
-def compute_response(request: Dict[str, Any]) -> Dict[str, Any]:
+def compute_response(
+    request: Dict[str, Any], compiled: Optional[CompiledProgram] = None
+) -> Dict[str, Any]:
     """Execute one validated request; runs inside a pool worker.
+
+    ``compiled`` is the request's :func:`compile_request` unit when the
+    caller already has it (the service does); without it the request is
+    compiled here, through the same function.
 
     Returns an envelope ``{"body": ..., "record": ..., "seconds": ...,
     "tasks": ...}``: ``body`` is the deterministic response payload (what
@@ -524,17 +582,17 @@ def compute_response(request: Dict[str, Any]) -> Dict[str, Any]:
     a worker process never dies on a bad request.
     """
     t0 = time.perf_counter()
-    endpoint = request["endpoint"]
     try:
-        # the one graph build of a cold request: the digests and the
-        # pipeline both read it
-        graph = _program_graph(request)
-        digests = _graph_digests(request, graph)
-        if endpoint == "run":
-            body, tasks = _compute_run(request, digests)
+        # the one platform prefix of a request in this process: the
+        # topology digest and the cost model both read it
+        platform = _platform(request)
+        if compiled is None:
+            compiled = _compile(request, platform)
+        if request["endpoint"] == "run":
+            body, tasks = _compute_run(request, compiled)
             record = None
         else:
-            body, tasks, record = _compute_pipeline(request, digests, graph)
+            body, tasks, record = _compute_pipeline(request, compiled, platform)
     except RequestError as exc:
         return {"error": exc.to_dict()["error"], "status": exc.status}
     except Exception as exc:  # structured 422, never a traceback
@@ -554,10 +612,9 @@ def compute_response(request: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _compute_pipeline(
-    request: Dict[str, Any], digests: Dict[str, str], graph
+    request: Dict[str, Any], compiled: CompiledProgram, platform
 ) -> Tuple[Dict[str, Any], int, Optional[Dict[str, Any]]]:
     """Run the scheduling pipeline for a schedule/simulate request."""
-    from ..cluster.platforms import by_name
     from ..core.costmodel import CostModel
     from ..mapping.strategies import strategy_by_name
     from ..obs.registry import record_from_result
@@ -566,19 +623,19 @@ def _compute_pipeline(
     endpoint = request["endpoint"]
     topology = request["topology"]
     options = request["options"]
-    platform = by_name(topology["platform"]).with_cores(topology["cores"])
     cost = CostModel(platform)
     scheduler = _scheduler_for(request, cost)
     strategy = strategy_by_name(options.get("mapping", "consecutive"))
     pipe = SchedulingPipeline(
         scheduler, strategy=strategy, simulate=endpoint == "simulate"
     )
-    result = pipe.run(graph)
+    result = pipe.run(compiled.graph)
 
+    digests = compiled.digests
     body: Dict[str, Any] = {
         "schema": f"repro.serve.{endpoint}/1",
         "key": cache_key(endpoint, digests),
-        "digests": dict(digests),
+        "digests": digests,
         "request": {
             k: request[k]
             for k in ("workload", "program", "topology", "options")
@@ -586,7 +643,7 @@ def _compute_pipeline(
         },
         "scheduler": result.scheduling.scheduler,
         "cores": int(result.scheduling.nprocs),
-        "tasks": len(graph),
+        "tasks": compiled.tasks,
         "predicted_makespan": float(result.predicted_makespan),
         "schedule": _schedule_payload(result),
     }
@@ -605,11 +662,11 @@ def _compute_pipeline(
     record = record_from_result(
         result, spec=spec, timestamp=0.0, backend="serve"
     ).to_dict()
-    return body, len(graph), record
+    return body, compiled.tasks, record
 
 
 def _compute_run(
-    request: Dict[str, Any], digests: Dict[str, str]
+    request: Dict[str, Any], compiled: CompiledProgram
 ) -> Tuple[Dict[str, Any], int]:
     """Execute one functional solver step for a run request.
 
@@ -627,10 +684,11 @@ def _compute_run(
         bruss2d(wl["n"]), SOLVER_CFGS[wl["solver"]]
     )
     run = run_program(body_graph, store)
+    digests = compiled.digests
     body = {
         "schema": "repro.serve.run/1",
         "key": cache_key("run", digests),
-        "digests": dict(digests),
+        "digests": digests,
         "request": {
             k: request[k]
             for k in ("workload", "topology", "options")

@@ -6,24 +6,57 @@ triple), so a hit serves exactly the bytes the cold computation produced
 -- byte-identity is structural, not a property the solver has to
 maintain.  Storage follows the
 :class:`~repro.recovery.CheckpointStore` pattern: one ``<key>.json``
-file per entry, written to a temporary name and atomically renamed into
-place, so a crash mid-write never leaves a torn entry under its final
-name and concurrent writers of the same key are idempotent.
+file per entry, written to a temporary name no other write shares (in
+this process or another one pointed at the same directory) and
+atomically renamed into place, so a crash mid-write never leaves a torn
+entry under its final name and concurrent writers of the same key are
+idempotent.
 
 A small in-memory LRU front (``max_memory_entries``) keeps the hot keys
 out of the filesystem entirely; the on-disk tier is the durable,
-restart-surviving one.
+restart-surviving one.  :class:`LRU` is that front, and the bounded
+memo the service keeps its request keys in.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 from collections import OrderedDict
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
-__all__ = ["ScheduleCache"]
+__all__ = ["LRU", "ScheduleCache"]
 
 _KEY_CHARS = set("0123456789abcdef")
+
+#: numbers the temporary files this process writes; with the pid it makes
+#: a name unique per process and write
+_WRITES = itertools.count()
+
+
+class LRU(OrderedDict):
+    """A mapping that holds at most its ``capacity`` most recently used
+    entries; :meth:`get` and :meth:`put` count as use."""
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__()
+        self.capacity = int(capacity)
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        """The value under ``key`` (now the most recent), or ``default``."""
+        try:
+            self.move_to_end(key)
+        except KeyError:
+            return default
+        return self[key]
+
+    def put(self, key: Any, value: Any) -> None:
+        """Store ``value`` as the most recent entry, evicting the oldest."""
+        self[key] = value
+        self.move_to_end(key)
+        while len(self) > self.capacity:
+            self.popitem(last=False)
 
 
 class ScheduleCache:
@@ -38,8 +71,7 @@ class ScheduleCache:
         self, root: Optional[object] = None, max_memory_entries: int = 256
     ) -> None:
         self.root = Path(root) if root is not None else None
-        self.max_memory_entries = int(max_memory_entries)
-        self._memory: "OrderedDict[str, bytes]" = OrderedDict()
+        self._memory = LRU(max_memory_entries)
         #: lookups answered from memory or disk
         self.hits = 0
         #: lookups that found nothing
@@ -58,26 +90,19 @@ class ScheduleCache:
             raise ValueError(f"cache key must be a hex digest, got {key!r}")
         return key
 
-    def _remember(self, key: str, body: bytes) -> None:
-        self._memory[key] = body
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_memory_entries:
-            self._memory.popitem(last=False)
-
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[bytes]:
         """The cached response bytes for ``key``, or ``None``."""
         key = self._check_key(key)
         body = self._memory.get(key)
         if body is not None:
-            self._memory.move_to_end(key)
             self.hits += 1
             return body
         if self.root is not None:
             path = self._path(key)
             if path.exists():
                 body = path.read_bytes()
-                self._remember(key, body)
+                self._memory.put(key, body)
                 self.hits += 1
                 return body
         self.misses += 1
@@ -86,14 +111,14 @@ class ScheduleCache:
     def put(self, key: str, body: bytes) -> None:
         """Store ``body`` under ``key`` (atomic tmp-rename on disk)."""
         key = self._check_key(key)
-        self._remember(key, bytes(body))
+        self._memory.put(key, bytes(body))
         if self.root is None:
             return
         path = self._path(key)
         if path.exists():
             return  # content-addressed: an existing entry is identical
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp-{id(self)}")
+        tmp = path.with_suffix(f".tmp-{os.getpid()}-{next(_WRITES)}")
         tmp.write_bytes(body)
         tmp.replace(path)
         self.writes += 1

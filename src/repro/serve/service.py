@@ -4,14 +4,22 @@
 validates requests (:mod:`repro.serve.api`), answers cache hits from the
 content-addressed :class:`~repro.serve.cache.ScheduleCache` without
 touching a worker, and offloads cold g-search computations to a bounded
-process pool.  Three service-level guarantees live here:
+process pool.  A cold request is compiled once
+(:func:`repro.serve.api.compile_request`, on a server thread): the cache
+key is read off the compiled unit and the unit travels to the worker
+with the request.  One bounded LRU of ``KEY_MEMO_ENTRIES`` request keys
+keeps the hit path from compiling: a repeat request goes from its
+canonical JSON straight to the cache key.  Nothing is remembered across
+distinct requests -- the unit lives for one request.  Three
+service-level guarantees live here:
 
 * **backpressure** -- at most ``max_queue`` cold computations are
   admitted at once; past that the service answers ``429`` with a
   ``Retry-After`` hint instead of queueing unboundedly;
 * **single-flight** -- concurrent identical requests (same cache key)
-  share one solver invocation: the first request computes, the rest
-  await the same future and are accounted as coalesced hits;
+  share one compile and one solver invocation: the first request
+  compiles and computes, the rest await its key and then its response,
+  and are accounted as coalesced hits;
 * **per-tenant accounting** -- requests, cache hits/misses, scheduled
   tasks and cumulative solver seconds per tenant, surfaced through the
   :class:`~repro.obs.MetricsRegistry` Prometheus exposition at
@@ -21,17 +29,28 @@ process pool.  Three service-level guarantees live here:
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..obs.registry import MetricsRegistry, RunRecord, RunRegistry
 from . import api
-from .cache import ScheduleCache
+from .cache import LRU, ScheduleCache
 
 __all__ = ["Response", "ScheduleService"]
+
+#: request keys remembered (sha256 of the canonical request -> cache
+#: key, two hex digests an entry): a repeat among the last so many
+#: distinct requests is answered without compiling anything
+KEY_MEMO_ENTRIES = 4096
 
 
 @dataclass
@@ -101,10 +120,8 @@ class ScheduleService:
         self._executor: Optional[Executor] = None
         self._inflight: Dict[str, asyncio.Future] = {}
         self._jobs = 0
-        #: digest memo: canonical request JSON -> (digest triple, key);
-        #: deterministic, so memoizing is safe and keeps the hit path
-        #: from rebuilding the task graph on every repeat request
-        self._key_memo: Dict[str, Tuple[Dict[str, str], str]] = {}
+        self._keys = LRU(KEY_MEMO_ENTRIES)
+        self._compiling: Dict[str, asyncio.Future] = {}
         self.started = time.time()
 
     # ------------------------------------------------------------------
@@ -239,27 +256,56 @@ class ScheduleService:
         self._count_request(tenant, endpoint, response.status)
         return response
 
+    async def _compile(
+        self, request: Dict[str, Any], memo_key: str
+    ) -> Tuple[api.CompiledProgram, str]:
+        """Compile a tenant-less request off the loop; returns the unit
+        and its cache key, and remembers the key under ``memo_key``.
+
+        Identical requests arriving meanwhile await ``_compiling[memo_key]``
+        instead of compiling too: the key, this request's error, or
+        ``None`` if this request was cancelled before it had one.
+        """
+        loop = asyncio.get_running_loop()
+        pending = self._compiling[memo_key] = loop.create_future()
+        try:
+            compiled = await loop.run_in_executor(
+                None, api.compile_request, request
+            )
+            key = api.cache_key(request["endpoint"], compiled.digests)
+            self._keys.put(memo_key, key)
+            pending.set_result(key)
+        except Exception as exc:
+            pending.set_exception(exc)
+            pending.exception()  # consumed: avoid the never-retrieved warning
+            raise
+        finally:
+            del self._compiling[memo_key]
+            if not pending.done():
+                pending.set_result(None)  # cancelled mid-compile: waiters look again
+        return compiled, key
+
     async def _schedule_or_serve(self, request: Dict[str, Any]) -> Response:
         endpoint, tenant = request["endpoint"], request["tenant"]
-        canonical = json.dumps(
-            self._strip_tenant(request), sort_keys=True, separators=(",", ":")
-        )
+        stripped = self._strip_tenant(request)
+        canonical = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
+        memo_key = hashlib.sha256(canonical.encode()).hexdigest()
         t0 = time.perf_counter()
 
-        memo = self._key_memo.get(canonical)
-        if memo is None:
-            loop = asyncio.get_running_loop()
-            try:
-                # graph building is cheap but not free; keep it off the loop
-                digests = await loop.run_in_executor(
-                    None, api.request_digests, self._strip_tenant(request)
-                )
-            except api.RequestError:
-                raise
-            key = api.cache_key(endpoint, digests)
-            self._key_memo[canonical] = (digests, key)
-        else:
-            digests, key = memo
+        #: the request's compiled unit, when this call compiled it; a
+        #: request whose key was remembered but whose response is gone
+        #: leaves the compiling to the worker
+        compiled = None
+        key = self._keys.get(memo_key)
+        while key is None:
+            pending = self._compiling.get(memo_key)
+            if pending is None:
+                compiled, key = await self._compile(stripped, memo_key)
+            else:
+                # an identical request is compiling: take its key (and
+                # then coalesce on its computation); ``None`` says it
+                # was cancelled, so look again
+                key = await asyncio.shield(pending)
 
         cached = self.cache.get(key)
         if cached is not None:
@@ -289,8 +335,9 @@ class ScheduleService:
         self._inflight[key] = future
         self._jobs += 1
         try:
+            pool = self._pool()
             envelope = await loop.run_in_executor(
-                self._pool(), api.compute_response, self._strip_tenant(request)
+                pool, api.compute_response, stripped, compiled
             )
             if "error" in envelope:
                 exc = api.RequestError(
@@ -312,6 +359,12 @@ class ScheduleService:
         except Exception as exc:  # worker pool broke, not the request
             if not future.done():
                 future.cancel()
+            if isinstance(exc, BrokenExecutor) and self._executor is pool:
+                # a dead worker poisons the whole pool (only a submit to
+                # ``pool`` raises this): drop it, so the next cold
+                # request starts a fresh one
+                pool.shutdown(wait=False)
+                self._executor = None
             raise api.RequestError(
                 500, "internal", f"{type(exc).__name__}: {exc}"
             ) from exc

@@ -9,8 +9,9 @@ and task activations with (possibly indexed) variable arguments.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List
 
 __all__ = ["Token", "LexError", "tokenize", "KEYWORDS"]
 
@@ -58,73 +59,71 @@ class Token:
         return f"Token({self.kind} {self.text!r} @{self.line}:{self.col})"
 
 
+#: one alternative per lexical class, tried in this order at every
+#: position; comments precede the symbols because ``/`` is one.  The
+#: ASCII classes are the fast path -- a non-ASCII digit or letter is
+#: picked up below with ``str.isdigit`` / ``str.isalpha``, which no
+#: regex class spells exactly.
+_MASTER = re.compile(
+    r"(?P<space>[ \t\r]+)"
+    r"|(?P<word>[A-Za-z_]\w*)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<newline>\n)"
+    r"|(?P<line_comment>//[^\n]*)"
+    r"|(?P<block_comment>/\*.*?\*/)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<symbol>" + "|".join(re.escape(sym) for sym in _SYMBOLS) + ")",
+    re.DOTALL,
+)
+_WORD_TAIL = re.compile(r"\w*")
+
+
 def tokenize(source: str) -> List[Token]:
     """Turn a specification program into a token list (ending with EOF)."""
     tokens: List[Token] = []
     i, line, col = 0, 1, 1
     n = len(source)
+    match = _MASTER.match
 
     def error(msg: str) -> LexError:
         """Build a ``LexError`` pointing at the current position."""
         return LexError(f"line {line}, column {col}: {msg}")
 
     while i < n:
-        ch = source[i]
-        # whitespace
-        if ch == "\n":
-            i += 1
+        m = match(source, i)
+        if m is not None:
+            kind, j = m.lastgroup, m.end()
+        elif source[i].isdigit():
+            kind, j = "int", i + 1
+        elif source[i].isalpha():
+            kind, j = "word", _WORD_TAIL.match(source, i + 1).end()
+        else:
+            raise error(f"unexpected character {source[i]!r}")
+        if kind == "space":
+            col += j - i
+        elif kind == "newline":
             line += 1
             col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        # comments
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise error("unterminated block comment")
-            skipped = source[i : end + 2]
+        elif kind == "line_comment":
+            pass  # runs to the line end; the newline resets the column
+        elif kind == "block_comment":
+            skipped = source[i:j]
             line += skipped.count("\n")
             if "\n" in skipped:
                 col = len(skipped) - skipped.rfind("\n")
             else:
                 col += len(skipped)
-            i = end + 2
-            continue
-        # numbers
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        # identifiers / keywords
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
+        elif kind == "open_comment":
+            raise error("unterminated block comment")
+        else:
+            if kind == "int":
+                while j < n and source[j].isdigit():
+                    j += 1
             text = source[i:j]
-            kind = "keyword" if text in KEYWORDS else "ident"
+            if kind == "word":
+                kind = "keyword" if text in KEYWORDS else "ident"
             tokens.append(Token(kind, text, line, col))
             col += j - i
-            i = j
-            continue
-        # symbols (longest first)
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("symbol", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise error(f"unexpected character {ch!r}")
+        i = j
     tokens.append(Token("eof", "", line, col))
     return tokens

@@ -1,9 +1,12 @@
 """Cache-correctness tests: canonical-options insensitivity (hypothesis),
-single-flight dedup under concurrency, backpressure, and the cache unit."""
+single-flight dedup under concurrency, backpressure, a dead pool worker,
+and the cache unit."""
 
 import asyncio
 import json
+import os
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,9 @@ from hypothesis import strategies as st
 
 from repro.recovery import json_digest
 from repro.serve import ScheduleCache, ScheduleService, canonical_options
+from repro.serve import cache as cache_module
 from repro.serve.api import OPTION_DEFAULTS, PROGRAM_SCHEDULERS
+from repro.serve.api import compute_response as real_compute_response
 
 
 # ----------------------------------------------------------------------
@@ -86,9 +91,9 @@ def _count_calls(monkeypatch):
     calls = []
     original = api.compute_response
 
-    def counting(request):
+    def counting(request, *args):
         calls.append(request)
-        return original(request)
+        return original(request, *args)
 
     monkeypatch.setattr("repro.serve.api.compute_response", counting)
     return calls
@@ -162,9 +167,9 @@ class TestBackpressure:
         gate = threading.Event()
         original = api.compute_response
 
-        def blocking(request):
+        def blocking(*args):
             gate.wait(30)
-            return original(request)
+            return original(*args)
 
         monkeypatch.setattr("repro.serve.api.compute_response", blocking)
         svc = ScheduleService(workers=0, max_queue=1, retry_after=2.5)
@@ -200,9 +205,9 @@ class TestBackpressure:
         gate = threading.Event()
         original = api.compute_response
 
-        def blocking(request):
+        def blocking(*args):
             gate.wait(30)
-            return original(request)
+            return original(*args)
 
         monkeypatch.setattr("repro.serve.api.compute_response", blocking)
         svc = ScheduleService(workers=0, max_queue=1)
@@ -228,6 +233,45 @@ class TestBackpressure:
             svc.close()
         assert 'serve_rejected_total{reason="backpressure",tenant="anonymous"} 1' \
             in metrics.body.decode()
+
+
+# ----------------------------------------------------------------------
+# a dead pool worker
+# ----------------------------------------------------------------------
+#: file whose absence tells ``die_in_worker_once`` to kill its process;
+#: set before the pool forks, so the workers inherit it
+DIE_MARKER = None
+
+
+def die_in_worker_once(request, *args):
+    """``compute_response`` stand-in: the first call takes its worker
+    process down the way an OOM kill would, later calls compute."""
+    if not os.path.exists(DIE_MARKER):
+        Path(DIE_MARKER).touch()
+        os._exit(1)
+    return real_compute_response(request, *args)
+
+
+class TestBrokenPool:
+    def test_pool_is_rebuilt_after_a_worker_dies(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(f"{__name__}.DIE_MARKER", str(tmp_path / "died"))
+        monkeypatch.setattr("repro.serve.api.compute_response", die_in_worker_once)
+        svc = ScheduleService(workers=1)
+        irk = json.dumps({"workload": {"solver": "irk", "n": 24}}).encode()
+        pab = json.dumps({"workload": {"solver": "pab", "n": 24}}).encode()
+        try:
+            broken = asyncio.run(svc.handle("POST", "/v1/schedule", irk, {}))
+            assert svc._executor is None, "the broken pool must be dropped"
+            following = asyncio.run(svc.handle("POST", "/v1/schedule", pab, {}))
+            retried = asyncio.run(svc.handle("POST", "/v1/schedule", irk, {}))
+        finally:
+            svc.close()
+        assert broken.status == 500
+        assert broken.json["error"]["code"] == "internal"
+        assert "BrokenProcessPool" in broken.json["error"]["message"]
+        assert following.status == 200 and following.headers["X-Cache"] == "miss"
+        # the request that hit the break was not cached as a failure
+        assert retried.status == 200 and retried.headers["X-Cache"] == "miss"
 
 
 # ----------------------------------------------------------------------
@@ -280,3 +324,51 @@ class TestScheduleCache:
         cache.put("cc", b"3")
         assert cache.get("aa") is None
         assert cache.get("cc") == b"3"
+
+    def test_temp_names_never_repeat_across_instances(self, tmp_path, monkeypatch):
+        # two server processes sharing --cache-dir can agree on id(self);
+        # the temporary name must not depend on it
+        monkeypatch.setattr(cache_module, "id", lambda obj: 7, raising=False)
+        names = []
+        write_bytes = Path.write_bytes
+
+        def recording(path, data):
+            names.append(path.name)
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", recording)
+        caches = [ScheduleCache(tmp_path), ScheduleCache(tmp_path)]
+        start = threading.Barrier(2)
+
+        def writer(cache, keys):
+            start.wait(10)
+            for key in keys:
+                cache.put(key, key.encode() * 100)
+
+        shared = [f"{i:04x}" for i in range(40)]
+        own = [[f"a{i:03x}" for i in range(40)], [f"b{i:03x}" for i in range(40)]]
+        threads = [
+            threading.Thread(target=writer, args=(cache, shared + keys))
+            for cache, keys in zip(caches, own)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(names) >= 120 and len(set(names)) == len(names)
+        assert all(f".tmp-{os.getpid()}-" in name for name in names)
+        assert not list(tmp_path.glob("*.tmp-*")), "tmp file left behind"
+        fresh = ScheduleCache(tmp_path)
+        assert len(fresh) == 120
+        for key in shared + own[0] + own[1]:
+            assert fresh.get(key) == key.encode() * 100
+
+    def test_leftover_temp_file_is_not_an_entry(self, tmp_path):
+        cache = ScheduleCache(tmp_path)
+        cache.put("ab12", b"payload")
+        (tmp_path / "cd34.tmp-4242-0").write_bytes(b"torn wri")  # a crashed writer
+        assert len(cache) == 1 and "cd34" not in cache
+        assert ScheduleCache(tmp_path).get("cd34") is None
+        cache.put("cd34", b"whole")
+        assert len(cache) == 2 and ScheduleCache(tmp_path).get("cd34") == b"whole"
