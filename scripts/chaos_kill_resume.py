@@ -11,6 +11,9 @@ The CI chaos job (and ``tests/test_recovery.py``) runs this script:
    deterministic chaos hook armed (``--crash-after K``): after ``K``
    committed task records the journal tears the next append mid-line and
    the process dies with ``os._exit(137)``, like a real kill;
+   Killing the parent must not leak shared memory either: once the
+   orphaned workers have noticed and gone, every ``/dev/shm`` segment
+   the crashed run created (the pool's arena chunks) has to be gone too;
 3. **resume** -- the step re-runs in this process with ``resume=True``:
    the torn final line is dropped, the ``K``-task prefix is restored
    from the journal, and only the remaining tasks execute.
@@ -26,8 +29,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -36,6 +41,29 @@ from repro.faults import FaultPlan, RetryPolicy  # noqa: E402
 from repro.ode import MethodConfig, bruss2d  # noqa: E402
 from repro.recovery import array_digest  # noqa: E402
 from repro.experiments.recovery_run import run_checkpointed_step  # noqa: E402
+
+SHM = Path("/dev/shm")
+
+
+def shm_segments() -> set:
+    """Names under ``/dev/shm`` (empty where there is no such directory)."""
+    return set(os.listdir(SHM)) if SHM.is_dir() else set()
+
+
+def wait_for_shm_cleanup(before: set, timeout: float = 15.0) -> set:
+    """Segments created since ``before`` that outlive ``timeout`` seconds.
+
+    A parent killed with ``os._exit`` unlinks nothing itself: its
+    workers exit when they notice (within a second or two) and the
+    resource tracker they shared then removes what the run registered.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        leaked = shm_segments() - before
+        if not leaked or time.monotonic() > deadline:
+            return leaked
+        time.sleep(0.1)
+
 
 #: seeded fault plan: failures with recovery, so the resumed run must
 #: reproduce retry accounting, not just outputs
@@ -102,6 +130,7 @@ def main(argv=None) -> int:
           f"{reference['retries']} retries")
 
     # 2. crash a fresh run mid-step (in a subprocess; the hook _exits)
+    shm_before = shm_segments()
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()),
          "--workdir", str(args.workdir), "--n", str(args.n),
@@ -119,6 +148,12 @@ def main(argv=None) -> int:
         return 2
     print(f"crashed after {args.crash_after} committed records "
           f"(journal ends mid-line, exit 137)")
+    leaked = wait_for_shm_cleanup(shm_before)
+    if leaked:
+        print(f"ERROR: the killed run left shared memory behind: "
+              f"{sorted(leaked)}", file=sys.stderr)
+        return 2
+    print("no shared-memory segment of the killed run is left in /dev/shm")
 
     # 3. resume and compare bit-for-bit
     res_run, summary = run_checkpointed_step(

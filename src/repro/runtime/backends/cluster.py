@@ -47,6 +47,20 @@ Robustness is the point of this backend:
   most loaded one (``cluster.steals``), so one slow worker cannot
   strand a batch's tail.  A newly joined worker starts stealing
   immediately -- elasticity and stealing are one mechanism.
+* **arrays ship once per worker.**  A worker keeps every array it has
+  received or produced for the life of its connection
+  (:mod:`~repro.runtime.backends.cluster_worker`), and the coordinator
+  records per member what that worker holds.  A job frame names its
+  inputs by token (from the parent's
+  :class:`~repro.runtime.backends.arrays.ArrayLedger`, keyed by the
+  identity of the ``store`` entry); :meth:`_Coordinator._dispatch` --
+  where the target is finally known, after sharding, stealing or a
+  requeue -- attaches bytes only for the tokens that member lacks.  A
+  batch job is placed on the live member already holding most of its
+  input bytes (round-robin on ties and on empty tables), so data moves
+  only along a dependence edge that crosses workers.  The parent still
+  receives and owns every output: the tables are a cache, and losing a
+  worker loses nothing that needs recovering.
 * **exactly-once commit.**  Every dispatch carries ``(task, attempt)``;
   the coordinator resolves each job once and drops late duplicates --
   e.g. the answer of a slow worker whose task was already stolen,
@@ -71,6 +85,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import itertools
 import multiprocessing
 import os
 import queue
@@ -82,6 +97,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .arrays import ArrayLedger, Traffic
 from .base import RunContext, emit_worker_crash
 from .cluster_worker import serve
 from .driver import DriverBackend, Job
@@ -119,7 +135,7 @@ class _Member:
 
     __slots__ = (
         "wid", "pid", "writer", "last_seen", "alive", "inflight", "queue",
-        "tasks_done", "steals",
+        "tasks_done", "steals", "held",
     )
 
     def __init__(self, wid: int, pid: Optional[int], writer) -> None:
@@ -132,6 +148,8 @@ class _Member:
         self.queue: Deque[int] = collections.deque()
         self.tasks_done = 0
         self.steals = 0
+        #: tokens of the arrays in this worker's table (sent or produced)
+        self.held: set = set()
 
 
 class _CoordJob:
@@ -141,11 +159,18 @@ class _CoordJob:
 
     def __init__(self, jid: int, frame: Dict[str, Any]) -> None:
         self.jid = jid
-        self.frame = frame  # kept whole so requeues can redispatch
+        # kept whole -- every input array included -- so a requeue can
+        # redispatch to a worker that holds none of them
+        self.frame = frame
         self.attempt = 0
         self.worker: Optional[int] = None
         self.dispatched: Optional[float] = None
         self.resolved = False
+
+
+def _held_bytes(member: _Member, arrays: Dict[Any, np.ndarray]) -> int:
+    """Input bytes of a job already in ``member``'s table."""
+    return sum(arr.nbytes for token, arr in arrays.items() if token in member.held)
 
 
 class _Coordinator:
@@ -174,6 +199,8 @@ class _Coordinator:
         self.members: Dict[int, _Member] = {}
         self.jobs: Dict[int, _CoordJob] = {}
         self.port: Optional[int] = None
+        #: released once per admitted ``hello`` (``ClusterBackend.start`` waits on it)
+        self.joined = threading.Semaphore(0)
         self._server = None
         self._monitor_task = None
         self._thread: Optional[threading.Thread] = None
@@ -258,6 +285,7 @@ class _Coordinator:
         member = _Member(wid, hello.get("pid"), writer)
         self.members[wid] = member
         self.events.append(("worker_joined", wid, member.pid, self.alive_count()))
+        self.joined.release()
         self._pump(member)
         try:
             while True:
@@ -323,7 +351,13 @@ class _Coordinator:
 
     # -- dispatch / stealing -------------------------------------------
     async def submit(self, frames: List[Dict[str, Any]]) -> None:
-        """Register a batch of job frames and shard them round-robin."""
+        """Register a batch of job frames and place each near its inputs.
+
+        A job goes to the live member whose table already holds most of
+        its input bytes; on a tie -- always, while the tables are empty
+        -- to the member round-robin sharding would pick.  An idle
+        member still steals, so locality never strands a batch's tail.
+        """
         targets = sorted(
             (m for m in self.members.values() if m.alive), key=lambda m: m.wid
         )
@@ -331,7 +365,11 @@ class _Coordinator:
             job = _CoordJob(frame["job"], frame)
             self.jobs[job.jid] = job
             if targets:
-                targets[i % len(targets)].queue.append(job.jid)
+                turn = targets[i % len(targets)]
+                max(
+                    targets,
+                    key=lambda m: (_held_bytes(m, frame["arrays"]), m is turn),
+                ).queue.append(job.jid)
         if not targets:
             self._check_stranded()
             return
@@ -390,12 +428,20 @@ class _Coordinator:
         return None
 
     def _dispatch(self, member: _Member, jid: int) -> None:
+        """Send ``jid`` to ``member``: bytes for what it lacks, tokens for the rest."""
         job = self.jobs[jid]
         job.worker = member.wid
         job.dispatched = time.monotonic()
         member.inflight = jid
-        frame = dict(job.frame)
-        frame["attempt"] = job.attempt
+        frame = dict(job.frame, attempt=job.attempt)
+        arrays = frame.pop("arrays")
+        frame["new"] = new = {
+            token: arr for token, arr in arrays.items() if token not in member.held
+        }
+        member.held.update(new)
+        self.events.append(
+            ("shipped", sum(a.nbytes for a in new.values()), len(arrays) - len(new))
+        )
         self.loop.create_task(self._send(member, frame))
 
     async def _send(self, member: _Member, frame: Dict[str, Any]) -> None:
@@ -451,6 +497,8 @@ class _Coordinator:
             self.events.append(("duplicate", name, msg.get("attempt", 0)))
         else:
             job.resolved = True
+            # the producer's table holds its outputs under (job, name)
+            member.held.update((jid, name) for name in msg["payload"].get("outputs") or ())
             self.results.put(
                 ("result", jid, member.wid, msg.get("attempt", 0), msg["payload"])
             )
@@ -596,6 +644,10 @@ class ClusterBackend(DriverBackend):
         self._gathered = 0
         self._batch_index = -1
         self._chaos_fired = False
+        self._registry: Dict[str, Any] = {}
+        self._ledger = ArrayLedger()
+        self._tokens = itertools.count()
+        self._traffic = Traffic()
 
     # ------------------------------------------------------------------
     def start(self, run: RunContext) -> int:
@@ -611,6 +663,8 @@ class ClusterBackend(DriverBackend):
         self._gathered = 0
         self._batch_index = -1
         self._chaos_fired = False
+        self._registry = {t.name: t for t in run.graph.topological_order()}
+        self._traffic = Traffic()
         self._coord = _Coordinator(
             heartbeat_timeout=self.heartbeat_timeout,
             dispatch_retry=self.dispatch_retry,
@@ -622,13 +676,12 @@ class ClusterBackend(DriverBackend):
         for _ in range(n):
             self.spawn_worker()
         deadline = time.monotonic() + 15.0
-        while self._coord.alive_count() < n:
-            if time.monotonic() > deadline:
+        for joined in range(n):
+            if not self._coord.joined.acquire(timeout=max(0.0, deadline - time.monotonic())):
                 raise RuntimeError(
-                    f"cluster backend: only {self._coord.alive_count()} of "
-                    f"{n} workers joined within 15s"
+                    f"cluster backend: only {joined} of {n} workers joined "
+                    "within 15s"
                 )
-            time.sleep(0.005)
         self._drain_events()
         return n
 
@@ -656,7 +709,6 @@ class ClusterBackend(DriverBackend):
             raise RuntimeError("spawn_worker() requires an open backend")
         wid = self._next_wid
         self._next_wid += 1
-        registry = {t.name: t for t in run.graph.topological_order()}
         mp_ctx = multiprocessing.get_context("fork")
         proc = mp_ctx.Process(
             target=_forked_worker,
@@ -664,7 +716,7 @@ class ClusterBackend(DriverBackend):
                 self.host,
                 coord.port,
                 wid,
-                registry,
+                self._registry,
                 run.faults,
                 run.retry,
                 os.getpid(),
@@ -695,16 +747,31 @@ class ClusterBackend(DriverBackend):
     def _call(self, coro) -> None:
         asyncio.run_coroutine_threadsafe(coro, self._coord.loop).result(timeout=30.0)
 
-    @staticmethod
-    def _frame(job: Job) -> Dict[str, Any]:
+    def _frame(self, job: Job) -> Dict[str, Any]:
+        """The coordinator's copy of a job: inputs by token, arrays beside.
+
+        ``values`` maps each parameter to the token of its array and
+        ``arrays`` each token to the array; ``_Coordinator._dispatch``
+        turns ``arrays`` into the frame's ``new`` -- the subset the
+        chosen worker lacks.
+        """
         req = job.request
+        values, arrays = {}, {}
+        for key, arr in req.values.items():
+            token = self._ledger.get(arr)
+            if token is None:
+                token = next(self._tokens)
+                self._ledger.add(arr, token)
+            values[key] = token
+            arrays[token] = arr
         return {
             "type": "task",
             "job": job.jid,
             "name": req.task.name,
             "q": req.q,
             "env": dict(req.ctx.env),
-            "values": dict(req.values),
+            "values": values,
+            "arrays": arrays,
             "backup": job.backup_of is not None,
         }
 
@@ -740,6 +807,11 @@ class ClusterBackend(DriverBackend):
             )
         _, jid, wid, attempt, payload = item
         self._gathered += 1
+        for name, arr in (payload["outputs"] or {}).items():
+            # the token its producer's table (and ``_Member.held``) has it under
+            self._ledger.add(arr, (jid, name))
+            self._traffic.to_parent += arr.nbytes
+        self._traffic.publish(self._publish)
         return jid, wid, payload
 
     def idle(self, waiting: List[Job]) -> None:
@@ -819,13 +891,19 @@ class ClusterBackend(DriverBackend):
                            backend=self.name)
             elif tag == "deadline":
                 obs.count("cluster.dispatch_deadlines")
+            elif tag == "shipped":
+                _, nbytes, reused = event
+                self._traffic.to_workers += nbytes
+                self._traffic.reused += reused
+                self._traffic.publish(self._publish)
 
     # ------------------------------------------------------------------
     def stop(self) -> None:
-        """Stop the coordinator and reap every worker process."""
+        """Stop the coordinator, reap every worker, thaw the ledger's arrays."""
         if self._coord is not None:
             self._coord.stop()
             self._coord = None
+        self._ledger.clear()
         for proc in self._procs.values():
             proc.join(timeout=0.25)
         for proc in self._procs.values():

@@ -17,6 +17,16 @@ life cycle:
    echoing the job id and dispatch attempt;
 4. a ``stop`` frame -- or the connection closing -- ends the loop.
 
+**The array table.**  For the life of its connection a worker keeps
+every array it has received or produced, keyed by the token the
+coordinator knows it under: a ``task`` frame names each input by token
+(``values``) and carries bytes only for the tokens this worker lacks
+(``new``); the task's outputs enter the table as ``(job id, output
+name)``.  The coordinator mirrors what it has sent and heard back, so a
+token it sends alone is always resolvable.  The table is a cache and
+nothing else -- the parent receives and owns every output -- so it is
+simply dropped when the connection ends.
+
 Workers are normally **forked** by :class:`~repro.runtime.backends.cluster.ClusterBackend`
 so they inherit the task registry (task bodies are closures and cannot
 be pickled) plus the run's fault plan and retry policy.  For programs
@@ -41,7 +51,9 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
-from .attempts import run_job
+import numpy as np
+
+from .attempts import crash_result, run_job
 from .wire import recv_message, send_message
 
 __all__ = ["serve", "main"]
@@ -88,6 +100,7 @@ def serve(
 
     hb = threading.Thread(target=heartbeat, daemon=True)
     hb.start()
+    table: Dict[Any, np.ndarray] = {}
     try:
         while True:
             try:
@@ -100,11 +113,7 @@ def serve(
                 continue
             if delay > 0.0:
                 time.sleep(delay)
-            payload = run_job(
-                registry[msg["name"]], msg["q"], msg["env"], msg["values"],
-                faults, retry, bool(msg.get("backup")),
-            )
-            payload["outputs"] = payload.pop("produced")
+            payload = _run_task(table, registry[msg["name"]], msg, faults, retry)
             try:
                 send_message(
                     sock,
@@ -121,10 +130,41 @@ def serve(
                 break
     finally:
         stop.set()
+        table.clear()
         try:
             sock.close()
         except OSError:  # pragma: no cover - racing teardown
             pass
+
+
+def _run_task(table: Dict[Any, np.ndarray], task, msg, faults, retry) -> Dict[str, Any]:
+    """Resolve one ``task`` frame against ``table`` and run it.
+
+    The frame's ``new`` arrays enter the table first, then every input
+    is looked up by token; the outputs (normalised to the float arrays
+    the executor stores) enter it as ``(job id, name)``.  Table arrays
+    are shared by every task that reads them, so they are read-only.
+    """
+    for token, arr in msg["new"].items():
+        arr.flags.writeable = False
+        table[token] = arr
+    try:
+        values = {key: table[token] for key, token in msg["values"].items()}
+        payload = run_job(
+            task, msg["q"], msg["env"], values, faults, retry, bool(msg.get("backup"))
+        )
+        outputs = None
+        if payload["produced"] is not None:
+            outputs = {}
+            for name, arr in payload["produced"].items():
+                outputs[name] = arr = np.atleast_1d(np.asarray(arr, dtype=float))
+                arr.flags.writeable = False
+                table[(msg["job"], name)] = arr
+    except Exception:  # noqa: BLE001 - reported at commit, worker lives on
+        payload, outputs = crash_result(), None
+    del payload["produced"]
+    payload["outputs"] = outputs
+    return payload
 
 
 def _load_registry(spec: str) -> Dict[str, Any]:

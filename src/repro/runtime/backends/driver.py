@@ -1,7 +1,7 @@
 """The batch driver: one dispatch/gather loop for every worker backend.
 
 An out-of-process backend differs from its siblings only in *how jobs
-and results cross the process boundary* -- shared-memory segments and
+and results cross the process boundary* -- a shared-memory arena and
 queues for the pool, framed sockets for the cluster.  That difference
 is the :class:`Transport` interface; everything else lives here, once,
 in :class:`DriverBackend`:
@@ -49,8 +49,9 @@ class Job:
     is a duplicate and is dropped).  A primary is released only once its
     own result *and* its backup's have arrived, so a backup that lost
     its race is still accounted for when it finally reports.
-    ``carrier`` belongs to the transport (the pool keeps the exported
-    input segments there).
+    ``carrier`` belongs to the transport (neither shipped transport
+    needs it: what a job's inputs cost to ship is remembered per array,
+    in the transport's ledger, not per job).
     """
 
     __slots__ = (

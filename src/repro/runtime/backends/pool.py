@@ -16,24 +16,32 @@ the pool:
   the parent's address space.  On platforms without ``fork`` (Windows,
   and macOS defaults since Python 3.8) :meth:`ProcessPoolBackend.open`
   raises with a one-line explanation.
-* **shared-memory transfer.**  Input and output numpy arrays cross the
-  process boundary through ``multiprocessing.shared_memory`` segments
-  instead of being pickled through the queues; only the segment
-  descriptors (name, shape, dtype) travel as messages.  Each segment is
-  registered with the (fork-shared) ``resource_tracker`` exactly once
-  by its creator, attached everywhere else without re-registering (see
-  :func:`_attach`), and unlinked exactly once by the parent -- so the
-  tracker neither double-frees nor complains about unknown names.
+* **one arena per run.**  Arrays cross the process boundary through a
+  per-run shared-memory arena (:class:`~repro.runtime.backends.arrays.Arena`):
+  the parent writes an input into it the first time any task needs it,
+  a worker writes its outputs into it, and jobs and results carry only
+  ``(chunk, offset, shape, dtype)`` descriptors.  An array read by K
+  tasks is written once and an output is never written back for its
+  consumers -- the parent's
+  :class:`~repro.runtime.backends.arrays.ArrayLedger` maps each
+  ``store`` entry to the descriptor it already has.  A worker attaches
+  a chunk once and hands bodies read-only views; the parent copies
+  each output out once, in :meth:`ProcessPoolBackend.poll`.  The arena
+  is a handful of chunks (the first sized from the graph's declared
+  ``elements``, more only when something does not fit), each
+  registered with the fork-shared ``resource_tracker`` by its creator
+  and unlinked by the parent in :meth:`ProcessPoolBackend.stop`, on
+  every exit path.
 * **deterministic faults.**  Workers inherit the run's
   :class:`~repro.faults.FaultPlan` and :class:`~repro.faults.RetryPolicy`
   at fork time; because both draw from per-``(task, attempt)`` seeded
   streams, injected failures, straggler factors and backoff jitter are
   identical no matter which worker runs which attempt -- the basis of
   the serial/pool equivalence guarantee.
-* **backups on the shared queue.**  A speculative backup re-reads the
-  primary's exported input segments and goes on the same queue, so
-  whichever worker is free takes it -- never the one still busy with
-  the straggler.
+* **backups on the shared queue.**  A speculative backup carries the
+  descriptors the primary's inputs already have and goes on the same
+  queue, so whichever worker is free takes it -- never the one still
+  busy with the straggler.
 
 Caveats: a task body that raises a *real* (non-injected) error with no
 retry policy surfaces as a :class:`RuntimeError` carrying the worker
@@ -48,11 +56,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
-from typing import Any, Dict, List, Optional, Tuple
+from multiprocessing import resource_tracker
+from typing import Any, Dict, List, Optional
 
 import numpy as np
-from multiprocessing import resource_tracker, shared_memory
 
+from .arrays import Arena, ArrayLedger, Descriptor, Traffic, declared_bytes
 from .attempts import crash_result, run_job
 from .base import RunContext, emit_worker_crash
 from .driver import DriverBackend, Job
@@ -61,80 +70,34 @@ __all__ = ["ProcessPoolBackend"]
 
 
 # ----------------------------------------------------------------------
-# shared-memory plumbing
-# ----------------------------------------------------------------------
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach an existing segment without re-registering it.
-
-    With the ``fork`` start method parent and workers share one
-    resource-tracker process whose per-name bookkeeping is a *set*:
-    the safe protocol is exactly one register (the creator's) and one
-    unregister (the final ``unlink``) per segment.  Python 3.13 exposes
-    ``track=False`` for this; on older versions the tracker's
-    ``register`` is swapped for a no-op around the attach (both the
-    worker loop and the parent's gather loop are single-threaded, so
-    the swap cannot race).
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - depends on Python version
-        register = resource_tracker.register
-        resource_tracker.register = lambda *a, **k: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = register
-
-
-def _export_array(arr: np.ndarray) -> Tuple[shared_memory.SharedMemory, Tuple]:
-    """Copy ``arr`` into a fresh shared-memory segment.
-
-    Returns the open segment (caller closes/unlinks) and the picklable
-    descriptor ``(name, shape, dtype)`` the other side attaches with.
-    """
-    arr = np.ascontiguousarray(arr)
-    shm = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-    if arr.nbytes:
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-        view[...] = arr
-    return shm, (shm.name, arr.shape, str(arr.dtype))
-
-
-def _import_array(desc: Tuple, unlink: bool = False) -> np.ndarray:
-    """Attach a segment descriptor, copy the array out, detach.
-
-    The returned array owns its memory (bodies may keep references long
-    after the segment is gone).  The attach never registers with the
-    resource tracker -- the segment stays owned by its creator, unless
-    ``unlink`` says this reader is its last.
-    """
-    name, shape, dtype = desc
-    shm = _attach(name)
-    try:
-        if int(np.prod(shape)):
-            view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-            return np.array(view, copy=True)
-        return np.empty(shape, dtype=np.dtype(dtype))
-    finally:
-        shm.close()
-        if unlink:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - racing cleanup
-                pass
-
-
-def _claim_outputs(outputs: Optional[Dict[str, Tuple]]) -> Optional[Dict[str, np.ndarray]]:
-    """Copy a result's output segments out and unlink them (parent side)."""
-    if outputs is None:
-        return None
-    return {name: _import_array(desc, unlink=True) for name, desc in outputs.items()}
-
-
-# ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _worker_main(worker_id, parent_pid, inq, outq, registry, faults, retry) -> None:
+def _execute(arena: Arena, registry, faults, retry, msg) -> Dict[str, Any]:
+    """Run one ``task`` message against ``arena``; returns the result.
+
+    Inputs are read-only views of the arena (bodies are pure, and the
+    next reader of the same bytes may be another task on this worker);
+    outputs are written into this worker's chunks and travel as
+    descriptors in ``result["outputs"]``.
+    """
+    _, _job_id, name, q, env, payload, backup = msg
+    try:
+        values = {key: arena.view(desc) for key, desc in payload.items()}
+        result = run_job(registry[name], q, env, values, faults, retry, backup)
+        outputs = None
+        if result["produced"] is not None:
+            outputs = {
+                out_name: arena.put(np.atleast_1d(np.asarray(arr, dtype=float)))
+                for out_name, arr in result["produced"].items()
+            }
+    except BaseException:  # noqa: BLE001 - never kill the worker loop
+        result, outputs = crash_result(), None
+    del result["produced"]  # arrays travel as arena descriptors
+    result["outputs"] = outputs
+    return result
+
+
+def _worker_main(worker_id, parent_pid, inq, outq, arena, registry, faults, retry) -> None:
     """Entry point of one pool worker (forked child).
 
     Loops on the shared job queue until a ``stop`` message arrives or
@@ -148,6 +111,7 @@ def _worker_main(worker_id, parent_pid, inq, outq, registry, faults, retry) -> N
         os.sched_setaffinity(0, {cores[worker_id % len(cores)]})
     except (AttributeError, OSError, IndexError):  # pragma: no cover
         pass
+    arena.grow()  # now, off the first result's critical path
     while True:
         try:
             msg = inq.get(timeout=1.0)
@@ -157,22 +121,9 @@ def _worker_main(worker_id, parent_pid, inq, outq, registry, faults, retry) -> N
             continue
         if msg[0] == "stop":
             break
-        _, job_id, name, q, env, payload, backup = msg
-        try:
-            values = {k: _import_array(desc) for k, desc in payload.items()}
-            result = run_job(registry[name], q, env, values, faults, retry, backup)
-            outputs = None
-            if result["produced"] is not None:
-                outputs = {}
-                for out_name, arr in result["produced"].items():
-                    out = np.atleast_1d(np.asarray(arr, dtype=float))
-                    shm, outputs[out_name] = _export_array(out)
-                    shm.close()
-        except BaseException:  # noqa: BLE001 - never kill the worker loop
-            result, outputs = crash_result(), None
-        del result["produced"]  # arrays travel as segment descriptors
-        result["outputs"] = outputs
-        outq.put(("result", job_id, worker_id, result))
+        result = _execute(arena, registry, faults, retry, msg)
+        outq.put(("result", msg[1], worker_id, result))
+    arena.close()
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +156,9 @@ class ProcessPoolBackend(DriverBackend):
         self._procs: List[Any] = []
         self._inq: Optional[Any] = None
         self._outq: Optional[Any] = None
+        self._arena: Optional[Arena] = None
+        self._ledger = ArrayLedger()
+        self._traffic = Traffic()
 
     # ------------------------------------------------------------------
     def start(self, run: RunContext) -> int:
@@ -224,10 +178,15 @@ class ProcessPoolBackend(DriverBackend):
         self._outq = mp_ctx.Queue()
         registry = {t.name: t for t in run.graph.topological_order()}
         n = self.workers if self.workers is not None else max(2, os.cpu_count() or 1)
+        prefix, chunk_bytes = Arena.new_prefix(), declared_bytes(run.graph)
+        self._arena = Arena(prefix, "p", chunk_bytes)
+        self._traffic = Traffic()
         for wid in range(n):
             proc = mp_ctx.Process(
                 target=_worker_main,
-                args=(wid, os.getpid(), self._inq, self._outq, registry, run.faults, run.retry),
+                args=(wid, os.getpid(), self._inq, self._outq,
+                      Arena(prefix, str(wid), chunk_bytes), registry,
+                      run.faults, run.retry),
                 daemon=True,
             )
             proc.start()
@@ -236,36 +195,55 @@ class ProcessPoolBackend(DriverBackend):
 
     # ------------------------------------------------------------------
     def submit(self, jobs: List[Job]) -> None:
-        """Export each job's inputs to shared memory and enqueue it."""
+        """Write the inputs the arena lacks and enqueue each job."""
         for job in jobs:
-            segments, payload = [], {}
-            for key, arr in job.request.values.items():
-                shm, payload[key] = _export_array(arr)
-                segments.append(shm)
-            job.carrier = (segments, payload)
-            self._enqueue(job, payload, backup=False)
+            self._enqueue(job)
+        self._traffic.publish(self._publish)
 
     def submit_backup(self, backup: Job, owner: Job) -> None:
-        """Enqueue a backup reading the owner's exported inputs.
+        """Enqueue a backup; its inputs are the owner's, already shipped.
 
         Workers pull from one shared queue, so whichever is free takes
         it -- never the one still busy with the straggling primary.
         """
-        self._enqueue(backup, owner.carrier[1], backup=True)
+        self.submit([backup])
 
-    def _enqueue(self, job: Job, payload: Dict[str, Tuple], backup: bool) -> None:
+    def _enqueue(self, job: Job) -> None:
         req = job.request
+        payload: Dict[str, Descriptor] = {}
+        for key, arr in req.values.items():
+            desc = self._ledger.get(arr)
+            if desc is None:
+                desc = self._arena.put(arr)
+                self._ledger.add(arr, desc)
+                self._traffic.to_workers += arr.nbytes
+            else:
+                self._traffic.reused += 1
+            payload[key] = desc
         self._inq.put(
-            ("task", job.jid, req.task.name, req.q, dict(req.ctx.env), payload, backup)
+            ("task", job.jid, req.task.name, req.q, dict(req.ctx.env), payload,
+             job.backup_of is not None)
         )
 
     def poll(self, timeout: float):
-        """Next worker result, its output segments claimed and unlinked."""
+        """Next worker result, its outputs copied out of the arena.
+
+        The copy is the ``store`` entry from here on; the ledger maps it
+        to the descriptor the worker wrote, so no consumer's submit
+        writes those bytes again.
+        """
         try:
             _, jid, wid, payload = self._outq.get(timeout=timeout)
         except queue.Empty:
             return None
-        payload["outputs"] = _claim_outputs(payload["outputs"])
+        if payload["outputs"] is not None:
+            outputs = {}
+            for name, desc in payload["outputs"].items():
+                outputs[name] = arr = np.array(self._arena.view(desc))
+                self._ledger.add(arr, desc)
+                self._traffic.to_parent += arr.nbytes
+            payload["outputs"] = outputs
+            self._traffic.publish(self._publish)
         return jid, wid, payload
 
     def idle(self, waiting: List[Job]) -> None:
@@ -314,19 +292,11 @@ class ProcessPoolBackend(DriverBackend):
         )
 
     def release(self, job: Job) -> None:
-        """Unlink the job's exported input segments."""
-        segments, _ = job.carrier or ((), None)
-        for shm in segments:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-        job.carrier = None
+        """Nothing to free: arena bytes live until :meth:`stop`."""
 
     # ------------------------------------------------------------------
     def stop(self) -> None:
-        """Stop the workers and unlink the outputs nobody collected."""
+        """Stop the workers, unlink the arena, thaw the ledger's arrays."""
         if self._inq is not None:
             for _ in self._procs:
                 try:
@@ -343,14 +313,13 @@ class ProcessPoolBackend(DriverBackend):
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
+        if self._arena is not None:
+            # by name, so the chunks of a worker that died (or was just
+            # terminated) before reporting them go too
+            self._arena.destroy(["p", *map(str, range(len(self._procs)))])
+            self._arena = None
+        self._ledger.clear()
         self._procs = []
-        if self._outq is not None:
-            while True:
-                try:
-                    msg = self._outq.get_nowait()
-                except Exception:
-                    break
-                _claim_outputs(msg[3]["outputs"])
         for chan in (self._inq, self._outq):
             if chan is not None:
                 chan.cancel_join_thread()

@@ -7,11 +7,16 @@ One message on the wire is::
 The *meta* is an arbitrary picklable object in which every numpy array
 has been replaced by an ``_ArrayRef`` placeholder; the raw array bytes
 follow the meta as separate length-prefixed **chunks** of at most
-:data:`ARRAY_CHUNK_BYTES` each.  Chunking keeps any single read or
-write bounded no matter how large the task's arrays are -- a multi-MB
-global array streams across the socket in 256 KiB pieces instead of one
-monolithic pickle blob -- and gives the coordinator natural
-backpressure points between chunks.
+:data:`ARRAY_CHUNK_BYTES` each.  Chunking keeps any single read
+bounded no matter how large the task's arrays are -- a multi-MB global
+array streams across the socket in 256 KiB pieces instead of one
+monolithic pickle blob.  A sender does not pay one system call per
+piece, though: it hands the socket the header, the meta and the chunks
+together, :data:`COALESCE_BYTES` at a time (one call for a typical task
+frame), which is also where the coordinator waits for backpressure.
+The chunks are slices of the arrays' own buffers and the receiver
+copies each straight into the array it restores, so an array is copied
+once on each side.
 
 Both sides of the protocol live here:
 
@@ -29,17 +34,19 @@ own forked children -- the same trust model as ``multiprocessing``).
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 import socket
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "ARRAY_CHUNK_BYTES",
+    "COALESCE_BYTES",
     "MAX_META_BYTES",
     "WireError",
     "pack",
@@ -55,6 +62,9 @@ ARRAY_CHUNK_BYTES = 256 * 1024
 
 #: sanity bound on the pickled meta (arrays never travel inside it)
 MAX_META_BYTES = 64 * 1024 * 1024
+
+#: a sender hands the socket about this many bytes per call
+COALESCE_BYTES = 1024 * 1024
 
 _HEADER = struct.Struct("!I")
 
@@ -77,22 +87,23 @@ class _ArrayRef:
     dtype: str
 
 
-def pack(obj: Any) -> Tuple[bytes, List[bytes]]:
+def pack(obj: Any) -> Tuple[bytes, List[memoryview]]:
     """Split ``obj`` into ``(pickled meta, raw array chunks)``.
 
     Recursively replaces every ``np.ndarray`` in dicts/lists/tuples with
-    an ``_ArrayRef`` and appends its (contiguous) buffer, cut into
-    ≤ :data:`ARRAY_CHUNK_BYTES` pieces, to the chunk list.
+    an ``_ArrayRef``; its chunks are ≤ :data:`ARRAY_CHUNK_BYTES` slices
+    *of the (contiguous) array's own buffer* -- nothing is copied here,
+    so the arrays must stay unchanged until the chunks are sent.
     """
-    chunks: List[bytes] = []
+    chunks: List[memoryview] = []
 
     def lift(value: Any) -> Any:
         if isinstance(value, np.ndarray):
             arr = np.ascontiguousarray(value)
-            raw = arr.tobytes()
             first = len(chunks)
-            if raw:
-                for off in range(0, len(raw), ARRAY_CHUNK_BYTES):
+            if arr.nbytes:
+                raw = memoryview(arr).cast("B")
+                for off in range(0, arr.nbytes, ARRAY_CHUNK_BYTES):
                     chunks.append(raw[off : off + ARRAY_CHUNK_BYTES])
             return _ArrayRef(
                 first=first,
@@ -112,14 +123,28 @@ def pack(obj: Any) -> Tuple[bytes, List[bytes]]:
     return meta, chunks
 
 
-def unpack(meta: bytes, chunks: List[bytes]) -> Any:
-    """Inverse of :func:`pack`: restore arrays from their chunk ranges."""
+def unpack(meta: bytes, chunks: List[Any]) -> Any:
+    """Inverse of :func:`pack`: restore arrays from their chunk ranges.
+
+    Each array is allocated once and its chunks copied straight into
+    place -- the only copy on the receiving side; the result owns its
+    memory.  Raises :class:`WireError` when the chunks of an array do
+    not add up to its shape.
+    """
 
     def lower(value: Any) -> Any:
         if isinstance(value, _ArrayRef):
-            raw = b"".join(chunks[value.first : value.first + value.count])
-            arr = np.frombuffer(raw, dtype=np.dtype(value.dtype))
-            return arr.reshape(value.shape).copy()
+            arr = np.empty(value.shape, dtype=np.dtype(value.dtype))
+            flat = arr.reshape(-1).view(np.uint8)
+            parts = chunks[value.first : value.first + value.count]
+            total = sum(len(part) for part in parts)
+            if total != flat.size:
+                raise WireError(f"array of {flat.size} bytes arrived as {total}")
+            off = 0
+            for part in parts:
+                flat[off : off + len(part)] = np.frombuffer(part, dtype=np.uint8)
+                off += len(part)
+            return arr
         if isinstance(value, dict):
             return {k: lower(v) for k, v in value.items()}
         if isinstance(value, list):
@@ -129,6 +154,25 @@ def unpack(meta: bytes, chunks: List[bytes]) -> Any:
         return value
 
     return lower(pickle.loads(meta))
+
+
+def _batches(meta: bytes, chunks: List[memoryview]) -> Iterator[List[Any]]:
+    """One message's bytes, in wire order, as a few buffer lists.
+
+    Each list is written with one call; a list ends once it holds
+    :data:`COALESCE_BYTES`, so however large the arrays are no more than
+    that (plus one chunk) is joined or buffered at a time.  A task frame
+    of a dozen 64 KiB arrays is one list.
+    """
+    batch: List[Any] = [_HEADER.pack(len(meta)), meta, _HEADER.pack(len(chunks))]
+    size = len(meta)
+    for chunk in chunks:
+        if size >= COALESCE_BYTES:
+            yield batch
+            batch, size = [], 0
+        batch += (_HEADER.pack(len(chunk)), chunk)
+        size += len(chunk)
+    yield batch
 
 
 # ----------------------------------------------------------------------
@@ -142,28 +186,21 @@ def send_message(
     With ``lock`` (the worker's send lock), the heartbeat thread and the
     result path never interleave their frames.
     """
-    meta, chunks = pack(obj)
-    parts: List[bytes] = [_HEADER.pack(len(meta)), meta, _HEADER.pack(len(chunks))]
-    for chunk in chunks:
-        parts.append(_HEADER.pack(len(chunk)))
-        parts.append(chunk)
-    if lock is not None:
-        with lock:
-            for part in parts:
-                sock.sendall(part)
-    else:
-        for part in parts:
-            sock.sendall(part)
+    with lock if lock is not None else contextlib.nullcontext():
+        for batch in _batches(*pack(obj)):
+            sock.sendall(b"".join(batch))
 
 
-def _recv_exactly(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        piece = sock.recv(n - len(buf))
-        if not piece:
+def _recv_exactly(sock: socket.socket, n: int) -> bytearray:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if not k:
             raise EOFError("connection closed mid-message")
-        buf += piece
-    return bytes(buf)
+        got += k
+    return buf
 
 
 def recv_message(sock: socket.socket) -> Any:
@@ -208,14 +245,11 @@ async def read_message_async(reader) -> Any:
 
 
 async def write_message_async(writer, obj: Any) -> None:
-    """Frame and write one message to an ``asyncio.StreamWriter``."""
-    meta, chunks = pack(obj)
-    writer.write(_HEADER.pack(len(meta)))
-    writer.write(meta)
-    writer.write(_HEADER.pack(len(chunks)))
-    for chunk in chunks:
-        writer.write(_HEADER.pack(len(chunk)))
-        writer.write(chunk)
-        # drain between chunks: bounded buffering however large the array
+    """Frame and write one message to an ``asyncio.StreamWriter``.
+
+    Drains after every buffer list of :func:`_batches`: bounded
+    buffering however large the arrays.
+    """
+    for batch in _batches(*pack(obj)):
+        writer.writelines(batch)
         await writer.drain()
-    await writer.drain()

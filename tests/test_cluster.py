@@ -103,6 +103,32 @@ class TestWorkerKill:
         assert obs.counter("cluster.worker_losses") == 1.0
         assert obs.counter("cluster.requeues") >= 1
 
+    def test_killing_the_only_holder_of_a_cached_array_loses_nothing(self):
+        """Worker 0 runs the first tasks, so their outputs are cached in
+        its table and nowhere else; it is killed, and worker 1 -- whose
+        table holds none of them -- gets the bytes from the parent."""
+        body, store = functional_step(MethodConfig("irk", K=4, m=2))
+        serial = run_program(body, dict(store))
+
+        class Spy(ClusterBackend):
+            def _maybe_chaos_kill(self):
+                if not self._chaos_fired and self._gathered >= 2:
+                    held.update({m.wid: set(m.held) for m in self._coord.members.values()})
+                super()._maybe_chaos_kill()
+
+        held = {}
+        obs = Instrumentation()
+        backend = Spy(workers=2, worker_delay={1: 0.3}, chaos_kill=(0, 2),
+                      poll_interval=0.005)
+        cluster = run_program(body, dict(store), obs=obs, backend=backend)
+        assert summarize(cluster) == summarize(serial)
+        assert obs.counter("cluster.worker_losses") == 1.0
+        # at the kill, worker 0 held the outputs of the first two jobs,
+        # some of them cached nowhere else
+        produced = {t for t in held[0] if isinstance(t, tuple)}
+        assert {jid for jid, _ in produced} >= {0, 1}
+        assert produced - held[1]
+
 
 # ----------------------------------------------------------------------
 # heartbeat-timeout failure detection
@@ -195,6 +221,70 @@ class TestWorkStealing:
         )
         assert summarize(cluster) == summarize(serial)
         assert obs.counter("cluster.steals") >= 1
+        # a stolen job names inputs the thief's table may lack: the
+        # bytes went with it, and only then
+        reused = obs.gauges["backend_arrays_reused_total{backend=cluster}"].value
+        shipped = obs.gauges[
+            "backend_bytes_shipped_total{backend=cluster,direction=to_workers}"
+        ].value
+        assert reused > 0 and shipped > 0
+
+    def test_dispatch_ships_bytes_only_for_what_the_target_lacks(self):
+        """White-box: the frame is cut for the member it finally goes to."""
+        coord = _Coordinator(
+            heartbeat_timeout=60.0, dispatch_retry=None,
+            results=queue.Queue(), events=collections.deque(),
+        )
+        sent = []
+        coord._send = lambda member, frame: sent.append((member.wid, frame))
+        coord.loop.create_task = lambda item: item
+        owner = _Member(0, 100, writer=None)
+        thief = _Member(1, 101, writer=None)
+        coord.members = {0: owner, 1: thief}
+        a, b = np.ones(4), np.ones(8)
+        frame = {"type": "task", "job": 5, "name": "t",
+                 "values": {"x": 0, "y": (3, "s")}, "arrays": {0: a, (3, "s"): b}}
+        owner.held = {(3, "s")}
+        coord.jobs[5] = _CoordJob(5, frame)
+        coord._dispatch(owner, 5)
+        coord._dispatch(thief, 5)   # the same job, stolen / requeued
+        coord._dispatch(thief, 5)   # and once more: now it holds both
+        (_, to_owner), (_, to_thief), (_, again) = sent
+        assert list(to_owner["new"]) == [0] and to_owner["new"][0] is a
+        assert list(to_thief["new"]) == [0, (3, "s")]
+        assert again["new"] == {} and again["values"] == frame["values"]
+        assert "arrays" not in to_owner and "arrays" in coord.jobs[5].frame
+        assert owner.held == thief.held == {0, (3, "s")}
+        shipped = [e[1:] for e in coord.events if e[0] == "shipped"]
+        assert shipped == [(32, 1), (96, 0), (0, 2)]
+        coord.loop.close()
+
+    def test_jobs_are_placed_where_their_input_bytes_are(self):
+        """White-box: most held bytes wins; round-robin on ties."""
+        coord = _Coordinator(
+            heartbeat_timeout=60.0, dispatch_retry=None,
+            results=queue.Queue(), events=collections.deque(),
+        )
+        coord._pump = lambda member: None  # queue only
+        m0, m1 = _Member(0, 100, writer=None), _Member(1, 101, writer=None)
+        coord.members = {0: m0, 1: m1}
+        small, big = np.ones(2), np.ones(100)
+        m0.held, m1.held = {"small"}, {"big"}
+
+        def frame(jid, **arrays):
+            return {"job": jid, "name": f"t{jid}", "arrays": arrays}
+
+        coord.loop.run_until_complete(coord.submit([
+            frame(0, small=small),            # only worker 0 holds its input
+            frame(1, small=small, big=big),   # worker 1 holds more of it
+            frame(2, other=np.ones(3)),       # nobody: round-robin turn 2 % 2
+            frame(3, other=np.ones(3)),       # nobody: round-robin turn 3 % 2
+            frame(4, small=small),            # locality beats the turn (4 % 2)
+            frame(5, big=big),
+        ]))
+        assert list(m0.queue) == [0, 2, 4]
+        assert list(m1.queue) == [1, 3, 5]
+        coord.loop.close()
 
     def test_steal_takes_the_victims_tail(self):
         """White-box: the thief steals from the tail, the owner keeps
@@ -380,6 +470,8 @@ class TestRemoteSpeculation:
         )
         wins = [s for s in run.stats.speculations if s.win]
         assert wins, "no speculative backup won against the straggler"
+        # the backup ran on a worker other than the owner's, whose table
+        # it cannot rely on: its tokens resolved all the same
         assert summarize(run)["variables"] == summarize(serial)["variables"]
 
     def test_backup_lands_on_a_different_worker(self):
