@@ -159,6 +159,7 @@ _REGISTRY: Dict[str, Callable[[], Platform]] = {
     "chic": chic,
     "juropa": juropa,
     "sgi-altix": sgi_altix,
+    "sgi_altix": sgi_altix,
     "altix": sgi_altix,
     "generic": generic_cluster,
 }

@@ -14,7 +14,9 @@ one numpy computation per layer:
   of group widths;
 * :func:`symbolic_cost_table` -- the full ``Tsymb`` grid for a list of
   tasks over a list of candidate widths, honouring each task's
-  ``min_procs``/``max_procs`` clamp exactly like the scalar path.
+  ``min_procs``/``max_procs`` clamp exactly like the scalar path;
+* :func:`symbolic_cost_pairs` -- ``Tsymb`` of ``(task, width)`` pairs,
+  one width per task: what pricing a finished schedule asks for.
 
 **Bit-identity contract.**  Every arithmetic expression here mirrors the
 scalar code's operation order (IEEE-754 double operations are
@@ -25,7 +27,8 @@ order by a sequential ``np.add.accumulate``, the scalar loop's
 summation order.  Masked contributions are added as ``+0.0``, which is
 a bitwise no-op for the non-negative costs produced here.
 ``tests/test_schedule_scale.py`` asserts ``symbolic_cost_table == tsymb``
-with exact ``==`` under hypothesis-generated tasks, platforms and widths.
+and ``symbolic_cost_pairs == tsymb`` with exact ``==`` under
+hypothesis-generated tasks, platforms and widths.
 """
 
 from __future__ import annotations
@@ -37,7 +40,12 @@ import numpy as np
 from ..cluster.network import HierarchicalNetwork
 from .task import MTask
 
-__all__ = ["collective_time_symbolic_batch", "symbolic_cost_table", "effective_widths"]
+__all__ = [
+    "collective_time_symbolic_batch",
+    "symbolic_cost_table",
+    "symbolic_cost_pairs",
+    "effective_widths",
+]
 
 #: sentinel for "no max_procs bound" in the integer clamp arrays
 _NO_MAX = np.iinfo(np.int64).max
@@ -110,15 +118,30 @@ def symbolic_cost_table(model, tasks: Sequence[MTask], widths) -> np.ndarray:
     holding a :class:`~repro.core.costmodel.CachedCostEvaluator` should
     go through its ``tsymb_table`` method, which unwraps and counts).
     """
-    n = len(tasks)
     w = np.asarray(widths, dtype=np.int64)
-    if n == 0 or w.size == 0:
-        return np.zeros((n, w.size), dtype=np.float64)
+    if len(tasks) == 0 or w.size == 0:
+        return np.zeros((len(tasks), w.size), dtype=np.float64)
+    return _cost_grid(model, tasks, effective_widths(tasks, w))
+
+
+def symbolic_cost_pairs(model, tasks: Sequence[MTask], widths) -> np.ndarray:
+    """``out[i] == model.tsymb(tasks[i], widths[i])``: one width per task,
+    taken as given (the caller has clamped it), all pairs priced in one
+    numpy evaluation through the grid kernel of
+    :func:`symbolic_cost_table` -- the same formula classes and the same
+    per-task summation order, so bitwise the scalar values."""
+    if len(tasks) == 0:
+        return np.zeros(0, dtype=np.float64)
+    return _cost_grid(model, tasks, np.asarray(widths, dtype=np.int64)[:, np.newaxis])[:, 0]
+
+
+def _cost_grid(model, tasks: Sequence[MTask], eff: np.ndarray) -> np.ndarray:
+    """``Tsymb`` of ``tasks[i]`` at the effective widths ``eff[i, :]``
+    (``int64``, at least one task and one column)."""
+    n, ncols = eff.shape
     platform = model.platform
     network = platform.network
     P = platform.total_cores
-
-    eff = effective_widths(tasks, w)
     eff_f = eff.astype(np.float64)
 
     # Tcomp(M)/q -- same two divisions as sequential_time + tcomp
@@ -145,7 +168,7 @@ def symbolic_cost_table(model, tasks: Sequence[MTask], widths) -> np.ndarray:
             classes.setdefault((c.op, c.scope, c.task_parallel_only), []).append(
                 (start[slot] + rank[i], i, c.total_bytes, c.count)
             )
-    contrib = np.empty((start[-1], w.size), dtype=np.float64)
+    contrib = np.empty((start[-1], ncols), dtype=np.float64)
     for (op, scope, tpo), entries in classes.items():
         rows, idx, tb, cnt = np.array(entries, dtype=np.float64).T
         idx = idx.astype(np.intp)
@@ -177,7 +200,7 @@ def symbolic_cost_table(model, tasks: Sequence[MTask], widths) -> np.ndarray:
     lo = 0
     for hi in sorted(set(nslots) - {0}):
         k = active[lo]
-        run = contrib[start[lo] : start[hi]].reshape(hi - lo, k, w.size)
+        run = contrib[start[lo] : start[hi]].reshape(hi - lo, k, ncols)
         run[0] += comm[:k]
         comm[:k] = np.add.accumulate(run, axis=0)[-1]
         lo = hi

@@ -21,7 +21,7 @@ edge and the two placements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..cluster.architecture import CoreId
 from ..cluster.platforms import Platform
@@ -145,6 +145,14 @@ class CostModel:
         from .costbatch import symbolic_cost_table
 
         return symbolic_cost_table(self, tasks, widths)
+
+    def tsymb_pairs(self, tasks: Sequence[MTask], widths: Sequence[int]):
+        """``[tsymb(t, q) for t, q in zip(tasks, widths)]`` as one numpy
+        evaluation (:func:`repro.core.costbatch.symbolic_cost_pairs`),
+        bitwise identical to the scalar calls."""
+        from .costbatch import symbolic_cost_pairs
+
+        return symbolic_cost_pairs(self, tasks, widths)
 
     def best_symbolic_width(self, task: MTask, max_q: int) -> int:
         """Core count in ``[min_procs, max_q]`` minimising ``Tsymb``.
@@ -442,6 +450,29 @@ class CachedCostEvaluator:
         table = self.model.tsymb_table(tasks, widths)
         self.stats._bump(self.stats.batched, "tsymb", int(table.size))
         return table
+
+    def tsymb_pairs(self, tasks: Sequence[MTask], widths: Sequence[int]) -> List[float]:
+        """``[self.tsymb(t, q) for t, q in zip(tasks, widths)]`` with the
+        misses priced in one batch evaluation.
+
+        Unlike :meth:`tsymb_table` this is the memoized request path:
+        it leaves the cache entries and the hit/miss counts those scalar
+        calls would leave (a pair repeated in the request misses once
+        and hits afterwards), so run records and cache counters do not
+        depend on whether a schedule was priced pair by pair or at once.
+        """
+        cache = self._cache
+        keys = [("tsymb", t, q) for t, q in zip(tasks, widths)]
+        missing = list(dict.fromkeys(k for k in keys if k not in cache))
+        if missing:
+            values = self.model.tsymb_pairs(
+                [k[1] for k in missing], [k[2] for k in missing]
+            )
+            cache.update(zip(missing, values.tolist()))
+            self.stats._bump(self.stats.misses, "tsymb", len(missing))
+        if len(keys) > len(missing):
+            self.stats._bump(self.stats.hits, "tsymb", len(keys) - len(missing))
+        return [cache[k] for k in keys]
 
     def best_symbolic_width(self, task: MTask, max_q: int) -> int:
         # re-implemented over the memoized tsymb so every probe is cached

@@ -6,21 +6,43 @@ Nodes are :class:`~repro.core.task.MTask` activations; a directed edge
 source/target distribution specs) so the re-distribution volume between
 any two scheduled tasks can be computed.
 
-The class wraps a :class:`networkx.DiGraph` and adds the domain
-invariants: acyclicity, unique task names, and well-formed data flows.
+:class:`TaskGraph` owns its adjacency: one insertion-ordered map from
+every task to its successors and one to its predecessors, each edge's
+flow list being the same object on both sides.  On top of them it keeps
+the domain invariants -- acyclicity, unique task names, well-formed data
+flows.  Every pass of the scheduler walks these two maps; networkx is
+only imported by :meth:`TaskGraph.to_networkx`.
+
+**Order contract.**  Schedules, fingerprints and cache keys depend on
+the order the graph hands things out, so all of it is fixed:
+
+* tasks iterate in the order they were added;
+* :meth:`TaskGraph.successors` / :meth:`TaskGraph.predecessors` list an
+  edge at the position it was first added (adding the same pair again
+  merges the flows and moves nothing);
+* :meth:`TaskGraph.edges` walks producers in task order, each with its
+  consumers in successor order;
+* :meth:`TaskGraph.topological_order` is the first-in-first-out Kahn
+  order: the sources in task order, then every task at the moment its
+  last predecessor was emitted, successors visited in successor order
+  (the flattened generation order ``networkx.topological_sort`` gives);
+* :meth:`TaskGraph.prune_redundant_edges` moves every payload-free edge
+  it keeps behind the payload edges of both endpoints.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .task import AccessMode, DistributionSpec, MTask, Parameter
 
 __all__ = ["DataFlow", "TaskGraph"]
+
+#: one side of the adjacency: task -> {neighbour: flows of the edge}
+Adjacency = Dict[MTask, Dict[MTask, List["DataFlow"]]]
 
 
 @dataclass(frozen=True)
@@ -43,21 +65,27 @@ class TaskGraph:
 
     def __init__(self, name: str = "mtask-graph") -> None:
         self.name = name
-        self._g: nx.DiGraph = nx.DiGraph()
+        self._succ: Adjacency = {}
+        self._pred: Adjacency = {}
         self._by_name: Dict[str, MTask] = {}
-        self._defer_validation = False
+        #: topological order of the current structure; every structural
+        #: change drops it, so a validated graph is never sorted twice
+        self._topo: Optional[List[MTask]] = None
+        self._deferred = False  #: inside a :meth:`deferred_validation` block
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_task(self, task: MTask) -> MTask:
         """Add a task node (idempotent; duplicate names are errors)."""
-        if task in self._g:
+        if task in self._succ:
             return task
         if task.name in self._by_name:
             raise ValueError(f"duplicate task name {task.name!r} in graph {self.name!r}")
-        self._g.add_node(task)
+        self._succ[task] = {}
+        self._pred[task] = {}
         self._by_name[task.name] = task
+        self._topo = None
         return task
 
     def add_tasks(self, tasks: Iterable[MTask]) -> None:
@@ -76,85 +104,86 @@ class TaskGraph:
             raise ValueError(f"self-dependency on task {producer.name!r}")
         self.add_task(producer)
         self.add_task(consumer)
-        if self._g.has_edge(producer, consumer):
-            existing: List[DataFlow] = self._g.edges[producer, consumer]["flows"]
-            existing.extend(flows)
-        else:
-            # the new edge closes a cycle iff the graph already has a
-            # path consumer ->..-> producer; a targeted reverse
-            # reachability check early-exits far before the full-graph
-            # DAG test the class used to run per edge
-            if not self._defer_validation and self._has_path(consumer, producer):
-                raise ValueError(
-                    f"edge {producer.name!r} -> {consumer.name!r} would create a cycle"
-                )
-            self._g.add_edge(producer, consumer, flows=list(flows))
-
-    def _has_path(self, src: MTask, dst: MTask) -> bool:
-        """Whether a directed path ``src ->..-> dst`` exists (iterative DFS)."""
-        if src is dst:
-            return True
-        succ = self._g.succ
-        seen = {src}
-        stack = [src]
-        while stack:
-            for nxt in succ[stack.pop()]:
-                if nxt is dst:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
+        # outside a deferred block: a new edge closes a cycle iff the
+        # graph already has a path consumer ->..-> producer
+        if (
+            not self._deferred
+            and consumer not in self._succ[producer]
+            and producer in self.descendants(consumer)
+        ):
+            raise ValueError(
+                f"edge {producer.name!r} -> {consumer.name!r} would create a cycle"
+            )
+        self._store(((producer, consumer, flows),))
 
     def add_edges_bulk(
         self, edges: Iterable[Tuple[MTask, MTask, Sequence[DataFlow]]]
     ) -> None:
         """Add many dependency edges with one structural check at the end.
 
-        The fast path for whole-graph rewrites (chain contraction) whose
-        output edges are distinct by construction: it writes straight
-        into the adjacency structure and validates once, instead of
-        paying :meth:`add_dependency`'s per-edge node/duplicate/cycle
-        machinery.  Callers must guarantee (a) both endpoints were added
-        via :meth:`add_task` and (b) no ``(producer, consumer)`` pair
-        repeats -- duplicates would overwrite instead of merging flows.
-        Acyclicity is still enforced: the closing check raises and no
-        partial state survives the caller's exception.
+        The construction primitive of the generators and of chain
+        contraction: both endpoints of every edge must have been added
+        (:meth:`add_tasks`), a repeated ``(producer, consumer)`` pair
+        merges its flows as :meth:`add_dependency` does, and one closing
+        :meth:`validate` covers the batch.  If an edge is malformed or
+        the batch closes a cycle the call raises and adds nothing.
         """
-        g = self._g
-        succ, pred = g._succ, g._pred
+        with self.deferred_validation():
+            self._store(edges)
+
+    def _store(self, edges: Iterable[Tuple[MTask, MTask, Sequence[DataFlow]]]) -> None:
+        """Write edges into both adjacency maps.  A new pair is appended
+        to its two rows; a known pair keeps its place and gets a new,
+        longer flow list (stored lists are never changed in place, which
+        is what lets copies and snapshots share them)."""
+        succ, pred = self._succ, self._pred
         for producer, consumer, flows in edges:
             if producer is consumer:
                 raise ValueError(f"self-dependency on task {producer.name!r}")
-            if producer not in succ or consumer not in succ:
-                raise ValueError("add_edges_bulk endpoints must be added tasks")
-            data = {"flows": list(flows)}
-            succ[producer][consumer] = data
-            pred[consumer][producer] = data
-        nx._clear_cache(g)
-        if not self._defer_validation:
-            self.validate()
+            try:
+                nbrs, back = succ[producer], pred[consumer]
+            except KeyError:
+                raise ValueError("add_edges_bulk endpoints must be added tasks") from None
+            known = nbrs.get(consumer)
+            nbrs[consumer] = back[producer] = (
+                list(flows) if known is None else known + list(flows)
+            )
+        self._topo = None
+
+    def _snapshot(self) -> Tuple[Adjacency, Adjacency, Dict[str, MTask]]:
+        """Copies of the adjacency rows and the name table (O(V + E))."""
+        return (
+            {t: dict(row) for t, row in self._succ.items()},
+            {t: dict(row) for t, row in self._pred.items()},
+            dict(self._by_name),
+        )
 
     @contextmanager
     def deferred_validation(self) -> Iterator["TaskGraph"]:
         """Skip per-edge cycle checks inside the block; one
         :meth:`validate` call on exit covers the whole batch.
 
-        Bulk construction (the synthetic generators, chain contraction)
-        adds ``E`` edges known-good by construction; per-edge checks make
-        that quadratic.  Inside this context :meth:`add_dependency` is
-        O(1) amortised, and the single closing validation is O(V + E).
+        Inside this context :meth:`add_dependency` is O(1) amortised;
+        entering and leaving the outermost block are O(V + E) each (a
+        snapshot, the closing validation).  The block is a transaction:
+        if it raises, or the closing validation finds a cycle, the graph
+        is put back to the snapshot before the exception propagates.
         Nesting is allowed -- only the outermost block validates.
         """
-        if self._defer_validation:
+        if self._deferred:
             yield self
             return
-        self._defer_validation = True
+        saved = self._snapshot()
+        self._deferred = True
         try:
             yield self
+            self.validate()
+        except BaseException:
+            self._succ, self._pred, self._by_name = saved
+            self._topo = None
+            raise
         finally:
-            self._defer_validation = False
-        self.validate()
+            self._deferred = False
 
     def connect(self, producer: MTask, consumer: MTask) -> List[DataFlow]:
         """Connect two tasks by matching output/input parameter names.
@@ -195,21 +224,21 @@ class TaskGraph:
     # Queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._succ)
 
     def __iter__(self) -> Iterator[MTask]:
-        return iter(self._g.nodes)
+        return iter(self._succ)
 
     def __contains__(self, task: MTask) -> bool:
-        return task in self._g
+        return task in self._succ
 
     @property
     def tasks(self) -> Tuple[MTask, ...]:
-        return tuple(self._g.nodes)
+        return tuple(self._succ)
 
     @property
     def num_edges(self) -> int:
-        return self._g.number_of_edges()
+        return sum(map(len, self._succ.values()))
 
     def task(self, name: str) -> MTask:
         """Look up a task by name."""
@@ -219,74 +248,99 @@ class TaskGraph:
             raise KeyError(f"no task named {name!r} in graph {self.name!r}") from None
 
     def edges(self) -> Iterator[Tuple[MTask, MTask, List[DataFlow]]]:
-        """Iterate over ``(producer, consumer, flows)`` edges, in the
-        order of networkx's edge view (producers in insertion order,
-        each with its consumers in insertion order)."""
-        for u, nbrs in self._g._succ.items():
-            for v, data in nbrs.items():
-                yield u, v, data["flows"]
+        """Iterate over ``(producer, consumer, flows)`` edges: producers
+        in task order, each with its consumers in successor order."""
+        for u, nbrs in self._succ.items():
+            for v, flows in nbrs.items():
+                yield u, v, flows
 
     def flows(self, producer: MTask, consumer: MTask) -> List[DataFlow]:
         """Return the data flows on the edge producer -> consumer."""
-        if not self._g.has_edge(producer, consumer):
+        try:
+            return list(self._succ[producer][consumer])
+        except KeyError:
             raise KeyError(
                 f"no edge {producer.name!r} -> {consumer.name!r} in graph {self.name!r}"
-            )
-        return list(self._g.edges[producer, consumer]["flows"])
+            ) from None
 
     def predecessors(self, task: MTask) -> Tuple[MTask, ...]:
         """Direct predecessors of ``task``."""
-        return tuple(self._g.predecessors(task))
+        return tuple(self._pred[task])
 
     def successors(self, task: MTask) -> Tuple[MTask, ...]:
         """Direct successors of ``task``."""
-        return tuple(self._g.successors(task))
+        return tuple(self._succ[task])
 
-    def predecessor_index(self) -> Dict[MTask, List[MTask]]:
-        """Predecessor adjacency of every task as one dict.
+    def predecessor_index(self) -> Mapping[MTask, Mapping[MTask, List[DataFlow]]]:
+        """The stored predecessor adjacency, read-only: every task maps
+        to its predecessors (in order) and the flows of that edge.
+        Whole-graph passes index into this instead of building a tuple
+        per :meth:`predecessors` call."""
+        return MappingProxyType(self._pred)
 
-        One O(V + E) pass; whole-graph passes (layering, chain finding,
-        batch splitting) index into this instead of building a fresh
-        tuple per :meth:`predecessors` call.
-        """
-        return {t: list(ps) for t, ps in self._g.pred.items()}
-
-    def successor_index(self) -> Dict[MTask, List[MTask]]:
-        """Successor adjacency of every task as one dict (O(V + E))."""
-        return {t: list(ss) for t, ss in self._g.succ.items()}
+    def successor_index(self) -> Mapping[MTask, Mapping[MTask, List[DataFlow]]]:
+        """The stored successor adjacency, read-only."""
+        return MappingProxyType(self._succ)
 
     def sources(self) -> Tuple[MTask, ...]:
         """Tasks with no predecessors."""
-        return tuple(t for t in self._g.nodes if self._g.in_degree(t) == 0)
+        return tuple(t for t, ps in self._pred.items() if not ps)
 
     def sinks(self) -> Tuple[MTask, ...]:
         """Tasks with no successors."""
-        return tuple(t for t in self._g.nodes if self._g.out_degree(t) == 0)
+        return tuple(t for t, ss in self._succ.items() if not ss)
+
+    def _order(self) -> List[MTask]:
+        """The cached topological order (one Kahn pass after a structural
+        change); raises ``ValueError`` on a cycle."""
+        order = self._topo
+        if order is None:
+            succ = self._succ
+            waiting = {t: len(ps) for t, ps in self._pred.items()}
+            order = [t for t, n in waiting.items() if not n]
+            for t in order:  # grows while it is walked: a FIFO queue
+                for s in succ[t]:
+                    waiting[s] = n = waiting[s] - 1
+                    if not n:
+                        order.append(s)
+            if len(order) != len(succ):
+                raise ValueError(f"graph {self.name!r} contains a cycle")
+            self._topo = order
+        return order
 
     def topological_order(self) -> List[MTask]:
-        """Tasks in a topological order."""
-        return list(nx.topological_sort(self._g))
+        """Tasks in topological order (see the module's order contract)."""
+        return list(self._order())
+
+    @staticmethod
+    def _reachable(adjacency: Adjacency, task: MTask) -> Set[MTask]:
+        seen: Set[MTask] = set()
+        stack = [task]
+        while stack:
+            for nxt in adjacency[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
 
     def ancestors(self, task: MTask) -> Set[MTask]:
         """All transitive predecessors of ``task``."""
-        return set(nx.ancestors(self._g, task))
+        return self._reachable(self._pred, task)
 
     def descendants(self, task: MTask) -> Set[MTask]:
         """All transitive successors of ``task``."""
-        return set(nx.descendants(self._g, task))
+        return self._reachable(self._succ, task)
 
     def independent(self, a: MTask, b: MTask) -> bool:
         """Whether no path connects ``a`` and ``b`` (Section 2.1)."""
-        if a is b:
-            return False
-        return b not in nx.descendants(self._g, a) and a not in nx.descendants(self._g, b)
+        return a is not b and b not in self.descendants(a) and a not in self.descendants(b)
 
     def critical_path_length(self, time: Dict[MTask, float]) -> float:
         """Length of the critical path under per-task execution times."""
         longest: Dict[MTask, float] = {}
-        for t in self.topological_order():
+        for t in self._order():
             best = 0.0
-            for p in self._g.predecessors(t):
+            for p in self._pred[t]:
                 best = max(best, longest[p])
             longest[t] = best + time[t]
         return max(longest.values(), default=0.0)
@@ -295,9 +349,9 @@ class TaskGraph:
         """Tasks of (one) critical path, in execution order."""
         longest: Dict[MTask, float] = {}
         pred: Dict[MTask, Optional[MTask]] = {}
-        for t in self.topological_order():
+        for t in self._order():
             best, arg = 0.0, None
-            for p in self._g.predecessors(t):
+            for p in self._pred[t]:
                 if longest[p] > best:
                     best, arg = longest[p], p
             longest[t] = best + time[t]
@@ -313,7 +367,7 @@ class TaskGraph:
 
     def total_work(self) -> float:
         """Sum of the sequential work of all tasks (flop)."""
-        return sum(t.work for t in self._g.nodes)
+        return sum(t.work for t in self._succ)
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -321,19 +375,56 @@ class TaskGraph:
     def copy(self, name: Optional[str] = None) -> "TaskGraph":
         """Shallow-copy the graph (tasks are shared, structure is not)."""
         out = TaskGraph(name or self.name)
-        out._g = self._g.copy()
-        out._by_name = dict(self._by_name)
+        out._succ, out._pred, out._by_name = self._snapshot()
+        out._topo = self._topo
         return out
 
-    def to_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying :class:`networkx.DiGraph`."""
-        return self._g.copy()
+    def to_networkx(self):
+        """The graph as a new :class:`networkx.DiGraph`: tasks as nodes,
+        every edge with its flow list as the ``flows`` attribute."""
+        import networkx as nx
+
+        g = nx.DiGraph()
+        g.add_nodes_from(self._succ)
+        g.add_edges_from((u, v, {"flows": flows}) for u, v, flows in self.edges())
+        return g
+
+    def prune_redundant_edges(self) -> None:
+        """Drop every payload-free edge another path implies.
+
+        Edges carrying data flows are never removed, so the result does
+        not depend on the order edges are looked at: a payload-free edge
+        ``u -> v`` goes iff some other successor of ``u`` reaches ``v``.
+        One reverse-topological pass collects, as bit sets over the
+        topological positions, what each task reaches through its
+        successors.  A payload-free edge that stays is taken out and put
+        back, i.e. it moves behind the payload edges of ``u`` and ``v``.
+        """
+        succ, pred = self._succ, self._pred
+        bare = [(u, v) for u, v, flows in self.edges() if not flows]
+        if not bare:
+            return
+        order = self._order()
+        bit = {t: 1 << i for i, t in enumerate(order)}
+        reach: Dict[MTask, int] = {}
+        beyond: Dict[MTask, int] = {}  # reached in two or more steps
+        for t in reversed(order):
+            far = near = 0
+            for s in succ[t]:
+                far |= reach[s]
+                near |= bit[s]
+            beyond[t], reach[t] = far, far | near
+        for u, v in bare:
+            flows = succ[u].pop(v)
+            del pred[v][u]
+            if not beyond[u] & bit[v]:
+                succ[u][v] = pred[v][u] = flows
+        self._topo = None
 
     def validate(self) -> None:
         """Check the structural invariants; raises ``ValueError`` on
         violation.  Cheap enough to call after hand-construction."""
-        if not nx.is_directed_acyclic_graph(self._g):
-            raise ValueError(f"graph {self.name!r} contains a cycle")
+        self._order()
         for u, v, flows in self.edges():
             for f in flows:
                 if f.elements < 0 or f.itemsize <= 0:

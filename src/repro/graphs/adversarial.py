@@ -32,9 +32,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..core.graph import DataFlow, TaskGraph
+from ..core.graph import TaskGraph
 from ..core.task import CollectiveSpec, MTask
-from .synthetic import fit_to_cores, layered_graph, random_dag
+from .synthetic import _assemble, _flow, fit_to_cores, layered_graph, random_dag
 
 __all__ = ["Scenario", "adversarial_suite", "REGIMES"]
 
@@ -90,20 +90,13 @@ def _layered(
     elements: int = 64,
 ) -> TaskGraph:
     """Wire hand-built layers into a graph (each task keeps >= 1 pred)."""
-    g = TaskGraph(name)
-    with g.deferred_validation():
-        prev: List[MTask] = []
-        for layer in layers:
-            for t in layer:
-                g.add_task(t)
-                if prev:
-                    g.add_dependency(
-                        rng.choice(prev),
-                        t,
-                        [DataFlow(var="x", elements=rng.randint(1, elements))],
-                    )
-            prev = layer
-    return g
+    edges = []
+    prev: List[MTask] = []
+    for layer in layers:
+        if prev:
+            edges += [(rng.choice(prev), t, [_flow(rng, "x", elements)]) for t in layer]
+        prev = layer
+    return _assemble(name, [t for layer in layers for t in layer], edges)
 
 
 # ----------------------------------------------------------------------

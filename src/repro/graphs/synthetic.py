@@ -3,15 +3,16 @@
 Every generator takes an integer ``seed`` and drives all randomness
 through one ``random.Random(seed)`` instance, so a (family, size, seed)
 triple always produces the same graph -- tasks, parameters, collectives
-and edges alike.  Graphs are built inside
-:meth:`~repro.core.graph.TaskGraph.deferred_validation`, so construction
-is O(V + E) with a single closing acyclicity check.
+and edges alike.  A generator draws tasks and edges into two lists and
+hands them to the graph in one ``add_tasks`` + ``add_edges_bulk`` call
+(:func:`_assemble`), so construction is O(V + E) with a single closing
+acyclicity check.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.graph import DataFlow, TaskGraph
 from ..core.task import CollectiveSpec, MTask
@@ -122,8 +123,21 @@ def _make_task(
     )
 
 
+#: one generated edge: producer, consumer, its single flow
+Edge = Tuple[MTask, MTask, List[DataFlow]]
+
+
 def _flow(rng: random.Random, var: str, elements: int) -> DataFlow:
     return DataFlow(var=var, elements=rng.randint(1, elements))
+
+
+def _assemble(name: str, tasks: Sequence[MTask], edges: Sequence[Edge]) -> TaskGraph:
+    """The graph of ``tasks`` (in order) and ``edges`` (in order; a pair
+    drawn twice keeps both flows)."""
+    g = TaskGraph(name)
+    g.add_tasks(tasks)
+    g.add_edges_bulk(edges)
+    return g
 
 
 def chain_graph(
@@ -133,15 +147,14 @@ def chain_graph(
     if n <= 0:
         raise ValueError("n must be positive")
     rng = random.Random(seed)
-    g = TaskGraph(f"synthetic/chain-{n}-s{seed}")
-    with g.deferred_validation():
-        prev: Optional[MTask] = None
-        for i in range(n):
-            t = g.add_task(_make_task(rng, f"c{i}", elements, cores))
-            if prev is not None:
-                g.add_dependency(prev, t, [_flow(rng, "x", elements)])
-            prev = t
-    return g
+    tasks: List[MTask] = []
+    edges: List[Edge] = []
+    for i in range(n):
+        t = _make_task(rng, f"c{i}", elements, cores)
+        if tasks:
+            edges.append((tasks[-1], t, [_flow(rng, "x", elements)]))
+        tasks.append(t)
+    return _assemble(f"synthetic/chain-{n}-s{seed}", tasks, edges)
 
 
 def fork_join_graph(
@@ -160,27 +173,25 @@ def fork_join_graph(
     if n <= 0 or width <= 0:
         raise ValueError("n and width must be positive")
     rng = random.Random(seed)
-    g = TaskGraph(f"synthetic/forkjoin-{n}-w{width}-s{seed}")
-    with g.deferred_validation():
-        made = 0
-        stage = 0
-        prev_join: Optional[MTask] = None
-        while made < n:
-            fork = g.add_task(_make_task(rng, f"fork{stage}", elements, cores))
-            if prev_join is not None:
-                g.add_dependency(prev_join, fork, [_flow(rng, "y", elements)])
-            body = []
-            for j in range(width):
-                t = g.add_task(_make_task(rng, f"b{stage}_{j}", elements, cores))
-                g.add_dependency(fork, t, [_flow(rng, "x", elements)])
-                body.append(t)
-            join = g.add_task(_make_task(rng, f"join{stage}", elements, cores))
-            for t in body:
-                g.add_dependency(t, join, [_flow(rng, "x", elements)])
-            made += width + 2
-            stage += 1
-            prev_join = join
-    return g
+    tasks: List[MTask] = []
+    edges: List[Edge] = []
+    stage = 0
+    while len(tasks) < n:
+        fork = _make_task(rng, f"fork{stage}", elements, cores)
+        if tasks:  # behind the previous stage's join
+            edges.append((tasks[-1], fork, [_flow(rng, "y", elements)]))
+        tasks.append(fork)
+        body = []
+        for j in range(width):
+            t = _make_task(rng, f"b{stage}_{j}", elements, cores)
+            edges.append((fork, t, [_flow(rng, "x", elements)]))
+            body.append(t)
+        join = _make_task(rng, f"join{stage}", elements, cores)
+        edges.extend((t, join, [_flow(rng, "x", elements)]) for t in body)
+        tasks += body
+        tasks.append(join)
+        stage += 1
+    return _assemble(f"synthetic/forkjoin-{n}-w{width}-s{seed}", tasks, edges)
 
 
 def layered_graph(
@@ -205,28 +216,25 @@ def layered_graph(
     if not 0.0 <= edge_density <= 1.0:
         raise ValueError("edge_density must be within [0, 1]")
     rng = random.Random(seed)
-    g = TaskGraph(f"synthetic/layered-{n}-w{width}-s{seed}")
-    with g.deferred_validation():
-        prev_layer: List[MTask] = []
-        made = 0
-        li = 0
-        while made < n:
-            cur = []
-            for j in range(min(width, n - made)):
-                t = g.add_task(_make_task(rng, f"l{li}_{j}", elements, cores))
-                cur.append(t)
-            made += len(cur)
-            if prev_layer:
-                for t in cur:
-                    g.add_dependency(
-                        rng.choice(prev_layer), t, [_flow(rng, "x", elements)]
-                    )
-                    for p in prev_layer:
-                        if rng.random() < edge_density:
-                            g.add_dependency(p, t, [_flow(rng, "x", elements)])
-            prev_layer = cur
-            li += 1
-    return g
+    tasks: List[MTask] = []
+    edges: List[Edge] = []
+    prev_layer: List[MTask] = []
+    li = 0
+    while len(tasks) < n:
+        cur = [
+            _make_task(rng, f"l{li}_{j}", elements, cores)
+            for j in range(min(width, n - len(tasks)))
+        ]
+        tasks += cur
+        if prev_layer:
+            for t in cur:
+                edges.append((rng.choice(prev_layer), t, [_flow(rng, "x", elements)]))
+                for p in prev_layer:
+                    if rng.random() < edge_density:
+                        edges.append((p, t, [_flow(rng, "x", elements)]))
+        prev_layer = cur
+        li += 1
+    return _assemble(f"synthetic/layered-{n}-w{width}-s{seed}", tasks, edges)
 
 
 def random_dag(
@@ -246,18 +254,17 @@ def random_dag(
     if n <= 0:
         raise ValueError("n must be positive")
     rng = random.Random(seed)
-    g = TaskGraph(f"synthetic/random-{n}-s{seed}")
-    with g.deferred_validation():
-        tasks: List[MTask] = []
-        for i in range(n):
-            t = g.add_task(_make_task(rng, f"r{i}", elements, cores))
-            if tasks:
-                window = tasks[-256:]
-                k = rng.randint(1, max_preds)
-                for p in rng.sample(window, min(k, len(window))):
-                    g.add_dependency(p, t, [_flow(rng, "x", elements)])
-            tasks.append(t)
-    return g
+    tasks: List[MTask] = []
+    edges: List[Edge] = []
+    for i in range(n):
+        t = _make_task(rng, f"r{i}", elements, cores)
+        if tasks:
+            window = tasks[-256:]
+            k = rng.randint(1, max_preds)
+            for p in rng.sample(window, min(k, len(window))):
+                edges.append((p, t, [_flow(rng, "x", elements)]))
+        tasks.append(t)
+    return _assemble(f"synthetic/random-{n}-s{seed}", tasks, edges)
 
 
 #: the benchmarkable families, keyed as the scale sweep names them

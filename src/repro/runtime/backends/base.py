@@ -210,14 +210,12 @@ def independent_batches(graph) -> List[List[Any]]:
     order exactly -- the property the cross-backend bit-identity of
     journals and failure records rests on.
     """
-    pred_index = getattr(graph, "predecessor_index", None)
-    preds = pred_index() if pred_index is not None else None
+    preds = graph.predecessor_index()
     batches: List[List[Any]] = []
     current: List[Any] = []
     names: set = set()
     for task in graph.topological_order():
-        ps = preds[task] if preds is not None else graph.predecessors(task)
-        if any(p.name in names for p in ps):
+        if any(p.name in names for p in preds[task]):
             batches.append(current)
             current, names = [], set()
         current.append(task)

@@ -49,14 +49,11 @@ class Job:
     is a duplicate and is dropped).  A primary is released only once its
     own result *and* its backup's have arrived, so a backup that lost
     its race is still accounted for when it finally reports.
-    ``carrier`` belongs to the transport (neither shipped transport
-    needs it: what a job's inputs cost to ship is remembered per array,
-    in the transport's ledger, not per job).
     """
 
     __slots__ = (
         "jid", "request", "backup_of", "dispatched", "threshold",
-        "backup_jid", "arrived", "carrier",
+        "backup_jid", "arrived",
     )
 
     def __init__(self, jid: int, request: TaskRequest, backup_of: Optional[int] = None):
@@ -67,7 +64,6 @@ class Job:
         self.threshold: Optional[float] = None
         self.backup_jid: Optional[int] = None
         self.arrived = False
-        self.carrier: Any = None
 
 
 class Transport:

@@ -186,6 +186,31 @@ class Scheduler(abc.ABC):
         """Algorithm body; must return a :class:`SchedulingResult`."""
 
 
+def _priced_groups(schedule: LayeredSchedule, cost: CostModel, expand_chains: bool = True):
+    """Member durations of a layered schedule, group by group.
+
+    An iterator with one item per group of every layer, in order: the
+    ``(member, width, Tsymb(member, width))`` triples of the group's
+    tasks in execution order -- contracted chains expanded to their
+    members, each priced at its own clamped width.  All pairs of the
+    schedule are priced by one ``cost.tsymb_pairs`` call;
+    :func:`symbolic_timeline` and :func:`_layered_makespan` both read
+    their durations from here.
+    """
+    members: List[MTask] = []
+    widths: List[int] = []
+    ends: List[int] = []
+    for layer in schedule.layers:
+        for size, tasks in zip(layer.group_sizes, layer.groups):
+            for task in tasks:
+                for m in schedule.expand(task) if expand_chains else (task,):
+                    members.append(m)
+                    widths.append(m.clamp_procs(size))
+            ends.append(len(members))
+    priced = list(zip(members, widths, cost.tsymb_pairs(members, widths)))
+    return (priced[lo:hi] for lo, hi in zip([0] + ends, ends))
+
+
 def symbolic_timeline(
     schedule: LayeredSchedule,
     cost: CostModel,
@@ -199,20 +224,16 @@ def symbolic_timeline(
     simulator recomputes the real timeline after mapping.
     """
     out = Schedule(schedule.nprocs)
+    groups = _priced_groups(schedule, cost, expand_chains)
     t_layer = 0.0
     for layer in schedule.layers:
-        ranges = layer.symbolic_ranges()
         layer_end = t_layer
-        for gi, tasks in enumerate(layer.groups):
-            cores = tuple(ranges[gi])
+        # zip draws from ``groups`` only while the layer has ranges left
+        for cores, priced in zip(map(tuple, layer.symbolic_ranges()), groups):
             t = t_layer
-            for task in tasks:
-                members = schedule.expand(task) if expand_chains else [task]
-                for m in members:
-                    width = m.clamp_procs(len(cores))
-                    dur = cost.tsymb(m, width)
-                    out.add(ScheduledTask(m, t, t + dur, cores[:width]))
-                    t += dur
+            for m, width, dur in priced:
+                out.add(ScheduledTask(m, t, t + dur, cores[:width]))
+                t += dur
             layer_end = max(layer_end, t)
         t_layer = layer_end
     return out
@@ -221,19 +242,19 @@ def symbolic_timeline(
 def _layered_makespan(schedule: LayeredSchedule, cost: CostModel) -> float:
     """``symbolic_timeline(schedule, cost).makespan`` without the timeline.
 
-    Issues the same ``cost.tsymb(member, width)`` requests in the same
-    order and adds the durations with the same float operations, so the
-    value (and a caching evaluator's request counts) equal the
-    timeline's exactly; ``tests/test_schedule_scale.py`` pins both.
+    Reads the same durations (:func:`_priced_groups`) and adds them with
+    the same float operations, so the value (and a caching evaluator's
+    request counts) equal the timeline's exactly;
+    ``tests/test_schedule_scale.py`` pins both.
     """
+    groups = _priced_groups(schedule, cost)
     t_layer = 0.0
     for layer in schedule.layers:
         layer_end = t_layer
-        for size, tasks in zip(layer.group_sizes, layer.groups):
+        for _, priced in zip(layer.groups, groups):
             t = t_layer
-            for task in tasks:
-                for m in schedule.expand(task):
-                    t += cost.tsymb(m, m.clamp_procs(size))
+            for _m, _width, dur in priced:
+                t += dur
             layer_end = max(layer_end, t)
         t_layer = layer_end
     return t_layer

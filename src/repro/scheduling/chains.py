@@ -28,43 +28,29 @@ def find_linear_chains(graph: TaskGraph) -> List[List[MTask]]:
     """All maximal linear chains with at least two members.
 
     Chains are disjoint; members are returned in execution order.  The
-    pass walks a prebuilt adjacency index -- one topological sweep plus
-    one step per chain edge, strictly O(V + E) (the former per-call
-    ``successors()``/``predecessors()`` tuples made long chains cost a
-    fresh allocation per probe; a 10^4-node chain now resolves in one
-    walk).
+    pass reads the graph's stored adjacency -- one topological sweep
+    plus one step per chain edge, strictly O(V + E), nothing copied.
     """
     succ = graph.successor_index()
     pred = graph.predecessor_index()
 
-    def chain_edge(u: MTask, v: MTask) -> bool:
-        # u -> v may be merged iff v is u's only successor and u is v's
-        # only predecessor.
-        return len(succ[u]) == 1 and len(pred[v]) == 1
-
     chains: List[List[MTask]] = []
-    seen = set()
     for t in graph.topological_order():
-        if t in seen:
-            continue
         preds = pred[t]
-        extendable_back = len(preds) == 1 and chain_edge(preds[0], t)
-        if extendable_back:
+        if len(preds) == 1 and len(succ[next(iter(preds))]) == 1:
             continue  # not a chain head; will be reached from its head
+        # u -> v may be merged iff v is u's only successor and u is v's
+        # only predecessor
         chain = [t]
-        cur = t
-        while True:
-            succs = succ[cur]
-            if len(succs) != 1:
-                break
-            nxt = succs[0]
-            if not chain_edge(cur, nxt) or nxt in seen:
+        succs = succ[t]
+        while len(succs) == 1:
+            (nxt,) = succs
+            if len(pred[nxt]) != 1:
                 break
             chain.append(nxt)
-            cur = nxt
+            succs = succ[nxt]
         if len(chain) >= 2:
             chains.append(chain)
-            seen.update(chain)
     return chains
 
 
@@ -92,9 +78,12 @@ def contract_chains(graph: TaskGraph) -> Tuple[TaskGraph, Dict[MTask, List[MTask
     """Contract every maximal linear chain into a single node.
 
     Returns the contracted graph and the expansion map from contracted
-    node to ordered member tasks (identity entries are omitted).
+    node to ordered member tasks (identity entries are omitted).  A
+    chain-free graph is returned as it is, not copied.
     """
     chains = find_linear_chains(graph)
+    if not chains:  # nothing to merge: the graph is its own contraction
+        return graph, {}
     node_of: Dict[MTask, MTask] = {}
     expansion: Dict[MTask, List[MTask]] = {}
     for chain in chains:
@@ -103,21 +92,20 @@ def contract_chains(graph: TaskGraph) -> Tuple[TaskGraph, Dict[MTask, List[MTask
         for member in chain:
             node_of[member] = merged
 
+    # contracting maximal linear chains of a DAG preserves acyclicity;
+    # the closing validation of the bulk call sorts the contracted graph
+    # once, and the layering pass that follows reuses that order
     out = TaskGraph(f"{graph.name}/chained")
-    # bulk construction: contracting maximal linear chains of a DAG
-    # preserves acyclicity, and since only a chain's entry has external
-    # in-edges and only its exit external out-edges, no two source edges
-    # map to the same contracted pair -- the preconditions of the O(1)
-    # per-edge add_edges_bulk path, with one closing validation
-    with out.deferred_validation():
-        for t in graph:
-            out.add_task(node_of.get(t, t))
-        def rewired():
-            get = node_of.get
-            for u, v, flows in graph.edges():
-                cu, cv = get(u, u), get(v, v)
+    get = node_of.get
+    out.add_tasks(get(t, t) for t in graph)
+
+    def rewired():
+        for u, nbrs in graph.successor_index().items():
+            cu = get(u, u)
+            for v, flows in nbrs.items():
+                cv = get(v, v)
                 if cu is not cv:  # drop interior chain edges
                     yield cu, cv, flows
 
-        out.add_edges_bulk(rewired())
+    out.add_edges_bulk(rewired())
     return out, expansion

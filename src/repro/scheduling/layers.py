@@ -22,9 +22,9 @@ __all__ = ["build_layers", "layer_index"]
 def layer_index(graph: TaskGraph) -> Dict[MTask, int]:
     """Layer number of every task (longest-path depth from the sources).
 
-    One pass over a prebuilt predecessor index -- strictly O(V + E),
-    no per-task adjacency tuples.  The returned dict iterates in
-    topological order.
+    One pass over the graph's stored predecessor adjacency -- strictly
+    O(V + E), nothing copied.  The returned dict iterates in topological
+    order.
     """
     preds = graph.predecessor_index()
     depth: Dict[MTask, int] = {}

@@ -445,11 +445,16 @@ class CompiledProgram:
 
 
 def _platform(request: Dict[str, Any]):
-    """The platform prefix a request's topology names."""
+    """The platform prefix a request's topology names; a core count the
+    platform cannot allocate (not whole nodes, more than it has) is the
+    client's error, a structured 400 like every other bad field."""
     from ..cluster.platforms import by_name
 
     topology = request["topology"]
-    return by_name(topology["platform"]).with_cores(topology["cores"])
+    try:
+        return by_name(topology["platform"]).with_cores(topology["cores"])
+    except ValueError as exc:
+        raise _bad(f"topology: {exc}", code="invalid_topology") from None
 
 
 def _compile(request: Dict[str, Any], platform) -> CompiledProgram:

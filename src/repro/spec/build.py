@@ -224,12 +224,15 @@ class GraphBuilder:
         )
         graph.add_task(stop)
         # every sink precedes the unique stop node
-        for t in list(graph.tasks):
-            if t is stop:
-                continue
-            if not graph.successors(t):
+        for t in graph.sinks():
+            if t is not stop:
                 graph.add_dependency(t, stop, [])
-        _prune_redundant_edges(graph)
+        # the compiler-produced graphs of the paper (Fig. 4) are
+        # transitively reduced: a replicated live-in variable read by
+        # every micro-step yields an edge only to the *first* step of
+        # each chain.  Edges carrying data flows are never removed,
+        # because their re-distribution would be lost.
+        graph.prune_redundant_edges()
         graph.validate()
 
 
@@ -411,26 +414,6 @@ class _BuildState:
         reads = [(p.name, ParamDecl(p.name, "", "in", p.dist.kind)) for p in params if p.mode.reads]
         writes = [(p.name, ParamDecl(p.name, "", "out", p.dist.kind)) for p in params if p.mode.writes]
         self._wire(node, reads, writes)
-
-
-def _prune_redundant_edges(graph: TaskGraph) -> None:
-    """Drop ordering edges implied by other paths (transitive reduction
-    restricted to payload-free edges).
-
-    The compiler-produced graphs of the paper (Fig. 4) are transitively
-    reduced: a replicated live-in variable read by every micro-step yields
-    an edge only to the *first* step of each chain.  Edges carrying data
-    flows are never removed, because their re-distribution would be lost.
-    """
-    import networkx as nx
-
-    g = graph._g  # builder-internal surgery on its own graph
-    for u, v in list(g.edges()):
-        if g.edges[u, v]["flows"]:
-            continue
-        g.remove_edge(u, v)
-        if not nx.has_path(g, u, v):
-            g.add_edge(u, v, flows=[])
 
 
 def _render_arg(arg: Arg, env: Dict[str, int]) -> str:

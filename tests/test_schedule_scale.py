@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import chic, generic_cluster
 from repro.core import CachedCostEvaluator, CollectiveSpec, CostModel, MTask, TaskGraph
-from repro.core.costbatch import symbolic_cost_table
+from repro.core.costbatch import symbolic_cost_pairs, symbolic_cost_table
 from repro.graphs import FAMILIES, chain_graph, layered_graph, synthesize
 from repro.obs import Instrumentation
 from repro.ode import PAPER_CONFIGS, bruss2d, step_graph
@@ -159,6 +159,62 @@ class TestBatchedCostBitIdentity:
         assert cost.stats.to_dict()["batched"] == {"tsymb": 15}
         # the batch path must not touch the scalar request counters
         assert cost.stats.requests == 0
+
+
+@st.composite
+def priced_schedule(draw):
+    """What pricing a finished schedule asks for: tasks dealt to groups,
+    group sizes from ``adjust_group_sizes`` (widths that are columns of
+    no g-search table), some tasks contracted chains to be expanded."""
+    tasks, _widths, platform = draw(tasks_widths_platform())
+    cores = platform.total_cores
+    tasks = [replace(t, min_procs=1, max_procs=draw(st.one_of(
+        st.none(), st.integers(1, 2 * cores)))) for t in tasks]
+    g = draw(st.integers(1, min(len(tasks), cores)))
+    groups = [tasks[i::g] for i in range(g)]
+    sizes = adjust_group_sizes(groups, lambda t: t.work + 1.0, cores)
+    expansion = {}
+    for i, t in enumerate(tasks):
+        k = draw(st.integers(0, 3))
+        if k >= 2:  # a contracted chain of k members, priced one by one
+            expansion[t] = [draw(mtask(100 * i + j)) for j in range(k)]
+            for m in expansion[t]:
+                m.min_procs = 1
+    return groups, sizes, expansion, platform
+
+
+class TestPairsKernelBitIdentity:
+    """The pairs kernel behind ``predicted_makespan`` / ``symbolic_timeline``
+    prices ``(member, clamped width)`` exactly as scalar ``tsymb`` does."""
+
+    @given(priced_schedule())
+    @settings(max_examples=150, deadline=None)
+    def test_pairs_equal_scalar_exactly(self, case):
+        groups, sizes, expansion, platform = case
+        model = CostModel(platform)
+        members, widths = [], []
+        for size, group in zip(sizes, groups):
+            for t in group:
+                for m in expansion.get(t, [t]):
+                    members.append(m)
+                    widths.append(m.clamp_procs(size))
+        scalar = [model.tsymb(m, q) for m, q in zip(members, widths)]
+        assert symbolic_cost_pairs(model, members, widths).tolist() == scalar
+        # the memoizing evaluator: same values, and exactly the cache
+        # entries and hit/miss counts of the scalar calls it replaces,
+        # on a cold cache and on a warm one
+        batch, loop = CachedCostEvaluator(model), CachedCostEvaluator(model)
+        for _ in range(2):
+            assert batch.tsymb_pairs(members, widths) == scalar
+            assert [loop.tsymb(m, q) for m, q in zip(members, widths)] == scalar
+            assert batch.stats.to_dict() == loop.stats.to_dict()
+            assert batch._cache == loop._cache
+
+    def test_no_pairs(self):
+        model = CostModel(chic().with_cores(16))
+        assert symbolic_cost_pairs(model, [], []).tolist() == []
+        cost = CachedCostEvaluator(model)
+        assert cost.tsymb_pairs([], []) == [] and cost.stats.requests == 0
 
 
 # ----------------------------------------------------------------------

@@ -76,6 +76,26 @@ class TestValidation:
         assert r.status == 400
         assert r.json["error"]["code"] == "unknown_platform"
 
+    @pytest.mark.parametrize("endpoint", ["schedule", "run"])
+    def test_every_advertised_platform_is_served(self, svc, endpoint):
+        from repro.serve.api import PLATFORMS
+
+        for platform in PLATFORMS:
+            r = call(svc, "POST", f"/v1/{endpoint}", {
+                "workload": {"solver": "pab", "n": 16},
+                "topology": {"platform": platform, "cores": 16}})
+            assert r.status == 200, (platform, r.body)
+
+    @pytest.mark.parametrize("endpoint", ["schedule", "run"])
+    @pytest.mark.parametrize("cores", [250, 4000])  # not whole nodes; more than CHiC has
+    def test_unallocatable_cores_is_400(self, svc, endpoint, cores):
+        r = call(svc, "POST", f"/v1/{endpoint}", {
+            "workload": {"solver": "irk"},
+            "topology": {"platform": "chic", "cores": cores}})
+        assert r.status == 400
+        assert r.json["error"]["code"] == "invalid_topology"
+        assert "Traceback" not in r.body.decode()
+
     def test_unknown_option_is_400(self, svc):
         r = call(svc, "POST", "/v1/schedule", {
             "workload": {"solver": "irk"}, "options": {"turbo": True}})
