@@ -34,6 +34,7 @@ variable stores stay bit-identical across backends.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -46,6 +47,7 @@ __all__ = [
     "independent_batches",
     "parse_backend_spec",
     "emit_worker_crash",
+    "pin_worker",
 ]
 
 
@@ -68,6 +70,19 @@ def emit_worker_crash(
         reason=reason,
         in_flight=in_flight,
     )
+
+
+def pin_worker(worker_id: int) -> None:
+    """Best-effort pin the calling worker process to one core.
+
+    Worker ``i`` takes the ``i``-th core (modulo) of the affinity set
+    it was forked with; platforms without ``sched_setaffinity`` skip it.
+    """
+    try:
+        cores = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cores[worker_id % len(cores)]})
+    except (AttributeError, OSError, IndexError):  # pragma: no cover
+        pass
 
 
 @dataclass

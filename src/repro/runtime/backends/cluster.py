@@ -7,10 +7,12 @@ the shared :class:`~repro.runtime.backends.driver.DriverBackend`'s, and
 each worker runs tasks through
 :func:`~repro.runtime.backends.attempts.run_job` like a pool worker
 does.  What this module adds is how jobs reach worker *processes*
-connected over TCP sockets (localhost by default): an asyncio
-**coordinator** -- running on a dedicated thread inside the
-parent -- serves a length-prefixed, array-chunked pickle protocol
-(:mod:`repro.runtime.backends.wire`), and each worker is a forked child
+connected over TCP sockets (localhost by default): a **coordinator**
+-- one ``selectors`` wait over the listening socket and every member
+connection, stepped on the driver's own thread inside
+:meth:`ClusterBackend.poll` -- speaks a length-prefixed, array-chunked
+pickle protocol (:mod:`repro.runtime.backends.wire`), and each worker
+is a forked child
 (:mod:`repro.runtime.backends.cluster_worker`) that inherits the task
 registry, fault plan and retry policy at fork time, exactly like a pool
 worker.  The same per-``(task, attempt)`` seeded draws make every
@@ -21,8 +23,11 @@ Robustness is the point of this backend:
 
 * **membership by heartbeat.**  Every worker sends a heartbeat frame on
   an interval; the coordinator's membership table marks a worker dead
-  once no frame has arrived for ``heartbeat_timeout`` seconds (a closed
-  connection -- e.g. a SIGKILLed worker -- is detected immediately).
+  once it has been silent for ``heartbeat_timeout`` seconds (a closed
+  connection -- e.g. a SIGKILLed worker -- is detected at the next
+  step).  Silence is judged from what the sockets hold, not from what
+  has been read (:meth:`_Coordinator.step`), so a driver busy elsewhere
+  or a peer stalled mid-frame never costs a healthy worker.
   Workers may join at any time (:meth:`ClusterBackend.spawn_worker`, or
   an external ``python -m repro.runtime.backends.cluster_worker``) and
   leave at any time; both are membership events, not crashes.
@@ -83,14 +88,13 @@ bit-identical across serial, pool and cluster backends.
 
 from __future__ import annotations
 
-import asyncio
 import collections
 import itertools
 import multiprocessing
 import os
-import queue
+import selectors
 import signal
-import threading
+import socket
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -98,10 +102,10 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from .arrays import ArrayLedger, Traffic
-from .base import RunContext, emit_worker_crash
+from .base import RunContext, emit_worker_crash, pin_worker
 from .cluster_worker import serve
 from .driver import DriverBackend, Job
-from .wire import read_message_async, write_message_async
+from .wire import WireError, recv_message, send_message
 
 __all__ = ["ClusterBackend", "WorkerLoss"]
 
@@ -128,25 +132,24 @@ class WorkerLoss:
 
 
 # ----------------------------------------------------------------------
-# coordinator (asyncio, dedicated thread)
+# coordinator (stepped on the driver's thread)
 # ----------------------------------------------------------------------
 class _Member:
     """Coordinator-side membership-table row for one worker."""
 
     __slots__ = (
-        "wid", "pid", "writer", "last_seen", "alive", "inflight", "queue",
-        "tasks_done", "steals", "held",
+        "wid", "pid", "sock", "last_seen", "alive", "inflight", "queue",
+        "steals", "held",
     )
 
-    def __init__(self, wid: int, pid: Optional[int], writer) -> None:
+    def __init__(self, wid: int, pid: Optional[int], sock) -> None:
         self.wid = wid
         self.pid = pid
-        self.writer = writer
+        self.sock = sock
         self.last_seen = time.monotonic()
         self.alive = True
         self.inflight: Optional[int] = None
         self.queue: Deque[int] = collections.deque()
-        self.tasks_done = 0
         self.steals = 0
         #: tokens of the arrays in this worker's table (sent or produced)
         self.held: set = set()
@@ -174,156 +177,179 @@ def _held_bytes(member: _Member, arrays: Dict[Any, np.ndarray]) -> int:
 
 
 class _Coordinator:
-    """The asyncio membership/dispatch engine behind a cluster run.
+    """The membership/dispatch engine behind a cluster run.
 
-    Lives on its own thread with its own event loop; the backend's main
-    thread talks to it through ``asyncio.run_coroutine_threadsafe`` and
-    reads results/events from thread-safe queues.  All mutable state
-    (members, jobs) is touched only on the loop thread.
+    It has no thread of its own: its sockets are read, and its clocks
+    consulted, only inside :meth:`step`, which the backend calls from
+    the driver's thread (``poll``, ``start``, :meth:`alive_count`).
+    ``submit`` / ``submit_backup`` are ordinary calls; results and
+    membership events are appended to the two deques the backend owns.
+    Every member socket carries ``heartbeat_timeout`` as its timeout, so
+    no read or write can hold the thread longer than that, and a member
+    whose stream times out or fails is closed and declared lost -- never
+    retried on the same stream.
     """
 
     def __init__(
         self,
         heartbeat_timeout: float,
         dispatch_retry,
-        results: "queue.Queue",
+        results: Deque[Tuple],
         events: Deque[Tuple],
-        tick: float = 0.02,
     ) -> None:
         self.heartbeat_timeout = heartbeat_timeout
         self.dispatch_retry = dispatch_retry
         self.results = results
         self.events = events
-        self.tick = tick
-        self.loop = asyncio.new_event_loop()
         self.members: Dict[int, _Member] = {}
         self.jobs: Dict[int, _CoordJob] = {}
         self.port: Optional[int] = None
-        #: released once per admitted ``hello`` (``ClusterBackend.start`` waits on it)
-        self.joined = threading.Semaphore(0)
-        self._server = None
-        self._monitor_task = None
-        self._thread: Optional[threading.Thread] = None
+        self._listener: Optional[socket.socket] = None
+        #: listener and connections (a connection's data is its ``_Member``,
+        #: ``None`` until its ``hello``)
+        self._sel: Optional[selectors.BaseSelector] = None
 
     # -- lifecycle ------------------------------------------------------
     def start(self, host: str = "127.0.0.1") -> int:
-        """Start the loop thread and the stream server; returns the port."""
-        self._thread = threading.Thread(
-            target=self._run_loop, name="cluster-coordinator", daemon=True
-        )
-        self._thread.start()
-        fut = asyncio.run_coroutine_threadsafe(self._start_server(host), self.loop)
-        self.port = fut.result(timeout=10.0)
+        """Open the listening socket; returns the port."""
+        self._listener = socket.create_server((host, 0))
+        self._listener.setblocking(False)
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self._listener, selectors.EVENT_READ)
+        self.port = self._listener.getsockname()[1]
         return self.port
 
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_forever()
-        # drain cancelled tasks so their exceptions are retrieved
-        pending = asyncio.all_tasks(self.loop)
-        for task in pending:
-            task.cancel()
-        if pending:
-            self.loop.run_until_complete(
-                asyncio.gather(*pending, return_exceptions=True)
-            )
-        self.loop.close()
-
-    async def _start_server(self, host: str) -> int:
-        self._server = await asyncio.start_server(self._handle_client, host, 0)
-        self._monitor_task = self.loop.create_task(self._monitor())
-        return self._server.sockets[0].getsockname()[1]
-
     def stop(self) -> None:
-        """Stop serving: send ``stop`` to the workers, close, join."""
-        if self._thread is None:
+        """Stop serving: send ``stop`` to the workers, close every socket."""
+        if self._sel is None:
             return
-        try:
-            asyncio.run_coroutine_threadsafe(self._shutdown(), self.loop).result(
-                timeout=5.0
-            )
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout=5.0)
-        self._thread = None
-
-    async def _shutdown(self) -> None:
-        if self._monitor_task is not None:
-            self._monitor_task.cancel()
-        for member in self.members.values():
-            if member.alive:
-                try:
-                    await write_message_async(member.writer, {"type": "stop"})
-                except (ConnectionError, OSError):
-                    pass
+        for member in self._live():
             try:
-                member.writer.close()
-            except Exception:  # pragma: no cover
+                send_message(member.sock, {"type": "stop"})
+            except OSError:
                 pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        for key in list(self._sel.get_map().values()):
+            key.fileobj.close()
+        self._sel.close()
+        self._sel = self._listener = None
+
+    def step(self, timeout: float) -> None:
+        """One turn: wait for sockets, judge liveness, read, sweep deadlines.
+
+        The order is the point.  A read may block for up to
+        ``heartbeat_timeout`` (a peer stalled mid-frame) and the caller
+        is away between batches (commit, journal fsync), so "time since
+        this thread last read a frame" says nothing about a worker.
+        Liveness is therefore judged from the ready set, before any
+        read: a member whose socket has bytes waiting is alive *now*,
+        however old those bytes are, and silence is measured against
+        that.  Frames are read next (one per ready socket; whatever is
+        left makes the next wait return at once), and a dispatch
+        deadline is swept last and only for a member with nothing
+        waiting -- a result already queued must be taken before its job
+        can be called overdue.
+        """
+        ready = self._sel.select(timeout)
+        now = time.monotonic()
+        for key, _ in ready:
+            if key.data is not None:
+                key.data.last_seen = now
+        for member in self._live():
+            if now - member.last_seen > self.heartbeat_timeout:
+                self._mark_lost(member, "heartbeat timeout")
+        for key, _ in ready:
+            if key.fileobj is self._listener:
+                self._accept()
+            elif key.data is None or key.data.alive:
+                self._read(key.fileobj, key.data)
+        deadline = (
+            self.dispatch_retry.timeout if self.dispatch_retry is not None else None
+        )
+        heard = {key.data for key, _ in ready}
+        for member in self._live():
+            job = self.jobs.get(member.inflight)
+            if (
+                deadline is not None
+                and member not in heard
+                and job is not None
+                and not job.resolved
+                and job.dispatched is not None
+                and now - job.dispatched > deadline
+            ):
+                # hung dispatch: requeue elsewhere, keep the suspect
+                # busy (no new work until it answers)
+                self.events.append(
+                    ("deadline", job.frame["name"], job.attempt, member.wid)
+                )
+                self._requeue(job, f"dispatch deadline on worker {member.wid}")
+            # an idle member may have missed a pump (e.g. joined while
+            # every queue was momentarily empty)
+            self._pump(member)
 
     # -- membership -----------------------------------------------------
-    async def _handle_client(self, reader, writer) -> None:
-        """Serve one worker connection: hello, then heartbeats/results."""
+    def _accept(self) -> None:
         try:
-            hello = await read_message_async(reader)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            writer.close()
+            conn, _ = self._listener.accept()
+        except OSError:  # the peer gave up between select and accept
             return
-        if not isinstance(hello, dict) or hello.get("type") != "hello":
-            writer.close()
+        conn.settimeout(self.heartbeat_timeout)
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sel.register(conn, selectors.EVENT_READ)
+
+    def _drop(self, sock: socket.socket) -> None:
+        self._sel.unregister(sock)
+        sock.close()
+
+    def _read(self, sock: socket.socket, member: Optional[_Member]) -> None:
+        """Take one frame off a ready connection (its ``hello`` if it has no member)."""
+        try:
+            msg = recv_message(sock)
+        except (EOFError, OSError, WireError) as exc:
+            if member is None:
+                self._drop(sock)
+            else:
+                stalled = isinstance(exc, socket.timeout)
+                self._mark_lost(
+                    member, "heartbeat timeout" if stalled else "connection lost"
+                )
             return
-        wid = int(hello["worker"])
+        if member is not None:
+            if msg.get("type") == "result":
+                self._on_result(member, msg)
+            return
+        if not isinstance(msg, dict) or msg.get("type") != "hello":
+            self._drop(sock)
+            return
+        wid = int(msg["worker"])
         if wid in self.members and self.members[wid].alive:
             # duplicate id: refuse the newcomer, keep the incumbent
             self.events.append(("rejected", wid))
-            writer.close()
+            self._drop(sock)
             return
-        member = _Member(wid, hello.get("pid"), writer)
-        self.members[wid] = member
-        self.events.append(("worker_joined", wid, member.pid, self.alive_count()))
-        self.joined.release()
+        member = self.members[wid] = _Member(wid, msg.get("pid"), sock)
+        self._sel.modify(sock, selectors.EVENT_READ, member)
+        self.events.append(("worker_joined", wid, member.pid, len(self._live())))
         self._pump(member)
-        try:
-            while True:
-                msg = await read_message_async(reader)
-                member.last_seen = time.monotonic()
-                kind = msg.get("type")
-                if kind == "heartbeat":
-                    continue
-                if kind == "result":
-                    self._on_result(member, msg)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError, EOFError):
-            self._mark_lost(member, "connection lost")
+
+    def _live(self) -> List[_Member]:
+        return [m for m in self.members.values() if m.alive]
 
     def alive_count(self) -> int:
-        """Number of live members (safe to read from any thread)."""
-        return sum(1 for m in self.members.values() if m.alive)
+        """Number of live members, after reading what the sockets hold."""
+        self.step(0.0)
+        return len(self._live())
 
     def heartbeat_ages(self) -> Dict[int, float]:
-        """Seconds since each live member's last frame (any thread)."""
+        """Seconds since each live member was last seen."""
         now = time.monotonic()
-        return {m.wid: now - m.last_seen for m in self.members.values() if m.alive}
-
-    def member_stats(self) -> Dict[int, Dict[str, int]]:
-        """Per-worker completion/steal counts (any thread)."""
-        return {
-            m.wid: {"tasks_done": m.tasks_done, "steals": m.steals}
-            for m in self.members.values()
-        }
+        return {m.wid: now - m.last_seen for m in self._live()}
 
     def _mark_lost(self, member: _Member, reason: str) -> None:
         """Declare a member dead and requeue everything it held."""
         if not member.alive:
             return
         member.alive = False
-        try:
-            member.writer.close()
-        except Exception:  # pragma: no cover
-            pass
+        self._drop(member.sock)
         at_risk: List[_CoordJob] = []
         if member.inflight is not None:
             job = self.jobs.get(member.inflight)
@@ -343,14 +369,14 @@ class _Coordinator:
                 reason,
                 tuple(j.frame["name"] for j in at_risk if j.dispatched is not None
                       or j.worker == member.wid),
-                self.alive_count(),
+                len(self._live()),
             )
         )
         for job in at_risk:
             self._requeue(job, f"worker {member.wid} {reason}")
 
     # -- dispatch / stealing -------------------------------------------
-    async def submit(self, frames: List[Dict[str, Any]]) -> None:
+    def submit(self, frames: List[Dict[str, Any]]) -> None:
         """Register a batch of job frames and place each near its inputs.
 
         A job goes to the live member whose table already holds most of
@@ -358,9 +384,7 @@ class _Coordinator:
         -- to the member round-robin sharding would pick.  An idle
         member still steals, so locality never strands a batch's tail.
         """
-        targets = sorted(
-            (m for m in self.members.values() if m.alive), key=lambda m: m.wid
-        )
+        targets = sorted(self._live(), key=lambda m: m.wid)
         for i, frame in enumerate(frames):
             job = _CoordJob(frame["job"], frame)
             self.jobs[job.jid] = job
@@ -376,20 +400,18 @@ class _Coordinator:
         for member in targets:
             self._pump(member)
 
-    async def submit_backup(self, frame: Dict[str, Any], avoid_jid: int) -> None:
+    def submit_backup(self, frame: Dict[str, Any], avoid_jid: int) -> None:
         """Register a speculative backup, preferring a different worker."""
         job = _CoordJob(frame["job"], frame)
         self.jobs[job.jid] = job
         owner = self.jobs.get(avoid_jid)
         avoid = owner.worker if owner is not None else None
         candidates = sorted(
-            (m for m in self.members.values() if m.alive and m.wid != avoid),
+            (m for m in self._live() if m.wid != avoid),
             key=lambda m: (m.inflight is not None, len(m.queue), m.wid),
         )
         if not candidates:
-            candidates = sorted(
-                (m for m in self.members.values() if m.alive), key=lambda m: m.wid
-            )
+            candidates = sorted(self._live(), key=lambda m: m.wid)
         if not candidates:
             self._check_stranded()
             return
@@ -409,11 +431,7 @@ class _Coordinator:
             jid = member.queue.popleft()
             if not self.jobs[jid].resolved:
                 return jid
-        victims = [
-            m
-            for m in self.members.values()
-            if m.alive and m.wid != member.wid and m.queue
-        ]
+        victims = [m for m in self._live() if m.wid != member.wid and m.queue]
         if not victims:
             return None
         victim = max(victims, key=lambda m: (len(m.queue), m.wid))
@@ -442,12 +460,12 @@ class _Coordinator:
         self.events.append(
             ("shipped", sum(a.nbytes for a in new.values()), len(arrays) - len(new))
         )
-        self.loop.create_task(self._send(member, frame))
+        self._send(member, frame)
 
-    async def _send(self, member: _Member, frame: Dict[str, Any]) -> None:
+    def _send(self, member: _Member, frame: Dict[str, Any]) -> None:
         try:
-            await write_message_async(member.writer, frame)
-        except (ConnectionError, OSError):
+            send_message(member.sock, frame)
+        except OSError:
             self._mark_lost(member, "connection lost")
 
     def _requeue(self, job: _CoordJob, reason: str) -> None:
@@ -456,7 +474,7 @@ class _Coordinator:
         retry = self.dispatch_retry
         if retry is not None and job.attempt + 1 >= retry.max_attempts:
             job.resolved = True
-            self.results.put(
+            self.results.append(
                 ("dispatch_failed", job.jid, name, job.attempt + 1, reason)
             )
             return
@@ -465,7 +483,7 @@ class _Coordinator:
         job.worker = None
         job.dispatched = None
         self.events.append(("requeue", name, job.attempt, reason, backoff))
-        targets = [m for m in self.members.values() if m.alive]
+        targets = self._live()
         if not targets:
             self._check_stranded()
             return
@@ -481,7 +499,7 @@ class _Coordinator:
         if stranded:
             for job in self.jobs.values():
                 job.resolved = True
-            self.results.put(("stranded", tuple(stranded)))
+            self.results.append(("stranded", tuple(stranded)))
 
     # -- results --------------------------------------------------------
     def _on_result(self, member: _Member, msg: Dict[str, Any]) -> None:
@@ -489,7 +507,6 @@ class _Coordinator:
         job = self.jobs.get(jid)
         if member.inflight == jid:
             member.inflight = None
-            member.tasks_done += 1
         if job is None or job.resolved:
             # late answer of a requeued/stolen dispatch: exactly-once
             # commit drops everything after the first arrival
@@ -499,46 +516,10 @@ class _Coordinator:
             job.resolved = True
             # the producer's table holds its outputs under (job, name)
             member.held.update((jid, name) for name in msg["payload"].get("outputs") or ())
-            self.results.put(
+            self.results.append(
                 ("result", jid, member.wid, msg.get("attempt", 0), msg["payload"])
             )
         self._pump(member)
-
-    # -- failure detection ---------------------------------------------
-    async def _monitor(self) -> None:
-        """Heartbeat-timeout and dispatch-deadline sweep."""
-        deadline = (
-            self.dispatch_retry.timeout if self.dispatch_retry is not None else None
-        )
-        while True:
-            await asyncio.sleep(self.tick)
-            now = time.monotonic()
-            for member in list(self.members.values()):
-                if not member.alive:
-                    continue
-                if now - member.last_seen > self.heartbeat_timeout:
-                    self._mark_lost(member, "heartbeat timeout")
-                    continue
-                if (
-                    deadline is not None
-                    and member.inflight is not None
-                ):
-                    job = self.jobs.get(member.inflight)
-                    if (
-                        job is not None
-                        and not job.resolved
-                        and job.dispatched is not None
-                        and now - job.dispatched > deadline
-                    ):
-                        # hung dispatch: requeue elsewhere, keep the
-                        # suspect busy (no new work until it answers)
-                        self.events.append(
-                            ("deadline", job.frame["name"], job.attempt, member.wid)
-                        )
-                        self._requeue(job, f"dispatch deadline on worker {member.wid}")
-                # an idle member may have missed a pump (e.g. joined
-                # while every queue was momentarily empty)
-                self._pump(member)
 
 
 # ----------------------------------------------------------------------
@@ -548,11 +529,7 @@ def _forked_worker(
     host, port, wid, registry, faults, retry, parent_pid, heartbeat_interval, delay
 ) -> None:
     """Fork target: serve the coordinator from a fresh child process."""
-    try:
-        cores = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {cores[wid % len(cores)]})
-    except (AttributeError, OSError, IndexError):  # pragma: no cover
-        pass
+    pin_worker(wid)
     serve(
         host,
         port,
@@ -637,7 +614,7 @@ class ClusterBackend(DriverBackend):
         self.host = host
         super().__init__()
         self._coord: Optional[_Coordinator] = None
-        self._results: "queue.Queue" = queue.Queue()
+        self._results: Deque[Tuple] = collections.deque()
         self._events: Deque[Tuple] = collections.deque()
         self._procs: Dict[int, Any] = {}
         self._next_wid = 0
@@ -658,7 +635,7 @@ class ClusterBackend(DriverBackend):
                 "are closures and cannot be pickled); it is not available on "
                 "this platform -- use the serial backend"
             )
-        self._results = queue.Queue()
+        self._results = collections.deque()
         self._events = collections.deque()
         self._gathered = 0
         self._batch_index = -1
@@ -676,12 +653,14 @@ class ClusterBackend(DriverBackend):
         for _ in range(n):
             self.spawn_worker()
         deadline = time.monotonic() + 15.0
-        for joined in range(n):
-            if not self._coord.joined.acquire(timeout=max(0.0, deadline - time.monotonic())):
+        while len(self._coord.members) < n:
+            left = deadline - time.monotonic()
+            if left <= 0.0:
                 raise RuntimeError(
-                    f"cluster backend: only {joined} of {n} workers joined "
-                    "within 15s"
+                    f"cluster backend: only {len(self._coord.members)} of {n} "
+                    "workers joined within 15s"
                 )
+            self._coord.step(left)
         self._drain_events()
         return n
 
@@ -701,8 +680,10 @@ class ClusterBackend(DriverBackend):
     def spawn_worker(self, delay: Optional[float] = None) -> int:
         """Fork one more worker into the membership (elastic join).
 
-        Returns the new worker id.  ``delay`` overrides the per-worker
-        straggler injection for this worker.
+        Returns the new worker id at once, at fork; the worker becomes a
+        member when the coordinator reads its ``hello``, at the next
+        :meth:`poll`.  ``delay`` overrides the per-worker straggler
+        injection for this worker.
         """
         run, coord = self._run, self._coord
         if run is None or coord is None or coord.port is None:
@@ -744,9 +725,6 @@ class ClusterBackend(DriverBackend):
         self._drain_events()
 
     # ------------------------------------------------------------------
-    def _call(self, coro) -> None:
-        asyncio.run_coroutine_threadsafe(coro, self._coord.loop).result(timeout=30.0)
-
     def _frame(self, job: Job) -> Dict[str, Any]:
         """The coordinator's copy of a job: inputs by token, arrays beside.
 
@@ -777,30 +755,38 @@ class ClusterBackend(DriverBackend):
 
     def submit(self, jobs: List[Job]) -> None:
         """Frame the batch and let the coordinator shard it."""
-        self._call(self._coord.submit([self._frame(job) for job in jobs]))
+        self._coord.submit([self._frame(job) for job in jobs])
 
     def submit_backup(self, backup: Job, owner: Job) -> None:
         """Queue a backup on a worker other than the owner's."""
-        self._call(self._coord.submit_backup(self._frame(backup), owner.jid))
+        self._coord.submit_backup(self._frame(backup), owner.jid)
 
     def poll(self, timeout: float):
-        """Next coordinator result; raises when the batch cannot finish."""
-        self._drain_events()
+        """Step the coordinator until a result is in or ``timeout`` is up.
+
+        This is where the coordinator runs: joins, losses, steals and
+        deadlines are noticed by the steps taken here and applied
+        (:meth:`_drain_events`) before the result is handed on.  Raises
+        when the batch cannot finish.
+        """
         self._maybe_chaos_kill()
-        try:
-            item = self._results.get(timeout=timeout)
-        except queue.Empty:
+        end = time.monotonic() + timeout
+        while not self._results:
+            self._coord.step(max(0.0, end - time.monotonic()))
+            if time.monotonic() >= end:
+                break
+        self._drain_events()
+        if not self._results:
             return None
+        item = self._results.popleft()
         kind = item[0]
         if kind == "stranded":
-            self._drain_events()
             raise RuntimeError(
                 "cluster backend: every worker died; stranded tasks: "
                 + ", ".join(repr(t) for t in item[1])
             )
         if kind == "dispatch_failed":
             _, jid, name, attempts, reason = item
-            self._drain_events()
             raise RuntimeError(
                 f"cluster backend: task {name!r} exhausted {attempts} "
                 f"dispatch attempt(s): {reason}"
@@ -819,9 +805,6 @@ class ClusterBackend(DriverBackend):
         for wid, age in sorted(self._coord.heartbeat_ages().items()):
             self._publish("backend_worker_heartbeat_age_seconds", age, worker=wid)
 
-    def release(self, job: Job) -> None:
-        """Nothing to free: frames are owned by the coordinator."""
-
     def _maybe_chaos_kill(self) -> None:
         if self.chaos_kill is None or self._chaos_fired:
             return
@@ -832,11 +815,10 @@ class ClusterBackend(DriverBackend):
 
     # ------------------------------------------------------------------
     def _drain_events(self) -> None:
-        """Apply coordinator membership/steal events on the main thread.
+        """Apply the coordinator's membership/steal events, in order.
 
-        The coordinator thread never touches the instrumentation -- it
-        appends structured events, and this method (called from the
-        executor's thread between polls) turns them into counters,
+        The coordinator never touches the instrumentation -- it appends
+        structured events, and this method turns them into counters,
         gauges, ``worker_crash`` records and ``on_worker_lost`` calls.
         """
         run = self._run

@@ -19,7 +19,7 @@ in :class:`DriverBackend`:
   (tasks done/total, workers, per-worker busy fraction, speculation in
   flight).
 
-A backend is a :class:`DriverBackend` subclass that fills in the seven
+A backend is a :class:`DriverBackend` subclass that fills in the six
 :class:`Transport` methods; the tests drive the same loop through an
 in-memory transport with no processes at all.
 """
@@ -46,9 +46,9 @@ class Job:
     """Driver-side state of one dispatched job (a primary or a backup).
 
     ``arrived`` marks a job whose result is in (a second result for it
-    is a duplicate and is dropped).  A primary is released only once its
-    own result *and* its backup's have arrived, so a backup that lost
-    its race is still accounted for when it finally reports.
+    is a duplicate and is dropped).  A primary leaves the job table only
+    once its own result *and* its backup's have arrived, so a backup that
+    lost its race is still accounted for when it finally reports.
     """
 
     __slots__ = (
@@ -102,10 +102,6 @@ class Transport:
         The place for liveness checks: raise if those jobs can never
         complete.
         """
-        raise NotImplementedError
-
-    def release(self, job: Job) -> None:
-        """Free what :meth:`submit` allocated for a finished primary."""
         raise NotImplementedError
 
     def stop(self) -> None:
@@ -217,7 +213,7 @@ class DriverBackend(Transport, ExecutionBackend):
         jid, wid, payload = arrival
         self._heartbeat(wid, payload)
         job = self._jobs.get(jid)
-        if job is None or job.arrived:  # already released, or a duplicate
+        if job is None or job.arrived:  # already forgotten, or a duplicate
             return
         job.arrived = True
         owner = job
@@ -235,12 +231,7 @@ class DriverBackend(Transport, ExecutionBackend):
                 pending.discard(owner.jid)
         backup = self._jobs.get(owner.backup_jid)
         if owner.arrived and (backup is None or backup.arrived):
-            self._release(owner)
-
-    def _release(self, owner: Job) -> None:
-        self.release(owner)
-        self._jobs.pop(owner.jid, None)
-        if owner.backup_jid is not None:
+            self._jobs.pop(owner.jid, None)
             self._jobs.pop(owner.backup_jid, None)
 
     def _heartbeat(self, wid: Optional[int], payload: Dict[str, Any]) -> None:
@@ -311,11 +302,8 @@ class DriverBackend(Transport, ExecutionBackend):
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the transport, release every outstanding job."""
+        """Stop the transport, forget every outstanding job."""
         self.stop()
-        for job in list(self._jobs.values()):
-            if job.backup_of is None:
-                self.release(job)
         self._jobs = {}
         if self._run is not None:
             # lost backups still running when the run ends never report

@@ -63,7 +63,7 @@ import numpy as np
 
 from .arrays import Arena, ArrayLedger, Descriptor, Traffic, declared_bytes
 from .attempts import crash_result, run_job
-from .base import RunContext, emit_worker_crash
+from .base import RunContext, emit_worker_crash, pin_worker
 from .driver import DriverBackend, Job
 
 __all__ = ["ProcessPoolBackend"]
@@ -106,11 +106,7 @@ def _worker_main(worker_id, parent_pid, inq, outq, arena, registry, faults, retr
     skips any orderly shutdown).  Worker processes are best-effort
     pinned to distinct cores.
     """
-    try:
-        cores = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {cores[worker_id % len(cores)]})
-    except (AttributeError, OSError, IndexError):  # pragma: no cover
-        pass
+    pin_worker(worker_id)
     arena.grow()  # now, off the first result's critical path
     while True:
         try:
@@ -290,9 +286,6 @@ class ProcessPoolBackend(DriverBackend):
             f"pool {dead_desc} died while tasks were in flight; "
             f"at-risk task(s): {tasks_desc}"
         )
-
-    def release(self, job: Job) -> None:
-        """Nothing to free: arena bytes live until :meth:`stop`."""
 
     # ------------------------------------------------------------------
     def stop(self) -> None:

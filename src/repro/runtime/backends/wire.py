@@ -13,19 +13,16 @@ array streams across the socket in 256 KiB pieces instead of one
 monolithic pickle blob.  A sender does not pay one system call per
 piece, though: it hands the socket the header, the meta and the chunks
 together, :data:`COALESCE_BYTES` at a time (one call for a typical task
-frame), which is also where the coordinator waits for backpressure.
+frame).
 The chunks are slices of the arrays' own buffers and the receiver
 copies each straight into the array it restores, so an array is copied
 once on each side.
 
-Both sides of the protocol live here:
-
-* the **synchronous** functions (:func:`send_message`,
-  :func:`recv_message`) used by worker processes over plain sockets
-  (a worker's heartbeat thread shares the socket, so sends take an
-  optional lock);
-* the **asyncio** coroutines (:func:`read_message_async`,
-  :func:`write_message_async`) used by the coordinator's stream server.
+The protocol is spelled once: the coordinator and the workers both
+call :func:`send_message` and :func:`recv_message` on plain blocking
+sockets (a worker's heartbeat thread shares its socket, so sends take
+an optional lock; the coordinator bounds every call with the socket's
+timeout).
 
 Messages are pickled, so this protocol is for *trusted* transport only
 (the coordinator binds to localhost by default and the workers are its
@@ -53,8 +50,6 @@ __all__ = [
     "unpack",
     "send_message",
     "recv_message",
-    "read_message_async",
-    "write_message_async",
 ]
 
 #: maximum size of one raw array chunk on the wire
@@ -176,7 +171,7 @@ def _batches(meta: bytes, chunks: List[memoryview]) -> Iterator[List[Any]]:
 
 
 # ----------------------------------------------------------------------
-# synchronous (worker) side
+# sending and receiving (coordinator and workers alike)
 # ----------------------------------------------------------------------
 def send_message(
     sock: socket.socket, obj: Any, lock: Optional[threading.Lock] = None
@@ -221,35 +216,3 @@ def recv_message(sock: socket.socket) -> Any:
         chunks.append(_recv_exactly(sock, chunk_len))
     return unpack(meta, chunks)
 
-
-# ----------------------------------------------------------------------
-# asyncio (coordinator) side
-# ----------------------------------------------------------------------
-async def read_message_async(reader) -> Any:
-    """Read one framed message from an ``asyncio.StreamReader``."""
-    (meta_len,) = _HEADER.unpack(await reader.readexactly(_HEADER.size))
-    if meta_len > MAX_META_BYTES:
-        raise WireError(f"message meta of {meta_len} bytes exceeds the sanity bound")
-    meta = await reader.readexactly(meta_len)
-    (count,) = _HEADER.unpack(await reader.readexactly(_HEADER.size))
-    chunks: List[bytes] = []
-    for _ in range(count):
-        (chunk_len,) = _HEADER.unpack(await reader.readexactly(_HEADER.size))
-        if chunk_len > ARRAY_CHUNK_BYTES:
-            raise WireError(
-                f"array chunk of {chunk_len} bytes exceeds the "
-                f"{ARRAY_CHUNK_BYTES}-byte chunk bound"
-            )
-        chunks.append(await reader.readexactly(chunk_len))
-    return unpack(meta, chunks)
-
-
-async def write_message_async(writer, obj: Any) -> None:
-    """Frame and write one message to an ``asyncio.StreamWriter``.
-
-    Drains after every buffer list of :func:`_batches`: bounded
-    buffering however large the arrays.
-    """
-    for batch in _batches(*pack(obj)):
-        writer.writelines(batch)
-        await writer.drain()

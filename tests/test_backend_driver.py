@@ -45,7 +45,7 @@ class InMemoryBackend(DriverBackend):
         super().__init__()
         self.inbox = collections.deque()
         self.route = route or (lambda backend, arrival, job: backend.inbox.append(arrival))
-        self.released = []
+        self.jobs_at_stop = None
         self.idles = 0
 
     def _compute(self, job, worker):
@@ -74,10 +74,9 @@ class InMemoryBackend(DriverBackend):
         self.idles += 1
         assert self.idles < 200_000, "driver spins: a result was never routed"
 
-    def release(self, job):
-        self.released.append(job.jid)
-
     def stop(self):
+        # close() calls this first: what the driver still tracks by then
+        self.jobs_at_stop = sorted(self._jobs)
         self.inbox.clear()
 
 
@@ -142,8 +141,9 @@ class TestSpeculationRaces:
         # committed, and must come off the gauge when it finally reports
         assert gauge_after_slow == [1.0]
         assert obs.gauges[SPEC_GAUGE].value == 0.0
-        assert backend._jobs == {}
-        assert sorted(backend.released) == [0, 1, 3]  # primaries only
+        # both sides of the race arrived, so the job table emptied on
+        # its own, before close() had anything to forget
+        assert backend.jobs_at_stop == [] and backend._jobs == {}
 
     def test_backup_wins_and_late_primary_is_dropped(self):
         run, obs, backend, _ = race(first="backup")
@@ -201,8 +201,9 @@ class TestSpeculationRaces:
         run_program(g, {"x": np.ones(4)}, obs=obs, speculation=EAGER,
                     backend=backend)
         assert seen == [0.0, 1.0, 0.0]  # open, backup out, close
+        # the owner waits in the table for its backup until close()
+        assert backend.jobs_at_stop == [1, 2]
         assert backend._spec_inflight == 0 and backend._jobs == {}
-        assert sorted(backend.released) == [0, 1, 3]
 
 
 class TestArrivalOrder:

@@ -2,17 +2,24 @@
 live in ``test_backends.TestSerialPoolEquivalence``): spec parsing,
 SIGKILL-driven requeues, heartbeat-timeout failure detection, work
 stealing, exactly-once result dedup, dispatch deadlines, elastic joins,
-stranded batches, journal resume and remote speculation races."""
+stranded batches, journal resume, remote speculation races, and the
+failure modes of a coordinator that runs on the driver's own thread (a
+peer stalled mid-frame, a driver away past the heartbeat timeout, no
+event loop and no second thread, an external worker joining mid-run)."""
 
 import collections
 import os
-import queue
 import socket
+import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import TaskGraph
 from repro.faults import FaultPlan, RetryPolicy
 from repro.obs import Instrumentation
 from repro.ode import MethodConfig, bruss2d
@@ -233,13 +240,12 @@ class TestWorkStealing:
         """White-box: the frame is cut for the member it finally goes to."""
         coord = _Coordinator(
             heartbeat_timeout=60.0, dispatch_retry=None,
-            results=queue.Queue(), events=collections.deque(),
+            results=collections.deque(), events=collections.deque(),
         )
         sent = []
         coord._send = lambda member, frame: sent.append((member.wid, frame))
-        coord.loop.create_task = lambda item: item
-        owner = _Member(0, 100, writer=None)
-        thief = _Member(1, 101, writer=None)
+        owner = _Member(0, 100, sock=None)
+        thief = _Member(1, 101, sock=None)
         coord.members = {0: owner, 1: thief}
         a, b = np.ones(4), np.ones(8)
         frame = {"type": "task", "job": 5, "name": "t",
@@ -257,16 +263,15 @@ class TestWorkStealing:
         assert owner.held == thief.held == {0, (3, "s")}
         shipped = [e[1:] for e in coord.events if e[0] == "shipped"]
         assert shipped == [(32, 1), (96, 0), (0, 2)]
-        coord.loop.close()
 
     def test_jobs_are_placed_where_their_input_bytes_are(self):
         """White-box: most held bytes wins; round-robin on ties."""
         coord = _Coordinator(
             heartbeat_timeout=60.0, dispatch_retry=None,
-            results=queue.Queue(), events=collections.deque(),
+            results=collections.deque(), events=collections.deque(),
         )
         coord._pump = lambda member: None  # queue only
-        m0, m1 = _Member(0, 100, writer=None), _Member(1, 101, writer=None)
+        m0, m1 = _Member(0, 100, sock=None), _Member(1, 101, sock=None)
         coord.members = {0: m0, 1: m1}
         small, big = np.ones(2), np.ones(100)
         m0.held, m1.held = {"small"}, {"big"}
@@ -274,27 +279,26 @@ class TestWorkStealing:
         def frame(jid, **arrays):
             return {"job": jid, "name": f"t{jid}", "arrays": arrays}
 
-        coord.loop.run_until_complete(coord.submit([
+        coord.submit([
             frame(0, small=small),            # only worker 0 holds its input
             frame(1, small=small, big=big),   # worker 1 holds more of it
             frame(2, other=np.ones(3)),       # nobody: round-robin turn 2 % 2
             frame(3, other=np.ones(3)),       # nobody: round-robin turn 3 % 2
             frame(4, small=small),            # locality beats the turn (4 % 2)
             frame(5, big=big),
-        ]))
+        ])
         assert list(m0.queue) == [0, 2, 4]
         assert list(m1.queue) == [1, 3, 5]
-        coord.loop.close()
 
     def test_steal_takes_the_victims_tail(self):
         """White-box: the thief steals from the tail, the owner keeps
         the head it is about to work on."""
         coord = _Coordinator(
             heartbeat_timeout=60.0, dispatch_retry=None,
-            results=queue.Queue(), events=collections.deque(),
+            results=collections.deque(), events=collections.deque(),
         )
-        victim = _Member(0, 100, writer=None)
-        thief = _Member(1, 101, writer=None)
+        victim = _Member(0, 100, sock=None)
+        thief = _Member(1, 101, sock=None)
         coord.members = {0: victim, 1: thief}
         for jid, name in enumerate(["a", "b", "c"]):
             coord.jobs[jid] = _CoordJob(jid, {"job": jid, "name": name})
@@ -310,14 +314,14 @@ class TestWorkStealing:
 # ----------------------------------------------------------------------
 class TestExactlyOnceDedup:
     def test_second_result_for_a_job_is_dropped(self):
-        results: "queue.Queue" = queue.Queue()
+        results: collections.deque = collections.deque()
         events: collections.deque = collections.deque()
         coord = _Coordinator(
             heartbeat_timeout=60.0, dispatch_retry=None,
             results=results, events=events,
         )
-        first = _Member(0, 100, writer=None)
-        second = _Member(1, 101, writer=None)
+        first = _Member(0, 100, sock=None)
+        second = _Member(1, 101, sock=None)
         coord.members = {0: first, 1: second}
         coord.jobs[7] = _CoordJob(7, {"job": 7, "name": "t"})
         first.inflight = 7
@@ -326,8 +330,8 @@ class TestExactlyOnceDedup:
         coord._on_result(first, {"job": 7, "attempt": 0, "payload": {}})
         coord._on_result(second, {"job": 7, "attempt": 1, "payload": {}})
 
-        assert results.qsize() == 1  # exactly one commit candidate
-        kind, jid, wid, attempt, payload = results.get_nowait()
+        assert len(results) == 1  # exactly one commit candidate
+        kind, jid, wid, attempt, payload = results.popleft()
         assert (kind, jid, wid) == ("result", 7, 0)
         assert ("duplicate", "t", 1) in events
 
@@ -367,19 +371,19 @@ class TestDispatchDeadline:
 
     def test_exhausted_dispatch_attempts_fail_the_run(self):
         """White-box: a job requeued past max_attempts aborts the batch."""
-        results: "queue.Queue" = queue.Queue()
+        results: collections.deque = collections.deque()
         coord = _Coordinator(
             heartbeat_timeout=60.0,
             dispatch_retry=RetryPolicy(timeout=0.1, max_retries=1, seed=3),
             results=results, events=collections.deque(),
         )
-        member = _Member(0, 100, writer=None)
+        member = _Member(0, 100, sock=None)
         coord.members = {0: member}
         job = _CoordJob(9, {"job": 9, "name": "t"})
         job.attempt = 1  # one redispatch already spent
         coord.jobs[9] = job
         coord._requeue(job, "dispatch deadline on worker 0")
-        kind, jid, name, attempts, reason = results.get_nowait()
+        kind, jid, name, attempts, reason = results.popleft()
         assert (kind, name, attempts) == ("dispatch_failed", "t", 2)
         assert job.resolved
 
@@ -478,18 +482,228 @@ class TestRemoteSpeculation:
         """White-box: submit_backup avoids the primary's worker."""
         coord = _Coordinator(
             heartbeat_timeout=60.0, dispatch_retry=None,
-            results=queue.Queue(), events=collections.deque(),
+            results=collections.deque(), events=collections.deque(),
         )
-        busy = _Member(0, 100, writer=None)
-        idle = _Member(1, 101, writer=None)
+        busy = _Member(0, 100, sock=None)
+        idle = _Member(1, 101, sock=None)
         coord.members = {0: busy, 1: idle}
         primary = _CoordJob(3, {"job": 3, "name": "t"})
         primary.worker = 0
         busy.inflight = 3
         coord.jobs[3] = primary
 
-        candidates = sorted(
-            (m for m in coord.members.values() if m.alive and m.wid != 0),
-            key=lambda m: (m.inflight is not None, len(m.queue), m.wid),
+        sent = []
+        coord._send = lambda member, frame: sent.append((member.wid, frame["job"]))
+        coord.submit_backup({"job": 4, "name": "t", "arrays": {}}, avoid_jid=3)
+        assert sent == [(1, 4)] and idle.inflight == 4
+        # with only the owner's worker alive it is better than nothing
+        idle.alive = False
+        coord.submit_backup({"job": 5, "name": "t", "arrays": {}}, avoid_jid=3)
+        assert list(busy.queue) == [5]
+
+
+# ----------------------------------------------------------------------
+# one thread: what a blocking coordinator must not get wrong
+# ----------------------------------------------------------------------
+ROOT = Path(__file__).resolve().parent.parent
+SUBPROCESS_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)])
+)
+
+
+def external_program():
+    """``src -> w0..w7``: importable, so an external worker can run it
+    (``--program tests.test_cluster:external_program``)."""
+    g = TaskGraph()
+    src = g.add_task(task("src", inp=["x"], out=["s"],
+                          func=lambda c, v: {"s": v["x"] + 1}))
+
+    def body(i):
+        def run(ctx, values):
+            time.sleep(0.05)
+            return {f"o{i}": values["s"] * (i + 2)}
+        return run
+
+    for i in range(8):
+        g.connect(src, g.add_task(task(f"w{i}", inp=["s"], out=[f"o{i}"],
+                                       func=body(i))))
+    return g
+
+
+class TestCoordinatorOnTheDriversThread:
+    def test_peer_stalled_mid_frame_is_lost_alone(self):
+        """A member that stops halfway through a frame holds the thread
+        for at most ``heartbeat_timeout`` and takes nobody with it: the
+        forked workers' heartbeats queued meanwhile count as life."""
+        body, store = functional_step(MethodConfig("irk", K=4, m=2))
+        serial = run_program(body, dict(store))
+        lost = []
+
+        class WithStalledPeer(ClusterBackend):
+            def start(self, run):
+                n = super().start(run)
+                self.peer = socket.create_connection(self.coordinator_address)
+                send_message(self.peer, {"type": "hello", "worker": 99, "pid": 0})
+                self.peer.sendall(struct.pack("!I", 64) + b"abc")
+                self.stalled_at = time.monotonic()
+                return n
+
+        backend = WithStalledPeer(
+            workers=2, heartbeat_timeout=0.3, poll_interval=0.005,
+            on_worker_lost=lambda loss: lost.append(
+                (loss.worker, loss.reason, time.monotonic() - backend.stalled_at)
+            ),
         )
-        assert [m.wid for m in candidates] == [1]
+        obs = Instrumentation()
+        try:
+            cluster = run_program(body, dict(store), obs=obs, backend=backend)
+        finally:
+            backend.peer.close()
+        assert summarize(cluster) == summarize(serial)
+        [(worker, reason, after)] = lost
+        assert (worker, reason) == (99, "heartbeat timeout")
+        assert 0.25 < after < 1.5
+        assert obs.counter("cluster.worker_joins") == 3.0
+        assert obs.counter("cluster.worker_losses") == 1.0
+
+    def test_queued_result_is_taken_before_its_job_is_overdue(self):
+        """White-box: a member with bytes waiting is not swept -- its
+        result, queued behind a heartbeat, arrives first; a member with
+        nothing to say is."""
+        coord = _Coordinator(
+            heartbeat_timeout=60.0,
+            dispatch_retry=RetryPolicy(timeout=0.05, max_retries=9, seed=3),
+            results=collections.deque(), events=collections.deque(),
+        )
+        peer = socket.create_connection(("127.0.0.1", coord.start()))
+        try:
+            send_message(peer, {"type": "hello", "worker": 0, "pid": 0})
+            deadline = time.monotonic() + 5.0
+            while coord.alive_count() < 1:
+                assert time.monotonic() < deadline
+            for jid in (1, 2):
+                coord.submit([{"job": jid, "name": f"t{jid}", "arrays": {}}])
+                assert coord.members[0].inflight == jid
+                time.sleep(0.1)  # past the dispatch deadline
+                if jid == 1:  # the answer is in the socket, behind a heartbeat
+                    send_message(peer, {"type": "heartbeat", "worker": 0})
+                    send_message(peer, {"type": "result", "job": 1, "attempt": 0,
+                                        "payload": {"outputs": None}})
+                    time.sleep(0.05)
+                coord.step(0.0)
+                coord.step(0.0)
+                tags = [e[0] for e in coord.events]
+                assert ("deadline" in tags) == (jid == 2)
+            assert [r[:2] for r in coord.results] == [("result", 1)]
+        finally:
+            peer.close()
+            coord.stop()
+
+    def test_driver_away_past_the_timeout_loses_nobody(self):
+        """Nothing reads the sockets while the driver's thread is busy
+        elsewhere; the heartbeats buffered meanwhile prove the workers
+        alive when it comes back."""
+        body, store = functional_step(MethodConfig("irk", K=4, m=2))
+        serial = run_program(body, dict(store))
+
+        class Away(ClusterBackend):
+            def start(self, run):
+                n = super().start(run)
+                time.sleep(1.0)
+                return n
+
+        obs = Instrumentation()
+        cluster = run_program(
+            body, dict(store), obs=obs,
+            backend=Away(workers=2, heartbeat_timeout=0.3),
+        )
+        assert summarize(cluster) == summarize(serial)
+        assert obs.counter("cluster.worker_losses") == 0.0
+
+    def test_no_event_loop_and_no_second_thread(self):
+        """Fresh interpreter: a cluster step imports no asyncio and runs
+        with the main thread alone while a batch is in flight.  The
+        program is built inline: the test helpers would bring pytest
+        into the interpreter under test."""
+        script = """
+import sys, threading
+import numpy as np
+import repro.runtime
+assert "asyncio" not in sys.modules, "import repro.runtime loads asyncio"
+from repro.core import AccessMode, DistributionSpec, MTask, Parameter, TaskGraph
+from repro.runtime import ClusterBackend, run_program
+
+def task(name, inp, out, func):
+    replic = DistributionSpec("replic")
+    params = tuple(Parameter(v, AccessMode.IN, 4, dist=replic) for v in inp)
+    params += tuple(Parameter(v, AccessMode.OUT, 4, dist=replic) for v in out)
+    return MTask(name, params=params, func=func)
+
+g = TaskGraph()
+src = g.add_task(task("src", ["x"], ["s"], lambda c, v: {"s": v["x"] + 1}))
+for i in range(4):
+    g.connect(src, g.add_task(task(
+        f"w{i}", ["s"], [f"o{i}"], lambda c, v, i=i: {f"o{i}": v["s"] * i})))
+
+seen = []
+
+class Spy(ClusterBackend):
+    def poll(self, timeout):
+        if self._jobs:
+            seen.append([t.name for t in threading.enumerate()])
+        return super().poll(timeout)
+
+run = run_program(g, {"x": np.ones(4)}, backend=Spy(workers=2))
+assert run["o3"].tolist() == [6.0] * 4
+assert seen and all(names == ["MainThread"] for names in seen), seen
+assert "asyncio" not in sys.modules, "a cluster step loads asyncio"
+print("one thread, no loop")
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=SUBPROCESS_ENV,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "one thread, no loop"
+
+    def test_external_worker_joins_mid_run(self):
+        """``python -m repro.runtime.backends.cluster_worker`` from a
+        fresh interpreter joins between two batches and runs its share."""
+
+        class Elastic(ClusterBackend):
+            external = None
+
+            def run_batch(self, tasks, prepare, commit):
+                if self._batch_index == 0:  # ``src`` is committed
+                    host, port = self.coordinator_address
+                    self.external = subprocess.Popen(
+                        [sys.executable, "-m",
+                         "repro.runtime.backends.cluster_worker",
+                         f"{host}:{port}", "--worker-id", "7", "--program",
+                         "tests.test_cluster:external_program"],
+                        env=SUBPROCESS_ENV,
+                    )
+                    deadline = time.monotonic() + 60.0
+                    while self._coord.alive_count() < 2:
+                        assert time.monotonic() < deadline, "never joined"
+                        assert self.external.poll() is None, "worker exited"
+                        time.sleep(0.01)
+                super().run_batch(tasks, prepare, commit)
+
+        serial = run_program(external_program(), {"x": np.ones(4)})
+        obs = Instrumentation()
+        backend = Elastic(workers=1)
+        try:
+            cluster = run_program(external_program(), {"x": np.ones(4)},
+                                  obs=obs, backend=backend)
+            # ``stop`` reached it too: it leaves on its own
+            assert backend.external.wait(timeout=10.0) == 0
+        finally:
+            if backend.external is not None and backend.external.poll() is None:
+                backend.external.kill()
+                backend.external.wait()
+        assert summarize(cluster) == summarize(serial)
+        assert obs.counter("cluster.worker_joins") == 2.0
+        ran_on_7 = [s.meta["task"] for s in obs.spans
+                    if s.name == "task" and s.meta.get("worker") == 7]
+        assert ran_on_7 and set(ran_on_7) <= {f"w{i}" for i in range(8)}
