@@ -75,10 +75,13 @@ class Simulator:
 class CoreResource:
     """A core as a serially reusable resource.
 
-    ``acquire_at`` returns the earliest time the core can start a new
-    occupation of the requested duration and books it.  The simulator's
-    executor always books in non-decreasing priority order, so a simple
-    free-from timestamp suffices (cores never run two tasks at once).
+    :meth:`earliest_start` answers when the core can take a new
+    occupation, :meth:`book` records one and refuses a start before the
+    previous occupation ends.  Bookings arrive in non-decreasing time
+    order, so a single free-from timestamp suffices (a core never runs
+    two tasks at once).  The executor keeps the same state for all cores
+    of the machine in one array; this class is the per-core definition
+    its tests compare against.
     """
 
     __slots__ = ("free_from", "busy_time")

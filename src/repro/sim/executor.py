@@ -19,6 +19,17 @@ cross-task contention, every further pass rebuilds each task's contention
 context from the previous pass's overlap intervals.  Two passes suffice
 in practice (the layer structure changes little between passes); the
 iteration count is configurable for the contention ablation.
+
+One :func:`simulate` call prices each distinct communication request
+once: a memo shared by all passes, keyed on what ``tcomm_mapped`` reads
+-- the task's ``comm`` and ``sync_points``, its core tuple, the
+contention counts as bytes and the ordered distinct core tuples of its
+concurrent groups (the program version and ``all_cores`` are fixed for
+the call) -- so the tasks of a stage chain share a price and a pass
+whose concurrent sets did not change evaluates nothing.  Core occupancy
+is one ``free_from`` array indexed by :meth:`Machine.core_index
+<repro.cluster.architecture.Machine.core_index>` with one index array
+per distinct core tuple, so a dispatch is one gather and one scatter.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
 from ..obs import Instrumentation
 from ..recovery.speculation import SpeculationPolicy
-from .engine import CoreResource, Simulator
+from .engine import Simulator
 from .trace import ExecutionTrace, TraceEntry
 
 __all__ = ["simulate", "SimulationOptions"]
@@ -88,8 +99,128 @@ def _phase_counts(
     return node_counts(machine, ring, np.roll(ring, -1))
 
 
-def _overlaps(a: Tuple[float, float], b: Tuple[float, float]) -> bool:
-    return a[0] < b[1] - 1e-15 and b[0] < a[1] - 1e-15
+class _Occupancy:
+    """When each core of the machine is next free: one float array indexed
+    by :meth:`Machine.core_index`, the array form of one
+    :class:`~repro.sim.engine.CoreResource` per core.  A task's cores are
+    an index array, so asking for and booking them is one gather and one
+    scatter instead of a Python call per core."""
+
+    def __init__(self, machine: Machine) -> None:
+        self.free_from = np.zeros(machine.total_cores)
+
+    def earliest_start(self, idx: np.ndarray, not_before: float) -> float:
+        """Earliest time all cores ``idx`` are free at or after ``not_before``."""
+        return max(not_before, float(self.free_from[idx].max()))
+
+    def book(self, idx: np.ndarray, start: float, duration: float) -> float:
+        """Occupy the cores ``idx`` for ``[start, start + duration)``."""
+        busy_until = float(self.free_from[idx].max())
+        if start < busy_until - 1e-12:
+            raise ValueError(f"core booked at {start} while busy until {busy_until}")
+        end = start + duration
+        self.free_from[idx] = end
+        return end
+
+
+class _Layout:
+    """Where the tasks run -- everything about a placement the passes of
+    one :func:`simulate` call share."""
+
+    def __init__(self, machine: Machine, graph: TaskGraph, placement: Placement) -> None:
+        self.tasks: List[MTask] = list(graph)
+        #: distinct core tuples and their dense core indices, by group id
+        self.tuples: List[Tuple[CoreId, ...]] = []
+        self.index: List[np.ndarray] = []
+        #: group id of every task
+        self.group: Dict[MTask, int] = {}
+        # tasks of one group share their tuple object (``Placement.validate``
+        # relies on it too), so most tasks are recognised without hashing
+        # their cores; ``tuple()`` admits placements given as lists
+        by_object: Dict[int, int] = {}
+        by_value: Dict[Tuple[CoreId, ...], int] = {}
+        for t in self.tasks:
+            given = placement.cores_of(t)
+            g = by_object.get(id(given))
+            if g is None:
+                cores = tuple(given)
+                g = by_value.get(cores)
+                if g is None:
+                    g = by_value[cores] = len(self.tuples)
+                    self.tuples.append(cores)
+                    self.index.append(machine.core_index(cores))
+                by_object[id(given)] = g
+            self.group[t] = g
+        #: dispatch order of simultaneously ready tasks
+        self.rank: Dict[MTask, Tuple[float, str]] = {
+            t: (placement.priority.get(t, 0.0), t.name) for t in self.tasks
+        }
+        # program version: task parallel iff any task leaves cores to others
+        self.is_tp = any(len(c) < machine.total_cores for c in self.tuples)
+
+    def cores_of(self, task: MTask) -> Tuple[CoreId, ...]:
+        return self.tuples[self.group[task]]
+
+
+#: what a task's communication price depends on besides the task and its
+#: cores: the contention context, the concurrent groups' core tuples and
+#: the part of the memo key that stands for the two
+_Concurrent = Tuple[Optional[ContentionContext], List[Tuple[CoreId, ...]], Optional[tuple]]
+
+
+#: rows of the overlap matrix multiplied at a time: the product runs in
+#: floats, and a float copy of the whole matrix would be eight times its size
+_ROW_BLOCK = 1024
+
+
+def _concurrent_sets(
+    machine: Machine, layout: _Layout, trace: ExecutionTrace
+) -> Dict[MTask, _Concurrent]:
+    """Every task's concurrent set in ``trace``, as its next pass sees it.
+
+    A task's context is the sum of the rounds of the tasks overlapping it
+    in time (itself included); each round is counted once per pass.  The
+    sums of all tasks are one product of the overlap matrix with the
+    per-task count table (out | in side by side) -- small integers held
+    in floats, so exact in any order -- and tasks with the same
+    concurrent set share one context object.
+    """
+    tasks = layout.tasks
+    start = np.array([trace[t].start for t in tasks])
+    ends = np.array([trace[t].finish for t in tasks]) - 1e-15
+    overlap = (start < ends[:, None]) & (start[:, None] < ends)
+    np.fill_diagonal(overlap, True)
+    # the ring of a group loads the NICs alike for each of its communicating tasks
+    phase: Dict[Tuple[int, bool], np.ndarray] = {}
+    rows = []
+    for t in tasks:
+        key = (layout.group[t], bool(t.comm))
+        if key not in phase:
+            phase[key] = np.concatenate(_phase_counts(machine, t, layout.cores_of(t)))
+        rows.append(phase[key])
+    rounds = np.array(rows, dtype=float)
+    load = np.empty(rounds.shape, dtype=np.intp)
+    for lo in range(0, len(tasks), _ROW_BLOCK):
+        load[lo : lo + _ROW_BLOCK] = overlap[lo : lo + _ROW_BLOCK] @ rounds
+
+    group_of = np.array([layout.group[t] for t in tasks])
+    by_members: Dict[bytes, _Concurrent] = {}
+    sets: Dict[MTask, _Concurrent] = {}
+    for i, t in enumerate(tasks):
+        members = overlap[i].tobytes()
+        shared = by_members.get(members)
+        if shared is None:
+            groups = group_of[overlap[i]].tolist()
+            # what ``_orthogonal_groups`` makes of the peer list: repeats
+            # dropped, first-seen order kept, a single group means none
+            distinct = tuple(dict.fromkeys(groups))
+            shared = by_members[members] = (
+                ContentionContext.from_counts(*np.split(load[i], 2)),
+                [layout.tuples[g] for g in groups],
+                (load[i].tobytes(), distinct if len(distinct) > 1 else ()),
+            )
+        sets[t] = shared
+    return sets
 
 
 def simulate(
@@ -110,39 +241,21 @@ def simulate(
         raise ValueError("contention_passes must be >= 1")
     obs = obs if obs is not None else Instrumentation()
 
-    intervals: Dict[MTask, Tuple[float, float]] = {}
+    layout = _Layout(machine, graph, placement)
+    #: ``tcomm_mapped`` results of this call, by what they depend on
+    prices: Dict[tuple, float] = {}
+    # pass 1: own edges only, no peers
+    concurrent: Dict[MTask, _Concurrent] = dict.fromkeys(layout.tasks, (None, [], None))
     trace = ExecutionTrace(machine)
     with obs.span("simulate", tasks=len(graph)):
         for pass_no in range(options.contention_passes):
-            last_pass = pass_no == options.contention_passes - 1
-            ctxs: Dict[MTask, Optional[ContentionContext]] = {}
-            peers: Dict[MTask, List[Tuple[CoreId, ...]]] = {}
-            if pass_no == 0:
-                for t in graph:
-                    ctxs[t] = None  # own edges only
-                    peers[t] = []
-            else:
-                # a task's context is the sum of the rounds of its
-                # concurrent set; each round is counted once per pass
-                phase = {
-                    t: _phase_counts(machine, t, placement.cores_of(t)) for t in graph
-                }
-                for t in graph:
-                    mine = intervals[t]
-                    concurrent = [
-                        o for o in graph if o is t or _overlaps(intervals[o], mine)
-                    ]
-                    ctxs[t] = ContentionContext.from_counts(
-                        sum(phase[o][0] for o in concurrent),
-                        sum(phase[o][1] for o in concurrent),
-                    )
-                    peers[t] = [tuple(placement.cores_of(o)) for o in concurrent]
+            if pass_no > 0:
+                concurrent = _concurrent_sets(machine, layout, trace)
             with obs.span("contention_pass", index=pass_no):
                 trace = _run_once(
-                    graph, placement, cost, ctxs, peers, options, last_pass
+                    graph, placement, cost, options, layout, concurrent, prices
                 )
             obs.count("sim.passes")
-            intervals = {e.task: (e.start, e.finish) for e in trace.entries}
     obs.count("sim.tasks", len(trace))
     for e in trace.entries:
         obs.observe("sim.task_seconds", e.duration)
@@ -166,14 +279,14 @@ def _run_once(
     graph: TaskGraph,
     placement: Placement,
     cost: CostModel,
-    ctxs: Dict[MTask, Optional[ContentionContext]],
-    peers: Dict[MTask, List[Tuple[CoreId, ...]]],
     options: SimulationOptions,
-    record: bool,
+    layout: _Layout,
+    concurrent: Dict[MTask, _Concurrent],
+    prices: Dict[tuple, float],
 ) -> ExecutionTrace:
     machine = cost.platform.machine
     sim = Simulator()
-    cores: Dict[CoreId, CoreResource] = {c: CoreResource() for c in machine.cores()}
+    occupancy = _Occupancy(machine)
     trace = ExecutionTrace(machine)
     plan = options.faults if options.faults is not None and options.faults.enabled else None
     policy = options.retry
@@ -186,10 +299,6 @@ def _run_once(
     )
     #: effective durations already dispatched (speculation quantile base)
     done_durations: List[float] = []
-    # program version: task parallel iff any task leaves cores to others
-    is_tp = any(
-        len(placement.cores_of(t)) < machine.total_cores for t in graph
-    )
 
     remaining_preds: Dict[MTask, int] = {
         t: len(graph.predecessors(t)) for t in graph
@@ -206,22 +315,27 @@ def _run_once(
         # for the virtual clock and keeps the event count linear in the
         # task count.  Placement priority orders simultaneous arrivals,
         # mirroring the scheduler's intra-group serialisation.
-        ready_pool.sort(key=lambda t: (placement.priority.get(t, 0.0), t.name))
+        ready_pool.sort(key=layout.rank.__getitem__)
         while ready_pool:
             t = ready_pool.pop(0)
-            tcores = placement.cores_of(t)
-            start = max(data_ready[t], sim.now)
-            for c in tcores:
-                start = cores[c].earliest_start(start)
+            group = layout.group[t]
+            tcores, idx = layout.tuples[group], layout.index[group]
+            start = occupancy.earliest_start(idx, max(data_ready[t], sim.now))
             comp = cost.tcomp_mapped(t, tcores)
-            comm = cost.tcomm_mapped(
-                t,
-                tcores,
-                ctxs[t],
-                peers.get(t),
-                all_cores=placement.all_cores,
-                task_parallel_program=is_tp,
-            )
+            ctx, peers, ctx_key = concurrent[t]
+            # ``comm`` and ``sync_points`` are all a model's mapped
+            # communication price reads of the task itself
+            key = (t.comm, t.sync_points, group, ctx_key)
+            comm = prices.get(key)
+            if comm is None:
+                comm = prices[key] = cost.tcomm_mapped(
+                    t,
+                    tcores,
+                    ctx,
+                    peers,
+                    all_cores=placement.all_cores,
+                    task_parallel_program=layout.is_tp,
+                )
             comp_clean = comp
             retries = 0
             overhead = 0.0
@@ -236,15 +350,13 @@ def _run_once(
                         attempt = min(attempt, policy.timeout)
                     overhead += attempt + policy.delay(t.name, a)
             dur = comp + comm + overhead
-            for c in tcores:
-                cores[c].book(start, dur)
-            finish = start + dur
+            finish = occupancy.book(idx, start, dur)
             trace.add(
                 TraceEntry(
                     task=t,
                     start=start,
                     finish=finish,
-                    cores=tuple(tcores),
+                    cores=tcores,
                     comp_time=comp,
                     comm_time=comm,
                     redist_wait=redist_charged[t],
@@ -268,8 +380,8 @@ def _run_once(
             if threshold is not None and dur > threshold:
                 sim.at(
                     start + threshold,
-                    lambda t=t, tcores=tcores, start=start, cc=comp_clean,
-                    comm=comm, pf=finish: try_backup(t, tcores, start, cc, comm, pf),
+                    lambda t=t, idx=idx, start=start, cc=comp_clean,
+                    comm=comm, pf=finish: try_backup(t, idx, start, cc, comm, pf),
                 )
             else:
                 if spec is not None:
@@ -278,25 +390,22 @@ def _run_once(
 
     def try_backup(
         t: MTask,
-        tcores: Sequence[CoreId],
+        idx: np.ndarray,
         start: float,
         comp_clean: float,
         comm: float,
         primary_finish: float,
     ) -> None:
         bstart = sim.now
-        taken = set(tcores)
-        idle = [
-            c
-            for c in machine.cores()
-            if c not in taken and cores[c].free_from <= bstart + 1e-12
-        ]
-        if len(idle) < len(tcores):
+        free_from = occupancy.free_from
+        idle = free_from <= bstart + 1e-12
+        idle[idx] = False
+        backup_idx = np.flatnonzero(idle)[: len(idx)]
+        if len(backup_idx) < len(idx):
             # no room for a backup; the straggler just runs to the end
             done_durations.append(primary_finish - start)
             sim.at(primary_finish, lambda: complete(t))
             return
-        backup_cores = tuple(idle[: len(tcores)])
         backup_slow = plan.slowdown(t.name, 1) if plan is not None else 1.0
         backup_finish = bstart + comp_clean * backup_slow + comm
         if backup_finish < primary_finish:
@@ -304,21 +413,18 @@ def _run_once(
             finish = backup_finish
             # reclaim the cancelled primary's tail on every core where its
             # booking is still the last one
-            for c in tcores:
-                if cores[c].free_from == primary_finish:
-                    cores[c].busy_time -= primary_finish - finish
-                    cores[c].free_from = finish
+            free_from[idx[free_from[idx] == primary_finish]] = finish
         else:
             kind = "loss"
             finish = primary_finish
-        for c in backup_cores:
-            cores[c].book(bstart, finish - bstart)
+        occupancy.book(backup_idx, bstart, finish - bstart)
+        all_cores = machine.cores()
         trace.replace(
             replace_entry(
                 trace[t],
                 finish=finish,
                 speculation=kind,
-                backup_cores=backup_cores,
+                backup_cores=tuple(all_cores[i] for i in backup_idx),
                 backup_start=bstart,
                 primary_finish=primary_finish,
             )
@@ -333,7 +439,7 @@ def _run_once(
             if options.redistribution:
                 flows = graph.flows(t, s)
                 rd = cost.redistribution_time(
-                    flows, placement.cores_of(t), placement.cores_of(s)
+                    flows, layout.cores_of(t), layout.cores_of(s)
                 )
                 arrival += rd
                 redist_charged[s] = max(redist_charged[s], rd)
