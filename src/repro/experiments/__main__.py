@@ -110,16 +110,13 @@ def _representative_run(name: str, quick: bool):
     )
 
 
-def export_traces(selected: List[str], quick: bool, path: Path) -> Path:
-    """Write the merged trace-event JSON of the selected artefacts."""
-    from ..obs.perfetto import merged_trace, write_trace
-
-    runs = [(name, _representative_run(name, quick)) for name in selected]
-    return write_trace(path, merged_trace(runs))
-
-
 def main(argv: List[str] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from ..faults import parse_faults_spec
+    from ..obs.cli import spec_type
+    from ..recovery import parse_speculation_spec
+    from ..runtime.backends import parse_backend_spec
+
     ap = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
@@ -146,6 +143,7 @@ def main(argv: List[str] = None) -> int:
     )
     ap.add_argument(
         "--faults",
+        type=spec_type(parse_faults_spec),
         metavar="SEED:RATE[:LAYER:NODES]",
         help="append a deterministic fault-injection sweep over the paper "
         "solvers (e.g. 7:0.15 or 7:0.15:1:2 to also lose 2 nodes after "
@@ -153,6 +151,7 @@ def main(argv: List[str] = None) -> int:
     )
     ap.add_argument(
         "--speculate",
+        type=spec_type(parse_speculation_spec),
         metavar="FACTOR[:QUANTILE]",
         help="append a speculation sweep over the paper solvers: backup "
         "attempts launch once a task runs FACTOR times past its estimate "
@@ -160,6 +159,7 @@ def main(argv: List[str] = None) -> int:
     )
     ap.add_argument(
         "--straggler-faults",
+        type=spec_type(parse_faults_spec),
         metavar="SEED:RATE",
         default="7:0.5",
         help="straggler plan of the --speculate sweep (default 7:0.5, "
@@ -198,6 +198,7 @@ def main(argv: List[str] = None) -> int:
     )
     ap.add_argument(
         "--backend",
+        type=spec_type(parse_backend_spec),
         metavar="serial|pool[:W]|cluster[:W]",
         default="serial",
         help="execution backend of the --checkpoint-dir functional step: "
@@ -290,10 +291,7 @@ def main(argv: List[str] = None) -> int:
                 f"appended {recorded} shoot-out run record(s) to {registry.path}"
             )
     if args.checkpoint_dir:
-        from ..recovery import parse_speculation_spec
         from .recovery_run import recovery_line, run_checkpointed_step
-
-        from ..runtime.backends import parse_backend_spec
 
         policy = parse_speculation_spec(args.speculate) if args.speculate else None
         _, rec = run_checkpointed_step(

@@ -19,8 +19,7 @@ from ..mapping.strategies import MappingStrategy
 from ..ode.problems import ODEProblem
 from ..ode.programs import MethodConfig, step_graph
 from ..pipeline import PipelineResult, SchedulingPipeline
-from ..scheduling.base import Scheduler
-from ..scheduling.baselines import data_parallel_scheduler, fixed_group_scheduler
+from ..scheduling import SCHEDULERS, Scheduler
 from ..sim.executor import SimulationOptions
 
 __all__ = [
@@ -127,14 +126,16 @@ def paper_scheduler(
     """Scheduler of one of the paper's two program versions.
 
     ``"tp"`` is the task-parallel version (:func:`paper_group_count`
-    groups unless ``groups`` is given), ``"dp"`` the data-parallel one.
-    This is the only ``version`` branch: :func:`ode_pipeline`, the
-    service's workload requests and Fig. 13 all come through here.
+    groups unless ``groups`` is given), ``"dp"`` the data-parallel one;
+    both are keys of :data:`repro.scheduling.SCHEDULERS`, and this
+    function adds only the paper's group-count rule.
+    :func:`ode_pipeline`, the service's workload requests and Fig. 13
+    all come through here.
     """
-    if version == "dp":
-        return data_parallel_scheduler(cost)
     if version == "tp":
-        return fixed_group_scheduler(cost, groups or paper_group_count(cfg))
+        return SCHEDULERS["tp"](cost, g=groups or paper_group_count(cfg))
+    if version == "dp":
+        return SCHEDULERS["dp"](cost)
     raise ValueError("version must be 'dp' or 'tp'")
 
 

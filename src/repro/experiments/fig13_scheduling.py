@@ -26,10 +26,8 @@ from ..mapping.strategies import MappingStrategy, consecutive
 from ..ode.problems import ODEProblem, bruss2d
 from ..ode.programs import MethodConfig, step_graph
 from ..pipeline import SchedulingPipeline
-from ..scheduling.base import Scheduler
-from ..scheduling.cpa import CPAScheduler
-from ..scheduling.cpr import CPRScheduler
-from ..scheduling.mcpa import MCPAScheduler
+from .. import scheduling
+from ..scheduling import Scheduler
 from .common import ExperimentResult, paper_scheduler, sequential_step_time
 
 __all__ = ["SCHEDULERS", "make_scheduler", "schedule_and_simulate", "run_pabm_speedups", "run_epol_times", "run_fig13"]
@@ -39,9 +37,15 @@ __all__ = ["SCHEDULERS", "make_scheduler", "schedule_and_simulate", "run_pabm_sp
 #: accepted by :func:`schedule_and_simulate` as an extension
 SCHEDULERS = ("task parallel", "CPA", "CPR", "data parallel")
 
-#: the two decisions that are program versions of the paper, by the
-#: ``version`` name :func:`~repro.experiments.common.paper_scheduler` takes
-PAPER_VERSIONS = {"task parallel": "tp", "data parallel": "dp"}
+#: legend -> key of :data:`repro.scheduling.SCHEDULERS`; ``tp`` and
+#: ``dp`` are the paper's program versions
+LEGEND = {
+    "task parallel": "tp",
+    "CPA": "cpa",
+    "MCPA": "mcpa",
+    "CPR": "cpr",
+    "data parallel": "dp",
+}
 
 
 def make_scheduler(name: str, cost: CostModel, cfg: MethodConfig) -> Scheduler:
@@ -51,16 +55,13 @@ def make_scheduler(name: str, cost: CostModel, cfg: MethodConfig) -> Scheduler:
     contraction stage hands them the chain-contracted step graph, which
     keeps the comparison about allocation policy, not chain handling.
     """
-    if name in PAPER_VERSIONS:
-        return paper_scheduler(cfg, cost, PAPER_VERSIONS[name])
-    gran = max(1, cost.platform.total_cores // 128)
-    if name == "CPA":
-        return CPAScheduler(cost, granularity=gran)
-    if name == "MCPA":
-        return MCPAScheduler(cost, granularity=gran)
-    if name == "CPR":
-        return CPRScheduler(cost, granularity=gran)
-    raise ValueError(f"unknown scheduler {name!r}")
+    key = LEGEND.get(name)
+    if key is None:
+        raise ValueError(f"unknown scheduler {name!r}")
+    if key in ("tp", "dp"):
+        return paper_scheduler(cfg, cost, key)
+    granularity = max(1, cost.platform.total_cores // 128)
+    return scheduling.SCHEDULERS[key](cost, granularity=granularity)
 
 
 def schedule_and_simulate(

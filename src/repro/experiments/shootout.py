@@ -25,36 +25,19 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..core.costmodel import CostModel
 from ..faults import parse_faults_spec
 from ..graphs.adversarial import REGIMES, Scenario, adversarial_suite
 from ..pipeline import SchedulingPipeline
-from ..scheduling import (
-    AMTHAScheduler,
-    CPAScheduler,
-    LayerBasedScheduler,
-    MoldableLayerScheduler,
-    Scheduler,
-)
+from ..scheduling import SCHEDULERS
 from ..sim.executor import SimulationOptions
 
 __all__ = ["ZOO", "ShootoutCell", "ShootoutResult", "run_shootout"]
 
-
-def _cpa(cost: CostModel, big: bool) -> Scheduler:
-    """CPA, coarsened on big scenarios so allocation stays tractable."""
-    return CPAScheduler(cost, granularity=8 if big else 1)
-
-
-#: the zoo, in tie-break order: name -> factory(cost, big_scenario)
-ZOO: Dict[str, Callable[[CostModel, bool], Scheduler]] = {
-    "gsearch": lambda cost, big: LayerBasedScheduler(cost),
-    "amtha": lambda cost, big: AMTHAScheduler(cost),
-    "moldable": lambda cost, big: MoldableLayerScheduler(cost),
-    "cpa": _cpa,
-}
+#: the zoo, in tie-break order: keys of :data:`repro.scheduling.SCHEDULERS`
+ZOO = ("gsearch", "amtha", "moldable", "cpa")
 
 
 @dataclass
@@ -170,7 +153,9 @@ def _run_cell(name: str, scenario: Scenario) -> ShootoutCell:
     )
     try:
         cost = CostModel(scenario.platform_obj())
-        scheduler = ZOO[name](cost, scenario.big)
+        # CPA is coarsened on big scenarios so allocation stays tractable
+        coarse = {"granularity": 8} if name == "cpa" and scenario.big else {}
+        scheduler = SCHEDULERS[name](cost, **coarse)
         faults = (
             parse_faults_spec(scenario.fault_spec) if scenario.fault_spec else None
         )

@@ -42,9 +42,9 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["main", "build_parser", "flatten_metrics", "compare_metrics"]
+__all__ = ["main", "build_parser", "spec_type", "flatten_metrics", "compare_metrics"]
 
 #: metric name suffixes where an *increase* past the threshold regresses
 LOWER_IS_BETTER = (
@@ -86,8 +86,29 @@ WALL_CLOCK_SUFFIXES = ("_seconds",)
 # ----------------------------------------------------------------------
 # shared run-spec plumbing
 # ----------------------------------------------------------------------
+def spec_type(parse: Callable[[str], Any]) -> Callable[[str], str]:
+    """An argparse ``type=`` that checks a spec string with ``parse``.
+
+    A malformed value becomes argparse's usage error (exit code 2)
+    carrying ``parse``'s one-line message; a valid one stays the raw
+    string, which run records store as given.
+    """
+
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+
+    return check
+
+
 def _add_run_arguments(ap: argparse.ArgumentParser) -> None:
+    from ..faults import parse_faults_spec
     from ..ode import ODE_METHODS
+    from ..recovery import parse_speculation_spec
+    from ..runtime.backends import parse_backend_spec
 
     ap.add_argument(
         "--solver",
@@ -121,6 +142,7 @@ def _add_run_arguments(ap: argparse.ArgumentParser) -> None:
     )
     ap.add_argument(
         "--faults",
+        type=spec_type(parse_faults_spec),
         metavar="SEED:RATE[:LAYER:NODES]",
         help="deterministic fault injection: seed and task failure rate, "
         "optionally losing NODES nodes before layer LAYER "
@@ -128,6 +150,7 @@ def _add_run_arguments(ap: argparse.ArgumentParser) -> None:
     )
     ap.add_argument(
         "--speculate",
+        type=spec_type(parse_speculation_spec),
         metavar="FACTOR[:QUANTILE]",
         help="speculative straggler mitigation: launch a backup attempt "
         "once a task runs FACTOR times past its estimate (or past the "
@@ -148,6 +171,7 @@ def _add_run_arguments(ap: argparse.ArgumentParser) -> None:
     )
     ap.add_argument(
         "--backend",
+        type=spec_type(parse_backend_spec),
         metavar="serial|pool[:W]|cluster[:W]",
         default="serial",
         help="execution backend of the functional --checkpoint-dir run: "
@@ -542,8 +566,8 @@ def _cmd_calib(args) -> int:
     # so the sim pipeline run stays clean of wall-clock spans
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
     args.checkpoint_dir = None
-    spec, result, cost = _run_spec(args)
-    eval_cost = result.cost if result.cost is not None else cost
+    spec, result, _ = _run_spec(args)
+    eval_cost = result.cost
     if args.distort != 1.0:
         eval_cost = _ScaledCost(eval_cost, args.distort)
         print(f"cost model distorted by x{args.distort:g} (testing aid)")
@@ -827,7 +851,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if hasattr(args, "platform"):  # a run spec: the platform must allocate it
+        from ..cluster.platforms import by_name
+
+        try:
+            by_name(args.platform).with_cores(args.cores)
+        except ValueError as exc:
+            ap.error(f"--platform {args.platform} --cores {args.cores}: {exc}")
     try:
         return args.func(args)
     except BrokenPipeError:

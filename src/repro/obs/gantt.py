@@ -1,8 +1,8 @@
 """Terminal-side Gantt rendering of traces and layered schedules.
 
-The simulator's :meth:`~repro.sim.trace.ExecutionTrace.gantt_lines` gives
-a bare per-node strip; this module renders the richer chart the
-``repro.obs gantt`` subcommand prints:
+The one renderer of a simulated :class:`~repro.sim.trace.ExecutionTrace`
+(``legend=False`` gives the bare per-core or per-node strip); it draws
+the chart the ``repro.obs gantt`` subcommand prints:
 
 * a time axis in milliseconds,
 * one row per physical core (or per node), upper-case letters for the

@@ -13,12 +13,11 @@ combined scheduling and mapping machinery::
 
 from ..core.costmodel import CachedCostEvaluator, CacheStats
 from ..scheduling.base import Scheduler, SchedulingResult
-from .pipeline import SchedulingPipeline, run_pipeline
+from .pipeline import SchedulingPipeline
 from .result import PipelineResult
 
 __all__ = [
     "SchedulingPipeline",
-    "run_pipeline",
     "PipelineResult",
     "SchedulingResult",
     "Scheduler",

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..core.costmodel import CachedCostEvaluator, CostModel
+from ..core.costmodel import CachedCostEvaluator
 from ..core.graph import TaskGraph
 from ..core.schedule import validate as validate_schedule
 from ..mapping.mapper import place_result
@@ -35,7 +35,7 @@ from ..scheduling.chains import contract_chains
 from ..sim.executor import SimulationOptions, simulate
 from .result import PipelineResult
 
-__all__ = ["SchedulingPipeline", "run_pipeline"]
+__all__ = ["SchedulingPipeline"]
 
 
 @dataclass
@@ -46,9 +46,11 @@ class SchedulingPipeline:
     ----------
     scheduler:
         Any :class:`~repro.scheduling.base.Scheduler`; its ``cost`` model
-        is transparently wrapped in a
-        :class:`~repro.core.costmodel.CachedCostEvaluator` (set
-        ``cache=False`` to opt out).
+        is wrapped once in a
+        :class:`~repro.core.costmodel.CachedCostEvaluator`.  Schedulers
+        without ``handles_contraction`` (CPA/CPR/MCPA) get the
+        chain-contracted graph; every schedule and placement is
+        validated after the mapping stage.
     strategy:
         Mapping strategy for the physical placement stage.
     options:
@@ -64,12 +66,6 @@ class SchedulingPipeline:
         remaining layers and replaces the trace with the combined
         degraded one.  ``None`` (or a disabled plan / policy) keeps
         every stage bit-identical to the fault-free pipeline.
-    contract:
-        Run the chain-contraction stage for schedulers that do not
-        handle chains themselves (CPA/CPR/MCPA); schedulers with
-        ``handles_contraction`` are left alone.
-    check:
-        Validate the schedule and placement after the mapping stage.
     simulate:
         Run the simulation stage; with ``False`` the pipeline stops
         after mapping + validation (``result.trace`` is ``None``).
@@ -78,29 +74,21 @@ class SchedulingPipeline:
     scheduler: Scheduler
     strategy: MappingStrategy = field(default_factory=consecutive)
     options: SimulationOptions = field(default_factory=SimulationOptions)
-    contract: bool = True
-    check: bool = True
     simulate: bool = True
-    cache: bool = True
 
     def __post_init__(self) -> None:
-        if self.cache and not isinstance(self.scheduler.cost, CachedCostEvaluator):
+        if not isinstance(self.scheduler.cost, CachedCostEvaluator):
             self.scheduler.cost = CachedCostEvaluator(self.scheduler.cost)
 
     # ------------------------------------------------------------------
     @property
-    def cost(self) -> CostModel:
-        """The (possibly cached) cost evaluator all stages share."""
+    def cost(self) -> CachedCostEvaluator:
+        """The cached cost evaluator all stages share."""
         return self.scheduler.cost
 
     @property
     def platform(self):
         return self.scheduler.cost.platform
-
-    def cache_stats(self):
-        """Hit/miss statistics, when the cached evaluator is active."""
-        cost = self.scheduler.cost
-        return cost.stats if isinstance(cost, CachedCostEvaluator) else None
 
     # ------------------------------------------------------------------
     def run(
@@ -120,7 +108,7 @@ class SchedulingPipeline:
         with obs.span("pipeline", scheduler=self.scheduler.name):
             # -- stage: chain contraction (for chain-unaware schedulers)
             work_graph, expansion = graph, {}
-            if self.contract and not self.scheduler.handles_contraction:
+            if not self.scheduler.handles_contraction:
                 with obs.span("contract"):
                     work_graph, expansion = contract_chains(graph)
                 obs.count("contract.chains", len(expansion))
@@ -150,9 +138,8 @@ class SchedulingPipeline:
                     )
 
             # -- stage: validation
-            if self.check:
-                with obs.span("validate"):
-                    self._check(result, placement, graph)
+            with obs.span("validate"):
+                self._check(result, placement, graph)
 
             # -- stage: simulation
             trace = result.trace
@@ -190,12 +177,11 @@ class SchedulingPipeline:
                 obs.record("reschedule", **reschedule.summary())
                 trace = reschedule.trace
 
-        stats = self.cache_stats()
-        if stats is not None:
-            obs.set_counter("cache.hits", stats.total_hits)
-            obs.set_counter("cache.misses", stats.total_misses)
-            obs.set_counter("cache.hit_rate", stats.hit_rate)
-            obs.set_counter("cache.batched", stats.total_batched)
+        stats = cost.stats
+        obs.set_counter("cache.hits", stats.total_hits)
+        obs.set_counter("cache.misses", stats.total_misses)
+        obs.set_counter("cache.hit_rate", stats.hit_rate)
+        obs.set_counter("cache.batched", stats.total_batched)
         obs.gauge("pipeline.predicted_makespan", predicted)
         if trace is not None:
             obs.gauge("pipeline.simulated_makespan", trace.makespan)
@@ -214,7 +200,6 @@ class SchedulingPipeline:
             trace=trace,
             predicted_makespan=predicted,
             obs=obs,
-            cache=stats,
             meta=meta,
             reschedule=reschedule,
             cost=cost,
@@ -239,21 +224,3 @@ class SchedulingPipeline:
             )
         if placement is not None:
             placement.validate(graph)
-
-
-def run_pipeline(
-    graph: TaskGraph,
-    scheduler: Scheduler,
-    strategy: Optional[MappingStrategy] = None,
-    options: Optional[SimulationOptions] = None,
-    obs: Optional[Instrumentation] = None,
-    **kwargs,
-) -> PipelineResult:
-    """One-call convenience wrapper around :class:`SchedulingPipeline`."""
-    pipe = SchedulingPipeline(
-        scheduler,
-        strategy=strategy if strategy is not None else consecutive(),
-        options=options if options is not None else SimulationOptions(),
-        **kwargs,
-    )
-    return pipe.run(graph, obs)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from ..core.costmodel import CacheStats
+from ..core.costmodel import CachedCostEvaluator, CacheStats
 from ..core.graph import TaskGraph
 from ..core.schedule import Placement
 from ..obs import Instrumentation
@@ -30,7 +30,9 @@ class PipelineResult:
     * ``predicted_makespan`` -- the symbolic estimate the scheduling
       phase reasoned about; ``makespan`` is the simulated one;
     * ``obs`` -- spans, counters and per-stage records of the run;
-    * ``cache`` -- hit/miss statistics of the memoized cost evaluator.
+    * ``cost`` -- the memoized cost evaluator the run scheduled with
+      (``Tsymb`` source for :meth:`calibration`; ``cache`` is its
+      hit/miss statistics).
     """
 
     graph: TaskGraph
@@ -39,14 +41,16 @@ class PipelineResult:
     trace: Optional[ExecutionTrace]
     predicted_makespan: float
     obs: Instrumentation
-    cache: Optional[CacheStats] = None
+    cost: CachedCostEvaluator
     meta: Dict[str, Any] = field(default_factory=dict)
     #: core-loss recovery outcome (``None`` unless the pipeline ran with
     #: a fault plan carrying a ``core_loss``)
     reschedule: Optional[Any] = None
-    #: the cost evaluator the run scheduled with (``Tsymb`` source for
-    #: :meth:`calibration`; ``None`` for hand-built results)
-    cost: Optional[Any] = None
+
+    @property
+    def cache(self) -> CacheStats:
+        """Hit/miss statistics of the memoized cost evaluator."""
+        return self.cost.stats
 
     @property
     def makespan(self) -> float:
@@ -105,7 +109,7 @@ class PipelineResult:
             out["simulated_makespan"] = self.trace.makespan
             out["utilization"] = self.trace.utilization()
             out.update(self.analysis().metrics())
-        if self.cache is not None and self.cache.requests:
+        if self.cache.requests:
             out["cache_requests"] = float(self.cache.requests)
             out["cache_hit_rate"] = self.cache.hit_rate
             out["evaluation_reduction"] = self.cache.evaluation_reduction
@@ -136,7 +140,7 @@ class PipelineResult:
             lines.append(f"  simulated makespan: {self.trace.makespan:.6g} s")
         for name, secs in self.stage_seconds().items():
             lines.append(f"  stage {name:<10s} {secs * 1e3:9.3f} ms")
-        if self.cache is not None and self.cache.requests:
+        if self.cache.requests:
             lines.append(
                 f"  cost cache: {self.cache.requests} requests, "
                 f"hit rate {self.cache.hit_rate:.1%}, "
@@ -155,7 +159,7 @@ class PipelineResult:
             "simulated_makespan": self.trace.makespan if self.trace else None,
             "stage_seconds": self.stage_seconds(),
             "scheduling_stats": dict(self.scheduling.stats),
-            "cache": self.cache.to_dict() if self.cache else None,
+            "cache": self.cache.to_dict(),
             "obs": self.obs.to_dict(),
             "meta": dict(self.meta),
         }

@@ -72,7 +72,8 @@ OPTION_DEFAULTS: Dict[str, Any] = {
     "scheduler": "paper",
 }
 
-#: scheduler overrides accepted for DSL program requests
+#: scheduler overrides accepted for DSL program requests: ``"paper"``
+#: and keys of :data:`repro.scheduling.SCHEDULERS`
 PROGRAM_SCHEDULERS = ("paper", "gsearch", "amtha", "moldable")
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
@@ -399,18 +400,12 @@ def _scheduler_for(request: Dict[str, Any], cost):
             options.get("version", "tp"),
             options.get("groups"),
         )
-    from ..scheduling import (
-        AMTHAScheduler,
-        LayerBasedScheduler,
-        MoldableLayerScheduler,
-    )
+    from ..scheduling import SCHEDULERS
 
     name = options.get("scheduler", "paper")
-    if name == "amtha":
-        return AMTHAScheduler(cost)
-    if name == "moldable":
-        return MoldableLayerScheduler(cost)
-    return LayerBasedScheduler(cost)  # "paper" and "gsearch" alias
+    # "paper" stays the service's alias of "gsearch": canonical options
+    # and cache keys spell it
+    return SCHEDULERS["gsearch" if name == "paper" else name](cost)
 
 
 # ----------------------------------------------------------------------

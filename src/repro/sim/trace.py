@@ -163,33 +163,6 @@ class ExecutionTrace:
             "saved_seconds": sum(e.speculation_saved for e in self.entries),
         }
 
-    def gantt_lines(self, width: int = 72, by_node: bool = True) -> List[str]:
-        """Coarse ASCII Gantt chart of the trace.
-
-        With ``by_node`` one line per node (letters show which task keeps
-        the node busy); otherwise one line per core.
-        """
-        span = self.makespan or 1.0
-        entries = sorted(self.entries, key=lambda e: (e.start, e.task.name))
-        letter = {e.task: chr(ord("A") + i % 26) for i, e in enumerate(entries)}
-        if by_node:
-            keys: List = sorted({c.node for e in entries for c in e.cores})
-            key_of = lambda c: c.node
-            label = lambda k: f"node {k:3d}"
-        else:
-            keys = sorted({c for e in entries for c in e.cores})
-            key_of = lambda c: c
-            label = lambda k: f"core {k.label:>8s}"
-        grid = {k: [" "] * width for k in keys}
-        for e in entries:
-            a = int(e.start / span * (width - 1))
-            b = max(a + 1, int(e.finish / span * (width - 1)))
-            for c in e.cores:
-                row = grid[key_of(c)]
-                for x in range(a, min(b, width)):
-                    row[x] = letter[e.task]
-        return [f"{label(k)} |{''.join(grid[k])}|" for k in keys]
-
     def to_csv(self) -> str:
         """The trace as CSV (one row per task, in start order)."""
         rows = ["task,start,finish,width,nodes,comp_time,comm_time,redist_wait"]

@@ -1,11 +1,15 @@
-"""One front door for a paper solver step.
+"""One front door for a paper solver step, one table of schedulers.
 
 A named solver ``(irk|diirk|epol|pab|pabm, n)`` reaches the scheduler,
 the simulator and the functional runtime through one solver table
 (``repro.ode.PAPER_CONFIGS``), one modelled path
-(``experiments.common.ode_pipeline`` / ``paper_scheduler``) and one
-functional prologue (``repro.ode.functional_step``); fault options live
-only in ``SimulationOptions``.  These tests pin that the consumers agree.
+(``experiments.common.ode_pipeline``, whose ``paper_scheduler`` adds the
+paper's group count to the ``tp`` / ``dp`` entries of the scheduler
+table) and one functional prologue (``repro.ode.functional_step``);
+fault options live only in ``SimulationOptions``.  Every scheduler name
+-- served, raced in the shoot-out or drawn in Fig. 13 -- is a key of the
+one table ``repro.scheduling.SCHEDULERS``, and each front door accepts
+its own subset of it.  These tests pin that the consumers agree.
 """
 
 import dataclasses
@@ -16,8 +20,10 @@ import pytest
 
 from repro.cluster import chic
 from repro.core import CostModel
-from repro.experiments.common import ode_pipeline
+from repro.experiments.common import ode_pipeline, paper_scheduler
+from repro.experiments.fig13_scheduling import LEGEND, make_scheduler
 from repro.experiments.recovery_run import run_checkpointed_step
+from repro.experiments.shootout import ZOO, run_shootout
 from repro.faults import CoreLoss, FaultPlan
 from repro.mapping import consecutive, scattered
 from repro.obs.cli import main as obs_main
@@ -26,7 +32,7 @@ from repro.pipeline import SchedulingPipeline
 from repro.recovery import array_digest, json_digest
 from repro.runtime import run_program
 from repro.runtime.backends import parse_backend_spec
-from repro.scheduling import LayerBasedScheduler
+from repro.scheduling import SCHEDULERS, LayerBasedScheduler
 from repro.serve import SOLVER_CFGS, ScheduleService, api
 from repro.sim.executor import SimulationOptions
 
@@ -190,7 +196,7 @@ class TestFaultOptionsLiveInSimulationOptions:
     def test_pipeline_has_no_fault_fields(self):
         names = {f.name for f in dataclasses.fields(SchedulingPipeline)}
         assert not names & {"faults", "retry", "speculation"}
-        assert len(names) == 7
+        assert names == {"scheduler", "strategy", "options", "simulate"}
 
     def test_core_loss_through_options_reschedules(self):
         platform = chic().with_cores(32)
@@ -207,3 +213,19 @@ class TestFaultOptionsLiveInSimulationOptions:
         assert result.meta["faults"] == plan.to_dict()
         # exact value of the commit that still had SchedulingPipeline.faults
         assert result.reschedule.degraded_makespan.hex() == "0x1.796f96f96f970p-3"
+
+
+class TestOneSchedulerTable:
+    def test_front_doors_name_table_keys(self):
+        assert set(ZOO) <= set(SCHEDULERS)
+        assert set(LEGEND.values()) <= set(SCHEDULERS)
+        assert set(api.PROGRAM_SCHEDULERS) - {"paper"} <= set(SCHEDULERS)
+
+    def test_front_doors_reject_names_outside_their_subset(self):
+        cost = CostModel(chic().with_cores(CORES))
+        with pytest.raises(ValueError, match="version"):
+            paper_scheduler(PAPER_CONFIGS["irk"], cost, version="amtha")
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            make_scheduler("nope", cost, PAPER_CONFIGS["irk"])
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            run_shootout(schedulers=["mcpa"], suite={})

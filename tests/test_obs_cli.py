@@ -59,6 +59,45 @@ class TestReportAndGantt:
         assert "layer 0" in capsys.readouterr().out
 
 
+#: malformed values of the run-spec flags (``D`` is a checkpoint dir)
+MALFORMED = {
+    "obs": [
+        ["--platform", "nope"],
+        ["--cores", "250"],  # CHiC allocates whole nodes of 4 cores
+        ["--faults", "7:x"],
+        ["--speculate", "abc"],
+        ["--backend", "pool:x", "--checkpoint-dir", "D"],
+    ],
+    "experiments": [
+        ["--faults", "7:x"],
+        ["--speculate", "abc"],
+        ["--backend", "pool:x", "--checkpoint-dir", "D"],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "cli,args",
+    [(cli, args) for cli, cases in MALFORMED.items() for args in cases],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_malformed_value_is_a_usage_error(cli, args, tmp_path, capsys):
+    """A usage error (exit 2) before anything runs, not a traceback."""
+    from repro.experiments.__main__ import main as experiments_main
+
+    ckpt = tmp_path / "ckpt"
+    args = [str(ckpt) if a == "D" else a for a in args]
+    with pytest.raises(SystemExit) as exc:
+        if cli == "obs":
+            main(["report", "--quick", *args])
+        else:
+            experiments_main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("usage:") == 1 and "error:" in err
+    assert not ckpt.exists()
+
+
 class TestFlatten:
     def test_flat_metrics_dict(self):
         flat = flatten_metrics({"metrics": {"makespan": 1.0, "note": "x"}}, False)

@@ -6,6 +6,7 @@ from repro.cluster import generic_cluster
 from repro.comm import global_time, group_time, orthogonal_time
 from repro.core import CostModel, MTask, TaskGraph
 from repro.mapping import consecutive, place_layered
+from repro.obs.gantt import render_trace
 from repro.scheduling import fixed_group_scheduler
 from repro.sim import simulate
 
@@ -66,17 +67,21 @@ class TestTraceGantt:
         sched = fixed_group_scheduler(cost, 4).schedule(g).layered
         return simulate(g, place_layered(sched, plat.machine, consecutive()), cost)
 
+    @staticmethod
+    def rows(trace, by):
+        """The chart rows below the two axis lines, without the legend."""
+        return render_trace(trace, width=40, by=by, legend=False).splitlines()[2:]
+
     def test_by_node(self, trace, plat):
-        lines = trace.gantt_lines(width=40, by_node=True)
+        lines = self.rows(trace, "node")
         assert len(lines) == plat.machine.num_nodes
-        letters = {ch for line in lines for ch in line if ch.isalpha() and ch != "n" and ch != "o" and ch != "d" and ch != "e"}
+        letters = {ch.upper() for line in lines for ch in line.split("|")[1] if ch.isalpha()}
         assert len(letters) == 4  # four concurrent tasks visible
 
     def test_by_core(self, trace, plat):
-        lines = trace.gantt_lines(width=40, by_node=False)
-        assert len(lines) == plat.machine.total_cores
+        assert len(self.rows(trace, "core")) == plat.machine.total_cores
 
     def test_empty_trace(self, plat):
         from repro.sim.trace import ExecutionTrace
 
-        assert ExecutionTrace(plat.machine).gantt_lines() == []
+        assert self.rows(ExecutionTrace(plat.machine), "node") == []

@@ -14,19 +14,20 @@ import time
 import pytest
 
 from repro.cluster import chic, generic_cluster
-from repro.core import CostModel, MTask, TaskGraph, validate
+from repro.core import CachedCostEvaluator, CostModel, MTask, TaskGraph, validate
 from repro.core.schedule import Layer, LayeredSchedule
 from repro.experiments.common import ode_pipeline, paper_group_count
 from repro.mapping import consecutive, place_layered, place_timeline, scattered
 from repro.obs import Instrumentation
 from repro.ode import MethodConfig, schroed, step_graph
-from repro.pipeline import PipelineResult, SchedulingPipeline, run_pipeline
+from repro.pipeline import PipelineResult, SchedulingPipeline
 from repro.scheduling import (
     CPAScheduler,
     CPRScheduler,
     DynamicScheduler,
     LayerBasedScheduler,
     MCPAScheduler,
+    SCHEDULERS,
     SchedulingResult,
     contract_chains,
     data_parallel_scheduler,
@@ -142,20 +143,29 @@ class TestCostCachePayoff:
         assert res.obs.counter("cache.hits") == res.cache.total_hits
 
     def test_cache_opt_out(self, platform):
-        pipe = SchedulingPipeline(
-            LayerBasedScheduler(CostModel(platform)), cache=False
+        """There is no opting out: a bare cost model is wrapped once and
+        the run reports its statistics; a cached one is not re-wrapped."""
+        res = SchedulingPipeline(LayerBasedScheduler(CostModel(platform))).run(
+            small_graph()
         )
-        res = pipe.run(small_graph())
-        assert res.cache is None
+        assert isinstance(res.cost, CachedCostEvaluator)
+        assert res.cache is res.cost.stats and res.cache.requests > 0
         assert res.trace is not None
+        cached = CachedCostEvaluator(CostModel(platform))
+        pipe = SchedulingPipeline(LayerBasedScheduler(cached))
+        assert pipe.cost is cached
+        assert pipe.run(small_graph()).cost is cached
 
     def test_cached_and_uncached_pipelines_agree(self, problem, platform):
+        """The cached pipeline and the hand-wired stage chain on a bare
+        cost model simulate the same makespan."""
         graph = step_graph(problem, CONFIGS["diirk"])
         on = SchedulingPipeline(LayerBasedScheduler(CostModel(platform)))
-        off = SchedulingPipeline(
-            LayerBasedScheduler(CostModel(platform)), cache=False
-        )
-        assert on.run(graph).trace.makespan == off.run(graph).trace.makespan
+        cost = CostModel(platform)
+        sched = LayerBasedScheduler(cost).schedule(graph)
+        placement = place_layered(sched.layered, platform.machine, consecutive())
+        off = simulate(graph, placement, cost).makespan
+        assert on.run(graph).trace.makespan == off
 
 
 ALL_SCHEDULERS = {
@@ -174,6 +184,15 @@ class TestValidationStage:
     def test_every_scheduler_passes_validation(self, name):
         plat = generic_cluster(nodes=4, procs_per_node=2, cores_per_proc=2)
         pipe = SchedulingPipeline(ALL_SCHEDULERS[name](CostModel(plat)))
+        res = pipe.run(small_graph())
+        assert "validate" in res.obs.span_names()
+        assert res.makespan > 0
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULERS))
+    def test_every_table_scheduler_passes_validation(self, name):
+        plat = generic_cluster(nodes=4, procs_per_node=2, cores_per_proc=2)
+        kw = {"g": 2} if name == "tp" else {}
+        pipe = SchedulingPipeline(SCHEDULERS[name](CostModel(plat), **kw))
         res = pipe.run(small_graph())
         assert "validate" in res.obs.span_names()
         assert res.makespan > 0
@@ -313,7 +332,9 @@ class TestPipelineResult:
         assert res.makespan == res.predicted_makespan > 0
 
     def test_run_pipeline_convenience(self, platform):
-        res = run_pipeline(small_graph(), LayerBasedScheduler(CostModel(platform)))
+        res = SchedulingPipeline(LayerBasedScheduler(CostModel(platform))).run(
+            small_graph()
+        )
         assert isinstance(res, PipelineResult)
         assert res.trace.makespan > 0
 

@@ -22,7 +22,7 @@ from repro.graphs import REGIMES, adversarial_suite
 from repro.ode import MethodConfig, bruss2d, step_graph
 from repro.pipeline import SchedulingPipeline
 from repro.sim.executor import SimulationOptions
-from repro.scheduling import AMTHAScheduler, MoldableLayerScheduler
+from repro.scheduling import SCHEDULERS, AMTHAScheduler, MoldableLayerScheduler
 
 #: the documented tripwire: on home ODE workloads g-search may lose to a
 #: zoo competitor by at most this factor (measured headroom: g-search
@@ -122,8 +122,9 @@ class TestZooOnAdversarialSuite:
                     if scenario.fault_spec
                     else None
                 )
+                assert not scenario.big  # CPA runs at its default granularity
                 pipe = SchedulingPipeline(
-                    ZOO[name](cost, scenario.big),
+                    SCHEDULERS[name](cost),
                     options=SimulationOptions(faults=faults),
                 )
                 result = pipe.run(scenario.graph)
@@ -162,8 +163,8 @@ class TestGsearchTripwire:
         g = step_graph(bruss2d(120), MethodConfig(method, **kwargs))
         plat = chic().with_cores(cores)
         spans = {}
-        for name, factory in ZOO.items():
-            result = SchedulingPipeline(factory(CostModel(plat), False)).run(g)
+        for name in ZOO:
+            result = SchedulingPipeline(SCHEDULERS[name](CostModel(plat))).run(g)
             spans[name] = result.trace.makespan
         best_other = min(v for k, v in spans.items() if k != "gsearch")
         assert spans["gsearch"] <= best_other * GSEARCH_TRIPWIRE_FACTOR, spans

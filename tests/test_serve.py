@@ -2,8 +2,10 @@
 endpoints, persistence, accounting and the HTTP wire path."""
 
 import asyncio
+import hashlib
 import http.client
 import json
+import sys
 
 import pytest
 
@@ -217,6 +219,50 @@ class TestGoldenByteIdentity:
         b = call(svc, "POST", "/v1/schedule", dict(req, tenant="bob"))
         assert b.headers["X-Cache"] == "hit"
         assert a.body == b.body  # tenancy never leaks into the response
+
+
+#: (sha256 of the cold /v1/schedule body, X-Cache-Key) per scheduler
+#: name a request can select, as served before the scheduler table:
+#: a name mapped to the wrong class moves both
+SERVED_BY_NAME = {
+    "paper": ("7dadccc99d29fe61863c2f0dd10b8a09cf4928775bde68f720e0d501249ae519",
+              "5f77bfef36e83c9280429c895987bb2cf8723b33addb225fd6ffaee0882ec3e6"),
+    "gsearch": ("39e713d00792ad9fdb0f49acfdddfdfe8c31cab542dea625cc3d1b9b60d41a14",
+                "ec12459ff98b6db73120eddfacf1f37e532d8a124a61ee7f998220a8480aadcc"),
+    "amtha": ("6df37abe3ac5075cb7b3e9ae752c513ad57adba98fa02707cc7899367d4def58",
+              "eeab9bbd23945f6f4eee1d7c928cf962d3a6ea9b47158cad9ed6cff26a92ef19"),
+    "moldable": ("0d8b4cbac494b6c9a5ffc0e51c84b96034e0fc3c9ddcaf0c23c939f166a20ecd",
+                 "fd16ef3d939d26d34ad0f346be4ef10fb03cff51d8c963cce6ae42657f11078e"),
+    "version=tp": ("d3f1ae277109de43c2d927c8e22a41e6a624880683ba91a5c2e039f8c8f37c48",
+                   "45166ee7b4bcf5e96a7961d7b67af7a54eb4ca060a5818875201120d10c271db"),
+    "version=dp": ("35d1d8ac18203365173f8486f62a474a5e65b8ddcf1a763d53692856cc0f576d",
+                   "ff3068aa81461cf9991bb392095c8b171b8b0e4ee9a99e6a327b6c5b331a2846"),
+    "groups=2": ("ad376946e56dfcb857503a498d58bd6a830d7898e34606aaf3121cf46e11156a",
+                 "62dddc45a345aa3a493f2fe57193490d325df91e5f3fdd27fef15fa1112d41e8"),
+}
+
+
+def _by_name_request(name):
+    if "=" not in name:  # a DSL program under options.scheduler
+        return {"program": {"dsl": DSL, "sizes": {"vector": 64}},
+                "topology": {"cores": 8}, "options": {"scheduler": name}}
+    key, value = name.split("=")
+    return {"workload": {"solver": "irk", "n": 24}, "topology": {"cores": 32},
+            "options": {key: int(value) if key == "groups" else value}}
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="sum() over floats is compensated from Python 3.12 on, which moves "
+    "the last bit of served makespans; the digests are 3.11's",
+)
+@pytest.mark.parametrize("name", sorted(SERVED_BY_NAME))
+def test_each_scheduler_name_serves_pinned_bytes(svc, name):
+    r = call(svc, "POST", "/v1/schedule", _by_name_request(name))
+    assert r.status == 200, r.body
+    assert r.headers["X-Cache"] == "miss"
+    digest = hashlib.sha256(r.body).hexdigest()
+    assert (digest, r.headers["X-Cache-Key"]) == SERVED_BY_NAME[name]
 
 
 class TestEndpoints:
