@@ -8,7 +8,7 @@ parallel version as an extra curve.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..cluster.platforms import Platform
 from ..core.costmodel import CostModel
@@ -76,30 +76,19 @@ def speedup_sweep(
     include_dp: bool = True,
     title: str = "",
 ) -> ExperimentResult:
-    """Speedup over the sequential execution (Fig. 16 bottom-left style)."""
+    """Speedup over the sequential execution (Fig. 16 bottom-left style):
+    the series of :func:`mapping_sweep`, each point ``t_seq / t``."""
     base = platform_factory()
-    strategies = list(strategies or platform_strategies(base))
+    times = mapping_sweep(
+        problem, cfg, platform_factory, core_counts, include_dp, strategies
+    )
+    t_seq = sequential_step_time(step_graph(problem, cfg), CostModel(base))
     result = ExperimentResult(
         title=title or f"{cfg.method.upper()} speedups on {base.name}, {problem.name}",
         xlabel="cores",
         x=list(core_counts),
         ylabel="speedup",
     )
-    graph_cost = CostModel(base)
-    t_seq = sequential_step_time(step_graph(problem, cfg), graph_cost)
-    series: List[Tuple[str, List[float]]] = []
-    for strat in strategies:
-        ys = []
-        for p in core_counts:
-            plat = base.with_cores(p)
-            t = simulate_ode_step(problem, cfg, plat, strat, "tp").makespan
-            ys.append(t_seq / t)
-        result.add(strat.name, ys)
-    if include_dp:
-        ys = []
-        for p in core_counts:
-            plat = base.with_cores(p)
-            t = simulate_ode_step(problem, cfg, plat, consecutive(), "dp").makespan
-            ys.append(t_seq / t)
-        result.add("data-parallel", ys)
+    for s in times.series:
+        result.add(s.label, [t_seq / t for t in s.y])
     return result

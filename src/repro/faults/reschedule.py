@@ -242,12 +242,17 @@ def cluster_loss_handler(
     Returns a callback suitable for
     :class:`~repro.runtime.backends.ClusterBackend`'s ``on_worker_lost``
     parameter.  Each permanent worker departure is treated as the loss
-    of ``nodes_per_worker`` whole nodes at the boundary of the batch
-    being executed (a batch of independent tasks *is* a schedule layer,
-    so ``WorkerLoss.batch_index`` maps directly onto
-    ``CoreLoss.after_layer``), and :func:`reschedule_on_core_loss` is
-    invoked with the cumulative loss so far -- the re-plan always
+    of ``nodes_per_worker`` whole nodes, with ``WorkerLoss.batch_index``
+    passed as ``CoreLoss.after_layer``, and :func:`reschedule_on_core_loss`
+    is invoked with the cumulative loss so far -- the re-plan always
     reflects every departure, not just the latest one.
+
+    The two indices count different things: ``batch_index`` counts the
+    ``independent_batches`` of the functional body being executed (an
+    IRK step with ``K = 4, m = 2`` runs in 8), ``after_layer`` the
+    layers of ``layered`` (3 for the same step).
+    :func:`reschedule_on_core_loss` clamps the boundary to the layer
+    count, so a loss in a late batch re-plans nothing.
 
     The outcomes accumulate on the returned callback's ``outcomes``
     attribute in event order.  Re-planning is advisory for the run that

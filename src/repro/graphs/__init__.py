@@ -8,8 +8,9 @@ DAG families -- :func:`chain_graph`, :func:`fork_join_graph`,
 realistic work, moldability bounds and collective specs, so the
 vectorized cost path is exercised end to end.
 
-:func:`synthesize` is the keyed entry point the scale benchmark
-(``benchmarks/bench_schedule_scale.py``) sweeps over;
+:func:`synthesize` is the keyed entry point the ``dag-scale`` workload
+of ``perfbench/`` and the scale pins of ``tests/test_schedule_scale.py``
+call;
 :func:`fit_to_cores` reconciles a generated graph's moldability bounds
 with a target core count.  :mod:`repro.graphs.adversarial` adds the
 hostile scenarios (degenerate layers, boundary moldability bounds,

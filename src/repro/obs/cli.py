@@ -8,10 +8,10 @@ Eight subcommands make pipeline runs inspectable and gate regressions:
 * ``report`` -- print the derived :class:`ScheduleAnalysis` (per-core
   utilization, layer imbalance, critical-path share) of a run;
 * ``gantt`` -- render the ASCII Gantt chart of a run in the terminal;
-* ``diff`` -- compare two run-metrics JSONs (or two
-  ``BENCH_pipeline.json`` benchmark files) and exit non-zero when any
-  watched metric regressed past ``--threshold``; CI uses this as the
-  benchmark regression gate;
+* ``diff`` -- compare two run-metrics JSONs (or two benchmark files,
+  ``BENCH_shootout.json`` / ``BENCH_runtime.json``) and exit non-zero
+  when any watched metric regressed past ``--threshold``; CI gates both
+  committed benchmark files with it;
 * ``calib`` -- predicted-vs-actual cost-model calibration
   (:mod:`repro.obs.calibrate`): per-task ``Tsymb`` residuals against
   the simulated trace and, with ``--checkpoint-dir``, against the
@@ -368,8 +368,9 @@ def flatten_metrics(payload: Dict[str, Any], include_wall: bool = False) -> Dict
     """Flat ``name -> value`` view of a run/benchmark JSON payload.
 
     Understands three shapes: ``repro.obs.run`` exports (``metrics``
-    dict), ``BENCH_*.json`` benchmark files (``results`` row list keyed
-    by ``solver``) and plain flat dicts of numbers.
+    dict), benchmark files such as ``BENCH_shootout.json`` and
+    ``BENCH_runtime.json`` (``results`` row list keyed by ``solver`` or
+    ``name``) and plain flat dicts of numbers.
     """
     def numeric(d: Dict[str, Any], prefix: str = "") -> Dict[str, float]:
         out: Dict[str, float] = {}
@@ -656,7 +657,7 @@ examples:
 
 _DIFF_EPILOG = """\
 examples:
-  python -m repro.obs diff BENCH_pipeline.json new.json --threshold 1.25
+  python -m repro.obs diff BENCH_shootout.json new.json --threshold 1.25
   python -m repro.obs diff BENCH_runtime.json new_runtime.json --verbose
   python -m repro.obs diff old_run.json new_run.json --include-wall
 """

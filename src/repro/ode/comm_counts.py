@@ -41,14 +41,6 @@ class StepCommCounts:
     group_ops: Dict[str, float] = field(default_factory=dict)
     orthogonal_ops: Dict[str, float] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Export per-scope operation counts as nested dicts."""
-        return {
-            "global": dict(self.global_ops),
-            "group": dict(self.group_ops),
-            "orthogonal": dict(self.orthogonal_ops),
-        }
-
     def __eq__(self, other: object) -> bool:  # tolerant float comparison
         if not isinstance(other, StepCommCounts):
             return NotImplemented

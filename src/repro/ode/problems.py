@@ -67,10 +67,6 @@ class ODEProblem:
             raise ValueError(f"y0 has {len(y0)} components, expected n={self.n}")
         return y0
 
-    def flops_per_component(self) -> float:
-        """Average evaluation cost of one ODE component (``teval(f)``)."""
-        return self.eval_flops / self.n
-
 
 # ----------------------------------------------------------------------
 # BRUSS2D

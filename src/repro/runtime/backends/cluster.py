@@ -38,10 +38,10 @@ Robustness is the point of this backend:
   Only when *no* worker remains does the run fail, naming the stranded
   tasks.  Each permanent departure is reported through the shared
   ``worker_crash`` instrumentation record and the optional
-  ``on_worker_lost`` hook -- the pipeline wires that hook to
-  :func:`~repro.faults.reschedule_on_core_loss` (see
-  :func:`~repro.faults.reschedule.cluster_loss_handler`) so execution
-  degrades gracefully instead of dying.
+  ``on_worker_lost`` hook.  Nothing in the package sets that hook; a
+  caller that wants each departure re-planned passes
+  :func:`~repro.faults.reschedule.cluster_loss_handler`, which calls
+  :func:`~repro.faults.reschedule_on_core_loss`.
 * **per-task dispatch deadlines.**  With ``dispatch_retry``, a worker
   holding a task longer than ``dispatch_retry.timeout`` seconds is
   treated as hung: the task is redispatched elsewhere (bounded by the
@@ -118,9 +118,9 @@ class WorkerLoss:
     dispatch order).  ``in_flight`` names the tasks that were requeued
     off the dead worker; ``batch_index`` is the 0-based index of the
     independent batch being executed when the loss was detected --
-    :func:`~repro.faults.reschedule.cluster_loss_handler` maps it to the
-    layer boundary :func:`~repro.faults.reschedule_on_core_loss`
-    replans from.
+    :func:`~repro.faults.reschedule.cluster_loss_handler` passes it on as
+    the layer boundary :func:`~repro.faults.reschedule_on_core_loss`
+    replans from, although batches and layers are not counted alike.
     """
 
     worker: int

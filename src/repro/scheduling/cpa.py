@@ -43,10 +43,16 @@ class CPAScheduler(Scheduler):
     #: machines (a performance knob, not part of the original algorithm)
     granularity: int = 1
 
+    def _limits(self, graph: TaskGraph) -> Dict[MTask, int]:
+        """The most cores the allocation may give each task."""
+        P = self.cost.platform.total_cores
+        return {t: t.clamp_procs(P) for t in graph}
+
     def allocate(self, graph: TaskGraph) -> Dict[MTask, int]:
         """CPA allocation phase."""
         P = self.cost.platform.total_cores
         step = max(1, self.granularity)
+        limits = self._limits(graph)
         alloc: Dict[MTask, int] = {t: t.min_procs for t in graph}
         for _ in range(self.max_iterations):
             times = {t: self.cost.tsymb(t, alloc[t]) for t in graph}
@@ -54,21 +60,17 @@ class CPAScheduler(Scheduler):
             area = sum(alloc[t] * times[t] for t in graph) / P
             if cp_len <= area:
                 break
-            path = graph.critical_path(times)
             best_task, best_gain = None, 0.0
-            for t in path:
-                limit = t.clamp_procs(P)
-                if alloc[t] >= limit:
+            for t in graph.critical_path(times):
+                if alloc[t] >= limits[t]:
                     continue
-                trial = min(limit, alloc[t] + step)
+                trial = min(limits[t], alloc[t] + step)
                 gain = times[t] - self.cost.tsymb(t, trial)
                 if gain > best_gain:
                     best_task, best_gain = t, gain
             if best_task is None:
                 break  # no critical-path task benefits from another core
-            alloc[best_task] = min(
-                best_task.clamp_procs(P), alloc[best_task] + step
-            )
+            alloc[best_task] = min(limits[best_task], alloc[best_task] + step)
         return alloc
 
     def _plan(self, graph: TaskGraph, obs: Instrumentation) -> SchedulingResult:

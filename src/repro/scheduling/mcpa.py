@@ -11,29 +11,21 @@ failure of Fig. 13 left).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
-from ..core.costmodel import CostModel
 from ..core.graph import TaskGraph
 from ..core.task import MTask
-from ..obs import Instrumentation
-from .base import Scheduler, SchedulingResult
+from .cpa import CPAScheduler
 from .layers import layer_index
-from .listsched import list_schedule
 
 __all__ = ["MCPAScheduler"]
 
 
-@dataclass
-class MCPAScheduler(Scheduler):
+class MCPAScheduler(CPAScheduler):
     """CPA with level-parallelism-bounded allocation."""
 
-    cost: CostModel
-    max_iterations: int = 100_000
-    granularity: int = 1
-
-    def _caps(self, graph: TaskGraph) -> Dict[MTask, int]:
+    def _limits(self, graph: TaskGraph) -> Dict[MTask, int]:
+        """At most ``P / w`` cores for a task on a level of width ``w``."""
         P = self.cost.platform.total_cores
         depth = layer_index(graph)
         width: Dict[int, int] = {}
@@ -43,41 +35,3 @@ class MCPAScheduler(Scheduler):
             t: max(t.min_procs, t.clamp_procs(max(1, P // width[depth[t]])))
             for t in graph
         }
-
-    def allocate(self, graph: TaskGraph) -> Dict[MTask, int]:
-        """Compute per-task core allocations by critical-path reduction."""
-        P = self.cost.platform.total_cores
-        step = max(1, self.granularity)
-        caps = self._caps(graph)
-        alloc: Dict[MTask, int] = {t: t.min_procs for t in graph}
-        for _ in range(self.max_iterations):
-            times = {t: self.cost.tsymb(t, alloc[t]) for t in graph}
-            cp_len = graph.critical_path_length(times)
-            area = sum(alloc[t] * times[t] for t in graph) / P
-            if cp_len <= area:
-                break
-            best_task, best_gain = None, 0.0
-            for t in graph.critical_path(times):
-                if alloc[t] >= caps[t]:
-                    continue
-                trial = min(caps[t], alloc[t] + step)
-                gain = times[t] - self.cost.tsymb(t, trial)
-                if gain > best_gain:
-                    best_task, best_gain = t, gain
-            if best_task is None:
-                break
-            alloc[best_task] = min(caps[best_task], alloc[best_task] + step)
-        return alloc
-
-    def _plan(self, graph: TaskGraph, obs: Instrumentation) -> SchedulingResult:
-        with obs.span("allocate"):
-            alloc = self.allocate(graph)
-        with obs.span("listsched"):
-            timeline = list_schedule(graph, alloc, self.cost)
-        return SchedulingResult(
-            nprocs=self.nprocs,
-            scheduler=self.name,
-            timeline=timeline,
-            allocation=alloc,
-            stats={"allocated_cores": float(sum(alloc.values()))},
-        )

@@ -211,6 +211,6 @@ class TestDiff:
         pass -- mirrors the workflow wiring."""
         from pathlib import Path
 
-        bench = Path(__file__).parent.parent / "BENCH_pipeline.json"
+        bench = Path(__file__).parent.parent / "BENCH_shootout.json"
         assert bench.exists()
         assert main(["diff", "--threshold", "1.25", str(bench), str(bench)]) == 0

@@ -569,6 +569,29 @@ def _assert_makespan_matches_timeline(graph, platform):
 # ----------------------------------------------------------------------
 # end-to-end determinism and contraction round-trip at scale
 # ----------------------------------------------------------------------
+#: (family, n) -> (tasks, edges, layers, g-search probes, probes the
+#: ``Tact`` bound left to an LPT run, contracted chains, batch-priced
+#: ``Tsymb`` cells, predicted makespan) of ``synthesize(family, n, seed=1)``
+#: scheduled by the layer-based scheduler on 256 CHiC cores
+SCALE_PINS = {
+    ("chain", 1_000): (1000, 999, 1, 1, 1, 1, 1, "0x1.cb0f195388d2fp+0"),
+    ("chain", 3_000): (3000, 2999, 1, 1, 1, 1, 1, "0x1.64d4bce0c0f7ep+2"),
+    ("chain", 10_000): (10000, 9999, 1, 1, 1, 1, 1, "0x1.287558f0f1bffp+4"),
+    ("forkjoin", 1_000): (1020, 1949, 61, 991, 146, 29, 31711, "0x1.41793cf2f901ap-3"),
+    ("forkjoin", 3_000): (3026, 5784, 179, 2938, 446, 88, 94074, "0x1.cbd782f7dd402p-2"),
+    ("forkjoin", 10_000): (10030, 19174, 591, 9736, 1491, 294, 311816,
+                           "0x1.5743fab18d6d8p+0"),
+    ("layered", 1_000): (1000, 6861, 16, 1000, 170, 0, 36920, "0x1.b81c1fa42c106p-5"),
+    ("layered", 3_000): (3000, 21540, 47, 3000, 511, 0, 111000, "0x1.09e6c5b40aa87p-3"),
+    ("layered", 10_000): (10000, 72706, 157, 10000, 1699, 0, 369808,
+                          "0x1.b2424a01952dap-2"),
+    ("random", 1_000): (1000, 1983, 33, 953, 171, 46, 32112, "0x1.c8073525fc9f1p-5"),
+    ("random", 3_000): (3000, 5963, 63, 2441, 404, 121, 103246, "0x1.b25f95cc618cfp-4"),
+    ("random", 10_000): (10000, 19902, 184, 8320, 1523, 421, 348576,
+                         "0x1.8729b41d8d08bp-2"),
+}
+
+
 class TestScaleEndToEnd:
     def test_large_layered_schedule_is_deterministic(self):
         graph = layered_graph(5_000, seed=2)
@@ -623,6 +646,27 @@ class TestScaleEndToEnd:
         obs = Instrumentation()
         LayerBasedScheduler(CostModel(chic().with_cores(256))).schedule(graph, obs)
         assert obs.counter("gsearch.pruned") > obs.counter("gsearch.probes") // 2
+
+    @pytest.mark.parametrize("family, n", sorted(SCALE_PINS))
+    def test_decisions_pinned_at_scale(self, family, n):
+        graph = synthesize(family, n, seed=1)
+        cost = CachedCostEvaluator(CostModel(chic().with_cores(256)))
+        obs = Instrumentation()
+        result = LayerBasedScheduler(cost).schedule(graph, obs)
+        probes = result.stats["gsearch_probes"]
+        lpt_runs = probes - obs.counter("gsearch.pruned")
+        assert (
+            len(graph),
+            graph.num_edges,
+            result.stats["layers"],
+            probes,
+            lpt_runs,
+            result.stats["contracted_chains"],
+            cost.stats.total_batched,
+            result.predicted_makespan(cost).hex(),
+        ) == SCALE_PINS[family, n]
+        if family == "layered":
+            assert 2 * lpt_runs <= probes  # the Tact bound decides most probes
 
     @given(small_layer_case())
     @settings(max_examples=60, deadline=None)

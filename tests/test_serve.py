@@ -172,16 +172,28 @@ class TestValidation:
         assert excinfo.value.status == 404
 
 
+#: predicted makespan served for each paper solver at n=60 on 64 CHiC cores
+SERVED_MAKESPAN = {
+    "diirk": "0x1.af97a6611c0d1p-9",
+    "epol": "0x1.25220aba55cd5p-10",
+    "irk": "0x1.6b9a4512f2ab8p-10",
+    "pab": "0x1.4aec3f1cddd66p-12",
+    "pabm": "0x1.103ab8a84057fp-11",
+}
+
+
 class TestGoldenByteIdentity:
     """Cache hits must serve exactly the cold bytes, per paper solver."""
 
     @pytest.mark.parametrize("solver", sorted(SOLVER_CFGS))
     def test_schedule_hit_is_byte_identical(self, svc, solver):
-        req = {"workload": {"solver": solver, "n": 24},
-               "topology": {"cores": 16}}
+        # the request the CI ``serve`` job sends the live server twice
+        req = {"workload": {"solver": solver, "n": 60},
+               "topology": {"platform": "chic", "cores": 64}, "tenant": "bench"}
         cold = call(svc, "POST", "/v1/schedule", req)
         assert cold.status == 200, cold.body
         assert cold.headers["X-Cache"] == "miss"
+        assert float(cold.json["predicted_makespan"]).hex() == SERVED_MAKESPAN[solver]
         hit = call(svc, "POST", "/v1/schedule", req)
         assert hit.status == 200
         assert hit.headers["X-Cache"] == "hit"
