@@ -421,12 +421,8 @@ class CachedCostEvaluator:
             ("sequential_time", task), lambda: self.model.sequential_time(task)
         )
 
-    def tcomp(self, task: MTask, q: int) -> float:
-        # same arithmetic as CostModel.tcomp, on the memoized Tcomp(M)
-        """Memoized compute term Tcomp(M)/q."""
-        if q <= 0:
-            raise ValueError("q must be positive")
-        return self.sequential_time(task) / q
+    #: ``CostModel.tcomp`` itself, so its ``Tcomp(M)`` is the memoized one
+    tcomp = CostModel.tcomp
 
     def tcomm_symbolic(self, task: MTask, q: int) -> float:
         """Memoized symbolic communication term."""
@@ -473,18 +469,6 @@ class CachedCostEvaluator:
         if len(keys) > len(missing):
             self.stats._bump(self.stats.hits, "tsymb", len(keys) - len(missing))
         return [cache[k] for k in keys]
-
-    def best_symbolic_width(self, task: MTask, max_q: int) -> int:
-        # re-implemented over the memoized tsymb so every probe is cached
-        """Width minimising the memoized Tsymb over allowed q."""
-        lo = task.min_procs
-        hi = task.clamp_procs(max_q)
-        best_q, best_t = lo, self.tsymb(task, lo)
-        for q in range(lo + 1, hi + 1):
-            t = self.tsymb(task, q)
-            if t < best_t:
-                best_q, best_t = q, t
-        return best_q
 
     def redistribution_time_symbolic(
         self, flows: Sequence[DataFlow], q_src: int, q_dst: int

@@ -44,43 +44,9 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["main", "build_parser", "spec_type", "flatten_metrics", "compare_metrics"]
+from .metrics import WALL_CLOCK_SUFFIXES, metric_direction, oriented_ratio
 
-#: metric name suffixes where an *increase* past the threshold regresses
-LOWER_IS_BETTER = (
-    "makespan",
-    "predicted_makespan",
-    "simulated_makespan",
-    "cache_requests",
-    "cache_misses",
-    "gsearch_probes",
-    "redist_wait_fraction",
-    "idle_fraction",
-    "mean_layer_imbalance",
-    "max_layer_imbalance",
-    "critical_path_share",
-    "task_seconds_p50",
-    "task_seconds_p90",
-    "task_seconds_p99",
-    "task_retries_total",
-    "degraded_makespan",
-    "speculation_losses",
-)
-#: metric name suffixes where a *decrease* past the threshold regresses
-HIGHER_IS_BETTER = (
-    "cache_hit_rate",
-    "evaluation_reduction",
-    "busy_fraction",
-    "utilization",
-    "speculation_wins",
-    # pool-vs-serial wall-clock speedup from benchmarks/bench_runtime.py
-    "speedup",
-    # listed here (checked before the generic ``_seconds`` -> lower
-    # fallback) so --include-wall diffs orient it correctly
-    "speculation_saved_seconds",
-)
-#: wall-clock metrics, too noisy for a gate unless explicitly included
-WALL_CLOCK_SUFFIXES = ("_seconds",)
+__all__ = ["main", "build_parser", "spec_type", "flatten_metrics", "compare_metrics"]
 
 
 # ----------------------------------------------------------------------
@@ -395,34 +361,22 @@ def flatten_metrics(payload: Dict[str, Any], include_wall: bool = False) -> Dict
     return numeric(payload)
 
 
-def _direction(name: str) -> Optional[str]:
-    leaf = name.rsplit(".", 1)[-1]
-    if leaf in HIGHER_IS_BETTER:
-        return "higher"
-    if leaf in LOWER_IS_BETTER or leaf.endswith("_seconds"):
-        return "lower"
-    return None
-
-
 def compare_metrics(
     old: Dict[str, float], new: Dict[str, float], threshold: float
 ) -> List[Dict[str, Any]]:
     """Per-metric comparison rows; ``regressed`` marks threshold breaks.
 
-    The ratio is oriented so that values above 1.0 are worse than the
-    baseline regardless of the metric's direction.
+    The ratio (:func:`~repro.obs.metrics.oriented_ratio`) is above 1.0
+    when the new value is worse, whichever the metric's direction;
+    metrics without a direction are not compared.
     """
     rows: List[Dict[str, Any]] = []
     for name in sorted(set(old) & set(new)):
-        direction = _direction(name)
+        direction = metric_direction(name)
         if direction is None:
             continue
         a, b = old[name], new[name]
-        worse, better = (b, a) if direction == "lower" else (a, b)
-        if better == 0.0:
-            ratio = 1.0 if worse == 0.0 else float("inf")
-        else:
-            ratio = worse / better
+        ratio = oriented_ratio(a, b, direction)
         rows.append(
             {
                 "metric": name,

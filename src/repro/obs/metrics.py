@@ -1,6 +1,6 @@
-"""The one metrics model, and derived schedule analytics.
+"""The one metrics model, its direction policy and derived schedule analytics.
 
-Two layers live here:
+Three layers live here:
 
 * **the model** -- :class:`Counter`, :class:`Gauge` and
   :class:`Histogram` children grouped into labelled families by
@@ -13,6 +13,9 @@ Two layers live here:
   :class:`~repro.serve.service.ScheduleService` owns one per server.  A
   histogram keeps at most :data:`HISTOGRAM_CAP` samples, so a
   long-lived registry holds bounded memory;
+* **the direction policy** -- which metrics are better lower or higher
+  (:func:`metric_direction`) and the one :func:`oriented_ratio` both
+  ``repro.obs diff`` and ``RunRegistry.trend`` judge a change by;
 * **derived analytics** -- :class:`ScheduleAnalysis`, computed by
   :func:`analyze` from any simulated pipeline run: per-core busy/idle/
   redist-wait fractions, per-layer load imbalance, the critical-path
@@ -36,6 +39,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 __all__ = [
     "HISTOGRAM_CAP", "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "child_key", "split_key", "flat_view",
+    "LOWER_IS_BETTER", "HIGHER_IS_BETTER", "WALL_CLOCK_SUFFIXES",
+    "metric_direction", "oriented_ratio",
     "CoreUsage", "LayerBalance", "ScheduleAnalysis", "analyze",
 ]
 
@@ -357,6 +362,75 @@ class MetricsRegistry:
                     lines.append(f"{prom}_sum{_prom_labels(key)} {_prom_value(metric.total)}")
                     lines.append(f"{prom}_count{_prom_labels(key)} {metric.count}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+# ----------------------------------------------------------------------
+# Metric directions: which way a change is a regression
+# ----------------------------------------------------------------------
+#: metric name suffixes where an *increase* past the threshold regresses
+LOWER_IS_BETTER = (
+    "makespan",
+    "predicted_makespan",
+    "simulated_makespan",
+    "cache_requests",
+    "cache_misses",
+    "gsearch_probes",
+    "redist_wait_fraction",
+    "idle_fraction",
+    "mean_layer_imbalance",
+    "max_layer_imbalance",
+    "critical_path_share",
+    "task_seconds_p50",
+    "task_seconds_p90",
+    "task_seconds_p99",
+    "task_retries_total",
+    "degraded_makespan",
+    "speculation_losses",
+)
+#: metric name suffixes where a *decrease* past the threshold regresses
+HIGHER_IS_BETTER = (
+    "cache_hit_rate",
+    "evaluation_reduction",
+    "busy_fraction",
+    "utilization",
+    "speculation_wins",
+    # pool-vs-serial wall-clock speedup from benchmarks/bench_runtime.py
+    "speedup",
+    # listed here (checked before the generic ``_seconds`` -> lower
+    # fallback) so --include-wall diffs orient it correctly
+    "speculation_saved_seconds",
+)
+#: wall-clock metrics, too noisy for a gate unless explicitly included
+WALL_CLOCK_SUFFIXES = ("_seconds",)
+
+
+def metric_direction(name: str) -> Optional[str]:
+    """``"lower"`` / ``"higher"`` is better for the metric ``name`` (its
+    last dotted component decides), or ``None`` when it has no known
+    direction."""
+    leaf = name.rsplit(".", 1)[-1]
+    if leaf in HIGHER_IS_BETTER:
+        return "higher"
+    if leaf in LOWER_IS_BETTER or leaf.endswith(WALL_CLOCK_SUFFIXES):
+        return "lower"
+    return None
+
+
+def oriented_ratio(old: float, new: float, direction: Optional[str]) -> float:
+    """``worse / better`` of two values, above 1.0 when ``new`` is worse.
+
+    ``direction`` is :func:`metric_direction`'s answer; without one any
+    relative change counts, whichever way it goes.
+    """
+    if direction == "lower":
+        worse, better = new, old
+    elif direction == "higher":
+        worse, better = old, new
+    else:
+        worse, better = max(new, old), min(new, old)
+    if better == 0.0:
+        return 1.0 if worse == 0.0 else float("inf")
+    return worse / better
 
 
 # ----------------------------------------------------------------------

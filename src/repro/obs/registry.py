@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional
 
 from ..recovery.checkpoint import json_digest
 from .metrics import Counter, MetricsRegistry, child_key, split_key  # noqa: F401
+from .metrics import metric_direction, oriented_ratio
 
 __all__ = [
     "RunRecord",
@@ -324,8 +325,9 @@ class RunRegistry:
 
         Compares the latest value against the median of the earlier
         window (records matching ``key``, newest ``last`` of them); the
-        ratio is oriented via the diff gate's metric directions so that
-        values above 1.0 are worse.  Returns a summary dict with
+        ratio is the diff gate's :func:`~repro.obs.metrics.oriented_ratio`,
+        above 1.0 when the latest value is worse (any change counts for a
+        metric without a direction).  Returns a summary dict with
         ``drifted`` set when the ratio exceeds ``threshold``; fewer than
         two comparable records -- a single-record registry, an empty
         window (``last <= 0``), or records whose metric is missing or
@@ -360,19 +362,8 @@ class RunRegistry:
             baseline = earlier[mid]
         else:
             baseline = 0.5 * (earlier[mid - 1] + earlier[mid])
-        from .cli import _direction  # lazy: cli imports this module lazily too
-
-        direction = _direction(metric)
-        if direction == "higher":
-            worse, better = baseline, latest
-        elif direction == "lower":
-            worse, better = latest, baseline
-        else:  # unknown direction: any relative change counts
-            worse, better = max(latest, baseline), min(latest, baseline)
-        if better == 0.0:
-            ratio = 1.0 if worse == 0.0 else float("inf")
-        else:
-            ratio = worse / better
+        direction = metric_direction(metric)
+        ratio = oriented_ratio(baseline, latest, direction)
         out.update(
             latest=latest,
             baseline=baseline,

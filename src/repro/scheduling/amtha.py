@@ -7,18 +7,17 @@ narrow core allotment and dispatches tasks one at a time in decreasing
 most expensive communication-inclusive path to a sink.  Adapted to
 M-tasks and symbolic cores:
 
-* each task runs at its *minimal* feasible width (``width="min"``, the
-  default -- AMTHA maps tasks to single processors; ``width="best"``
-  instead picks the ``Tsymb``-optimal width per task, a moldable
-  variant),
-* the rank includes the symbolic re-distribution cost on every edge, so
-  communication-heavy paths are prioritised -- this is what separates
-  AMTHA's dispatch order from the comm-free bottom levels of
-  :mod:`repro.scheduling.listsched`,
-* dispatch assigns the highest-ranked ready task to the cores that
-  become free earliest; the start time honours both core availability
-  and data arrival (predecessor finish plus re-distribution whenever
-  the core sets differ).
+* each task runs at its *minimal* feasible width (AMTHA maps tasks to
+  single processors),
+* the rank is a bottom level that also adds the symbolic
+  re-distribution cost on every edge, so communication-heavy paths are
+  prioritised -- this is what separates AMTHA's dispatch order from the
+  comm-free bottom levels of CPA and CPR,
+* dispatch is the zoo's one list schedule
+  (:func:`~repro.scheduling.listsched.list_schedule`) under that rank:
+  the highest-ranked ready task takes the cores that become free
+  earliest and starts once both they and its input data (predecessor
+  finish plus re-distribution whenever the core sets differ) are there.
 
 The narrow allotments make AMTHA strong on graphs with much task
 parallelism and little per-task scalability, and weak when a layer's
@@ -28,16 +27,13 @@ measures against the paper's g-search.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
 
 from ..core.costmodel import CostModel
 from ..core.graph import TaskGraph
-from ..core.schedule import Schedule, ScheduledTask
-from ..core.task import MTask
 from ..obs import Instrumentation
 from .base import Scheduler, SchedulingResult
+from .listsched import bottom_levels, list_schedule
 
 __all__ = ["AMTHAScheduler"]
 
@@ -50,105 +46,39 @@ class AMTHAScheduler(Scheduler):
     ----------
     cost:
         Cost model (binds the target platform).
-    width:
-        Per-task allotment policy: ``"min"`` (each task at its
-        ``min_procs``, the faithful adaptation) or ``"best"`` (each task
-        at its ``Tsymb``-optimal width, a moldable variant).
     """
 
     cost: CostModel
-    width: str = "min"
 
-    def __post_init__(self) -> None:
-        if self.width not in ("min", "best"):
-            raise ValueError("width must be 'min' or 'best'")
-
-    # ------------------------------------------------------------------
-    def _widths(self, graph: TaskGraph) -> Dict[MTask, int]:
-        """Fixed per-task core allotment under the width policy."""
+    def _plan(self, graph: TaskGraph, obs: Instrumentation) -> SchedulingResult:
+        """Rank every task, then dispatch ready tasks in rank order."""
         P = self.nprocs
-        widths: Dict[MTask, int] = {}
         for t in graph:
             if t.min_procs > P:
                 raise ValueError(
                     f"task {t.name!r}: min_procs={t.min_procs} exceeds the "
                     f"{P}-core platform"
                 )
-            if self.width == "best":
-                widths[t] = self.cost.best_symbolic_width(t, t.clamp_procs(P))
-            else:
-                widths[t] = t.min_procs
-        return widths
+        widths = {t: t.min_procs for t in graph}
 
-    def _ranks(
-        self, graph: TaskGraph, widths: Dict[MTask, int]
-    ) -> Tuple[Dict[MTask, float], Dict[MTask, float]]:
-        """Communication-inclusive upward rank and execution time per task."""
-        times = {t: self.cost.tsymb(t, widths[t]) for t in graph}
-        rank: Dict[MTask, float] = {}
-        for t in reversed(graph.topological_order()):
-            tail = 0.0
-            for s in graph.successors(t):
-                comm = self.cost.redistribution_time_symbolic(
-                    graph.flows(t, s), widths[t], widths[s]
-                )
-                tail = max(tail, comm + rank[s])
-            rank[t] = times[t] + tail
-        return rank, times
+        def edge(u, v):
+            return self.cost.redistribution_time_symbolic(
+                graph.flows(u, v), widths[u], widths[v]
+            )
 
-    # ------------------------------------------------------------------
-    def _plan(self, graph: TaskGraph, obs: Instrumentation) -> SchedulingResult:
-        """Rank every task, then dispatch ready tasks in rank order."""
-        P = self.nprocs
-        with obs.span("rank"):
-            widths = self._widths(graph)
-            rank, times = self._ranks(graph, widths)
-
-        avail = [0.0] * P  # per symbolic core: time it becomes free
-        finish: Dict[MTask, float] = {}
-        cores_of: Dict[MTask, tuple] = {}
-        schedule = Schedule(P)
-
-        remaining = {t: len(graph.predecessors(t)) for t in graph}
-        # max-heap on rank; the name tie-break keeps dispatch deterministic
-        ready: List[Tuple[float, str, MTask]] = [
-            (-rank[t], t.name, t) for t, deg in remaining.items() if deg == 0
-        ]
-        heapq.heapify(ready)
         with obs.span("dispatch", tasks=len(graph)):
-            while ready:
-                _, _, t = heapq.heappop(ready)
-                q = widths[t]
-                order = sorted(range(P), key=lambda c: (avail[c], c))
-                chosen = tuple(sorted(order[:q]))
-                core_ready = max(avail[c] for c in chosen)
-                data_ready = 0.0
-                for p in graph.predecessors(t):
-                    arrival = finish[p]
-                    if set(cores_of[p]) != set(chosen):
-                        arrival += self.cost.redistribution_time_symbolic(
-                            graph.flows(p, t), widths[p], q
-                        )
-                    data_ready = max(data_ready, arrival)
-                start = max(core_ready, data_ready)
-                end = start + times[t]
-                for c in chosen:
-                    avail[c] = end
-                finish[t] = end
-                cores_of[t] = chosen
-                schedule.add(ScheduledTask(t, start, end, chosen))
-                obs.count("amtha.dispatched")
-                for s in graph.successors(t):
-                    remaining[s] -= 1
-                    if remaining[s] == 0:
-                        heapq.heappush(ready, (-rank[s], s.name, s))
-        if len(finish) != len(graph):
-            raise AssertionError("dependency deadlock in AMTHA dispatch")
+            schedule = list_schedule(
+                graph,
+                widths,
+                self.cost,
+                priority=lambda times: bottom_levels(graph, times, edge),
+            )
+        obs.count("amtha.dispatched", len(schedule))
         return SchedulingResult(
             nprocs=P,
             scheduler=self.name,
             timeline=schedule,
-            allocation=dict(widths),
+            allocation=widths,
             stats={
                 "tasks": float(len(graph)),
                 "mean_width": (

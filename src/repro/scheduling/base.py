@@ -89,17 +89,18 @@ class SchedulingResult:
         return [e.task for e in self.trace.entries]  # type: ignore[union-attr]
 
     # ------------------------------------------------------------------
-    def symbolic_timeline(self, cost: CostModel, expand_chains: bool = True) -> Schedule:
+    def symbolic_timeline(self, cost: CostModel) -> Schedule:
         """The symbolic-core timeline the scheduling phase reasoned about.
 
         For layered results this runs :func:`symbolic_timeline`; timeline
-        results already are one (chains expanded on request); dynamic
-        results rebuild a symbolic view from the trace's physical cores.
+        results already are one (contracted chains expanded to their
+        members); dynamic results rebuild a symbolic view from the
+        trace's physical cores.
         """
         if self.layered is not None:
-            return symbolic_timeline(self.layered, cost, expand_chains)
+            return symbolic_timeline(self.layered, cost)
         if self.timeline is not None:
-            if not expand_chains or not self.expansion:
+            if not self.expansion:
                 return self.timeline
             return self._expanded_timeline(cost)
         return self._timeline_from_trace()
@@ -186,7 +187,7 @@ class Scheduler(abc.ABC):
         """Algorithm body; must return a :class:`SchedulingResult`."""
 
 
-def _priced_groups(schedule: LayeredSchedule, cost: CostModel, expand_chains: bool = True):
+def _priced_groups(schedule: LayeredSchedule, cost: CostModel):
     """Member durations of a layered schedule, group by group.
 
     An iterator with one item per group of every layer, in order: the
@@ -203,7 +204,7 @@ def _priced_groups(schedule: LayeredSchedule, cost: CostModel, expand_chains: bo
     for layer in schedule.layers:
         for size, tasks in zip(layer.group_sizes, layer.groups):
             for task in tasks:
-                for m in schedule.expand(task) if expand_chains else (task,):
+                for m in schedule.expand(task):
                     members.append(m)
                     widths.append(m.clamp_procs(size))
             ends.append(len(members))
@@ -211,11 +212,7 @@ def _priced_groups(schedule: LayeredSchedule, cost: CostModel, expand_chains: bo
     return (priced[lo:hi] for lo, hi in zip([0] + ends, ends))
 
 
-def symbolic_timeline(
-    schedule: LayeredSchedule,
-    cost: CostModel,
-    expand_chains: bool = True,
-) -> Schedule:
+def symbolic_timeline(schedule: LayeredSchedule, cost: CostModel) -> Schedule:
     """Estimate a start/finish timeline for a layered schedule.
 
     Uses the symbolic cost ``Tsymb`` (default mapping pattern); layers are
@@ -224,7 +221,7 @@ def symbolic_timeline(
     simulator recomputes the real timeline after mapping.
     """
     out = Schedule(schedule.nprocs)
-    groups = _priced_groups(schedule, cost, expand_chains)
+    groups = _priced_groups(schedule, cost)
     t_layer = 0.0
     for layer in schedule.layers:
         layer_end = t_layer

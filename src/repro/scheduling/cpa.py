@@ -31,14 +31,15 @@ from .listsched import list_schedule
 
 __all__ = ["CPAScheduler"]
 
+#: safety bound on allocation moves (ample headroom)
+MAX_MOVES = 100_000
+
 
 @dataclass
 class CPAScheduler(Scheduler):
     """The CPA two-phase M-task scheduler."""
 
     cost: CostModel
-    #: safety bound on allocation iterations (defaults to ample headroom)
-    max_iterations: int = 100_000
     #: cores added per allocation move; > 1 coarsens the search on large
     #: machines (a performance knob, not part of the original algorithm)
     granularity: int = 1
@@ -54,7 +55,7 @@ class CPAScheduler(Scheduler):
         step = max(1, self.granularity)
         limits = self._limits(graph)
         alloc: Dict[MTask, int] = {t: t.min_procs for t in graph}
-        for _ in range(self.max_iterations):
+        for _ in range(MAX_MOVES):
             times = {t: self.cost.tsymb(t, alloc[t]) for t in graph}
             cp_len = graph.critical_path_length(times)
             area = sum(alloc[t] * times[t] for t in graph) / P

@@ -25,6 +25,9 @@ from .listsched import list_schedule
 
 __all__ = ["CPRScheduler"]
 
+#: objective differences this small are ties, not improvements
+TOLERANCE = 1e-12
+
 
 @dataclass
 class CPRScheduler(Scheduler):
@@ -32,7 +35,6 @@ class CPRScheduler(Scheduler):
 
     cost: CostModel
     max_increments: int = 50_000
-    tolerance: float = 1e-12
     #: cores added per widening attempt; > 1 coarsens the search on large
     #: machines (a performance knob, not part of the original algorithm)
     granularity: int = 1
@@ -95,9 +97,9 @@ class CPRScheduler(Scheduler):
                 increments += 1
                 trial = list_schedule(graph, alloc, self.cost)
                 trial_obj = self._objective(trial)
-                if trial_obj[0] < best_obj[0] - self.tolerance or (
-                    trial_obj[0] < best_obj[0] + self.tolerance
-                    and trial_obj[1] < best_obj[1] - self.tolerance
+                if trial_obj[0] < best_obj[0] - TOLERANCE or (
+                    trial_obj[0] < best_obj[0] + TOLERANCE
+                    and trial_obj[1] < best_obj[1] - TOLERANCE
                 ):
                     best, best_obj = trial, trial_obj
                     improved = True

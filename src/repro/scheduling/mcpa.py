@@ -25,13 +25,13 @@ class MCPAScheduler(CPAScheduler):
     """CPA with level-parallelism-bounded allocation."""
 
     def _limits(self, graph: TaskGraph) -> Dict[MTask, int]:
-        """At most ``P / w`` cores for a task on a level of width ``w``."""
+        """At most ``P / w`` cores for a task on a level of width ``w``,
+        and never fewer than the task's ``min_procs``."""
         P = self.cost.platform.total_cores
         depth = layer_index(graph)
         width: Dict[int, int] = {}
         for t, d in depth.items():
             width[d] = width.get(d, 0) + 1
         return {
-            t: max(t.min_procs, t.clamp_procs(max(1, P // width[depth[t]])))
-            for t in graph
+            t: t.clamp_procs(max(t.min_procs, P // width[depth[t]])) for t in graph
         }

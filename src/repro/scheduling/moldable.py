@@ -13,12 +13,16 @@ on ``P`` symbolic cores:
    bound ``sum_t w_t * Tsymb(t, w_t) <= P * theta``;
 4. pack the accepted allotments with an LPT list schedule onto the
    concrete cores (longest task first, each onto the cores that free up
-   earliest).
+   earliest -- :func:`~repro.scheduling.listsched.earliest_free`, the
+   zoo's one core-choice rule).
 
 Layers are separated by barriers (every predecessor lives in a strictly
 earlier layer, so the resulting timeline is precedence-clean by
 construction); re-distribution between layers is not charged, mirroring
-the symbolic view the layered scheduler plans with.  The per-layer cost
+the symbolic view the layered scheduler plans with.  That is why the
+pack is a loop of its own rather than
+:func:`~repro.scheduling.listsched.list_schedule`: no task waits for
+data, only for the layer barrier and its cores.  The per-layer cost
 table is batch-evaluated once (:meth:`~repro.core.costmodel.CostModel.
 tsymb_table`), so each ``theta`` probe is a vectorized scan rather than
 ``O(n * P)`` scalar cost calls.
@@ -38,8 +42,13 @@ from ..core.task import MTask
 from ..obs import Instrumentation
 from .base import Scheduler, SchedulingResult
 from .layers import build_layers
+from .listsched import earliest_free
 
 __all__ = ["MoldableLayerScheduler"]
+
+#: binary-search steps on a layer's makespan guess: they narrow the
+#: bracket by a factor of ``2**24``, far below cost-model noise
+BISECTIONS = 24
 
 
 @dataclass
@@ -50,13 +59,9 @@ class MoldableLayerScheduler(Scheduler):
     ----------
     cost:
         Cost model (binds the target platform).
-    iterations:
-        Binary-search steps on the per-layer makespan guess; 24 narrows
-        the bracket by a factor of ``2**24``, far below cost-model noise.
     """
 
     cost: CostModel
-    iterations: int = 24
 
     # ------------------------------------------------------------------
     def _layer_widths(
@@ -120,7 +125,7 @@ class MoldableLayerScheduler(Scheduler):
                 "dual approximation found no feasible allotment for layer "
                 f"[{', '.join(t.name for t in tasks)}] on {P} cores"
             )
-        for _ in range(self.iterations):
+        for _ in range(BISECTIONS):
             mid = 0.5 * (lo_theta + hi_theta)
             first, _, ok = canonical(mid)
             obs.count("moldable.theta_probes")
@@ -155,8 +160,7 @@ class MoldableLayerScheduler(Scheduler):
                 layer_end = t_layer
                 for i in order:
                     t, q = tasks[i], widths[i]
-                    core_order = sorted(range(P), key=lambda c: (avail[c], c))
-                    chosen = tuple(sorted(core_order[:q]))
+                    chosen = earliest_free(avail, q)
                     start = max(t_layer, max(avail[c] for c in chosen))
                     end = start + times[i]
                     for c in chosen:

@@ -175,3 +175,15 @@ class TestMCPA:
         g.add_task(MTask("capped", work=1e12, max_procs=3))
         alloc = MCPAScheduler(cost).allocate(g)
         assert list(alloc.values())[0] <= 3
+
+    def test_min_procs_above_level_share(self, cost):
+        """A level of 8 tasks on 16 cores shares out 2 cores each; a task
+        that needs 4 keeps its 4 instead of failing the cap."""
+        from repro.scheduling import MCPAScheduler
+
+        g = TaskGraph()
+        for i in range(8):
+            g.add_task(MTask(f"t{i}", work=1e9, min_procs=4 if i == 0 else 1))
+        alloc = MCPAScheduler(cost).allocate(g)
+        assert alloc[g.task("t0")] >= 4
+        MCPAScheduler(cost).schedule(g).timeline.validate(g)
