@@ -16,7 +16,9 @@ script in two modes:
    gathered results the backend SIGKILLs one worker.  The coordinator
    detects the lost connection, requeues the dead worker's in-flight
    and queued tasks onto the survivors, and the run *completes* -- the
-   summary must be bit-identical to the serial reference;
+   summary must be bit-identical to the serial reference, and the loss
+   must be reported exactly once: one ``worker_crash`` record of the
+   killed worker and ``cluster.worker_losses == 1``;
 3. **kill + parent crash + resume** -- the step runs journaled in a
    subprocess with both chaos hooks armed: the worker SIGKILL *and* the
    journal's ``--crash-after`` parent kill (``os._exit(137)`` tearing
@@ -130,13 +132,16 @@ def main(argv=None) -> int:
         return _straggler_check(args, problem, reference)
 
     # 2. cluster run with a worker SIGKILLed mid-batch: must complete
-    #    on the survivors, bit-identical to the serial reference
+    #    on the survivors, bit-identical to the serial reference, and
+    #    report the loss once
+    obs = Instrumentation()
     kill_run, _ = run_checkpointed_step(
         problem, CFG, fresh(args.workdir / "killed"), faults=PLAN, retry=RETRY,
         backend=ClusterBackend(
             workers=args.workers,
             chaos_kill=(args.kill_worker, args.kill_after),
         ),
+        obs=obs,
     )
     killed = summarize(kill_run)
     if killed != reference:
@@ -145,8 +150,16 @@ def main(argv=None) -> int:
         print(json.dumps({"reference": reference, "killed": killed},
                          indent=2), file=sys.stderr)
         return 1
+    crashes = [(c["backend"], c["worker"]) for c in obs.records_of("worker_crash")]
+    losses = obs.counter("cluster.worker_losses")
+    if crashes != [("cluster", args.kill_worker)] or losses != 1:
+        print(f"ERROR: expected one worker_crash record of cluster worker "
+              f"{args.kill_worker} and cluster.worker_losses == 1, got "
+              f"{crashes} and {losses:g}", file=sys.stderr)
+        return 1
     print(f"worker {args.kill_worker} SIGKILLed after {args.kill_after} "
-          f"results: run completed on the survivors, bit-identical")
+          f"results: run completed on the survivors, bit-identical; "
+          f"reported by one worker_crash record")
 
     # 3. worker kill + parent crash (torn journal) + resume
     fresh(args.workdir / "chaos")

@@ -10,7 +10,9 @@ The subsystem has three pillars, mirroring the tentpole:
   structured failure records ``RunResult.failures`` surfaces;
 * :func:`reschedule_on_core_loss` / :class:`RescheduleOutcome` -- re-plan
   the remaining layers of a layered schedule on the reduced platform
-  through a fresh scheduling pipeline.
+  through a fresh scheduling pipeline; the pipeline's reschedule stage
+  (``FaultPlan.core_loss``) is its caller.  A functional run that loses
+  a worker re-plans nothing: it requeues and reports the loss.
 """
 
 from .plan import CoreLoss, FaultPlan, parse_faults_spec
@@ -21,11 +23,7 @@ from .retry import (
     TaskExecutionError,
     TaskTimeout,
 )
-from .reschedule import (
-    RescheduleOutcome,
-    cluster_loss_handler,
-    reschedule_on_core_loss,
-)
+from .reschedule import RescheduleOutcome, reschedule_on_core_loss
 
 __all__ = [
     "CoreLoss",
@@ -38,5 +36,4 @@ __all__ = [
     "TaskTimeout",
     "RescheduleOutcome",
     "reschedule_on_core_loss",
-    "cluster_loss_handler",
 ]

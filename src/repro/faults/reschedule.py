@@ -6,8 +6,10 @@ every remaining layer must be re-planned: the scheduler is re-invoked
 through a fresh :class:`~repro.pipeline.SchedulingPipeline` on the
 reduced symbolic core count, the mapping strategy re-pins the groups to
 the surviving nodes, and the simulator predicts the degraded makespan of
-the combined prefix + suffix execution.  The functional runtime can then
-re-execute with the merged group sizes (:meth:`RescheduleOutcome.group_sizes`).
+the combined prefix + suffix execution.  The pipeline's reschedule
+stage (``FaultPlan.core_loss``) is the one place a lost capacity is
+re-planned; a functional run that loses a worker only reports it (the
+``worker_crash`` record) and requeues its tasks.
 
 The split is expressed entirely in terms of existing artefacts -- no
 scheduler grows a special fault mode:
@@ -27,19 +29,13 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..core.costmodel import CachedCostEvaluator, CostModel
 from ..core.graph import TaskGraph
 from ..core.schedule import LayeredSchedule
-from ..core.task import MTask
 from ..obs import Instrumentation
 from ..sim.trace import ExecutionTrace
 from .plan import CoreLoss
 
-__all__ = [
-    "RescheduleOutcome",
-    "reschedule_on_core_loss",
-    "cluster_loss_handler",
-]
+__all__ = ["RescheduleOutcome", "reschedule_on_core_loss"]
 
 
 @dataclass
@@ -56,8 +52,6 @@ class RescheduleOutcome:
     reduced_platform: object
     #: finish time of the prefix (the suffix starts here)
     prefix_makespan: float
-    #: the original layered schedule the prefix ran under
-    original_layered: LayeredSchedule
     #: full pipeline result of the suffix re-schedule (``None`` when the
     #: loss struck after the last layer and nothing needed re-planning)
     suffix: Optional[object] = None
@@ -70,22 +64,6 @@ class RescheduleOutcome:
     def rescheduled(self) -> bool:
         return self.suffix is not None
 
-    def group_sizes(self) -> Dict[MTask, int]:
-        """Per-task group sizes of the degraded run (prefix sizes from the
-        original schedule, suffix sizes from the re-schedule's placement),
-        ready for :func:`~repro.runtime.executor.run_program`."""
-        sizes: Dict[MTask, int] = {}
-        for layer in self.original_layered.layers[: self.cut]:
-            for gi, tasks in enumerate(layer.groups):
-                width = layer.group_sizes[gi]
-                for t in tasks:
-                    for m in self.original_layered.expand(t):
-                        sizes[m] = m.clamp_procs(width)
-        if self.suffix is not None and self.suffix.placement is not None:
-            for task, cores in self.suffix.placement.task_cores.items():
-                sizes[task] = len(cores)
-        return sizes
-
     def summary(self) -> Dict[str, object]:
         """Export the reschedule outcome as a dict."""
         return {
@@ -97,30 +75,6 @@ class RescheduleOutcome:
             "degraded_makespan": self.degraded_makespan,
             "rescheduled": self.rescheduled,
         }
-
-
-def _reduced_scheduler(scheduler, platform):
-    """A copy of ``scheduler`` bound to the reduced platform.
-
-    Works for any dataclass scheduler with a ``cost`` field (the
-    layer-based algorithm and the baselines built on it); anything else
-    falls back to a fresh :class:`LayerBasedScheduler` on a plain cost
-    model, which is the re-planning algorithm the tentpole mandates.
-    """
-    from ..scheduling.layered import LayerBasedScheduler
-
-    base = scheduler.cost if scheduler is not None else None
-    if isinstance(base, CachedCostEvaluator):
-        base = base.model
-    if not isinstance(base, CostModel):
-        base = CostModel(platform)
-    cost = dataclasses.replace(base, platform=platform)
-    if scheduler is not None and dataclasses.is_dataclass(scheduler):
-        try:
-            return dataclasses.replace(scheduler, cost=cost)
-        except (TypeError, ValueError):
-            pass
-    return LayerBasedScheduler(cost)
 
 
 def _suffix_graph(graph: TaskGraph, keep) -> TaskGraph:
@@ -141,7 +95,7 @@ def reschedule_on_core_loss(
     platform,
     strategy,
     loss: CoreLoss,
-    scheduler=None,
+    scheduler,
     options=None,
     obs: Optional[Instrumentation] = None,
 ) -> RescheduleOutcome:
@@ -158,8 +112,10 @@ def reschedule_on_core_loss(
     loss:
         The core-loss event (whole nodes, at a layer boundary).
     scheduler:
-        The scheduler to re-invoke (re-bound to the reduced platform);
-        defaults to a fresh ``LayerBasedScheduler``.
+        The scheduler that produced ``layered``, as a pipeline holds it:
+        a dataclass whose ``cost`` is a
+        :class:`~repro.core.costmodel.CachedCostEvaluator`.  A copy bound
+        to the reduced platform re-plans the suffix.
     options:
         :class:`~repro.sim.executor.SimulationOptions` for the suffix
         simulation.  Pass a fault plan *without* the core loss here to
@@ -197,12 +153,12 @@ def reschedule_on_core_loss(
             cut=cut,
             reduced_platform=reduced,
             prefix_makespan=t0,
-            original_layered=layered,
         )
 
     suffix_graph = _suffix_graph(graph, set(graph) - prefix_members)
+    cost = dataclasses.replace(scheduler.cost.model, platform=reduced)
     sub_pipeline = SchedulingPipeline(
-        _reduced_scheduler(scheduler, reduced),
+        dataclasses.replace(scheduler, cost=cost),
         strategy=strategy,
         options=options if options is not None else SimulationOptions(),
     )
@@ -221,72 +177,6 @@ def reschedule_on_core_loss(
         cut=cut,
         reduced_platform=reduced,
         prefix_makespan=t0,
-        original_layered=layered,
         suffix=suffix,
     )
 
-
-def cluster_loss_handler(
-    graph: TaskGraph,
-    layered: LayeredSchedule,
-    trace: ExecutionTrace,
-    platform,
-    strategy,
-    scheduler=None,
-    options=None,
-    obs: Optional[Instrumentation] = None,
-    nodes_per_worker: int = 1,
-):
-    """Bridge a backend's ``on_worker_lost`` hook to core-loss re-planning.
-
-    Returns a callback suitable for
-    :class:`~repro.runtime.backends.ClusterBackend`'s ``on_worker_lost``
-    parameter.  Each permanent worker departure is treated as the loss
-    of ``nodes_per_worker`` whole nodes, with ``WorkerLoss.batch_index``
-    passed as ``CoreLoss.after_layer``, and :func:`reschedule_on_core_loss`
-    is invoked with the cumulative loss so far -- the re-plan always
-    reflects every departure, not just the latest one.
-
-    The two indices count different things: ``batch_index`` counts the
-    ``independent_batches`` of the functional body being executed (an
-    IRK step with ``K = 4, m = 2`` runs in 8), ``after_layer`` the
-    layers of ``layered`` (3 for the same step).
-    :func:`reschedule_on_core_loss` clamps the boundary to the layer
-    count, so a loss in a late batch re-plans nothing.
-
-    The outcomes accumulate on the returned callback's ``outcomes``
-    attribute in event order.  Re-planning is advisory for the run that
-    suffered the loss (the cluster backend already requeued the work;
-    for pure bodies the variables are identical either way) -- the new
-    ``group_sizes()`` matter for *subsequent* or resumed runs, so a
-    handler failure, including running out of nodes to re-plan on, is
-    recorded on ``callback.errors`` rather than raised into (and
-    aborting) the surviving run.
-    """
-    outcomes: list = []
-    errors: list = []
-    lost_nodes = [0]
-
-    def on_worker_lost(loss) -> None:
-        lost_nodes[0] += nodes_per_worker
-        event = CoreLoss(after_layer=loss.batch_index, nodes=lost_nodes[0])
-        try:
-            outcomes.append(
-                reschedule_on_core_loss(
-                    graph,
-                    layered,
-                    trace,
-                    platform,
-                    strategy,
-                    event,
-                    scheduler=scheduler,
-                    options=options,
-                    obs=obs,
-                )
-            )
-        except (ValueError, RuntimeError) as exc:
-            errors.append((loss, exc))
-
-    on_worker_lost.outcomes = outcomes
-    on_worker_lost.errors = errors
-    return on_worker_lost

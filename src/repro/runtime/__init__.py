@@ -5,7 +5,6 @@ from .backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    WorkerLoss,
     independent_batches,
     parse_backend_spec,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "SerialBackend",
     "ProcessPoolBackend",
     "ClusterBackend",
-    "WorkerLoss",
     "independent_batches",
     "parse_backend_spec",
 ]

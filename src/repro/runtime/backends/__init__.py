@@ -20,7 +20,7 @@ from .base import (
     independent_batches,
     parse_backend_spec,
 )
-from .cluster import ClusterBackend, WorkerLoss
+from .cluster import ClusterBackend
 from .pool import ProcessPoolBackend
 from .serial import SerialBackend
 
@@ -34,7 +34,6 @@ __all__ = [
     "SerialBackend",
     "ProcessPoolBackend",
     "ClusterBackend",
-    "WorkerLoss",
     "emit_worker_crash",
     "independent_batches",
     "parse_backend_spec",

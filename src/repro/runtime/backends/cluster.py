@@ -36,12 +36,10 @@ Robustness is the point of this backend:
   dispatch attempt; accounted backoff between redispatches reuses
   :class:`~repro.faults.RetryPolicy` seeded delays (``dispatch_retry``).
   Only when *no* worker remains does the run fail, naming the stranded
-  tasks.  Each permanent departure is reported through the shared
-  ``worker_crash`` instrumentation record and the optional
-  ``on_worker_lost`` hook.  Nothing in the package sets that hook; a
-  caller that wants each departure re-planned passes
-  :func:`~repro.faults.reschedule.cluster_loss_handler`, which calls
-  :func:`~repro.faults.reschedule_on_core_loss`.
+  tasks.  Each permanent departure is reported once, in the run's
+  instrumentation: a ``worker_crash`` record (shared with the pool
+  backend, naming the tasks in flight and their dispatch attempts), the
+  ``cluster.worker_losses`` counter and the ``backend_workers`` gauge.
 * **per-task dispatch deadlines.**  With ``dispatch_retry``, a worker
   holding a task longer than ``dispatch_retry.timeout`` seconds is
   treated as hung: the task is redispatched elsewhere (bounded by the
@@ -96,8 +94,7 @@ import selectors
 import signal
 import socket
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -107,28 +104,7 @@ from .cluster_worker import serve
 from .driver import DriverBackend, Job
 from .wire import WireError, recv_message, send_message
 
-__all__ = ["ClusterBackend", "WorkerLoss"]
-
-
-@dataclass(frozen=True)
-class WorkerLoss:
-    """One permanent worker departure, as seen by the run.
-
-    Passed to the backend's ``on_worker_lost`` hook (main thread, in
-    dispatch order).  ``in_flight`` names the tasks that were requeued
-    off the dead worker; ``batch_index`` is the 0-based index of the
-    independent batch being executed when the loss was detected --
-    :func:`~repro.faults.reschedule.cluster_loss_handler` passes it on as
-    the layer boundary :func:`~repro.faults.reschedule_on_core_loss`
-    replans from, although batches and layers are not counted alike.
-    """
-
-    worker: int
-    pid: Optional[int]
-    reason: str
-    batch_index: int
-    in_flight: Tuple[str, ...]
-    remaining_workers: int
+__all__ = ["ClusterBackend"]
 
 
 # ----------------------------------------------------------------------
@@ -367,8 +343,10 @@ class _Coordinator:
                 member.wid,
                 member.pid,
                 reason,
-                tuple(j.frame["name"] for j in at_risk if j.dispatched is not None
-                      or j.worker == member.wid),
+                # (name, dispatch attempt) of what was running, read
+                # before the requeue below counts the next attempt
+                tuple((j.frame["name"], j.attempt) for j in at_risk
+                      if j.dispatched is not None),
                 len(self._live()),
             )
         )
@@ -573,10 +551,6 @@ class ClusterBackend(DriverBackend):
         ``{worker_id: seconds}`` straggler injection -- those workers
         sleep before every task (the chaos harness races speculation
         against them).
-    on_worker_lost:
-        Callback invoked (main thread, in event order) with a
-        :class:`WorkerLoss` for every permanent departure -- the hook
-        the pipeline's core-loss rescheduling attaches to.
     chaos_kill:
         ``(worker_id, after_results)``: SIGKILL that worker once the
         backend has gathered that many results -- the deterministic
@@ -596,7 +570,6 @@ class ClusterBackend(DriverBackend):
         dispatch_retry=None,
         poll_interval: float = 0.02,
         worker_delay: Optional[Dict[int, float]] = None,
-        on_worker_lost: Optional[Callable[[WorkerLoss], None]] = None,
         chaos_kill: Optional[Tuple[int, int]] = None,
         host: str = "127.0.0.1",
     ) -> None:
@@ -609,7 +582,6 @@ class ClusterBackend(DriverBackend):
         self.dispatch_retry = dispatch_retry
         self.poll_interval = poll_interval
         self.worker_delay = dict(worker_delay or {})
-        self.on_worker_lost = on_worker_lost
         self.chaos_kill = chaos_kill
         self.host = host
         super().__init__()
@@ -619,7 +591,6 @@ class ClusterBackend(DriverBackend):
         self._procs: Dict[int, Any] = {}
         self._next_wid = 0
         self._gathered = 0
-        self._batch_index = -1
         self._chaos_fired = False
         self._registry: Dict[str, Any] = {}
         self._ledger = ArrayLedger()
@@ -638,7 +609,6 @@ class ClusterBackend(DriverBackend):
         self._results = collections.deque()
         self._events = collections.deque()
         self._gathered = 0
-        self._batch_index = -1
         self._chaos_fired = False
         self._registry = {t.name: t for t in run.graph.topological_order()}
         self._traffic = Traffic()
@@ -715,14 +685,6 @@ class ClusterBackend(DriverBackend):
         proc = self._procs.get(wid)
         if proc is not None and proc.is_alive() and proc.pid:
             os.kill(proc.pid, signal.SIGKILL)
-
-    # ------------------------------------------------------------------
-    def run_batch(self, tasks, prepare, commit) -> None:
-        """Run the batch, applying membership events on either side."""
-        self._batch_index += 1
-        self._drain_events()
-        super().run_batch(tasks, prepare, commit)
-        self._drain_events()
 
     # ------------------------------------------------------------------
     def _frame(self, job: Job) -> Dict[str, Any]:
@@ -819,7 +781,7 @@ class ClusterBackend(DriverBackend):
 
         The coordinator never touches the instrumentation -- it appends
         structured events, and this method turns them into counters,
-        gauges, ``worker_crash`` records and ``on_worker_lost`` calls.
+        gauges and ``worker_crash`` records.
         """
         run = self._run
         if run is None:
@@ -845,19 +807,8 @@ class ClusterBackend(DriverBackend):
                     wid,
                     pid,
                     reason,
-                    [{"task": t, "attempt": 1} for t in in_flight],
+                    [{"task": t, "attempt": a} for t, a in in_flight],
                 )
-                if self.on_worker_lost is not None:
-                    self.on_worker_lost(
-                        WorkerLoss(
-                            worker=wid,
-                            pid=pid,
-                            reason=reason,
-                            batch_index=max(0, self._batch_index),
-                            in_flight=tuple(in_flight),
-                            remaining_workers=alive,
-                        )
-                    )
             elif tag == "requeue":
                 _, name, attempt, reason, backoff = event
                 obs.count("cluster.requeues")

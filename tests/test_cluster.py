@@ -28,7 +28,6 @@ from repro.runtime import (
     ClusterBackend,
     ProcessPoolBackend,
     SerialBackend,
-    WorkerLoss,
     parse_backend_spec,
     run_program,
 )
@@ -73,14 +72,9 @@ class TestWorkerKill:
         body, store = functional_step(MethodConfig("irk", K=4, m=3))
         serial = run_program(body, dict(store), **FAULTY)
         obs = Instrumentation()
-        losses = []
         cluster = run_program(
             body, dict(store), obs=obs,
-            backend=ClusterBackend(
-                workers=3,
-                chaos_kill=(1, 2),
-                on_worker_lost=losses.append,
-            ),
+            backend=ClusterBackend(workers=3, chaos_kill=(1, 2)),
             **FAULTY,
         )
         assert summarize(cluster) == summarize(serial)
@@ -88,10 +82,8 @@ class TestWorkerKill:
         crashes = obs.records_of("worker_crash")
         assert crashes and crashes[0]["backend"] == "cluster"
         assert crashes[0]["worker"] == 1
-        assert losses and isinstance(losses[0], WorkerLoss)
-        assert losses[0].worker == 1
-        assert losses[0].remaining_workers == 2
-        assert losses[0].batch_index >= 0
+        # the survivors, as the loss left them
+        assert obs.gauges["backend_workers{backend=cluster}"].value == 2.0
 
     def test_kill_worker_holding_work_requeues_it(self):
         """A worker killed while tasks sit in its queue requeues them."""
@@ -135,6 +127,33 @@ class TestWorkerKill:
         produced = {t for t in held[0] if isinstance(t, tuple)}
         assert {jid for jid, _ in produced} >= {0, 1}
         assert produced - held[1]
+
+    def test_lost_worker_records_the_dispatch_attempt_it_lost(self):
+        """White-box: a ``worker_crash`` row names the dispatch attempt
+        that died with the worker -- 0 on first dispatch, 1 for a job
+        requeued once and lost again."""
+        backend = ClusterBackend(workers=3)
+        obs = Instrumentation()
+        backend._run = RunContext(graph=TaskGraph(), obs=obs)
+        coord = _Coordinator(
+            heartbeat_timeout=60.0, dispatch_retry=None,
+            results=collections.deque(), events=backend._events,
+        )
+        coord._send = lambda member, frame: None
+        coord._drop = lambda sock: None
+        coord.members = {wid: _Member(wid, 100 + wid, sock=None) for wid in range(3)}
+        coord.submit([{"job": 0, "name": "t", "arrays": {}}])
+        assert coord.members[0].inflight == 0
+        coord._mark_lost(coord.members[0], "connection lost")
+        assert coord.members[1].inflight == 0  # requeued, dispatch attempt 1
+        coord._mark_lost(coord.members[1], "connection lost")
+        backend._drain_events()
+        rows = [(c["worker"], c["in_flight"]) for c in obs.records_of("worker_crash")]
+        assert rows == [
+            (0, [{"task": "t", "attempt": 0}]),
+            (1, [{"task": "t", "attempt": 1}]),
+        ]
+        assert obs.counter("cluster.worker_losses") == 2.0
 
 
 # ----------------------------------------------------------------------
@@ -531,13 +550,23 @@ def external_program():
 
 
 class TestCoordinatorOnTheDriversThread:
-    def test_peer_stalled_mid_frame_is_lost_alone(self):
+    def test_peer_stalled_mid_frame_is_lost_alone(self, monkeypatch):
         """A member that stops halfway through a frame holds the thread
         for at most ``heartbeat_timeout`` and takes nobody with it: the
         forked workers' heartbeats queued meanwhile count as life."""
         body, store = functional_step(MethodConfig("irk", K=4, m=2))
         serial = run_program(body, dict(store))
         lost = []
+        mark_lost = _Coordinator._mark_lost
+
+        def spy(coord, member, reason):
+            if member.alive:
+                lost.append(
+                    (member.wid, reason, time.monotonic() - backend.stalled_at)
+                )
+            mark_lost(coord, member, reason)
+
+        monkeypatch.setattr(_Coordinator, "_mark_lost", spy)
 
         class WithStalledPeer(ClusterBackend):
             def start(self, run):
@@ -550,9 +579,6 @@ class TestCoordinatorOnTheDriversThread:
 
         backend = WithStalledPeer(
             workers=2, heartbeat_timeout=0.3, poll_interval=0.005,
-            on_worker_lost=lambda loss: lost.append(
-                (loss.worker, loss.reason, time.monotonic() - backend.stalled_at)
-            ),
         )
         obs = Instrumentation()
         try:
@@ -672,9 +698,11 @@ print("one thread, no loop")
 
         class Elastic(ClusterBackend):
             external = None
+            batches = 0
 
             def run_batch(self, tasks, prepare, commit):
-                if self._batch_index == 0:  # ``src`` is committed
+                self.batches += 1
+                if self.batches == 2:  # ``src`` is committed
                     host, port = self.coordinator_address
                     self.external = subprocess.Popen(
                         [sys.executable, "-m",

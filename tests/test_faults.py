@@ -508,6 +508,7 @@ class TestRescheduleOnCoreLoss:
                 platform,
                 consecutive(),
                 loss,
+                LayerBasedScheduler(CostModel(platform)),
             )
 
     def test_loss_before_first_layer_reschedules_everything(self):
@@ -546,6 +547,7 @@ class TestRescheduleOnCoreLoss:
                 platform,
                 consecutive(),
                 loss,
+                LayerBasedScheduler(CostModel(platform)),
             )
 
     def test_trace_prefix_preserved(self):

@@ -1,20 +1,28 @@
-"""Tests for core-loss re-planning driven from an execution backend:
-``cluster_loss_handler`` bridges ``ClusterBackend.on_worker_lost`` to
-``reschedule_on_core_loss`` -- invoked mid-batch by a real SIGKILL,
-mapped between/inside batch boundaries, cumulative across departures,
-advisory on node exhaustion, and compatible with journaled resume."""
+"""Tests for core-loss re-planning on the functional IRK step graph, and
+for what a functional run does instead when it loses a worker.
+
+The pipeline's reschedule stage (``FaultPlan.core_loss`` ->
+``reschedule_on_core_loss``) is the one re-planning path: here it runs
+on the scheduled IRK step, before, inside and after its layers, with
+growing and exhausting losses.  A cluster run that loses a worker
+re-plans nothing: it requeues the work, stays bit-identical to serial
+and reports the loss once -- a ``worker_crash`` record, the
+``cluster.worker_losses`` counter and the ``backend_workers`` gauge --
+and a journaled resume after it stays bit-identical too."""
 
 import pytest
 
 from repro.cluster import chic
 from repro.core import CostModel
-from repro.faults import FaultPlan, RetryPolicy, cluster_loss_handler
+from repro.faults import CoreLoss, FaultPlan, RetryPolicy
 from repro.mapping import consecutive
+from repro.obs import Instrumentation
 from repro.ode import MethodConfig
 from repro.pipeline import SchedulingPipeline
 from repro.recovery import RunJournal
-from repro.runtime import ClusterBackend, WorkerLoss, run_program
+from repro.runtime import ClusterBackend, run_program
 from repro.scheduling import LayerBasedScheduler
+from repro.sim.executor import SimulationOptions
 
 from tests.test_backends import functional_step, summarize
 from tests.test_recovery import truncate_to_task_records
@@ -24,163 +32,142 @@ FAULTY = dict(
     retry=RetryPolicy(seed=11),
     on_failure="degrade",
 )
+CORES = 32
 
 
-def scheduled_step(cfg=MethodConfig("irk", K=4, m=3), cores=32):
-    """One functional step plus its scheduled/simulated artefacts:
-    ``(body, store, layered, trace, platform, strategy)``."""
-    body, store = functional_step(cfg)
+def irk_step():
+    """One functional IRK step: ``(body, store)``."""
+    return functional_step(MethodConfig("irk", K=4, m=3))
+
+
+def replan(loss, cores=CORES):
+    """Schedule the IRK step with ``loss`` injected: the pipeline result."""
+    body, _ = irk_step()
     platform = chic().with_cores(cores)
-    strategy = consecutive()
     res = SchedulingPipeline(
-        LayerBasedScheduler(CostModel(platform)), strategy=strategy
+        LayerBasedScheduler(CostModel(platform)),
+        strategy=consecutive(),
+        options=SimulationOptions(faults=FaultPlan(core_loss=loss)),
     ).run(body)
-    assert res.scheduling.layered is not None and res.trace is not None
-    return body, store, res.scheduling.layered, res.trace, platform, strategy
+    assert res.scheduling.layered is not None and res.reschedule is not None
+    return res
 
 
-def make_handler(artefacts, **kw):
-    body, _, layered, trace, platform, strategy = artefacts
-    return cluster_loss_handler(body, layered, trace, platform, strategy, **kw)
+def per_node(cores=CORES):
+    return chic().with_cores(cores).machine.cores_per_node(0)
 
 
 # ----------------------------------------------------------------------
-# a real mid-batch SIGKILL drives the handler
+# a real mid-batch SIGKILL: requeued, reported once, nothing re-planned
 # ----------------------------------------------------------------------
 class TestHandlerFromBackend:
     def test_worker_kill_triggers_reschedule_mid_run(self):
-        artefacts = scheduled_step()
-        body, store = artefacts[0], artefacts[1]
+        body, store = irk_step()
         serial = run_program(body, dict(store), **FAULTY)
-        handler = make_handler(artefacts)
+        obs = Instrumentation()
         cluster = run_program(
-            body, dict(store),
-            backend=ClusterBackend(
-                workers=3, chaos_kill=(1, 2), on_worker_lost=handler
-            ),
+            body, dict(store), obs=obs,
+            backend=ClusterBackend(workers=3, chaos_kill=(1, 2)),
             **FAULTY,
         )
         # the surviving run is still bit-identical to serial
         assert summarize(cluster) == summarize(serial)
-        assert not handler.errors
-        assert len(handler.outcomes) == 1
-        outcome = handler.outcomes[0]
-        assert outcome.loss.nodes == 1
-        per_node = artefacts[4].machine.cores_per_node(0)
-        assert outcome.reduced_platform.total_cores == 32 - per_node
-        summary = outcome.summary()
-        assert summary["lost_nodes"] == 1
-        assert summary["degraded_makespan"] > 0
+        [crash] = obs.records_of("worker_crash")
+        assert crash["backend"] == "cluster" and crash["worker"] == 1
+        assert all(row["attempt"] == 0 for row in crash["in_flight"])
+        assert obs.counter("cluster.worker_losses") == 1.0
+        assert obs.gauges["backend_workers{backend=cluster}"].value == 2.0
 
     def test_rescheduled_group_sizes_cover_the_suffix(self):
-        artefacts = scheduled_step()
-        handler = make_handler(artefacts)
-        handler(WorkerLoss(worker=0, pid=1, reason="test", batch_index=0,
-                           in_flight=(), remaining_workers=2))
-        outcome = handler.outcomes[0]
+        res = replan(CoreLoss(after_layer=1, nodes=1))
+        outcome, layered = res.reschedule, res.scheduling.layered
         assert outcome.rescheduled
-        sizes = outcome.group_sizes()
-        layered = artefacts[2]
+        widths = {
+            task: len(cores)
+            for task, cores in outcome.suffix.placement.task_cores.items()
+        }
         suffix_tasks = {
             m
             for layer in layered.layers[outcome.cut:]
             for t in layer.tasks
             for m in layered.expand(t)
         }
-        assert suffix_tasks <= set(sizes)
+        assert suffix_tasks and suffix_tasks <= set(widths)
         reduced = outcome.reduced_platform.total_cores
-        assert all(1 <= q <= reduced for q in sizes.values())
+        assert all(1 <= q <= reduced for q in widths.values())
 
 
 # ----------------------------------------------------------------------
-# batch-boundary mapping: between vs inside, cumulative, clamped
+# layer boundaries: before, inside, after; growing losses
 # ----------------------------------------------------------------------
 class TestBatchBoundaryMapping:
-    def _loss(self, batch_index):
-        return WorkerLoss(worker=0, pid=1, reason="test",
-                          batch_index=batch_index, in_flight=(),
-                          remaining_workers=2)
-
     def test_loss_before_first_batch_reschedules_everything(self):
-        handler = make_handler(scheduled_step())
-        handler(self._loss(0))
-        outcome = handler.outcomes[0]
+        outcome = replan(CoreLoss(after_layer=0, nodes=1)).reschedule
         assert outcome.cut == 0
         assert outcome.prefix_makespan == 0.0
         assert outcome.rescheduled
+        assert outcome.reduced_platform.total_cores == CORES - per_node()
 
     def test_loss_inside_a_batch_keeps_the_finished_prefix(self):
-        artefacts = scheduled_step()
-        handler = make_handler(artefacts)
-        handler(self._loss(2))
-        outcome = handler.outcomes[0]
+        outcome = replan(CoreLoss(after_layer=2, nodes=1)).reschedule
         assert outcome.cut == 2
         assert outcome.prefix_makespan > 0.0
         assert outcome.rescheduled
+        assert outcome.reduced_platform.total_cores == CORES - per_node()
 
     def test_loss_after_the_last_batch_is_a_noop_reschedule(self):
-        artefacts = scheduled_step()
-        layered = artefacts[2]
-        handler = make_handler(artefacts)
-        handler(self._loss(layered.num_layers + 5))
-        outcome = handler.outcomes[0]
-        assert outcome.cut == layered.num_layers
+        base = replan(CoreLoss(after_layer=0, nodes=1))
+        layers = base.scheduling.layered.num_layers
+        res = replan(CoreLoss(after_layer=layers + 5, nodes=1))
+        outcome = res.reschedule
+        assert outcome.cut == layers
         assert not outcome.rescheduled
+        assert outcome.prefix_makespan == res.makespan
+        assert outcome.reduced_platform.total_cores == CORES - per_node()
 
     def test_departures_accumulate(self):
-        """The second loss re-plans with the cumulative node count."""
-        handler = make_handler(scheduled_step())
-        handler(self._loss(1))
-        handler(self._loss(2))
-        assert [o.loss.nodes for o in handler.outcomes] == [1, 2]
-        assert (handler.outcomes[1].reduced_platform.total_cores
-                < handler.outcomes[0].reduced_platform.total_cores)
+        """Losing a second node re-plans on fewer cores than the first."""
+        one, two = (replan(CoreLoss(after_layer=1, nodes=n)).reschedule
+                    for n in (1, 2))
+        assert [o.loss.nodes for o in (one, two)] == [1, 2]
+        assert one.cut == two.cut == 1
+        assert one.prefix_makespan == two.prefix_makespan > 0.0
+        assert one.rescheduled and two.rescheduled
+        assert one.reduced_platform.total_cores == CORES - per_node()
+        assert two.reduced_platform.total_cores == CORES - 2 * per_node()
 
 
 # ----------------------------------------------------------------------
-# advisory failure: running out of nodes never aborts the run
+# running out of nodes
 # ----------------------------------------------------------------------
 class TestNodeExhaustion:
     def test_exhausting_the_nodes_records_an_error(self):
-        artefacts = scheduled_step()
-        platform = artefacts[4]
-        nodes = platform.machine.num_nodes
-        handler = make_handler(artefacts)
-        loss = WorkerLoss(worker=0, pid=1, reason="test", batch_index=1,
-                          in_flight=(), remaining_workers=0)
-        for _ in range(nodes):
-            handler(loss)  # the final call removes the last node
-        assert len(handler.outcomes) == nodes - 1
-        assert len(handler.errors) == 1
-        failed_loss, exc = handler.errors[0]
-        assert failed_loss is loss
-        assert isinstance(exc, (ValueError, RuntimeError))
+        nodes = chic().with_cores(CORES).machine.num_nodes
+        with pytest.raises(ValueError, match="nothing left"):
+            replan(CoreLoss(after_layer=1, nodes=nodes))
 
 
 # ----------------------------------------------------------------------
-# journaled resume after a loss + reschedule stays bit-identical
+# journaled resume after a worker loss stays bit-identical
 # ----------------------------------------------------------------------
 class TestResumeAfterReschedule:
     def test_resume_after_loss_and_reschedule_is_bit_identical(self, tmp_path):
-        artefacts = scheduled_step()
-        body, store = artefacts[0], artefacts[1]
+        body, store = irk_step()
         serial = run_program(body, dict(store), **FAULTY)
 
-        handler = make_handler(artefacts)
+        obs = Instrumentation()
         journal = RunJournal(tmp_path / "journal.jsonl")
         killed = run_program(
-            body, dict(store), journal=journal,
-            backend=ClusterBackend(
-                workers=3, chaos_kill=(1, 2), on_worker_lost=handler
-            ),
+            body, dict(store), journal=journal, obs=obs,
+            backend=ClusterBackend(workers=3, chaos_kill=(1, 2)),
             **FAULTY,
         )
         assert summarize(killed) == summarize(serial)
-        assert len(handler.outcomes) == 1
+        assert obs.counter("cluster.worker_losses") == 1.0
 
         # the coordinator process "crashes": the journal is cut to its
-        # first five completions, then the run resumes on the re-planned
-        # (smaller) cluster
+        # first five completions, then the run resumes on a smaller
+        # cluster
         truncate_to_task_records(tmp_path / "journal.jsonl", keep=5)
         resumed = run_program(
             body, dict(store),
