@@ -55,12 +55,6 @@ class LinkLevel:
         """Per-byte transfer time in s/B."""
         return 1.0 / self.bandwidth
 
-    def ptp_time(self, size: float) -> float:
-        """Time of a single point-to-point message of ``size`` bytes."""
-        if size < 0:
-            raise ValueError("message size must be non-negative")
-        return self.latency + size * self.beta
-
 
 @dataclass(frozen=True)
 class HierarchicalNetwork:
@@ -96,17 +90,6 @@ class HierarchicalNetwork:
     def beta(self, lvl: int) -> float:
         """Per-byte time of communication level ``lvl`` (s/B)."""
         return self.level(lvl).beta
-
-    def ptp_time(self, lvl: int, size: float, contention: float = 1.0) -> float:
-        """Point-to-point message time with an optional contention factor.
-
-        ``contention >= 1`` scales the bandwidth term only -- latency is a
-        per-message property and is not shared.
-        """
-        if contention < 1.0:
-            raise ValueError("contention factor must be >= 1")
-        link = self.level(lvl)
-        return link.latency + size * link.beta * contention
 
     @property
     def slowest_level(self) -> int:

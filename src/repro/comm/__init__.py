@@ -1,50 +1,22 @@
 """Communication cost models: collectives, contention, patterns,
-re-distribution."""
+re-distribution.
 
-from .collectives import (
-    allgather_time,
-    allreduce_time,
-    alltoall_time,
-    barrier_time,
-    bcast_time,
-    collective_time,
-    collective_time_symbolic,
-    gather_time,
-    multi_group_time,
-    ptp_time,
-    reduce_time,
-    scatter_time,
-)
-from .contention import ContentionContext, build_context, edge_cost
-from .patterns import (
-    classify,
-    global_time,
-    group_time,
-    orthogonal_sets,
-    orthogonal_time,
-)
+Every mapped price is an array computation: a collective's rounds are
+``(sender, receiver)`` rank arrays and a re-distribution's messages core
+index arrays, both priced by :func:`~repro.comm.contention.edge_costs`
+under a NIC load, the ``(out_count, in_count)`` pair of per-node arrays
+:func:`~repro.comm.contention.node_counts` returns.
+:func:`collective_time` prices one group or several concurrent groups.
+"""
+
+from .collectives import collective_time, collective_time_symbolic
+from .patterns import orthogonal_sets, orthogonal_time
 from .redistribution import redistribution_messages, redistribution_time
 
 __all__ = [
-    "allgather_time",
-    "bcast_time",
-    "reduce_time",
-    "allreduce_time",
-    "scatter_time",
-    "gather_time",
-    "alltoall_time",
-    "ptp_time",
-    "barrier_time",
     "collective_time",
     "collective_time_symbolic",
-    "multi_group_time",
-    "ContentionContext",
-    "build_context",
-    "edge_cost",
     "orthogonal_sets",
-    "classify",
-    "global_time",
-    "group_time",
     "orthogonal_time",
     "redistribution_messages",
     "redistribution_time",

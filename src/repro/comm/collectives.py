@@ -1,9 +1,12 @@
 """Analytic cost models of MPI collective operations on mapped groups.
 
-Every model takes the *physical* core tuple executing the operation (the
-result of the mapping step), so the same collective is cheaper or more
-expensive depending on where its participants sit in the machine -- this
-is the mechanism behind Figures 14-17 of the paper.
+:func:`collective_time` takes the *physical* core tuples executing the
+operation (the result of the mapping step), so the same collective is
+cheaper or more expensive depending on where its participants sit in the
+machine -- this is the mechanism behind Figures 14-17 of the paper.  It
+prices one group or several groups running the operation at once, as
+rounds of ``(sender, receiver)`` rank arrays priced by
+:func:`~repro.comm.contention.edge_costs`.
 
 Algorithms modelled (following the MPI implementations the paper used):
 
@@ -15,7 +18,7 @@ Algorithms modelled (following the MPI implementations the paper used):
 * ``allreduce`` -- ring reduce-scatter followed by ring allgather.
 * ``scatter`` / ``gather`` -- linear, serialised at the root.
 * ``alltoall`` -- ``q - 1`` shifted pairwise exchange rounds.
-* ``ptp`` -- a single point-to-point message.
+* ``ptp`` -- a single point-to-point message (ranks 0 and 1).
 * ``barrier`` -- dissemination, latency-only.
 
 *Symbolic* variants (suffix ``_symbolic``) implement the default mapping
@@ -33,270 +36,47 @@ import numpy as np
 
 from ..cluster.architecture import CoreId, Machine
 from ..cluster.network import HierarchicalNetwork
-from .contention import (
-    ContentionContext,
-    Edge,
-    build_context,
-    edge_costs,
-    node_counts,
-    round_cost,
-)
+from .contention import NicLoad, edge_costs, link_levels, node_counts
 
-__all__ = [
-    "ring_edges",
-    "binomial_rounds",
-    "alltoall_rounds",
-    "allgather_time",
-    "bcast_time",
-    "reduce_time",
-    "allreduce_time",
-    "scatter_time",
-    "gather_time",
-    "alltoall_time",
-    "ptp_time",
-    "barrier_time",
-    "collective_time",
-    "collective_time_symbolic",
-    "multi_group_time",
-]
+__all__ = ["collective_time", "collective_time_symbolic"]
 
 
-# ----------------------------------------------------------------------
-# Round/edge construction
-# ----------------------------------------------------------------------
-def ring_edges(group: Sequence[CoreId]) -> List[Edge]:
-    """Edges of one ring round: rank ``i`` sends to rank ``i + 1 mod q``."""
-    q = len(group)
-    if q < 2:
-        return []
-    return [(group[i], group[(i + 1) % q]) for i in range(q)]
+_FIRST, _LAST, _ALL = slice(0, 1), slice(-1, None), slice(None)
 
-
-def binomial_rounds(group: Sequence[CoreId]) -> List[List[Edge]]:
-    """Rounds of a binomial broadcast tree rooted at rank 0."""
-    q = len(group)
-    rounds: List[List[Edge]] = []
-    span = 1
-    while span < q:
-        edges = [
-            (group[i], group[i + span]) for i in range(span) if i + span < q
-        ]
-        rounds.append(edges)
-        span *= 2
-    return rounds
-
-
-def alltoall_rounds(group: Sequence[CoreId]) -> List[List[Edge]]:
-    """Shifted pairwise exchange: round ``r`` sends rank ``i`` -> ``i+r``."""
-    q = len(group)
-    return [
-        [(group[i], group[(i + r) % q]) for i in range(q)] for r in range(1, q)
-    ]
-
-
-def _default_ctx(machine: Machine, edges: Sequence[Edge], ctx: Optional[ContentionContext]) -> ContentionContext:
-    return ctx if ctx is not None else build_context(machine, [edges])
-
-
-# ----------------------------------------------------------------------
-# Mapped collective costs
-# ----------------------------------------------------------------------
-def allgather_time(
-    machine: Machine,
-    network: HierarchicalNetwork,
-    group: Sequence[CoreId],
-    total_bytes: float,
-    ctx: Optional[ContentionContext] = None,
-) -> float:
-    """Ring ``MPI_Allgather`` of a ``total_bytes`` result (each rank
-    contributes ``total_bytes / q``)."""
-    q = len(group)
-    if q < 2:
-        return 0.0
-    chunk = total_bytes / q
-    edges = ring_edges(group)
-    ctx = _default_ctx(machine, edges, ctx)
-    return (q - 1) * round_cost(machine, network, edges, chunk, ctx)
-
-
-def bcast_time(
-    machine: Machine,
-    network: HierarchicalNetwork,
-    group: Sequence[CoreId],
-    total_bytes: float,
-    ctx: Optional[ContentionContext] = None,
-) -> float:
-    """Binomial-tree ``MPI_Bcast`` of ``total_bytes`` from rank 0."""
-    q = len(group)
-    if q < 2:
-        return 0.0
-    rounds = binomial_rounds(group)
-    if ctx is None:
-        ctx = build_context(machine, rounds)
-    return sum(round_cost(machine, network, e, total_bytes, ctx) for e in rounds)
-
-
-def reduce_time(
-    machine: Machine,
-    network: HierarchicalNetwork,
-    group: Sequence[CoreId],
-    total_bytes: float,
-    ctx: Optional[ContentionContext] = None,
-) -> float:
-    """Binomial-tree ``MPI_Reduce``; same communication shape as bcast."""
-    return bcast_time(machine, network, group, total_bytes, ctx)
-
-
-def allreduce_time(
-    machine: Machine,
-    network: HierarchicalNetwork,
-    group: Sequence[CoreId],
-    total_bytes: float,
-    ctx: Optional[ContentionContext] = None,
-) -> float:
-    """Rabenseifner-style allreduce: reduce-scatter + allgather rings."""
-    return 2.0 * allgather_time(machine, network, group, total_bytes, ctx)
-
-
-def scatter_time(
-    machine: Machine,
-    network: HierarchicalNetwork,
-    group: Sequence[CoreId],
-    total_bytes: float,
-    ctx: Optional[ContentionContext] = None,
-) -> float:
-    """Linear ``MPI_Scatter`` serialised at root (rank 0)."""
-    q = len(group)
-    if q < 2:
-        return 0.0
-    chunk = total_bytes / q
-    root = group[0]
-    ctx = ctx or ContentionContext.none()
-    total = 0.0
-    for dst in group[1:]:
-        lvl = machine.comm_level(root, dst)
-        link = network.level(lvl)
-        total += link.latency + chunk * link.beta
-    return total
-
-
-def gather_time(
-    machine: Machine,
-    network: HierarchicalNetwork,
-    group: Sequence[CoreId],
-    total_bytes: float,
-    ctx: Optional[ContentionContext] = None,
-) -> float:
-    """Linear ``MPI_Gather``; mirror image of scatter."""
-    return scatter_time(machine, network, group, total_bytes, ctx)
-
-
-def alltoall_time(
-    machine: Machine,
-    network: HierarchicalNetwork,
-    group: Sequence[CoreId],
-    total_bytes: float,
-    ctx: Optional[ContentionContext] = None,
-) -> float:
-    """Pairwise-exchange ``MPI_Alltoall``; each rank sends ``n/q`` to each
-    other rank."""
-    q = len(group)
-    if q < 2:
-        return 0.0
-    chunk = total_bytes / q
-    rounds = alltoall_rounds(group)
-    if ctx is None:
-        ctx = build_context(machine, rounds[:1])
-    return sum(round_cost(machine, network, e, chunk, ctx) for e in rounds)
-
-
-def ptp_time(
-    machine: Machine,
-    network: HierarchicalNetwork,
-    src: CoreId,
-    dst: CoreId,
-    nbytes: float,
-    ctx: Optional[ContentionContext] = None,
-) -> float:
-    """A single point-to-point message."""
-    from .contention import edge_cost
-
-    return edge_cost(machine, network, src, dst, nbytes, ctx or ContentionContext.none())
-
-
-def barrier_time(
-    machine: Machine,
-    network: HierarchicalNetwork,
-    group: Sequence[CoreId],
-    total_bytes: float = 0.0,
-    ctx: Optional[ContentionContext] = None,
-) -> float:
-    """Dissemination barrier: ``ceil(log2 q)`` latency-bound rounds."""
-    q = len(group)
-    if q < 2:
-        return 0.0
-    worst = max(
-        machine.comm_level(group[0], c) for c in group[1:]
-    )
-    return ceil(log2(q)) * 2.0 * network.alpha(worst)
-
-
-_MAPPED = {
-    "allgather": allgather_time,
-    "bcast": bcast_time,
-    "reduce": reduce_time,
-    "allreduce": allreduce_time,
-    "scatter": scatter_time,
-    "gather": gather_time,
-    "alltoall": alltoall_time,
-    "barrier": barrier_time,
-}
-
-
-def collective_time(
-    op: str,
-    machine: Machine,
-    network: HierarchicalNetwork,
-    group: Sequence[CoreId],
-    total_bytes: float,
-    ctx: Optional[ContentionContext] = None,
-) -> float:
-    """Dispatch a collective cost by operation name.
-
-    ``ptp`` interprets the first two group members as source/destination.
-    """
-    if op == "ptp":
-        if len(group) < 2:
-            return 0.0
-        return ptp_time(machine, network, group[0], group[1], total_bytes, ctx)
-    try:
-        fn = _MAPPED[op]
-    except KeyError:
-        raise ValueError(f"unknown collective op {op!r}") from None
-    return fn(machine, network, group, total_bytes, ctx)
-
-
-#: Round-structured collectives and the round whose inter-node edges load
-#: the NICs while several groups run the operation at once (``None``: the
-#: groups' rounds do not contend).
+#: Round-structured collectives and the rounds whose inter-node edges load
+#: the NICs when no load is given: (one group priced alone, several groups
+#: running the operation at once); ``None``: no round does.  The two
+#: columns differ for bcast / reduce and allreduce (EXPERIMENTS.md).
 _SHARED_ROUND = {
-    "allgather": 0,
-    "allreduce": None,
-    "bcast": -1,
-    "reduce": -1,
-    "alltoall": 0,
+    "allgather": (_FIRST, _FIRST),
+    "allreduce": (_FIRST, None),
+    "bcast": (_ALL, _LAST),
+    "reduce": (_ALL, _LAST),
+    "alltoall": (_FIRST, _FIRST),
 }
+
+_OPS = (*_SHARED_ROUND, "scatter", "gather", "ptp", "barrier")
 
 
 def _rank_rounds(op: str, q: int) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Rounds of ``op`` among ``q >= 2`` ranks as ``(sender, receiver)``
-    rank arrays -- :func:`ring_edges`, :func:`binomial_rounds` and
-    :func:`alltoall_rounds` on rank positions."""
+    rank arrays.
+
+    Ring (allgather, allreduce): rank ``i`` sends to ``i + 1 mod q``.
+    Shifted pairwise exchange (alltoall): round ``r`` sends ``i`` to
+    ``i + r mod q``.  Binomial tree (bcast, reduce): round ``k`` sends
+    ``i`` to ``i + 2**k``.  Root to every other rank (scatter, gather,
+    barrier); rank 0 to rank 1 (ptp).
+    """
     ranks = np.arange(q)
     if op in ("allgather", "allreduce"):
         return [(ranks, (ranks + 1) % q)]
     if op == "alltoall":
         return [(ranks, (ranks + r) % q) for r in range(1, q)]
+    if op in ("scatter", "gather", "barrier"):
+        return [(np.zeros(q - 1, dtype=ranks.dtype), ranks[1:])]
+    if op == "ptp":
+        return [(ranks[:1], ranks[1:2])]
     rounds = []
     span = 1
     while span < q:
@@ -306,31 +86,31 @@ def _rank_rounds(op: str, q: int) -> List[Tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def multi_group_time(
+def collective_time(
     op: str,
     machine: Machine,
     network: HierarchicalNetwork,
     groups: Sequence[Sequence[CoreId]],
     total_bytes: float,
+    load: Optional[NicLoad] = None,
 ) -> float:
-    """Concurrent execution of the same collective in several groups
-    (the Intel MPI *Multi-Allgather* benchmark of Fig. 14 right).
+    """Time of ``op`` run at once by every group of ``groups``.
 
-    All groups run simultaneously; the shared-NIC contention of every
-    group's rounds is aggregated, and the phase ends when the slowest
-    group finishes.  Equals ``max`` over the groups of
-    :func:`collective_time` under that shared context; the rounds of all
-    groups are priced together by :func:`~repro.comm.contention.edge_costs`.
+    One group is a phase on its own; several are the Intel MPI
+    *Multi-Allgather* benchmark of Fig. 14 (right) or the orthogonal sets
+    of a layer.  Each group runs the algorithm over its rank order (the
+    mapping's core sequence), a round ends with its slowest edge, and the
+    phase with the slowest group.
+
+    ``load`` is the :data:`~repro.comm.contention.NicLoad` every
+    inter-node edge shares its NIC under.  Without it, the groups' own rounds named in
+    :data:`_SHARED_ROUND` load the NICs.  Scatter, gather and barrier
+    share no NIC.
     """
+    if op not in _OPS:
+        raise ValueError(f"unknown collective op {op!r}")
     if not groups:
         return 0.0
-    if op not in _SHARED_ROUND:  # serialised or latency-only: nothing is shared
-        uncontended = ContentionContext.none()
-        return max(
-            collective_time(op, machine, network, g, total_bytes, uncontended)
-            for g in groups
-        )
-
     flat = machine.core_index([c for g in groups for c in g])
     sizes = np.array([len(g) for g in groups])
     starts = np.cumsum(sizes) - sizes
@@ -343,30 +123,43 @@ def multi_group_time(
     if not blocks:
         return 0.0
 
-    out = inc = np.zeros(machine.num_nodes, dtype=np.intp)
-    shared = _SHARED_ROUND[op]
-    if shared is not None:
-        out, inc = node_counts(
-            machine,
-            np.concatenate([rounds[shared][0].ravel() for rounds in blocks.values()]),
-            np.concatenate([rounds[shared][1].ravel() for rounds in blocks.values()]),
-        )
-    out_count, in_count = np.maximum(out, 1), np.maximum(inc, 1)
+    if load is None:
+        idle = np.zeros(machine.num_nodes, dtype=np.intp)
+        load = idle, idle
+        shared = _SHARED_ROUND.get(op, (None, None))[len(groups) > 1]
+        if shared is not None:
+            loading = [edge for rounds in blocks.values() for edge in rounds[shared]]
+            load = node_counts(
+                machine,
+                np.concatenate([u.ravel() for u, _ in loading]),
+                np.concatenate([v.ravel() for _, v in loading]),
+            )
+    out_count, in_count = np.maximum(load[0], 1), np.maximum(load[1], 1)
 
+    latency = np.array([link.latency for link in network.levels])
+    beta = np.array([link.beta for link in network.levels])
     slowest = 0.0
     for q, rounds in blocks.items():
-        nbytes = total_bytes if op in ("bcast", "reduce") else total_bytes / q
-        # a round ends with its slowest edge: one cost per group and round
-        costs = [
-            edge_costs(machine, network, u, v, nbytes, out_count, in_count).max(axis=1)
-            for u, v in rounds
-        ]
-        if op == "allgather":
-            per_group = (q - 1) * costs[0]
-        elif op == "allreduce":
-            per_group = 2.0 * ((q - 1) * costs[0])
+        if op in ("scatter", "gather", "barrier"):
+            ((u, v),) = rounds
+            level = link_levels(machine, u, v)
+            if op == "barrier":
+                per_group = ceil(log2(q)) * 2.0 * latency[level.max(axis=1)]
+            else:  # one message after the other, summed in rank order
+                message = latency[level] + (total_bytes / q) * beta[level]
+                per_group = np.cumsum(message, axis=1)[:, -1]
         else:
-            per_group = sum(costs)
+            nbytes = total_bytes if op in ("bcast", "reduce", "ptp") else total_bytes / q
+            costs = [
+                edge_costs(machine, network, u, v, nbytes, out_count, in_count).max(axis=1)
+                for u, v in rounds
+            ]
+            if op == "allgather":
+                per_group = (q - 1) * costs[0]
+            elif op == "allreduce":
+                per_group = 2.0 * ((q - 1) * costs[0])
+            else:
+                per_group = sum(costs)
         slowest = max(slowest, float(per_group.max()))
     return slowest
 

@@ -9,28 +9,22 @@ The ODE program versions of the paper use three pattern classes:
   rank position* in different concurrently executing groups (e.g.
   ``{s1, s5, s9, s13}`` in Fig. 9).
 
-This module constructs the physical core sets for each pattern given a
-layer's mapped groups, and classifies a core set against a group
-structure.  Costing is done by :mod:`repro.comm.collectives`; the
+This module constructs the orthogonal core sets of a layer's mapped
+groups.  Costing is done by :func:`repro.comm.collectives.collective_time`
+(global: one group of all cores; group-based: the task's own group); the
 orthogonal pattern always executes its collectives concurrently, so its
 cost includes cross-set contention.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..cluster.architecture import CoreId, Machine
 from ..cluster.network import HierarchicalNetwork
-from .collectives import multi_group_time
+from .collectives import collective_time
 
-__all__ = [
-    "orthogonal_sets",
-    "classify",
-    "global_time",
-    "group_time",
-    "orthogonal_time",
-]
+__all__ = ["orthogonal_sets", "orthogonal_time"]
 
 
 def orthogonal_sets(
@@ -62,57 +56,6 @@ def orthogonal_sets(
     return sets
 
 
-def classify(
-    cores: Sequence[CoreId],
-    all_cores: Sequence[CoreId],
-    groups: Sequence[Sequence[CoreId]],
-) -> str:
-    """Classify a communicating core set as ``"global"``, ``"group"``,
-    ``"orthogonal"`` or ``"other"`` with respect to a layer's groups."""
-    cset = set(cores)
-    if cset == set(all_cores):
-        return "global"
-    for g in groups:
-        if cset == set(g):
-            return "group"
-    try:
-        for o in orthogonal_sets(groups):
-            if cset == set(o):
-                return "orthogonal"
-    except ValueError:
-        pass
-    return "other"
-
-
-def global_time(
-    op: str,
-    machine: Machine,
-    network: HierarchicalNetwork,
-    all_cores: Sequence[CoreId],
-    total_bytes: float,
-) -> float:
-    """A collective over every core of the program."""
-    return multi_group_time(op, machine, network, [list(all_cores)], total_bytes)
-
-
-def group_time(
-    op: str,
-    machine: Machine,
-    network: HierarchicalNetwork,
-    groups: Sequence[Sequence[CoreId]],
-    total_bytes: float,
-    concurrent: bool = True,
-) -> float:
-    """Group-based collectives; when ``concurrent`` all groups execute
-    the operation at the same time and share the NICs."""
-    if not concurrent:
-        return max(
-            multi_group_time(op, machine, network, [list(g)], total_bytes)
-            for g in groups
-        )
-    return multi_group_time(op, machine, network, [list(g) for g in groups], total_bytes)
-
-
 def orthogonal_time(
     op: str,
     machine: Machine,
@@ -122,4 +65,4 @@ def orthogonal_time(
 ) -> float:
     """Concurrent collectives over the orthogonal core sets of ``groups``."""
     sets = orthogonal_sets(groups)
-    return multi_group_time(op, machine, network, sets, total_bytes)
+    return collective_time(op, machine, network, sets, total_bytes)

@@ -14,14 +14,14 @@ The paper's ``TRe(M1, M2, q1, q2, mp1, mp2)`` (Section 3.1) is realised by
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..cluster.architecture import CoreId, Machine
 from ..cluster.network import HierarchicalNetwork
 from ..distribution import Distribution1D, transfer_counts
-from .contention import ContentionContext, edge_costs
+from .contention import edge_costs
 
 __all__ = ["redistribution_messages", "redistribution_time"]
 
@@ -101,7 +101,6 @@ def redistribution_time(
     src_dist: Distribution1D,
     dst_dist: Distribution1D,
     itemsize: int = 8,
-    ctx: Optional[ContentionContext] = None,
 ) -> float:
     """Time of the re-distribution phase.
 
@@ -121,21 +120,18 @@ def redistribution_time(
     if not len(u):
         return 0.0
 
-    if ctx is None:
-        # Concurrency on a NIC comes from *different cores* of the node
-        # sending/receiving at once; the fan-out of a single core is
-        # serialised by that core and must not be double-counted.
-        nodes = machine.core_nodes
-        inter = nodes[u] != nodes[v]
+    # Concurrency on a NIC comes from *different cores* of the node
+    # sending/receiving at once; the fan-out of a single core is
+    # serialised by that core and must not be double-counted.
+    nodes = machine.core_nodes
+    inter = nodes[u] != nodes[v]
 
-        def busy_cores_per_node(ends: np.ndarray) -> np.ndarray:
-            active = np.zeros(machine.total_cores, dtype=bool)
-            active[ends[inter]] = True
-            return np.maximum(np.bincount(nodes[active], minlength=machine.num_nodes), 1)
+    def busy_cores_per_node(ends: np.ndarray) -> np.ndarray:
+        active = np.zeros(machine.total_cores, dtype=bool)
+        active[ends[inter]] = True
+        return np.maximum(np.bincount(nodes[active], minlength=machine.num_nodes), 1)
 
-        out_count, in_count = busy_cores_per_node(u), busy_cores_per_node(v)
-    else:
-        out_count, in_count = ctx.counts(machine.num_nodes)
+    out_count, in_count = busy_cores_per_node(u), busy_cores_per_node(v)
 
     t = edge_costs(machine, network, u, v, nbytes, out_count, in_count)
     # bincount adds in message order, the order a core posts its transfers

@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from ..cluster.architecture import CoreId
 from ..cluster.platforms import Platform
 from ..comm.collectives import collective_time, collective_time_symbolic
-from ..comm.contention import ContentionContext
+from ..comm.contention import NicLoad
 from ..comm.patterns import orthogonal_time
 from ..comm.redistribution import redistribution_time as _redist_time
 from .graph import DataFlow
@@ -176,13 +176,16 @@ class CostModel:
         self,
         task: MTask,
         cores: Sequence[CoreId],
-        ctx: Optional[ContentionContext] = None,
+        load: Optional[NicLoad] = None,
         peer_groups: Optional[Sequence[Sequence[CoreId]]] = None,
         all_cores: Optional[Sequence[CoreId]] = None,
         task_parallel_program: Optional[bool] = None,
     ) -> float:
         """Internal communication on a physical core tuple.
 
+        ``load`` is the :data:`~repro.comm.contention.NicLoad` the
+        group- and global-scope collectives share the NICs under;
+        ``None`` prices the task alone.
         ``peer_groups`` lists the core tuples of *all* concurrently
         executing groups (including this task's own); orthogonal-scope
         operations communicate across the groups' equal rank positions.
@@ -202,7 +205,7 @@ class CostModel:
             if c.scope == "group":
                 if len(cores) <= 1:
                     continue
-                t = collective_time(c.op, machine, network, cores, c.total_bytes, ctx)
+                t = collective_time(c.op, machine, network, [cores], c.total_bytes, load)
             elif c.scope == "global":
                 is_tp = (
                     task_parallel_program
@@ -212,7 +215,7 @@ class CostModel:
                 if c.task_parallel_only and not is_tp:
                     continue
                 t = collective_time(
-                    c.op, machine, network, list(all_cores), c.total_bytes, ctx
+                    c.op, machine, network, [all_cores], c.total_bytes, load
                 )
             else:  # orthogonal
                 groups = self._orthogonal_groups(cores, peer_groups)
@@ -259,12 +262,12 @@ class CostModel:
         self,
         task: MTask,
         cores: Sequence[CoreId],
-        ctx: Optional[ContentionContext] = None,
+        load: Optional[NicLoad] = None,
         peer_groups: Optional[Sequence[Sequence[CoreId]]] = None,
     ) -> float:
         """``T(M, q, mp)`` for the concrete placement ``cores``."""
         return self.tcomp(task, len(cores)) + self.tcomm_mapped(
-            task, cores, ctx, peer_groups
+            task, cores, load, peer_groups
         )
 
     # ------------------------------------------------------------------

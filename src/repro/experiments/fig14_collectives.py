@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..cluster.platforms import Platform, chic
-from ..comm.collectives import multi_group_time
+from ..comm.collectives import collective_time
 from ..comm.patterns import orthogonal_sets
 from ..mapping.strategies import MappingStrategy, consecutive, mixed, scattered
 from .common import ExperimentResult
@@ -46,7 +46,7 @@ def global_allgather(
     """Time of one global ``MPI_Allgather`` under a mapping strategy."""
     seq = list(strategy.sequence(platform.machine))
     total = per_core_bytes * len(seq)
-    return multi_group_time(
+    return collective_time(
         "allgather", platform.machine, platform.network, [seq], total
     )
 
@@ -74,7 +74,7 @@ def multi_allgather(
         orthogonal_sets(groups) if orthogonal else groups
     )
     total = per_core_bytes * len(comm_sets[0])
-    return multi_group_time(
+    return collective_time(
         "allgather", platform.machine, platform.network, comm_sets, total
     )
 

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..cluster.architecture import CoreId
-from ..comm.collectives import collective_time
-from ..comm.contention import ContentionContext
+from ..comm.contention import NicLoad
 from ..core.costmodel import CostModel
 from ..core.task import MTask
 
@@ -116,7 +115,7 @@ class HybridCostModel(CostModel):
         self,
         task: MTask,
         cores: Sequence[CoreId],
-        ctx: Optional[ContentionContext] = None,
+        load: Optional[NicLoad] = None,
         peer_groups: Optional[Sequence[Sequence[CoreId]]] = None,
         all_cores: Optional[Sequence[CoreId]] = None,
         task_parallel_program: Optional[bool] = None,
@@ -125,7 +124,7 @@ class HybridCostModel(CostModel):
         h = self.threads_per_process
         if h == 1:
             return super().tcomm_mapped(
-                task, cores, ctx, peer_groups, all_cores, task_parallel_program
+                task, cores, load, peer_groups, all_cores, task_parallel_program
             )
         spans = self._check_team_placement(cores)
         machine = self.platform.machine
@@ -136,9 +135,7 @@ class HybridCostModel(CostModel):
             [process_leaders(g, h) for g in peer_groups] if peer_groups else None
         )
         all_leaders = process_leaders(list(all_cores), h)
-        from math import log2 as _log2
-
-        barrier = self.sync_cost(spans) + self.tau_mpi * _log2(
+        barrier = self.sync_cost(spans) + self.tau_mpi * log2(
             max(2.0, float(len(leaders)))
         )
 
@@ -146,7 +143,7 @@ class HybridCostModel(CostModel):
         comm = base.tcomm_mapped(
             task,
             leaders,
-            ctx,
+            load,
             leader_peers,
             all_leaders,
             task_parallel_program,

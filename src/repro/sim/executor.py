@@ -15,8 +15,8 @@ program through the event kernel:
 
 Because contention depends on overlap and overlap depends on durations,
 the executor runs a small fixed-point iteration: pass 1 assumes no
-cross-task contention, every further pass rebuilds each task's contention
-context from the previous pass's overlap intervals.  Two passes suffice
+cross-task contention, every further pass rebuilds each task's NIC load
+from the previous pass's overlap intervals.  Two passes suffice
 in practice (the layer structure changes little between passes); the
 iteration count is configurable for the contention ablation.
 
@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cluster.architecture import CoreId, Machine
-from ..comm.contention import ContentionContext, node_counts
+from ..comm.contention import NicLoad, node_counts
 from ..core.costmodel import CostModel
 from ..core.graph import TaskGraph
 from ..core.schedule import Placement
@@ -89,7 +89,7 @@ class SimulationOptions:
 
 def _phase_counts(
     machine: Machine, task: MTask, cores: Sequence[CoreId]
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> NicLoad:
     """Inter-node messages per node (out, in) of a task's representative
     communication round, a ring over its cores (for contention)."""
     if len(cores) < 2 or not task.comm:
@@ -163,9 +163,9 @@ class _Layout:
 
 
 #: what a task's communication price depends on besides the task and its
-#: cores: the contention context, the concurrent groups' core tuples and
-#: the part of the memo key that stands for the two
-_Concurrent = Tuple[Optional[ContentionContext], List[Tuple[CoreId, ...]], Optional[tuple]]
+#: cores: the NIC load (out | in counts per node), the concurrent groups'
+#: core tuples and the part of the memo key that stands for the two
+_Concurrent = Tuple[Optional[NicLoad], List[Tuple[CoreId, ...]], Optional[tuple]]
 
 
 #: rows of the overlap matrix multiplied at a time: the product runs in
@@ -178,12 +178,12 @@ def _concurrent_sets(
 ) -> Dict[MTask, _Concurrent]:
     """Every task's concurrent set in ``trace``, as its next pass sees it.
 
-    A task's context is the sum of the rounds of the tasks overlapping it
+    A task's NIC load is the sum of the rounds of the tasks overlapping it
     in time (itself included); each round is counted once per pass.  The
     sums of all tasks are one product of the overlap matrix with the
     per-task count table (out | in side by side) -- small integers held
     in floats, so exact in any order -- and tasks with the same
-    concurrent set share one context object.
+    concurrent set share one entry.
     """
     tasks = layout.tasks
     start = np.array([trace[t].start for t in tasks])
@@ -215,7 +215,7 @@ def _concurrent_sets(
             # dropped, first-seen order kept, a single group means none
             distinct = tuple(dict.fromkeys(groups))
             shared = by_members[members] = (
-                ContentionContext.from_counts(*np.split(load[i], 2)),
+                tuple(np.split(load[i], 2)),
                 [layout.tuples[g] for g in groups],
                 (load[i].tobytes(), distinct if len(distinct) > 1 else ()),
             )
@@ -322,16 +322,16 @@ def _run_once(
             tcores, idx = layout.tuples[group], layout.index[group]
             start = occupancy.earliest_start(idx, max(data_ready[t], sim.now))
             comp = cost.tcomp_mapped(t, tcores)
-            ctx, peers, ctx_key = concurrent[t]
+            nic_load, peers, load_key = concurrent[t]
             # ``comm`` and ``sync_points`` are all a model's mapped
             # communication price reads of the task itself
-            key = (t.comm, t.sync_points, group, ctx_key)
+            key = (t.comm, t.sync_points, group, load_key)
             comm = prices.get(key)
             if comm is None:
                 comm = prices[key] = cost.tcomm_mapped(
                     t,
                     tcores,
-                    ctx,
+                    nic_load,
                     peers,
                     all_cores=placement.all_cores,
                     task_parallel_program=layout.is_tp,

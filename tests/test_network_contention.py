@@ -1,6 +1,6 @@
 """Tests for link models and NIC contention."""
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -15,15 +15,9 @@ from repro.cluster import (
     chic,
     generic_cluster,
 )
-from repro.comm import (
-    ContentionContext,
-    build_context,
-    edge_cost,
-    redistribution_messages,
-    redistribution_time,
-)
-from repro.comm.collectives import ring_edges
-from repro.comm.contention import edge_costs, node_counts, round_cost
+from repro.cluster.architecture import LEVEL_NETWORK
+from repro.comm import collective_time, redistribution_messages, redistribution_time
+from repro.comm.contention import edge_costs, node_counts
 from repro.distribution import BlockCyclic, Replicated, transfer_counts
 
 
@@ -32,11 +26,31 @@ def simple_setup():
     return plat.machine, plat.network
 
 
+def message_cost(machine, net, a, b, nbytes, out=None, inc=None):
+    """``edge_costs`` of one message from core ``a`` to core ``b`` under
+    per-node NIC loads ``{node: count}`` (none: every count is one)."""
+    nodes = machine.num_nodes
+    out_count, in_count = np.ones(nodes, dtype=np.intp), np.ones(nodes, dtype=np.intp)
+    for node, k in (out or {}).items():
+        out_count[node] = k
+    for node, k in (inc or {}).items():
+        in_count[node] = k
+    u, v = machine.core_index([a]), machine.core_index([b])
+    return float(edge_costs(machine, net, u, v, nbytes, out_count, in_count)[0])
+
+
+def two_node_network(link):
+    """Two one-core nodes connected by ``link``."""
+    fast = LinkLevel("fast", 0.0, 1e12)
+    return Machine("pair", ((1,), (1,)), 1e9), HierarchicalNetwork((fast, fast, link))
+
+
 class TestLinkLevel:
     def test_ptp_time_linear_in_size(self):
-        link = LinkLevel("l", latency=1e-6, bandwidth=1e9)
-        assert link.ptp_time(0) == pytest.approx(1e-6)
-        assert link.ptp_time(1e9) == pytest.approx(1.000001)
+        machine, net = two_node_network(LinkLevel("l", latency=1e-6, bandwidth=1e9))
+        a, b = machine.cores()
+        assert message_cost(machine, net, a, b, 0) == pytest.approx(1e-6)
+        assert message_cost(machine, net, a, b, 1e9) == pytest.approx(1.000001)
 
     def test_beta_is_inverse_bandwidth(self):
         link = LinkLevel("l", 0.0, 2e9)
@@ -47,8 +61,6 @@ class TestLinkLevel:
             LinkLevel("l", -1e-6, 1e9)
         with pytest.raises(ValueError):
             LinkLevel("l", 1e-6, 0)
-        with pytest.raises(ValueError):
-            LinkLevel("l", 0, 1).ptp_time(-1)
 
 
 class TestHierarchicalNetwork:
@@ -66,34 +78,31 @@ class TestHierarchicalNetwork:
             net.alpha(-1)
 
     def test_contention_scales_bandwidth_only(self):
-        _, net = simple_setup()
-        t1 = net.ptp_time(2, 1e6, contention=1.0)
-        t2 = net.ptp_time(2, 1e6, contention=2.0)
+        machine, net = simple_setup()
+        a, b = CoreId(0, 0, 0), CoreId(1, 0, 0)
+        t1 = message_cost(machine, net, a, b, 1e6)
+        t2 = message_cost(machine, net, a, b, 1e6, out={0: 2})
         assert t2 - net.alpha(2) == pytest.approx(2 * (t1 - net.alpha(2)))
-        with pytest.raises(ValueError):
-            net.ptp_time(2, 1e6, contention=0.5)
 
 
 class TestContention:
     def test_self_message_is_free(self):
         machine, net = simple_setup()
         c = CoreId(0, 0, 0)
-        assert edge_cost(machine, net, c, c, 1e6, ContentionContext.none()) == 0.0
+        assert message_cost(machine, net, c, c, 1e6) == 0.0
 
     def test_intra_node_ignores_nic(self):
         machine, net = simple_setup()
         a, b = CoreId(0, 0, 0), CoreId(0, 1, 0)
-        ctx = ContentionContext(out_per_node={0: 100}, in_per_node={0: 100})
-        free = edge_cost(machine, net, a, b, 1e6, ContentionContext.none())
-        loaded = edge_cost(machine, net, a, b, 1e6, ctx)
+        free = message_cost(machine, net, a, b, 1e6)
+        loaded = message_cost(machine, net, a, b, 1e6, out={0: 100}, inc={0: 100})
         assert loaded == pytest.approx(free)
 
     def test_inter_node_shares_nic(self):
         machine, net = simple_setup()
         a, b = CoreId(0, 0, 0), CoreId(1, 0, 0)
-        base = edge_cost(machine, net, a, b, 1e6, ContentionContext.none())
-        ctx = ContentionContext(out_per_node={0: 4})
-        loaded = edge_cost(machine, net, a, b, 1e6, ctx)
+        base = message_cost(machine, net, a, b, 1e6)
+        loaded = message_cost(machine, net, a, b, 1e6, out={0: 4})
         assert loaded > base
         # 4 concurrent senders -> ~4x the bandwidth term
         alpha = net.alpha(2)
@@ -102,9 +111,8 @@ class TestContention:
     def test_receiver_side_contention_counts(self):
         machine, net = simple_setup()
         a, b = CoreId(0, 0, 0), CoreId(1, 0, 0)
-        ctx = ContentionContext(in_per_node={1: 3})
-        base = edge_cost(machine, net, a, b, 1e6, ContentionContext.none())
-        assert edge_cost(machine, net, a, b, 1e6, ctx) > base
+        base = message_cost(machine, net, a, b, 1e6)
+        assert message_cost(machine, net, a, b, 1e6, inc={1: 3}) > base
 
     def test_build_context_counts_internode_edges_only(self):
         machine, _ = simple_setup()
@@ -113,30 +121,40 @@ class TestContention:
             (CoreId(0, 0, 0), CoreId(0, 1, 0)),  # intra node
             (CoreId(2, 0, 0), CoreId(1, 0, 1)),  # inter
         ]
-        ctx = build_context(machine, [edges])
-        assert ctx.out_per_node == {0: 1, 2: 1}
-        assert ctx.in_per_node == {1: 2}
+        out, inc = node_counts(
+            machine,
+            machine.core_index([u for u, _ in edges]),
+            machine.core_index([v for _, v in edges]),
+        )
+        assert out.tolist() == [1, 0, 1, 0]
+        assert inc.tolist() == [0, 2, 0, 0]
 
     def test_build_context_aggregates_concurrent_lists(self):
         machine, _ = simple_setup()
+        # two concurrent rounds are counted as one edge array
         e1 = [(CoreId(0, 0, 0), CoreId(1, 0, 0))]
         e2 = [(CoreId(0, 0, 1), CoreId(2, 0, 0))]
-        ctx = build_context(machine, [e1, e2])
-        assert ctx.out_count(0) == 2
+        out, _ = node_counts(
+            machine,
+            machine.core_index([u for u, _ in e1 + e2]),
+            machine.core_index([v for _, v in e1 + e2]),
+        )
+        assert out[0] == 2
 
     def test_round_cost_is_max_edge(self):
         machine, net = simple_setup()
-        edges = [
-            (CoreId(0, 0, 0), CoreId(0, 0, 1)),  # cheap intra-socket
-            (CoreId(0, 0, 0), CoreId(3, 0, 0)),  # expensive inter-node
-        ]
-        ctx = ContentionContext.none()
-        expensive = edge_cost(machine, net, *edges[1], 1e5, ctx)
-        assert round_cost(machine, net, edges, 1e5, ctx) == pytest.approx(expensive)
+        # ring a -> b (intra-socket) -> c (inter-node) -> a (inter-node):
+        # both rounds last as long as the inter-node edge
+        a, b, c = CoreId(0, 0, 0), CoreId(0, 0, 1), CoreId(3, 0, 0)
+        expensive = message_cost(machine, net, b, c, 1e5)
+        assert expensive > message_cost(machine, net, a, b, 1e5)
+        assert collective_time("allgather", machine, net, [[a, b, c]], 3e5) == pytest.approx(
+            2 * expensive
+        )
 
     def test_round_cost_empty(self):
         machine, net = simple_setup()
-        assert round_cost(machine, net, [], 1e5, ContentionContext.none()) == 0.0
+        assert collective_time("allgather", machine, net, [[CoreId(0, 0, 0)]], 1e5) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -148,8 +166,31 @@ NET = chic().network
 HET_CORES = HET.cores()
 
 core_picks = st.integers(0, len(HET_CORES) - 1)
-node_loads = st.dictionaries(st.integers(0, HET.num_nodes - 1), st.integers(0, 9))
-contexts = st.builds(ContentionContext, out_per_node=node_loads, in_per_node=node_loads)
+node_loads = st.lists(st.integers(0, 9), min_size=HET.num_nodes, max_size=HET.num_nodes)
+
+
+def edge_cost(u, v, nbytes, out_count, in_count):
+    """One message by definition: the Hockney time of its link level, an
+    inter-node message shares the NICs, a self-message is free."""
+    if u == v:
+        return 0.0
+    lvl = HET.comm_level(u, v)
+    link = NET.level(lvl)
+    if lvl < LEVEL_NETWORK:
+        return link.latency + nbytes * link.beta
+    per_byte = max(
+        link.beta,
+        max(1, out_count[u.node]) / NET.nic_bandwidth,
+        max(1, in_count[v.node]) / NET.nic_bandwidth,
+    )
+    return link.latency + nbytes * per_byte
+
+
+def counts_by_loop(edges):
+    """Inter-node edges leaving and entering every node, edge by edge."""
+    out = Counter(u.node for u, v in edges if u.node != v.node)
+    inc = Counter(v.node for u, v in edges if u.node != v.node)
+    return [out[n] for n in range(HET.num_nodes)], [inc[n] for n in range(HET.num_nodes)]
 
 
 @st.composite
@@ -183,24 +224,21 @@ def messages_by_loop(src_cores, dst_cores, src_dist, dst_dist, itemsize):
     return messages
 
 
-def redistribution_time_by_loop(src_cores, dst_cores, src_dist, dst_dist, itemsize, ctx):
+def redistribution_time_by_loop(src_cores, dst_cores, src_dist, dst_dist, itemsize):
     """Message-by-message reference built on the scalar ``edge_cost``."""
     messages = messages_by_loop(src_cores, dst_cores, src_dist, dst_dist, itemsize)
     if not messages:
         return 0.0
-    if ctx is None:
-        out_cores, in_cores = defaultdict(set), defaultdict(set)
-        for u, v in messages:
-            if u.node != v.node:
-                out_cores[u.node].add(u)
-                in_cores[v.node].add(v)
-        ctx = ContentionContext(
-            {n: len(c) for n, c in out_cores.items()},
-            {n: len(c) for n, c in in_cores.items()},
-        )
+    out_cores, in_cores = defaultdict(set), defaultdict(set)
+    for u, v in messages:
+        if u.node != v.node:
+            out_cores[u.node].add(u)
+            in_cores[v.node].add(v)
+    out_count = {n: len(c) for n, c in out_cores.items()}
+    in_count = {n: len(c) for n, c in in_cores.items()}
     send, recv = defaultdict(float), defaultdict(float)
     for (u, v), nbytes in messages.items():
-        t = edge_cost(HET, NET, u, v, nbytes, ctx)
+        t = edge_cost(u, v, nbytes, defaultdict(int, out_count), defaultdict(int, in_count))
         send[u] += t
         recv[v] += t
     return max(max(send.values()), max(recv.values()))
@@ -210,14 +248,17 @@ class TestArrayKernel:
     @given(
         edges=st.lists(st.tuples(core_picks, core_picks), min_size=1, max_size=30),
         nbytes=st.sampled_from([0.0, 8.0, 12345.0, 1e6 / 3]),
-        ctx=contexts,
+        out=node_loads,
+        inc=node_loads,
     )
     @settings(max_examples=150, deadline=None)
-    def test_edge_costs_equal_scalar_edge_cost(self, edges, nbytes, ctx):
+    def test_edge_costs_equal_scalar_edge_cost(self, edges, nbytes, out, inc):
         u = np.array([a for a, _ in edges])
         v = np.array([b for _, b in edges])
-        got = edge_costs(HET, NET, u, v, nbytes, *ctx.counts(HET.num_nodes))
-        want = [edge_cost(HET, NET, HET_CORES[a], HET_CORES[b], nbytes, ctx) for a, b in edges]
+        out_count = np.maximum(np.array(out, dtype=np.intp), 1)
+        in_count = np.maximum(np.array(inc, dtype=np.intp), 1)
+        got = edge_costs(HET, NET, u, v, nbytes, out_count, in_count)
+        want = [edge_cost(HET_CORES[a], HET_CORES[b], nbytes, out, inc) for a, b in edges]
         assert got.tolist() == want
 
     @given(edge_lists=st.lists(st.lists(st.tuples(core_picks, core_picks), max_size=12), max_size=4))
@@ -229,18 +270,17 @@ class TestArrayKernel:
             np.array([a for a, _ in flat], dtype=np.intp),
             np.array([b for _, b in flat], dtype=np.intp),
         )
-        assert ContentionContext.from_counts(out, inc) == build_context(
-            HET, [[(HET_CORES[a], HET_CORES[b]) for a, b in edges] for edges in edge_lists]
+        assert (out.tolist(), inc.tolist()) == counts_by_loop(
+            [(HET_CORES[a], HET_CORES[b]) for a, b in flat]
         )
 
     @given(
         data=st.data(),
         n=st.sampled_from([0, 1, 7, 100, 1000]),
         itemsize=st.sampled_from([1, 8]),
-        ctx=st.one_of(st.none(), contexts),
     )
     @settings(max_examples=300, deadline=None)
-    def test_redistribution_equals_message_loop(self, data, n, itemsize, ctx):
+    def test_redistribution_equals_message_loop(self, data, n, itemsize):
         src_dist, src_cores = data.draw(layouts(n))
         dst_dist, dst_cores = data.draw(layouts(n))
         args = (src_cores, dst_cores, src_dist, dst_dist, itemsize)
@@ -248,9 +288,7 @@ class TestArrayKernel:
         # same merged messages in the same first-seen order ...
         assert list(redistribution_messages(*args)) == list(messages_by_loop(*args))
         # ... so the per-core busy sums round identically
-        assert redistribution_time(HET, NET, *args, ctx=ctx) == redistribution_time_by_loop(
-            *args, ctx
-        )
+        assert redistribution_time(HET, NET, *args) == redistribution_time_by_loop(*args)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="source has 2 cores"):
@@ -260,7 +298,7 @@ class TestArrayKernel:
 
     def test_simulator_phase_counts_sum_to_the_ring_context(self):
         # the simulator adds up per-task counts instead of re-walking the
-        # rings of every concurrent task; both give the same context
+        # rings of every concurrent task; both give the same NIC load
         from repro.core import CollectiveSpec, MTask
         from repro.sim.executor import _phase_counts
 
@@ -273,11 +311,14 @@ class TestArrayKernel:
             (quiet, HET_CORES[2:11]),
         ]
         counts = [_phase_counts(HET, t, cores) for t, cores in placed]
-        summed = ContentionContext.from_counts(
-            sum(c[0] for c in counts), sum(c[1] for c in counts)
-        )
-        rings = [ring_edges(list(cores)) for t, cores in placed if t.comm and len(cores) > 1]
-        assert summed == build_context(HET, rings)
+        summed = sum(c[0] for c in counts).tolist(), sum(c[1] for c in counts).tolist()
+        rings = [
+            (cores[i], cores[(i + 1) % len(cores)])
+            for t, cores in placed
+            if t.comm and len(cores) > 1
+            for i in range(len(cores))
+        ]
+        assert summed == counts_by_loop(rings)
 
 
 class TestCalibration:

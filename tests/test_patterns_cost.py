@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import generic_cluster
-from repro.comm import global_time, group_time, orthogonal_time
+from repro.comm import collective_time, orthogonal_time
 from repro.core import CostModel, MTask, TaskGraph
 from repro.mapping import consecutive, place_layered
 from repro.obs.gantt import render_trace
@@ -26,14 +26,14 @@ class TestPatternCosts:
     def test_global_equals_single_group(self, plat):
         m, n = plat.machine, plat.network
         cores = list(plat.machine.cores())
-        t = global_time("allgather", m, n, cores, 1 << 20)
+        t = collective_time("allgather", m, n, [cores], 1 << 20)
         assert t > 0
 
     def test_concurrent_groups_cost_at_least_sequential_max(self, plat):
         m, n = plat.machine, plat.network
         groups = consecutive_groups(plat, 4)
-        conc = group_time("allgather", m, n, groups, 1 << 20, concurrent=True)
-        solo = group_time("allgather", m, n, groups, 1 << 20, concurrent=False)
+        conc = collective_time("allgather", m, n, groups, 1 << 20)
+        solo = max(collective_time("allgather", m, n, [g], 1 << 20) for g in groups)
         assert conc >= solo
 
     def test_orthogonal_grows_with_volume(self, plat):

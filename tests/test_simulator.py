@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import chic, generic_cluster
-from repro.comm.contention import ContentionContext
 from repro.core import (
     CachedCostEvaluator,
     CollectiveSpec,
@@ -233,7 +232,7 @@ def _overlaps(a, b):
 
 
 def _reference_simulate(graph, placement, cost, options=SimulationOptions()):
-    """``simulate`` as it was before the array form: every task's context
+    """``simulate`` as it was before the array form: every task's NIC load
     from a loop over all tasks, every dispatch priced, one
     :class:`CoreResource` per core."""
     machine = cost.platform.machine
@@ -241,27 +240,27 @@ def _reference_simulate(graph, placement, cost, options=SimulationOptions()):
     intervals = {}
     trace = ExecutionTrace(machine)
     for pass_no in range(options.contention_passes):
-        ctxs, peers = {}, {}
+        loads, peers = {}, {}
         if pass_no == 0:
             for t in graph:
-                ctxs[t] = None  # own edges only
+                loads[t] = None  # own edges only
                 peers[t] = []
         else:
             phase = {t: _phase_counts(machine, t, placement.cores_of(t)) for t in graph}
             for t in graph:
                 mine = intervals[t]
                 concurrent = [o for o in graph if o is t or _overlaps(intervals[o], mine)]
-                ctxs[t] = ContentionContext.from_counts(
+                loads[t] = (
                     sum(phase[o][0] for o in concurrent),
                     sum(phase[o][1] for o in concurrent),
                 )
                 peers[t] = [tuple(placement.cores_of(o)) for o in concurrent]
-        trace = _reference_run_once(graph, placement, cost, ctxs, peers, options)
+        trace = _reference_run_once(graph, placement, cost, loads, peers, options)
         intervals = {e.task: (e.start, e.finish) for e in trace.entries}
     return trace
 
 
-def _reference_run_once(graph, placement, cost, ctxs, peers, options):
+def _reference_run_once(graph, placement, cost, loads, peers, options):
     machine = cost.platform.machine
     sim = Simulator()
     cores = {c: CoreResource() for c in machine.cores()}
@@ -292,7 +291,7 @@ def _reference_run_once(graph, placement, cost, ctxs, peers, options):
                 start = cores[c].earliest_start(start)
             comp = cost.tcomp_mapped(t, tcores)
             comm = cost.tcomm_mapped(
-                t, tcores, ctxs[t], peers.get(t),
+                t, tcores, loads[t], peers.get(t),
                 all_cores=placement.all_cores, task_parallel_program=is_tp,
             )
             comp_clean = comp
@@ -609,7 +608,7 @@ class CountingModel:
         self.calls["tcomp_mapped"] += 1
         return self.model.tcomp_mapped(task, cores)
 
-    def tcomm_mapped(self, task, cores, ctx=None, peer_groups=None, **kwargs):
+    def tcomm_mapped(self, task, cores, load=None, peer_groups=None, **kwargs):
         self.calls["tcomm_mapped"] += 1
         peers = list(dict.fromkeys(tuple(g) for g in peer_groups or ()))
         self.requests.append(
@@ -617,14 +616,14 @@ class CountingModel:
                 task.comm,
                 task.sync_points,
                 tuple(cores),
-                None if ctx is None else (
-                    tuple(sorted(ctx.out_per_node.items())),
-                    tuple(sorted(ctx.in_per_node.items())),
+                None if load is None else tuple(
+                    tuple((int(n), int(side[n])) for n in np.flatnonzero(side))
+                    for side in load
                 ),
                 tuple(peers) if len(peers) > 1 else (),
             )
         )
-        return self.model.tcomm_mapped(task, cores, ctx, peer_groups, **kwargs)
+        return self.model.tcomm_mapped(task, cores, load, peer_groups, **kwargs)
 
     def redistribution_time(self, flows, src_cores, dst_cores):
         self.calls["redistribution_time"] += 1
