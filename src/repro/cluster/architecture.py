@@ -18,7 +18,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -229,20 +229,6 @@ class Machine:
     def nodes_used(self, cores: Iterable[CoreId]) -> Tuple[int, ...]:
         """Sorted tuple of distinct node ids touched by ``cores``."""
         return tuple(sorted({c.node for c in cores}))
-
-    # ------------------------------------------------------------------
-    # Presentation
-    # ------------------------------------------------------------------
-    def tree_lines(self) -> List[str]:
-        """Render the architecture tree (Fig. 7) as indented text lines."""
-        lines = [f"A {self.name} ({self.total_cores} cores)"]
-        for n, shape in enumerate(self.node_shapes):
-            lines.append(f"  N {n + 1}")
-            for p, ncores in enumerate(shape):
-                lines.append(f"    P {n + 1}.{p + 1}")
-                for c in range(ncores):
-                    lines.append(f"      C {n + 1}.{p + 1}.{c + 1}")
-        return lines
 
     def __str__(self) -> str:
         shape = self.node_shapes[0]

@@ -154,21 +154,6 @@ class CostModel:
 
         return symbolic_cost_pairs(self, tasks, widths)
 
-    def best_symbolic_width(self, task: MTask, max_q: int) -> int:
-        """Core count in ``[min_procs, max_q]`` minimising ``Tsymb``.
-
-        Useful for moldable baselines; the layer-based algorithm instead
-        derives widths from the group search.
-        """
-        lo = task.min_procs
-        hi = task.clamp_procs(max_q)
-        best_q, best_t = lo, self.tsymb(task, lo)
-        for q in range(lo + 1, hi + 1):
-            t = self.tsymb(task, q)
-            if t < best_t:
-                best_q, best_t = q, t
-        return best_q
-
     # ------------------------------------------------------------------
     # Mapped costs (after the mapping step, Section 3.4)
     # ------------------------------------------------------------------

@@ -3,10 +3,11 @@
 This is the *executable* counterpart of the re-distribution cost model:
 given the per-rank chunks of an array under a source distribution, produce
 the per-rank chunks under a target distribution, together with the exact
-number of elements that logically moved between ranks.  The SPMD runtime
-(:mod:`repro.runtime`) uses it to really push numpy data through an M-task
-program, which lets the tests cross-check the analytic transfer matrices
-against observed data movement.
+number of elements that logically moved between ranks.  It is the
+reference ``tests/test_redistribute.py`` checks the analytic transfer
+matrices of :func:`~repro.distribution.transfer_counts` against; the
+functional runtime (:mod:`repro.runtime`) charges those matrices and moves
+no chunks.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Sequence
 
-__all__ = ["render_trace", "render_layers", "render_analysis_bars"]
+__all__ = ["render_trace", "render_layers"]
 
 
 def _letter(i: int) -> str:
@@ -175,12 +175,3 @@ def render_layers(layered, cost, width: int = 48) -> str:
             )
     return "\n".join(lines)
 
-
-def render_analysis_bars(analysis, width: int = 40) -> str:
-    """Utilization bars of a :class:`~repro.obs.metrics.ScheduleAnalysis`."""
-    lines = ["per-core utilization:"]
-    for c in analysis.cores:
-        filled = int(c.busy_fraction * width)
-        bar = "#" * filled + "." * (width - filled)
-        lines.append(f"  core {c.label:>7s} |{bar}| {c.busy_fraction * 100:6.2f} %")
-    return "\n".join(lines)

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..recovery.checkpoint import json_digest
+from ..recovery.files import append_line, open_log, read_log
 from .metrics import Counter, MetricsRegistry, child_key, split_key  # noqa: F401
 from .metrics import metric_direction, oriented_ratio
 
@@ -255,9 +256,11 @@ def publish_result(registry: MetricsRegistry, result, **labels: Any) -> None:
 class RunRegistry:
     """Append-only JSONL store of :class:`RunRecord` entries.
 
-    One record per line under ``<root>/runs.jsonl``; loading tolerates a
-    torn final line (the same contract as the recovery journal), so a
-    run killed mid-append never corrupts the history.
+    One record per line under ``<root>/runs.jsonl``, a log of
+    :mod:`repro.recovery.files` like the run journal: loading drops a
+    torn final line and the next append truncates it, so a run killed
+    mid-append never corrupts the history; a malformed line anywhere
+    else raises :class:`~repro.recovery.files.CorruptLog`.
     """
 
     def __init__(self, root) -> None:
@@ -265,26 +268,14 @@ class RunRegistry:
         self.path = self.root / "runs.jsonl"
 
     def append(self, record: RunRecord) -> Path:
-        """Append one record; returns the registry file path."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write(record.to_json() + "\n")
+        """Append one record durably; returns the registry file path."""
+        with open_log(self.path) as fh:
+            append_line(fh, record.to_json())
         return self.path
 
     def load(self) -> List[Dict[str, Any]]:
-        """All stored records as dicts, oldest first (torn tail skipped)."""
-        if not self.path.exists():
-            return []
-        records: List[Dict[str, Any]] = []
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # torn final line of a killed append
-        return records
+        """All stored records as dicts, oldest first (torn tail dropped)."""
+        return read_log(self.path)[0]
 
     def __len__(self) -> int:
         return len(self.load())

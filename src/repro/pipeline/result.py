@@ -59,13 +59,6 @@ class PipelineResult:
             return self.trace.makespan
         return self.predicted_makespan
 
-    @property
-    def speedup_estimate(self) -> float:
-        """Predicted over simulated makespan (model optimism factor)."""
-        if self.trace is None or self.trace.makespan <= 0:
-            return 1.0
-        return self.predicted_makespan / self.trace.makespan
-
     # ------------------------------------------------------------------
     def stage_seconds(self) -> Dict[str, float]:
         """Wall-clock seconds per top-level pipeline stage."""

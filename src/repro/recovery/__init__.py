@@ -1,6 +1,6 @@
 """Crash-consistent checkpoint/resume and speculative straggler mitigation.
 
-Four pillars, mirroring the tentpole:
+Four pillars:
 
 * :class:`RunJournal` -- append-only, fsync'd JSONL write-ahead log of
   task completions (tolerates a torn final record on reload) backed by a
@@ -14,6 +14,11 @@ Four pillars, mirroring the tentpole:
   simulator and the functional runtime;
 * :class:`Supervisor` -- wall-clock deadline / task budget with graceful
   cancellation into structured partial run results.
+
+The two durable-file rules the journal and the store rest on -- the
+append-only log with its torn-tail repair and the atomic publish of a
+content-addressed file -- live in :mod:`repro.recovery.files`; the run
+registry and the schedule cache use the same module.
 """
 
 from .checkpoint import CheckpointStore, array_digest, json_digest

@@ -17,9 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 
 import numpy as np
+
+from .files import publish
 
 __all__ = ["array_digest", "json_digest", "CheckpointStore"]
 
@@ -56,8 +58,6 @@ class CheckpointStore:
         #: bytes physically written by this instance (repeat puts of the
         #: same content cost nothing)
         self.bytes_written = 0
-        #: digest -> payload bytes for everything this instance touched
-        self._sizes: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def _path(self, digest: str) -> Path:
@@ -69,22 +69,16 @@ class CheckpointStore:
     def put(self, arr: np.ndarray) -> Tuple[str, int]:
         """Store ``arr``; returns ``(digest, nbytes)``.
 
-        The write goes through a temporary file renamed into place, so a
-        crash mid-write never leaves a truncated checkpoint under its
-        final name.
+        The file is created by :func:`repro.recovery.files.publish`, so
+        a crash mid-write never leaves a truncated checkpoint under its
+        final name and a digest already stored is not written again.
         """
         digest = array_digest(arr)
-        path = self._path(digest)
         nbytes = int(np.asarray(arr).nbytes)
-        if not path.exists():
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            with open(tmp, "wb") as fh:
-                np.save(fh, np.ascontiguousarray(arr))
-                fh.flush()
-            tmp.replace(path)
+        if publish(
+            self._path(digest), lambda fh: np.save(fh, np.ascontiguousarray(arr))
+        ):
             self.bytes_written += nbytes
-        self._sizes[digest] = nbytes
         return digest, nbytes
 
     def get(self, digest: str) -> np.ndarray:

@@ -11,9 +11,10 @@ output data lives next to the journal in a content-addressed
 
 Write-ahead semantics: a record is appended (and fsync'd) *after* its
 task completed but *before* the run proceeds, so after a crash the
-journal holds exactly the prefix of the run that finished.  A torn final
-line -- the crash struck mid-append -- is detected and dropped on load;
-a malformed line anywhere else is corruption and raises.
+journal holds exactly the prefix of the run that finished.  The file is
+a log of :mod:`repro.recovery.files`: a torn final line -- the crash
+struck mid-append -- is dropped on load and truncated before the next
+append; a malformed line anywhere else is corruption and raises.
 
 Because every fault/retry/speculation draw is keyed per ``(task,
 attempt)`` (see :mod:`repro.faults`), a run resumed from its journal
@@ -36,6 +37,7 @@ from typing import Any, Dict, List, Optional
 
 from ..faults.retry import FailureRecord
 from .checkpoint import CheckpointStore
+from .files import CorruptLog, append_line, open_log, read_log
 
 __all__ = ["JournalError", "JournalMismatch", "JournalState", "RunJournal"]
 
@@ -97,9 +99,6 @@ class RunJournal:
         directory ``<path>.ckpt``.
     store:
         Explicit :class:`CheckpointStore` for the output arrays.
-    fsync:
-        Fsync after every appended record (the crash-consistency
-        guarantee; disable only in tests that crash nothing).
     crash_after:
         Chaos hook: commit this many ``task`` records, then tear the
         next one mid-line and ``os._exit(137)``.
@@ -109,14 +108,12 @@ class RunJournal:
         self,
         path,
         store: Optional[CheckpointStore] = None,
-        fsync: bool = True,
         crash_after: Optional[int] = None,
     ) -> None:
         self.path = Path(path)
         self.store = store if store is not None else CheckpointStore(
             self.path.with_name(self.path.name + ".ckpt")
         )
-        self.fsync = fsync
         self.crash_after = crash_after
         self._fh = None
         self._task_records = 0
@@ -129,38 +126,16 @@ class RunJournal:
     def load(self) -> JournalState:
         """Parse the journal; tolerates (and drops) a torn final line."""
         state = JournalState()
-        if not self.path.exists():
-            return state
-        raw = self.path.read_text()
-        lines = raw.split("\n")
-        # a fully committed record always ends in a newline, so the text
-        # after the last newline (if any) is a torn final record
-        if lines and lines[-1] != "":
-            state.torn = True
-            lines = lines[:-1]
-        parsed: List[Dict[str, Any]] = []
-        nonempty = [(i, line) for i, line in enumerate(lines) if line.strip()]
-        for pos, (i, line) in enumerate(nonempty):
-            last = pos == len(nonempty) - 1
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                if last:
-                    # the crash also managed to flush a newline; still
-                    # only the final record, still droppable
-                    state.torn = True
-                    continue
-                raise JournalError(
-                    f"journal {self.path} is corrupt: unparseable record on "
-                    f"line {i + 1} (not the final line)"
-                ) from None
+        try:
+            parsed, state.torn = read_log(self.path)
+        except CorruptLog as exc:
+            raise JournalError(f"journal {exc}") from None
+        for i, rec in enumerate(parsed):
             if not isinstance(rec, dict) or "kind" not in rec:
                 raise JournalError(
-                    f"journal {self.path} is corrupt: line {i + 1} is not a "
+                    f"journal {self.path} is corrupt: record {i + 1} is not a "
                     "journal record"
                 )
-            parsed.append(rec)
-        for rec in parsed:
             if rec["kind"] == "header":
                 if state.header is not None:
                     raise JournalError(
@@ -186,42 +161,11 @@ class RunJournal:
     # ------------------------------------------------------------------
     def begin(self, header: Dict[str, Any]) -> None:
         """Open for appending; writes the header on a fresh journal."""
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not fresh:
-            self._truncate_torn()
-        self._fh = open(self.path, "a", encoding="utf-8")
-        if fresh:
+        self._fh = open_log(self.path)
+        if self._fh.tell() == 0:
             rec = {"kind": "header", "version": JOURNAL_VERSION}
             rec.update(header)
             self._write(rec)
-
-    def _truncate_torn(self) -> None:
-        """Physically drop a torn final record before appending.
-
-        Without this, the first append after a crash would glue itself
-        onto the torn tail, corrupting both records; ``load()`` only
-        *ignores* the torn line, it does not remove it.
-        """
-        raw = self.path.read_bytes()
-        cut = len(raw)
-        if not raw.endswith(b"\n"):
-            cut = raw.rfind(b"\n") + 1
-        else:
-            # the crash may also have flushed the newline: a final line
-            # that does not parse is the same torn record
-            idx = raw.rfind(b"\n", 0, len(raw) - 1) + 1
-            last = raw[idx : len(raw) - 1]
-            if last.strip():
-                try:
-                    json.loads(last.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    cut = idx
-        if cut < len(raw):
-            with open(self.path, "rb+") as fh:
-                fh.truncate(cut)
-                fh.flush()
-                os.fsync(fh.fileno())
 
     def _write(self, record: Dict[str, Any]) -> None:
         if self._fh is None:
@@ -237,10 +181,7 @@ class RunJournal:
             self._fh.flush()
             os.fsync(self._fh.fileno())
             os._exit(137)
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        append_line(self._fh, line)
         if record.get("kind") == "task":
             self._task_records += 1
 

@@ -3,8 +3,9 @@
 This runtime gives the M-task model *semantics*: every basic task with a
 Python body is executed in dependency order, variables flow along the
 graph edges, and the data re-distributions between producer and consumer
-distributions are really performed (and byte-accounted) through
-:mod:`repro.distribution.redistribute`.  It is the executable counterpart
+distributions are byte-accounted: each is charged the off-diagonal bytes
+of its :func:`~repro.distribution.transfer_counts` matrix, while bodies
+receive the global arrays.  It is the executable counterpart
 of the simulator -- the simulator predicts *when* things happen, the
 runtime checks *what* they compute.
 

@@ -47,6 +47,10 @@ from .layers import build_layers
 
 __all__ = ["LayerBasedScheduler"]
 
+#: a layer whose feasible group counts (``g`` up to its width and the core
+#: count) exceed this searches only powers of two plus the largest ``g``
+WIDE_LAYER_LIMIT = 64
+
 
 @dataclass
 class LayerBasedScheduler(Scheduler):
@@ -65,7 +69,7 @@ class LayerBasedScheduler(Scheduler):
         ``"lpt"`` (paper) or ``"roundrobin"`` (ablation baseline).
     candidate_groups:
         Restrict the searched group counts.  ``None`` searches every
-        feasible ``g``; wide layers (> ``wide_layer_limit`` tasks) fall
+        feasible ``g``; wide layers (> ``WIDE_LAYER_LIMIT`` tasks) fall
         back to powers of two plus the layer width to keep the search
         tractable, matching the group counts the paper sweeps.
     """
@@ -75,7 +79,6 @@ class LayerBasedScheduler(Scheduler):
     adjust: bool = True
     assignment: str = "lpt"
     candidate_groups: Optional[Sequence[int]] = None
-    wide_layer_limit: int = 64
 
     #: chain handling is part of the algorithm itself (step 1); the
     #: pipeline must not pre-contract, even for the ablation variant.
@@ -92,7 +95,7 @@ class LayerBasedScheduler(Scheduler):
             # clamp requested counts to the layer width (a fixed-g sweep
             # still needs narrow layers, e.g. a lone combine task, to work)
             return sorted({min(max(g, 1), max_g) for g in self.candidate_groups})
-        if max_g <= self.wide_layer_limit:
+        if max_g <= WIDE_LAYER_LIMIT:
             return list(range(1, max_g + 1))
         cands = {1, max_g}
         g = 2

@@ -4,13 +4,13 @@ The cache stores fully rendered response *bytes* keyed by the request's
 content digest (``cache_key`` over the program/topology/options digest
 triple), so a hit serves exactly the bytes the cold computation produced
 -- byte-identity is structural, not a property the solver has to
-maintain.  Storage follows the
-:class:`~repro.recovery.CheckpointStore` pattern: one ``<key>.json``
-file per entry, written to a temporary name no other write shares (in
-this process or another one pointed at the same directory) and
-atomically renamed into place, so a crash mid-write never leaves a torn
-entry under its final name and concurrent writers of the same key are
-idempotent.
+maintain.  Storage is the :class:`~repro.recovery.CheckpointStore`'s:
+one ``<key>.json`` file per entry, created by
+:func:`repro.recovery.files.publish` -- a temporary name no other write
+shares (in this process or another one pointed at the same directory),
+atomically renamed into place -- so a crash mid-write never leaves a
+torn entry under its final name and concurrent writers of the same key
+are idempotent.
 
 A small in-memory LRU front (``max_memory_entries``) keeps the hot keys
 out of the filesystem entirely; the on-disk tier is the durable,
@@ -20,19 +20,15 @@ memo the service keeps its request keys in.
 
 from __future__ import annotations
 
-import itertools
-import os
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Optional
 
+from ..recovery.files import publish
+
 __all__ = ["LRU", "ScheduleCache"]
 
 _KEY_CHARS = set("0123456789abcdef")
-
-#: numbers the temporary files this process writes; with the pid it makes
-#: a name unique per process and write
-_WRITES = itertools.count()
 
 
 class LRU(OrderedDict):
@@ -109,19 +105,14 @@ class ScheduleCache:
         return None
 
     def put(self, key: str, body: bytes) -> None:
-        """Store ``body`` under ``key`` (atomic tmp-rename on disk)."""
+        """Store ``body`` under ``key`` (published atomically on disk; an
+        existing entry is identical, content addressing, and stays)."""
         key = self._check_key(key)
         self._memory.put(key, bytes(body))
-        if self.root is None:
-            return
-        path = self._path(key)
-        if path.exists():
-            return  # content-addressed: an existing entry is identical
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp-{os.getpid()}-{next(_WRITES)}")
-        tmp.write_bytes(body)
-        tmp.replace(path)
-        self.writes += 1
+        if self.root is not None and publish(
+            self._path(key), lambda fh: fh.write(body)
+        ):
+            self.writes += 1
 
     def __contains__(self, key: str) -> bool:
         key = self._check_key(key)

@@ -124,13 +124,6 @@ class TestMachine:
         with pytest.raises(ValueError):
             m.core_nodes[0] = 5  # the view is read-only
 
-    def test_tree_lines_structure(self):
-        m = Machine.homogeneous("t", 1, 2, 2, 1e9)
-        lines = m.tree_lines()
-        assert lines[0].startswith("A ")
-        assert sum(1 for l in lines if l.strip().startswith("C ")) == 4
-        assert sum(1 for l in lines if l.strip().startswith("P ")) == 2
-
 
 class TestPlatforms:
     def test_chic_parameters(self):

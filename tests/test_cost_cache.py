@@ -84,11 +84,6 @@ class TestBitwiseIdentical:
                     plain.redistribution_time(flows, src, dst)
                 )
 
-    def test_best_symbolic_width(self, models, graph):
-        plain, cached = models
-        for t in graph:
-            assert cached.best_symbolic_width(t, 64) == plain.best_symbolic_width(t, 64)
-
 
 class TestCacheMechanics:
     def make(self):

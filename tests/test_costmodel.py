@@ -76,14 +76,6 @@ class TestSymbolicCost:
         assert cost.tcomm_symbolic(t, plat.total_cores) == 0.0
         assert cost.tcomm_symbolic(t, plat.total_cores // 4) > 0.0
 
-    def test_best_symbolic_width_balances(self, cost, plat):
-        # pure compute: more cores always better
-        t = MTask("a", work=1e10)
-        assert cost.best_symbolic_width(t, plat.total_cores) == plat.total_cores
-        # communication-bound: fewer cores win
-        t2 = MTask("b", work=1e4, comm=(CollectiveSpec("allgather", 1 << 20, count=10),))
-        assert cost.best_symbolic_width(t2, plat.total_cores) == 1
-
 
 class TestMappedCost:
     def test_consecutive_beats_scattered(self, cost, plat):

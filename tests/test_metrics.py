@@ -10,7 +10,7 @@ from repro.cluster import generic_cluster
 from repro.core import CostModel, MTask, TaskGraph
 from repro.obs import Gauge, Histogram, analyze
 from repro.obs.metrics import HISTOGRAM_CAP
-from repro.obs.gantt import render_analysis_bars, render_layers, render_trace
+from repro.obs.gantt import render_layers, render_trace
 from repro.pipeline import SchedulingPipeline
 from repro.scheduling import LayerBasedScheduler
 
@@ -268,6 +268,3 @@ class TestGanttRendering:
         assert "layer 0" in text
         assert "|" in text
 
-    def test_render_analysis_bars(self, run):
-        text = render_analysis_bars(run.analysis())
-        assert text.count("core") >= run.trace.machine.total_cores

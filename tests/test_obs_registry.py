@@ -228,6 +228,11 @@ class TestRunRegistry:
         with open(reg.path, "a") as fh:
             fh.write('{"schema": "repro.obs.runr')  # killed mid-append
         assert len(reg.load()) == 1
+        # the next append truncates the torn tail instead of gluing onto it
+        reg.append(make_record(2.0))
+        assert [r["makespan"] for r in reg.load()] == [1.0, 2.0]
+        assert b'{"schema": "repro.obs.runr' not in reg.path.read_bytes()
+        assert reg.path.read_bytes().endswith(b"}\n")
 
     def test_missing_registry_loads_empty(self, tmp_path):
         assert RunRegistry(tmp_path / "nope").load() == []

@@ -341,4 +341,3 @@ class TestPipelineResult:
     def test_predicted_vs_simulated_same_order(self, problem, platform):
         res = ode_pipeline(problem, CONFIGS["pab"], platform, consecutive())
         assert res.predicted_makespan > 0
-        assert res.speedup_estimate is None or res.speedup_estimate > 0

@@ -22,6 +22,7 @@ from repro.recovery import (
     Supervisor,
     array_digest,
 )
+from repro.recovery.files import CorruptLog, append_line, open_log, publish, read_log
 from repro.runtime import run_program
 
 
@@ -73,6 +74,39 @@ def truncate_to_task_records(path: Path, keep: int, tear: bool = True) -> None:
 
 
 # ----------------------------------------------------------------------
+# the durable-file rules every store shares
+# ----------------------------------------------------------------------
+class TestDurableFiles:
+    @pytest.mark.parametrize("tail", ["", "{}", "[1, 2", "[1, 2\n", "[1, 2\n\n"])
+    def test_append_repairs_exactly_what_load_drops(self, tmp_path, tail):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"a": 1}\n' + tail)
+        records, torn = read_log(path)
+        assert records == [{"a": 1}] and torn == bool(tail)
+        with open_log(path) as fh:
+            append_line(fh, '{"b": 2}')
+        assert read_log(path) == ([{"a": 1}, {"b": 2}], False)
+
+    def test_mid_file_corruption_names_the_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"a": 1}\n\nnot json\n{"b": 2}\n')
+        with pytest.raises(CorruptLog, match="line 3"):
+            read_log(path)
+
+    def test_failed_publish_leaves_nothing(self, tmp_path):
+        def explode(fh):
+            fh.write(b"half")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            publish(tmp_path / "entry.json", explode)
+        assert list(tmp_path.iterdir()) == []
+        assert publish(tmp_path / "entry.json", lambda fh: fh.write(b"whole"))
+        assert not publish(tmp_path / "entry.json", lambda fh: fh.write(b"other"))
+        assert (tmp_path / "entry.json").read_bytes() == b"whole"
+
+
+# ----------------------------------------------------------------------
 # CheckpointStore
 # ----------------------------------------------------------------------
 class TestCheckpointStore:
@@ -99,6 +133,19 @@ class TestCheckpointStore:
         a = np.zeros(4, dtype=np.float64)
         assert array_digest(a) != array_digest(a.astype(np.float32))
         assert array_digest(a) != array_digest(a.reshape(2, 2))
+
+    def test_atomic_write_leaves_no_temp_file(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        arr = np.arange(6.0)
+        digest, _ = store.put(arr)
+        assert [p.name for p in store.root.iterdir()] == [f"{digest}.npy"]
+        stored = (store.root / f"{digest}.npy").stat().st_mtime_ns
+        again = CheckpointStore(store.root)
+        assert again.put(arr) == (digest, arr.nbytes)  # a second put is a no-op
+        assert again.bytes_written == 0
+        assert (store.root / f"{digest}.npy").stat().st_mtime_ns == stored
+        assert [p.name for p in store.root.iterdir()] == [f"{digest}.npy"]
+        np.testing.assert_array_equal(again.get(digest), arr)
 
     def test_missing_and_corrupt_checkpoints(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
@@ -163,6 +210,25 @@ class TestRunJournal:
         state = journal_at(tmp_path).load()
         assert state.torn
         assert set(state.completed) == {"a"}
+
+    @pytest.mark.parametrize("tail", ['{"kind": "task", "ta', '{"kind": "task", "ta\n'])
+    def test_append_after_torn_final_line(self, tmp_path, tail):
+        journal = journal_at(tmp_path)
+        with journal:
+            journal.begin({"graph": "g"})
+            journal.record_completion("a", {"y": np.arange(4.0)})
+        path = journal.path
+        path.write_text(path.read_text() + tail)
+        journal = journal_at(tmp_path)
+        journal.load()
+        with journal:
+            journal.begin({"graph": "g"})
+            journal.record_completion("b", {"z": np.arange(4.0)})
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["kind"] for line in lines] == ["header", "task", "task"]
+        state = journal_at(tmp_path).load()
+        assert not state.torn
+        assert list(state.completed) == ["a", "b"]
 
     def test_mid_file_corruption_raises(self, tmp_path):
         journal = journal_at(tmp_path)

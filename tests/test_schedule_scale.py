@@ -508,7 +508,7 @@ def _exhaustive_layer(sched, tasks):
     one scalar-costed LPT (or round-robin) run per feasible ``g``."""
     cost, P = sched.cost, sched.nprocs
     best, candidates = None, 0
-    for g in range(1, min(P, len(tasks)) + 1):  # <= wide_layer_limit tasks
+    for g in range(1, min(P, len(tasks)) + 1):  # <= WIDE_LAYER_LIMIT tasks
         if any(t.min_procs > P // g for t in tasks):
             continue
         candidates += 1

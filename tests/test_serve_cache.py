@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.recovery import files as files_module
 from repro.recovery import json_digest
 from repro.serve import ScheduleCache, ScheduleService, canonical_options
-from repro.serve import cache as cache_module
 from repro.serve.api import OPTION_DEFAULTS, PROGRAM_SCHEDULERS
 from repro.serve.api import compute_response as real_compute_response
 
@@ -328,15 +328,15 @@ class TestScheduleCache:
     def test_temp_names_never_repeat_across_instances(self, tmp_path, monkeypatch):
         # two server processes sharing --cache-dir can agree on id(self);
         # the temporary name must not depend on it
-        monkeypatch.setattr(cache_module, "id", lambda obj: 7, raising=False)
+        monkeypatch.setattr(files_module, "id", lambda obj: 7, raising=False)
         names = []
-        write_bytes = Path.write_bytes
+        replace = Path.replace
 
-        def recording(path, data):
+        def recording(path, target):
             names.append(path.name)
-            return write_bytes(path, data)
+            return replace(path, target)
 
-        monkeypatch.setattr(Path, "write_bytes", recording)
+        monkeypatch.setattr(Path, "replace", recording)
         caches = [ScheduleCache(tmp_path), ScheduleCache(tmp_path)]
         start = threading.Barrier(2)
 
