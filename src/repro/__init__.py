@@ -21,7 +21,7 @@ Typical use::
 
     platform = cluster.chic(64)                       # 256 cores
     cost = CostModel(platform)
-    graph = ode.step_graph(ode.bruss2d(64), ode.default_config("irk", 4))
+    graph = ode.step_graph(ode.bruss2d(64), ode.PAPER_CONFIGS["irk"])
     pipe = SchedulingPipeline(scheduling.LayerBasedScheduler(cost))
     result = pipe.run(graph)
     print(result.trace.summary())

@@ -1,13 +1,11 @@
 """Hierarchical multi-core cluster models (architecture tree + network)."""
 
-from .calibrate import fit_link, fit_network
 from .architecture import (
     LEVEL_NETWORK,
     LEVEL_NODE,
     LEVEL_PROCESSOR,
     CoreId,
     Machine,
-    consecutive_order,
 )
 from .network import HierarchicalNetwork, LinkLevel
 from .platforms import Platform, by_name, chic, generic_cluster, juropa, sgi_altix
@@ -15,7 +13,6 @@ from .platforms import Platform, by_name, chic, generic_cluster, juropa, sgi_alt
 __all__ = [
     "CoreId",
     "Machine",
-    "consecutive_order",
     "LEVEL_PROCESSOR",
     "LEVEL_NODE",
     "LEVEL_NETWORK",
@@ -27,6 +24,4 @@ __all__ = [
     "sgi_altix",
     "generic_cluster",
     "by_name",
-    "fit_link",
-    "fit_network",
 ]

@@ -18,7 +18,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -209,11 +209,6 @@ class Machine:
             and 0 <= core.core < self.node_shapes[core.node][core.proc]
         )
 
-    def validate_core(self, core: CoreId) -> None:
-        """Raise if ``core`` does not exist on this platform."""
-        if core not in self:
-            raise ValueError(f"core {core.label} does not exist on {self.name}")
-
     def comm_level(self, a: CoreId, b: CoreId) -> int:
         """Communication level between two cores (0/1/2, see module docs).
 
@@ -226,10 +221,6 @@ class Machine:
             return LEVEL_NODE
         return LEVEL_PROCESSOR
 
-    def nodes_used(self, cores: Iterable[CoreId]) -> Tuple[int, ...]:
-        """Sorted tuple of distinct node ids touched by ``cores``."""
-        return tuple(sorted({c.node for c in cores}))
-
     def __str__(self) -> str:
         shape = self.node_shapes[0]
         homo = all(s == shape for s in self.node_shapes)
@@ -239,8 +230,3 @@ class Machine:
             else f"{self.num_nodes} nodes (heterogeneous)"
         )
         return f"Machine({self.name}: {desc}, {self.total_cores} cores)"
-
-
-def consecutive_order(machine: Machine) -> Sequence[CoreId]:
-    """Canonical physical-core sequence: node-major, then processor, core."""
-    return machine.cores()

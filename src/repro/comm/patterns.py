@@ -27,33 +27,27 @@ from .collectives import collective_time
 __all__ = ["orthogonal_sets", "orthogonal_time"]
 
 
-def orthogonal_sets(
-    groups: Sequence[Sequence[CoreId]], locality_order: bool = True
-) -> List[List[CoreId]]:
+def orthogonal_sets(groups: Sequence[Sequence[CoreId]]) -> List[List[CoreId]]:
     """Orthogonal core sets of equal-sized concurrent groups.
 
     Set ``j`` collects the core at position ``j`` of every group.  All
     groups must have equal size (the paper's orthogonal operations only
     occur between the equally-sized stage-vector groups).
 
-    With ``locality_order`` (default) each set is sorted by physical
-    core id, so ring/tree algorithms inside the set communicate between
-    co-located members first.  The M-task runtime controls the rank
-    order when it creates the orthogonal sub-communicators, so ordering
-    them locality-aware is free -- and it is what lets the mixed mapping
-    profit on orthogonal operations (members of groups ``l`` and
-    ``l + g/2`` share nodes under ``mixed(d)``).
+    Each set is sorted by physical core id, so ring/tree algorithms
+    inside the set communicate between co-located members first.  The
+    M-task runtime controls the rank order when it creates the
+    orthogonal sub-communicators, so ordering them locality-aware is
+    free -- and it is what lets the mixed mapping profit on orthogonal
+    operations (members of groups ``l`` and ``l + g/2`` share nodes
+    under ``mixed(d)``).
     """
     if not groups:
         return []
     size = len(groups[0])
     if any(len(g) != size for g in groups):
         raise ValueError("orthogonal sets require equal-sized groups")
-    sets = [[g[j] for g in groups] for j in range(size)]
-    if locality_order:
-        for s in sets:
-            s.sort()
-    return sets
+    return [sorted(g[j] for g in groups) for j in range(size)]
 
 
 def orthogonal_time(

@@ -1,16 +1,14 @@
-"""Block-cyclic / replicated data distributions and re-distribution."""
+"""Block-cyclic / replicated data distributions and their transfer
+matrices."""
 
 from .distribution import (
     BlockCyclic,
     Distribution1D,
-    MeshDistribution,
     Replicated,
     block,
     cyclic,
-    mesh_transfer_counts,
     transfer_counts,
 )
-from .redistribute import RedistributionResult, assemble, redistribute, split
 
 __all__ = [
     "Distribution1D",
@@ -18,11 +16,5 @@ __all__ = [
     "block",
     "cyclic",
     "Replicated",
-    "MeshDistribution",
     "transfer_counts",
-    "mesh_transfer_counts",
-    "RedistributionResult",
-    "split",
-    "assemble",
-    "redistribute",
 ]

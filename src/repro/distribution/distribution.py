@@ -2,16 +2,15 @@
 
 The CM-task model annotates every input/output parameter of an M-task with
 a *data distribution type* describing how the elements are spread over the
-cores executing the task (Section 2.1).  The compiler supports arbitrary
-block-cyclic distributions over multi-dimensional processor meshes plus
-replication; this module implements exactly that family:
+cores executing the task (Section 2.1).  The paper's compiler also admits
+multi-dimensional processor meshes; every parameter of the programs
+reproduced here is one-dimensional, so this module implements the
+one-dimensional family:
 
 * :class:`BlockCyclic` -- one-dimensional block-cyclic with block size
   ``b`` over ``p`` ranks; ``owner(i) = (i // b) mod p``.  ``b = 1`` is the
   cyclic distribution, ``b = ceil(n/p)`` the block distribution.
 * :class:`Replicated` -- every rank holds the full array.
-* :class:`MeshDistribution` -- Cartesian product of per-dimension 1-D
-  distributions over a processor mesh.
 
 Distributions are *logical*: they know rank indices ``0..p-1`` within a
 task's group, never physical cores.  The mapping step decides which
@@ -21,8 +20,7 @@ physical core backs which rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, prod
-from typing import Tuple
+from math import ceil
 
 import numpy as np
 
@@ -32,9 +30,7 @@ __all__ = [
     "block",
     "cyclic",
     "Replicated",
-    "MeshDistribution",
     "transfer_counts",
-    "mesh_transfer_counts",
 ]
 
 
@@ -106,15 +102,6 @@ class BlockCyclic(Distribution1D):
         count += min(max(rem - start, 0), self.block_size)
         return count
 
-    @property
-    def is_block(self) -> bool:
-        """True when this degenerates to the plain block distribution."""
-        return self.block_size >= ceil(self.size / self.nprocs) and self.size > 0
-
-    @property
-    def is_cyclic(self) -> bool:
-        return self.block_size == 1
-
 
 def block(size: int, nprocs: int) -> BlockCyclic:
     """Plain block distribution (one contiguous chunk per rank)."""
@@ -157,58 +144,6 @@ class Replicated(Distribution1D):
         """Every rank holds all elements."""
         self._check_rank(rank)
         return self.size
-
-
-@dataclass(frozen=True)
-class MeshDistribution:
-    """Multi-dimensional distribution over a processor mesh.
-
-    ``dims[k]`` distributes axis ``k`` of an array of shape ``shape`` over
-    ``mesh[k]`` mesh coordinates; the owning rank of a multi-index is the
-    row-major ravel of the per-axis owner coordinates.
-    """
-
-    shape: Tuple[int, ...]
-    mesh: Tuple[int, ...]
-    dims: Tuple[Distribution1D, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.shape) != len(self.mesh) or len(self.shape) != len(self.dims):
-            raise ValueError("shape, mesh and dims must have equal length")
-        for k, (n, p, d) in enumerate(zip(self.shape, self.mesh, self.dims)):
-            if d.size != n or d.nprocs != p:
-                raise ValueError(
-                    f"axis {k}: distribution covers {d.size} elements on "
-                    f"{d.nprocs} ranks, expected {n} on {p}"
-                )
-
-    @property
-    def size(self) -> int:
-        return prod(self.shape)
-
-    @property
-    def nprocs(self) -> int:
-        return prod(self.mesh)
-
-    @property
-    def is_replicated(self) -> bool:
-        return all(d.is_replicated for d in self.dims)
-
-    def owners(self) -> np.ndarray:
-        """Flat array (row-major over the data shape) of owning ranks."""
-        if self.is_replicated:
-            raise TypeError("a replicated distribution has no unique owners")
-        coords = [d.owners() for d in self.dims]
-        grids = np.meshgrid(*coords, indexing="ij")
-        flat = np.ravel_multi_index([g for g in grids], self.mesh)
-        return flat.reshape(-1)
-
-    def local_size(self, rank: int) -> int:
-        """Number of elements owned by ``rank``."""
-        if not 0 <= rank < self.nprocs:
-            raise ValueError(f"rank {rank} out of range [0, {self.nprocs})")
-        coord = np.unravel_index(rank, self.mesh)
-        return prod(d.local_size(c) for d, c in zip(self.dims, coord))
 
 
 def transfer_counts(src: Distribution1D, dst: Distribution1D) -> np.ndarray:
@@ -267,31 +202,3 @@ def transfer_counts(src: Distribution1D, dst: Distribution1D) -> np.ndarray:
     # float64 weights hold integer sums exactly below 2**53 elements
     binc = np.bincount(pair, weights=lengths, minlength=qs * qd)
     return binc.astype(np.int64).reshape(qs, qd)
-
-
-def mesh_transfer_counts(src: MeshDistribution, dst: MeshDistribution) -> np.ndarray:
-    """Element-transfer matrix between two mesh distributions.
-
-    Both distributions must cover the same array shape (the meshes may
-    differ).  Because the owner function factorises over the axes and
-    local index sets are Cartesian products, the multi-dimensional
-    transfer matrix is the Kronecker product of the per-axis matrices
-    (ranks are row-major ravels of the mesh coordinates).
-    """
-    if src.shape != dst.shape:
-        raise ValueError(
-            f"distributions cover different shapes: {src.shape} vs {dst.shape}"
-        )
-    result = np.array([[1]], dtype=np.int64)
-    for d_src, d_dst in zip(src.dims, dst.dims):
-        if d_src.is_replicated and d_dst.is_replicated:
-            # a fully replicated axis contributes its whole extent along
-            # the co-located coordinate pair (the flat both-replicated
-            # convention of zero movement would zero out the product)
-            factor = np.zeros((d_src.nprocs, d_dst.nprocs), dtype=np.int64)
-            for j in range(d_dst.nprocs):
-                factor[j % d_src.nprocs, j] = d_dst.local_size(j)
-        else:
-            factor = transfer_counts(d_src, d_dst)
-        result = np.kron(result, factor)
-    return result

@@ -52,7 +52,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List
 
-from ..ode import MethodConfig, bruss2d, default_config
+from ..ode import PAPER_CONFIGS, MethodConfig, bruss2d
 from .fig13_scheduling import run_fig13
 from .fig14_collectives import run_fig14_left, run_fig14_right
 from .fig15_irk_diirk_epol import run_fig15
@@ -87,13 +87,13 @@ ARTEFACTS: Dict[str, Callable[[bool], List[str]]] = {
 #: ``--trace-out`` exports (the artefact's workload family)
 REPRESENTATIVE: Dict[str, MethodConfig] = {
     "table1": MethodConfig("irk", K=4, m=3),
-    "fig13": default_config("pabm"),
-    "fig14": default_config("irk"),
-    "fig15": default_config("diirk"),
-    "fig16": default_config("pab"),
-    "fig17": default_config("epol"),
-    "fig18": default_config("pabm"),
-    "fig19": default_config("irk"),
+    "fig13": PAPER_CONFIGS["pabm"],
+    "fig14": PAPER_CONFIGS["irk"],
+    "fig15": PAPER_CONFIGS["diirk"],
+    "fig16": PAPER_CONFIGS["pab"],
+    "fig17": PAPER_CONFIGS["epol"],
+    "fig18": PAPER_CONFIGS["pabm"],
+    "fig19": PAPER_CONFIGS["irk"],
 }
 
 

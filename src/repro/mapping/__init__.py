@@ -6,7 +6,6 @@ from .strategies import (
     consecutive,
     mixed,
     scattered,
-    standard_strategies,
     strategy_by_name,
 )
 
@@ -16,7 +15,6 @@ __all__ = [
     "scattered",
     "mixed",
     "strategy_by_name",
-    "standard_strategies",
     "map_layer",
     "place_layered",
     "place_timeline",

@@ -17,7 +17,7 @@ differ only in how the sequence is built:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 from ..cluster.architecture import CoreId, Machine
 
@@ -27,7 +27,6 @@ __all__ = [
     "scattered",
     "mixed",
     "strategy_by_name",
-    "standard_strategies",
 ]
 
 
@@ -99,17 +98,3 @@ def strategy_by_name(name: str) -> MappingStrategy:
         return mixed(int(low.split(":", 1)[1]))
     raise ValueError(f"unknown mapping strategy {name!r}")
 
-
-def standard_strategies(machine: Machine) -> List[MappingStrategy]:
-    """Strategies compared in the paper for a given machine: consecutive,
-    scattered and the mixed variants with ``d`` a proper divisor of the
-    node width (d=2 on the quad-core-node CHiC/Altix, d=2 and d=4 on the
-    eight-core-node JuRoPA)."""
-    per_node = machine.cores_per_node(0)
-    out = [consecutive()]
-    d = 2
-    while d < per_node:
-        out.append(mixed(d))
-        d *= 2
-    out.append(scattered())
-    return out

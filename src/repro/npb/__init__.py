@@ -1,12 +1,5 @@
 """NAS Parallel Benchmarks, Multi-Zone versions (SP-MZ, BT-MZ)."""
 
-from .functional import (
-    ZoneField,
-    assemble_field,
-    global_smooth,
-    multizone_smooth,
-    split_field,
-)
 from .programs import FLOPS_PER_POINT, NPBConfig, build_npb_step_graph, npb_zone_grid
 from .zones import BTMZ_RATIO, CLASS_PARAMS, Zone, ZoneGrid, btmz_zones, spmz_zones
 
@@ -21,9 +14,4 @@ __all__ = [
     "build_npb_step_graph",
     "npb_zone_grid",
     "FLOPS_PER_POINT",
-    "ZoneField",
-    "split_field",
-    "assemble_field",
-    "multizone_smooth",
-    "global_smooth",
 ]

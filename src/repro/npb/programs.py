@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..core.graph import DataFlow, TaskGraph
+from ..core.graph import TaskGraph
 from ..core.task import CollectiveSpec, DistributionSpec, MTask, Parameter, AccessMode
 from .zones import Zone, ZoneGrid, btmz_zones, spmz_zones
 
@@ -38,16 +38,16 @@ FLOPS_PER_POINT = {"SP": 900.0, "BT": 2000.0}
 VARIABLES = 5
 #: ghost-layer depth of the border exchange
 GHOST = {"SP": 1, "BT": 1}
+#: fraction of a zone's working set transposed per ADI sweep
+SWEEP_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
 class NPBConfig:
-    """A benchmark instance: solver, class, and modelling knobs."""
+    """A benchmark instance: solver and problem class."""
 
     benchmark: str = "SP"  #: "SP" or "BT"
     cls: str = "C"
-    #: fraction of a zone's working set transposed per ADI sweep
-    sweep_fraction: float = 0.2
 
     def __post_init__(self) -> None:
         if self.benchmark not in ("SP", "BT"):
@@ -61,7 +61,7 @@ def npb_zone_grid(cfg: NPBConfig) -> ZoneGrid:
 
 def _zone_task(zone: Zone, cfg: NPBConfig, grid: ZoneGrid) -> MTask:
     work = FLOPS_PER_POINT[cfg.benchmark] * zone.points
-    sweep_elems = zone.points * VARIABLES * cfg.sweep_fraction
+    sweep_elems = zone.points * VARIABLES * SWEEP_FRACTION
     ghost = GHOST[cfg.benchmark]
     border_points = sum(
         zone.face_points(axis) * ghost for _, axis in grid.neighbours(zone)

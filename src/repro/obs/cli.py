@@ -171,13 +171,13 @@ def _run_spec(args, obs=None) -> Tuple[Dict[str, Any], Any, Any]:
     from ..core.costmodel import CostModel
     from ..experiments.common import ode_pipeline
     from ..mapping.strategies import strategy_by_name
-    from ..ode import bruss2d, default_config
+    from ..ode import PAPER_CONFIGS, bruss2d
     from ..sim.executor import SimulationOptions
 
     n = 120 if args.quick else args.n
     platform = by_name(args.platform).with_cores(args.cores)
     cost = CostModel(platform)
-    cfg = default_config(args.solver)
+    cfg = PAPER_CONFIGS[args.solver]
     faults = None
     if getattr(args, "faults", None):
         from ..faults import parse_faults_spec
@@ -530,11 +530,11 @@ def _cmd_calib(args) -> int:
     print(report.report(top=args.top))
     if checkpoint_dir:
         from ..experiments.recovery_run import run_checkpointed_step
-        from ..ode import bruss2d, default_config, functional_step
+        from ..ode import PAPER_CONFIGS, bruss2d, functional_step
         from ..runtime.backends import parse_backend_spec
         from .events import Instrumentation
 
-        problem, cfg = bruss2d(spec["n"]), default_config(args.solver)
+        problem, cfg = bruss2d(spec["n"]), PAPER_CONFIGS[args.solver]
         wall_obs = Instrumentation()
         backend_spec = getattr(args, "backend", None) or "serial"
         run_checkpointed_step(

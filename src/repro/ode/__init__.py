@@ -4,7 +4,7 @@ from .adams import AdamsBlockMethod, solve_pab, solve_pabm
 from .base import ODESolution, explicit_rk_step, integrate_fixed
 from .comm_counts import StepCommCounts, counts_from_step_graph, table1_expected
 from .diirk import diirk_step, solve_diirk
-from .epol import extrapolation_step, solve_epol, solve_epol_adaptive
+from .epol import extrapolation_step, solve_epol
 from .integrate import FunctionalIntegration, functional_step, integrate_functional
 from .irk import irk_step, solve_irk
 from .problems import ODEProblem, bruss2d, linear_test_problem, schroed
@@ -13,7 +13,6 @@ from .programs import (
     PAPER_CONFIGS,
     MethodConfig,
     build_ode_program,
-    default_config,
     step_graph,
 )
 from .reference import reference_solution, relative_error
@@ -35,7 +34,6 @@ __all__ = [
     "explicit_rk_step",
     "extrapolation_step",
     "solve_epol",
-    "solve_epol_adaptive",
     "irk_step",
     "solve_irk",
     "diirk_step",
@@ -52,7 +50,6 @@ __all__ = [
     "relative_error",
     "ODE_METHODS",
     "MethodConfig",
-    "default_config",
     "PAPER_CONFIGS",
     "build_ode_program",
     "step_graph",

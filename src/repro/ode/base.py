@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -26,14 +26,8 @@ class ODESolution:
     y: np.ndarray
     steps: int = 0
     fevals: int = 0
-    rejected: int = 0
     iterations_total: int = 0
     trajectory: Optional[List] = None
-
-    @property
-    def mean_iterations(self) -> float:
-        """Average inner iterations per step (the dynamic ``I``)."""
-        return self.iterations_total / self.steps if self.steps else 0.0
 
 
 def explicit_rk_step(

@@ -17,7 +17,7 @@ import numpy as np
 from .base import ODESolution, integrate_fixed
 from .problems import ODEProblem
 
-__all__ = ["extrapolation_step", "solve_epol", "solve_epol_adaptive"]
+__all__ = ["extrapolation_step", "solve_epol"]
 
 
 def extrapolation_step(
@@ -82,32 +82,3 @@ def solve_epol(
     sol.fevals = fev[0]
     return sol
 
-
-def solve_epol_adaptive(
-    problem: ODEProblem,
-    t_end: float,
-    h0: float,
-    R: int = 4,
-    tol: float = 1e-6,
-    h_min: float = 1e-12,
-    safety: float = 0.9,
-) -> ODESolution:
-    """Adaptive-step extrapolation with the standard order-``R``
-    controller ``h_new = safety * h * (tol / err)^(1/R)`` (the step size
-    adaptation described in Section 2.2.3)."""
-    t, y, h = problem.t0, problem.y0.copy(), h0
-    sol = ODESolution(t=t, y=y)
-    while t < t_end - 1e-14:
-        h = min(h, t_end - t)
-        y_try, err, k = extrapolation_step(problem.f, t, y, h, R)
-        sol.fevals += k
-        if err <= tol or h <= h_min:
-            t += h
-            y = y_try
-            sol.steps += 1
-        else:
-            sol.rejected += 1
-        scale = safety * (tol / err) ** (1.0 / R) if err > 0 else 2.0
-        h = max(h_min, h * min(2.0, max(0.2, scale)))
-    sol.t, sol.y = t, y
-    return sol

@@ -22,9 +22,9 @@ time-stepping ``while`` loop, accessible via :func:`step_graph`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "MethodConfig",
     "build_ode_program",
     "step_graph",
-    "default_config",
     "PAPER_CONFIGS",
 ]
 
@@ -65,18 +64,12 @@ class MethodConfig:
     I: int = 2
     t_end: float = 1.0
     h: float = 0.05
-    #: local error tolerance for step-size control in the functional EPOL
-    #: program (Section 2.2.3: "the step size is adapted accordingly");
-    #: ``None`` keeps the step size fixed.
-    tol: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.method not in ODE_METHODS:
             raise ValueError(f"unknown method {self.method!r}; known: {ODE_METHODS}")
         if self.K < 1 or self.m < 1 or self.I < 1:
             raise ValueError("K, m and I must be positive")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 #: the paper's benchmark configurations (Section 4.2), the one solver
@@ -89,18 +82,6 @@ PAPER_CONFIGS: Dict[str, MethodConfig] = {
     "pab": MethodConfig("pab", K=8),
     "pabm": MethodConfig("pabm", K=8, m=2),
 }
-
-
-def default_config(method: str, K: Optional[int] = None) -> MethodConfig:
-    """The configuration used in the paper's benchmarks.
-
-    ``K`` overrides the stage count; IRK's fixed-point iteration count
-    follows it as ``m = 2K - 1``.
-    """
-    cfg = PAPER_CONFIGS[method]
-    if not K:
-        return cfg
-    return replace(cfg, K=K, m=2 * K - 1 if method == "irk" else cfg.m)
 
 
 # ----------------------------------------------------------------------
@@ -407,8 +388,6 @@ def _cost_tables(
 # Functional task bodies
 # ----------------------------------------------------------------------
 def _epol_functional(problem: ODEProblem, cfg: MethodConfig) -> Dict[str, TaskCost]:
-    from .epol import extrapolation_step
-
     R, h0 = cfg.K, cfg.h
     f, n = problem.f, problem.n
     costs = _cost_tables("epol", problem, cfg)
@@ -426,33 +405,20 @@ def _epol_functional(problem: ODEProblem, cfg: MethodConfig) -> Dict[str, TaskCo
         ctx.allgather(n)
         return {f"V[{i}]": base + hi * f(ti, base)}
 
-    tol = cfg.tol
-
     def combine(ctx, values):
         t = float(values["t"][0])
         h = float(values["h"][0])
         T = np.array([values[f"V[{i}]"] for i in range(1, R + 1)])
         # Aitken-Neville over the harmonic sequence
-        prev_diag = T[R - 1].copy()
         for k in range(1, R):
             for i in range(R - 1, k - 1, -1):
                 factor = (i + 1) / (i + 1 - k) - 1.0
                 T[i] = T[i] + (T[i] - T[i - 1]) / factor
-            if k == R - 2:
-                prev_diag = T[R - 1].copy()
-        h_next = h
-        if tol is not None and R > 1:
-            # accept-and-adapt controller (the compiler's static step
-            # graph repeats identically, so steps are never rejected;
-            # the error estimate steers the *next* step size instead)
-            err = float(np.linalg.norm(T[R - 1] - prev_diag))
-            scale = 0.9 * (tol / err) ** (1.0 / R) if err > 0 else 2.0
-            h_next = h * min(2.0, max(0.2, scale))
         ctx.bcast(n)
         return {
             "eta_k": T[R - 1],
             "t": np.array([t + h]),
-            "h": np.array([h_next]),
+            "h": np.array([h]),
         }
 
     return _attach(costs, init_step=init_step, step=step, combine=combine)
@@ -581,13 +547,16 @@ def _block_functional(
 
     extra: Dict[str, TaskCost] = {}
     if corrector:
-        extra["predict"] = TaskCost(
-            work=lambda e, s: problem.eval_flops + 2.0 * n * K, func=predict
-        )
+        def work(e, s):
+            return problem.eval_flops + 2.0 * n * K
+
+        def comm(e, s):
+            # the group allgather the predict / correct body logs
+            return (CollectiveSpec("allgather", n, scope="group"),)
+
+        extra["predict"] = TaskCost(work=work, comm=comm, func=predict)
         extra["copyf"] = TaskCost(func=copyf)
-        extra["correct"] = TaskCost(
-            work=lambda e, s: problem.eval_flops + 2.0 * n * K, func=correct
-        )
+        extra["correct"] = TaskCost(work=work, comm=comm, func=correct)
         return _attach(costs, init_block=init_block, advance=advance, **extra)
     return _attach(costs, init_block=init_block, stage=predict, advance=advance)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..core.costmodel import CachedCostEvaluator, CacheStats
@@ -115,12 +114,6 @@ class PipelineResult:
             )
             out["degraded_makespan"] = self.reschedule.degraded_makespan
         return out
-
-    def export_trace(self, path) -> Path:
-        """Write this run as Perfetto trace-event JSON; returns the path."""
-        from ..obs.perfetto import pipeline_trace, write_trace
-
-        return write_trace(path, pipeline_trace(self))
 
     def report(self) -> str:
         """Human-readable one-run summary."""

@@ -3,9 +3,12 @@
 A basic task's ``func`` runs once per activation (the runtime emulates
 the SPMD group as a whole).  The context tells the body how many ranks
 execute it and records the collective operations the body *would* issue
-on a real machine -- the recorded log is what the tests compare against
-the declared :class:`~repro.core.task.CollectiveSpec` profile and against
-Table 1 of the paper.
+on a real machine.  The runtime sums the log per operation into
+``RunStats.collective_counts()``; the tests check those sums against the
+per-step counts of the functional EPOL program and check that injected
+faults leave them unchanged.  No test compares the log with the task's
+declared :class:`~repro.core.task.CollectiveSpec` profile, which is what
+the schedulers and the simulator price.
 """
 
 from __future__ import annotations

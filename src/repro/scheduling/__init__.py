@@ -16,7 +16,6 @@ from .base import Scheduler, SchedulingResult, symbolic_timeline
 from .baselines import (
     data_parallel_scheduler,
     fixed_group_scheduler,
-    max_task_parallel_scheduler,
 )
 from .chains import contract_chains, find_linear_chains
 from .cpa import CPAScheduler
@@ -59,7 +58,6 @@ __all__ = [
     "DynamicTask",
     "SpawnContext",
     "data_parallel_scheduler",
-    "max_task_parallel_scheduler",
     "fixed_group_scheduler",
     "find_linear_chains",
     "contract_chains",

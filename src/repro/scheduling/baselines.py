@@ -5,9 +5,6 @@
   (``g = 1`` in every layer).  This version maximises the number of cores
   per collective and is the reference the task-parallel schedules are
   compared against in Figs. 13, 15, 16, 18.
-* :func:`max_task_parallel_scheduler` -- one group per independent task
-  (``g`` = layer width), exploiting the maximum degree of task
-  parallelism.  Fig. 17 shows why this is not automatically best.
 * :func:`fixed_group_scheduler` -- a fixed group count ``g`` per layer,
   used for the NPB group-count sweeps of Fig. 17.
 """
@@ -19,7 +16,6 @@ from .layered import LayerBasedScheduler
 
 __all__ = [
     "data_parallel_scheduler",
-    "max_task_parallel_scheduler",
     "fixed_group_scheduler",
 ]
 
@@ -27,13 +23,6 @@ __all__ = [
 def data_parallel_scheduler(cost: CostModel) -> LayerBasedScheduler:
     """All tasks on all cores, sequentially."""
     return LayerBasedScheduler(cost, candidate_groups=[1], adjust=False)
-
-
-def max_task_parallel_scheduler(cost: CostModel) -> LayerBasedScheduler:
-    """As many concurrent groups as each layer has tasks."""
-    return LayerBasedScheduler(
-        cost, candidate_groups=[cost.platform.total_cores], adjust=True
-    )
 
 
 def fixed_group_scheduler(cost: CostModel, g: int, adjust: bool = True) -> LayerBasedScheduler:

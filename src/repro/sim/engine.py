@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 __all__ = ["Simulator", "CoreResource"]
 
@@ -31,15 +31,10 @@ class Simulator:
         self._now = 0.0
         self._seq = 0
         self._heap: List[_Event] = []
-        self._processed = 0
 
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def events_processed(self) -> int:
-        return self._processed
 
     def at(self, time: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` to run at absolute virtual ``time``."""
@@ -67,7 +62,6 @@ class Simulator:
                 return self._now
             ev = heapq.heappop(self._heap)
             self._now = ev.time
-            self._processed += 1
             ev.fn()
         return self._now
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..cluster.architecture import CoreId, Machine
 from ..core.task import MTask
@@ -115,16 +115,6 @@ class ExecutionTrace:
         )
         return busy / area
 
-    def per_node_busy(self) -> Dict[int, float]:
-        """Busy seconds accumulated per node id."""
-        busy: Dict[int, float] = {}
-        for e in self.entries:
-            for c in e.cores:
-                busy[c.node] = busy.get(c.node, 0.0) + e.duration
-            for c in e.backup_cores:
-                busy[c.node] = busy.get(c.node, 0.0) + e.backup_duration
-        return busy
-
     def per_core_busy(self) -> Dict[CoreId, float]:
         """Occupied seconds per physical core (only cores that ran)."""
         busy: Dict[CoreId, float] = {}
@@ -134,15 +124,6 @@ class ExecutionTrace:
             for c in e.backup_cores:
                 busy[c] = busy.get(c, 0.0) + e.backup_duration
         return busy
-
-    def idle_time(self, core: Optional[CoreId] = None) -> float:
-        """Idle seconds of ``core`` over the makespan, or, without a
-        core, total idle core-seconds over the ``P x makespan`` area."""
-        span = self.makespan
-        busy = self.per_core_busy()
-        if core is not None:
-            return span - busy.get(core, 0.0)
-        return span * self.machine.total_cores - sum(busy.values())
 
     def actuals(self):
         """Per-task ``(task, width, actual_seconds)`` triples, name-sorted.

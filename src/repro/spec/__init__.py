@@ -5,7 +5,6 @@ from .build import BuildResult, GraphBuilder, TaskCost, build_program
 from .codegen import generate_mpi_pseudocode
 from .lexer import LexError, Token, tokenize
 from .parser import ParseError, parse
-from .unparse import unparse, unparse_expr, unparse_stmt
 
 __all__ = [
     "tokenize",
@@ -19,7 +18,4 @@ __all__ = [
     "BuildResult",
     "build_program",
     "generate_mpi_pseudocode",
-    "unparse",
-    "unparse_expr",
-    "unparse_stmt",
 ]

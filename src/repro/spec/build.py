@@ -10,8 +10,11 @@ paper's example (Figs. 3 and 4):
   iteration (the hierarchical scheduling approach of Section 2.2.3),
 * data dependencies (input-output relations) are derived from the access
   modes of the task interfaces: a reader depends on the last writer of
-  each variable instance, writers additionally order behind earlier
-  readers and writers (WAR/WAW edges without payload),
+  each variable instance, a writer additionally orders behind the
+  previous writer (a WAW edge without payload).  The paper's M-task
+  graphs carry no WAR edges -- anti-dependences are resolved by the
+  replicated data model -- so a reader followed by a writer stays
+  unordered (Fig. 4),
 * each produced graph receives unique structural ``start``/``stop``
   nodes, as the compiler inserts automatically.
 
@@ -37,14 +40,12 @@ from ..core.task import (
 from .ast_nodes import (
     Arg,
     Call,
-    CMMain,
     ForLoop,
     Par,
     ParamDecl,
     Program,
     Seq,
     Stmt,
-    TaskDecl,
     WhileLoop,
     eval_expr,
 )
@@ -115,14 +116,9 @@ class GraphBuilder:
         program: Program,
         sizes: Mapping[str, int],
         costs: Optional[Mapping[str, TaskCost]] = None,
-        include_anti_deps: bool = False,
     ) -> None:
         self.program = program
         self.costs = dict(costs or {})
-        #: add WAR ordering edges.  The paper's M-task graphs contain only
-        #: input-output (RAW) relations -- anti-dependences are resolved by
-        #: the replicated data model -- so the default matches Fig. 4.
-        self.include_anti_deps = include_anti_deps
         self.env: Dict[str, int] = {}
         for c in program.consts:
             self.env[c.name] = eval_expr(c.value, self.env)
@@ -208,9 +204,8 @@ class GraphBuilder:
         writers: Dict[str, Tuple[MTask, DistributionSpec]] = {
             inst: (start, DistributionSpec()) for inst in all_instances
         }
-        readers: Dict[str, List[MTask]] = {inst: [] for inst in all_instances}
 
-        state = _BuildState(self, graph, variables, writers, readers, inst_elems, result)
+        state = _BuildState(self, graph, variables, writers, inst_elems, result)
         for s in stmts:
             state.emit(s, env)
 
@@ -245,7 +240,6 @@ class _BuildState:
         graph: TaskGraph,
         variables: Dict[str, _VarInfo],
         writers: Dict[str, Tuple[MTask, DistributionSpec]],
-        readers: Dict[str, List[MTask]],
         inst_elems: Dict[str, int],
         result: BuildResult,
     ) -> None:
@@ -253,7 +247,6 @@ class _BuildState:
         self.graph = graph
         self.variables = variables
         self.writers = writers
-        self.readers = readers
         self.inst_elems = inst_elems
         self.result = result
 
@@ -362,19 +355,12 @@ class _BuildState:
                 dst_dist=DistributionSpec(pdecl.dist),
             )
             self.graph.add_dependency(writer, task, [] if structural else [flow])
-            self.readers[inst].append(task)
         for inst, pdecl in writes:
             writer, _ = self.writers[inst]
             if writer is not task:
                 # WAW ordering edge
                 self.graph.add_dependency(writer, task, [])
-            if self.b.include_anti_deps:
-                for r in self.readers[inst]:
-                    if r is not task:
-                        # WAR ordering edge
-                        self.graph.add_dependency(r, task, [])
             self.writers[inst] = (task, DistributionSpec(pdecl.dist))
-            self.readers[inst] = []
 
     # -- while loops → composed nodes -----------------------------------------
     def emit_while(self, loop: WhileLoop, env: Dict[str, int]) -> None:
@@ -435,9 +421,8 @@ def build_program(
     sizes: Mapping[str, int],
     costs: Optional[Mapping[str, TaskCost]] = None,
     main: Optional[str] = None,
-    include_anti_deps: bool = False,
 ) -> BuildResult:
     """Parse and build a specification program in one step."""
     from .parser import parse
 
-    return GraphBuilder(parse(source), sizes, costs, include_anti_deps).build(main)
+    return GraphBuilder(parse(source), sizes, costs).build(main)

@@ -77,8 +77,7 @@ class TestMachine:
         assert CoreId(1, 1, 1) in m
         assert CoreId(2, 0, 0) not in m
         assert CoreId(0, 2, 0) not in m
-        with pytest.raises(ValueError):
-            m.validate_core(CoreId(5, 0, 0))
+        assert CoreId(0, 0, 2) not in m
 
     def test_comm_levels(self):
         m = Machine.homogeneous("t", 2, 2, 2, 1e9)
@@ -97,11 +96,6 @@ class TestMachine:
             m.subset(0)
         with pytest.raises(ValueError):
             m.subset(9)
-
-    def test_nodes_used(self):
-        m = Machine.homogeneous("t", 4, 2, 2, 1e9)
-        cores = [CoreId(0, 0, 0), CoreId(2, 1, 1), CoreId(0, 1, 0)]
-        assert m.nodes_used(cores) == (0, 2)
 
     def test_cores_of_node(self):
         m = Machine.homogeneous("t", 2, 2, 2, 1e9)

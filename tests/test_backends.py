@@ -16,8 +16,8 @@ from repro.core import AccessMode, DistributionSpec, MTask, Parameter, TaskGraph
 from repro.faults import FaultPlan, RetryPolicy
 from repro.obs import Instrumentation
 from repro.obs.perfetto import span_events, worker_span_events
+from repro import ode
 from repro.ode import MethodConfig, bruss2d
-from repro.ode.programs import build_ode_program
 from repro.recovery import (
     CheckpointStore,
     RunJournal,
@@ -50,17 +50,7 @@ def task(name, inp=(), out=(), func=None, elements=4):
 
 def functional_step(cfg, n=8):
     """One functional solver step: ``(body graph, live-in store)``."""
-    problem = bruss2d(n)
-    build = build_ode_program(problem, cfg, functional=True)
-    loop = build.composed_nodes()[0]
-    body = build.body_of(loop)
-    params = {p.name for p in loop.params}
-    sol = next((c for c in ("eta", "eta_k", "y") if c in params), "eta")
-    inputs = {sol: problem.y0}
-    for p in loop.params:
-        if p.mode.reads and p.name not in inputs:
-            inputs[p.name] = np.zeros(p.elements)
-    store = dict(run_program(build.graph, inputs).variables)
+    _, _, body, store = ode.functional_step(bruss2d(n), cfg)
     return body, store
 
 
@@ -144,7 +134,6 @@ class TestIndependentBatches:
 # ----------------------------------------------------------------------
 SOLVERS = [
     MethodConfig("irk", K=4, m=2),
-    # functional DIIRK needs I >= K (init_mu writes min(K, I) stages)
     MethodConfig("diirk", K=3, m=2, I=3),
     MethodConfig("epol", K=8),
     MethodConfig("pab", K=8),

@@ -4,7 +4,6 @@ and worst-offender reports, and the gate semantics -- including the
 acceptance criterion that an intentionally mispriced cost model makes
 ``repro.obs calib --gate`` exit non-zero."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import chic
@@ -13,8 +12,8 @@ from repro.mapping import consecutive
 from repro.obs import Instrumentation, calibrate_spans
 from repro.obs.calibrate import CalibrationReport, TaskCalibration
 from repro.obs.cli import main
+from repro import ode
 from repro.ode import MethodConfig, bruss2d
-from repro.ode.programs import build_ode_program
 from repro.runtime import ProcessPoolBackend, SerialBackend, run_program
 
 
@@ -33,18 +32,8 @@ def functional_step():
     """One functional IRK step: ``(body graph, live-in store, cost)``."""
     from repro.core import CostModel
 
-    problem = bruss2d(16)
-    build = build_ode_program(problem, MethodConfig("irk", K=4, m=3),
-                              functional=True)
-    loop = build.composed_nodes()[0]
-    body = build.body_of(loop)
-    inputs = {"eta": problem.y0}
-    for p in loop.params:
-        if p.mode.reads and p.name not in inputs:
-            inputs[p.name] = np.zeros(p.elements)
-    store = dict(run_program(build.graph, inputs).variables)
-    cost = CostModel(chic().with_cores(16))
-    return body, store, cost
+    _, _, body, store = ode.functional_step(bruss2d(16), MethodConfig("irk", K=4, m=3))
+    return body, store, CostModel(chic().with_cores(16))
 
 
 class ScaledCost:

@@ -193,7 +193,7 @@ class TestPatterns:
             [CoreId(0, 0, 0), CoreId(0, 0, 1)],
             [CoreId(1, 0, 0), CoreId(1, 0, 1)],
         ]
-        sets = orthogonal_sets(groups, locality_order=False)
+        sets = orthogonal_sets(groups)
         assert sets == [
             [CoreId(0, 0, 0), CoreId(1, 0, 0)],
             [CoreId(0, 0, 1), CoreId(1, 0, 1)],

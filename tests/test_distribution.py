@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.distribution import (
     BlockCyclic,
-    MeshDistribution,
     Replicated,
     block,
     cyclic,
@@ -25,12 +24,12 @@ class TestBlockCyclic:
         np.testing.assert_array_equal(d.local_indices(0), [0, 1, 2, 3])
         np.testing.assert_array_equal(d.local_indices(1), [4, 5, 6, 7])
         np.testing.assert_array_equal(d.local_indices(2), [8, 9])
-        assert d.is_block
+        assert d.block_size == 4
 
     def test_cyclic_distribution(self):
         d = cyclic(7, 3)
         np.testing.assert_array_equal(d.local_indices(1), [1, 4])
-        assert d.is_cyclic
+        assert d.block_size == 1
         np.testing.assert_array_equal(d.owners(), [0, 1, 2, 0, 1, 2, 0])
 
     def test_blockcyclic_owner_formula(self):
@@ -86,36 +85,6 @@ class TestReplicated:
     def test_owners_undefined(self):
         with pytest.raises(TypeError):
             Replicated(5, 3).owners()
-
-
-class TestMeshDistribution:
-    def test_2d_block_block(self):
-        m = MeshDistribution(
-            shape=(4, 4), mesh=(2, 2), dims=(block(4, 2), block(4, 2))
-        )
-        assert m.size == 16
-        assert m.nprocs == 4
-        owners = m.owners().reshape(4, 4)
-        # top-left quadrant on rank 0, bottom-right on rank 3
-        assert owners[0, 0] == 0 and owners[3, 3] == 3
-        assert owners[0, 3] == 1 and owners[3, 0] == 2
-
-    def test_local_size_product(self):
-        m = MeshDistribution((6, 4), (3, 2), (block(6, 3), cyclic(4, 2)))
-        total = sum(m.local_size(r) for r in range(m.nprocs))
-        assert total == 24
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            MeshDistribution((4,), (2, 2), (block(4, 2), block(4, 2)))
-        with pytest.raises(ValueError):
-            MeshDistribution((4, 4), (2, 2), (block(5, 2), block(4, 2)))
-
-    def test_replicated_mesh(self):
-        m = MeshDistribution((3, 3), (2, 2), (Replicated(3, 2), Replicated(3, 2)))
-        assert m.is_replicated
-        with pytest.raises(TypeError):
-            m.owners()
 
 
 class TestTransferCounts:
@@ -195,41 +164,3 @@ class TestTransferCounts:
         assert c.sum() == n
         assert np.count_nonzero(c) <= 16 + 64
 
-
-class TestMeshTransferCounts:
-    def test_matches_flat_owner_computation(self):
-        import numpy as np
-        from repro.distribution import mesh_transfer_counts
-
-        src = MeshDistribution((6, 4), (2, 2), (block(6, 2), cyclic(4, 2)))
-        dst = MeshDistribution((6, 4), (4, 1), (cyclic(6, 4), block(4, 1)))
-        got = mesh_transfer_counts(src, dst)
-        # brute force via flat owner arrays
-        so, do = src.owners(), dst.owners()
-        want = np.zeros((src.nprocs, dst.nprocs), dtype=np.int64)
-        for s, d in zip(so, do):
-            want[s, d] += 1
-        np.testing.assert_array_equal(got, want)
-
-    def test_conserves_elements(self):
-        from repro.distribution import mesh_transfer_counts
-
-        src = MeshDistribution((8, 8), (2, 4), (block(8, 2), block(8, 4)))
-        dst = MeshDistribution((8, 8), (4, 2), (cyclic(8, 4), cyclic(8, 2)))
-        assert mesh_transfer_counts(src, dst).sum() == 64
-
-    def test_shape_mismatch_rejected(self):
-        from repro.distribution import mesh_transfer_counts
-
-        a = MeshDistribution((4, 4), (2, 2), (block(4, 2), block(4, 2)))
-        b = MeshDistribution((4, 5), (2, 2), (block(4, 2), block(5, 2)))
-        with pytest.raises(ValueError):
-            mesh_transfer_counts(a, b)
-
-    def test_replicated_axes(self):
-        from repro.distribution import mesh_transfer_counts
-
-        src = MeshDistribution((4, 4), (2, 1), (block(4, 2), Replicated(4, 1)))
-        dst = MeshDistribution((4, 4), (2, 1), (cyclic(4, 2), Replicated(4, 1)))
-        c = mesh_transfer_counts(src, dst)
-        assert c.sum() == 16

@@ -20,7 +20,6 @@ from repro.mapping import (
     place_layered,
     place_timeline,
     scattered,
-    standard_strategies,
     strategy_by_name,
 )
 
@@ -69,13 +68,6 @@ class TestStrategies:
         assert strategy_by_name("mixed:4").name == "mixed(d=4)"
         with pytest.raises(ValueError):
             strategy_by_name("diagonal")
-
-    def test_standard_strategies_cover_node_width(self, machine):
-        strats = standard_strategies(machine)
-        names = [s.name for s in strats]
-        assert names[0] == "consecutive"
-        assert names[-1] == "scattered"
-        assert "mixed(d=2)" in names
 
 
 class TestMapLayer:

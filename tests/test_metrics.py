@@ -220,11 +220,6 @@ class TestExecutionTraceHelpers:
         area = trace.makespan * trace.machine.total_cores
         assert sum(busy.values()) / area == pytest.approx(trace.utilization())
 
-    def test_idle_time_per_core_and_total(self, run):
-        trace = run.trace
-        total = sum(trace.idle_time(c) for c in trace.machine.cores())
-        assert total == pytest.approx(trace.idle_time())
-
     def test_index_follows_add(self, run):
         from repro.sim.trace import ExecutionTrace
 

@@ -320,58 +320,3 @@ class TestArrayKernel:
         ]
         assert summed == counts_by_loop(rings)
 
-
-class TestCalibration:
-    def test_recovers_known_parameters(self):
-        import numpy as np
-        from repro.cluster import fit_link
-
-        alpha, bw = 2e-6, 1.5e9
-        sizes = np.array([1e3, 1e4, 1e5, 1e6, 4e6])
-        times = alpha + sizes / bw
-        link = fit_link(sizes, times)
-        assert link.latency == pytest.approx(alpha, rel=1e-6)
-        assert link.bandwidth == pytest.approx(bw, rel=1e-6)
-
-    def test_robust_to_noise(self):
-        import numpy as np
-        from repro.cluster import fit_link
-
-        rng = np.random.default_rng(7)
-        sizes = np.logspace(3, 7, 24)
-        times = 3e-6 + sizes / 2e9
-        times *= 1 + 0.05 * rng.standard_normal(len(sizes))
-        link = fit_link(sizes, times)
-        assert link.bandwidth == pytest.approx(2e9, rel=0.15)
-
-    def test_negative_latency_clamped(self):
-        from repro.cluster import fit_link
-
-        # two points with a tiny negative intercept after extrapolation
-        link = fit_link([100.0, 200.0], [1.0e-7, 2.1e-7])
-        assert link.latency >= 0.0
-
-    def test_validation(self):
-        from repro.cluster import fit_link
-
-        with pytest.raises(ValueError):
-            fit_link([100.0], [1e-6])
-        with pytest.raises(ValueError):
-            fit_link([100.0, 100.0], [1e-6, 2e-6])
-        with pytest.raises(ValueError):
-            fit_link([100.0, 200.0], [2e-6, 1e-6])  # shrinking times
-
-    def test_fit_network(self):
-        import numpy as np
-        from repro.cluster import fit_network
-
-        sizes = np.array([1e3, 1e5, 1e6])
-        meas = {
-            lvl: (sizes, (1 + lvl) * 1e-6 + sizes / ((3 - lvl) * 1e9))
-            for lvl in (0, 1, 2)
-        }
-        net = fit_network(meas)
-        assert net.level(0).bandwidth > net.level(2).bandwidth
-        assert net.level(0).latency < net.level(2).latency
-        with pytest.raises(ValueError):
-            fit_network({0: meas[0]})

@@ -1,5 +1,6 @@
 """Tests for the NAS multi-zone benchmark substrate."""
 
+import numpy as np
 import pytest
 
 from repro.npb import (
@@ -100,59 +101,111 @@ class TestPrograms:
         assert npb_zone_grid(NPBConfig("BT", "A")).name == "BT-MZ.A"
 
 
+# ----------------------------------------------------------------------
+# the oracle: the multi-zone pattern executed on real numbers.  A 2-D
+# Jacobi sweep (the structural skeleton of one SP/BT time step) runs
+# zone by zone with explicit border exchanges over the periodic zone
+# grid; it must equal the same operator on the undecomposed array, and
+# the ghost lines it moves are the faces the cost model charges.
+# ----------------------------------------------------------------------
+def _offsets(grid):
+    """Start index of every zone column and row; the last entry is the
+    global extent."""
+    xs = np.cumsum([0] + [grid.zone_at(ix, 0).nx for ix in range(grid.grid_x)])
+    ys = np.cumsum([0] + [grid.zone_at(0, iy).ny for iy in range(grid.grid_y)])
+    return xs, ys
+
+
+def split_field(grid, array):
+    """Zone id -> ``(nx, ny)`` subarray of a global ``(NX, NY)`` array."""
+    xs, ys = _offsets(grid)
+    if array.shape != (xs[-1], ys[-1]):
+        raise ValueError(f"array shape {array.shape} != zone grid extent")
+    return {
+        z.id: array[xs[z.ix] : xs[z.ix] + z.nx, ys[z.iy] : ys[z.iy] + z.ny].copy()
+        for z in grid.zones
+    }
+
+
+def assemble_field(grid, chunks):
+    """Inverse of :func:`split_field`."""
+    xs, ys = _offsets(grid)
+    out = np.empty((xs[-1], ys[-1]))
+    for z in grid.zones:
+        out[xs[z.ix] : xs[z.ix] + z.nx, ys[z.iy] : ys[z.iy] + z.ny] = chunks[z.id]
+    return out
+
+
+def multizone_smooth(grid, chunks, steps=1):
+    """``steps`` sweeps, each a border exchange then independent zone
+    updates; returns the new chunks and the ghost bytes exchanged."""
+    nbytes = 0
+    for _ in range(steps):
+        new = {}
+        for z in grid.zones:
+            left = chunks[grid.zone_at((z.ix - 1) % grid.grid_x, z.iy).id][-1, :]
+            right = chunks[grid.zone_at((z.ix + 1) % grid.grid_x, z.iy).id][0, :]
+            down = chunks[grid.zone_at(z.ix, (z.iy - 1) % grid.grid_y).id][:, -1]
+            up = chunks[grid.zone_at(z.ix, (z.iy + 1) % grid.grid_y).id][:, 0]
+            nbytes += left.nbytes + right.nbytes + down.nbytes + up.nbytes
+            p = np.empty((z.nx + 2, z.ny + 2))
+            p[1:-1, 1:-1] = chunks[z.id]
+            p[0, 1:-1], p[-1, 1:-1], p[1:-1, 0], p[1:-1, -1] = left, right, down, up
+            new[z.id] = (
+                p[1:-1, 1:-1] + p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]
+            ) / 5.0
+        chunks = new
+    return chunks, nbytes
+
+
+def global_smooth(array, steps=1):
+    """The same Jacobi sweep on the undecomposed array (periodic)."""
+    out = array.copy()
+    for _ in range(steps):
+        out = (
+            out
+            + np.roll(out, 1, axis=0)
+            + np.roll(out, -1, axis=0)
+            + np.roll(out, 1, axis=1)
+            + np.roll(out, -1, axis=1)
+        ) / 5.0
+    return out
+
+
 class TestFunctionalMultizone:
     """Numerical validation of the zone decomposition: a multi-zone
     Jacobi sweep with border exchanges equals the global operator."""
 
     def _grid_and_array(self, maker, cls="S"):
-        import numpy as np
-
         grid = maker(cls)
-        nx = sum(grid.zone_at(ix, 0).nx for ix in range(grid.grid_x))
-        ny = sum(grid.zone_at(0, iy).ny for iy in range(grid.grid_y))
+        xs, ys = _offsets(grid)
         rng = np.random.default_rng(42)
-        return grid, rng.standard_normal((nx, ny))
+        return grid, rng.standard_normal((xs[-1], ys[-1]))
 
     @pytest.mark.parametrize("maker", [spmz_zones, btmz_zones])
     def test_matches_global_reference(self, maker):
-        import numpy as np
-        from repro.npb.functional import (
-            assemble_field,
-            global_smooth,
-            multizone_smooth,
-            split_field,
-        )
-
         grid, arr = self._grid_and_array(maker)
-        field = split_field(grid, arr)
-        out, _ = multizone_smooth(field, steps=3)
+        out, _ = multizone_smooth(grid, split_field(grid, arr), steps=3)
         np.testing.assert_allclose(
-            assemble_field(out), global_smooth(arr, steps=3), atol=1e-12
+            assemble_field(grid, out), global_smooth(arr, steps=3), atol=1e-12
         )
 
     def test_split_assemble_roundtrip(self):
-        import numpy as np
-        from repro.npb.functional import assemble_field, split_field
-
         grid, arr = self._grid_and_array(btmz_zones)
-        np.testing.assert_array_equal(assemble_field(split_field(grid, arr)), arr)
+        np.testing.assert_array_equal(assemble_field(grid, split_field(grid, arr)), arr)
 
     def test_border_bytes_match_face_model(self):
-        from repro.npb.functional import multizone_smooth, split_field
-
         grid, arr = self._grid_and_array(spmz_zones)
-        field = split_field(grid, arr)
-        _, nbytes = multizone_smooth(field, steps=1)
-        # every zone receives its four ghost lines (periodic grid)
+        _, nbytes = multizone_smooth(grid, split_field(grid, arr), steps=1)
+        # the faces build_npb_step_graph charges, one z-plane of 8-byte values
         expected = sum(
-            (2 * z.nx + 2 * z.ny) * 8 for z in grid.zones
+            z.face_points(axis) // z.nz * 8
+            for z in grid.zones
+            for _, axis in grid.neighbours(z)
         )
         assert nbytes == expected
 
     def test_shape_validation(self):
-        import numpy as np
-        from repro.npb.functional import split_field
-
         grid, arr = self._grid_and_array(spmz_zones)
         with pytest.raises(ValueError):
             split_field(grid, arr[:-1, :])

@@ -9,10 +9,10 @@ from repro.core import CostModel
 from repro.ode import (
     MethodConfig,
     ODE_METHODS,
+    PAPER_CONFIGS,
     bruss2d,
     build_ode_program,
     counts_from_step_graph,
-    default_config,
     integrate_functional,
     linear_test_problem,
     reference_solution,
@@ -62,7 +62,7 @@ class TestMethodConfig:
 
     def test_defaults(self):
         for m in ODE_METHODS:
-            cfg = default_config(m)
+            cfg = PAPER_CONFIGS[m]
             assert cfg.method == m
             assert cfg.K >= 1
 
@@ -94,11 +94,17 @@ class TestStepGraphStructure:
 
 
 class TestTable1:
-    @pytest.mark.parametrize("method", ODE_METHODS)
-    def test_data_parallel_counts(self, method):
+    @pytest.mark.parametrize(
+        "method,functional",
+        [pytest.param(m, False, id=m) for m in ODE_METHODS]
+        + [pytest.param(m, True, id=f"{m}-functional") for m in ODE_METHODS],
+    )
+    def test_data_parallel_counts(self, method, functional):
+        """The cost graph and the executable graph both carry Table 1's
+        data-parallel collectives (a schedule of either prices them)."""
         problem = schroed(64)  # dense: Table 1's DIIRK row is stated for
         cfg = CONFIGS[method]  # the dense elimination
-        g = step_graph(problem, cfg)
+        g = step_graph(problem, cfg, functional)
         assert counts_from_step_graph(g, groups=1) == table1_expected(
             cfg, problem.n, "dp"
         )
@@ -184,33 +190,8 @@ class TestSchedulingOfPrograms:
 
 
 class TestAdaptiveFunctionalEPOL:
-    """Step-size control inside the M-task program (Section 2.2.3)."""
-
-    def test_step_size_adapts(self, lin):
-        cfg = MethodConfig("epol", K=4, t_end=1.0, h=0.3, tol=1e-10)
-        fi = integrate_functional(lin, cfg)
-        # a 0.3 start step cannot satisfy 1e-10; the controller must have
-        # shrunk it, taking more steps than the fixed-step run would
-        assert fi.steps > 10
-        ref = reference_solution(lin, fi.t)
-        # accept-and-adapt never rejects, so the coarse first step leaves
-        # a residual error; the controller still contains it
-        assert relative_error(fi.y, ref) < 1e-4
-
-    def test_easy_tolerance_grows_step(self, lin):
-        tight = integrate_functional(
-            lin, MethodConfig("epol", K=4, t_end=1.0, h=0.05, tol=1e-12)
-        )
-        loose = integrate_functional(
-            lin, MethodConfig("epol", K=4, t_end=1.0, h=0.05, tol=1e-2)
-        )
-        assert loose.steps < tight.steps
-
-    def test_tol_validation(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            MethodConfig("epol", K=4, tol=-1.0)
+    """The functional EPOL program keeps its step size: the step graph
+    repeats identically, so ``combine`` hands ``h`` on unchanged."""
 
     def test_fixed_step_unchanged_without_tol(self, lin):
         cfg = MethodConfig("epol", K=4, t_end=1.0, h=0.05)

@@ -19,7 +19,6 @@ from repro.ode import (
     schroed,
     solve_diirk,
     solve_epol,
-    solve_epol_adaptive,
     solve_irk,
     solve_pab,
     solve_pabm,
@@ -145,12 +144,6 @@ class TestEPOL:
         _, _, k = extrapolation_step(lin.f, 0.0, lin.y0, 0.1, 4)
         assert k == 1 + 2 + 3 + 4
 
-    def test_adaptive_meets_tolerance(self, lin):
-        sol = solve_epol_adaptive(lin, 1.0, h0=0.5, R=4, tol=1e-8)
-        ref = reference_solution(lin, 1.0)
-        assert relative_error(sol.y, ref) < 1e-6
-        assert sol.steps > 0
-
     def test_invalid_R(self, lin):
         with pytest.raises(ValueError):
             extrapolation_step(lin.f, 0.0, lin.y0, 0.1, 0)
@@ -186,7 +179,6 @@ class TestDIIRK:
     def test_dynamic_iterations_reported(self, lin):
         sol = solve_diirk(lin, 1.0, 0.05, K=2)
         assert sol.iterations_total >= sol.steps
-        assert sol.mean_iterations >= 1.0
 
     def test_sparse_jacobian_path(self):
         p = bruss2d(6)

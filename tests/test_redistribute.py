@@ -1,4 +1,15 @@
-"""Tests for functional re-distribution of numpy data."""
+"""Functional re-distribution of numpy data: the oracle for
+:func:`repro.distribution.transfer_counts`.
+
+:func:`redistribute` below moves the per-rank chunks of an array from a
+source to a target distribution through the assembled global array and
+counts, element by element, which source rank each target rank's
+elements come from.  The analytic transfer matrix the cost model and the
+runtime charge must equal that count.
+"""
+
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 import pytest
@@ -7,13 +18,70 @@ from hypothesis import strategies as st
 
 from repro.distribution import (
     BlockCyclic,
+    Distribution1D,
     Replicated,
-    assemble,
     block,
     cyclic,
-    redistribute,
-    split,
+    transfer_counts,
 )
+
+
+@dataclass(frozen=True)
+class RedistributionResult:
+    """Chunks after re-distribution plus the element-transfer matrix
+    (``moved[i, j]`` = elements from source rank ``i`` to target rank ``j``)."""
+
+    chunks: List[np.ndarray]
+    moved: np.ndarray
+
+    @property
+    def total_elements_moved(self) -> int:
+        return int(self.moved.sum())
+
+
+def split(array: np.ndarray, dist: Distribution1D) -> List[np.ndarray]:
+    """Split a global 1-D array into per-rank local chunks under ``dist``."""
+    if array.ndim != 1:
+        raise ValueError("split expects a one-dimensional array")
+    if len(array) != dist.size:
+        raise ValueError(f"array has {len(array)} elements, distribution {dist.size}")
+    return [array[dist.local_indices(r)] for r in range(dist.nprocs)]
+
+
+def assemble(chunks: Sequence[np.ndarray], dist: Distribution1D) -> np.ndarray:
+    """Inverse of :func:`split`: reconstruct the global array."""
+    if len(chunks) != dist.nprocs:
+        raise ValueError(f"expected {dist.nprocs} chunks, got {len(chunks)}")
+    out = np.empty(dist.size, dtype=chunks[0].dtype if chunks else float)
+    for r, chunk in enumerate(chunks):
+        idx = dist.local_indices(r)
+        if len(chunk) != len(idx):
+            raise ValueError(
+                f"chunk of rank {r} has {len(chunk)} elements, expected {len(idx)}"
+            )
+        out[idx] = chunk
+    return out
+
+
+def redistribute(
+    chunks: Sequence[np.ndarray], src: Distribution1D, dst: Distribution1D
+) -> RedistributionResult:
+    """Re-distribute per-rank chunks from ``src`` to ``dst``.
+
+    ``moved`` follows the conventions :func:`transfer_counts` documents:
+    a replicated source serves target rank ``j`` from source rank
+    ``j mod src.nprocs``; replicated to replicated moves nothing.
+    """
+    if src.size != dst.size:
+        raise ValueError("source and target distributions cover different sizes")
+    global_arr = assemble(chunks, src)
+    moved = np.zeros((src.nprocs, dst.nprocs), dtype=np.int64)
+    if not (src.is_replicated and dst.is_replicated):
+        for j in range(dst.nprocs):
+            idx = dst.local_indices(j)
+            owners = np.full(len(idx), j % src.nprocs) if src.is_replicated else src.owners()[idx]
+            moved[:, j] = np.bincount(owners, minlength=src.nprocs)
+    return RedistributionResult(chunks=split(global_arr, dst), moved=moved)
 
 
 class TestSplitAssemble:
@@ -57,8 +125,6 @@ class TestRedistribute:
         np.testing.assert_array_equal(assemble(res.chunks, dst), arr)
 
     def test_moved_matches_transfer_counts(self):
-        from repro.distribution import transfer_counts
-
         src, dst = block(20, 4), cyclic(20, 4)
         res = redistribute(split(np.arange(20.0), src), src, dst)
         np.testing.assert_array_equal(res.moved, transfer_counts(src, dst))
@@ -92,3 +158,4 @@ class TestRedistribute:
         res = redistribute(split(arr, src), src, dst)
         np.testing.assert_array_equal(assemble(res.chunks, dst), arr)
         assert res.total_elements_moved == n
+        np.testing.assert_array_equal(res.moved, transfer_counts(src, dst))

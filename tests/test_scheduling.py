@@ -16,7 +16,6 @@ from repro.scheduling import (
     fixed_group_scheduler,
     layer_index,
     lpt_assign,
-    max_task_parallel_scheduler,
     round_robin_assign,
     symbolic_timeline,
 )
@@ -220,7 +219,9 @@ class TestLayerBasedScheduler:
         assert all(layer.num_groups == 1 for layer in sched.layers)
 
     def test_max_task_parallel(self, cost):
-        sched = max_task_parallel_scheduler(cost).schedule(self.epol_like()).layered
+        # as many concurrent groups as the layer has tasks
+        most = LayerBasedScheduler(cost, candidate_groups=[cost.platform.total_cores])
+        sched = most.schedule(self.epol_like()).layered
         mid = sched.layers[1]
         assert mid.num_groups == 4
 
