@@ -1,4 +1,4 @@
-"""Count code lines: ``python scripts/code_lines.py src/ benchmarks/``.
+"""Count code lines: ``python scripts/code_lines.py src/``.
 
 A line counts if it carries a token that is neither a comment nor part
 of a docstring.  Prints one row per file and the total.

@@ -1,9 +1,10 @@
 """Shared harness of the per-figure experiment runners.
 
 Every ``fig*.py`` module produces :class:`ExperimentResult` objects --
-labelled series over a shared x axis -- which the benchmark suite prints
-in the layout of the paper's figures and the tests assert shape
-properties on (who wins, by what factor, where the optimum sits).
+labelled series over a shared x axis -- which ``python -m
+repro.experiments`` prints in the layout of the paper's figures and the
+tests assert shape properties on (who wins, by what factor, where the
+optimum sits).
 """
 
 from __future__ import annotations

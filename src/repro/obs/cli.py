@@ -8,10 +8,10 @@ Eight subcommands make pipeline runs inspectable and gate regressions:
 * ``report`` -- print the derived :class:`ScheduleAnalysis` (per-core
   utilization, layer imbalance, critical-path share) of a run;
 * ``gantt`` -- render the ASCII Gantt chart of a run in the terminal;
-* ``diff`` -- compare two run-metrics JSONs (or two benchmark files,
-  ``BENCH_shootout.json`` / ``BENCH_runtime.json``) and exit non-zero
-  when any watched metric regressed past ``--threshold``; CI gates both
-  committed benchmark files with it;
+* ``diff`` -- compare two run-metrics JSONs (or two shoot-out benchmark
+  files, ``BENCH_shootout.json``) and exit non-zero when any metric
+  with a direction regressed past ``--threshold``; CI gates the
+  committed shoot-out file with it;
 * ``calib`` -- predicted-vs-actual cost-model calibration
   (:mod:`repro.obs.calibrate`): per-task ``Tsymb`` residuals against
   the simulated trace and, with ``--checkpoint-dir``, against the
@@ -44,7 +44,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .metrics import WALL_CLOCK_SUFFIXES, metric_direction, oriented_ratio
+from .metrics import metric_direction, oriented_ratio
 
 __all__ = ["main", "build_parser", "spec_type", "flatten_metrics", "compare_metrics"]
 
@@ -330,20 +330,21 @@ def _cmd_gantt(args) -> int:
 # ----------------------------------------------------------------------
 # diff / regression gate
 # ----------------------------------------------------------------------
-def flatten_metrics(payload: Dict[str, Any], include_wall: bool = False) -> Dict[str, float]:
+def flatten_metrics(payload: Dict[str, Any]) -> Dict[str, float]:
     """Flat ``name -> value`` view of a run/benchmark JSON payload.
 
     Understands three shapes: ``repro.obs.run`` exports (``metrics``
-    dict), benchmark files such as ``BENCH_shootout.json`` and
-    ``BENCH_runtime.json`` (``results`` row list keyed by ``solver`` or
-    ``name``) and plain flat dicts of numbers.
+    dict), benchmark files such as ``BENCH_shootout.json`` (``results``
+    row list keyed by ``solver`` or ``name``) and plain flat dicts of
+    numbers.  Every finite number is kept: the ``*_seconds`` metrics a
+    run exports (``fault_overhead_seconds``,
+    ``speculation_saved_seconds``) are simulated, so they are as
+    deterministic as the makespan.
     """
     def numeric(d: Dict[str, Any], prefix: str = "") -> Dict[str, float]:
         out: Dict[str, float] = {}
         for key, value in d.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            if not include_wall and key.endswith(WALL_CLOCK_SUFFIXES):
                 continue
             if not math.isfinite(value):
                 continue
@@ -392,11 +393,7 @@ def compare_metrics(
 def _cmd_diff(args) -> int:
     old = json.loads(Path(args.old).read_text())
     new = json.loads(Path(args.new).read_text())
-    rows = compare_metrics(
-        flatten_metrics(old, include_wall=args.include_wall),
-        flatten_metrics(new, include_wall=args.include_wall),
-        args.threshold,
-    )
+    rows = compare_metrics(flatten_metrics(old), flatten_metrics(new), args.threshold)
     if not rows:
         print("no comparable metrics found", file=sys.stderr)
         return 2
@@ -612,8 +609,7 @@ examples:
 _DIFF_EPILOG = """\
 examples:
   python -m repro.obs diff BENCH_shootout.json new.json --threshold 1.25
-  python -m repro.obs diff BENCH_runtime.json new_runtime.json --verbose
-  python -m repro.obs diff old_run.json new_run.json --include-wall
+  python -m repro.obs diff old_run.json new_run.json --verbose
 """
 
 #: ``--help`` epilog of the registry-querying subcommands
@@ -687,11 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.25,
         help="worst-case ratio before a metric counts as regressed (default 1.25)",
-    )
-    p.add_argument(
-        "--include-wall",
-        action="store_true",
-        help="also gate on wall-clock *_seconds metrics (noisy)",
     )
     p.add_argument(
         "-v", "--verbose", action="store_true", help="print all compared metrics"

@@ -39,7 +39,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 __all__ = [
     "HISTOGRAM_CAP", "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "child_key", "split_key", "flat_view",
-    "LOWER_IS_BETTER", "HIGHER_IS_BETTER", "WALL_CLOCK_SUFFIXES",
+    "LOWER_IS_BETTER", "HIGHER_IS_BETTER",
     "metric_direction", "oriented_ratio",
     "CoreUsage", "LayerBalance", "ScheduleAnalysis", "analyze",
 ]
@@ -394,14 +394,10 @@ HIGHER_IS_BETTER = (
     "busy_fraction",
     "utilization",
     "speculation_wins",
-    # pool-vs-serial wall-clock speedup from benchmarks/bench_runtime.py
-    "speedup",
-    # listed here (checked before the generic ``_seconds`` -> lower
-    # fallback) so --include-wall diffs orient it correctly
+    # simulated time the backups saved: listed here because this table
+    # is checked before the generic ``_seconds`` -> lower fallback
     "speculation_saved_seconds",
 )
-#: wall-clock metrics, too noisy for a gate unless explicitly included
-WALL_CLOCK_SUFFIXES = ("_seconds",)
 
 
 def metric_direction(name: str) -> Optional[str]:
@@ -411,7 +407,7 @@ def metric_direction(name: str) -> Optional[str]:
     leaf = name.rsplit(".", 1)[-1]
     if leaf in HIGHER_IS_BETTER:
         return "higher"
-    if leaf in LOWER_IS_BETTER or leaf.endswith(WALL_CLOCK_SUFFIXES):
+    if leaf in LOWER_IS_BETTER or leaf.endswith("_seconds"):
         return "lower"
     return None
 

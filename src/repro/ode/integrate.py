@@ -78,7 +78,7 @@ def functional_step(
     upper (initialisation) graph once.  The init graph is deterministic
     -- one replicated scalar task, no collectives, no re-distribution --
     so every caller (integration, journaled runs, ``/v1/run``, the
-    runtime benchmark) reconstructs the same store.
+    backend tests) reconstructs the same store.
     """
     build = build_ode_program(problem, cfg, functional=True)
     composed = build.composed_nodes()

@@ -136,8 +136,9 @@ class ProcessPoolBackend(DriverBackend):
     ----------
     workers:
         Pool size; defaults to ``os.cpu_count()`` (at least 2).  More
-        workers than cores is fine -- and is exactly how the runtime
-        benchmark demonstrates dispatch concurrency on small machines.
+        workers than cores is fine -- sleeping task bodies still
+        overlap, which is how the backend tests check dispatch
+        concurrency on small machines.
     poll_interval:
         Parent-side result-queue poll period in seconds; also bounds
         how quickly speculation thresholds are noticed.

@@ -80,6 +80,11 @@ from .context import RuntimeContext
 
 __all__ = ["RunStats", "RunResult", "run_program"]
 
+#: ranks per task: the group size every task's distributions are
+#: instantiated on for re-distribution accounting, and its
+#: ``RuntimeContext.group_size``
+GROUP_SIZE = 4
+
 
 @dataclass
 class RunStats:
@@ -209,8 +214,6 @@ def _check_header(
 def run_program(
     graph: TaskGraph,
     inputs: Mapping[str, np.ndarray],
-    group_sizes: Optional[Mapping[MTask, int]] = None,
-    default_group_size: int = 4,
     obs: Optional[Instrumentation] = None,
     faults: Optional[FaultPlan] = None,
     retry: Optional[RetryPolicy] = None,
@@ -233,9 +236,6 @@ def run_program(
     inputs:
         Initial values of variables (live-ins, i.e. what the structural
         start node "writes").
-    group_sizes:
-        Ranks per task for re-distribution accounting (e.g. derived from
-        a schedule).  Defaults to ``default_group_size`` each.
     obs:
         Optional :class:`~repro.obs.Instrumentation`: records one span
         per executed task and totals for tasks executed and bytes
@@ -334,11 +334,6 @@ def run_program(
             for f in state.failures():
                 journaled_failures[f.task] = f
 
-    def q_of(task: MTask) -> int:
-        if group_sizes is not None and task in group_sizes:
-            return group_sizes[task]
-        return default_group_size
-
     if supervisor is not None:
         supervisor.start()
 
@@ -351,7 +346,7 @@ def run_program(
         the backend should execute, or ``None`` when the task needs no
         execution (every side effect already applied here).
         """
-        q = q_of(task)
+        q = GROUP_SIZE
         # --- resume: restore the journaled prefix instead of re-running --
         if task.func is not None and task.name in completed:
             rec = completed[task.name]
@@ -442,12 +437,10 @@ def run_program(
                 )
             arr = store[p.name]
             if p.name in producer_dist:
-                src_dist_obj, src_q = producer_dist[p.name]
-                dst_dist = p.dist.instantiate(p.elements, q)
-                src_dist = src_dist_obj
-                counts = transfer_counts(src_dist, dst_dist)
-                off_diag = int(counts.sum() - np.trace(counts)) if counts.shape[0] == counts.shape[1] else int(counts.sum())
-                stats.redistributed_bytes += off_diag * p.itemsize
+                src_dist, _ = producer_dist[p.name]
+                counts = transfer_counts(src_dist, p.dist.instantiate(p.elements, q))
+                # same group size on both sides: the diagonal stays put
+                stats.redistributed_bytes += int(counts.sum() - np.trace(counts)) * p.itemsize
             values[p.name] = arr
         env = task.meta.get("env", {})
         ctx = RuntimeContext(task.name, q, env=dict(env) if isinstance(env, dict) else {})

@@ -1,7 +1,8 @@
 """Tests for the execution backends: backend-spec parsing, contiguous
 independent batching, serial/pool/cluster bit-identity on every paper
 solver under injected faults, pool + journal resume, the worker-crash
-sentinel, concurrent speculation races, and per-worker span export."""
+sentinel, concurrent speculation races, per-worker span export and
+overlap of independent tasks on the workers."""
 
 import os
 import subprocess
@@ -384,6 +385,48 @@ class TestWorkerSpans:
         # the single-track pipeline view must not contain worker spans
         names = [e["name"] for e in span_events(obs) if e["ph"] == "X"]
         assert names == ["pipeline"]
+
+
+def max_overlap(spans):
+    """Most spans open at one instant (a span ending as another starts
+    does not overlap it)."""
+    edges = sorted([(s.start + s.duration, -1) for s in spans]
+                   + [(s.start, 1) for s in spans])
+    open_now = peak = 0
+    for _, step in edges:
+        open_now += step
+        peak = max(peak, open_now)
+    return peak
+
+
+class TestWorkerOverlap:
+    """Worker backends run the independent tasks of a batch at the same
+    time: read from the per-worker ``task`` spans, not a wall-clock
+    ratio.  Each body sleeps 20 ms, longer than dispatching a batch, so
+    four workers fed a batch at once must have four spans open together,
+    and a backend that runs one task at a time never has more than one."""
+
+    @pytest.mark.parametrize("kind", sorted(WORKER_BACKENDS))
+    def test_four_workers_run_four_tasks_at_once(self, kind):
+        body, store = functional_step(MethodConfig("pabm", K=8, m=2))
+        serial = run_program(body, dict(store))
+
+        def sleeping(fn):
+            def body_fn(ctx, values):
+                time.sleep(0.02)
+                return fn(ctx, values)
+            return body_fn
+
+        for t in body.topological_order():
+            if t.func is not None:
+                t.func = sleeping(t.func)
+        backend = {"pool": ProcessPoolBackend, "cluster": ClusterBackend}[kind]
+        obs = Instrumentation()
+        parallel = run_program(body, dict(store), obs=obs, backend=backend(workers=4))
+        spans = [s for s in obs.spans if s.name == "task" and "worker" in s.meta]
+        assert max_overlap(spans) == 4
+        assert len({s.meta["worker"] for s in spans}) == 4
+        assert summarize(parallel) == summarize(serial)
 
 
 # ----------------------------------------------------------------------

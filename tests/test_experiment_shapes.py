@@ -1,19 +1,25 @@
 """Integration tests: the qualitative shapes of every paper figure.
 
-These run the experiment runners at reduced scale and assert the
-paper's findings -- who wins, by roughly what factor, where optima sit.
-The full-scale tables live in the benchmark suite.
+These run the experiment runners and assert the paper's findings -- who
+wins, by roughly what factor, where optima sit -- mostly at reduced
+scale, and at the paper's scale (the ``full_scale`` tests) where a
+finding needs it.  ``TestAblations`` and ``TestExtensions`` check the
+design choices DESIGN.md calls out and the extensions beyond the paper
+the same way.  ``python -m repro.experiments`` prints the tables.
 """
 
 import math
 
 import pytest
 
-from repro.cluster import chic, juropa
+from repro.cluster import chic, juropa, sgi_altix
+from repro.core import CostModel, MTask
 from repro.experiments import (
     run_epol_times,
     run_fig14_left,
     run_fig14_right,
+    run_fig15,
+    run_fig16,
     run_fig18,
     run_fig19,
     run_npb_sweep,
@@ -22,8 +28,14 @@ from repro.experiments import (
 )
 from repro.experiments.fig13_scheduling import schedule_and_simulate
 from repro.experiments.common import simulate_ode_step
-from repro.mapping import consecutive, mixed, scattered
-from repro.ode import MethodConfig, bruss2d, schroed
+from repro.mapping import consecutive, mixed, place_layered, scattered
+from repro.ode import MethodConfig, bruss2d, schroed, step_graph
+from repro.scheduling import (
+    DynamicScheduler,
+    LayerBasedScheduler,
+    fixed_group_scheduler,
+)
+from repro.sim import SimulationOptions, simulate
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +74,23 @@ class TestFig13Shapes:
         assert cpa <= 1.7 * tp  # CPA finds a competitive mixed schedule
         assert dp > 2.0 * cpa  # plain data parallelism is far behind
 
+    def test_pabm_speedups_full_scale(self):
+        res = run_pabm_speedups(cores=(64, 128, 256, 512), N=500)
+        # the task-parallel (layer-based) schedule dominates at every size
+        for i in range(len(res.x)):
+            assert res.best_label_at(i, higher_is_better=True) in ("task parallel", "CPR")
+        # data parallelism degrades with scale
+        dp = res.get("data parallel").y
+        assert dp[-1] < dp[0] * 1.5
+
+    def test_epol_times_full_scale(self):
+        res = run_epol_times(cores=(64, 128, 256, 512), N=500)
+        i = res.x.index(256)
+        # CPA's mixed schedule clearly beats plain data parallelism (§4.3)
+        assert res.get("data parallel").y[i] > 1.3 * res.get("CPA").y[i]
+        # the layer-based schedule is the overall winner
+        assert res.best_label_at(i) == "task parallel"
+
     def test_unknown_scheduler_rejected(self, sparse_small):
         with pytest.raises(ValueError):
             schedule_and_simulate(
@@ -89,6 +118,18 @@ class TestFig14Shapes:
         _group, orth = run_fig14_right(chic().with_cores(256), sizes=[1 << 20])
         assert orth.best_label_at(0) == "scattered"
         assert orth.get("consecutive").y[0] / orth.get("scattered").y[0] > 2
+
+    def test_global_allgather_full_scale(self):
+        res = run_fig14_left()
+        last = len(res.x) - 1
+        assert res.best_label_at(last) == "consecutive"
+        assert res.get("scattered").y[last] > 2.5 * res.get("consecutive").y[last]
+
+    def test_multi_allgather_full_scale(self):
+        group_res, orth_res = run_fig14_right()
+        last = len(group_res.x) - 1
+        assert group_res.best_label_at(last) == "consecutive"
+        assert orth_res.best_label_at(last) == "scattered"
 
 
 class TestFig15Shapes:
@@ -119,6 +160,21 @@ class TestFig15Shapes:
         cons = simulate_ode_step(sparse_small, cfg, plat, consecutive(), "dp").makespan
         scat = simulate_ode_step(sparse_small, cfg, plat, scattered(), "dp").makespan
         assert cons < scat
+
+    def test_all_panels_full_scale(self):
+        irk_chic, irk_juropa, diirk, epol = run_fig15(quick=False)
+        # consecutive wins from 256 cores on in both IRK panels (below that
+        # the stage-exchange volume per group still blurs the picture)
+        for res in (irk_chic, irk_juropa):
+            for i in range(len(res.x)):
+                if res.x[i] >= 256:
+                    assert res.best_label_at(i) == "consecutive"
+            # scattered is clearly outperformed
+            assert res.get("scattered").y[-1] > 1.5 * res.get("consecutive").y[-1]
+        # DIIRK: the task-parallel consecutive version far ahead of data parallel
+        assert diirk.get("tp/consecutive").y[0] * 2 < diirk.get("data-parallel").y[0]
+        # EPOL at 512 JuRoPA cores: consecutive clearly below mixed(d=4)
+        assert epol.get("tp/consecutive").y[0] < epol.get("tp/mixed(d=4)").y[0]
 
 
 class TestFig16Shapes:
@@ -163,6 +219,25 @@ class TestFig16Shapes:
         assert tp_1024 / tp_256 < 0.5 * (dp_1024 / dp_256)
         assert tp_1024 < dp_1024 / 2           # ... and wins by a wide margin
 
+    def test_all_panels_full_scale(self):
+        pab_chic, pab_juropa, pabm_dense, pabm_sparse = run_fig16(quick=False)
+        # PAB: mixed mapping wins (d=2 on CHiC, d=4 on JuRoPA) at 256 cores
+        i256_c, i256_j = pab_chic.x.index(256), pab_juropa.x.index(256)
+        assert pab_chic.best_label_at(i256_c) == "mixed(d=2)"
+        assert pab_juropa.best_label_at(i256_j) == "mixed(d=4)"
+        # PABM dense speedups: consecutive tp keeps scaling, dp saturates
+        cons = pabm_dense.get("consecutive").y
+        dp = pabm_dense.get("data-parallel").y
+        assert cons[-1] > cons[0]
+        assert cons[-1] > 2 * dp[-1]
+        assert dp[-1] < 2 * dp[-3]  # dp gains little beyond 512 cores
+        # PABM sparse on JuRoPA: every tp mapping beats dp
+        i = len(pabm_sparse.x) - 1
+        dp_t = pabm_sparse.get("data-parallel").y[i]
+        for s in pabm_sparse.series:
+            if s.label != "data-parallel":
+                assert s.y[i] < dp_t
+
 
 class TestFig17Shapes:
     @pytest.fixture(scope="class")
@@ -193,6 +268,23 @@ class TestFig17Shapes:
         )
         for s in bt.series:
             assert s.y[1] < 0.6 * s.y[0]  # one group per zone collapses
+
+    @pytest.mark.parametrize(
+        "bench,plat_name", [("SP", "altix"), ("BT", "chic"), ("BT", "altix")]
+    )
+    def test_panel_full_scale(self, bench, plat_name):
+        """The panels besides SP-MZ on CHiC (the ``sp`` fixture)."""
+        plat = (chic() if plat_name == "chic" else sgi_altix()).with_cores(256)
+        res = run_npb_sweep(bench, "C", plat)
+        peak = max(v for s in res.series for v in s.y)
+        # small group counts are not competitive
+        assert max(s.y[0] for s in res.series) < 0.7 * peak
+        # the maximum degree of task parallelism is not optimal either
+        assert max(s.y[-1] for s in res.series) < peak
+        if bench == "SP":
+            # on the DSM Altix the levels are so close that we only
+            # require scattered within 10% of the panel peak
+            assert max(res.get("scattered").y) > 0.9 * peak
 
 
 class TestFig18Shapes:
@@ -245,3 +337,143 @@ class TestFig19Shapes:
         dp = res.get("data-parallel")
         valid = [v for v in tp.y if not math.isnan(v)]
         assert min(valid) < min(dp.y)
+
+
+def layered_makespan(problem, cfg, plat, strategy, scheduler):
+    """Simulated makespan of one step under ``scheduler(cost)``."""
+    cost = CostModel(plat)
+    graph = step_graph(problem, cfg)
+    sched = scheduler(cost).schedule(graph).layered
+    return simulate(graph, place_layered(sched, plat.machine, strategy), cost).makespan
+
+
+class TestAblations:
+    """The design choices DESIGN.md calls out, each switched off once:
+    chain contraction, group adjustment, contention modelling, LPT vs
+    round-robin assignment, and the mixed-mapping parameter d."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return bruss2d(500)
+
+    @pytest.fixture(scope="class")
+    def plat(self):
+        return chic().with_cores(256)
+
+    def test_chain_contraction(self, problem, plat):
+        """Without chain contraction the EPOL micro-steps of one
+        approximation may land on different groups, adding re-distributions
+        and serialisation."""
+        cfg = MethodConfig("epol", K=8)
+        # pin g = R/2 so both arms differ only in chain handling
+        with_chains = layered_makespan(
+            problem, cfg, plat, consecutive(),
+            lambda c: LayerBasedScheduler(c, candidate_groups=[4]),
+        )
+        without = layered_makespan(
+            problem, cfg, plat, consecutive(),
+            lambda c: LayerBasedScheduler(c, contract=False, candidate_groups=[4]),
+        )
+        assert with_chains <= without * 1.001
+
+    def test_group_adjustment(self, plat):
+        """Group adjustment matters when one group per chain leaves the LPT
+        assignment nothing to balance: EPOL with g = R puts approximations of
+        work 1..R into R groups, and only the size adjustment (Fig. 6 right)
+        restores the balance.  A compute-bound (dense) system shows the
+        effect cleanly; on bandwidth-bound sparse systems the collective
+        costs drown it out."""
+        cfg = MethodConfig("epol", K=8)
+        res = {
+            adjust: layered_makespan(
+                schroed(3000), cfg, plat, consecutive(),
+                lambda c, a=adjust: fixed_group_scheduler(c, 8, adjust=a),
+            )
+            for adjust in (True, False)
+        }
+        assert res[True] < res[False] * 0.9
+
+    def test_contention_model(self, problem, plat):
+        """Disabling cross-task NIC contention (1 simulator pass) makes the
+        scattered mapping look better than it is."""
+        cfg = MethodConfig("irk", K=4, m=7)
+        res = {
+            passes: simulate_ode_step(
+                problem, cfg, plat, scattered(), "tp",
+                options=SimulationOptions(contention_passes=passes),
+            ).makespan
+            for passes in (1, 2)
+        }
+        assert res[2] >= res[1]
+
+    def test_lpt_vs_round_robin(self, problem, plat):
+        """LPT assignment beats naive round robin on the uneven EPOL chains."""
+        cfg = MethodConfig("epol", K=8)
+        res = {
+            assign: layered_makespan(
+                problem, cfg, plat, consecutive(),
+                lambda c, a=assign: LayerBasedScheduler(
+                    c, candidate_groups=[4], assignment=a, adjust=False
+                ),
+            )
+            for assign in ("lpt", "roundrobin")
+        }
+        assert res["lpt"] <= res["roundrobin"] * 1.001
+
+    def test_mixed_d_sweep(self, problem):
+        """The mixed-mapping parameter d interpolates between scattered (d=1)
+        and consecutive (d = node width) on the eight-core JuRoPA nodes."""
+        cfg = MethodConfig("pabm", K=8, m=2)
+        plat = juropa().with_cores(256)
+        res = {
+            d: simulate_ode_step(problem, cfg, plat, mixed(d), "tp").makespan
+            for d in (1, 2, 4, 8)
+        }
+        # the PABM trend: d = node width (consecutive) is the overall best and
+        # full scattering (d = 1) the worst
+        assert res[8] <= min(res.values()) * 1.02
+        assert res[1] == max(res.values())
+
+
+class TestExtensions:
+    """The extensions beyond the paper: MCPA (the allocation-bounded CPA
+    variant of reference [4]), straggler sensitivity of the mapping
+    strategies, and the dynamic scheduler."""
+
+    def test_mcpa_vs_cpa(self):
+        """MCPA's level-bounded allocation repairs CPA's over-allocation on
+        the PABM stage fork."""
+        problem = bruss2d(500)
+        cfg = MethodConfig("pabm", K=8, m=2)
+        plat = chic().with_cores(256)
+        res = {
+            name: schedule_and_simulate(problem, cfg, plat, name)
+            for name in ("CPA", "MCPA", "task parallel")
+        }
+        assert res["MCPA"] < res["CPA"]
+        assert res["MCPA"] < 1.3 * res["task parallel"]
+
+    def test_straggler_sensitivity(self):
+        """A half-speed node costs every mapping something: under the
+        consecutive mapping its own group pays fully, under the scattered
+        mapping every group slows to the straggler's pace."""
+        problem = bruss2d(350)
+        cfg = MethodConfig("pabm", K=8, m=2)
+        plat = chic().with_cores(256)
+        for strat in (consecutive(), scattered()):
+            healthy = simulate_ode_step(problem, cfg, plat, strat, "tp").makespan
+            degraded = simulate_ode_step(
+                problem, cfg, plat, strat, "tp",
+                cost=CostModel(plat, node_speed={0: 0.5}),
+            ).makespan
+            assert degraded > healthy
+
+    def test_dynamic_scheduler_throughput(self):
+        """The dynamic scheduler keeps a 256-core machine busy with a stream
+        of moldable tasks of mixed sizes."""
+        dyn = DynamicScheduler(CostModel(chic().with_cores(256)))
+        for i in range(64):
+            dyn.submit(MTask(f"t{i}", work=(1 + i % 7) * 1e9), preferred_width=16)
+        trace = dyn.run()
+        assert trace.utilization() > 0.8
+        assert len(trace) == 64

@@ -100,7 +100,7 @@ def test_malformed_value_is_a_usage_error(cli, args, tmp_path, capsys):
 
 class TestFlatten:
     def test_flat_metrics_dict(self):
-        flat = flatten_metrics({"metrics": {"makespan": 1.0, "note": "x"}}, False)
+        flat = flatten_metrics({"metrics": {"makespan": 1.0, "note": "x"}})
         assert flat == {"makespan": 1.0}
 
     def test_bench_rows_are_prefixed(self):
@@ -110,18 +110,13 @@ class TestFlatten:
                 {"solver": "pab", "simulated_makespan": 3.0, "cores": 64},
             ]
         }
-        flat = flatten_metrics(payload, False)
+        flat = flatten_metrics(payload)
         assert flat["irk.simulated_makespan"] == 2.0
         assert flat["pab.simulated_makespan"] == 3.0
 
-    def test_wall_clock_excluded_by_default(self):
-        payload = {"metrics": {"makespan": 1.0, "pipeline_seconds": 0.5}}
-        assert "pipeline_seconds" not in flatten_metrics(payload, False)
-        assert "pipeline_seconds" in flatten_metrics(payload, True)
-
     def test_booleans_and_non_finite_skipped(self):
         flat = flatten_metrics(
-            {"metrics": {"ok": True, "inf": float("inf"), "makespan": 1.0}}, False
+            {"metrics": {"ok": True, "inf": float("inf"), "makespan": 1.0}}
         )
         assert flat == {"makespan": 1.0}
 
@@ -138,6 +133,21 @@ class TestCompare:
             {"cache_hit_rate": 0.9}, {"cache_hit_rate": 0.6}, 1.25
         )
         assert any(r["regressed"] for r in rows)
+
+    def test_simulated_seconds_regression_fails_the_gate(self, tmp_path, capsys):
+        """``*_seconds`` run metrics are simulated, hence gated like the
+        makespan: a 3x fault overhead alone makes ``diff`` exit 1."""
+        old = tmp_path / "old.json"
+        rc = main(["export", *QUICK, "--faults", "7:0.3",
+                   "-o", str(tmp_path / "trace.json"), "--run-json", str(old)])
+        assert rc == 0
+        payload = json.loads(old.read_text())
+        payload["metrics"]["fault_overhead_seconds"] *= 3
+        new = tmp_path / "new.json"
+        new.write_text(json.dumps(payload))
+        assert main(["diff", str(old), str(old)]) == 0
+        assert main(["diff", str(old), str(new)]) == 1
+        assert "fault_overhead_seconds" in capsys.readouterr().out
 
     def test_improvement_not_flagged(self):
         rows = compare_metrics({"makespan": 1.3}, {"makespan": 1.0}, 1.25)

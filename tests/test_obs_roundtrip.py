@@ -56,7 +56,7 @@ class TestAnalysisRoundTrip:
 
     def test_nan_metrics_are_skipped_by_the_gate(self):
         flat = flatten_metrics(
-            {"metrics": {"makespan": 1.0, "weird": float("nan")}}, False
+            {"metrics": {"makespan": 1.0, "weird": float("nan")}}
         )
         assert flat == {"makespan": 1.0}
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import AccessMode, DistributionSpec, MTask, Parameter, TaskGraph
 from repro.runtime import RuntimeContext, run_program
+from repro.runtime.executor import GROUP_SIZE
 
 
 def task(name, inp=(), out=(), func=None, dist="replic", elements=4, env=None):
@@ -79,19 +80,20 @@ class TestRunProgram:
 
         g = TaskGraph()
         g.add_task(task("a", out=["y"], func=body, env={"i": 7}))
-        run_program(g, {}, default_group_size=3)
-        assert seen == {"i": 7, "q": 3}
+        run_program(g, {})
+        assert seen == {"i": 7, "q": GROUP_SIZE}
 
     def test_redistribution_accounting(self):
         g = TaskGraph()
-        a = g.add_task(task("a", out=["y"], func=lambda c, v: {"y": np.arange(4.0)}, dist="block"))
-        b = g.add_task(
-            task("b", inp=["y"], out=["z"], func=lambda c, v: {"z": v["y"]}, dist="cyclic")
-        )
+        a = g.add_task(task("a", out=["y"], func=lambda c, v: {"y": np.arange(8.0)},
+                            dist="block", elements=8))
+        b = g.add_task(task("b", inp=["y"], out=["z"], func=lambda c, v: {"z": v["y"]},
+                            dist="cyclic", elements=8))
         g.connect(a, b)
-        res = run_program(g, {}, default_group_size=2)
-        # block(4,2) -> cyclic(4,2): elements 1 and 2 change owner
-        assert res.stats.redistributed_bytes == 2 * 8
+        res = run_program(g, {})
+        # block(8,4) -> cyclic(8,4): only elements 0 and 7 keep their owner
+        assert GROUP_SIZE == 4
+        assert res.stats.redistributed_bytes == 6 * 8
 
     def test_collective_log_aggregation(self):
         def chatty(ctx, values):
