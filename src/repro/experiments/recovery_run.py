@@ -1,7 +1,7 @@
 """Journaled functional solver runs (the ``--checkpoint-dir`` CLI path).
 
-Shared by ``python -m repro.obs`` and ``python -m repro.experiments``:
-one time step of a solver's functional M-task program executes under a
+Behind ``python -m repro.obs ... --checkpoint-dir`` and the two chaos
+scripts: one time step of a solver's functional M-task program executes under a
 write-ahead :class:`~repro.recovery.RunJournal` backed by a
 content-addressed :class:`~repro.recovery.CheckpointStore`.  Killing the
 process mid-step leaves a consistent journal; re-running with

@@ -50,8 +50,6 @@ class ShootoutCell:
     makespan: float = math.inf
     predicted_makespan: float = math.inf
     error: Optional[str] = None
-    #: the full pipeline result (not serialized; registry recording)
-    result: Any = None
 
     @property
     def failed(self) -> bool:
@@ -167,7 +165,6 @@ def _run_cell(name: str, scenario: Scenario) -> ShootoutCell:
             if result.trace is not None
             else cell.predicted_makespan
         )
-        cell.result = result
     except Exception as exc:  # noqa: BLE001 -- crashes are shoot-out losses
         cell.error = f"{type(exc).__name__}: {exc}"
     return cell

@@ -25,7 +25,6 @@ from .gantt import render_layers, render_trace
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, ScheduleAnalysis, analyze
 from .perfetto import (
     execution_trace_events,
-    merged_trace,
     pipeline_trace,
     span_events,
     validate_trace_events,
@@ -64,7 +63,6 @@ __all__ = [
     "span_events",
     "execution_trace_events",
     "pipeline_trace",
-    "merged_trace",
     "write_trace",
     "validate_trace_events",
     "render_trace",

@@ -490,27 +490,6 @@ def _cmd_trend(args) -> int:
 # ----------------------------------------------------------------------
 # calibration / prometheus
 # ----------------------------------------------------------------------
-class _ScaledCost:
-    """Proxy cost evaluator scaling ``tsymb`` by a constant factor.
-
-    The ``calib --distort`` testing aid: an intentionally mispriced
-    model the calibration gate must reject.  Everything except
-    ``tsymb`` passes through to the wrapped evaluator.
-    """
-
-    def __init__(self, inner, factor: float) -> None:
-        self._inner = inner
-        self._factor = float(factor)
-
-    def tsymb(self, task, q: int) -> float:
-        """The wrapped ``Tsymb`` scaled by the distortion factor."""
-        return self._inner.tsymb(task, q) * self._factor
-
-    def __getattr__(self, name: str):
-        """Delegate every other attribute to the wrapped evaluator."""
-        return getattr(self._inner, name)
-
-
 def _cmd_calib(args) -> int:
     from .calibrate import calibrate_spans
 
@@ -519,11 +498,7 @@ def _cmd_calib(args) -> int:
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
     args.checkpoint_dir = None
     spec, result, _ = _run_spec(args)
-    eval_cost = result.cost
-    if args.distort != 1.0:
-        eval_cost = _ScaledCost(eval_cost, args.distort)
-        print(f"cost model distorted by x{args.distort:g} (testing aid)")
-    report = result.calibration(cost=eval_cost)
+    report = result.calibration()
     print(report.report(top=args.top))
     if checkpoint_dir:
         from ..experiments.recovery_run import run_checkpointed_step
@@ -543,7 +518,7 @@ def _cmd_calib(args) -> int:
             obs=wall_obs,
         )
         _, _, body, _ = functional_step(problem, cfg)
-        wall = calibrate_spans(body, eval_cost, wall_obs)
+        wall = calibrate_spans(body, result.cost, wall_obs)
         print()
         print(f"wall-clock calibration ({backend_spec} backend):")
         print(wall.report(top=args.top))
@@ -715,14 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="gate threshold on mean absolute relative error (default 1.0)",
-    )
-    p.add_argument(
-        "--distort",
-        type=float,
-        default=1.0,
-        metavar="FACTOR",
-        help="scale Tsymb by FACTOR before calibrating -- a deliberately "
-        "mispriced model for exercising the gate (default 1.0: honest)",
     )
     p.set_defaults(func=_cmd_calib)
 

@@ -34,7 +34,6 @@ __all__ = [
     "worker_span_events",
     "execution_trace_events",
     "pipeline_trace",
-    "merged_trace",
     "write_trace",
     "validate_trace_events",
 ]
@@ -61,25 +60,23 @@ def _meta(pid: int, name: str, value: str, tid: int = 0) -> Dict[str, Any]:
     }
 
 
-def span_events(
-    obs, *, pid: int = SPAN_PID, process_name: str = "pipeline (wall clock)"
-) -> List[Dict[str, Any]]:
+def span_events(obs) -> List[Dict[str, Any]]:
     """Complete events for every instrumentation span of ``obs``.
 
-    All spans live on one thread of ``pid``; because spans strictly nest
-    in time, the viewer reconstructs the tree from containment.  Span
-    ids and metadata travel in ``args``.  Spans carrying a ``worker``
-    meta key ran concurrently on pool workers -- they would break the
-    single-thread nesting invariant and are rendered separately by
-    :func:`worker_span_events`.
+    All spans live on one thread of the ``pipeline`` process; because
+    spans strictly nest in time, the viewer reconstructs the tree from
+    containment.  Span ids and metadata travel in ``args``.  Spans
+    carrying a ``worker`` meta key ran concurrently on pool workers --
+    they would break the single-thread nesting invariant and are
+    rendered separately by :func:`worker_span_events`.
     """
     spans = [s for s in obs.spans if "worker" not in s.meta]
     if not spans:
         return []
     t0 = min(s.start for s in obs.spans)
     events: List[Dict[str, Any]] = [
-        _meta(pid, "process_name", process_name),
-        _meta(pid, "thread_name", "stages", tid=1),
+        _meta(SPAN_PID, "process_name", "pipeline (wall clock)"),
+        _meta(SPAN_PID, "thread_name", "stages", tid=1),
     ]
     for s in spans:
         args: Dict[str, Any] = {"id": s.sid}
@@ -91,7 +88,7 @@ def span_events(
                 "ph": "X",
                 "name": s.name,
                 "cat": "stage",
-                "pid": pid,
+                "pid": SPAN_PID,
                 "tid": 1,
                 "ts": (s.start - t0) * MICROS,
                 "dur": s.duration * MICROS,
@@ -101,9 +98,7 @@ def span_events(
     return events
 
 
-def worker_span_events(
-    obs, *, pid: int = WORKER_PID, process_name: str = "pool workers (wall clock)"
-) -> List[Dict[str, Any]]:
+def worker_span_events(obs) -> List[Dict[str, Any]]:
     """Complete events for spans executed on pool workers.
 
     The :class:`~repro.runtime.backends.ProcessPoolBackend` re-emits
@@ -119,9 +114,11 @@ def worker_span_events(
         return []
     t0 = min(s.start for s in obs.spans)
     workers = sorted({int(s.meta["worker"]) for s in spans})
-    events: List[Dict[str, Any]] = [_meta(pid, "process_name", process_name)]
+    events: List[Dict[str, Any]] = [
+        _meta(WORKER_PID, "process_name", "pool workers (wall clock)")
+    ]
     for w in workers:
-        events.append(_meta(pid, "thread_name", f"worker {w}", tid=w + 1))
+        events.append(_meta(WORKER_PID, "thread_name", f"worker {w}", tid=w + 1))
     for s in spans:
         args: Dict[str, Any] = {"id": s.sid}
         args.update(s.meta)
@@ -130,7 +127,7 @@ def worker_span_events(
                 "ph": "X",
                 "name": str(s.meta.get("task", s.name)),
                 "cat": "speculation" if s.name == "task_backup" else "worker",
-                "pid": pid,
+                "pid": WORKER_PID,
                 "tid": int(s.meta["worker"]) + 1,
                 "ts": (s.start - t0) * MICROS,
                 "dur": s.duration * MICROS,
@@ -163,7 +160,6 @@ def execution_trace_events(
     trace,
     graph=None,
     *,
-    pid_offset: int = 0,
     flows: bool = True,
 ) -> List[Dict[str, Any]]:
     """Trace-event list for a simulated :class:`ExecutionTrace`.
@@ -185,11 +181,10 @@ def execution_trace_events(
 
     events: List[Dict[str, Any]] = []
     for node in used_nodes:
-        pid = CORE_PID_BASE + node + pid_offset
+        pid = CORE_PID_BASE + node
         events.append(_meta(pid, "process_name", f"node {node}"))
     for core in used_cores:
         pid, tid = tracks[core]
-        pid += pid_offset
         events.append(_meta(pid, "thread_name", f"core {core.label}", tid=tid))
         events.append(
             {
@@ -233,7 +228,6 @@ def execution_trace_events(
             args["primary_finish"] = e.primary_finish
         for c in e.cores:
             pid, tid = tracks[c]
-            pid += pid_offset
             if overhead > 0 and comp_start > start:
                 events.append(
                     {
@@ -292,7 +286,6 @@ def execution_trace_events(
         # speculative backup attempt on its idle cores, threshold to finish
         for c in getattr(e, "backup_cores", ()):
             pid, tid = tracks[c]
-            pid += pid_offset
             backup_start = min(max(0.0, _finite(e.backup_start)), finish)
             events.append(
                 {
@@ -309,20 +302,15 @@ def execution_trace_events(
     for core in sorted(wait_cores):
         pid, tid = tracks[core]
         events.append(
-            _meta(
-                pid + pid_offset,
-                "thread_name",
-                f"core {core.label} (redist wait)",
-                tid=tid + 1,
-            )
+            _meta(pid, "thread_name", f"core {core.label} (redist wait)", tid=tid + 1)
         )
 
     if flows and graph is not None:
-        events.extend(_flow_events(trace, graph, tracks, pid_offset))
+        events.extend(_flow_events(trace, graph, tracks))
     return events
 
 
-def _flow_events(trace, graph, tracks, pid_offset: int) -> List[Dict[str, Any]]:
+def _flow_events(trace, graph, tracks) -> List[Dict[str, Any]]:
     events: List[Dict[str, Any]] = []
     flow_id = 1
     for u, v, _flows in graph.edges():
@@ -335,7 +323,7 @@ def _flow_events(trace, graph, tracks, pid_offset: int) -> List[Dict[str, Any]]:
         events.append(
             {
                 "ph": "s",
-                "pid": pid_u + pid_offset,
+                "pid": pid_u,
                 "tid": tid_u,
                 # bind strictly inside the producer's final slice
                 "ts": max(eu.start, eu.finish - 1e-9) * MICROS,
@@ -346,7 +334,7 @@ def _flow_events(trace, graph, tracks, pid_offset: int) -> List[Dict[str, Any]]:
             {
                 "ph": "f",
                 "bp": "e",
-                "pid": pid_v + pid_offset,
+                "pid": pid_v,
                 "tid": tid_v,
                 "ts": ev.start * MICROS,
                 **common,
@@ -446,42 +434,6 @@ def pipeline_trace(
         "traceEvents": _sorted_events(events),
         "displayTimeUnit": "ms",
         "otherData": other,
-    }
-
-
-def merged_trace(named_results: Sequence[Tuple[str, Any]]) -> Dict[str, Any]:
-    """One document holding several runs, each in its own pid block.
-
-    ``named_results`` is ``[(name, PipelineResult), ...]``; run ``i``'s
-    processes are shifted into the pid block ``i * 1000`` and its
-    process names prefixed with ``name`` so the runs stay side by side
-    in the viewer.
-    """
-    events: List[Dict[str, Any]] = []
-    info: List[Dict[str, Any]] = []
-    for i, (name, result) in enumerate(named_results):
-        offset = i * 1000
-        run_events = span_events(result.obs, pid=SPAN_PID + offset)
-        run_events.extend(worker_span_events(result.obs, pid=WORKER_PID + offset))
-        if result.trace is not None:
-            run_events.extend(
-                execution_trace_events(result.trace, result.graph, pid_offset=offset)
-            )
-        for ev in run_events:
-            if ev["ph"] == "M" and ev["name"] == "process_name":
-                ev["args"]["name"] = f"{name}: {ev['args']['name']}"
-        events.extend(run_events)
-        info.append(
-            {
-                "name": name,
-                "pid_offset": offset,
-                "makespan": result.trace.makespan if result.trace else None,
-            }
-        )
-    return {
-        "traceEvents": _sorted_events(events),
-        "displayTimeUnit": "ms",
-        "otherData": {"exporter": "repro.obs.perfetto", "runs": info},
     }
 
 

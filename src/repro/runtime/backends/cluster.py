@@ -824,6 +824,8 @@ class ClusterBackend(DriverBackend):
                            backend=self.name)
             elif tag == "deadline":
                 obs.count("cluster.dispatch_deadlines")
+            elif tag == "rejected":
+                obs.count("cluster.rejected_joins")
             elif tag == "shipped":
                 _, nbytes, reused = event
                 self._traffic.to_workers += nbytes

@@ -1,12 +1,11 @@
 """Discrete-event simulation of mapped M-task programs."""
 
-from .engine import CoreResource, Simulator
+from .engine import Simulator
 from .executor import SimulationOptions, simulate
 from .trace import ExecutionTrace, TraceEntry
 
 __all__ = [
     "Simulator",
-    "CoreResource",
     "simulate",
     "SimulationOptions",
     "ExecutionTrace",

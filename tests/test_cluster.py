@@ -223,7 +223,14 @@ class TestHeartbeatFailureDetection:
             sock = socket.create_connection((host, port))
             try:
                 send_message(sock, {"type": "hello", "worker": taken, "pid": 0})
-                time.sleep(0.2)
+                obs = backend._run.obs
+                deadline = time.monotonic() + 5.0
+                while not obs.counter("cluster.rejected_joins"):
+                    assert time.monotonic() < deadline, "refused join left no trace"
+                    time.sleep(0.01)
+                    backend._coord.step(0.0)
+                    backend._drain_events()
+                assert obs.counter("cluster.rejected_joins") == 1
                 assert backend._coord.alive_count() == alive
             finally:
                 sock.close()

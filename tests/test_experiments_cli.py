@@ -1,45 +1,8 @@
 """Tests for the ``python -m repro.experiments`` command line."""
 
-import json
-
 import pytest
 
-from repro.experiments.__main__ import ARTEFACTS, REPRESENTATIVE, main
-from repro.obs import validate_trace_events
-
-
-def test_every_artefact_has_a_representative_run():
-    assert set(REPRESENTATIVE) == set(ARTEFACTS)
-
-
-def test_quick_run_writes_valid_trace_event_json(tmp_path, capsys):
-    """``--trace-out`` in ``--quick`` mode produces loadable trace-event
-    JSON (the ISSUE's acceptance check for the experiments CLI)."""
-    out = tmp_path / "trace.json"
-    rc = main(["--quick", "--only", "table1", "--trace-out", str(out)])
-    assert rc == 0
-    doc = json.loads(out.read_text())
-    events = doc["traceEvents"]
-    assert events, "trace must contain events"
-    assert validate_trace_events(events) == []
-    assert doc["displayTimeUnit"] == "ms"
-    # the merged document names the artefact's representative run
-    names = [
-        ev["args"]["name"]
-        for ev in events
-        if ev["ph"] == "M" and ev["name"] == "process_name"
-    ]
-    assert any(n.startswith("table1: ") for n in names)
-    assert "wrote trace-event JSON" in capsys.readouterr().out
-
-
-def test_trace_out_merges_multiple_artefacts(tmp_path, capsys):
-    out = tmp_path / "trace.json"
-    rc = main(["--quick", "--only", "table1", "fig14", "--trace-out", str(out)])
-    assert rc == 0
-    doc = json.loads(out.read_text())
-    runs = doc["otherData"]["runs"]
-    assert [r["name"] for r in runs] == ["table1", "fig14"]
+from repro.experiments.__main__ import main
 
 
 def test_out_directory_written(tmp_path, capsys):

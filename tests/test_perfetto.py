@@ -10,7 +10,6 @@ from repro.core import CollectiveSpec, CostModel, DataFlow, MTask, TaskGraph
 from repro.obs import (
     Instrumentation,
     execution_trace_events,
-    merged_trace,
     pipeline_trace,
     span_events,
     validate_trace_events,
@@ -202,20 +201,6 @@ class TestGolden:
 
 
 class TestMergedAndWritten:
-    def test_merged_trace_separates_pid_blocks(self, result):
-        doc = merged_trace([("a", result), ("b", result)])
-        pids_a = {ev["pid"] for ev in doc["traceEvents"] if ev["pid"] < 1000}
-        pids_b = {ev["pid"] for ev in doc["traceEvents"] if ev["pid"] >= 1000}
-        assert pids_a and pids_b
-        names = [
-            ev["args"]["name"]
-            for ev in doc["traceEvents"]
-            if ev["ph"] == "M" and ev["name"] == "process_name"
-        ]
-        assert any(n.startswith("a: ") for n in names)
-        assert any(n.startswith("b: ") for n in names)
-        assert validate_trace_events(doc["traceEvents"]) == []
-
     def test_write_trace_round_trips(self, tmp_path, document):
         path = write_trace(tmp_path / "trace.json", document)
         parsed = json.loads(path.read_text())

@@ -33,7 +33,7 @@ from repro.mapping import consecutive, place_result
 from repro.ode import MethodConfig, bruss2d, step_graph
 from repro.recovery import SpeculationPolicy
 from repro.scheduling import fixed_group_scheduler
-from repro.sim import CoreResource, SimulationOptions, Simulator, simulate
+from repro.sim import SimulationOptions, Simulator, simulate
 from repro.sim.executor import _Occupancy, _phase_counts
 from repro.sim.trace import ExecutionTrace, TraceEntry
 
@@ -75,14 +75,14 @@ class TestEngine:
         assert sim.now == 2.5
 
     def test_core_resource_booking(self):
-        c = CoreResource()
+        """The oracle's per-core booking rule (``_RefCore``)."""
+        c = _RefCore()
         assert c.earliest_start(0.5) == 0.5
         end = c.book(0.5, 2.0)
         assert end == 2.5
         assert c.earliest_start(1.0) == 2.5
         with pytest.raises(ValueError):
             c.book(1.0, 1.0)  # overlaps the existing booking
-        assert c.busy_time == 2.0
 
 
 @pytest.fixture
@@ -230,10 +230,27 @@ def _overlaps(a, b):
     return a[0] < b[1] - 1e-15 and b[0] < a[1] - 1e-15
 
 
+class _RefCore:
+    """One core as a serially reusable resource: bookings arrive in
+    non-decreasing time order, so one free-from time suffices."""
+
+    def __init__(self):
+        self.free_from = 0.0
+
+    def earliest_start(self, not_before):
+        return max(self.free_from, not_before)
+
+    def book(self, start, duration):
+        if start < self.free_from - 1e-12:
+            raise ValueError(f"core booked at {start} while busy until {self.free_from}")
+        self.free_from = start + duration
+        return self.free_from
+
+
 def _reference_simulate(graph, placement, cost, options=SimulationOptions()):
     """``simulate`` as it was before the array form: every task's NIC load
-    from a loop over all tasks, every dispatch priced, one
-    :class:`CoreResource` per core."""
+    from a loop over all tasks, every dispatch priced, one :class:`_RefCore`
+    per core."""
     machine = cost.platform.machine
     placement.validate(graph)
     intervals = {}
@@ -262,7 +279,7 @@ def _reference_simulate(graph, placement, cost, options=SimulationOptions()):
 def _reference_run_once(graph, placement, cost, loads, peers, options):
     machine = cost.platform.machine
     sim = Simulator()
-    cores = {c: CoreResource() for c in machine.cores()}
+    cores = {c: _RefCore() for c in machine.cores()}
     trace = ExecutionTrace(machine)
     plan = options.faults if options.faults is not None and options.faults.enabled else None
     policy = options.retry
