@@ -2,13 +2,16 @@
 
 Boots the asyncio HTTP server with a process worker pool, optional
 persistent schedule cache (``--cache-dir``) and optional run registry
-(``--registry-dir``), then serves until interrupted.
+(``--registry-dir``), then serves until interrupted (Ctrl-C or
+``SIGTERM``: both stop the server and join the worker pool).
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import os
+import signal
 import sys
 from typing import List, Optional
 
@@ -79,8 +82,15 @@ async def _serve(args: argparse.Namespace) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run the server until Ctrl-C; returns the process exit code."""
+    """Run the server until Ctrl-C or SIGTERM; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    # SIGTERM takes the Ctrl-C path, so that the server stops and the
+    # pool workers are joined instead of left running; a forked worker
+    # gets the default back, so that ``terminate`` of a broken pool kills it
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    os.register_at_fork(
+        after_in_child=lambda: signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    )
     try:
         asyncio.run(_serve(args))
     except KeyboardInterrupt:

@@ -452,7 +452,7 @@ def _platform(request: Dict[str, Any]):
         raise _bad(f"topology: {exc}", code="invalid_topology") from None
 
 
-def _compile(request: Dict[str, Any], platform) -> CompiledProgram:
+def _build_unit(request: Dict[str, Any], platform) -> CompiledProgram:
     from ..obs.registry import program_digest, topology_digest
 
     graph = _program_graph(request)
@@ -476,7 +476,7 @@ def compile_request(request: Dict[str, Any]) -> CompiledProgram:
     Raises :class:`RequestError` for a DSL program that does not parse
     or build.
     """
-    return _compile(request, _platform(request))
+    return _build_unit(request, _platform(request))
 
 
 def request_digests(request: Dict[str, Any]) -> Dict[str, str]:
@@ -587,7 +587,7 @@ def compute_response(
         # topology digest and the cost model both read it
         platform = _platform(request)
         if compiled is None:
-            compiled = _compile(request, platform)
+            compiled = _build_unit(request, platform)
         if request["endpoint"] == "run":
             body, tasks = _compute_run(request, compiled)
             record = None

@@ -13,13 +13,15 @@ canonical JSON straight to the cache key.  Nothing is remembered across
 distinct requests -- the unit lives for one request.  Three
 service-level guarantees live here:
 
-* **backpressure** -- at most ``max_queue`` cold computations are
-  admitted at once; past that the service answers ``429`` with a
-  ``Retry-After`` hint instead of queueing unboundedly;
-* **single-flight** -- concurrent identical requests (same cache key)
-  share one compile and one solver invocation: the first request
-  compiles and computes, the rest await its key and then its response,
-  and are accounted as coalesced hits;
+* **backpressure** -- at most ``max_queue`` cold requests are admitted
+  at once, compiling or computing; past that the service answers
+  ``429`` with a ``Retry-After`` hint instead of queueing unboundedly;
+* **single-flight** -- concurrent identical requests (same canonical
+  request, tenant aside) share one future from admission to response:
+  the first compiles and computes, the rest await its body or its
+  error and are accounted as coalesced hits; if it never finishes
+  (cancelled, or the pool broke) they look again and one of them
+  leads;
 * **per-tenant accounting** -- requests, cache hits/misses, scheduled
   tasks and cumulative solver seconds per tenant, surfaced through the
   :class:`~repro.obs.MetricsRegistry` Prometheus exposition at
@@ -39,7 +41,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from ..obs.registry import MetricsRegistry, RunRecord, RunRegistry
 from . import api
@@ -93,8 +95,8 @@ class ScheduleService:
         thread pool instead -- handy for tests and for platforms
         without ``fork``.
     max_queue:
-        Cold computations admitted concurrently (queued + running)
-        before the service answers ``429 over_capacity``.
+        Cold requests admitted concurrently (compiling, queued or
+        running) before the service answers ``429 over_capacity``.
     registry_dir:
         When given, every computed (non-cached) schedule/simulate
         response appends its :class:`~repro.obs.RunRecord` to the
@@ -121,7 +123,6 @@ class ScheduleService:
         self._inflight: Dict[str, asyncio.Future] = {}
         self._jobs = 0
         self._keys = LRU(KEY_MEMO_ENTRIES)
-        self._compiling: Dict[str, asyncio.Future] = {}
         self.started = time.time()
 
     # ------------------------------------------------------------------
@@ -153,7 +154,7 @@ class ScheduleService:
 
     def _gauges(self) -> None:
         self.registry.gauge(
-            "serve_queue_depth", help="cold computations queued or running"
+            "serve_queue_depth", help="cold requests admitted: compiling or computing"
         ).set(float(self._jobs))
         self.registry.gauge(
             "serve_cache_entries", help="entries in the schedule cache"
@@ -256,35 +257,6 @@ class ScheduleService:
         self._count_request(tenant, endpoint, response.status)
         return response
 
-    async def _compile(
-        self, request: Dict[str, Any], memo_key: str
-    ) -> Tuple[api.CompiledProgram, str]:
-        """Compile a tenant-less request off the loop; returns the unit
-        and its cache key, and remembers the key under ``memo_key``.
-
-        Identical requests arriving meanwhile await ``_compiling[memo_key]``
-        instead of compiling too: the key, this request's error, or
-        ``None`` if this request was cancelled before it had one.
-        """
-        loop = asyncio.get_running_loop()
-        pending = self._compiling[memo_key] = loop.create_future()
-        try:
-            compiled = await loop.run_in_executor(
-                None, api.compile_request, request
-            )
-            key = api.cache_key(request["endpoint"], compiled.digests)
-            self._keys.put(memo_key, key)
-            pending.set_result(key)
-        except Exception as exc:
-            pending.set_exception(exc)
-            pending.exception()  # consumed: avoid the never-retrieved warning
-            raise
-        finally:
-            del self._compiling[memo_key]
-            if not pending.done():
-                pending.set_result(None)  # cancelled mid-compile: waiters look again
-        return compiled, key
-
     async def _schedule_or_serve(self, request: Dict[str, Any]) -> Response:
         endpoint, tenant = request["endpoint"], request["tenant"]
         stripped = self._strip_tenant(request)
@@ -292,73 +264,68 @@ class ScheduleService:
         memo_key = hashlib.sha256(canonical.encode()).hexdigest()
         t0 = time.perf_counter()
 
-        #: the request's compiled unit, when this call compiled it; a
-        #: request whose key was remembered but whose response is gone
-        #: leaves the compiling to the worker
-        compiled = None
-        key = self._keys.get(memo_key)
-        while key is None:
-            pending = self._compiling.get(memo_key)
+        while True:
+            key = self._keys.get(memo_key)
+            cached = None if key is None else self.cache.get(key)
+            if cached is not None:
+                return self._served(tenant, endpoint, t0, cached, key, "hit")
+            pending = self._inflight.get(memo_key)
             if pending is None:
-                compiled, key = await self._compile(stripped, memo_key)
-            else:
-                # an identical request is compiling: take its key (and
-                # then coalesce on its computation); ``None`` says it
-                # was cancelled, so look again
-                key = await asyncio.shield(pending)
-
-        cached = self.cache.get(key)
-        if cached is not None:
-            self._count_cache(tenant, endpoint, hit=True)
-            self._observe_latency(tenant, endpoint, time.perf_counter() - t0)
-            return Response(200, cached, {"X-Cache": "hit", "X-Cache-Key": key})
-
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            body = await asyncio.shield(inflight)
-            self._count_cache(tenant, endpoint, hit=True, coalesced=True)
-            self._observe_latency(tenant, endpoint, time.perf_counter() - t0)
-            return Response(
-                200, body, {"X-Cache": "coalesced", "X-Cache-Key": key}
-            )
+                break
+            # an identical request is compiling or computing: take its
+            # answer or its error; ``None`` says it never finished, so
+            # look again (and lead, if nobody else does)
+            outcome = await asyncio.shield(pending)
+            if outcome is not None:
+                body, key = outcome
+                return self._served(tenant, endpoint, t0, body, key, "coalesced")
 
         if self._jobs >= self.max_queue:
             raise api.RequestError(
                 429, "over_capacity",
-                f"{self._jobs} computations in flight (cap {self.max_queue}); "
+                f"{self._jobs} cold requests in flight (cap {self.max_queue}); "
                 "retry shortly",
             )
 
-        self._count_cache(tenant, endpoint, hit=False)
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
+        self._inflight[memo_key] = future
         self._jobs += 1
         try:
+            #: the request's compiled unit, when this call compiled it; a
+            #: request whose key was remembered but whose response is gone
+            #: leaves the compiling to the worker
+            compiled = None
+            if key is None:
+                compiled = await loop.run_in_executor(
+                    None, api.compile_request, stripped
+                )
+                key = api.cache_key(endpoint, compiled.digests)
+                self._keys.put(memo_key, key)
+                cached = self.cache.get(key)
+                if cached is not None:  # another spelling, or a forgotten key
+                    future.set_result((cached, key))
+                    return self._served(tenant, endpoint, t0, cached, key, "hit")
+            self._count_cache(tenant, endpoint, hit=False)
             pool = self._pool()
             envelope = await loop.run_in_executor(
                 pool, api.compute_response, stripped, compiled
             )
             if "error" in envelope:
-                exc = api.RequestError(
+                raise api.RequestError(
                     int(envelope.get("status", 422)),
                     envelope["error"].get("code", "unschedulable"),
                     envelope["error"].get("message", "computation failed"),
                 )
-                if not future.done():
-                    future.set_exception(exc)
-                    future.exception()  # consumed: avoid the never-retrieved warning
-                raise exc
             body = api.render_body(envelope["body"])
             self.cache.put(key, body)
             self._account_compute(tenant, envelope)
-            if not future.done():
-                future.set_result(body)
-        except api.RequestError:
+            future.set_result((body, key))
+        except api.RequestError as exc:
+            future.set_exception(exc)
+            future.exception()  # consumed: avoid the never-retrieved warning
             raise
-        except Exception as exc:  # worker pool broke, not the request
-            if not future.done():
-                future.cancel()
+        except Exception as exc:  # the pool or the server failed, not the request
             if isinstance(exc, BrokenExecutor) and self._executor is pool:
                 # a dead worker poisons the whole pool (only a submit to
                 # ``pool`` raises this): drop it, so the next cold
@@ -370,9 +337,20 @@ class ScheduleService:
             ) from exc
         finally:
             self._jobs -= 1
-            self._inflight.pop(key, None)
+            del self._inflight[memo_key]
+            if not future.done():
+                future.set_result(None)  # never finished: waiters look again
         self._observe_latency(tenant, endpoint, time.perf_counter() - t0)
         return Response(200, body, {"X-Cache": "miss", "X-Cache-Key": key})
+
+    def _served(
+        self, tenant: str, endpoint: str, t0: float, body: bytes, key: str,
+        source: str,
+    ) -> Response:
+        """A ``hit`` or ``coalesced`` answer, accounted."""
+        self._count_cache(tenant, endpoint, hit=True, coalesced=source == "coalesced")
+        self._observe_latency(tenant, endpoint, time.perf_counter() - t0)
+        return Response(200, body, {"X-Cache": source, "X-Cache-Key": key})
 
     @staticmethod
     def _strip_tenant(request: Dict[str, Any]) -> Dict[str, Any]:

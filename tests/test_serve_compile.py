@@ -212,7 +212,7 @@ class TestColdRequestCompilesOnce:
             while not calls:
                 await asyncio.sleep(0.001)
             await asyncio.sleep(0.01)  # the second is waiting on the first's key
-            assert len(svc._compiling) == 1
+            assert len(svc._inflight) == 1
             gate.set()
             return await asyncio.gather(first, second)
 
@@ -225,7 +225,7 @@ class TestColdRequestCompilesOnce:
         assert first.status == second.status == 200 and first.body == second.body
         assert first.headers["X-Cache"] == "miss"
         assert second.headers["X-Cache"] == "coalesced"
-        assert not svc._compiling and not svc._inflight and svc._jobs == 0
+        assert not svc._inflight and svc._jobs == 0
 
     def test_waiter_compiles_for_itself_when_the_compiling_request_is_cancelled(
         self, monkeypatch
@@ -253,7 +253,7 @@ class TestColdRequestCompilesOnce:
             svc.close()
         assert len(calls) == 2
         assert answered.status == 200 and answered.headers["X-Cache"] == "miss"
-        assert not svc._compiling and not svc._inflight and svc._jobs == 0
+        assert not svc._inflight and svc._jobs == 0
 
     def test_waiters_get_the_compiling_requests_error(self, monkeypatch):
         gate, calls = self.gated_compile(monkeypatch)
@@ -280,7 +280,7 @@ class TestColdRequestCompilesOnce:
         assert len(calls) == 1
         assert first.status == second.status == 400
         assert first.json["error"]["code"] == second.json["error"]["code"] == "parse_error"
-        assert not svc._compiling
+        assert not svc._inflight
 
     def test_failing_pool_construction_is_a_structured_500_and_leaves_no_job(
         self, monkeypatch
@@ -336,7 +336,7 @@ class TestBoundedMemos:
                 assert response.status == 200
                 assert len(svc._keys) <= 64
             assert len(svc._keys) == 64
-            assert not svc._compiling and not svc._inflight
+            assert not svc._inflight
             # evicted from the key memo and from the memory tier of the
             # response cache: compiled again, answered from disk
             again = post(svc, "schedule", dsl_payload(work=1.0))

@@ -206,9 +206,9 @@ class TestExpositionsKeepTheirNames:
                     "POST", "/v1/schedule", json.dumps(payload).encode(), {}
                 )
 
-            service.max_queue = 0  # 429, but the digests are memoised ...
+            service.max_queue = 0  # 429 before compiling: nothing is memoised
             rejected = await post(request)
-            service.max_queue = 16  # ... so these two reach the cache in order
+            service.max_queue = 16  # the first compiles and computes, the second joins it
             miss, coalesced = await asyncio.gather(post(request), post(request))
             hit = await post(dict(request, tenant="bob"))
             invalid = await post({"workload": {"solver": "zz"}})
