@@ -60,7 +60,7 @@ nitpick_ignore_regex = [
     (r"py:class", r"(MTask|TaskGraph|Parameter|RuntimeContext|GroupContext"
                   r"|CollectiveSpec|Instrumentation|SpanRecord|FailureRecord"
                   r"|FaultPlan|RetryPolicy|SpeculationPolicy|SpeculationRecord"
-                  r"|RunJournal|CheckpointStore|Supervisor|ExecutionBackend"
+                  r"|RunJournal|CheckpointStore|ExecutionBackend"
                   r"|RunContext|TaskRequest|TaskOutcome|AttemptEvent"
                   r"|RunResult|RunStats|ndarray"
                   r"|CostModel|Scheduler|SchedulingResult|LayeredSchedule"

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Compare the five parallel ODE solvers numerically and as M-task programs.
 
-Part 1 -- numerics: integrate the 2D Brusselator with every solver and
-check the error against a high-accuracy SciPy reference.
+Part 1 -- numerics: integrate the paper's two test problems, the sparse
+2D Brusselator and the dense Schroedinger-Poisson system, with every
+solver and check the error against a high-accuracy SciPy reference.
 
 Part 2 -- M-task execution: run the *functional* M-task program of the
 extrapolation method through the runtime (real numpy data flowing along
@@ -26,6 +27,7 @@ from repro.ode import (
     integrate_functional,
     reference_solution,
     relative_error,
+    schroed,
     solve_diirk,
     solve_epol,
     solve_irk,
@@ -35,21 +37,21 @@ from repro.ode import (
 
 
 def part1_numerics() -> None:
-    print("=== Part 1: numerical accuracy on BRUSS2D (N=16, t in [0, 0.5]) ===")
-    problem = bruss2d(16)
     t_end, h = 0.5, 0.01
-    ref = reference_solution(problem, t_end, rtol=1e-10)
-    solvers = [
-        ("EPOL  (R=4)", lambda: solve_epol(problem, t_end, h, R=4)),
-        ("IRK   (K=2)", lambda: solve_irk(problem, t_end, h, K=2)),
-        ("DIIRK (K=2)", lambda: solve_diirk(problem, t_end, 2 * h, K=2)),
-        ("PAB   (K=4)", lambda: solve_pab(problem, t_end, h, K=4)),
-        ("PABM  (K=4)", lambda: solve_pabm(problem, t_end, h, K=4, m=2)),
-    ]
-    for name, run in solvers:
-        sol = run()
-        err = relative_error(sol.y, ref)
-        print(f"  {name}: steps={sol.steps:4d}  f-evals={sol.fevals:6d}  rel.err={err:.2e}")
+    for problem in (bruss2d(16), schroed(32)):
+        print(f"=== Part 1: numerical accuracy on {problem.name} (t in [0, 0.5]) ===")
+        ref = reference_solution(problem, t_end, rtol=1e-10)
+        solvers = [
+            ("EPOL  (R=4)", lambda: solve_epol(problem, t_end, h, R=4)),
+            ("IRK   (K=2)", lambda: solve_irk(problem, t_end, h, K=2)),
+            ("DIIRK (K=2)", lambda: solve_diirk(problem, t_end, 2 * h, K=2)),
+            ("PAB   (K=4)", lambda: solve_pab(problem, t_end, h, K=4)),
+            ("PABM  (K=4)", lambda: solve_pabm(problem, t_end, h, K=4, m=2)),
+        ]
+        for name, run in solvers:
+            sol = run()
+            err = relative_error(sol.y, ref)
+            print(f"  {name}: steps={sol.steps:4d}  f-evals={sol.fevals:6d}  rel.err={err:.2e}")
 
 
 def part2_functional() -> None:

@@ -13,8 +13,8 @@ BLANK = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def code_lines(path: Path) -> int:
-    """Number of lines of ``path`` that hold code."""
+def code_line_numbers(path: Path) -> set:
+    """Line numbers of ``path`` that hold code."""
     doc = set()
     for node in ast.walk(ast.parse(path.read_bytes())):
         if isinstance(node, SCOPES) and ast.get_docstring(node, clean=False) is not None:
@@ -24,7 +24,12 @@ def code_lines(path: Path) -> int:
         for tok in tokenize.generate_tokens(fh.readline):
             if tok.type not in BLANK:
                 lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - doc)
+    return lines - doc
+
+
+def code_lines(path: Path) -> int:
+    """Number of lines of ``path`` that hold code."""
+    return len(code_line_numbers(path))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class CoreId(NamedTuple):
     def label(self) -> str:
         """Human-readable ``nid.pid.cid`` label (1-based, as in the paper)."""
         return f"{self.node + 1}.{self.proc + 1}.{self.core + 1}"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.label
 
 
 @dataclass(frozen=True)
@@ -164,20 +161,9 @@ class Machine:
         """Number of cores of ``node`` (all nodes for homogeneous machines)."""
         return sum(self.node_shapes[node])
 
-    def cores_per_proc(self, node: int = 0, proc: int = 0) -> int:
-        """Cores of one processor of one node."""
-        return self.node_shapes[node][proc]
-
-    def procs_per_node(self, node: int = 0) -> int:
-        """Number of processors on one node."""
-        return len(self.node_shapes[node])
-
     def cores(self) -> Tuple[CoreId, ...]:
         """All cores in canonical consecutive order (Fig. 9 sequence)."""
         return self._cores
-
-    def __iter__(self) -> Iterator[CoreId]:
-        return iter(self._cores)
 
     # ------------------------------------------------------------------
     # Dense-index view (array kernels of :mod:`repro.comm`)
@@ -201,25 +187,6 @@ class Machine:
         """Processor id (within its node) of every core, by dense index
         (read-only)."""
         return self._procs
-
-    def __contains__(self, core: CoreId) -> bool:
-        return (
-            0 <= core.node < self.num_nodes
-            and 0 <= core.proc < len(self.node_shapes[core.node])
-            and 0 <= core.core < self.node_shapes[core.node][core.proc]
-        )
-
-    def comm_level(self, a: CoreId, b: CoreId) -> int:
-        """Communication level between two cores (0/1/2, see module docs).
-
-        Level 0 also covers ``a == b`` (a self-message never leaves the
-        processor).
-        """
-        if a.node != b.node:
-            return LEVEL_NETWORK
-        if a.proc != b.proc:
-            return LEVEL_NODE
-        return LEVEL_PROCESSOR
 
     def __str__(self) -> str:
         shape = self.node_shapes[0]

@@ -61,7 +61,7 @@ class HierarchicalNetwork:
     """Three-level interconnect: intra-processor, intra-node, inter-node.
 
     ``levels[i]`` is used for messages at communication level ``i`` as
-    returned by :meth:`repro.cluster.architecture.Machine.comm_level`.
+    returned by :func:`repro.comm.contention.link_levels`.
 
     ``nic_bandwidth`` bounds the aggregate traffic a single node can inject
     into / absorb from the inter-node network at once (bytes/s).  If zero

@@ -41,8 +41,9 @@ NicLoad = Tuple[np.ndarray, np.ndarray]
 
 def link_levels(machine: Machine, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Communication level of every message from core index ``u[k]`` to
-    ``v[k]``, as :meth:`~repro.cluster.architecture.Machine.comm_level`
-    gives it (a self-message is level 0)."""
+    ``v[k]``: :data:`~repro.cluster.architecture.LEVEL_NETWORK` across
+    nodes, ``LEVEL_NODE`` across processors of one node, otherwise
+    ``LEVEL_PROCESSOR`` (a self-message is level 0)."""
     nodes, procs = machine.core_nodes, machine.core_procs
     return np.where(
         nodes[u] != nodes[v],

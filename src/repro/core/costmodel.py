@@ -243,18 +243,6 @@ class CostModel:
         width = min(len(g) for g in groups)
         return [g[:width] for g in groups]
 
-    def time_mapped(
-        self,
-        task: MTask,
-        cores: Sequence[CoreId],
-        load: Optional[NicLoad] = None,
-        peer_groups: Optional[Sequence[Sequence[CoreId]]] = None,
-    ) -> float:
-        """``T(M, q, mp)`` for the concrete placement ``cores``."""
-        return self.tcomp(task, len(cores)) + self.tcomm_mapped(
-            task, cores, load, peer_groups
-        )
-
     # ------------------------------------------------------------------
     # Re-distribution between tasks
     # ------------------------------------------------------------------
@@ -346,17 +334,6 @@ class CacheStats:
         m = self.total_misses
         return self.requests / m if m else float("inf") if self.total_hits else 1.0
 
-    def to_dict(self) -> Dict[str, object]:
-        """Export hit/miss counters per evaluation kind."""
-        return {
-            "hits": dict(self.hits),
-            "misses": dict(self.misses),
-            "batched": dict(self.batched),
-            "requests": self.requests,
-            "hit_rate": self.hit_rate,
-            "evaluation_reduction": self.evaluation_reduction,
-        }
-
 
 class CachedCostEvaluator:
     """Memoizing proxy around a :class:`CostModel`.
@@ -411,12 +388,6 @@ class CachedCostEvaluator:
 
     #: ``CostModel.tcomp`` itself, so its ``Tcomp(M)`` is the memoized one
     tcomp = CostModel.tcomp
-
-    def tcomm_symbolic(self, task: MTask, q: int) -> float:
-        """Memoized symbolic communication term."""
-        return self._memo(
-            ("tcomm_symbolic", task, q), lambda: self.model.tcomm_symbolic(task, q)
-        )
 
     def tsymb(self, task: MTask, q: int) -> float:
         """Memoized symbolic total cost Tsymb(M, q)."""
@@ -487,20 +458,7 @@ class CachedCostEvaluator:
         )
 
     # ------------------------------------------------------------------
-    def clear(self) -> None:
-        """Drop all cached values (counters keep accumulating)."""
-        self._cache.clear()
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
     def __getattr__(self, name: str):
         # everything un-cached (platform, tcomp_mapped, tcomm_mapped,
-        # time_mapped, compute_speed, ...) delegates to the wrapped model
+        # tcomm_symbolic, compute_speed, ...) delegates to the wrapped model
         return getattr(self.model, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CachedCostEvaluator({self.model!r}, entries={len(self._cache)}, "
-            f"hit_rate={self.stats.hit_rate:.2f})"
-        )

@@ -10,8 +10,9 @@ any two scheduled tasks can be computed.
 every task to its successors and one to its predecessors, each edge's
 flow list being the same object on both sides.  On top of them it keeps
 the domain invariants -- acyclicity, unique task names, well-formed data
-flows.  Every pass of the scheduler walks these two maps; networkx is
-only imported by :meth:`TaskGraph.to_networkx`.
+flows.  Every pass of the scheduler walks these two maps; nothing in
+the package imports networkx (the tests check the orders below against
+it).
 
 **Order contract.**  Schedules, fingerprints and cache keys depend on
 the order the graph hands things out, so all of it is fixed:
@@ -229,23 +230,9 @@ class TaskGraph:
     def __iter__(self) -> Iterator[MTask]:
         return iter(self._succ)
 
-    def __contains__(self, task: MTask) -> bool:
-        return task in self._succ
-
-    @property
-    def tasks(self) -> Tuple[MTask, ...]:
-        return tuple(self._succ)
-
     @property
     def num_edges(self) -> int:
         return sum(map(len, self._succ.values()))
-
-    def task(self, name: str) -> MTask:
-        """Look up a task by name."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"no task named {name!r} in graph {self.name!r}") from None
 
     def edges(self) -> Iterator[Tuple[MTask, MTask, List[DataFlow]]]:
         """Iterate over ``(producer, consumer, flows)`` edges: producers
@@ -281,10 +268,6 @@ class TaskGraph:
     def successor_index(self) -> Mapping[MTask, Mapping[MTask, List[DataFlow]]]:
         """The stored successor adjacency, read-only."""
         return MappingProxyType(self._succ)
-
-    def sources(self) -> Tuple[MTask, ...]:
-        """Tasks with no predecessors."""
-        return tuple(t for t, ps in self._pred.items() if not ps)
 
     def sinks(self) -> Tuple[MTask, ...]:
         """Tasks with no successors."""
@@ -323,17 +306,9 @@ class TaskGraph:
                     stack.append(nxt)
         return seen
 
-    def ancestors(self, task: MTask) -> Set[MTask]:
-        """All transitive predecessors of ``task``."""
-        return self._reachable(self._pred, task)
-
     def descendants(self, task: MTask) -> Set[MTask]:
         """All transitive successors of ``task``."""
         return self._reachable(self._succ, task)
-
-    def independent(self, a: MTask, b: MTask) -> bool:
-        """Whether no path connects ``a`` and ``b`` (Section 2.1)."""
-        return a is not b and b not in self.descendants(a) and a not in self.descendants(b)
 
     def critical_path_length(self, time: Dict[MTask, float]) -> float:
         """Length of the critical path under per-task execution times."""
@@ -372,23 +347,6 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
-    def copy(self, name: Optional[str] = None) -> "TaskGraph":
-        """Shallow-copy the graph (tasks are shared, structure is not)."""
-        out = TaskGraph(name or self.name)
-        out._succ, out._pred, out._by_name = self._snapshot()
-        out._topo = self._topo
-        return out
-
-    def to_networkx(self):
-        """The graph as a new :class:`networkx.DiGraph`: tasks as nodes,
-        every edge with its flow list as the ``flows`` attribute."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(self._succ)
-        g.add_edges_from((u, v, {"flows": flows}) for u, v, flows in self.edges())
-        return g
-
     def prune_redundant_edges(self) -> None:
         """Drop every payload-free edge another path implies.
 

@@ -51,14 +51,6 @@ class ScheduledTask:
         if len(set(self.cores)) != len(self.cores):
             raise ValueError(f"task {self.task.name}: duplicate cores")
 
-    @property
-    def duration(self) -> float:
-        return self.finish - self.start
-
-    @property
-    def width(self) -> int:
-        return len(self.cores)
-
 
 class Schedule:
     """Timeline of scheduled tasks over ``nprocs`` symbolic cores."""
@@ -90,24 +82,9 @@ class Schedule:
     def __getitem__(self, task: MTask) -> ScheduledTask:
         return self._by_task[task]
 
-    def __contains__(self, task: MTask) -> bool:
-        return task in self._by_task
-
     @property
     def makespan(self) -> float:
         return max((e.finish for e in self.entries), default=0.0)
-
-    def work_area(self) -> float:
-        """Sum of ``duration * width`` over all tasks (the "area" CPA
-        balances the critical path against)."""
-        return sum(e.duration * e.width for e in self.entries)
-
-    def idle_fraction(self) -> float:
-        """Fraction of the ``P x makespan`` rectangle left idle."""
-        span = self.makespan
-        if span <= 0:
-            return 0.0
-        return 1.0 - self.work_area() / (self.nprocs * span)
 
     # ------------------------------------------------------------------
     def validate(self, graph: Optional[TaskGraph] = None, tol: float = 1e-9) -> None:
@@ -146,9 +123,6 @@ class Schedule:
                     grid[c][x] = ch
         return [f"core {c:3d} |{''.join(row)}|" for c, row in enumerate(grid)]
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Schedule(P={self.nprocs}, tasks={len(self)}, makespan={self.makespan:g})"
-
 
 @dataclass
 class Layer:
@@ -181,13 +155,6 @@ class Layer:
     @property
     def tasks(self) -> List[MTask]:
         return [t for g in self.groups for t in g]
-
-    def group_of(self, task: MTask) -> int:
-        """Index of the group within its layer that runs ``task``."""
-        for l, g in enumerate(self.groups):
-            if task in g:
-                return l
-        raise KeyError(f"task {task.name!r} not in this layer")
 
     def symbolic_ranges(self) -> List[range]:
         """Symbolic-core index range of each group (groups are laid out
@@ -264,10 +231,6 @@ class Placement:
         except KeyError:
             raise KeyError(f"task {task.name!r} has no placement") from None
 
-    def width(self, task: MTask) -> int:
-        """Number of cores assigned to ``task``."""
-        return len(self.cores_of(task))
-
     def validate(self, graph: TaskGraph) -> None:
         """Check the mapping covers the graph consistently."""
         # tasks of one group share their core tuple; each distinct tuple
@@ -284,9 +247,6 @@ class Placement:
                     f"task {t.name!r} mapped to {len(cores)} cores, outside "
                     f"[{t.min_procs}, {t.max_procs}]"
                 )
-
-    def __len__(self) -> int:
-        return len(self.task_cores)
 
 
 # ----------------------------------------------------------------------

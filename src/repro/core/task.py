@@ -27,7 +27,6 @@ from ..distribution import (
     Distribution1D,
     Replicated,
     block,
-    cyclic,
 )
 
 __all__ = [
@@ -94,7 +93,7 @@ class DistributionSpec:
         if self.kind == "block":
             return block(elements, nprocs)
         if self.kind == "cyclic":
-            return cyclic(elements, nprocs)
+            return BlockCyclic(elements, nprocs, 1)
         return BlockCyclic(elements, nprocs, int(self.block_size))  # blockcyclic
 
 
@@ -117,10 +116,6 @@ class Parameter:
             raise ValueError("elements must be non-negative")
         if self.itemsize <= 0:
             raise ValueError("itemsize must be positive")
-
-    @property
-    def nbytes(self) -> int:
-        return self.elements * self.itemsize
 
 
 #: Scopes of a task's collective operations (the three communication
@@ -243,6 +238,3 @@ class MTask:
                 f"task {self.name!r} needs at least {self.min_procs} cores, got {q}"
             )
         return q if self.max_procs is None else min(q, self.max_procs)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MTask({self.name!r}, work={self.work:g})"

@@ -6,7 +6,6 @@ from .distribution import (
     Distribution1D,
     Replicated,
     block,
-    cyclic,
     transfer_counts,
 )
 
@@ -14,7 +13,6 @@ __all__ = [
     "Distribution1D",
     "BlockCyclic",
     "block",
-    "cyclic",
     "Replicated",
     "transfer_counts",
 ]

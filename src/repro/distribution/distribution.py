@@ -28,7 +28,6 @@ __all__ = [
     "Distribution1D",
     "BlockCyclic",
     "block",
-    "cyclic",
     "Replicated",
     "transfer_counts",
 ]
@@ -44,21 +43,6 @@ class Distribution1D:
     @property
     def is_replicated(self) -> bool:
         return False
-
-    def owners(self) -> np.ndarray:
-        """``owners()[i]`` is the rank owning global element ``i``.
-
-        Undefined for replicated distributions (every rank owns all).
-        """
-        raise NotImplementedError
-
-    def local_indices(self, rank: int) -> np.ndarray:
-        """Global indices owned by ``rank``, in increasing order."""
-        raise NotImplementedError
-
-    def local_size(self, rank: int) -> int:
-        """Number of elements owned by ``rank``."""
-        return len(self.local_indices(rank))
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.nprocs:
@@ -82,16 +66,6 @@ class BlockCyclic(Distribution1D):
         if self.block_size <= 0:
             raise ValueError("block_size must be positive")
 
-    def owners(self) -> np.ndarray:
-        """Owning rank of every global index."""
-        return (np.arange(self.size) // self.block_size) % self.nprocs
-
-    def local_indices(self, rank: int) -> np.ndarray:
-        """Global indices owned by ``rank``."""
-        self._check_rank(rank)
-        idx = np.arange(self.size)
-        return idx[(idx // self.block_size) % self.nprocs == rank]
-
     def local_size(self, rank: int) -> int:
         """Number of elements owned by ``rank`` (closed form)."""
         self._check_rank(rank)
@@ -106,11 +80,6 @@ class BlockCyclic(Distribution1D):
 def block(size: int, nprocs: int) -> BlockCyclic:
     """Plain block distribution (one contiguous chunk per rank)."""
     return BlockCyclic(size, nprocs, max(1, ceil(size / nprocs)))
-
-
-def cyclic(size: int, nprocs: int) -> BlockCyclic:
-    """Cyclic distribution (element ``i`` on rank ``i mod p``)."""
-    return BlockCyclic(size, nprocs, 1)
 
 
 @dataclass(frozen=True)
@@ -130,20 +99,6 @@ class Replicated(Distribution1D):
     @property
     def is_replicated(self) -> bool:
         return True
-
-    def owners(self) -> np.ndarray:
-        """Replicated data has no unique owner; raises ``TypeError``."""
-        raise TypeError("a replicated distribution has no unique owners")
-
-    def local_indices(self, rank: int) -> np.ndarray:
-        """Every rank holds all indices."""
-        self._check_rank(rank)
-        return np.arange(self.size)
-
-    def local_size(self, rank: int) -> int:
-        """Every rank holds all elements."""
-        self._check_rank(rank)
-        return self.size
 
 
 def transfer_counts(src: Distribution1D, dst: Distribution1D) -> np.ndarray:

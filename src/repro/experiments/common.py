@@ -41,10 +41,6 @@ class Series:
     label: str
     y: List[float]
 
-    def min_index(self) -> int:
-        """Index of the smallest y value."""
-        return min(range(len(self.y)), key=self.y.__getitem__)
-
 
 @dataclass
 class ExperimentResult:
@@ -72,20 +68,6 @@ class ExperimentResult:
         raise KeyError(
             f"no series {label!r}; have {[s.label for s in self.series]}"
         )
-
-    def best_label_at(self, xi: int, higher_is_better: bool = False) -> str:
-        """Label of the best series at x index ``xi`` (lowest y for time
-        figures, highest for speedup/rate figures)."""
-        pick = max if higher_is_better else min
-        return pick(self.series, key=lambda s: s.y[xi]).label
-
-    def to_csv(self) -> str:
-        """The figure as CSV: one row per x value, one column per series."""
-        header = [self.xlabel] + [s.label for s in self.series]
-        rows = [",".join(header)]
-        for i, xv in enumerate(self.x):
-            rows.append(",".join([str(xv)] + [repr(s.y[i]) for s in self.series]))
-        return "\n".join(rows) + "\n"
 
     def table_str(self, value_format: str = "{:11.4g}") -> str:
         """Render all series as an aligned text table."""

@@ -32,9 +32,7 @@ from .common import ExperimentResult, paper_scheduler, sequential_step_time
 
 __all__ = ["SCHEDULERS", "make_scheduler", "schedule_and_simulate", "run_pabm_speedups", "run_epol_times", "run_fig13"]
 
-#: the four scheduling decisions the paper compares; ``"MCPA"`` (the
-#: allocation-bounded CPA variant of reference [4]) is additionally
-#: accepted by :func:`schedule_and_simulate` as an extension
+#: the four scheduling decisions the paper compares
 SCHEDULERS = ("task parallel", "CPA", "CPR", "data parallel")
 
 #: legend -> key of :data:`repro.scheduling.SCHEDULERS`; ``tp`` and
@@ -42,7 +40,6 @@ SCHEDULERS = ("task parallel", "CPA", "CPR", "data parallel")
 LEGEND = {
     "task parallel": "tp",
     "CPA": "cpa",
-    "MCPA": "mcpa",
     "CPR": "cpr",
     "data parallel": "dp",
 }
@@ -51,7 +48,7 @@ LEGEND = {
 def make_scheduler(name: str, cost: CostModel, cfg: MethodConfig) -> Scheduler:
     """Scheduler instance behind one of Fig. 13's scheduling decisions.
 
-    CPA/CPR/MCPA do not handle linear chains themselves; the pipeline's
+    CPA/CPR do not handle linear chains themselves; the pipeline's
     contraction stage hands them the chain-contracted step graph, which
     keeps the comparison about allocation policy, not chain handling.
     """

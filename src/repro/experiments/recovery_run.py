@@ -20,7 +20,7 @@ from ..faults.retry import RetryPolicy
 from ..ode.integrate import functional_step
 from ..ode.problems import ODEProblem
 from ..ode.programs import MethodConfig
-from ..recovery import CheckpointStore, RunJournal, SpeculationPolicy, Supervisor
+from ..recovery import CheckpointStore, RunJournal, SpeculationPolicy
 from ..runtime.executor import RunResult, run_program
 
 __all__ = ["run_checkpointed_step", "recovery_line"]
@@ -32,7 +32,6 @@ def run_checkpointed_step(
     checkpoint_dir,
     resume: bool = False,
     speculation: Optional[SpeculationPolicy] = None,
-    supervisor: Optional[Supervisor] = None,
     faults: Optional[FaultPlan] = None,
     retry: Optional[RetryPolicy] = None,
     crash_after: Optional[int] = None,
@@ -66,7 +65,6 @@ def run_checkpointed_step(
         journal=journal,
         resume=resume,
         speculation=speculation,
-        supervisor=supervisor,
         faults=faults,
         retry=retry,
         backend=backend,
@@ -81,8 +79,6 @@ def run_checkpointed_step(
     }
     if backend is not None:
         summary["backend"] = backend.name
-    if run.stats.cancel_reason:
-        summary["cancelled"] = run.stats.cancel_reason
     return run, summary
 
 
@@ -98,6 +94,4 @@ def recovery_line(summary: Dict[str, Any]) -> str:
             f", speculation {summary['speculation_wins']} win(s) / "
             f"{summary['speculation_losses']} loss(es)"
         )
-    if summary.get("cancelled"):
-        line += f", cancelled: {summary['cancelled']}"
     return line

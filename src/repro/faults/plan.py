@@ -95,11 +95,6 @@ class FaultPlan:
                 raise ValueError(f"task {name!r}: slowdown factor must be >= 1.0")
 
     # ------------------------------------------------------------------
-    @classmethod
-    def none(cls) -> "FaultPlan":
-        """A plan that injects nothing (the explicit 'disabled' value)."""
-        return cls()
-
     @property
     def enabled(self) -> bool:
         return bool(

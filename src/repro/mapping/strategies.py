@@ -46,9 +46,6 @@ class MappingStrategy:
             )
         return seq
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
 
 def _consecutive_seq(machine: Machine) -> Tuple[CoreId, ...]:
     return machine.cores()

@@ -27,7 +27,6 @@ from .perfetto import (
     execution_trace_events,
     pipeline_trace,
     span_events,
-    validate_trace_events,
     write_trace,
 )
 from .registry import (
@@ -64,7 +63,6 @@ __all__ = [
     "execution_trace_events",
     "pipeline_trace",
     "write_trace",
-    "validate_trace_events",
     "render_trace",
     "render_layers",
 ]

@@ -9,25 +9,23 @@ collects three kinds of observations:
   (``obs.gauge`` / ``obs.publish``) and histograms (``obs.observe``),
   each optionally labelled.  Their values live in one
   :class:`~repro.obs.metrics.MetricsRegistry` (``obs.registry``); the
-  methods here are a front for it and ``obs.counters`` / ``obs.gauges``
-  / ``obs.histograms`` are flat read-only views of it;
+  methods here are a front for it and ``obs.counters`` is a flat
+  read-only view of its counters;
 * **records** -- structured per-event dictionaries, e.g. one record per
   scheduled layer with the chosen group count.
 
 Everything is in-memory, dependency-free and cheap enough to stay
-enabled by default; :meth:`Instrumentation.to_json` exports a run for
-offline analysis and the benchmark harness.
+enabled by default.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from .metrics import Gauge, Histogram, MetricsRegistry, child_key, flat_view
+from .metrics import Gauge, MetricsRegistry, child_key, flat_view
 
 __all__ = ["SpanRecord", "Instrumentation"]
 
@@ -49,29 +47,13 @@ class SpanRecord:
     sid: int = 0
     parent_id: Optional[int] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Export the span as a JSON-serialisable dict."""
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "id": self.sid,
-            "start": self.start,
-            "duration": self.duration,
-        }
-        if self.parent_id is not None:
-            out["parent_id"] = self.parent_id
-        if self.meta:
-            out["meta"] = dict(self.meta)
-        return out
-
 
 class Instrumentation:
     """Collector for spans, counters and structured records.
 
     The default clock is :func:`time.perf_counter` -- a *monotonic*
     clock, so span durations never go negative under NTP adjustments;
-    tests inject a fake clock for deterministic durations.  The epoch
-    origin sampled at construction (:attr:`epoch`, :meth:`epoch_of`)
-    maps clock timestamps back to wall-clock time for trace alignment.
+    tests inject a fake clock for deterministic durations.
 
     Counter, gauge and histogram values live in ``obs.registry``, one
     labelled :class:`~repro.obs.metrics.MetricsRegistry` per run; every
@@ -85,10 +67,6 @@ class Instrumentation:
         self._clock = clock
         #: the run's metric store -- the only place a value lives
         self.registry = MetricsRegistry()
-        #: ``(epoch seconds, clock seconds)`` sampled together at
-        #: construction: wall time of any span is
-        #: ``epoch[0] + (span.start - epoch[1])``
-        self.epoch: tuple = (time.time(), self._clock())
         self.spans: List[SpanRecord] = []
         self.records: List[Dict[str, Any]] = []
         self._stack: List[SpanRecord] = []
@@ -97,10 +75,6 @@ class Instrumentation:
     def now(self) -> float:
         """Current time on this instrumentation's clock (span frame)."""
         return self._clock()
-
-    def epoch_of(self, clock_time: float) -> float:
-        """Wall-clock epoch seconds of a clock timestamp (trace alignment)."""
-        return self.epoch[0] + (clock_time - self.epoch[1])
 
     # ------------------------------------------------------------------
     # spans
@@ -147,14 +121,6 @@ class Instrumentation:
         self.spans.append(rec)
         return rec
 
-    def span_seconds(self, name: str) -> float:
-        """Total duration of all spans with ``name``."""
-        return sum(s.duration for s in self.spans if s.name == name)
-
-    def span_names(self) -> List[str]:
-        """Names of the recorded spans, in completion-start order."""
-        return [s.name for s in self.spans]
-
     # ------------------------------------------------------------------
     # counters
     # ------------------------------------------------------------------
@@ -186,10 +152,6 @@ class Instrumentation:
         child = None if labels else self.registry.histograms.get(name)
         (child or self.registry.histogram(name, **labels)).observe(value)
 
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        """The histogram ``name`` (an empty one when never observed)."""
-        return self.registry.histograms.get(child_key(name, labels), Histogram(name))
-
     def gauge(self, name: str, value: Optional[float] = None, **labels: Any) -> Gauge:
         """Get (and with ``value`` set) the gauge ``name``."""
         gauge = self.registry.gauge(name, **labels)
@@ -200,16 +162,6 @@ class Instrumentation:
     def publish(self, name: str, value: float, **labels: Any) -> None:
         """Publish a live heartbeat gauge (:meth:`gauge` with a value)."""
         self.gauge(name, value, **labels)
-
-    @property
-    def histograms(self) -> Dict[str, Histogram]:
-        """Every histogram by flat name (``name{k=v,...}`` if labelled)."""
-        return flat_view(self.registry.histograms)
-
-    @property
-    def gauges(self) -> Dict[str, Gauge]:
-        """Every gauge by flat name (``name{k=v,...}`` if labelled)."""
-        return flat_view(self.registry.gauges)
 
     # ------------------------------------------------------------------
     # structured records
@@ -223,32 +175,3 @@ class Instrumentation:
     def records_of(self, kind: str) -> List[Dict[str, Any]]:
         """All structured records of one kind."""
         return [r for r in self.records if r.get("kind") == kind]
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Export all spans, counters, and records as a dict."""
-        out: Dict[str, Any] = {
-            "spans": [s.to_dict() for s in self.spans],
-            "counters": self.counters,
-            "records": [dict(r) for r in self.records],
-            "epoch_origin": {
-                "epoch_seconds": self.epoch[0],
-                "clock_seconds": self.epoch[1],
-            },
-        }
-        for section, view in (("histograms", self.histograms), ("gauges", self.gauges)):
-            if view:
-                out[section] = {k: metric.to_dict() for k, metric in view.items()}
-        return out
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Export :meth:`to_dict` as a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent, default=str)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Instrumentation(spans={len(self.spans)}, "
-            f"counters={len(self.registry.counters)}, records={len(self.records)})"
-        )

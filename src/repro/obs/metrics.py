@@ -72,8 +72,6 @@ class Counter:
             raise ValueError("counters only go up; use a gauge instead")
         self.value += amount
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Counter({self.name!r}, {self.value:g})"
 
 
 class Gauge:
@@ -87,12 +85,6 @@ class Gauge:
         """Overwrite the gauge with a new value."""
         self.value = float(value)
 
-    def to_dict(self) -> Dict[str, float]:
-        """Export the current value."""
-        return {"value": self.value}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Gauge({self.name!r}, {self.value:g})"
 
 
 class Histogram:
@@ -208,11 +200,6 @@ class Histogram:
             "p99": self.p99,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Histogram({self.name!r}, n={self.count}, mean={self.mean:g}, "
-            f"p50={self.p50:g}, p99={self.p99:g})"
-        )
 
 
 # ----------------------------------------------------------------------

@@ -277,9 +277,6 @@ class RunRegistry:
         """All stored records as dicts, oldest first (torn tail dropped)."""
         return read_log(self.path)[0]
 
-    def __len__(self) -> int:
-        return len(self.load())
-
     def history(
         self, key: Optional[str] = None, last: Optional[int] = None
     ) -> List[Dict[str, Any]]:

@@ -7,7 +7,7 @@ from .diirk import diirk_step, solve_diirk
 from .epol import extrapolation_step, solve_epol
 from .integrate import FunctionalIntegration, functional_step, integrate_functional
 from .irk import irk_step, solve_irk
-from .problems import ODEProblem, bruss2d, linear_test_problem, schroed
+from .problems import ODEProblem, bruss2d, schroed
 from .programs import (
     ODE_METHODS,
     PAPER_CONFIGS,
@@ -28,7 +28,6 @@ __all__ = [
     "ODEProblem",
     "bruss2d",
     "schroed",
-    "linear_test_problem",
     "ODESolution",
     "integrate_fixed",
     "explicit_rk_step",

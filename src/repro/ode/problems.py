@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["ODEProblem", "bruss2d", "schroed", "linear_test_problem"]
+__all__ = ["ODEProblem", "bruss2d", "schroed"]
 
 
 @dataclass(frozen=True)
@@ -177,30 +177,3 @@ def schroed(n: int = 128, coupling: float = 0.05, seed: int = 0) -> ODEProblem:
         kind="dense",
     )
 
-
-# ----------------------------------------------------------------------
-# Analytic test problem for convergence studies
-# ----------------------------------------------------------------------
-def linear_test_problem(n: int = 4, rate: float = -1.0) -> ODEProblem:
-    """``y' = L y`` with known solution ``exp(L t) y0``; used by the
-    convergence-order tests of the solvers."""
-    decay = rate * np.arange(1, n + 1, dtype=float) / n
-
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        return decay * y
-
-    def jac(t: float, y: np.ndarray) -> np.ndarray:
-        return np.diag(decay)
-
-    y0 = np.ones(n)
-    prob = ODEProblem(
-        name=f"linear(n={n})",
-        n=n,
-        f=f,
-        initial_state=lambda: y0,
-        jac=jac,
-        eval_flops=2.0 * n,
-        kind="sparse",
-    )
-    object.__setattr__(prob, "exact", lambda t: np.exp(decay * t) * y0)  # type: ignore[attr-defined]
-    return prob

@@ -14,7 +14,7 @@ symbolic cost probes across all stages and one
 :class:`~repro.obs.Instrumentation` collecting per-stage spans, counters
 and records.  The pipeline works with every
 :class:`~repro.scheduling.base.Scheduler`: the layer-based algorithm,
-the CPA/CPR/MCPA baselines (chains are contracted in the pipeline's own
+the CPA/CPR baselines (chains are contracted in the pipeline's own
 contraction stage, since those algorithms do not handle chains) and the
 dynamic scheduler (whose dispatch already yields the final trace).
 """
@@ -48,7 +48,7 @@ class SchedulingPipeline:
         Any :class:`~repro.scheduling.base.Scheduler`; its ``cost`` model
         is wrapped once in a
         :class:`~repro.core.costmodel.CachedCostEvaluator`.  Schedulers
-        without ``handles_contraction`` (CPA/CPR/MCPA) get the
+        without ``handles_contraction`` (CPA/CPR) get the
         chain-contracted graph; every schedule and placement is
         validated after the mapping stage.
     strategy:
@@ -81,11 +81,6 @@ class SchedulingPipeline:
             self.scheduler.cost = CachedCostEvaluator(self.scheduler.cost)
 
     # ------------------------------------------------------------------
-    @property
-    def cost(self) -> CachedCostEvaluator:
-        """The cached cost evaluator all stages share."""
-        return self.scheduler.cost
-
     @property
     def platform(self):
         return self.scheduler.cost.platform

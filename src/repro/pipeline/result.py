@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -133,23 +132,3 @@ class PipelineResult:
                 f"{self.cache.evaluation_reduction:.2f}x fewer evaluations"
             )
         return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly export of diagnostics (not the artefacts)."""
-        return {
-            "scheduler": self.scheduling.scheduler,
-            "kind": self.scheduling.kind,
-            "nprocs": self.scheduling.nprocs,
-            "tasks": len(self.graph),
-            "predicted_makespan": self.predicted_makespan,
-            "simulated_makespan": self.trace.makespan if self.trace else None,
-            "stage_seconds": self.stage_seconds(),
-            "scheduling_stats": dict(self.scheduling.stats),
-            "cache": self.cache.to_dict(),
-            "obs": self.obs.to_dict(),
-            "meta": dict(self.meta),
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Export :meth:`to_dict` as a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent, default=str)

@@ -1,6 +1,6 @@
 """Crash-consistent checkpoint/resume and speculative straggler mitigation.
 
-Four pillars:
+Three pillars:
 
 * :class:`RunJournal` -- append-only, fsync'd JSONL write-ahead log of
   task completions (tolerates a torn final record on reload) backed by a
@@ -11,9 +11,7 @@ Four pillars:
   ``(task, attempt)``);
 * :class:`SpeculationPolicy` / :class:`SpeculationRecord` -- backup
   attempts for suspected stragglers, first finisher wins, in both the
-  simulator and the functional runtime;
-* :class:`Supervisor` -- wall-clock deadline / task budget with graceful
-  cancellation into structured partial run results.
+  simulator and the functional runtime.
 
 The two durable-file rules the journal and the store rest on -- the
 append-only log with its torn-tail repair and the atomic publish of a
@@ -24,7 +22,6 @@ registry and the schedule cache use the same module.
 from .checkpoint import CheckpointStore, array_digest, json_digest
 from .journal import JournalError, JournalMismatch, JournalState, RunJournal
 from .speculation import SpeculationPolicy, SpeculationRecord, parse_speculation_spec
-from .supervisor import Supervisor
 
 __all__ = [
     "CheckpointStore",
@@ -37,5 +34,4 @@ __all__ = [
     "SpeculationPolicy",
     "SpeculationRecord",
     "parse_speculation_spec",
-    "Supervisor",
 ]

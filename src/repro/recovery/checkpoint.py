@@ -63,9 +63,6 @@ class CheckpointStore:
     def _path(self, digest: str) -> Path:
         return self.root / f"{digest}.npy"
 
-    def __contains__(self, digest: str) -> bool:
-        return self._path(digest).exists()
-
     def put(self, arr: np.ndarray) -> Tuple[str, int]:
         """Store ``arr``; returns ``(digest, nbytes)``.
 
@@ -93,8 +90,3 @@ class CheckpointStore:
                 "its digest"
             )
         return arr
-
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*.npy"))

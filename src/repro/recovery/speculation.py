@@ -13,7 +13,7 @@ Whichever attempt finishes first wins; the loser is cancelled.  In the
 simulator the backup occupies idle cores and is charged as time; in the
 functional runtime both attempts compute the same (deterministic)
 outputs, so speculation never changes results -- only the accounted
-schedule.  A disabled policy (``SpeculationPolicy.off()``) and a policy
+schedule.  A disabled policy (``SpeculationPolicy(enabled=False)``) and a policy
 that never fires leave every execution bit-identical.
 """
 
@@ -56,7 +56,7 @@ class SpeculationPolicy:
         Never speculate below this threshold (guards tiny tasks whose
         backup would cost more than it saves).
     enabled:
-        Master switch; ``SpeculationPolicy.off()`` is the explicit
+        Master switch; ``SpeculationPolicy(enabled=False)`` is the explicit
         disabled value.
     """
 
@@ -75,11 +75,6 @@ class SpeculationPolicy:
             raise ValueError("min_samples must be >= 1")
         if self.min_seconds < 0:
             raise ValueError("min_seconds must be >= 0")
-
-    @classmethod
-    def off(cls) -> "SpeculationPolicy":
-        """The explicit 'no speculation' value."""
-        return cls(enabled=False)
 
     # ------------------------------------------------------------------
     def threshold(

@@ -69,9 +69,6 @@ class ArrayLedger:
     def __init__(self) -> None:
         self._entries: Dict[int, Tuple[np.ndarray, bool, Any]] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, arr: np.ndarray) -> Optional[Any]:
         """The handle ``arr`` was added under, or ``None``."""
         entry = self._entries.get(id(arr))

@@ -636,11 +636,6 @@ class ClusterBackend(DriverBackend):
 
     # ------------------------------------------------------------------
     @property
-    def worker_pids(self) -> Dict[int, int]:
-        """Live mapping of worker id to process id (forked workers only)."""
-        return {wid: p.pid for wid, p in self._procs.items() if p.is_alive()}
-
-    @property
     def coordinator_address(self) -> Optional[Tuple[str, int]]:
         """``(host, port)`` external workers can join, once open."""
         if self._coord is None or self._coord.port is None:

@@ -4,16 +4,11 @@ Every task body runs in-process, one at a time, in topological order,
 through the same attempt engine the worker backends use
 (:mod:`repro.runtime.backends.attempts`) -- timed on the
 instrumentation's own clock, with backoff delays *accounted* rather
-than slept unless a ``sleep`` callable is given.  Two things stay
-deliberately the serial backend's own instead of going through the
-shared batch driver:
-
-* the loop commits each task before preparing the next, so a
-  :class:`~repro.recovery.Supervisor` budget is re-evaluated after
-  every single completion;
-* a speculation "race" is resolved analytically, not concurrently --
-  the backup launches at the threshold and its effective finish is
-  ``threshold + duration``.
+than slept unless a ``sleep`` callable is given.  It does not go
+through the shared batch driver: the loop commits each task before
+preparing the next, and a speculation "race" is resolved analytically,
+not concurrently -- the backup launches at the threshold and its
+effective finish is ``threshold + duration``.
 """
 
 from __future__ import annotations

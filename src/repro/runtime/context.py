@@ -56,10 +56,6 @@ class RuntimeContext:
         """Record a broadcast over the group."""
         self.record("bcast", total_elements, itemsize)
 
-    def allreduce(self, total_elements: float, itemsize: int = 8) -> None:
-        """Record an allreduce over the group."""
-        self.record("allreduce", total_elements, itemsize)
-
     def counts_by_op(self) -> Dict[str, int]:
         """Number of recorded collectives per operation name."""
         out: Dict[str, int] = {}

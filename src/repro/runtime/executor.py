@@ -44,10 +44,7 @@ mutation of input arrays) -- the same assumption the simulator makes.
 
 A :class:`~repro.recovery.SpeculationPolicy` races a backup attempt
 against any attempt whose effective duration exceeds the policy's
-threshold ("first finisher wins"); a
-:class:`~repro.recovery.Supervisor` enforces a wall-clock deadline or
-task budget, cancelling the remaining tasks gracefully into a
-structured partial :class:`RunResult`.
+threshold ("first finisher wins").
 """
 
 from __future__ import annotations
@@ -67,7 +64,6 @@ from ..obs import Instrumentation
 from ..recovery.checkpoint import array_digest
 from ..recovery.journal import JournalError, JournalMismatch, RunJournal
 from ..recovery.speculation import SpeculationPolicy, SpeculationRecord
-from ..recovery.supervisor import Supervisor
 from .backends.base import (
     ExecutionBackend,
     RunContext,
@@ -107,8 +103,6 @@ class RunStats:
     checkpoint_bytes: int = 0
     #: tasks whose slow attempt raced a speculative backup
     speculations: List[SpeculationRecord] = field(default_factory=list)
-    #: the supervisor's cancellation reason (``None`` = ran to the end)
-    cancel_reason: Optional[str] = None
 
     def collective_counts(self) -> Dict[str, int]:
         """Total recorded collectives per operation, over all groups."""
@@ -139,11 +133,6 @@ class RunResult:
     def degraded(self) -> bool:
         """True when at least one task gave up or was skipped."""
         return any(f.action in ("gave_up", "skipped") for f in self.stats.failures)
-
-    @property
-    def partial(self) -> bool:
-        """True when the supervisor cancelled the run before the end."""
-        return self.stats.cancel_reason is not None
 
 
 def _replay_events(
@@ -222,7 +211,6 @@ def run_program(
     journal: Optional[RunJournal] = None,
     resume: bool = False,
     speculation: Optional[SpeculationPolicy] = None,
-    supervisor: Optional[Supervisor] = None,
     backend: Optional[ExecutionBackend] = None,
 ) -> RunResult:
     """Execute an M-task graph functionally.
@@ -243,7 +231,7 @@ def run_program(
     faults:
         Optional :class:`~repro.faults.FaultPlan` injecting deterministic
         task failures and straggler factors.  A disabled plan
-        (``FaultPlan.none()``) leaves the execution bit-identical to
+        (``FaultPlan()``) leaves the execution bit-identical to
         running without one.
     retry:
         Optional :class:`~repro.faults.RetryPolicy`: per-attempt timeout
@@ -273,11 +261,6 @@ def run_program(
         whose effective duration exceeds the policy's threshold race a
         backup attempt; the first finisher wins (accounting only --
         variables are identical for pure bodies).
-    supervisor:
-        Optional :class:`~repro.recovery.Supervisor`: when its deadline
-        or task budget is exceeded the remaining tasks are cancelled
-        gracefully into ``"cancelled"`` failure records and a partial
-        result (``RunResult.partial``) is returned.
     backend:
         Optional :class:`~repro.runtime.backends.ExecutionBackend`
         deciding *how* ready task bodies run.  ``None`` (the default)
@@ -287,10 +270,9 @@ def run_program(
         :class:`~repro.runtime.backends.ProcessPoolBackend` runs each
         batch of independent tasks concurrently on forked workers while
         committing results in the same order, so variables, journals and
-        failure records stay identical.  Two documented semantic
-        differences on the pool: a supervisor's budget is checked when a
-        batch is *prepared* (not between every completion), and
-        speculation backups become genuinely concurrent races.
+        failure records stay identical.  One documented semantic
+        difference on the pool: speculation backups become genuinely
+        concurrent races.
     """
     if on_failure not in ("raise", "degrade"):
         raise ValueError("on_failure must be 'raise' or 'degrade'")
@@ -334,17 +316,14 @@ def run_program(
             for f in state.failures():
                 journaled_failures[f.task] = f
 
-    if supervisor is not None:
-        supervisor.start()
-
     def prepare(task: MTask) -> Optional[TaskRequest]:
         """Pre-execution phase of one task (always in topological order).
 
-        Handles resume restoration, journaled failures, supervisor
-        cancellation, degrade-mode skipping and input collection with
-        re-distribution accounting.  Returns the :class:`TaskRequest`
-        the backend should execute, or ``None`` when the task needs no
-        execution (every side effect already applied here).
+        Handles resume restoration, journaled failures, degrade-mode
+        skipping and input collection with re-distribution accounting.
+        Returns the :class:`TaskRequest` the backend should execute, or
+        ``None`` when the task needs no execution (every side effect
+        already applied here).
         """
         q = GROUP_SIZE
         # --- resume: restore the journaled prefix instead of re-running --
@@ -382,24 +361,6 @@ def run_program(
             rec_failure = journaled_failures[task.name]
             stats.failures.append(rec_failure)
             obs.count(f"faults.{rec_failure.action}")
-            for p in task.outputs:
-                unavailable.setdefault(p.name, task.name)
-            stats.contexts[task] = RuntimeContext(task.name, q)
-            return None
-        # --- supervisor: cancel the rest once deadline/budget is hit -----
-        if task.func is not None and stats.cancel_reason is None and supervisor is not None:
-            stats.cancel_reason = supervisor.exceeded(
-                stats.tasks_executed - stats.resumed_tasks
-            )
-        if task.func is not None and stats.cancel_reason is not None:
-            stats.failures.append(
-                FailureRecord(
-                    task=task.name,
-                    action="cancelled",
-                    error=stats.cancel_reason,
-                )
-            )
-            obs.count("recovery.cancelled_tasks")
             for p in task.outputs:
                 unavailable.setdefault(p.name, task.name)
             stats.contexts[task] = RuntimeContext(task.name, q)
@@ -589,8 +550,6 @@ def run_program(
             wins=sum(1 for s in stats.speculations if s.win),
             losses=sum(1 for s in stats.speculations if not s.win),
         )
-    if stats.cancel_reason is not None:
-        obs.record("run_cancelled", reason=stats.cancel_reason)
     if stats.failures:
         obs.record(
             "run_failures",

@@ -8,8 +8,6 @@ from typing import Callable, Dict
 from .allocation import (
     adjust_group_sizes,
     equal_partition,
-    lpt_assign,
-    round_robin_assign,
 )
 from .amtha import AMTHAScheduler
 from .base import Scheduler, SchedulingResult, symbolic_timeline
@@ -22,7 +20,6 @@ from .cpa import CPAScheduler
 from .cpr import CPRScheduler
 from .dynamic import DynamicScheduler, DynamicTask, SpawnContext
 from .layered import LayerBasedScheduler
-from .mcpa import MCPAScheduler
 from .moldable import MoldableLayerScheduler
 from .layers import build_layers, layer_index
 from .listsched import bottom_levels, list_schedule
@@ -39,7 +36,6 @@ SCHEDULERS: Dict[str, Callable[..., Scheduler]] = {
     "amtha": AMTHAScheduler,
     "moldable": MoldableLayerScheduler,
     "cpa": CPAScheduler,
-    "mcpa": MCPAScheduler,
     "cpr": CPRScheduler,
 }
 
@@ -53,7 +49,6 @@ __all__ = [
     "MoldableLayerScheduler",
     "CPAScheduler",
     "CPRScheduler",
-    "MCPAScheduler",
     "DynamicScheduler",
     "DynamicTask",
     "SpawnContext",
@@ -63,8 +58,6 @@ __all__ = [
     "contract_chains",
     "build_layers",
     "layer_index",
-    "lpt_assign",
-    "round_robin_assign",
     "equal_partition",
     "adjust_group_sizes",
     "bottom_levels",

@@ -20,9 +20,7 @@ from ..core.task import MTask
 
 __all__ = [
     "equal_partition",
-    "lpt_assign",
     "lpt_assign_indices",
-    "round_robin_assign",
     "adjust_group_sizes",
 ]
 
@@ -37,42 +35,20 @@ def equal_partition(total: int, g: int) -> List[int]:
     return [base + (1 if i < rem else 0) for i in range(g)]
 
 
-def lpt_assign(
-    tasks: Sequence[MTask],
-    time_of: Callable[[MTask], float],
-    g: int,
-) -> List[List[MTask]]:
-    """Longest-processing-time-first assignment to ``g`` subsets.
-
-    Tasks are considered in decreasing order of ``time_of`` and assigned
-    to the subset with the smallest accumulated execution time (the
-    modified greedy scheduler with 4/3 sub-optimality bound referenced in
-    Section 3.2).  Ties fall to the lowest-indexed subset, which keeps
-    the result deterministic.
-
-    The open subsets live in a min-heap keyed on ``(load, index)``, so
-    one assignment costs ``O(log g)`` instead of the former ``O(g)``
-    linear scan -- ``O(n log n + n log g)`` per call overall.  ``time_of``
-    is evaluated exactly once per task; every decision (including
-    tie-breaks and the floating-point load accumulation order) is
-    identical to the scan implementation.
-    """
-    tasks = list(tasks)
-    times = [time_of(t) for t in tasks]
-    order = sorted(range(len(tasks)), key=lambda i: (-times[i], tasks[i].name))
-    idx_groups = lpt_assign_indices(order, times, g)
-    return [[tasks[i] for i in grp] for grp in idx_groups]
-
-
 def lpt_assign_indices(
     order: Sequence[int], times: Sequence[float], g: int
 ) -> List[List[int]]:
-    """Index-level LPT core: deal task indices (pre-sorted by decreasing
-    ``times`` with a deterministic tie-break) to ``g`` subsets.
+    """Longest-processing-time-first assignment of task indices to ``g``
+    subsets.
 
-    This is the exact decision loop of :func:`lpt_assign` minus the task
-    objects; the ``g``-search calls it directly so one sort per distinct
-    cost column serves every candidate ``g`` probing that column.
+    ``order`` lists the indices by decreasing ``times`` with a
+    deterministic tie-break; each goes to the subset with the smallest
+    accumulated time (the modified greedy scheduler with 4/3
+    sub-optimality bound referenced in Section 3.2), ties to the
+    lowest-indexed subset.  The open subsets live in a min-heap keyed on
+    ``(load, index)``, so one assignment costs ``O(log g)``.  The
+    ``g``-search calls it with one sort per distinct cost column, which
+    serves every candidate ``g`` probing that column.
     """
     if g <= 0:
         # the historical behaviour was an IndexError on heap[0] for any
@@ -85,18 +61,6 @@ def lpt_assign_indices(
         load, l = heap[0]
         groups[l].append(i)
         replace(heap, (load + times[i], l))
-    return groups
-
-
-def round_robin_assign(
-    tasks: Sequence[MTask],
-    time_of: Callable[[MTask], float],
-    g: int,
-) -> List[List[MTask]]:
-    """Naive round-robin assignment; ablation baseline for LPT."""
-    groups: List[List[MTask]] = [[] for _ in range(g)]
-    for i, t in enumerate(tasks):
-        groups[i % g].append(t)
     return groups
 
 

@@ -44,16 +44,11 @@ class CPAScheduler(Scheduler):
     #: machines (a performance knob, not part of the original algorithm)
     granularity: int = 1
 
-    def _limits(self, graph: TaskGraph) -> Dict[MTask, int]:
-        """The most cores the allocation may give each task."""
-        P = self.cost.platform.total_cores
-        return {t: t.clamp_procs(P) for t in graph}
-
     def allocate(self, graph: TaskGraph) -> Dict[MTask, int]:
         """CPA allocation phase."""
         P = self.cost.platform.total_cores
         step = max(1, self.granularity)
-        limits = self._limits(graph)
+        limits = {t: t.clamp_procs(P) for t in graph}
         alloc: Dict[MTask, int] = {t: t.min_procs for t in graph}
         for _ in range(MAX_MOVES):
             times = {t: self.cost.tsymb(t, alloc[t]) for t in graph}

@@ -1,6 +1,6 @@
 """List scheduling of M-task graphs with fixed per-task allocations.
 
-The one dispatch loop of the scheduler zoo: CPA, MCPA, CPR and AMTHA
+The one dispatch loop of the scheduler zoo: CPA, CPR and AMTHA
 differ in the allocation ``q_t`` they give every task and in the
 priority they rank it by, not in how they dispatch.  Given both, the
 ready tasks (every predecessor placed) sit in a heap and the highest

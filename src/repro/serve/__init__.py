@@ -19,8 +19,7 @@ Layering, bottom to top:
   atomic tmp-rename writes, and the bounded ``LRU`` behind every memo.
 - :mod:`repro.serve.service` -- asyncio routing, backpressure,
   single-flight dedup and accounting.
-- :mod:`repro.serve.http` -- the minimal HTTP/1.1 wire layer and a
-  thread-hosted server for tests and benchmarks.
+- :mod:`repro.serve.http` -- the minimal HTTP/1.1 wire layer.
 
 Run one with ``python -m repro.serve --port 8080 --workers 4``.
 """
@@ -41,7 +40,7 @@ from .api import (
     validate_request,
 )
 from .cache import ScheduleCache
-from .http import HttpServer, ServerThread
+from .http import HttpServer
 from .service import Response, ScheduleService
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "Response",
     "ScheduleCache",
     "ScheduleService",
-    "ServerThread",
     "cache_key",
     "canonical_options",
     "compile_request",

@@ -114,12 +114,6 @@ class ScheduleCache:
         ):
             self.writes += 1
 
-    def __contains__(self, key: str) -> bool:
-        key = self._check_key(key)
-        if key in self._memory:
-            return True
-        return self.root is not None and self._path(key).exists()
-
     def __len__(self) -> int:
         if self.root is not None and self.root.exists():
             disk = {p.stem for p in self.root.glob("*.json")}

@@ -8,21 +8,16 @@ response-shaped comes from
 :meth:`~repro.serve.service.ScheduleService.handle`, so the protocol
 layer stays dumb and the service layer stays socket-free (and therefore
 unit-testable without a port).
-
-:class:`ServerThread` runs a server on a background thread with its own
-event loop -- the harness tests, the load-generator benchmark and
-embedding applications use it to get a live port without blocking.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Dict, Optional, Tuple
 
 from .service import Response, ScheduleService
 
-__all__ = ["HttpServer", "ServerThread"]
+__all__ = ["HttpServer"]
 
 _MAX_HEADER_BYTES = 16 * 1024
 _MAX_HEADERS = 100
@@ -196,78 +191,3 @@ def _json_string(text: str) -> str:
     import json
 
     return json.dumps(text)
-
-
-class ServerThread:
-    """A live server on a daemon thread with its own event loop.
-
-    >>> handle = ServerThread(ScheduleService(workers=0)).start()
-    >>> handle.url
-    'http://127.0.0.1:...'
-    >>> handle.stop()
-
-    The benchmark and the socket-level tests use this to exercise the
-    real wire path without managing subprocesses.
-    """
-
-    def __init__(
-        self,
-        service: Optional[ScheduleService] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.service = service if service is not None else ScheduleService()
-        self.server = HttpServer(self.service, host, port)
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-
-    def start(self, timeout: float = 10.0) -> "ServerThread":
-        """Boot the loop thread; returns once the port is bound."""
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("server thread did not come up in time")
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-
-        async def boot():
-            await self.server.start()
-            self._ready.set()
-
-        loop.run_until_complete(boot())
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(self.server.stop())
-            pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.close()
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running server."""
-        return self.server.url
-
-    def stop(self) -> None:
-        """Stop the loop, join the thread, shut the worker pool down."""
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-        self.service.close()
-        self._thread = None
-        self._loop = None

@@ -63,11 +63,6 @@ class Response:
     body: bytes
     headers: Dict[str, str] = field(default_factory=dict)
 
-    @property
-    def json(self) -> Any:
-        """The decoded body (test convenience)."""
-        return json.loads(self.body.decode())
-
 
 def _json_response(status: int, payload: Dict[str, Any], **headers: str) -> Response:
     return Response(status, api.render_body(payload), dict(headers))

@@ -45,12 +45,6 @@ class Simulator:
         heapq.heappush(self._heap, _Event(max(time, self._now), self._seq, fn))
         self._seq += 1
 
-    def after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self.at(self._now + delay, fn)
-
     def run(self, until: Optional[float] = None) -> float:
         """Process events until the queue drains (or ``until`` is hit).
 

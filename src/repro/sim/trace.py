@@ -144,17 +144,6 @@ class ExecutionTrace:
             "saved_seconds": sum(e.speculation_saved for e in self.entries),
         }
 
-    def to_csv(self) -> str:
-        """The trace as CSV (one row per task, in start order)."""
-        rows = ["task,start,finish,width,nodes,comp_time,comm_time,redist_wait"]
-        for e in sorted(self.entries, key=lambda e: (e.start, e.task.name)):
-            nodes = ";".join(str(n) for n in sorted({c.node for c in e.cores}))
-            rows.append(
-                f"{e.task.name},{e.start!r},{e.finish!r},{len(e.cores)},"
-                f"{nodes},{e.comp_time!r},{e.comm_time!r},{e.redist_wait!r}"
-            )
-        return "\n".join(rows) + "\n"
-
     def summary(self) -> str:
         """One-line human-readable trace summary."""
         return (

@@ -41,6 +41,7 @@ from .ast_nodes import (
     Arg,
     Call,
     ForLoop,
+    Name,
     Par,
     ParamDecl,
     Program,
@@ -289,7 +290,7 @@ class _BuildState:
         # compile-time value (loop variable or constant)
         if arg.index is not None:
             raise ValueError(f"cannot index non-variable {arg.name!r}")
-        return [], eval_expr(_name_expr(arg.name), env)
+        return [], eval_expr(Name(arg.name), env)
 
     def emit_call(self, call: Call, env: Dict[str, int]) -> None:
         """Emit the M-task for one task activation."""
@@ -408,12 +409,6 @@ def _render_arg(arg: Arg, env: Dict[str, int]) -> str:
             return str(env[arg.name])
         return arg.name
     return f"{arg.name}[{eval_expr(arg.index, env)}]"
-
-
-def _name_expr(name: str):
-    from .ast_nodes import Name
-
-    return Name(name)
 
 
 def build_program(

@@ -55,9 +55,6 @@ class Token:
     line: int
     col: int
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Token({self.kind} {self.text!r} @{self.line}:{self.col})"
-
 
 #: one alternative per lexical class, tried in this order at every
 #: position; comments precede the symbols because ``/`` is one.  The

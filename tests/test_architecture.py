@@ -16,6 +16,7 @@ from repro.cluster import (
     juropa,
     sgi_altix,
 )
+from repro.comm.contention import link_levels
 
 
 class TestCoreId:
@@ -37,7 +38,7 @@ class TestCoreId:
             c.node = 0
         back = pickle.loads(pickle.dumps(c))
         assert type(back) is CoreId and back == c
-        assert str(c) == c.label == "2.3.4"
+        assert c.label == "2.3.4"
 
 
 class TestMachine:
@@ -46,8 +47,7 @@ class TestMachine:
         assert m.total_cores == 12
         assert m.num_nodes == 3
         assert m.cores_per_node(0) == 4
-        assert m.procs_per_node(0) == 2
-        assert m.cores_per_proc(0, 1) == 2
+        assert m.node_shapes[0] == (2, 2)
 
     def test_cores_canonical_order(self):
         m = Machine.homogeneous("t", 2, 2, 2, 1e9)
@@ -60,7 +60,7 @@ class TestMachine:
         m = Machine("h", ((2, 2), (4,)), core_flops=1e9)
         assert m.total_cores == 8
         assert m.cores_per_node(1) == 4
-        assert m.procs_per_node(1) == 1
+        assert m.node_shapes[1] == (4,)
 
     def test_invalid_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -74,18 +74,17 @@ class TestMachine:
 
     def test_contains_and_validate(self):
         m = Machine.homogeneous("t", 2, 2, 2, 1e9)
-        assert CoreId(1, 1, 1) in m
-        assert CoreId(2, 0, 0) not in m
-        assert CoreId(0, 2, 0) not in m
-        assert CoreId(0, 0, 2) not in m
+        assert m.core_index([CoreId(1, 1, 1)]).tolist() == [7]
+        for foreign in (CoreId(2, 0, 0), CoreId(0, 2, 0), CoreId(0, 0, 2)):
+            with pytest.raises(ValueError):
+                m.core_index([foreign])
 
     def test_comm_levels(self):
         m = Machine.homogeneous("t", 2, 2, 2, 1e9)
         a = CoreId(0, 0, 0)
-        assert m.comm_level(a, CoreId(0, 0, 1)) == LEVEL_PROCESSOR
-        assert m.comm_level(a, a) == LEVEL_PROCESSOR
-        assert m.comm_level(a, CoreId(0, 1, 0)) == LEVEL_NODE
-        assert m.comm_level(a, CoreId(1, 0, 0)) == LEVEL_NETWORK
+        others = [CoreId(0, 0, 1), a, CoreId(0, 1, 0), CoreId(1, 0, 0)]
+        levels = link_levels(m, m.core_index([a] * 4), m.core_index(others))
+        assert levels.tolist() == [LEVEL_PROCESSOR, LEVEL_PROCESSOR, LEVEL_NODE, LEVEL_NETWORK]
 
     def test_subset(self):
         m = Machine.homogeneous("t", 8, 2, 2, 1e9)

@@ -24,6 +24,8 @@ from repro.runtime.backends.driver import DriverBackend
 
 from tests.test_backends import summarize, task
 from tests.test_faults import chain_graph
+from tests.test_obs import gauges, histogram
+
 
 SPEC_GAUGE = "backend_speculation_in_flight{backend=fake}"
 #: fires on the first empty poll once one task has completed
@@ -111,7 +113,7 @@ def race(first, backup_fails=False, duplicate=False):
         name = job.request.task.name
         if name == "tail":
             # by now `slow` committed; the loser's result is still out
-            gauge_after_slow.append(backend._run.obs.gauges[SPEC_GAUGE].value)
+            gauge_after_slow.append(gauges(backend._run.obs)[SPEC_GAUGE].value)
         if name != "slow":
             backend.inbox.append(arrival)
         elif job.backup_of is None:
@@ -140,7 +142,7 @@ class TestSpeculationRaces:
         # the drift bug: the lost backup was still in flight when `slow`
         # committed, and must come off the gauge when it finally reports
         assert gauge_after_slow == [1.0]
-        assert obs.gauges[SPEC_GAUGE].value == 0.0
+        assert gauges(obs)[SPEC_GAUGE].value == 0.0
         # both sides of the race arrived, so the job table emptied on
         # its own, before close() had anything to forget
         assert backend.jobs_at_stop == [] and backend._jobs == {}
@@ -156,7 +158,7 @@ class TestSpeculationRaces:
         # the winner's outcome is the backup's: one attempt, no retries
         assert run.stats.retries == 0 and not run.failures
         assert run.stats.tasks_executed == 3
-        assert obs.gauges[SPEC_GAUGE].value == 0.0
+        assert gauges(obs)[SPEC_GAUGE].value == 0.0
         assert backend._jobs == {}
 
     def test_crashed_backup_is_just_a_lost_race(self):
@@ -164,7 +166,7 @@ class TestSpeculationRaces:
         np.testing.assert_array_equal(run["end"], np.full(4, 9.0))
         [record] = run.stats.speculations
         assert not record.win and not run.failures
-        assert obs.gauges[SPEC_GAUGE].value == 0.0
+        assert gauges(obs)[SPEC_GAUGE].value == 0.0
 
     @pytest.mark.parametrize("first", ["primary", "backup"])
     def test_duplicate_results_commit_once(self, first):
@@ -172,7 +174,7 @@ class TestSpeculationRaces:
         np.testing.assert_array_equal(run["end"], np.full(4, 9.0))
         assert run.stats.tasks_executed == 3
         assert len(run.stats.speculations) == 1
-        assert obs.gauges[SPEC_GAUGE].value == 0.0
+        assert gauges(obs)[SPEC_GAUGE].value == 0.0
         assert backend._jobs == {}
 
     def test_close_zeroes_the_gauge_of_a_backup_that_never_reports(self):
@@ -351,5 +353,5 @@ class TestAttemptEngineGrid:
         assert [s.hex() for s in slept] == (delays if backend == "serial" else [])
         assert {c: obs.counter(c) for c in COUNTERS if obs.counter(c)} == counters
         assert len([s for s in obs.spans if s.name == "task"]) == spans
-        assert obs.histogram("runtime.backoff_seconds").count == len(delays)
-        assert obs.histogram("task_retries").count == (1 if retries else 0)
+        assert histogram(obs, "runtime.backoff_seconds").count == len(delays)
+        assert histogram(obs, "task_retries").count == (1 if retries else 0)

@@ -36,7 +36,7 @@ from repro.runtime.backends.base import RunContext
 from repro.runtime.backends.wire import send_message
 
 from tests.test_backends import FAULTY, functional_step, summarize, task
-
+from tests.test_obs import gauges
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +83,7 @@ class TestWorkerKill:
         assert crashes and crashes[0]["backend"] == "cluster"
         assert crashes[0]["worker"] == 1
         # the survivors, as the loss left them
-        assert obs.gauges["backend_workers{backend=cluster}"].value == 2.0
+        assert gauges(obs)["backend_workers{backend=cluster}"].value == 2.0
 
     def test_kill_worker_holding_work_requeues_it(self):
         """A worker killed while tasks sit in its queue requeues them."""
@@ -219,7 +219,7 @@ class TestHeartbeatFailureDetection:
         try:
             host, port = backend.coordinator_address
             alive = backend._coord.alive_count()
-            taken = min(backend.worker_pids)
+            taken = min(worker_pids(backend))
             sock = socket.create_connection((host, port))
             try:
                 send_message(sock, {"type": "hello", "worker": taken, "pid": 0})
@@ -256,8 +256,8 @@ class TestWorkStealing:
         assert obs.counter("cluster.steals") >= 1
         # a stolen job names inputs the thief's table may lack: the
         # bytes went with it, and only then
-        reused = obs.gauges["backend_arrays_reused_total{backend=cluster}"].value
-        shipped = obs.gauges[
+        reused = gauges(obs)["backend_arrays_reused_total{backend=cluster}"].value
+        shipped = gauges(obs)[
             "backend_bytes_shipped_total{backend=cluster,direction=to_workers}"
         ].value
         assert reused > 0 and shipped > 0
@@ -428,7 +428,7 @@ class TestElasticMembership:
             while backend._coord.alive_count() < 3:
                 assert time.monotonic() < deadline, "spawned worker never joined"
                 time.sleep(0.01)
-            assert wid in backend.worker_pids
+            assert wid in worker_pids(backend)
             backend._drain_events()
             obs = backend._run.obs
             assert obs.counter("cluster.worker_joins") == 3.0  # 2 initial + 1
@@ -442,7 +442,7 @@ class TestElasticMembership:
             def _maybe_chaos_kill(self):
                 if not self._chaos_fired:
                     self._chaos_fired = True
-                    for wid in list(self.worker_pids):
+                    for wid in list(worker_pids(self)):
                         self.kill_worker(wid)
 
         body, store = functional_step(MethodConfig("irk", K=4, m=2))
@@ -535,6 +535,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SUBPROCESS_ENV = dict(
     os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)])
 )
+
+
+def worker_pids(backend: ClusterBackend):
+    """Live mapping of worker id to process id (forked workers only)."""
+    return {wid: p.pid for wid, p in backend._procs.items() if p.is_alive()}
 
 
 def external_program():

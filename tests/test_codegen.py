@@ -6,9 +6,11 @@ import pytest
 
 from repro.cluster import generic_cluster
 from repro.core import CostModel
-from repro.ode import MethodConfig, linear_test_problem, step_graph
+from repro.ode import MethodConfig, step_graph
 from repro.scheduling import data_parallel_scheduler, fixed_group_scheduler
 from repro.spec import generate_mpi_pseudocode
+
+from tests.test_ode_solvers import linear_test_problem
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Machine, chic
-from repro.cluster.architecture import LEVEL_NETWORK, CoreId
+from repro.cluster.architecture import LEVEL_NETWORK, LEVEL_NODE, LEVEL_PROCESSOR, CoreId
 from repro.cluster.network import HierarchicalNetwork
 from repro.comm import collectives, orthogonal_sets
 from repro.core import CachedCostEvaluator, CostModel
@@ -48,6 +48,15 @@ Edge = Tuple[CoreId, CoreId]
 # ----------------------------------------------------------------------
 # the oracle: the edge-list engine, verbatim
 # ----------------------------------------------------------------------
+def comm_level(a: CoreId, b: CoreId) -> int:
+    """Communication level between two cores (a self-message is level 0)."""
+    if a.node != b.node:
+        return LEVEL_NETWORK
+    if a.proc != b.proc:
+        return LEVEL_NODE
+    return LEVEL_PROCESSOR
+
+
 @dataclass(frozen=True)
 class ContentionContext:
     """Concurrent inter-node message counts per node for one phase."""
@@ -100,7 +109,7 @@ def build_context(machine: Machine, edge_lists: Iterable[Sequence[Edge]]) -> Con
     inc: Counter = Counter()
     for edges in edge_lists:
         for u, v in edges:
-            if machine.comm_level(u, v) == LEVEL_NETWORK:
+            if comm_level(u, v) == LEVEL_NETWORK:
                 out[u.node] += 1
                 inc[v.node] += 1
     return ContentionContext(out_per_node=dict(out), in_per_node=dict(inc))
@@ -120,7 +129,7 @@ def edge_cost(
     """
     if u == v:
         return 0.0
-    lvl = machine.comm_level(u, v)
+    lvl = comm_level(u, v)
     link = network.level(lvl)
     if lvl < LEVEL_NETWORK:
         return link.latency + nbytes * link.beta
@@ -260,7 +269,7 @@ def scatter_time(
     ctx = ctx or ContentionContext.none()
     total = 0.0
     for dst in group[1:]:
-        lvl = machine.comm_level(root, dst)
+        lvl = comm_level(root, dst)
         link = network.level(lvl)
         total += link.latency + chunk * link.beta
     return total
@@ -320,7 +329,7 @@ def barrier_time(
     if q < 2:
         return 0.0
     worst = max(
-        machine.comm_level(group[0], c) for c in group[1:]
+        comm_level(group[0], c) for c in group[1:]
     )
     return ceil(log2(q)) * 2.0 * network.alpha(worst)
 

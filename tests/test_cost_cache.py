@@ -10,7 +10,9 @@ import pytest
 
 from repro.cluster import chic, juropa, sgi_altix
 from repro.core import CachedCostEvaluator, CacheStats, CostModel
-from repro.ode import MethodConfig, linear_test_problem, step_graph
+from repro.ode import MethodConfig, step_graph
+
+from tests.test_ode_solvers import linear_test_problem
 
 PLATFORMS = {
     "chic": lambda: chic().with_cores(64),
@@ -108,15 +110,7 @@ class TestCacheMechanics:
         for _ in range(4):
             cached.tsymb(t, 4)
         assert cached.stats.evaluation_reduction == pytest.approx(4.0)
-
-    def test_clear_empties_cache(self):
-        cached, t = self.make(), self.task()
-        cached.tsymb(t, 4)
-        assert len(cached) == 1
-        cached.clear()
-        assert len(cached) == 0
-        cached.tsymb(t, 4)
-        assert cached.stats.misses["tsymb"] == 2
+        assert CacheStats().evaluation_reduction == 1.0
 
     def test_distinct_tasks_do_not_collide(self):
         cached = self.make()
@@ -139,11 +133,3 @@ class TestCacheMechanics:
         assert cached.tcomp_mapped(t, tuple(range(4))) == (
             cached.model.tcomp_mapped(t, tuple(range(4)))
         )
-
-    def test_stats_to_dict(self):
-        cached, t = self.make(), self.task()
-        cached.tsymb(t, 4)
-        d = cached.stats.to_dict()
-        assert d["misses"] == {"tsymb": 1} and d["hits"] == {}
-        assert d["requests"] == 1 and d["hit_rate"] == 0.0
-        assert CacheStats().evaluation_reduction == 1.0

@@ -108,13 +108,6 @@ class TestMappedCost:
         assert cost.tcomm_mapped(t, cores, task_parallel_program=True) > 0.0
         assert cost.tcomm_mapped(t, cores, task_parallel_program=False) == 0.0
 
-    def test_time_mapped_sums_parts(self, cost, plat):
-        t = MTask("c", work=1e8, comm=(CollectiveSpec("allgather", 1 << 16),))
-        cores = plat.machine.cores()[:8]
-        assert cost.time_mapped(t, cores) == pytest.approx(
-            cost.tcomp(t, 8) + cost.tcomm_mapped(t, cores)
-        )
-
 
 class TestRedistribution:
     def test_same_cores_same_dist_is_free(self, cost, plat):

@@ -9,9 +9,10 @@ from repro.distribution import (
     BlockCyclic,
     Replicated,
     block,
-    cyclic,
     transfer_counts,
 )
+
+from tests.test_redistribute import cyclic, local_indices, owners
 
 sizes = st.integers(min_value=0, max_value=200)
 procs = st.integers(min_value=1, max_value=16)
@@ -21,20 +22,20 @@ blocks = st.integers(min_value=1, max_value=32)
 class TestBlockCyclic:
     def test_block_distribution_contiguous(self):
         d = block(10, 3)
-        np.testing.assert_array_equal(d.local_indices(0), [0, 1, 2, 3])
-        np.testing.assert_array_equal(d.local_indices(1), [4, 5, 6, 7])
-        np.testing.assert_array_equal(d.local_indices(2), [8, 9])
+        np.testing.assert_array_equal(local_indices(d, 0), [0, 1, 2, 3])
+        np.testing.assert_array_equal(local_indices(d, 1), [4, 5, 6, 7])
+        np.testing.assert_array_equal(local_indices(d, 2), [8, 9])
         assert d.block_size == 4
 
     def test_cyclic_distribution(self):
         d = cyclic(7, 3)
-        np.testing.assert_array_equal(d.local_indices(1), [1, 4])
+        np.testing.assert_array_equal(local_indices(d, 1), [1, 4])
         assert d.block_size == 1
-        np.testing.assert_array_equal(d.owners(), [0, 1, 2, 0, 1, 2, 0])
+        np.testing.assert_array_equal(owners(d), [0, 1, 2, 0, 1, 2, 0])
 
     def test_blockcyclic_owner_formula(self):
         d = BlockCyclic(12, 2, 3)
-        np.testing.assert_array_equal(d.owners(), [0] * 3 + [1] * 3 + [0] * 3 + [1] * 3)
+        np.testing.assert_array_equal(owners(d), [0] * 3 + [1] * 3 + [0] * 3 + [1] * 3)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -44,7 +45,7 @@ class TestBlockCyclic:
         with pytest.raises(ValueError):
             BlockCyclic(4, 2, 0)
         with pytest.raises(ValueError):
-            block(4, 2).local_indices(2)
+            block(4, 2).local_size(2)
 
     @given(n=sizes, p=procs, b=blocks)
     @settings(max_examples=60, deadline=None)
@@ -57,15 +58,15 @@ class TestBlockCyclic:
     def test_local_size_matches_indices(self, n, p, b):
         d = BlockCyclic(n, p, b)
         for r in range(p):
-            assert d.local_size(r) == len(d.local_indices(r))
+            assert d.local_size(r) == len(local_indices(d, r))
 
     @given(n=st.integers(1, 200), p=procs, b=blocks)
     @settings(max_examples=60, deadline=None)
     def test_owners_consistent_with_local_indices(self, n, p, b):
         d = BlockCyclic(n, p, b)
-        owners = d.owners()
+        owner = owners(d)
         for r in range(p):
-            assert np.all(owners[d.local_indices(r)] == r)
+            assert np.all(owner[local_indices(d, r)] == r)
 
     @given(n=st.integers(1, 100), p=procs)
     @settings(max_examples=40, deadline=None)
@@ -78,13 +79,8 @@ class TestBlockCyclic:
 class TestReplicated:
     def test_everyone_owns_everything(self):
         d = Replicated(5, 3)
-        for r in range(3):
-            assert d.local_size(r) == 5
+        assert transfer_counts(block(5, 2), d).sum(axis=0).tolist() == [5, 5, 5]
         assert d.is_replicated
-
-    def test_owners_undefined(self):
-        with pytest.raises(TypeError):
-            Replicated(5, 3).owners()
 
 
 class TestTransferCounts:
@@ -150,7 +146,7 @@ class TestTransferCounts:
         dst = block(n, pd) if bd is None else BlockCyclic(n, pd, bd)
         c = transfer_counts(src, dst)
         oracle = np.bincount(
-            src.owners() * pd + dst.owners(), minlength=ps * pd
+            owners(src) * pd + owners(dst), minlength=ps * pd
         ).reshape(ps, pd)
         assert c.dtype == np.int64
         np.testing.assert_array_equal(c, oracle)

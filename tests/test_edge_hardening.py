@@ -17,14 +17,13 @@ from repro.core import CostModel, MTask, TaskGraph
 from repro.graphs import fit_to_cores, layered_graph, random_dag, synthesize
 from repro.obs.cli import main as obs_main
 from repro.obs.gantt import render_trace
-from repro.obs.perfetto import (
-    execution_trace_events,
-    validate_trace_events,
-)
+from repro.obs.perfetto import execution_trace_events
 from repro.obs.registry import RunRecord, RunRegistry
 from repro.scheduling import LayerBasedScheduler, adjust_group_sizes
 from repro.scheduling.allocation import lpt_assign_indices
 from repro.sim.trace import ExecutionTrace, TraceEntry
+
+from tests.test_perfetto import validate_trace_events
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,10 @@ from repro.experiments.common import (
     simulate_ode_step,
 )
 from repro.mapping import consecutive
-from repro.ode import MethodConfig, linear_test_problem, step_graph
+from repro.ode import MethodConfig, step_graph
+
+from tests.test_experiment_shapes import best_label_at, min_index
+from tests.test_ode_solvers import linear_test_problem
 
 
 @pytest.fixture(scope="module")
@@ -56,14 +59,14 @@ class TestHelpers:
 
     def test_series_min_index(self):
         s = Series("a", [3.0, 1.0, 2.0])
-        assert s.min_index() == 1
+        assert min_index(s) == 1
 
     def test_best_label_modes(self):
         res = ExperimentResult(title="t", xlabel="x", x=[1])
         res.add("slow", [2.0])
         res.add("fast", [1.0])
-        assert res.best_label_at(0) == "fast"
-        assert res.best_label_at(0, higher_is_better=True) == "slow"
+        assert best_label_at(res, 0) == "fast"
+        assert best_label_at(res, 0, higher_is_better=True) == "slow"
 
     def test_table_str_contains_everything(self):
         res = ExperimentResult(title="My Title", xlabel="cores", x=[8, 16])

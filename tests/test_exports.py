@@ -1,28 +1,11 @@
-"""Tests for CSV exports and the experiments command line."""
-
-import csv
-import io
+"""Tests for figure results and the experiments command line."""
 
 import pytest
 
-from repro.cluster import generic_cluster
-from repro.core import CostModel, MTask, TaskGraph
 from repro.experiments.common import ExperimentResult
-from repro.mapping import consecutive, place_layered
-from repro.scheduling import LayerBasedScheduler
-from repro.sim import simulate
 
 
 class TestExperimentCsv:
-    def test_round_trips_through_csv_reader(self):
-        res = ExperimentResult(title="t", xlabel="cores", x=[1, 2])
-        res.add("a", [0.5, 0.25])
-        res.add("b", [1.5, 1.25])
-        rows = list(csv.reader(io.StringIO(res.to_csv())))
-        assert rows[0] == ["cores", "a", "b"]
-        assert float(rows[1][1]) == 0.5
-        assert float(rows[2][2]) == 1.25
-
     def test_series_length_validation(self):
         res = ExperimentResult(title="t", xlabel="x", x=[1, 2, 3])
         with pytest.raises(ValueError):
@@ -32,23 +15,6 @@ class TestExperimentCsv:
         res = ExperimentResult(title="t", xlabel="x", x=[1])
         with pytest.raises(KeyError):
             res.get("nope")
-
-
-class TestTraceCsv:
-    def test_trace_csv_rows(self):
-        plat = generic_cluster(nodes=2, procs_per_node=2, cores_per_proc=2)
-        cost = CostModel(plat)
-        g = TaskGraph()
-        a = g.add_task(MTask("a", work=1e8))
-        b = g.add_task(MTask("b", work=1e8))
-        g.add_dependency(a, b)
-        sched = LayerBasedScheduler(cost).schedule(g).layered
-        trace = simulate(g, place_layered(sched, plat.machine, consecutive()), cost)
-        rows = list(csv.reader(io.StringIO(trace.to_csv())))
-        assert rows[0][0] == "task"
-        assert len(rows) == 3
-        assert rows[1][0] == "a"  # start order
-        assert float(rows[2][1]) >= float(rows[1][2]) - 1e-12  # b starts after a
 
 
 class TestExperimentsCli:

@@ -22,12 +22,15 @@ from repro.faults import (
 from repro.mapping import consecutive
 from repro.obs import Instrumentation
 from repro.obs.cli import flatten_metrics
-from repro.ode import MethodConfig, build_ode_program, bruss2d, linear_test_problem
+from repro.ode import MethodConfig, build_ode_program, bruss2d
 from repro.pipeline import SchedulingPipeline
 from repro.runtime import run_program
 from repro.scheduling import LayerBasedScheduler
 from repro.scheduling.allocation import adjust_group_sizes
 from repro.sim.executor import SimulationOptions
+
+from tests.test_obs import histogram
+from tests.test_ode_solvers import linear_test_problem
 
 
 # ----------------------------------------------------------------------
@@ -74,7 +77,7 @@ def diamond_mgraph():
 # ----------------------------------------------------------------------
 class TestFaultPlan:
     def test_disabled_by_default(self):
-        assert not FaultPlan.none().enabled
+        assert not FaultPlan().enabled
         assert FaultPlan().failures_of("t") == 0
         assert FaultPlan().slowdown("t") == 1.0
 
@@ -318,7 +321,7 @@ class TestRuntimeFaults:
         )
         assert obs.counter("faults.retries") == 1
         assert obs.counter("faults.injected") == 1
-        assert obs.histogram("task_retries").count == 1
+        assert histogram(obs, "task_retries").count == 1
 
     def test_sleep_callable_receives_backoff(self):
         slept = []
@@ -344,7 +347,7 @@ class TestFaultFreeEquivalence:
         guarded = run_program(
             g2,
             {"x": np.arange(4.0)},
-            faults=FaultPlan.none(),
+            faults=FaultPlan(),
             retry=RetryPolicy(),
         )
         assert set(base.variables) == set(guarded.variables)
@@ -369,7 +372,7 @@ class TestFaultFreeEquivalence:
         store = dict(upper.variables)
         base = run_program(body, store)
         guarded = run_program(
-            body, store, faults=FaultPlan.none(), retry=RetryPolicy()
+            body, store, faults=FaultPlan(), retry=RetryPolicy()
         )
         for k in base.variables:
             np.testing.assert_array_equal(base.variables[k], guarded.variables[k])
@@ -384,7 +387,7 @@ class TestFaultFreeEquivalence:
         guarded = SchedulingPipeline(
             LayerBasedScheduler(CostModel(platform)),
             strategy=consecutive(),
-            options=SimulationOptions(faults=FaultPlan.none()),
+            options=SimulationOptions(faults=FaultPlan()),
         ).run(graph2)
         assert flatten_metrics(base.metrics()) == flatten_metrics(guarded.metrics())
         assert "faults" not in guarded.meta

@@ -37,7 +37,7 @@ from repro.serve import SOLVER_CFGS, ScheduleService, api
 from repro.sim.executor import SimulationOptions
 
 from .test_faults import diamond_mgraph
-from .test_serve import call
+from .test_serve import call, decoded
 
 N, CORES = 24, 32
 
@@ -177,7 +177,7 @@ class TestFunctionalPrologue:
         _, _, body, store = functional_step(bruss2d(N), PAPER_CONFIGS["diirk"])
         serial = run_program(body, dict(store))
         pool = run_program(body, dict(store), backend=parse_backend_spec("pool:2"))
-        assert served.json["variables"] == {
+        assert decoded(served)["variables"] == {
             k: array_digest(v) for k, v in sorted(serial.variables.items())
         }
         assert variables_digest(pool.variables) == variables_digest(serial.variables)
@@ -208,7 +208,7 @@ class TestFaultOptionsLiveInSimulationOptions:
             strategy=consecutive(),
             options=SimulationOptions(faults=plan),
         ).run(diamond_mgraph())
-        assert result.obs.span_names().count("reschedule") == 1
+        assert [s.name for s in result.obs.spans].count("reschedule") == 1
         assert result.reschedule.rescheduled
         assert result.meta["faults"] == plan.to_dict()
         # exact value of the commit that still had SchedulingPipeline.faults
@@ -228,4 +228,4 @@ class TestOneSchedulerTable:
         with pytest.raises(ValueError, match="unknown scheduler"):
             make_scheduler("nope", cost, PAPER_CONFIGS["irk"])
         with pytest.raises(ValueError, match="unknown scheduler"):
-            run_shootout(schedulers=["mcpa"], suite={})
+            run_shootout(schedulers=["cpr"], suite={})

@@ -8,6 +8,7 @@ operations and require equal sequences everywhere, pin the one-pass
 ``prune_redundant_edges`` to the remove / ``has_path`` / re-add loop it
 replaced (kept here as the reference), and check that a rejected cycle
 leaves nothing behind on any of the three construction paths.
+:func:`to_networkx` is the graph as the oracle's type.
 """
 
 import pickle
@@ -20,6 +21,23 @@ from hypothesis import strategies as st
 from repro.core import DataFlow, MTask, TaskGraph
 from repro.ode import PAPER_CONFIGS, bruss2d, step_graph
 from repro.serve.api import compile_request, validate_request
+
+
+def to_networkx(graph: TaskGraph) -> nx.DiGraph:
+    """``graph`` as a new ``networkx.DiGraph``: tasks as nodes, every edge
+    with its flow list as the ``flows`` attribute."""
+    g = nx.DiGraph()
+    g.add_nodes_from(graph)
+    g.add_edges_from((u, v, {"flows": flows}) for u, v, flows in graph.edges())
+    return g
+
+
+def copy_graph(graph: TaskGraph) -> TaskGraph:
+    """A graph on the same tasks from ``graph``'s snapshot, the one a
+    failed transaction rolls back to."""
+    out = TaskGraph(graph.name)
+    out._succ, out._pred, out._by_name = graph._snapshot()
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +111,7 @@ def build_both(n, steps):
 
 
 def assert_same_orders(graph: TaskGraph, oracle: nx.DiGraph) -> None:
-    assert list(graph) == list(oracle.nodes) == list(graph.tasks)
+    assert list(graph) == list(oracle.nodes)
     assert len(graph) == oracle.number_of_nodes()
     assert graph.num_edges == oracle.number_of_edges()
     assert list(graph.edges()) == [
@@ -104,9 +122,7 @@ def assert_same_orders(graph: TaskGraph, oracle: nx.DiGraph) -> None:
         assert list(graph.successors(t)) == list(oracle.successors(t))
         assert list(graph.predecessor_index()[t]) == list(oracle.pred[t])
         assert list(graph.successor_index()[t]) == list(oracle.succ[t])
-        assert graph.ancestors(t) == nx.ancestors(oracle, t)
         assert graph.descendants(t) == nx.descendants(oracle, t)
-    assert list(graph.sources()) == [t for t in oracle if oracle.in_degree(t) == 0]
     assert list(graph.sinks()) == [t for t in oracle if oracle.out_degree(t) == 0]
     assert graph.topological_order() == list(nx.topological_sort(oracle))
 
@@ -121,13 +137,14 @@ class TestOrderEquivalence:
         for a in graph:
             for b in graph:
                 linked = a is b or nx.has_path(oracle, a, b) or nx.has_path(oracle, b, a)
-                assert graph.independent(a, b) == (not linked)
+                apart = a is not b and b not in graph.descendants(a) and a not in graph.descendants(b)
+                assert apart == (not linked)
 
     @given(construction())
     @settings(max_examples=100, deadline=None)
     def test_to_networkx_round_trips(self, script):
         graph, oracle = build_both(*script)
-        copy = graph.to_networkx()
+        copy = to_networkx(graph)
         assert list(copy.nodes) == list(oracle.nodes)
         assert list(copy.edges(data=True)) == list(oracle.edges(data=True))
         # a copy: changing it does not reach the graph
@@ -143,7 +160,7 @@ class TestOrderEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_copy_keeps_every_order_and_is_independent(self, script):
         graph, oracle = build_both(*script)
-        twin = graph.copy()
+        twin = copy_graph(graph)
         assert_same_orders(twin, oracle)
         twin.add_dependency(MTask("extra"), MTask("more"), _flows([3]))
         for u, v, _ in list(graph.edges())[:1]:
@@ -231,8 +248,7 @@ class TestCycleRejection:
     def _assert_untouched(self):
         assert _state(self.graph) == self.before
         self.graph.validate()
-        with pytest.raises(KeyError):
-            self.graph.task("d")
+        assert "d" not in {t.name for t in self.graph}
         # and the graph still works
         self.graph.add_dependency(self.c, self.d)
         assert self.graph.topological_order() == [self.a, self.b, self.c, self.d]

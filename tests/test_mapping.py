@@ -196,8 +196,6 @@ class TestScheduleContainer:
         s.add(ScheduledTask(a, 0.0, 1.0, (0,)))
         s.add(ScheduledTask(b, 0.0, 1.0, (1,)))
         assert s.makespan == 1.0
-        assert s.work_area() == pytest.approx(2.0)
-        assert s.idle_fraction() == pytest.approx(0.0)
 
     def test_gantt_renders(self):
         a = MTask("a")

@@ -137,7 +137,6 @@ class TestGauge:
         g = Gauge("util")
         g.set(0.75)
         assert g.value == 0.75
-        assert g.to_dict() == {"value": 0.75}
 
 
 @pytest.fixture(scope="module")

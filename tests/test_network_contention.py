@@ -20,6 +20,8 @@ from repro.comm import collective_time, redistribution_messages, redistribution_
 from repro.comm.contention import edge_costs, node_counts
 from repro.distribution import BlockCyclic, Replicated, transfer_counts
 
+from tests.test_comm_oracle import comm_level
+
 
 def simple_setup():
     plat = generic_cluster(nodes=4, procs_per_node=2, cores_per_proc=2)
@@ -174,7 +176,7 @@ def edge_cost(u, v, nbytes, out_count, in_count):
     inter-node message shares the NICs, a self-message is free."""
     if u == v:
         return 0.0
-    lvl = HET.comm_level(u, v)
+    lvl = comm_level(u, v)
     link = NET.level(lvl)
     if lvl < LEVEL_NETWORK:
         return link.latency + nbytes * link.beta

@@ -219,7 +219,7 @@ class TestRunRegistry:
         reg.append(make_record(2.0, timestamp=2.0))
         assert path == reg.path
         records = reg.load()
-        assert len(reg) == 2
+        assert len(reg.load()) == 2
         assert [r["makespan"] for r in records] == [1.0, 2.0]
 
     def test_torn_final_line_is_tolerated(self, tmp_path):

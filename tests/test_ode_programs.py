@@ -14,7 +14,6 @@ from repro.ode import (
     build_ode_program,
     counts_from_step_graph,
     integrate_functional,
-    linear_test_problem,
     reference_solution,
     relative_error,
     schroed,
@@ -32,6 +31,8 @@ from repro.scheduling import (
     contract_chains,
     fixed_group_scheduler,
 )
+
+from tests.test_ode_solvers import linear_test_problem
 
 
 @pytest.fixture(scope="module")

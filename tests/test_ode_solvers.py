@@ -12,7 +12,6 @@ from repro.ode import (
     extrapolation_step,
     gauss_legendre,
     lagrange_integration_weights,
-    linear_test_problem,
     radau_iia,
     reference_solution,
     relative_error,
@@ -24,6 +23,25 @@ from repro.ode import (
     solve_pabm,
 )
 from repro.ode.base import explicit_rk_step, integrate_fixed
+from repro.ode.problems import ODEProblem
+
+
+def linear_test_problem(n: int = 4, rate: float = -1.0) -> ODEProblem:
+    """``y' = L y`` with known solution ``exp(L t) y0``: the closed-form
+    oracle of the convergence-order tests."""
+    decay = rate * np.arange(1, n + 1, dtype=float) / n
+    y0 = np.ones(n)
+    prob = ODEProblem(
+        name=f"linear(n={n})",
+        n=n,
+        f=lambda t, y: decay * y,
+        initial_state=lambda: y0,
+        jac=lambda t, y: np.diag(decay),
+        eval_flops=2.0 * n,
+        kind="sparse",
+    )
+    object.__setattr__(prob, "exact", lambda t: np.exp(decay * t) * y0)
+    return prob
 
 
 def observed_order(solve, problem, t_end, h):

@@ -1,7 +1,9 @@
 """Tests for the Chrome trace-event / Perfetto exporter."""
 
 import json
+import math
 from pathlib import Path
+from typing import Any, Dict, List, Sequence, Tuple
 
 import pytest
 
@@ -12,13 +14,60 @@ from repro.obs import (
     execution_trace_events,
     pipeline_trace,
     span_events,
-    validate_trace_events,
 )
 from repro.obs.perfetto import MICROS, write_trace
 from repro.pipeline import SchedulingPipeline
 from repro.scheduling import LayerBasedScheduler
 
 GOLDEN = Path(__file__).parent / "data" / "golden_irk_trace.json"
+
+
+def validate_trace_events(events: Sequence[Dict[str, Any]]) -> List[str]:
+    """Schema-check a trace-event list; returns the list of problems.
+
+    The exporter's oracle: the invariants the viewer relies on -- every
+    event has a phase, complete events carry non-negative ``ts``/``dur``
+    and integer ``pid``/``tid``, and per-track start times are
+    monotonically non-decreasing in document order.
+    """
+    problems: List[str] = []
+    last_ts: Dict[Tuple[int, int], float] = {}
+    for i, ev in enumerate(events):
+        ph = ev.get("ph")
+        if ph is None:
+            problems.append(f"event {i}: missing 'ph'")
+            continue
+        if ph == "M":
+            continue
+        for key in ("ts", "pid", "tid"):
+            if key not in ev:
+                problems.append(f"event {i} ({ph}): missing {key!r}")
+        if not isinstance(ev.get("pid"), int) or not isinstance(ev.get("tid"), int):
+            problems.append(f"event {i} ({ph}): pid/tid must be integers")
+            continue
+        ts = ev.get("ts", 0)
+        if not math.isfinite(ts):
+            # NaN compares False against everything, so the sign checks
+            # below would silently pass a timestamp the viewer rejects
+            problems.append(f"event {i} ({ph}): non-finite ts {ts}")
+            continue
+        if ts < 0:
+            problems.append(f"event {i} ({ph}): negative ts {ts}")
+        if ph == "X":
+            dur = ev.get("dur")
+            if dur is None:
+                problems.append(f"event {i}: complete event without 'dur'")
+            elif not math.isfinite(dur):
+                problems.append(f"event {i}: non-finite dur {dur}")
+            elif dur < 0:
+                problems.append(f"event {i}: negative dur {dur}")
+            track = (ev["pid"], ev["tid"])
+            if ts < last_ts.get(track, 0.0) - 1e-6:
+                problems.append(
+                    f"event {i}: ts {ts} goes backwards on track {track}"
+                )
+            last_ts[track] = max(last_ts.get(track, 0.0), ts)
+    return problems
 
 
 def irk_two_layer_pipeline():

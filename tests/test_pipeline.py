@@ -8,7 +8,6 @@ the g-search, every scheduler's output must pass validation, and the
 deprecated raw-artefact accesses must fail with actionable messages.
 """
 
-import json
 import time
 
 import pytest
@@ -26,7 +25,6 @@ from repro.scheduling import (
     CPRScheduler,
     DynamicScheduler,
     LayerBasedScheduler,
-    MCPAScheduler,
     SCHEDULERS,
     SchedulingResult,
     contract_chains,
@@ -96,7 +94,7 @@ class TestPipelineMatchesManualChain:
         ).trace.makespan
         assert piped == manual
 
-    @pytest.mark.parametrize("scheduler_cls", [CPAScheduler, MCPAScheduler, CPRScheduler])
+    @pytest.mark.parametrize("scheduler_cls", [CPAScheduler, CPRScheduler])
     def test_timeline_schedulers_with_contraction(
         self, scheduler_cls, problem, platform
     ):
@@ -153,7 +151,7 @@ class TestCostCachePayoff:
         assert res.trace is not None
         cached = CachedCostEvaluator(CostModel(platform))
         pipe = SchedulingPipeline(LayerBasedScheduler(cached))
-        assert pipe.cost is cached
+        assert pipe.scheduler.cost is cached
         assert pipe.run(small_graph()).cost is cached
 
     def test_cached_and_uncached_pipelines_agree(self, problem, platform):
@@ -173,7 +171,6 @@ ALL_SCHEDULERS = {
     "fixed-2": lambda cost: fixed_group_scheduler(cost, 2),
     "data-parallel": lambda cost: data_parallel_scheduler(cost),
     "cpa": lambda cost: CPAScheduler(cost),
-    "mcpa": lambda cost: MCPAScheduler(cost),
     "cpr": lambda cost: CPRScheduler(cost),
     "dynamic": lambda cost: DynamicScheduler(cost),
 }
@@ -185,7 +182,7 @@ class TestValidationStage:
         plat = generic_cluster(nodes=4, procs_per_node=2, cores_per_proc=2)
         pipe = SchedulingPipeline(ALL_SCHEDULERS[name](CostModel(plat)))
         res = pipe.run(small_graph())
-        assert "validate" in res.obs.span_names()
+        assert "validate" in [s.name for s in res.obs.spans]
         assert res.makespan > 0
 
     @pytest.mark.parametrize("name", sorted(SCHEDULERS))
@@ -194,7 +191,7 @@ class TestValidationStage:
         kw = {"g": 2} if name == "tp" else {}
         pipe = SchedulingPipeline(SCHEDULERS[name](CostModel(plat), **kw))
         res = pipe.run(small_graph())
-        assert "validate" in res.obs.span_names()
+        assert "validate" in [s.name for s in res.obs.spans]
         assert res.makespan > 0
 
     def test_validate_rejects_dependents_in_one_layer(self):
@@ -305,15 +302,13 @@ class TestPipelineResult:
         obs = Instrumentation()
         res = ode_pipeline(problem, CONFIGS["irk"], platform, consecutive(), obs=obs)
         assert res.obs is obs
-        names = obs.span_names()
+        names = [s.name for s in obs.spans]
         for stage in ("pipeline", "schedule", "map", "validate", "simulate"):
             assert stage in names, f"missing span {stage}"
         stages = res.stage_seconds()
         assert {"schedule", "map", "validate", "simulate"} <= set(stages)
         assert obs.records_of("scheduling")
         assert "cache" in res.report()
-        parsed = json.loads(res.to_json())
-        assert parsed["predicted_makespan"] == pytest.approx(res.predicted_makespan)
 
     def test_dynamic_scheduler_yields_trace_kind(self):
         plat = generic_cluster(nodes=4, procs_per_node=2, cores_per_proc=2)

@@ -1,7 +1,6 @@
 """Tests for the recovery subsystem: content-addressed checkpoints, the
 crash-consistent write-ahead run journal, checkpoint/resume bit-identity
-in the functional runtime, supervisor deadline/budget cancellation, and
-the kill-resume chaos script."""
+in the functional runtime, and the kill-resume chaos script."""
 
 import json
 import os
@@ -19,7 +18,6 @@ from repro.recovery import (
     JournalError,
     JournalMismatch,
     RunJournal,
-    Supervisor,
     array_digest,
 )
 from repro.recovery.files import CorruptLog, append_line, open_log, publish, read_log
@@ -115,7 +113,7 @@ class TestCheckpointStore:
         arr = np.linspace(0.0, 1.0, 17)
         digest, nbytes = store.put(arr)
         assert nbytes == arr.nbytes
-        assert digest in store
+        assert (store.root / f"{digest}.npy").exists()
         np.testing.assert_array_equal(store.get(digest), arr)
         assert store.get(digest).dtype == arr.dtype
 
@@ -127,7 +125,7 @@ class TestCheckpointStore:
         d2, _ = store.put(arr.copy())
         assert d1 == d2
         assert store.bytes_written == written  # no second write
-        assert len(store) == 1
+        assert len(list(store.root.glob("*.npy"))) == 1
 
     def test_digest_covers_dtype_and_shape(self):
         a = np.zeros(4, dtype=np.float64)
@@ -396,69 +394,6 @@ class TestResume:
             run_program(chain_graph(), inputs, journal=journal, resume=True, obs=obs)
         assert obs.counter("recovery.resume_skipped_tasks") == 3
         assert obs.counter("recovery.checkpoint_bytes") == 0
-
-
-# ----------------------------------------------------------------------
-# Supervisor
-# ----------------------------------------------------------------------
-class TestSupervisor:
-    def test_task_budget_cancels_gracefully(self, tmp_path):
-        sup = Supervisor(task_budget=1)
-        res = run_program(chain_graph(), {"x": np.arange(4.0)}, supervisor=sup)
-        assert res.partial
-        assert "budget" in res.stats.cancel_reason
-        assert res.stats.tasks_executed == 1
-        cancelled = [f for f in res.failures if f.action == "cancelled"]
-        assert [f.task for f in cancelled] == ["b", "c"]
-        assert "y" in res.variables and "w" not in res.variables
-
-    def test_deadline_cancels_everything(self):
-        ticks = iter([0.0, 10.0, 10.0, 10.0])
-        sup = Supervisor(deadline_seconds=5.0, clock=lambda: next(ticks))
-        res = run_program(chain_graph(), {"x": np.arange(4.0)}, supervisor=sup)
-        assert res.partial and "deadline" in res.stats.cancel_reason
-        assert res.stats.tasks_executed == 0
-        assert all(f.action == "cancelled" for f in res.failures)
-
-    def test_no_limits_means_no_cancellation(self):
-        res = run_program(chain_graph(), {"x": np.arange(4.0)}, supervisor=Supervisor())
-        assert not res.partial and not res.failures
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Supervisor(deadline_seconds=0.0)
-        with pytest.raises(ValueError):
-            Supervisor(task_budget=0)
-
-    def test_cancelled_tasks_rerun_on_resume(self, tmp_path):
-        inputs = {"x": np.arange(4.0)}
-        reference = run_program(chain_graph(), inputs)
-        with journal_at(tmp_path) as journal:
-            partial = run_program(
-                chain_graph(), inputs, journal=journal,
-                supervisor=Supervisor(task_budget=1),
-            )
-        assert partial.partial
-        # cancelled tasks were NOT journaled, so a resume re-executes them
-        with journal_at(tmp_path) as journal:
-            resumed = run_program(chain_graph(), inputs, journal=journal, resume=True)
-        assert not resumed.partial
-        assert resumed.stats.resumed_tasks == 1
-        for name in reference.variables:
-            assert array_digest(resumed.variables[name]) == array_digest(
-                reference.variables[name]
-            )
-
-    def test_resumed_tasks_do_not_consume_budget(self, tmp_path):
-        inputs = {"x": np.arange(4.0)}
-        with journal_at(tmp_path) as journal:
-            run_program(chain_graph(), inputs, journal=journal)
-        with journal_at(tmp_path) as journal:
-            res = run_program(
-                chain_graph(), inputs, journal=journal, resume=True,
-                supervisor=Supervisor(task_budget=1),
-            )
-        assert not res.partial  # all 3 restored, 0 executed against budget
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,24 @@ from repro.distribution import (
     Distribution1D,
     Replicated,
     block,
-    cyclic,
     transfer_counts,
 )
+
+
+def cyclic(size: int, nprocs: int) -> BlockCyclic:
+    """Cyclic distribution (element ``i`` on rank ``i mod p``)."""
+    return BlockCyclic(size, nprocs, 1)
+
+
+def owners(dist: BlockCyclic) -> np.ndarray:
+    """Owning rank of every global index."""
+    return (np.arange(dist.size) // dist.block_size) % dist.nprocs
+
+
+def local_indices(dist: Distribution1D, rank: int) -> np.ndarray:
+    """Global indices ``rank`` holds, in increasing order."""
+    idx = np.arange(dist.size)
+    return idx if dist.is_replicated else idx[owners(dist) == rank]
 
 
 @dataclass(frozen=True)
@@ -45,7 +60,7 @@ def split(array: np.ndarray, dist: Distribution1D) -> List[np.ndarray]:
         raise ValueError("split expects a one-dimensional array")
     if len(array) != dist.size:
         raise ValueError(f"array has {len(array)} elements, distribution {dist.size}")
-    return [array[dist.local_indices(r)] for r in range(dist.nprocs)]
+    return [array[local_indices(dist, r)] for r in range(dist.nprocs)]
 
 
 def assemble(chunks: Sequence[np.ndarray], dist: Distribution1D) -> np.ndarray:
@@ -54,7 +69,7 @@ def assemble(chunks: Sequence[np.ndarray], dist: Distribution1D) -> np.ndarray:
         raise ValueError(f"expected {dist.nprocs} chunks, got {len(chunks)}")
     out = np.empty(dist.size, dtype=chunks[0].dtype if chunks else float)
     for r, chunk in enumerate(chunks):
-        idx = dist.local_indices(r)
+        idx = local_indices(dist, r)
         if len(chunk) != len(idx):
             raise ValueError(
                 f"chunk of rank {r} has {len(chunk)} elements, expected {len(idx)}"
@@ -78,9 +93,9 @@ def redistribute(
     moved = np.zeros((src.nprocs, dst.nprocs), dtype=np.int64)
     if not (src.is_replicated and dst.is_replicated):
         for j in range(dst.nprocs):
-            idx = dst.local_indices(j)
-            owners = np.full(len(idx), j % src.nprocs) if src.is_replicated else src.owners()[idx]
-            moved[:, j] = np.bincount(owners, minlength=src.nprocs)
+            idx = local_indices(dst, j)
+            held_by = np.full(len(idx), j % src.nprocs) if src.is_replicated else owners(src)[idx]
+            moved[:, j] = np.bincount(held_by, minlength=src.nprocs)
     return RedistributionResult(chunks=split(global_arr, dst), moved=moved)
 
 

@@ -25,7 +25,9 @@ from repro.scheduling import LayerBasedScheduler
 from repro.sim.executor import SimulationOptions
 
 from tests.test_backends import functional_step, summarize
+from tests.test_obs import gauges
 from tests.test_recovery import truncate_to_task_records
+
 
 FAULTY = dict(
     faults=FaultPlan(seed=11, failure_rate=0.3),
@@ -76,7 +78,7 @@ class TestHandlerFromBackend:
         assert crash["backend"] == "cluster" and crash["worker"] == 1
         assert all(row["attempt"] == 0 for row in crash["in_flight"])
         assert obs.counter("cluster.worker_losses") == 1.0
-        assert obs.gauges["backend_workers{backend=cluster}"].value == 2.0
+        assert gauges(obs)["backend_workers{backend=cluster}"].value == 2.0
 
     def test_rescheduled_group_sizes_cover_the_suffix(self):
         res = replan(CoreLoss(after_layer=1, nodes=1))

@@ -112,7 +112,7 @@ class TestRuntimeContext:
     def test_counts_by_op(self):
         ctx = RuntimeContext("t", 4)
         ctx.allgather(10)
-        ctx.allreduce(10)
+        ctx.record("allreduce", 10)
         ctx.allgather(20)
         assert ctx.counts_by_op() == {"allgather": 2, "allreduce": 1}
 

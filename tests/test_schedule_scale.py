@@ -26,9 +26,10 @@ from repro.scheduling import LayerBasedScheduler, contract_chains, find_linear_c
 from repro.scheduling.allocation import (
     adjust_group_sizes,
     equal_partition,
-    lpt_assign,
     lpt_assign_indices,
 )
+
+from tests.test_graph_storage import to_networkx
 
 # ----------------------------------------------------------------------
 # hypothesis strategies
@@ -99,7 +100,7 @@ class TestBatchedCostBitIdentity:
 
         graph = step_graph(bruss2d(200), MethodConfig("irk", K=4, m=7))
         model = CostModel(chic().with_cores(256))
-        tasks = list(graph.tasks)
+        tasks = list(graph)
         widths = [1, 3, 16, 64, 85, 256]
         table = model.tsymb_table(tasks, widths)
         for i, t in enumerate(tasks):
@@ -156,7 +157,6 @@ class TestBatchedCostBitIdentity:
         cost.tsymb_table(tasks, [1, 2, 4])
         assert cost.stats.batched == {"tsymb": 15}
         assert cost.stats.total_batched == 15
-        assert cost.stats.to_dict()["batched"] == {"tsymb": 15}
         # the batch path must not touch the scalar request counters
         assert cost.stats.requests == 0
 
@@ -207,7 +207,7 @@ class TestPairsKernelBitIdentity:
         for _ in range(2):
             assert batch.tsymb_pairs(members, widths) == scalar
             assert [loop.tsymb(m, q) for m, q in zip(members, widths)] == scalar
-            assert batch.stats.to_dict() == loop.stats.to_dict()
+            assert batch.stats == loop.stats
             assert batch._cache == loop._cache
 
     def test_no_pairs(self):
@@ -308,6 +308,15 @@ def adjust_case(draw):
     return groups, total
 
 
+def lpt_assign(tasks, time_of, g):
+    """LPT over task objects: tasks by decreasing ``time_of`` (ties by
+    name) through :func:`lpt_assign_indices`."""
+    tasks = list(tasks)
+    times = [time_of(t) for t in tasks]
+    order = sorted(range(len(tasks)), key=lambda i: (-times[i], tasks[i].name))
+    return [[tasks[i] for i in grp] for grp in lpt_assign_indices(order, times, g)]
+
+
 class TestAllocationEquivalence:
     @given(lpt_case())
     @settings(max_examples=300, deadline=None)
@@ -405,7 +414,7 @@ class TestGraphBulkConstruction:
         """``edges()`` walks the adjacency dicts directly; contraction,
         validation and the layered check depend on the view's order."""
         graph = synthesize(family, 400, seed=3)
-        view = [(u, v, d["flows"]) for u, v, d in graph.to_networkx().edges(data=True)]
+        view = [(u, v, d["flows"]) for u, v, d in to_networkx(graph).edges(data=True)]
         mine = list(graph.edges())
         assert len(mine) == graph.num_edges == len(view)
         assert all(
@@ -561,7 +570,7 @@ def _assert_makespan_matches_timeline(graph, platform):
     direct, via_timeline = CachedCostEvaluator(model), CachedCostEvaluator(model)
     makespan = result.predicted_makespan(direct)
     assert makespan.hex() == result.symbolic_timeline(via_timeline).makespan.hex()
-    assert direct.stats.to_dict() == via_timeline.stats.to_dict()
+    assert direct.stats == via_timeline.stats
     assert direct.stats.requests > 0
     return result
 

@@ -6,6 +6,7 @@ import hashlib
 import http.client
 import json
 import sys
+import threading
 
 import pytest
 
@@ -15,9 +16,9 @@ from repro.serve import (
     SOLVER_CFGS,
     RequestError,
     ScheduleService,
-    ServerThread,
     validate_request,
 )
+from repro.serve.http import HttpServer
 
 DSL = """
 task prep(a : vector : out : replic);
@@ -38,6 +39,51 @@ cmmain MAIN(d : vector : out : replic) {
   }
 }
 """
+
+
+class ServerThread:
+    """A live server on a daemon thread with its own event loop: the
+    real wire path without a subprocess."""
+
+    def __init__(self, service: ScheduleService) -> None:
+        self.service = service
+        self.server = HttpServer(service, "127.0.0.1", 0)
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._run, name="repro-serve", daemon=True)
+        self._ready = threading.Event()
+
+    def start(self) -> "ServerThread":
+        """Boot the loop thread; returns once the port is bound."""
+        self._thread.start()
+        if not self._ready.wait(10.0):
+            raise RuntimeError("server thread did not come up in time")
+        return self
+
+    def _run(self) -> None:
+        loop = self._loop
+        asyncio.set_event_loop(loop)
+        loop.run_until_complete(self.server.start())
+        self._ready.set()
+        try:
+            loop.run_forever()
+        finally:
+            loop.run_until_complete(self.server.stop())
+            pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
+            for task in pending:
+                task.cancel()
+            loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
+            loop.close()
+
+    def stop(self) -> None:
+        """Stop the loop, join the thread, shut the worker pool down."""
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=10)
+        self.service.close()
+
+
+def decoded(response):
+    """A service response's JSON body."""
+    return json.loads(response.body.decode())
 
 
 def call(svc, method, path, payload=None, headers=None):
@@ -64,19 +110,19 @@ class TestValidation:
     def test_invalid_json_is_400(self, svc):
         r = call(svc, "POST", "/v1/schedule", b"{not json")
         assert r.status == 400
-        assert r.json["error"]["code"] == "invalid_json"
+        assert decoded(r)["error"]["code"] == "invalid_json"
 
     def test_unknown_solver_is_400(self, svc):
         r = call(svc, "POST", "/v1/schedule", {"workload": {"solver": "nope"}})
         assert r.status == 400
-        assert r.json["error"]["code"] == "unknown_solver"
-        assert "irk" in r.json["error"]["message"]
+        assert decoded(r)["error"]["code"] == "unknown_solver"
+        assert "irk" in decoded(r)["error"]["message"]
 
     def test_unknown_platform_is_400(self, svc):
         r = call(svc, "POST", "/v1/schedule", {
             "workload": {"solver": "irk"}, "topology": {"platform": "cray"}})
         assert r.status == 400
-        assert r.json["error"]["code"] == "unknown_platform"
+        assert decoded(r)["error"]["code"] == "unknown_platform"
 
     @pytest.mark.parametrize("endpoint", ["schedule", "run"])
     def test_every_advertised_platform_is_served(self, svc, endpoint):
@@ -95,32 +141,32 @@ class TestValidation:
             "workload": {"solver": "irk"},
             "topology": {"platform": "chic", "cores": cores}})
         assert r.status == 400
-        assert r.json["error"]["code"] == "invalid_topology"
+        assert decoded(r)["error"]["code"] == "invalid_topology"
         assert "Traceback" not in r.body.decode()
 
     def test_unknown_option_is_400(self, svc):
         r = call(svc, "POST", "/v1/schedule", {
             "workload": {"solver": "irk"}, "options": {"turbo": True}})
         assert r.status == 400
-        assert r.json["error"]["code"] == "unknown_option"
+        assert decoded(r)["error"]["code"] == "unknown_option"
 
     def test_malformed_dsl_is_parse_error_not_traceback(self, svc):
         r = call(svc, "POST", "/v1/schedule", {"program": {"dsl": "task {"}})
         assert r.status == 400
-        assert r.json["error"]["code"] == "parse_error"
+        assert decoded(r)["error"]["code"] == "parse_error"
         assert "Traceback" not in r.body.decode()
 
     def test_unbuildable_dsl_is_build_error(self, svc):
         # vector has no element count without a sizes entry
         r = call(svc, "POST", "/v1/schedule", {"program": {"dsl": DSL}})
         assert r.status == 400
-        assert r.json["error"]["code"] == "build_error"
+        assert decoded(r)["error"]["code"] == "build_error"
 
     def test_work_for_undeclared_task_is_400(self, svc):
         r = call(svc, "POST", "/v1/schedule", {"program": {
             "dsl": DSL, "sizes": {"vector": 8}, "work": {"ghost": 1.0}}})
         assert r.status == 400
-        assert r.json["error"]["code"] == "unknown_task"
+        assert decoded(r)["error"]["code"] == "unknown_task"
 
     def test_workload_and_program_together_rejected(self, svc):
         r = call(svc, "POST", "/v1/schedule", {
@@ -135,7 +181,7 @@ class TestValidation:
         r = call(svc, "POST", "/v1/run", {
             "program": {"dsl": DSL, "sizes": {"vector": 8}}})
         assert r.status == 400
-        assert r.json["error"]["code"] == "not_runnable"
+        assert decoded(r)["error"]["code"] == "not_runnable"
 
     def test_oversize_body_is_413(self, svc):
         blob = b'{"workload": {"solver": "' + b"x" * (1 << 20) + b'"}}'
@@ -153,7 +199,7 @@ class TestValidation:
         r = call(svc, "POST", "/v1/schedule", {
             "workload": {"solver": "irk"}, "tenant": "no spaces!"})
         assert r.status == 400
-        assert r.json["error"]["code"] == "invalid_tenant"
+        assert decoded(r)["error"]["code"] == "invalid_tenant"
 
     def test_scheduler_override_rejected_for_workloads(self, svc):
         r = call(svc, "POST", "/v1/schedule", {
@@ -193,7 +239,7 @@ class TestGoldenByteIdentity:
         cold = call(svc, "POST", "/v1/schedule", req)
         assert cold.status == 200, cold.body
         assert cold.headers["X-Cache"] == "miss"
-        assert float(cold.json["predicted_makespan"]).hex() == SERVED_MAKESPAN[solver]
+        assert float(decoded(cold)["predicted_makespan"]).hex() == SERVED_MAKESPAN[solver]
         hit = call(svc, "POST", "/v1/schedule", req)
         assert hit.status == 200
         assert hit.headers["X-Cache"] == "hit"
@@ -206,7 +252,7 @@ class TestGoldenByteIdentity:
         assert cold.status == 200, cold.body
         hit = call(svc, "POST", "/v1/simulate", req)
         assert hit.body == cold.body
-        assert "makespan" in cold.json and "metrics" in cold.json
+        assert "makespan" in decoded(cold) and "metrics" in decoded(cold)
 
     def test_run_hit_is_byte_identical(self, svc):
         req = {"workload": {"solver": "pab", "n": 24},
@@ -215,8 +261,8 @@ class TestGoldenByteIdentity:
         assert cold.status == 200, cold.body
         hit = call(svc, "POST", "/v1/run", req)
         assert hit.body == cold.body
-        assert cold.json["tasks_executed"] > 0
-        assert cold.json["variables"]  # array digests of the outputs
+        assert decoded(cold)["tasks_executed"] > 0
+        assert decoded(cold)["variables"]  # array digests of the outputs
 
     def test_endpoints_do_not_share_entries(self, svc):
         req = {"workload": {"solver": "irk", "n": 24}}
@@ -281,7 +327,7 @@ class TestEndpoints:
     def test_schedule_response_shape(self, svc):
         r = call(svc, "POST", "/v1/schedule", {
             "workload": {"solver": "irk", "n": 24}, "topology": {"cores": 16}})
-        body = r.json
+        body = decoded(r)
         assert body["schema"] == "repro.serve.schedule/1"
         assert set(body["digests"]) == {"program", "topology", "options"}
         assert body["tasks"] > 0 and body["predicted_makespan"] > 0
@@ -298,7 +344,7 @@ class TestEndpoints:
                "options": {"scheduler": "gsearch"}}
         cold = call(svc, "POST", "/v1/schedule", req)
         assert cold.status == 200, cold.body
-        assert cold.json["tasks"] == 6  # start + 4 tasks + stop
+        assert decoded(cold)["tasks"] == 6  # start + 4 tasks + stop
         hit = call(svc, "POST", "/v1/schedule", req)
         assert hit.headers["X-Cache"] == "hit"
         assert hit.body == cold.body
@@ -317,7 +363,7 @@ class TestEndpoints:
                "options": {"scheduler": scheduler}}
         r = call(svc, "POST", "/v1/schedule", req)
         assert r.status == 200, r.body
-        assert r.json["predicted_makespan"] >= 0
+        assert decoded(r)["predicted_makespan"] >= 0
 
     def test_dp_version_for_workloads(self, svc):
         req = {"workload": {"solver": "irk", "n": 24},
@@ -327,13 +373,13 @@ class TestEndpoints:
 
     def test_healthz(self, svc):
         r = call(svc, "GET", "/healthz")
-        assert r.status == 200 and r.json == {"status": "ok"}
+        assert r.status == 200 and decoded(r) == {"status": "ok"}
 
     def test_stats(self, svc):
         call(svc, "POST", "/v1/schedule", {"workload": {"solver": "irk", "n": 24}})
         r = call(svc, "GET", "/v1/stats")
         assert r.status == 200
-        assert r.json["cache"]["entries"] == 1
+        assert decoded(r)["cache"]["entries"] == 1
 
 
 class TestPersistence:

@@ -25,6 +25,8 @@ from repro.spec import GraphBuilder
 from repro.spec import lexer
 from repro.spec.lexer import KEYWORDS, LexError, Token, tokenize
 
+from tests.test_serve import decoded
+
 SOLVERS = ("irk", "diirk", "epol", "pab", "pabm")
 
 FORK_JOIN = """
@@ -279,7 +281,7 @@ class TestColdRequestCompilesOnce:
             svc.close()
         assert len(calls) == 1
         assert first.status == second.status == 400
-        assert first.json["error"]["code"] == second.json["error"]["code"] == "parse_error"
+        assert decoded(first)["error"]["code"] == decoded(second)["error"]["code"] == "parse_error"
         assert not svc._inflight
 
     def test_failing_pool_construction_is_a_structured_500_and_leaves_no_job(
@@ -293,7 +295,7 @@ class TestColdRequestCompilesOnce:
         monkeypatch.setattr(svc, "_pool", no_pool)
         payload = workload_payload("irk", n=22, cores=16)
         failed = post(svc, "schedule", payload)
-        assert failed.status == 500 and "OSError" in failed.json["error"]["message"]
+        assert failed.status == 500 and "OSError" in decoded(failed)["error"]["message"]
         assert not svc._inflight and svc._jobs == 0
         monkeypatch.undo()
         try:

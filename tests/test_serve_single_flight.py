@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from repro.serve import Response, ScheduleService, api
 
+from tests.test_serve import decoded
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -133,7 +135,7 @@ class TestLeaderThatNeverFinishes:
         finally:
             svc.close()
         assert isinstance(led, Response) and led.status == 500
-        assert "RuntimeError" in led.json["error"]["message"]
+        assert "RuntimeError" in decoded(led)["error"]["message"]
         assert isinstance(waited, Response), waited
         assert waited.status == 500  # it led a retry, which met the same pool
         assert_idle(svc)

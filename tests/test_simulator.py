@@ -52,7 +52,7 @@ class TestEngine:
     def test_after_relative(self):
         sim = Simulator()
         out = []
-        sim.after(1.0, lambda: sim.after(2.0, lambda: out.append(sim.now)))
+        sim.at(1.0, lambda: sim.at(sim.now + 2.0, lambda: out.append(sim.now)))
         sim.run()
         assert out == [3.0]
 
@@ -62,8 +62,6 @@ class TestEngine:
         sim.run()
         with pytest.raises(ValueError):
             sim.at(1.0, lambda: None)
-        with pytest.raises(ValueError):
-            sim.after(-1.0, lambda: None)
 
     def test_run_until(self):
         sim = Simulator()
@@ -756,7 +754,7 @@ class TestPriceMemo:
         # nothing else about the evaluator's work moved
         for name in ("tcomp_mapped", "redistribution_time"):
             assert new.calls[name] == old.calls[name]
-        assert new_cost.stats.to_dict() == old_cost.stats.to_dict()
+        assert new_cost.stats == old_cost.stats
 
     def test_third_pass_reuses_the_second_pass_prices(self):
         platform = chic().with_cores(256)

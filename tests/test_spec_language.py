@@ -232,7 +232,7 @@ class TestBuilder:
         }
         res = self.build(costs=costs)
         body = res.body_of(res.composed_nodes()[0])
-        s41 = body.task("step(1,4,t,h,eta_k,V[4])#11")
+        s41 = next(t for t in body if t.name == "step(1,4,t,h,eta_k,V[4])#11")
         assert s41.work == pytest.approx(400.0)
         assert s41.comm[0].op == "allgather"
 

@@ -104,7 +104,7 @@ class TestSpeculationPolicy:
         assert p.threshold(estimate=1.0) == 10.0
 
     def test_off_never_fires(self):
-        assert SpeculationPolicy.off().threshold(estimate=5.0) is None
+        assert SpeculationPolicy(enabled=False).threshold(estimate=5.0) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -166,7 +166,7 @@ class TestSimulatorSpeculation:
         platform = chic().with_cores(32)
         base = sim_pipeline(platform, faults=STRAGGLER).run(wide_graph())
         off = sim_pipeline(
-            platform, faults=STRAGGLER, speculation=SpeculationPolicy.off()
+            platform, faults=STRAGGLER, speculation=SpeculationPolicy(enabled=False)
         ).run(wide_graph())
         assert [(e.task.name, e.start, e.finish) for e in base.trace.entries] == [
             (e.task.name, e.start, e.finish) for e in off.trace.entries
@@ -287,7 +287,7 @@ class TestRuntimeSpeculation:
         res = run_program(
             chain_graph(), {"x": np.arange(4.0)},
             obs=Instrumentation(clock=counting_clock()),
-            faults=self.PLAN, speculation=SpeculationPolicy.off(),
+            faults=self.PLAN, speculation=SpeculationPolicy(enabled=False),
         )
         assert res.stats.speculations == []
 
