@@ -102,16 +102,6 @@ def main() -> None:
     print(f"  {'Algorithm 1 (searched g)':<38s} "
           f"groups={auto.layers[1].group_sizes}  est. step time {makespan * 1e3:7.2f} ms")
 
-    # the compiler back end: the schedule as a pseudo-MPI program
-    from repro.spec import generate_mpi_pseudocode
-
-    sched = fixed_group_scheduler(cost, 2).schedule(body).layered
-    code = generate_mpi_pseudocode(body, sched, cost, program_name="epol_step")
-    print("\n=== generated pseudo-MPI program (first 24 lines) ===")
-    for line in code.splitlines()[:24]:
-        print(" ", line)
-    print("  ...")
-
 
 if __name__ == "__main__":
     main()

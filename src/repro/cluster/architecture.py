@@ -170,9 +170,15 @@ class Machine:
     # ------------------------------------------------------------------
     def core_index(self, cores: Sequence[CoreId]) -> np.ndarray:
         """Positions of ``cores`` in the consecutive order of
-        :meth:`cores`, so ``machine.cores()[i]`` inverts it."""
+        :meth:`cores`, so ``machine.cores()[i]`` inverts it.  A contiguous
+        run of that order -- what a consecutive mapping hands out -- is
+        one range, found without a lookup per core."""
         index = self._index
         try:
+            if cores:
+                lo = index[cores[0]]
+                if self._cores[lo : lo + len(cores)] == tuple(cores):
+                    return np.arange(lo, lo + len(cores), dtype=np.intp)
             return np.fromiter((index[c] for c in cores), dtype=np.intp, count=len(cores))
         except KeyError as exc:
             raise ValueError(f"core {exc.args[0]} does not exist on {self.name}") from None

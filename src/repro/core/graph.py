@@ -89,6 +89,20 @@ class TaskGraph:
         self._topo = None
         return task
 
+    @classmethod
+    def assembled(
+        cls, name: str, succ: Adjacency, pred: Adjacency, order: List[MTask]
+    ) -> "TaskGraph":
+        """A graph over prepared adjacency maps and their topological
+        order, taken as they are: no checks and no copies.  The fill step
+        of a compiled program template (:mod:`repro.spec.build`) hands in
+        fresh tasks and flow lists in the rows and order of a graph that
+        was checked when the template was compiled."""
+        graph = cls(name)
+        graph._succ, graph._pred, graph._topo = succ, pred, order
+        graph._by_name = {t.name: t for t in succ}
+        return graph
+
     def add_tasks(self, tasks: Iterable[MTask]) -> None:
         """Add several task nodes."""
         for t in tasks:

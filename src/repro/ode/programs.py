@@ -18,21 +18,23 @@ the :mod:`repro.spec` front end.  Two variants exist:
 
 The per-step graph to hand to the scheduler is the body of the
 time-stepping ``while`` loop, accessible via :func:`step_graph`.
+
+A generated source depends only on ``(method, K, m, ceil(t_end),
+functional)``, never on the problem, so each configuration is compiled
+into its graph template once per process
+(:func:`repro.spec.build.compile_source`); a problem size only fills it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
 
 from ..core.graph import TaskGraph
 from ..core.task import CollectiveSpec
-from ..spec.ast_nodes import Program
 from ..spec.build import BuildResult, GraphBuilder, TaskCost
-from ..spec.parser import parse
 from .adams import AdamsBlockMethod
 from .problems import ODEProblem
 from .tableaux import gauss_legendre, radau_iia
@@ -578,28 +580,20 @@ def _attach(costs: Dict[str, TaskCost], **bodies) -> Dict[str, TaskCost]:
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-#: distinct generated source texts whose AST is kept; a source depends
-#: only on (method, K, m, ceil(t_end), functional), never on the problem
-PARSED_SOURCES = 32
-
-
-@lru_cache(maxsize=PARSED_SOURCES)
-def _parsed(source: str) -> Program:
-    """The AST of one generated source text, parsed once per process.
-
-    Every build of the same solver configuration shares the tree
-    (:class:`GraphBuilder` only reads it); unrolling and graph
-    construction still run per problem size.
-    """
-    return parse(source)
-
-
 def build_ode_program(
     problem: ODEProblem,
     cfg: MethodConfig,
     functional: bool = False,
 ) -> BuildResult:
     """Build the hierarchical M-task program of one solver."""
+    source, costs = _source_and_costs(problem, cfg, functional)
+    return GraphBuilder(source, {"vector": problem.n}).build(costs)
+
+
+def _source_and_costs(
+    problem: ODEProblem, cfg: MethodConfig, functional: bool
+) -> Tuple[str, Dict[str, TaskCost]]:
+    """A solver's specification source and its cost registry."""
     method, K, m = cfg.method, cfg.K, cfg.m
     if method == "epol":
         source = _epol_source(K, cfg.t_end)
@@ -635,8 +629,7 @@ def build_ode_program(
             costs = _cost_tables("pabm", problem, cfg)
     else:  # pragma: no cover - guarded by MethodConfig
         raise ValueError(method)
-    builder = GraphBuilder(_parsed(source), sizes={"vector": problem.n}, costs=costs)
-    return builder.build()
+    return source, costs
 
 
 def step_graph(

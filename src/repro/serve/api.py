@@ -332,7 +332,7 @@ def _program_graph(request: Dict[str, Any]):
         wl = request["workload"]
         return step_graph(bruss2d(wl["n"]), SOLVER_CFGS[wl["solver"]])
 
-    from ..spec import GraphBuilder, LexError, ParseError, TaskCost, parse
+    from ..spec import GraphBuilder, LexError, ParseError, TaskCost
 
     prog = request["program"]
     work = prog.get("work", {})
@@ -342,10 +342,12 @@ def _program_graph(request: Dict[str, Any]):
         return TaskCost(work=lambda env, sizes, _w=value: _w)
 
     try:
-        ast = parse(prog["dsl"])
+        builder = GraphBuilder(prog["dsl"], prog.get("sizes", {}), prog.get("main"))
     except (LexError, ParseError) as exc:
         raise RequestError(400, "parse_error", f"program.dsl does not parse: {exc}")
-    declared = {t.name for t in ast.tasks}
+    except (KeyError, ValueError, TypeError) as exc:
+        raise RequestError(400, "build_error", f"program.dsl does not build: {exc}")
+    declared = set(builder.template.tasks)
     unknown_work = sorted(set(work) - declared - {"*"})
     if unknown_work:
         raise _bad(
@@ -354,15 +356,9 @@ def _program_graph(request: Dict[str, Any]):
             f"{', '.join(sorted(declared)) or 'none'}",
             code="unknown_task",
         )
-    costs = {
-        name: cost_for(float(work.get(name, default_work))) for name in declared
-    }
-    try:
-        build = GraphBuilder(ast, prog.get("sizes", {}), costs).build(
-            prog.get("main")
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise RequestError(400, "build_error", f"program.dsl does not build: {exc}")
+    build = builder.build(
+        {name: cost_for(float(work.get(name, default_work))) for name in declared}
+    )
     composed = build.composed_nodes()
     loop = prog.get("loop")
     if loop is not None:

@@ -2,7 +2,6 @@
 
 from .ast_nodes import Program
 from .build import BuildResult, GraphBuilder, TaskCost, build_program
-from .codegen import generate_mpi_pseudocode
 from .lexer import LexError, Token, tokenize
 from .parser import ParseError, parse
 
@@ -17,5 +16,4 @@ __all__ = [
     "TaskCost",
     "BuildResult",
     "build_program",
-    "generate_mpi_pseudocode",
 ]

@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -116,6 +117,44 @@ class TestMachine:
             m.core_index([CoreId(1, 1, 0)])  # node 2 has a single processor
         with pytest.raises(ValueError):
             m.core_nodes[0] = 5  # the view is read-only
+
+    @pytest.mark.parametrize(
+        "machine",
+        [
+            Machine.homogeneous("t", 4, 2, 2, 1e9),
+            Machine("het", ((2, 2), (4,), (1, 3, 2), (2, 2)), 1e9),
+        ],
+        ids=["homogeneous", "het"],
+    )
+    def test_contiguous_runs_index_like_the_per_core_lookup(self, machine):
+        cores = machine.cores()
+        n = len(cores)
+
+        def per_core(picked):
+            return [cores.index(c) for c in picked]
+
+        mappings = {
+            "consecutive": [cores[lo:hi] for lo in range(n) for hi in range(lo + 1, n + 1)],
+            "scattered": [cores[::2], cores[::-1], cores[1::3], (cores[3], cores[0])],
+            "mixed": [
+                cores[:4] + cores[6:9],  # two runs
+                cores[2:5] + (cores[2],),  # a run and a repeat
+                (cores[5],) + cores[:5],  # a run behind its successor
+                list(cores[1:7]),  # a list, not a tuple
+            ],
+        }
+        for kind, picks in mappings.items():
+            for picked in picks:
+                got = machine.core_index(picked)
+                assert got.dtype == np.intp, kind
+                assert got.tolist() == per_core(picked), (kind, picked)
+        for foreign in (CoreId(9, 0, 0), CoreId(0, 0, 7)):
+            for picked in ([foreign], [foreign, cores[0]], [cores[0], foreign]):
+                with pytest.raises(ValueError, match="does not exist"):
+                    machine.core_index(picked)
+        # a run that would run past the last core is no run
+        with pytest.raises(ValueError, match="does not exist"):
+            machine.core_index([cores[-1], CoreId(cores[-1].node + 1, 0, 0)])
 
 
 class TestPlatforms:

@@ -1,6 +1,6 @@
 """A cold request compiles once: the ``CompiledProgram`` unit, the bounded
-memos behind it, the per-process platform memo, the parse memo of the
-paper solvers and the regex lexer (against the character loop it replaced)."""
+memos behind it, the per-process platform memo, the template memo of
+the paper solvers and the regex lexer (against the character loop it replaced)."""
 
 import asyncio
 import importlib.util
@@ -22,6 +22,7 @@ from repro.serve import ScheduleService, api
 from repro.serve import service as service_module
 from repro.serve.cache import LRU
 from repro.spec import GraphBuilder
+from repro.spec import build as spec_build
 from repro.spec import lexer
 from repro.spec.lexer import KEYWORDS, LexError, Token, tokenize
 
@@ -366,16 +367,17 @@ class TestBoundedMemos:
         assert again.headers["X-Cache"] == "hit" and again.body == cold.body
 
     def test_parse_memo_is_bounded_and_shares_the_tree(self):
-        parsed = ode_programs._parsed
-        parsed.cache_clear()
+        # the template memo is the parse memo: one compile per source
+        compiled = spec_build.compile_source
+        compiled.cache_clear()
         problem = bruss2d(4)
-        assert parsed.cache_info().maxsize == ode_programs.PARSED_SOURCES
+        assert compiled.cache_info().maxsize == spec_build.TEMPLATES == 32
         for n in (4, 6):  # the source does not depend on the problem size
             build_ode_program(bruss2d(n), MethodConfig("pab", K=3))
-        assert parsed.cache_info().misses == 1 and parsed.cache_info().hits == 1
-        for K in range(1, ode_programs.PARSED_SOURCES + 10):
+        assert compiled.cache_info().misses == 1 and compiled.cache_info().hits == 1
+        for K in range(1, spec_build.TEMPLATES + 10):
             build_ode_program(problem, MethodConfig("pab", K=K))
-        assert parsed.cache_info().currsize == ode_programs.PARSED_SOURCES
+        assert compiled.cache_info().currsize == spec_build.TEMPLATES
 
 
 # ----------------------------------------------------------------------
