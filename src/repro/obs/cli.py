@@ -23,16 +23,23 @@ Eight subcommands make pipeline runs inspectable and gate regressions:
   (``--registry-dir``) and detect metric drift across the last N
   records of a matching digest key.
 
-Run specifications are shared by
-``export``/``report``/``gantt``/``calib``/``prom``: an ODE solver
-(``--solver irk``), a platform (``--platform chic --cores 64``), a
-problem size (``--n 200``), plus optional fault injection
-(``--faults``), speculative straggler mitigation (``--speculate``), a
-journaled functional run (``--checkpoint-dir`` / ``--resume``), the
-execution backend of that functional run (``--backend serial``,
-``--backend pool[:W]`` or ``--backend cluster[:W]``) and a persistent
-run registry
-(``--registry-dir``) every run appends its :class:`RunRecord` to.
+The five run commands ``export``/``report``/``gantt``/``calib``/``prom``
+share their flags and run them as one ``/v1/simulate`` request of the
+scheduling service: an ODE solver and problem size (``--solver irk --n
+200``) are its ``workload``, a platform (``--platform chic --cores 64``)
+its ``topology``, ``--mapping`` / ``--version`` its ``options``.  The
+request is validated with :func:`repro.serve.api.validate_request` (a
+value the service would refuse is a usage error), compiled once with
+:func:`~repro.serve.api.compile_request` and run through
+:func:`~repro.serve.api.run_pipeline`, the function the service renders
+its responses from -- so a CLI run and a served run of one request have
+equal digests, cache key and run-registry key.  Optional flags outside
+the request: fault injection (``--faults``) and speculative straggler
+mitigation (``--speculate``), both simulation options; a journaled
+functional step (``--checkpoint-dir`` / ``--resume``) on an execution
+backend (``--backend serial``, ``--backend pool[:W]`` or ``--backend
+cluster[:W]``); and a persistent run registry (``--registry-dir``) every
+run appends its :class:`RunRecord` to.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from .metrics import metric_direction, oriented_ratio
 
@@ -50,7 +57,7 @@ __all__ = ["main", "build_parser", "spec_type", "flatten_metrics", "compare_metr
 
 
 # ----------------------------------------------------------------------
-# shared run-spec plumbing
+# the run commands: flags -> one service request
 # ----------------------------------------------------------------------
 def spec_type(parse: Callable[[str], Any]) -> Callable[[str], str]:
     """An argparse ``type=`` that checks a spec string with ``parse``.
@@ -155,116 +162,104 @@ def _add_run_arguments(ap: argparse.ArgumentParser) -> None:
     )
 
 
-def _run_spec(args, obs=None) -> Tuple[Dict[str, Any], Any, Any]:
-    """Run the pipeline described by the CLI flags.
+def _payload(args) -> Dict[str, Any]:
+    """The ``/v1/simulate`` request body the run flags describe."""
+    return {
+        "workload": {"solver": args.solver, "n": 120 if args.quick else args.n},
+        "topology": {"platform": args.platform, "cores": args.cores},
+        "options": {"mapping": args.mapping, "version": args.version},
+    }
 
-    Returns ``(spec, result, cost)`` -- the run description, the
-    :class:`~repro.pipeline.PipelineResult` and the cost model bound to
-    the target platform (for symbolic re-rendering).  ``obs`` threads a
-    caller-supplied :class:`~repro.obs.Instrumentation` through both the
-    pipeline and the optional functional ``--checkpoint-dir`` run
-    (``prom`` then renders both from the one ``result.obs``).
-    With ``--registry-dir``, one :class:`~repro.obs.RunRecord` of the
-    pipeline run is appended to the persistent registry.
+
+def _backend(args) -> str:
+    """What the run's record is labelled with: ``sim``, or the backend
+    of its journaled functional step."""
+    if args.checkpoint_dir and args.backend != "serial":
+        return args.backend
+    return "sim"
+
+
+def _run(args, obs=None):
+    """Run the compiled request through the service's pipeline function.
+
+    ``--faults`` / ``--speculate`` reach it as simulation options; with
+    ``--registry-dir`` its :class:`~repro.obs.RunRecord` -- the record a
+    served ``/v1/simulate`` of the same request writes, so both share a
+    digest key -- is appended to the persistent registry.  Returns the
+    :class:`~repro.pipeline.PipelineResult`.
     """
-    from ..cluster.platforms import by_name
-    from ..core.costmodel import CostModel
-    from ..experiments.common import ode_pipeline
-    from ..mapping.strategies import strategy_by_name
-    from ..ode import PAPER_CONFIGS, bruss2d
+    from ..faults import parse_faults_spec
+    from ..recovery import parse_speculation_spec
+    from ..serve.api import run_pipeline
     from ..sim.executor import SimulationOptions
 
-    n = 120 if args.quick else args.n
-    platform = by_name(args.platform).with_cores(args.cores)
-    cost = CostModel(platform)
-    cfg = PAPER_CONFIGS[args.solver]
-    faults = None
-    if getattr(args, "faults", None):
-        from ..faults import parse_faults_spec
-
-        faults = parse_faults_spec(args.faults)
-    speculation = None
-    if getattr(args, "speculate", None):
-        from ..recovery import parse_speculation_spec
-
-        speculation = parse_speculation_spec(args.speculate)
-    options = SimulationOptions(faults=faults, speculation=speculation)
-    result = ode_pipeline(
-        bruss2d(n),
-        cfg,
-        platform,
-        strategy_by_name(args.mapping),
-        version=args.version,
-        cost=cost,
-        options=options,
-        obs=obs,
+    options = SimulationOptions(
+        faults=parse_faults_spec(args.faults) if args.faults else None,
+        speculation=parse_speculation_spec(args.speculate) if args.speculate else None,
     )
-    spec = {
-        "solver": args.solver,
-        "platform": args.platform,
-        "cores": args.cores,
-        "n": n,
-        "version": args.version,
-        "mapping": args.mapping,
-    }
-    if getattr(args, "faults", None):
-        spec["faults"] = args.faults
-    if getattr(args, "speculate", None):
-        spec["speculation"] = args.speculate
-    if getattr(args, "checkpoint_dir", None):
-        from ..experiments.recovery_run import run_checkpointed_step
-        from ..runtime.backends import parse_backend_spec
-
-        backend_spec = getattr(args, "backend", None) or "serial"
-        _, recovery = run_checkpointed_step(
-            bruss2d(n),
-            cfg,
-            args.checkpoint_dir,
-            resume=args.resume,
-            speculation=speculation,
-            backend=parse_backend_spec(backend_spec),
-            obs=obs,
-        )
-        spec["checkpoint_dir"] = args.checkpoint_dir
-        spec["resume"] = bool(args.resume)
-        spec["recovery"] = recovery
-        if backend_spec != "serial":
-            spec["backend"] = backend_spec
-    if getattr(args, "registry_dir", None):
+    result, record = run_pipeline(
+        args.request, args.compiled, options, obs, backend=_backend(args)
+    )
+    if args.registry_dir:
         import time
 
-        from .registry import RunRegistry, record_from_result
+        from .registry import RunRegistry
 
-        registry = RunRegistry(args.registry_dir)
-        path = registry.append(
-            record_from_result(result, spec=spec, timestamp=time.time())
-        )
-        print(f"appended run record to {path}")
-    return spec, result, cost
+        record.timestamp = time.time()
+        print(f"appended run record to {RunRegistry(args.registry_dir).append(record)}")
+    return result
 
 
-def _print_recovery(spec: Dict[str, Any]) -> None:
-    if spec.get("recovery"):
+def _journaled_step(args, obs=None) -> Optional[Dict[str, Any]]:
+    """With ``--checkpoint-dir``: run one *functional* step of the
+    request's solver under a write-ahead journal on ``--backend``,
+    recording into ``obs``; returns its recovery summary (``None``
+    without the flag)."""
+    if not args.checkpoint_dir:
+        return None
+    from ..experiments.recovery_run import run_checkpointed_step
+    from ..ode import PAPER_CONFIGS, bruss2d
+    from ..recovery import parse_speculation_spec
+    from ..runtime.backends import parse_backend_spec
+
+    workload = args.request["workload"]
+    _, recovery = run_checkpointed_step(
+        bruss2d(workload["n"]),
+        PAPER_CONFIGS[workload["solver"]],
+        args.checkpoint_dir,
+        resume=args.resume,
+        speculation=parse_speculation_spec(args.speculate) if args.speculate else None,
+        backend=parse_backend_spec(args.backend),
+        obs=obs,
+    )
+    recovery["backend"] = args.backend
+    return recovery
+
+
+def _print_recovery(recovery: Optional[Dict[str, Any]]) -> None:
+    if recovery:
         from ..experiments.recovery_run import recovery_line
 
-        print(f"recovery: {recovery_line(spec['recovery'])}")
+        print(f"recovery: {recovery_line(recovery)}")
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 def _cmd_export(args) -> int:
+    from ..serve.api import cache_key, request_view
     from .perfetto import pipeline_trace, write_trace
-    from .registry import program_digest
 
-    spec, result, _ = _run_spec(args)
-    _print_recovery(spec)
+    result = _run(args)
+    recovery = _journaled_step(args)
+    _print_recovery(recovery)
+    compiled = args.compiled
     run_meta = {
-        "solver": spec["solver"],
-        "platform": spec["platform"],
-        "cores": spec["cores"],
-        "backend": spec.get("backend", "sim"),
-        "program_digest": program_digest(result.graph),
+        "solver": args.solver,
+        "platform": args.platform,
+        "cores": args.cores,
+        "backend": _backend(args),
+        "program_digest": compiled.program_digest,
     }
     doc = pipeline_trace(result, run_meta=run_meta)
     path = write_trace(args.out, doc)
@@ -272,11 +267,18 @@ def _cmd_export(args) -> int:
     if args.run_json:
         payload = {
             "schema": "repro.obs.run/1",
-            "spec": spec,
+            "spec": request_view(args.request),
+            "digests": compiled.digests,
+            "key": cache_key("simulate", compiled.digests),
             "metrics": result.metrics(),
             "analysis": result.analysis().to_dict(),
             "calibration": result.calibration().to_dict(),
         }
+        # simulation conditions outside the request (and its key)
+        extra = {"faults": args.faults, "speculation": args.speculate}
+        payload.update((k, v) for k, v in extra.items() if v)
+        if recovery:
+            payload["recovery"] = recovery
         run_path = Path(args.run_json)
         run_path.parent.mkdir(parents=True, exist_ok=True)
         run_path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
@@ -307,8 +309,8 @@ def _cmd_report(args) -> int:
                 f"MAPE {calib.get('mape', 0.0):.2%}"
             )
         return 0
-    spec, result, _ = _run_spec(args)
-    _print_recovery(spec)
+    result = _run(args)
+    _print_recovery(_journaled_step(args))
     print(result.report())
     print()
     print(result.analysis().report(per_core=args.per_core))
@@ -318,12 +320,12 @@ def _cmd_report(args) -> int:
 def _cmd_gantt(args) -> int:
     from .gantt import render_layers, render_trace
 
-    spec, result, cost = _run_spec(args)
-    _print_recovery(spec)
+    result = _run(args)
+    _print_recovery(_journaled_step(args))
     print(render_trace(result.trace, width=args.width, by=args.by))
     if args.layers and result.scheduling.layered is not None:
         print()
-        print(render_layers(result.scheduling.layered, cost))
+        print(render_layers(result.scheduling.layered, result.cost))
     return 0
 
 
@@ -493,34 +495,24 @@ def _cmd_trend(args) -> int:
 def _cmd_calib(args) -> int:
     from .calibrate import calibrate_spans
 
-    # the functional run is driven below with its own instrumentation,
-    # so the sim pipeline run stays clean of wall-clock spans
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    args.checkpoint_dir = None
-    spec, result, _ = _run_spec(args)
+    result = _run(args)
     report = result.calibration()
     print(report.report(top=args.top))
-    if checkpoint_dir:
-        from ..experiments.recovery_run import run_checkpointed_step
+    if args.checkpoint_dir:
         from ..ode import PAPER_CONFIGS, bruss2d, functional_step
-        from ..runtime.backends import parse_backend_spec
         from .events import Instrumentation
 
-        problem, cfg = bruss2d(spec["n"]), PAPER_CONFIGS[args.solver]
+        # the functional step records into its own instrumentation, so
+        # the sim pipeline run stays clean of wall-clock spans
         wall_obs = Instrumentation()
-        backend_spec = getattr(args, "backend", None) or "serial"
-        run_checkpointed_step(
-            problem,
-            cfg,
-            checkpoint_dir,
-            resume=args.resume,
-            backend=parse_backend_spec(backend_spec),
-            obs=wall_obs,
+        _journaled_step(args, wall_obs)
+        workload = args.request["workload"]
+        _, _, body, _ = functional_step(
+            bruss2d(workload["n"]), PAPER_CONFIGS[workload["solver"]]
         )
-        _, _, body, _ = functional_step(problem, cfg)
         wall = calibrate_spans(body, result.cost, wall_obs)
         print()
-        print(f"wall-clock calibration ({backend_spec} backend):")
+        print(f"wall-clock calibration ({args.backend} backend):")
         print(wall.report(top=args.top))
     if args.gate:
         problems = report.gate(max_bias=args.max_bias, max_mape=args.max_mape)
@@ -540,18 +532,20 @@ def _cmd_prom(args) -> int:
     from .registry import MetricsRegistry, publish_result
 
     registry = MetricsRegistry()
-    spec, result, _ = _run_spec(args, obs=Instrumentation())
+    obs = Instrumentation()
+    result = _run(args, obs)
+    recovery = _journaled_step(args, obs)
     publish_result(
         registry,
         result,
-        solver=spec["solver"],
-        platform=spec["platform"],
-        cores=spec["cores"],
-        backend=spec.get("backend", "sim"),
+        solver=args.solver,
+        platform=args.platform,
+        cores=args.cores,
+        backend=_backend(args),
     )
     text = registry.render_prometheus()
     if args.out:
-        _print_recovery(spec)
+        _print_recovery(recovery)
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text)
@@ -561,7 +555,7 @@ def _cmd_prom(args) -> int:
     return 0
 
 
-#: shared ``--help`` epilog of the run-spec subcommands; kept in sync
+#: shared ``--help`` epilog of the run commands; kept in sync
 #: with ``_add_run_arguments`` by ``tests/test_docs_flags.py``
 _RUN_EPILOG = """\
 fault-tolerance, recovery and telemetry flags:
@@ -766,13 +760,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     ap = build_parser()
     args = ap.parse_args(argv)
-    if hasattr(args, "platform"):  # a run spec: the platform must allocate it
-        from ..cluster.platforms import by_name
+    if hasattr(args, "solver"):  # a run command: one service request
+        from ..serve import api
 
         try:
-            by_name(args.platform).with_cores(args.cores)
-        except ValueError as exc:
-            ap.error(f"--platform {args.platform} --cores {args.cores}: {exc}")
+            args.request = api.validate_request("simulate", _payload(args))
+            args.compiled = api.compile_request(args.request)
+        except api.RequestError as exc:
+            ap.error(exc.message)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -306,18 +306,21 @@ def _cost_tables(
         else:
             elems = n
         return CollectiveSpec("allgather", elems, scope=scope, count=count)
+
+    # every task of a kind shares its (frozen) collectives: built once
+    # per table, not once per task
+    group, orthogonal, everyone = ag("group"), ag("orthogonal"), ag("global")
     if method == "epol":
+        bcast = (CollectiveSpec("bcast", n, scope="global", task_parallel_only=True),)
         return {
             "init_step": TaskCost(work=lambda e, s: float(n)),
             "step": TaskCost(
                 work=lambda e, s: 2.0 * n + ev,
-                comm=lambda e, s: (ag("group"),),
+                comm=lambda e, s: (group,),
             ),
             "combine": TaskCost(
                 work=lambda e, s: 3.0 * n * K * K + 2.0 * n,
-                comm=lambda e, s: (
-                    CollectiveSpec("bcast", n, scope="global", task_parallel_only=True),
-                ),
+                comm=lambda e, s: bcast,
             ),
         }
     if method == "irk":
@@ -325,11 +328,11 @@ def _cost_tables(
             "init_step": TaskCost(work=lambda e, s: float(n)),
             "stage": TaskCost(
                 work=lambda e, s: ev + 2.0 * n * K,
-                comm=lambda e, s: (ag("group"), ag("orthogonal")),
+                comm=lambda e, s: (group, orthogonal),
             ),
             "combine": TaskCost(
                 work=lambda e, s: 2.0 * n * K + n,
-                comm=lambda e, s: (ag("global"),),
+                comm=lambda e, s: (everyone,),
             ),
         }
     if method == "diirk":
@@ -343,6 +346,7 @@ def _cost_tables(
         else:
             band = max(2, int(round((n / 2) ** 0.5)))  # BRUSS2D: N = sqrt(n/2)
             rows, row_elems = band - 1, 4 * band
+        elimination = CollectiveSpec("bcast", row_elems, scope="group", count=rows * I / m)
         return {
             "init_step": TaskCost(work=lambda e, s: float(n)),
             "stage": TaskCost(
@@ -350,19 +354,14 @@ def _cost_tables(
                 # (evaluation + triangular solve); the chain of m stage
                 # tasks shares this evenly
                 work=lambda e, s: (factor + I * (ev + solve)) / m,
-                comm=lambda e, s: (
-                    CollectiveSpec(
-                        "bcast", row_elems, scope="group", count=rows * I / m
-                    ),
-                    ag("orthogonal"),
-                ),
+                comm=lambda e, s: (elimination, orthogonal),
                 # the distributed elimination synchronises the thread
                 # team once per pivot row (hybrid execution, Fig. 18)
                 sync_points=rows * I / m,
             ),
             "combine": TaskCost(
                 work=lambda e, s: 2.0 * n * K + n,
-                comm=lambda e, s: (ag("global"),),
+                comm=lambda e, s: (everyone,),
             ),
         }
     if method == "pab":
@@ -370,16 +369,17 @@ def _cost_tables(
             "init_block": TaskCost(work=lambda e, s: float(n)),
             "stage": TaskCost(
                 work=lambda e, s: ev + 2.0 * n * K,
-                comm=lambda e, s: (ag("group"), ag("orthogonal")),
+                comm=lambda e, s: (group, orthogonal),
             ),
             "advance": TaskCost(work=lambda e, s: float(n)),
         }
     if method == "pabm":
+        corrector = ag("group", count=1 + m)
         return {
             "init_block": TaskCost(work=lambda e, s: float(n)),
             "stage": TaskCost(
                 work=lambda e, s: (1 + m) * (ev + 2.0 * n * K),
-                comm=lambda e, s: (ag("group", count=1 + m), ag("orthogonal")),
+                comm=lambda e, s: (corrector, orthogonal),
             ),
             "advance": TaskCost(work=lambda e, s: float(n)),
         }

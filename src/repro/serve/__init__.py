@@ -13,8 +13,10 @@ at ``/metrics``.
 Layering, bottom to top:
 
 - :mod:`repro.serve.api` -- pure request validation, canonicalization,
-  the one compile step (``compile_request`` -> ``CompiledProgram``) and
-  the picklable compute function (no asyncio, no sockets).
+  the one compile step (``compile_request`` -> ``CompiledProgram``), the
+  one pipeline run of a compiled request (``run_pipeline``, which
+  ``python -m repro.obs`` runs its flags through too) and the picklable
+  compute function (no asyncio, no sockets).
 - :mod:`repro.serve.cache` -- two-tier (memory + disk) byte cache with
   atomic tmp-rename writes, and the bounded ``LRU`` behind every memo.
 - :mod:`repro.serve.service` -- asyncio routing, backpressure,

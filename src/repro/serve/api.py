@@ -9,8 +9,8 @@ or event loops) and cache the rendered bytes content-addressed.
 A request names a workload in one of two interchange formats:
 
 * ``"workload"`` -- one of the five paper solvers by name
-  (``{"solver": "irk", "n": 120}``); the service rebuilds the solver's
-  M-task step graph exactly as ``python -m repro.obs`` does;
+  (``{"solver": "irk", "n": 120}``), the request the run commands of
+  ``python -m repro.obs`` map their flags onto;
 * ``"program"`` -- a CM-task DSL program (:mod:`repro.spec`), shipped as
   source text plus compile-time ``sizes`` and per-task ``work`` cost
   annotations, parsed and built server-side.  Malformed programs become
@@ -27,6 +27,8 @@ the cache key, :func:`request_digests` and :func:`compute_response` all
 read.  The service compiles on a server thread and ships the unit to the
 worker with the request; called with a request alone,
 :func:`compute_response` compiles for itself through the same function.
+:func:`run_pipeline` is the one modelled run of a compiled request: the
+service renders its response from it, the CLI traces and reports it.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ __all__ = [
     "request_digests",
     "cache_key",
     "compute_response",
+    "run_pipeline",
+    "request_view",
     "render_body",
 ]
 
@@ -448,9 +452,20 @@ def _platform(request: Dict[str, Any]):
         raise _bad(f"topology: {exc}", code="invalid_topology") from None
 
 
-def _build_unit(request: Dict[str, Any], platform) -> CompiledProgram:
+def compile_request(request: Dict[str, Any]) -> CompiledProgram:
+    """Compile one validated request: the only graph build and digest.
+
+    The program digest hashes the *built* task graph's
+    scheduling-relevant shape (:func:`repro.obs.registry.program_digest`),
+    so two DSL spellings of the same graph -- or a workload and its
+    equivalent DSL -- share cache entries; topology and options reuse
+    the :func:`repro.recovery.json_digest` canonical-JSON hashing.
+    Raises :class:`RequestError` for a topology the platform cannot
+    allocate or a DSL program that does not parse or build.
+    """
     from ..obs.registry import program_digest, topology_digest
 
+    platform = _platform(request)
     graph = _program_graph(request)
     return CompiledProgram(
         graph=graph,
@@ -461,23 +476,19 @@ def _build_unit(request: Dict[str, Any], platform) -> CompiledProgram:
     )
 
 
-def compile_request(request: Dict[str, Any]) -> CompiledProgram:
-    """Compile one validated request: the only graph build and digest.
-
-    The program digest hashes the *built* task graph's
-    scheduling-relevant shape (:func:`repro.obs.registry.program_digest`),
-    so two DSL spellings of the same graph -- or a workload and its
-    equivalent DSL -- share cache entries; topology and options reuse
-    the :func:`repro.recovery.json_digest` canonical-JSON hashing.
-    Raises :class:`RequestError` for a DSL program that does not parse
-    or build.
-    """
-    return _build_unit(request, _platform(request))
-
-
 def request_digests(request: Dict[str, Any]) -> Dict[str, str]:
     """The ``(program, topology, options)`` digest triple of a request."""
     return compile_request(request).digests
+
+
+def request_view(request: Dict[str, Any]) -> Dict[str, Any]:
+    """The sections of a canonical request that describe its run: the
+    ``request`` of a response body and the ``spec`` of a run export."""
+    return {
+        k: request[k]
+        for k in ("workload", "program", "topology", "options")
+        if k in request
+    }
 
 
 def cache_key(endpoint: str, digests: Mapping[str, str]) -> str:
@@ -579,16 +590,13 @@ def compute_response(
     """
     t0 = time.perf_counter()
     try:
-        # the one platform prefix of a request in this process: the
-        # topology digest and the cost model both read it
-        platform = _platform(request)
         if compiled is None:
-            compiled = _build_unit(request, platform)
+            compiled = compile_request(request)
         if request["endpoint"] == "run":
             body, tasks = _compute_run(request, compiled)
             record = None
         else:
-            body, tasks, record = _compute_pipeline(request, compiled, platform)
+            body, tasks, record = _compute_pipeline(request, compiled)
     except RequestError as exc:
         return {"error": exc.to_dict()["error"], "status": exc.status}
     except Exception as exc:  # structured 422, never a traceback
@@ -607,36 +615,69 @@ def compute_response(
     }
 
 
-def _compute_pipeline(
-    request: Dict[str, Any], compiled: CompiledProgram, platform
-) -> Tuple[Dict[str, Any], int, Optional[Dict[str, Any]]]:
-    """Run the scheduling pipeline for a schedule/simulate request."""
+def run_pipeline(
+    request: Dict[str, Any],
+    compiled: CompiledProgram,
+    options=None,
+    obs=None,
+    backend: str = "serve",
+):
+    """Run the scheduling pipeline of a schedule/simulate request.
+
+    The one modelled run of a request, whatever its front door: the
+    service renders a response body from it, ``python -m repro.obs``
+    traces, reports and records it.  ``options`` are the
+    :class:`~repro.sim.executor.SimulationOptions` of the simulation
+    stage (fault injection, speculation; the service sends none), ``obs``
+    an :class:`~repro.obs.Instrumentation` to record into and
+    ``backend`` the record's label.  Returns the
+    :class:`~repro.pipeline.PipelineResult` and its
+    :class:`~repro.obs.RunRecord` (timestamp zero), whose ``spec`` is
+    ``{endpoint, options, platform}`` plus ``solver`` and ``n`` of a
+    named workload and the fault plan or speculation policy when enabled
+    (a disabled one runs, and is recorded, as none).
+    """
     from ..core.costmodel import CostModel
     from ..mapping.strategies import strategy_by_name
     from ..obs.registry import record_from_result
     from ..pipeline import SchedulingPipeline
+    from ..sim.executor import SimulationOptions
 
     endpoint = request["endpoint"]
-    topology = request["topology"]
-    options = request["options"]
-    cost = CostModel(platform)
-    scheduler = _scheduler_for(request, cost)
-    strategy = strategy_by_name(options.get("mapping", "consecutive"))
+    cost = CostModel(_platform(request))
     pipe = SchedulingPipeline(
-        scheduler, strategy=strategy, simulate=endpoint == "simulate"
+        _scheduler_for(request, cost),
+        strategy=strategy_by_name(request["options"].get("mapping", "consecutive")),
+        options=options or SimulationOptions(),
+        simulate=endpoint == "simulate",
     )
-    result = pipe.run(compiled.graph)
+    result = pipe.run(compiled.graph, obs)
+    spec: Dict[str, Any] = {
+        "endpoint": endpoint,
+        "options": dict(request["options"]),
+        "platform": request["topology"]["platform"],
+    }
+    if "workload" in request:
+        spec["solver"] = request["workload"]["solver"]
+        spec["n"] = request["workload"]["n"]
+    # an enabled fault plan or speculation policy, as the pipeline ran it
+    spec.update((k, result.meta[k]) for k in ("faults", "speculation") if k in result.meta)
+    record = record_from_result(result, spec=spec, timestamp=0.0, backend=backend)
+    return result, record
 
+
+def _compute_pipeline(
+    request: Dict[str, Any], compiled: CompiledProgram
+) -> Tuple[Dict[str, Any], int, Dict[str, Any]]:
+    """Render the response body of a schedule/simulate request."""
+    endpoint = request["endpoint"]
+    result, record = run_pipeline(request, compiled)
     digests = compiled.digests
     body: Dict[str, Any] = {
         "schema": f"repro.serve.{endpoint}/1",
         "key": cache_key(endpoint, digests),
         "digests": digests,
-        "request": {
-            k: request[k]
-            for k in ("workload", "program", "topology", "options")
-            if k in request
-        },
+        "request": request_view(request),
         "scheduler": result.scheduling.scheduler,
         "cores": int(result.scheduling.nprocs),
         "tasks": compiled.tasks,
@@ -647,18 +688,7 @@ def _compute_pipeline(
         body["makespan"] = float(result.makespan)
         body["metrics"] = _finite(result.metrics())
         body["analysis"] = _finite(result.analysis().to_dict())
-    spec: Dict[str, Any] = {
-        "endpoint": endpoint,
-        "options": dict(options),
-        "platform": topology["platform"],
-    }
-    if "workload" in request:
-        spec["solver"] = request["workload"]["solver"]
-        spec["n"] = request["workload"]["n"]
-    record = record_from_result(
-        result, spec=spec, timestamp=0.0, backend="serve"
-    ).to_dict()
-    return body, compiled.tasks, record
+    return body, compiled.tasks, record.to_dict()
 
 
 def _compute_run(
@@ -685,11 +715,7 @@ def _compute_run(
         "schema": "repro.serve.run/1",
         "key": cache_key("run", digests),
         "digests": digests,
-        "request": {
-            k: request[k]
-            for k in ("workload", "topology", "options")
-            if k in request
-        },
+        "request": request_view(request),
         "tasks": int(run.stats.tasks_executed),
         "tasks_executed": int(run.stats.tasks_executed),
         "retries": int(run.stats.retries),

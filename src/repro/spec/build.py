@@ -89,6 +89,7 @@ __all__ = [
     "GraphBuilder",
     "ProgramTemplate",
     "TEMPLATES",
+    "MAX_UNROLLED",
     "build_program",
     "compile_source",
 ]
@@ -99,6 +100,12 @@ _REPLIC = DistributionSpec()
 
 #: distinct (source, cmmain, size names) whose template is kept per process
 TEMPLATES = 32
+
+#: ceiling on the variable instances a program declares and on the
+#: tasks it unrolls into, each counted with its parameters (a loop body's
+#: start and stop nodes take every instance): a larger ``for`` or
+#: ``vector[K]`` fails to compile (``ValueError``) before it allocates
+MAX_UNROLLED = 4096
 
 
 @dataclass(frozen=True)
@@ -295,6 +302,8 @@ class _Compiler:
         self.params: Dict[_Param, int] = {}
         self.flows: Dict[_Flow, int] = {}
         self._counter = 0
+        #: tasks unrolled so far, each with its parameters
+        self.unrolled = 0
 
     def _fresh(self, stem: str) -> str:
         self._counter += 1
@@ -327,6 +336,10 @@ class _Compiler:
                 if name in variables:
                     raise ValueError(f"variable {name!r} declared twice")
                 variables[name] = info
+        # a negative array length declares no instance (and offsets none)
+        declared = sum(1 if v.count is None else max(v.count, 0) for v in variables.values())
+        if declared > MAX_UNROLLED:
+            raise ValueError(f"program declares more than {MAX_UNROLLED} variable instances")
         for name, info in variables.items():
             for inst in info.instances(name):
                 self.bases[inst] = info.base
@@ -384,6 +397,9 @@ class _Level:
         **kind,
     ) -> MTask:
         """Add a node to the level; returns its graph task."""
+        self.c.unrolled += 1 + len(params)
+        if self.c.unrolled > MAX_UNROLLED:
+            raise ValueError(f"program unrolls into more than {MAX_UNROLLED} tasks and parameters")
         task = self.graph.add_task(MTask(name))
         self.nodes[task] = _Node(name, tuple(self.c.param(*p) for p in params), **kind)
         return task

@@ -26,6 +26,7 @@ from repro.experiments.recovery_run import run_checkpointed_step
 from repro.experiments.shootout import ZOO, run_shootout
 from repro.faults import CoreLoss, FaultPlan
 from repro.mapping import consecutive, scattered
+from repro.obs import RunRegistry
 from repro.obs.cli import main as obs_main
 from repro.ode import PAPER_CONFIGS, bruss2d, functional_step
 from repro.pipeline import SchedulingPipeline
@@ -58,7 +59,8 @@ class TestModelledPath:
                 "options": {"mapping": mapping, "version": version},
             },
         )
-        served = api.compute_response(request)["body"]
+        envelope = api.compute_response(request)
+        served = envelope["body"]
 
         strategy = consecutive() if mapping == "consecutive" else scattered()
         direct = ode_pipeline(
@@ -74,10 +76,20 @@ class TestModelledPath:
         args += ["--mapping", mapping, "--version", version]
         assert obs_main(["report", *args]) == 0
         report = capsys.readouterr().out
+        registry = tmp_path / "registry"
         assert obs_main(
-            ["export", *args, "-o", str(tmp_path / "t.json"), "--run-json", str(run_json)]
+            ["export", *args, "-o", str(tmp_path / "t.json"), "--run-json", str(run_json),
+             "--registry-dir", str(registry)]
         ) == 0
-        exported = json.loads(run_json.read_text())["metrics"]
+        run = json.loads(run_json.read_text())
+        exported = run["metrics"]
+        # one request, one identity: the CLI run is the served run
+        assert run["spec"] == served["request"]
+        assert run["digests"] == served["digests"]
+        assert run["key"] == served["key"]
+        (recorded,) = RunRegistry(registry).load()
+        for field in ("options", "key"):
+            assert recorded[field] == envelope["record"][field]
 
         for name, value in (
             ("makespan", direct.makespan),

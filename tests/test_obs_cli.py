@@ -41,22 +41,22 @@ class TestExport:
         ``export --checkpoint-dir`` executes every task, the same command
         with ``--resume`` restores them all from the journal."""
         ckpt = str(tmp_path / "ckpt")
-        specs = []
+        summaries = []
         for name, extra in (("a.json", []), ("b.json", ["--resume"])):
             run = tmp_path / name
             rc = main(["export", "--quick", "--checkpoint-dir", ckpt,
                        "--backend", "pool:2", *extra,
                        "-o", str(tmp_path / "trace.json"), "--run-json", str(run)])
             assert rc == 0
-            specs.append(json.loads(run.read_text())["spec"])
-        first, resumed = (spec["recovery"] for spec in specs)
+            summaries.append(json.loads(run.read_text())["recovery"])
+        first, resumed = summaries
         assert first["resumed_tasks"] == 0 and first["tasks_executed"] > 0
         # ``tasks_executed`` counts every task the run completed, restored
         # ones included: all of them were restored, none ran again
         assert resumed["resumed_tasks"] == first["tasks_executed"]
         assert resumed["tasks_executed"] == resumed["resumed_tasks"]
         assert resumed["checkpoint_bytes"] == 0 < first["checkpoint_bytes"]
-        assert [spec["backend"] for spec in specs] == ["pool:2", "pool:2"]
+        assert [s["backend"] for s in summaries] == ["pool:2", "pool:2"]
 
 
 class TestReportAndGantt:
@@ -89,6 +89,7 @@ MALFORMED = {
         ["--faults", "7:x"],
         ["--speculate", "abc"],
         ["--backend", "pool:x", "--checkpoint-dir", "D"],
+        ["--n", "1"],  # the request bounds: 2 <= n <= MAX_PROBLEM_N
     ],
     "experiments": [
         ["--faults", "7:x"],
@@ -112,7 +113,8 @@ def test_malformed_value_is_a_usage_error(cli, args, tmp_path, capsys):
     args = [str(ckpt) if a == "D" else a for a in args]
     with pytest.raises(SystemExit) as exc:
         if cli == "obs":
-            main(["report", "--quick", *args])
+            # no --quick: it would override the --n under test
+            main(["report", *args])
         else:
             experiments_main(args)
     assert exc.value.code == 2

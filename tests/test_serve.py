@@ -157,10 +157,33 @@ class TestValidation:
         assert "Traceback" not in r.body.decode()
 
     def test_unbuildable_dsl_is_build_error(self, svc):
+        from repro.spec.build import MAX_UNROLLED, compile_source
+
         # vector has no element count without a sizes entry
         r = call(svc, "POST", "/v1/schedule", {"program": {"dsl": DSL}})
         assert r.status == 400
         assert decoded(r)["error"]["code"] == "build_error"
+        # a short program that unrolls past the bound fails before it
+        # allocates, and leaves no template behind
+        kept = compile_source.cache_info().currsize
+        task = "task a(x : vector : inout : replic);\n"
+        for dsl, what in (
+            (task + "cmmain M(x : vector : inout : replic) "
+             "{ for (i = 1 : 20000) { a(x); } }", "tasks and parameters"),
+            ("type V = vector[1000000];\n" + task +
+             "cmmain M(v : V : inout : replic) { a(v[1]); }", "variable instances"),
+            # a negative length declares no instance and offsets none
+            ("type N = vector[0 - 100000];\ntype V = vector[100000];\n" + task +
+             "cmmain M(n : N : inout : replic, v : V : inout : replic) { a(v[1]); }",
+             "variable instances"),
+        ):
+            r = call(svc, "POST", "/v1/schedule",
+                     {"program": {"dsl": dsl, "sizes": {"vector": 8}}})
+            assert r.status == 400
+            error = decoded(r)["error"]
+            assert error["code"] == "build_error"
+            assert f"more than {MAX_UNROLLED} {what}" in error["message"]
+        assert compile_source.cache_info().currsize == kept
 
     def test_work_for_undeclared_task_is_400(self, svc):
         r = call(svc, "POST", "/v1/schedule", {"program": {
