@@ -38,9 +38,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.faults import FaultPlan, RetryPolicy  # noqa: E402
-from repro.ode import MethodConfig, bruss2d  # noqa: E402
+from repro.ode import MethodConfig, bruss2d, run_functional_step  # noqa: E402
 from repro.recovery import array_digest  # noqa: E402
-from repro.experiments.recovery_run import run_checkpointed_step  # noqa: E402
 
 SHM = Path("/dev/shm")
 
@@ -109,7 +108,7 @@ def main(argv=None) -> int:
         return parse_backend_spec(args.backend)
 
     if args.crash_child:
-        run_checkpointed_step(
+        run_functional_step(
             problem, CFG, args.workdir / "chaos",
             faults=PLAN, retry=RETRY, crash_after=args.crash_after,
             backend=backend(),
@@ -122,7 +121,7 @@ def main(argv=None) -> int:
 
     # 1. uninterrupted reference run (always serial: the pool run must
     #    reproduce the serial outcome bit-for-bit)
-    ref_run, _ = run_checkpointed_step(
+    ref_run, _, _ = run_functional_step(
         problem, CFG, args.workdir / "reference", faults=PLAN, retry=RETRY
     )
     reference = summarize(ref_run)
@@ -156,7 +155,7 @@ def main(argv=None) -> int:
     print("no shared-memory segment of the killed run is left in /dev/shm")
 
     # 3. resume and compare bit-for-bit
-    res_run, summary = run_checkpointed_step(
+    res_run, summary, _ = run_functional_step(
         problem, CFG, args.workdir / "chaos",
         resume=True, faults=PLAN, retry=RETRY, backend=backend(),
     )

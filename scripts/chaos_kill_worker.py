@@ -46,9 +46,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.faults import FaultPlan, RetryPolicy  # noqa: E402
 from repro.obs import Instrumentation  # noqa: E402
-from repro.ode import MethodConfig, bruss2d  # noqa: E402
+from repro.ode import MethodConfig, bruss2d, run_functional_step  # noqa: E402
 from repro.recovery import SpeculationPolicy, array_digest  # noqa: E402
-from repro.experiments.recovery_run import run_checkpointed_step  # noqa: E402
 
 #: seeded fault plan: failures with recovery, so the degraded cluster run
 #: must reproduce retry accounting, not just outputs
@@ -105,7 +104,7 @@ def main(argv=None) -> int:
     from repro.runtime import ClusterBackend  # noqa: E402
 
     if args.crash_child:
-        run_checkpointed_step(
+        run_functional_step(
             problem, CFG, args.workdir / "chaos",
             faults=PLAN, retry=RETRY, crash_after=args.crash_after,
             backend=ClusterBackend(
@@ -120,7 +119,7 @@ def main(argv=None) -> int:
     args.workdir.mkdir(parents=True, exist_ok=True)
 
     # 1. uninterrupted serial reference run
-    ref_run, _ = run_checkpointed_step(
+    ref_run, _, _ = run_functional_step(
         problem, CFG, fresh(args.workdir / "reference"),
         faults=PLAN, retry=RETRY,
     )
@@ -135,7 +134,7 @@ def main(argv=None) -> int:
     #    on the survivors, bit-identical to the serial reference, and
     #    report the loss once
     obs = Instrumentation()
-    kill_run, _ = run_checkpointed_step(
+    kill_run, _, _ = run_functional_step(
         problem, CFG, fresh(args.workdir / "killed"), faults=PLAN, retry=RETRY,
         backend=ClusterBackend(
             workers=args.workers,
@@ -182,7 +181,7 @@ def main(argv=None) -> int:
     print(f"parent crashed after {args.crash_after} committed records "
           f"(journal ends mid-line, exit 137)")
 
-    res_run, summary = run_checkpointed_step(
+    res_run, summary, _ = run_functional_step(
         problem, CFG, args.workdir / "chaos",
         resume=True, faults=PLAN, retry=RETRY,
         backend=ClusterBackend(workers=args.workers),
@@ -215,7 +214,7 @@ def _straggler_check(args, problem, reference: dict) -> int:
 
     obs = Instrumentation()
     slow = args.workers - 1
-    run, summary = run_checkpointed_step(
+    run, summary, _ = run_functional_step(
         problem, CFG, fresh(args.workdir / "straggler"),
         speculation=SpeculationPolicy(factor=1.5, quantile=0.5, min_samples=1),
         backend=ClusterBackend(

@@ -95,7 +95,9 @@ def _add_run_arguments(ap: argparse.ArgumentParser) -> None:
         help="target platform name (chic, juropa, sgi_altix; default: chic)",
     )
     ap.add_argument("--cores", type=int, default=64, help="core count (default: 64)")
-    ap.add_argument(
+    # --quick is a problem size too: giving both is a usage error
+    size = ap.add_mutually_exclusive_group()
+    size.add_argument(
         "--n", type=int, default=250, help="BRUSS2D system parameter N (default: 250)"
     )
     ap.add_argument(
@@ -110,7 +112,7 @@ def _add_run_arguments(ap: argparse.ArgumentParser) -> None:
         default="consecutive",
         help="mapping strategy of the group placement (default: consecutive)",
     )
-    ap.add_argument(
+    size.add_argument(
         "--quick", action="store_true", help="small problem (N=120) for smoke runs"
     )
     ap.add_argument(
@@ -210,20 +212,19 @@ def _run(args, obs=None):
     return result
 
 
-def _journaled_step(args, obs=None) -> Optional[Dict[str, Any]]:
+def _journaled_step(args, obs=None):
     """With ``--checkpoint-dir``: run one *functional* step of the
     request's solver under a write-ahead journal on ``--backend``,
-    recording into ``obs``; returns its recovery summary (``None``
-    without the flag)."""
+    recording into ``obs``; returns its recovery summary and body graph
+    (``(None, None)`` without the flag)."""
     if not args.checkpoint_dir:
-        return None
-    from ..experiments.recovery_run import run_checkpointed_step
-    from ..ode import PAPER_CONFIGS, bruss2d
+        return None, None
+    from ..ode import PAPER_CONFIGS, bruss2d, run_functional_step
     from ..recovery import parse_speculation_spec
     from ..runtime.backends import parse_backend_spec
 
     workload = args.request["workload"]
-    _, recovery = run_checkpointed_step(
+    _, recovery, body = run_functional_step(
         bruss2d(workload["n"]),
         PAPER_CONFIGS[workload["solver"]],
         args.checkpoint_dir,
@@ -233,14 +234,21 @@ def _journaled_step(args, obs=None) -> Optional[Dict[str, Any]]:
         obs=obs,
     )
     recovery["backend"] = args.backend
-    return recovery
+    return recovery, body
 
 
 def _print_recovery(recovery: Optional[Dict[str, Any]]) -> None:
-    if recovery:
-        from ..experiments.recovery_run import recovery_line
-
-        print(f"recovery: {recovery_line(recovery)}")
+    if not recovery:
+        return
+    line = (
+        f"recovery: {recovery['tasks_executed']} tasks executed, "
+        f"{recovery['resumed_tasks']} resumed from journal, "
+        f"{recovery['checkpoint_bytes']} checkpoint bytes"
+    )
+    wins, losses = recovery["speculation_wins"], recovery["speculation_losses"]
+    if wins or losses:
+        line += f", speculation {wins} win(s) / {losses} loss(es)"
+    print(line)
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +259,7 @@ def _cmd_export(args) -> int:
     from .perfetto import pipeline_trace, write_trace
 
     result = _run(args)
-    recovery = _journaled_step(args)
+    recovery, _ = _journaled_step(args)
     _print_recovery(recovery)
     compiled = args.compiled
     run_meta = {
@@ -310,7 +318,7 @@ def _cmd_report(args) -> int:
             )
         return 0
     result = _run(args)
-    _print_recovery(_journaled_step(args))
+    _print_recovery(_journaled_step(args)[0])
     print(result.report())
     print()
     print(result.analysis().report(per_core=args.per_core))
@@ -321,7 +329,7 @@ def _cmd_gantt(args) -> int:
     from .gantt import render_layers, render_trace
 
     result = _run(args)
-    _print_recovery(_journaled_step(args))
+    _print_recovery(_journaled_step(args)[0])
     print(render_trace(result.trace, width=args.width, by=args.by))
     if args.layers and result.scheduling.layered is not None:
         print()
@@ -499,17 +507,12 @@ def _cmd_calib(args) -> int:
     report = result.calibration()
     print(report.report(top=args.top))
     if args.checkpoint_dir:
-        from ..ode import PAPER_CONFIGS, bruss2d, functional_step
         from .events import Instrumentation
 
         # the functional step records into its own instrumentation, so
         # the sim pipeline run stays clean of wall-clock spans
         wall_obs = Instrumentation()
-        _journaled_step(args, wall_obs)
-        workload = args.request["workload"]
-        _, _, body, _ = functional_step(
-            bruss2d(workload["n"]), PAPER_CONFIGS[workload["solver"]]
-        )
+        _, body = _journaled_step(args, wall_obs)
         wall = calibrate_spans(body, result.cost, wall_obs)
         print()
         print(f"wall-clock calibration ({args.backend} backend):")
@@ -534,7 +537,7 @@ def _cmd_prom(args) -> int:
     registry = MetricsRegistry()
     obs = Instrumentation()
     result = _run(args, obs)
-    recovery = _journaled_step(args, obs)
+    recovery, _ = _journaled_step(args, obs)
     publish_result(
         registry,
         result,

@@ -186,6 +186,7 @@ def record_from_result(
     timestamp: float,
     spec: Optional[Dict[str, Any]] = None,
     backend: Optional[str] = None,
+    program: Optional[str] = None,
 ) -> RunRecord:
     """Build a :class:`RunRecord` from a pipeline run.
 
@@ -194,7 +195,9 @@ def record_from_result(
     must be injected by the caller so the record itself stays a pure
     function of the run.  ``backend`` labels what executed the run
     (``"sim"`` for simulated pipelines, a backend name for functional
-    runs) and defaults to the spec's ``backend`` entry.
+    runs) and defaults to the spec's ``backend`` entry.  ``program`` is
+    the graph's :func:`program_digest` when the caller already has it
+    (a compiled request does); without it the graph is hashed here.
     """
     spec = dict(spec or {})
     spec.pop("recovery", None)  # wall-clock-free options only
@@ -206,7 +209,7 @@ def record_from_result(
     opts = dict(spec)
     opts["strategy"] = result.meta.get("strategy", "")
     return RunRecord(
-        program=program_digest(result.graph),
+        program=program or program_digest(result.graph),
         topology=topo,
         options=options_digest(opts),
         solver=str(spec.get("solver", "")),

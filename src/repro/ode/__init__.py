@@ -6,6 +6,7 @@ from .comm_counts import StepCommCounts, counts_from_step_graph, table1_expected
 from .diirk import diirk_step, solve_diirk
 from .epol import extrapolation_step, solve_epol
 from .integrate import FunctionalIntegration, functional_step, integrate_functional
+from .integrate import run_functional_step
 from .irk import irk_step, solve_irk
 from .problems import ODEProblem, bruss2d, schroed
 from .programs import (
@@ -53,6 +54,7 @@ __all__ = [
     "build_ode_program",
     "step_graph",
     "functional_step",
+    "run_functional_step",
     "integrate_functional",
     "FunctionalIntegration",
     "StepCommCounts",

@@ -7,24 +7,38 @@ on the live variable store -- exactly the execution model of the
 hierarchical schedules in Section 2.2.3.  The result is a *numerically
 real* integration whose output the tests compare against the sequential
 solvers and the SciPy reference.
+
+:func:`run_functional_step` runs one such time step by itself, optionally
+under a write-ahead journal: it is the computation of the service's
+``/v1/run`` endpoint, of every ``python -m repro.obs ... --checkpoint-dir``
+run and of the chaos scripts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from pathlib import Path
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.graph import TaskGraph
 from ..core.task import MTask
-from ..runtime.executor import run_program
+from ..faults.plan import FaultPlan
+from ..faults.retry import RetryPolicy
+from ..recovery import CheckpointStore, RunJournal, SpeculationPolicy
+from ..runtime.executor import RunResult, run_program
 from ..spec.ast_nodes import Compare, Name, Num, eval_expr
 from ..spec.build import BuildResult
 from .problems import ODEProblem
 from .programs import MethodConfig, build_ode_program
 
-__all__ = ["FunctionalIntegration", "functional_step", "integrate_functional"]
+__all__ = [
+    "FunctionalIntegration",
+    "functional_step",
+    "run_functional_step",
+    "integrate_functional",
+]
 
 
 @dataclass
@@ -96,6 +110,68 @@ def functional_step(
             inputs[p.name] = np.zeros(p.elements)
     store = dict(run_program(build.graph, inputs).variables)
     return build, loop, build.body_of(loop), store
+
+
+def run_functional_step(
+    problem: ODEProblem,
+    cfg: MethodConfig,
+    checkpoint_dir=None,
+    resume: bool = False,
+    speculation: Optional[SpeculationPolicy] = None,
+    faults: Optional[FaultPlan] = None,
+    retry: Optional[RetryPolicy] = None,
+    crash_after: Optional[int] = None,
+    backend=None,
+    obs=None,
+) -> Tuple[RunResult, Dict[str, Any], TaskGraph]:
+    """Run one functional time step of a solver's program.
+
+    Builds the program and runs its init graph once
+    (:func:`functional_step`), then executes the step body on
+    ``backend`` (serial when ``None``), recording into ``obs``.  With a
+    ``checkpoint_dir`` the step runs under a write-ahead
+    :class:`~repro.recovery.RunJournal` backed by a content-addressed
+    :class:`~repro.recovery.CheckpointStore` rooted there: killing the
+    process mid-step leaves a consistent journal, and ``resume=True``
+    restores the journaled tasks and yields a run bit-identical to an
+    uninterrupted one (the init graph is deterministic, so a resumed
+    process rebuilds the same input store, which the journal header
+    digests verify).  ``crash_after`` arms the journal's deterministic
+    kill switch for chaos tests.
+
+    Returns ``(run, recovery, body)``: the step's
+    :class:`~repro.runtime.RunResult`, a flat recovery summary (tasks
+    executed/resumed, checkpoint bytes, speculation wins/losses and the
+    backend's name) and the body graph that ran.
+    """
+    _, _, body, store = functional_step(problem, cfg)
+    journal = None
+    if checkpoint_dir is not None:
+        root = Path(checkpoint_dir)
+        journal = RunJournal(
+            root / "journal.jsonl", store=CheckpointStore(root), crash_after=crash_after
+        )
+    run = run_program(
+        body,
+        store,
+        journal=journal,
+        resume=resume,
+        speculation=speculation,
+        faults=faults,
+        retry=retry,
+        backend=backend,
+        obs=obs,
+    )
+    recovery: Dict[str, Any] = {
+        "tasks_executed": run.stats.tasks_executed,
+        "resumed_tasks": run.stats.resumed_tasks,
+        "checkpoint_bytes": run.stats.checkpoint_bytes,
+        "speculation_wins": sum(1 for s in run.stats.speculations if s.win),
+        "speculation_losses": sum(1 for s in run.stats.speculations if not s.win),
+    }
+    if backend is not None:
+        recovery["backend"] = backend.name
+    return run, recovery, body
 
 
 def integrate_functional(

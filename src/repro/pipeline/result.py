@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Optional
 
 from ..core.costmodel import CachedCostEvaluator, CacheStats
@@ -31,6 +33,10 @@ class PipelineResult:
     * ``cost`` -- the memoized cost evaluator the run scheduled with
       (``Tsymb`` source for :meth:`calibration`; ``cache`` is its
       hit/miss statistics).
+
+    The derived numbers -- :meth:`analysis` and :meth:`metrics` -- are
+    computed on first use and at most once per run; every call hands
+    out its own copy, so no caller can change what the next one reads.
     """
 
     graph: TaskGraph
@@ -67,14 +73,21 @@ class PipelineResult:
                 out[s.name] = out.get(s.name, 0.0) + s.duration
         return out
 
-    def analysis(self):
-        """Derived schedule analytics (:class:`~repro.obs.ScheduleAnalysis`).
-
-        Requires a simulated run (``trace`` must be set).
-        """
+    @cached_property
+    def _analysis(self):
+        """The run's one :class:`~repro.obs.ScheduleAnalysis` (shared)."""
         from ..obs.metrics import analyze
 
         return analyze(self)
+
+    def analysis(self):
+        """Derived schedule analytics (:class:`~repro.obs.ScheduleAnalysis`).
+
+        Requires a simulated run (``trace`` must be set).  A copy of the
+        run's one analysis: a pickle round trip deep-copies it at a
+        quarter of ``copy.deepcopy``'s cost.
+        """
+        return pickle.loads(pickle.dumps(self._analysis, pickle.HIGHEST_PROTOCOL))
 
     def calibration(self, cost: Optional[Any] = None):
         """Predicted-vs-actual cost-model accuracy of this run.
@@ -90,6 +103,10 @@ class PipelineResult:
 
     def metrics(self) -> Dict[str, float]:
         """Flat, deterministic metric dict for ``repro.obs diff``."""
+        return dict(self._metrics)
+
+    @cached_property
+    def _metrics(self) -> Dict[str, float]:
         out: Dict[str, float] = {
             "predicted_makespan": self.predicted_makespan,
             "tasks": float(len(self.graph)),
@@ -99,7 +116,7 @@ class PipelineResult:
             out["makespan"] = self.trace.makespan
             out["simulated_makespan"] = self.trace.makespan
             out["utilization"] = self.trace.utilization()
-            out.update(self.analysis().metrics())
+            out.update(self._analysis.metrics())
         if self.cache.requests:
             out["cache_requests"] = float(self.cache.requests)
             out["cache_hit_rate"] = self.cache.hit_rate

@@ -32,7 +32,6 @@ from .api import (
     OPTION_DEFAULTS,
     PLATFORMS,
     RequestError,
-    SOLVER_CFGS,
     cache_key,
     canonical_options,
     compile_request,
@@ -51,7 +50,6 @@ __all__ = [
     "OPTION_DEFAULTS",
     "PLATFORMS",
     "RequestError",
-    "SOLVER_CFGS",
     "HttpServer",
     "Response",
     "ScheduleCache",

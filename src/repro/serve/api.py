@@ -40,14 +40,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.graph import TaskGraph
-from ..ode.programs import PAPER_CONFIGS as SOLVER_CFGS
+from ..ode.programs import PAPER_CONFIGS
 from ..recovery.checkpoint import json_digest
 
 __all__ = [
     "RequestError",
     "ENDPOINTS",
     "OPTION_DEFAULTS",
-    "SOLVER_CFGS",
     "PLATFORMS",
     "canonical_options",
     "validate_request",
@@ -213,9 +212,9 @@ def _validate_workload(workload: Mapping[str, Any]) -> Dict[str, Any]:
             code="unknown_option",
         )
     solver = workload.get("solver")
-    if solver not in SOLVER_CFGS:
+    if solver not in PAPER_CONFIGS:
         raise _bad(
-            f"workload.solver must be one of {', '.join(sorted(SOLVER_CFGS))}, "
+            f"workload.solver must be one of {', '.join(sorted(PAPER_CONFIGS))}, "
             f"got {solver!r}",
             code="unknown_solver",
         )
@@ -334,7 +333,7 @@ def _program_graph(request: Dict[str, Any]):
         from ..ode import bruss2d, step_graph
 
         wl = request["workload"]
-        return step_graph(bruss2d(wl["n"]), SOLVER_CFGS[wl["solver"]])
+        return step_graph(bruss2d(wl["n"]), PAPER_CONFIGS[wl["solver"]])
 
     from ..spec import GraphBuilder, LexError, ParseError, TaskCost
 
@@ -395,7 +394,7 @@ def _scheduler_for(request: Dict[str, Any], cost):
         from ..experiments.common import paper_scheduler
 
         return paper_scheduler(
-            SOLVER_CFGS[request["workload"]["solver"]],
+            PAPER_CONFIGS[request["workload"]["solver"]],
             cost,
             options.get("version", "tp"),
             options.get("groups"),
@@ -632,7 +631,8 @@ def run_pipeline(
     an :class:`~repro.obs.Instrumentation` to record into and
     ``backend`` the record's label.  Returns the
     :class:`~repro.pipeline.PipelineResult` and its
-    :class:`~repro.obs.RunRecord` (timestamp zero), whose ``spec`` is
+    :class:`~repro.obs.RunRecord` (timestamp zero; its program digest is
+    the compiled unit's, not a second hash of the graph), whose ``spec`` is
     ``{endpoint, options, platform}`` plus ``solver`` and ``n`` of a
     named workload and the fault plan or speculation policy when enabled
     (a disabled one runs, and is recorded, as none).
@@ -662,7 +662,13 @@ def run_pipeline(
         spec["n"] = request["workload"]["n"]
     # an enabled fault plan or speculation policy, as the pipeline ran it
     spec.update((k, result.meta[k]) for k in ("faults", "speculation") if k in result.meta)
-    record = record_from_result(result, spec=spec, timestamp=0.0, backend=backend)
+    record = record_from_result(
+        result,
+        spec=spec,
+        timestamp=0.0,
+        backend=backend,
+        program=compiled.program_digest,
+    )
     return result, record
 
 
@@ -686,8 +692,9 @@ def _compute_pipeline(
     }
     if endpoint == "simulate":
         body["makespan"] = float(result.makespan)
-        body["metrics"] = _finite(result.metrics())
-        body["analysis"] = _finite(result.analysis().to_dict())
+        # the run's one analysis, as the record carries it
+        body["metrics"] = _finite(record.metrics)
+        body["analysis"] = _finite(record.analysis)
     return body, compiled.tasks, record.to_dict()
 
 
@@ -696,20 +703,17 @@ def _compute_run(
 ) -> Tuple[Dict[str, Any], int]:
     """Execute one functional solver step for a run request.
 
-    The ``--checkpoint-dir`` CLI path without the journal: the step body
-    of :func:`repro.ode.functional_step` executes for real on numpy
-    arrays.  The response carries the content digests of every output
-    array -- deterministic, so run responses cache like schedules do.
+    :func:`repro.ode.run_functional_step` without a journal -- the
+    computation of every ``--checkpoint-dir`` run: the step body executes
+    for real on numpy arrays.  The response carries the content digests
+    of every output array -- deterministic, so run responses cache like
+    schedules do.
     """
-    from ..ode import bruss2d, functional_step
+    from ..ode import bruss2d, run_functional_step
     from ..recovery import array_digest
-    from ..runtime.executor import run_program
 
     wl = request["workload"]
-    _, _, body_graph, store = functional_step(
-        bruss2d(wl["n"]), SOLVER_CFGS[wl["solver"]]
-    )
-    run = run_program(body_graph, store)
+    run, _, _ = run_functional_step(bruss2d(wl["n"]), PAPER_CONFIGS[wl["solver"]])
     digests = compiled.digests
     body = {
         "schema": "repro.serve.run/1",

@@ -12,7 +12,7 @@ atomically renamed into place -- so a crash mid-write never leaves a
 torn entry under its final name and concurrent writers of the same key
 are idempotent.
 
-A small in-memory LRU front (``max_memory_entries``) keeps the hot keys
+A small in-memory LRU front (:data:`MAX_MEMORY_ENTRIES`) keeps the hot keys
 out of the filesystem entirely; the on-disk tier is the durable,
 restart-surviving one.  :class:`LRU` is that front, and the bounded
 memo the service keeps its request keys in.
@@ -29,6 +29,9 @@ from ..recovery.files import publish
 __all__ = ["LRU", "ScheduleCache"]
 
 _KEY_CHARS = set("0123456789abcdef")
+
+#: entries the in-memory front of a :class:`ScheduleCache` holds
+MAX_MEMORY_ENTRIES = 256
 
 
 class LRU(OrderedDict):
@@ -63,11 +66,9 @@ class ScheduleCache:
     shared by every server pointed at the same ``--cache-dir``.
     """
 
-    def __init__(
-        self, root: Optional[object] = None, max_memory_entries: int = 256
-    ) -> None:
+    def __init__(self, root: Optional[object] = None) -> None:
         self.root = Path(root) if root is not None else None
-        self._memory = LRU(max_memory_entries)
+        self._memory = LRU(MAX_MEMORY_ENTRIES)
         #: lookups answered from memory or disk
         self.hits = 0
         #: lookups that found nothing

@@ -54,6 +54,10 @@ __all__ = ["Response", "ScheduleService"]
 #: distinct requests is answered without compiling anything
 KEY_MEMO_ENTRIES = 4096
 
+#: seconds a ``429 over_capacity`` answer asks the client to wait
+#: (its ``Retry-After`` header)
+RETRY_AFTER_SECONDS = 1.0
+
 
 @dataclass
 class Response:
@@ -104,12 +108,10 @@ class ScheduleService:
         workers: int = 2,
         max_queue: int = 16,
         registry_dir: Optional[object] = None,
-        retry_after: float = 1.0,
     ) -> None:
         self.cache = ScheduleCache(cache_dir)
         self.workers = int(workers)
         self.max_queue = int(max_queue)
-        self.retry_after = float(retry_after)
         self.registry = MetricsRegistry()
         self.run_registry = (
             RunRegistry(registry_dir) if registry_dir is not None else None
@@ -246,7 +248,7 @@ class ScheduleService:
                 ).inc()
                 return _json_response(
                     429, exc.to_dict(),
-                    **{"Retry-After": f"{self.retry_after:g}"},
+                    **{"Retry-After": f"{RETRY_AFTER_SECONDS:g}"},
                 )
             return _json_response(exc.status, exc.to_dict())
         self._count_request(tenant, endpoint, response.status)

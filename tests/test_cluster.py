@@ -458,7 +458,7 @@ class TestElasticMembership:
 # ----------------------------------------------------------------------
 class TestClusterJournalResume:
     def test_truncated_journal_resumes_bit_identically(self, tmp_path):
-        from repro.experiments.recovery_run import run_checkpointed_step
+        from repro.ode import run_functional_step
         from tests.test_recovery import truncate_to_task_records
 
         problem = bruss2d(16)
@@ -466,15 +466,15 @@ class TestClusterJournalResume:
         kw = dict(faults=FaultPlan(seed=11, failure_rate=0.3),
                   retry=RetryPolicy(seed=11))
 
-        ref_run, _ = run_checkpointed_step(problem, cfg, tmp_path / "ref", **kw)
-        full_run, _ = run_checkpointed_step(
+        ref_run, _, _ = run_functional_step(problem, cfg, tmp_path / "ref", **kw)
+        full_run, _, _ = run_functional_step(
             problem, cfg, tmp_path / "chaos",
             backend=ClusterBackend(workers=2), **kw
         )
         assert summarize(full_run) == summarize(ref_run)
 
         truncate_to_task_records(tmp_path / "chaos" / "journal.jsonl", keep=5)
-        res_run, summary = run_checkpointed_step(
+        res_run, summary, _ = run_functional_step(
             problem, cfg, tmp_path / "chaos", resume=True,
             backend=ClusterBackend(workers=2), **kw
         )

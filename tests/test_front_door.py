@@ -18,23 +18,23 @@ import json
 import numpy as np
 import pytest
 
+from repro import serve
 from repro.cluster import chic
 from repro.core import CostModel
 from repro.experiments.common import ode_pipeline, paper_scheduler
 from repro.experiments.fig13_scheduling import LEGEND, make_scheduler
-from repro.experiments.recovery_run import run_checkpointed_step
 from repro.experiments.shootout import ZOO, run_shootout
 from repro.faults import CoreLoss, FaultPlan
 from repro.mapping import consecutive, scattered
 from repro.obs import RunRegistry
 from repro.obs.cli import main as obs_main
-from repro.ode import PAPER_CONFIGS, bruss2d, functional_step
+from repro.ode import PAPER_CONFIGS, bruss2d, functional_step, run_functional_step
 from repro.pipeline import SchedulingPipeline
 from repro.recovery import array_digest, json_digest
 from repro.runtime import run_program
 from repro.runtime.backends import parse_backend_spec
 from repro.scheduling import SCHEDULERS, LayerBasedScheduler
-from repro.serve import SOLVER_CFGS, ScheduleService, api
+from repro.serve import ScheduleService, api
 from repro.sim.executor import SimulationOptions
 
 from .test_faults import diamond_mgraph
@@ -100,7 +100,10 @@ class TestModelledPath:
         assert f"simulated makespan: {direct.makespan:.6g} s" in report
 
     def test_serve_reads_the_ode_table(self):
-        assert SOLVER_CFGS is PAPER_CONFIGS
+        # under its one name: the service keeps no alias of the table
+        assert api.PAPER_CONFIGS is PAPER_CONFIGS
+        assert not hasattr(api, "SOLVER_CFGS")
+        assert "SOLVER_CFGS" not in serve.__all__
 
     @pytest.mark.parametrize(
         "payload",
@@ -136,7 +139,7 @@ class TestModelledPath:
 
 #: json_digest of ``{variable: array_digest}`` after one functional step
 #: on BRUSS2D N=24, as the commit before ``functional_step`` produced it
-#: through ``/v1/run`` and through ``run_checkpointed_step`` (both equal)
+#: through ``/v1/run`` and through the journaled step (both equal)
 STEP_DIGESTS = {
     "irk": "9c70dded33906c06a1efbe5dc279c1d12dc411e08fa6284e37447514dcd0975a",
     "pabm": "4705c8fed2352329a276a99e939213b3ff2f33769f96046de72d0a070eedff12",
@@ -165,7 +168,7 @@ class TestFunctionalPrologue:
         served = api.compute_response(request)["body"]["variables"]
         assert json_digest(served) == STEP_DIGESTS[solver]
 
-        run, _ = run_checkpointed_step(bruss2d(N), cfg, tmp_path)
+        run, _, _ = run_functional_step(bruss2d(N), cfg, tmp_path)
         assert variables_digest(run.variables) == STEP_DIGESTS[solver]
 
     @pytest.mark.parametrize("solver", sorted(PAPER_CONFIGS))

@@ -90,6 +90,7 @@ MALFORMED = {
         ["--speculate", "abc"],
         ["--backend", "pool:x", "--checkpoint-dir", "D"],
         ["--n", "1"],  # the request bounds: 2 <= n <= MAX_PROBLEM_N
+        ["--quick", "--n", "500"],  # two problem sizes
     ],
     "experiments": [
         ["--faults", "7:x"],
@@ -113,7 +114,6 @@ def test_malformed_value_is_a_usage_error(cli, args, tmp_path, capsys):
     args = [str(ckpt) if a == "D" else a for a in args]
     with pytest.raises(SystemExit) as exc:
         if cli == "obs":
-            # no --quick: it would override the --n under test
             main(["report", *args])
         else:
             experiments_main(args)

@@ -10,10 +10,10 @@ import threading
 
 import pytest
 
+from repro.ode import PAPER_CONFIGS
 from repro.serve import (
     ENDPOINTS,
     OPTION_DEFAULTS,
-    SOLVER_CFGS,
     RequestError,
     ScheduleService,
     validate_request,
@@ -254,7 +254,7 @@ SERVED_MAKESPAN = {
 class TestGoldenByteIdentity:
     """Cache hits must serve exactly the cold bytes, per paper solver."""
 
-    @pytest.mark.parametrize("solver", sorted(SOLVER_CFGS))
+    @pytest.mark.parametrize("solver", sorted(PAPER_CONFIGS))
     def test_schedule_hit_is_byte_identical(self, svc, solver):
         # the request the CI ``serve`` job sends the live server twice
         req = {"workload": {"solver": solver, "n": 60},

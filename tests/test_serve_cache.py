@@ -174,7 +174,8 @@ class TestBackpressure:
             return original(*args)
 
         monkeypatch.setattr("repro.serve.api.compute_response", blocking)
-        svc = ScheduleService(workers=0, max_queue=1, retry_after=2.5)
+        monkeypatch.setattr("repro.serve.service.RETRY_AFTER_SECONDS", 2.5)
+        svc = ScheduleService(workers=0, max_queue=1)
         slow = json.dumps({"workload": {"solver": "irk", "n": 24}}).encode()
         other = json.dumps({"workload": {"solver": "pab", "n": 24}}).encode()
 
@@ -311,16 +312,18 @@ class TestScheduleCache:
             with pytest.raises(ValueError):
                 cache.put(bad, b"x")
 
-    def test_memory_lru_evicts_but_disk_retains(self, tmp_path):
-        cache = ScheduleCache(tmp_path, max_memory_entries=2)
+    def test_memory_lru_evicts_but_disk_retains(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.serve.cache.MAX_MEMORY_ENTRIES", 2)
+        cache = ScheduleCache(tmp_path)
         for i in range(4):
             cache.put(f"{i:02x}", str(i).encode())
         assert len(cache._memory) == 2
         assert len(cache) == 4  # all four on disk
         assert cache.get("00") == b"0"  # reloaded from disk
 
-    def test_pure_memory_lru_drops_oldest(self):
-        cache = ScheduleCache(max_memory_entries=2)
+    def test_pure_memory_lru_drops_oldest(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.cache.MAX_MEMORY_ENTRIES", 2)
+        cache = ScheduleCache()
         cache.put("aa", b"1")
         cache.put("bb", b"2")
         cache.put("cc", b"3")
