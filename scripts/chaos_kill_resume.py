@@ -20,9 +20,10 @@ The CI chaos job (and ``tests/test_recovery.py``) runs this script:
 
 The script exits 0 iff the crashed-and-resumed run is **bit-identical**
 to the uninterrupted reference: same variable digests, same failure
-records, same retry/backoff/re-distribution accounting.  Faults and
-retries are injected (seeded) so the determinism claim covers the
-interesting paths, not just the clean one.
+records, same retry/backoff/re-distribution accounting, and a resumed
+journal whose records name the same tasks in the same order as the
+reference journal's.  Faults and retries are injected (seeded) so the
+determinism claim covers the interesting paths, not just the clean one.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.faults import FaultPlan, RetryPolicy  # noqa: E402
 from repro.ode import MethodConfig, bruss2d, run_functional_step  # noqa: E402
-from repro.recovery import array_digest  # noqa: E402
+from repro.recovery import RunJournal, array_digest  # noqa: E402
 
 SHM = Path("/dev/shm")
 
@@ -82,6 +83,11 @@ def summarize(run) -> dict:
         "backoff_seconds": run.stats.backoff_seconds,
         "redistributed_bytes": run.stats.redistributed_bytes,
     }
+
+
+def journal_order(path: Path) -> list:
+    """The ``(kind, task)`` sequence of a journal's records."""
+    return [(r["kind"], r.get("task")) for r in RunJournal(path).load().records]
 
 
 def main(argv=None) -> int:
@@ -170,6 +176,14 @@ def main(argv=None) -> int:
               file=sys.stderr)
         print(json.dumps({"reference": reference, "resumed": resumed},
                          indent=2), file=sys.stderr)
+        return 1
+    ref_order = journal_order(args.workdir / "reference" / "journal.jsonl")
+    res_order = journal_order(journal_path)
+    if res_order != ref_order:
+        print("ERROR: resumed journal records differ in kind or order from "
+              "the reference journal's:", file=sys.stderr)
+        print(json.dumps({"reference": ref_order, "resumed": res_order}),
+              file=sys.stderr)
         return 1
     print(f"resumed: {summary['resumed_tasks']} tasks restored, "
           f"{resumed['tasks_executed'] - summary['resumed_tasks']} re-executed")

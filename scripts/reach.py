@@ -73,10 +73,6 @@ _BACKUP = (
 
 #: why no entry point enters a function and it stays, by ``module:qualname``
 KEEP: Dict[str, str] = {
-    "repro.recovery.journal:RunJournal.record_failure": (
-        "safety: a journaled run with on_failure='degrade' whose task gives up or is "
-        "skipped (tests/test_recovery.py::TestResume)"
-    ),
     "repro.recovery.journal:RunJournal.close": _JOURNAL,
     "repro.recovery.journal:RunJournal.__enter__": _JOURNAL,
     "repro.recovery.journal:RunJournal.__exit__": _JOURNAL,

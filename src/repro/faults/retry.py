@@ -63,9 +63,10 @@ class RetryPolicy:
         ``timeout``.  When retrying a failed attempt would push the
         accumulated budget past the deadline, the task gives up
         immediately with a ``"gave_up"`` failure record whose ``cause``
-        is ``"deadline"`` (surfaced in ``RunResult.failures``).  The
-        check gates *retries* only: an attempt that eventually succeeds
-        is never cut short.  Because every single delay is already
+        is ``"deadline"`` (the functional runtime counts
+        ``faults.deadline_exceeded`` and raises).  The check gates
+        *retries* only: an attempt that eventually succeeds is never cut
+        short.  Because every single delay is already
         clamped to ``max_delay``, the accumulated budget stays finite
         however many attempts the policy allows.  ``None`` disables the
         budget.
@@ -133,9 +134,10 @@ class RetryPolicy:
 class FailureRecord:
     """One task that did not complete normally.
 
-    ``action`` is ``"gave_up"`` (all attempts failed, outputs missing),
-    ``"skipped"`` (an upstream give-up made an input unavailable) or
-    ``"recovered"`` (failed attempts, but a retry eventually succeeded).
+    ``action`` is ``"recovered"`` (failed attempts, but a retry
+    eventually succeeded; what ``RunResult.failures`` holds) or
+    ``"gave_up"`` (all attempts, or the deadline budget, spent: the
+    attempt engine's verdict, on which the functional runtime raises).
     """
 
     task: str

@@ -4,10 +4,10 @@ A :class:`RunJournal` is an append-only JSONL file recording, one fsync'd
 line at a time, everything a functional run completed: a header
 describing the run (program, input digests, fault/retry configuration),
 one ``task`` record per successful task completion (attempt count,
-output digests, timings, faults consumed), one ``gave_up``/``skipped``
-record per durable failure and advisory ``speculation`` records.  Bulk
-output data lives next to the journal in a content-addressed
-:class:`~repro.recovery.checkpoint.CheckpointStore`.
+output digests, timings, faults consumed) and advisory ``speculation``
+records.  A task that gives up fails the run and leaves no record: a
+resume re-executes it.  Bulk output data lives next to the journal in a
+content-addressed :class:`~repro.recovery.checkpoint.CheckpointStore`.
 
 Write-ahead semantics: a record is appended (and fsync'd) *after* its
 task completed but *before* the run proceeds, so after a crash the
@@ -19,7 +19,8 @@ append; a malformed line anywhere else is corruption and raises.
 Because every fault/retry/speculation draw is keyed per ``(task,
 attempt)`` (see :mod:`repro.faults`), a run resumed from its journal
 re-executes the remaining tasks with exactly the draws the uninterrupted
-run would have used: the resumed run is bit-identical.
+run would have used: the resumed run is bit-identical, and a task that
+gave up gives up again with the same error.
 
 ``crash_after`` is the chaos-testing hook: the journal commits that many
 ``task`` records normally, then tears the next append mid-line and kills
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..faults.retry import FailureRecord
 from .checkpoint import CheckpointStore
 from .files import CorruptLog, append_line, open_log, read_log
 
@@ -70,23 +70,6 @@ class JournalState:
     @property
     def empty(self) -> bool:
         return self.header is None and not self.records
-
-    def failures(self) -> List[FailureRecord]:
-        """Durable failure records (gave-up / skipped), in order."""
-        out: List[FailureRecord] = []
-        for r in self.records:
-            if r.get("kind") in ("gave_up", "skipped"):
-                out.append(
-                    FailureRecord(
-                        task=r["task"],
-                        action=r["kind"],
-                        attempts=int(r.get("attempts", 1)),
-                        error=r.get("error", ""),
-                        cause=r.get("cause", ""),
-                        backoff_seconds=float(r.get("backoff_seconds", 0.0)),
-                    )
-                )
-        return out
 
 
 class RunJournal:
@@ -233,24 +216,6 @@ class RunJournal:
         self._write(rec)
         self._completed_tasks.add(task)
         return rec
-
-    def record_failure(self, record: FailureRecord) -> None:
-        """Append a durable ``gave_up``/``skipped`` record."""
-        if record.action not in ("gave_up", "skipped"):
-            raise ValueError(
-                f"only gave_up/skipped failures are journaled, not "
-                f"{record.action!r}"
-            )
-        rec: Dict[str, Any] = {"kind": record.action, "task": record.task}
-        if record.attempts != 1:
-            rec["attempts"] = record.attempts
-        if record.error:
-            rec["error"] = record.error
-        if record.cause:
-            rec["cause"] = record.cause
-        if record.backoff_seconds:
-            rec["backoff_seconds"] = record.backoff_seconds
-        self._write(rec)
 
     def record_speculation(self, record: Dict[str, Any]) -> None:
         """Append an advisory speculation record."""

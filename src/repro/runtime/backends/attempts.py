@@ -49,7 +49,6 @@ def run_attempts(
     values: Dict[str, Any],
     faults,
     retry,
-    sleep: Optional[Callable[[float], None]] = None,
     clock: Callable[[], float] = time.monotonic,
 ) -> Dict[str, Any]:
     """Execute one task body under the fault plan and retry policy.
@@ -59,7 +58,7 @@ def run_attempts(
     ``"gave_up"`` record when every attempt (or the deadline budget) was
     spent; ``info`` carries the journal accounting (attempts used,
     effective seconds, last error, total backoff).  Backoff delays are
-    accounted in the events and handed to ``sleep`` when one is given.
+    accounted in the events, never slept.
     A real error with neither a plan nor a policy in force propagates
     unchanged -- there is no retry boundary to stop it.
     """
@@ -135,8 +134,6 @@ def run_attempts(
                 backoff_seconds=total_backoff,
             )
             break
-        if sleep is not None:
-            sleep(backoff)
     return {
         "produced": produced,
         "failure": failure,

@@ -28,8 +28,9 @@ The executor hands the backend *batches*: maximal contiguous runs of the
 graph's topological order in which no task depends on another
 (:func:`independent_batches`).  Because batches are contiguous segments
 of the topological order, committing results in batch order reproduces
-exactly the serial commit order -- journals, failure records and
-variable stores stay bit-identical across backends.
+exactly the serial commit order -- journals, failure records, variable
+stores and the error of the first task that gives up (the one the
+executor raises) stay bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ class RunContext:
     faults: Optional[Any] = None
     retry: Optional[Any] = None
     speculation: Optional[Any] = None
-    sleep: Optional[Callable[[float], None]] = None
     history: Optional[List[float]] = None
 
 
@@ -193,12 +193,12 @@ class ExecutionBackend:
         """Execute one batch of mutually independent tasks.
 
         ``prepare(task)`` performs the executor's pre-execution phase
-        (resume restore, skip/cancel decisions, input collection) and
-        returns the :class:`TaskRequest` to run -- or ``None`` when the
-        task needs no execution.  ``commit(request, outcome)`` applies
-        the result.  Backends MUST call ``prepare`` in the given task
-        order and ``commit`` in the same order (the serial commit order);
-        only the execution in between may overlap.
+        (resume restore, input collection) and returns the
+        :class:`TaskRequest` to run -- or ``None`` when the task needs
+        no execution.  ``commit(request, outcome)`` applies the result.
+        Backends MUST call ``prepare`` in the given task order and
+        ``commit`` in the same order (the serial commit order); only the
+        execution in between may overlap.
         """
         raise NotImplementedError
 

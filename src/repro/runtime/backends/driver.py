@@ -153,7 +153,7 @@ class DriverBackend(Transport, ExecutionBackend):
         self._run.obs.publish(gauge, float(value), backend=self.name, **labels)
 
     def _advance(self, tasks: int) -> None:
-        """Count ``tasks`` more as done (resumed or skipped ones too)."""
+        """Count ``tasks`` more as done (resumed and structural ones too)."""
         if tasks:
             self._done += tasks
             self._publish("backend_tasks_done", self._done)

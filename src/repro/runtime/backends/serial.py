@@ -3,12 +3,11 @@
 Every task body runs in-process, one at a time, in topological order,
 through the same attempt engine the worker backends use
 (:mod:`repro.runtime.backends.attempts`) -- timed on the
-instrumentation's own clock, with backoff delays *accounted* rather
-than slept unless a ``sleep`` callable is given.  It does not go
-through the shared batch driver: the loop commits each task before
-preparing the next, and a speculation "race" is resolved analytically,
-not concurrently -- the backup launches at the threshold and its
-effective finish is ``threshold + duration``.
+instrumentation's own clock, with backoff delays *accounted*, never
+slept.  It does not go through the shared batch driver: the loop
+commits each task before preparing the next, and a speculation "race"
+is resolved analytically, not concurrently -- the backup launches at
+the threshold and its effective finish is ``threshold + duration``.
 """
 
 from __future__ import annotations
@@ -52,7 +51,8 @@ class SerialBackend(ExecutionBackend):
         """Prepare, execute and commit each task strictly in order.
 
         A heartbeat gauge (``backend_tasks_done``) is published after
-        each task -- resumed/skipped tasks count as done immediately.
+        each task -- resumed and structural tasks count as done
+        immediately.
         """
         run = self._run
         assert run is not None, "open() must be called before run_batch()"
@@ -69,7 +69,7 @@ class SerialBackend(ExecutionBackend):
         run = self._run
         result = run_attempts(
             request.task, request.q, request.ctx.env, request.values,
-            run.faults, run.retry, run.sleep, run.obs.now,
+            run.faults, run.retry, run.obs.now,
         )
         outcome = TaskOutcome(
             produced=result["produced"],

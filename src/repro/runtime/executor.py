@@ -22,13 +22,14 @@ Fault tolerance
 ``run_program`` optionally executes under a
 :class:`~repro.faults.FaultPlan` (deterministic fault injection) and a
 :class:`~repro.faults.RetryPolicy` (per-task timeout, bounded retries
-with seeded exponential backoff).  A task whose attempts are exhausted
-either raises (``on_failure="raise"``) or degrades gracefully
-(``on_failure="degrade"``): the failure is recorded in
-``RunResult.failures``, the task's outputs become unavailable, and every
-downstream task that needs them is skipped with a ``"skipped"`` record
-instead of crashing the run.  With no plan and no policy the execution
-path is exactly the historical one -- bit-identical results.
+with seeded exponential backoff).  Backoff is accounted, never slept.
+A task that retried and then succeeded leaves a ``"recovered"`` record
+in ``RunResult.failures``.  A task whose attempts (or deadline budget)
+are exhausted fails the run: it counts ``faults.gave_up`` and raises
+:class:`RuntimeError` -- like a program step in the CM-task model,
+which either completes all its M-tasks or produces no outputs.  With no
+plan and no policy the execution path is exactly the historical one --
+bit-identical results.
 
 Checkpoint / resume
 -------------------
@@ -36,10 +37,11 @@ With a :class:`~repro.recovery.RunJournal`, every task completion is
 appended to a crash-consistent write-ahead log (outputs checkpointed to
 a content-addressed store) *before* the run proceeds.  After a crash,
 ``run_program(..., journal=..., resume=True)`` skips the journaled
-prefix, restores its outputs and failure records, and re-executes only
+prefix, restores its outputs and retry accounting, and re-executes only
 the rest; because fault/retry draws are keyed per ``(task, attempt)``,
 the resumed run's variables, failures and accounting are bit-identical
-to an uninterrupted one.  Task bodies are assumed pure (no in-place
+to an uninterrupted one, and a task that gave up re-executes with the
+same draws and raises again.  Task bodies are assumed pure (no in-place
 mutation of input arrays) -- the same assumption the simulator makes.
 
 A :class:`~repro.recovery.SpeculationPolicy` races a backup attempt
@@ -51,15 +53,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..core.graph import TaskGraph
-from ..core.task import AccessMode, MTask
+from ..core.task import MTask
 from ..distribution import transfer_counts
 from ..faults.plan import FaultPlan
-from ..faults.retry import FailureRecord, InjectedFault, RetryPolicy, TaskTimeout
+from ..faults.retry import FailureRecord, RetryPolicy
 from ..obs import Instrumentation
 from ..recovery.checkpoint import array_digest
 from ..recovery.journal import JournalError, JournalMismatch, RunJournal
@@ -91,7 +93,7 @@ class RunStats:
     #: per-task collective logs
     contexts: Dict[MTask, RuntimeContext] = field(default_factory=dict)
     tasks_executed: int = 0
-    #: recovered / gave-up / skipped tasks, in completion order
+    #: tasks that retried and recovered, in completion order
     failures: List[FailureRecord] = field(default_factory=list)
     #: total failed attempts over all tasks
     retries: int = 0
@@ -125,14 +127,9 @@ class RunResult:
 
     @property
     def failures(self) -> List[FailureRecord]:
-        """Structured record of every task that retried, gave up or was
-        skipped (empty for a clean run)."""
+        """The ``"recovered"`` record of every task that retried (empty
+        for a clean run)."""
         return self.stats.failures
-
-    @property
-    def degraded(self) -> bool:
-        """True when at least one task gave up or was skipped."""
-        return any(f.action in ("gave_up", "skipped") for f in self.stats.failures)
 
 
 def _replay_events(
@@ -206,8 +203,6 @@ def run_program(
     obs: Optional[Instrumentation] = None,
     faults: Optional[FaultPlan] = None,
     retry: Optional[RetryPolicy] = None,
-    on_failure: str = "raise",
-    sleep: Optional[Callable[[float], None]] = None,
     journal: Optional[RunJournal] = None,
     resume: bool = False,
     speculation: Optional[SpeculationPolicy] = None,
@@ -235,20 +230,15 @@ def run_program(
         running without one.
     retry:
         Optional :class:`~repro.faults.RetryPolicy`: per-attempt timeout
-        and bounded retries with seeded exponential backoff.  Without a
-        policy any failure (injected or real) propagates as before.
-    on_failure:
-        ``"raise"`` re-raises the final error of an exhausted task;
-        ``"degrade"`` records it in ``RunResult.failures``, marks the
-        task's outputs unavailable and skips dependent tasks.
-    sleep:
-        Backoff delays are always *accounted* in the stats; pass a
-        callable (e.g. ``time.sleep``) to also really wait.
+        and bounded retries with seeded exponential backoff (accounted
+        in the stats, not slept).  Without a policy any failure
+        (injected or real) propagates as before; with one, a task that
+        exhausts it raises :class:`RuntimeError`.
     journal:
         Optional :class:`~repro.recovery.RunJournal`: every task
-        completion (and durable failure) is appended to a crash-
-        consistent write-ahead log, with the output arrays checkpointed
-        to the journal's content-addressed store.
+        completion is appended to a crash-consistent write-ahead log,
+        with the output arrays checkpointed to the journal's
+        content-addressed store.
     resume:
         With ``True`` and a non-empty ``journal``, completed tasks are
         restored from it instead of re-executed; the header must match
@@ -269,13 +259,11 @@ def run_program(
         bit-identical to the historical executor; a
         :class:`~repro.runtime.backends.ProcessPoolBackend` runs each
         batch of independent tasks concurrently on forked workers while
-        committing results in the same order, so variables, journals and
-        failure records stay identical.  One documented semantic
-        difference on the pool: speculation backups become genuinely
-        concurrent races.
+        committing results in the same order, so variables, journals,
+        failure records and the error of a task that gives up stay
+        identical.  One documented semantic difference on the pool:
+        speculation backups become genuinely concurrent races.
     """
-    if on_failure not in ("raise", "degrade"):
-        raise ValueError("on_failure must be 'raise' or 'degrade'")
     obs = obs if obs is not None else Instrumentation()
     if faults is not None and not faults.enabled:
         faults = None
@@ -285,15 +273,12 @@ def run_program(
         k: np.atleast_1d(np.asarray(v, dtype=float)).copy() for k, v in inputs.items()
     }
     producer_dist: Dict[str, Tuple[object, int]] = {}
-    #: variable name -> task whose give-up made it unavailable
-    unavailable: Dict[str, str] = {}
     stats = RunStats()
     #: effective durations of completed primaries (speculation history)
     history: Optional[List[float]] = [] if speculation is not None else None
 
     # --- journal: load the completed prefix, arm the append log ----------
     completed: Dict[str, Dict[str, Any]] = {}
-    journaled_failures: Dict[str, FailureRecord] = {}
     if journal is not None:
         header: Dict[str, Any] = {
             "graph": graph.name,
@@ -313,17 +298,14 @@ def run_program(
         journal.begin(header)
         if resume:
             completed = state.completed
-            for f in state.failures():
-                journaled_failures[f.task] = f
 
     def prepare(task: MTask) -> Optional[TaskRequest]:
         """Pre-execution phase of one task (always in topological order).
 
-        Handles resume restoration, journaled failures, degrade-mode
-        skipping and input collection with re-distribution accounting.
-        Returns the :class:`TaskRequest` the backend should execute, or
-        ``None`` when the task needs no execution (every side effect
-        already applied here).
+        Handles resume restoration and input collection with
+        re-distribution accounting.  Returns the :class:`TaskRequest`
+        the backend should execute, or ``None`` when the task needs no
+        execution (every side effect already applied here).
         """
         q = GROUP_SIZE
         # --- resume: restore the journaled prefix instead of re-running --
@@ -357,33 +339,6 @@ def run_program(
                 )
             stats.contexts[task] = RuntimeContext(task.name, q_rec)
             return None
-        if task.func is not None and task.name in journaled_failures:
-            rec_failure = journaled_failures[task.name]
-            stats.failures.append(rec_failure)
-            obs.count(f"faults.{rec_failure.action}")
-            for p in task.outputs:
-                unavailable.setdefault(p.name, task.name)
-            stats.contexts[task] = RuntimeContext(task.name, q)
-            return None
-        # --- degrade mode: skip tasks whose inputs were lost upstream ----
-        skip_cause: Optional[str] = None
-        if unavailable:
-            for p in task.params:
-                if p.mode.reads and p.name in unavailable:
-                    skip_cause = unavailable[p.name]
-                    break
-        if skip_cause is not None and task.func is not None:
-            skip_record = FailureRecord(
-                task=task.name, action="skipped", cause=skip_cause
-            )
-            stats.failures.append(skip_record)
-            obs.count("faults.skipped")
-            if journal is not None:
-                journal.record_failure(skip_record)
-            for p in task.outputs:
-                unavailable.setdefault(p.name, task.name)
-            stats.contexts[task] = RuntimeContext(task.name, q)
-            return None
         # --- collect inputs, accounting re-distribution ------------------
         redist_before = stats.redistributed_bytes
         values: Dict[str, np.ndarray] = {}
@@ -391,7 +346,7 @@ def run_program(
             if not p.mode.reads:
                 continue
             if p.name not in store:
-                if task.meta.get("structural") or p.name in unavailable:
+                if task.meta.get("structural"):
                     continue
                 raise KeyError(
                     f"task {task.name!r} reads {p.name!r} which has no value"
@@ -421,10 +376,10 @@ def run_program(
     def commit(request: TaskRequest, outcome: TaskOutcome) -> None:
         """Post-execution phase of one task (always in commit order).
 
-        Replays the attempts' side effects, resolves failure handling,
-        validates and stores the outputs and journals the completion --
-        identical bookkeeping regardless of which backend executed the
-        body.
+        Replays the attempts' side effects, raises for a task that gave
+        up, validates and stores the outputs and journals the completion
+        -- identical bookkeeping regardless of which backend executed
+        the body.
         """
         task, ctx, q = request.task, request.ctx, request.q
         ctx.log.extend(outcome.collectives)
@@ -453,21 +408,13 @@ def run_program(
             history.append(float(outcome.info.get("seconds", 0.0)))
         failure = outcome.failure
         if failure is not None:
-            stats.failures.append(failure)
             obs.count("faults.gave_up")
             if failure.cause == "deadline":
                 obs.count("faults.deadline_exceeded")
-            if journal is not None:
-                journal.record_failure(failure)
-            if on_failure == "raise":
-                raise RuntimeError(
-                    f"task {task.name!r} failed after {failure.attempts} "
-                    f"attempt(s): {failure.error}"
-                )
-            for p in task.outputs:
-                unavailable[p.name] = task.name
-            stats.contexts[task] = ctx
-            return
+            raise RuntimeError(
+                f"task {task.name!r} failed after {failure.attempts} "
+                f"attempt(s): {failure.error}"
+            )
         produced = outcome.produced
         if produced is None and "crash" in outcome.info:
             raise RuntimeError(
@@ -523,7 +470,6 @@ def run_program(
             faults=faults,
             retry=retry,
             speculation=speculation,
-            sleep=sleep,
             history=history,
         )
     )
@@ -554,8 +500,6 @@ def run_program(
         obs.record(
             "run_failures",
             retries=stats.retries,
-            gave_up=sum(1 for f in stats.failures if f.action == "gave_up"),
-            skipped=sum(1 for f in stats.failures if f.action == "skipped"),
             backoff_seconds=stats.backoff_seconds,
         )
     return RunResult(variables=store, stats=stats)

@@ -693,8 +693,8 @@ def _compute_pipeline(
     if endpoint == "simulate":
         body["makespan"] = float(result.makespan)
         # the run's one analysis, as the record carries it
-        body["metrics"] = _finite(record.metrics)
-        body["analysis"] = _finite(record.analysis)
+        body["metrics"] = record.metrics
+        body["analysis"] = record.analysis
     return body, compiled.tasks, record.to_dict()
 
 
@@ -723,7 +723,9 @@ def _compute_run(
         "tasks": int(run.stats.tasks_executed),
         "tasks_executed": int(run.stats.tasks_executed),
         "retries": int(run.stats.retries),
-        "degraded": bool(run.degraded),
+        # a task that gives up fails the run, so a served run never
+        # degraded and its failure records are all "recovered"
+        "degraded": False,
         "failures": len(run.failures),
         "variables": {
             name: array_digest(arr)

@@ -412,7 +412,7 @@ class TestPoolDataPlane:
         before = set(os.listdir(SHM))
         stale = ("result", 999, 0, {"outputs": None, "failure": None,
                                     "info": {}, "events": []})
-        batches = iter([len(b) for b in _dispatched_batches(body, serial)])
+        batches = iter([len(b) for b in _dispatched_batches(body)])
         held, want = [], [next(batches)]
 
         def route(backend, result):
@@ -429,13 +429,12 @@ class TestPoolDataPlane:
         assert set(os.listdir(SHM)) - before == set()
 
 
-def _dispatched_batches(graph, serial):
+def _dispatched_batches(graph):
     """The batches of ``graph`` cut down to the tasks a run dispatches."""
     from repro.runtime import independent_batches
 
-    skipped = {f.task for f in serial.failures if f.action == "skipped"}
     for batch in independent_batches(graph):
-        jobs = [t for t in batch if t.func is not None and t.name not in skipped]
+        jobs = [t for t in batch if t.func is not None]
         if jobs:
             yield jobs
 

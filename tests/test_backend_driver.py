@@ -208,6 +208,10 @@ class TestSpeculationRaces:
         assert backend._spec_inflight == 0 and backend._jobs == {}
 
 
+def fault_counters(obs):
+    return {k: v for k, v in obs.counters.items() if k.startswith("faults.")}
+
+
 class TestArrivalOrder:
     def _fan(self, width):
         g = TaskGraph()
@@ -230,11 +234,16 @@ class TestArrivalOrder:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_any_permutation_commits_in_batch_order(self, data):
+        """Whatever order a batch's results arrive in, the run commits
+        them in batch order: a run that recovers ends with the serial
+        variables and records, one whose ``w1`` and ``w3`` give up
+        raises for ``w1``, the first in commit order, with the serial
+        counters."""
         width = 5
-        kw = dict(faults=FaultPlan(seed=3, failure_rate=0.4),
-                  retry=RetryPolicy(seed=3, max_retries=1),
-                  on_failure="degrade")
-        reference = run_program(self._fan(width), {"x": np.ones(4)}, **kw)
+        retry = RetryPolicy(seed=3, max_retries=1)
+        recovers = dict(faults=FaultPlan(seed=3, failure_rate=0.4), retry=retry)
+        gives_up = dict(faults=FaultPlan(task_faults={"w1": 99, "w3": 99}),
+                        retry=retry)
         stale = (999, 0, {"outputs": None, "failure": None,
                           "info": {}, "events": []})
 
@@ -248,77 +257,90 @@ class TestArrivalOrder:
                 backend.inbox.extend(batch[i] for i in order)
                 batch.clear()
 
-        obs = Instrumentation()
-        run = run_program(self._fan(width), {"x": np.ones(4)}, obs=obs,
-                          backend=InMemoryBackend(route), **kw)
-        assert summarize(run) == summarize(reference)
-        assert [f.to_dict() for f in run.failures] == [
-            f.to_dict() for f in reference.failures]
-        committed = [s.meta["task"] for s in obs.spans
-                     if s.name == "task" and "error" not in s.meta]
-        expected = [s for s in (t.name for t in self._fan(width).topological_order())
-                    if s in committed]
-        assert committed == expected
+        for kw in (recovers, gives_up):
+            ref_obs, obs = Instrumentation(), Instrumentation()
+
+            def run(obs, backend=None):
+                return run_program(self._fan(width), {"x": np.ones(4)},
+                                   obs=obs, backend=backend, **kw)
+
+            if kw is recovers:
+                reference = run(ref_obs)
+                result = run(obs, InMemoryBackend(route))
+                assert summarize(result) == summarize(reference)
+                assert [f.to_dict() for f in result.failures] == [
+                    f.to_dict() for f in reference.failures]
+            else:
+                for o, backend in ((ref_obs, None), (obs, InMemoryBackend(route))):
+                    with pytest.raises(
+                        RuntimeError, match=r"^task 'w1' failed after 2 attempt"
+                    ):
+                        run(o, backend)
+                assert obs.counter("faults.gave_up") == 1
+            assert fault_counters(obs) == fault_counters(ref_obs)
+            committed = [s.meta["task"] for s in obs.spans
+                         if s.name == "task" and "error" not in s.meta]
+            expected = [s for s in (t.name for t in self._fan(width).topological_order())
+                        if s in committed]
+            assert committed == expected
 
 
 # ----------------------------------------------------------------------
 # the attempt engine: pinned accounting of a FaultPlan x RetryPolicy grid
 # ----------------------------------------------------------------------
 COUNTERS = ("faults.failed_attempts", "faults.injected", "faults.timeouts",
-            "faults.retries", "faults.gave_up", "faults.deadline_exceeded",
-            "faults.skipped")
-GAVE_UP_B = [("b", "gave_up"), ("c", "skipped")]
+            "faults.retries", "faults.gave_up", "faults.deadline_exceeded")
+RECOVERED_B = [("b", "recovered")]
+#: ``b`` spends its attempts: the run raises and ``c`` never runs
+GAVE_UP_B = None
 
-#: name -> (plan, policy, failures as (task, action), attempts of b,
-#:          cause of b, retries, backoff delays (hex), counters, task spans)
+#: name -> (plan, policy, failures as (task, action) or GAVE_UP_B,
+#:          attempts of b, retries, backoff delays (hex), counters, task spans)
 GRID = {
     "recovers": (
         FaultPlan(task_faults={"b": 2}), RetryPolicy(),
-        [("b", "recovered")], 3, "", 2,
+        RECOVERED_B, 3, 2,
         ["0x1.0f2e67627c67ep-10", "0x1.1228cf2183216p-9"],
         {"faults.failed_attempts": 2, "faults.injected": 2, "faults.retries": 2},
         5,
     ),
     "exhausted": (
         FaultPlan(task_faults={"b": 99}), RetryPolicy(max_retries=1),
-        GAVE_UP_B, 2, "", 0, ["0x1.0f2e67627c67ep-10"],
-        {"faults.failed_attempts": 2, "faults.injected": 2,
-         "faults.gave_up": 1, "faults.skipped": 1},
+        GAVE_UP_B, 2, 0, ["0x1.0f2e67627c67ep-10"],
+        {"faults.failed_attempts": 2, "faults.injected": 2, "faults.gave_up": 1},
         3,
     ),
     "timeout": (
         FaultPlan(slowdowns={"b": 1e12}), RetryPolicy(max_retries=1, timeout=1.0),
-        GAVE_UP_B, 2, "", 0, ["0x1.0f2e67627c67ep-10"],
-        {"faults.failed_attempts": 2, "faults.timeouts": 2,
-         "faults.gave_up": 1, "faults.skipped": 1},
+        GAVE_UP_B, 2, 0, ["0x1.0f2e67627c67ep-10"],
+        {"faults.failed_attempts": 2, "faults.timeouts": 2, "faults.gave_up": 1},
         3,
     ),
     "deadline": (
         FaultPlan(task_faults={"b": 5}),
         RetryPolicy(seed=11, deadline_seconds=1e-9),
-        GAVE_UP_B, 1, "deadline", 0, [],
+        GAVE_UP_B, 1, 0, [],
         {"faults.failed_attempts": 1, "faults.injected": 1, "faults.gave_up": 1,
-         "faults.deadline_exceeded": 1, "faults.skipped": 1},
+         "faults.deadline_exceeded": 1},
         2,
     ),
     "no-policy": (
         FaultPlan(task_faults={"b": 1}), None,
-        GAVE_UP_B, 1, "", 0, [],
-        {"faults.failed_attempts": 1, "faults.injected": 1,
-         "faults.gave_up": 1, "faults.skipped": 1},
+        GAVE_UP_B, 1, 0, [],
+        {"faults.failed_attempts": 1, "faults.injected": 1, "faults.gave_up": 1},
         2,
     ),
     "jitter": (
         FaultPlan(task_faults={"b": 3}),
         RetryPolicy(seed=7, max_retries=3, backoff=0.01, jitter=0.5),
-        [("b", "recovered")], 4, "", 3,
+        RECOVERED_B, 4, 3,
         ["0x1.c48b43a419af1p-7", "0x1.d146a1c6e19a5p-7", "0x1.8e7d2171cf56cp-6"],
         {"faults.failed_attempts": 3, "faults.injected": 3, "faults.retries": 3},
         6,
     ),
     "fixed-backoff": (
         FaultPlan(task_faults={"b": 1}), RetryPolicy(backoff=0.01, jitter=0.0),
-        [("b", "recovered")], 2, "", 1, ["0x1.47ae147ae147bp-7"],
+        RECOVERED_B, 2, 1, ["0x1.47ae147ae147bp-7"],
         {"faults.failed_attempts": 1, "faults.injected": 1, "faults.retries": 1},
         4,
     ),
@@ -332,26 +354,34 @@ class TestAttemptEngineGrid:
     @pytest.mark.parametrize("backend", ["serial", "driver"])
     @pytest.mark.parametrize("case", sorted(GRID))
     def test_stats_and_counters_are_pinned(self, case, backend):
-        plan, retry, failures, attempts, cause, retries, delays, counters, spans = GRID[case]
+        plan, retry, failures, attempts, retries, delays, counters, spans = GRID[case]
         obs = Instrumentation()
-        slept = []
-        run = run_program(
-            chain_graph(), {"x": np.arange(4.0)}, obs=obs, faults=plan,
-            retry=retry, on_failure="degrade", sleep=slept.append,
-            backend=InMemoryBackend() if backend == "driver" else None,
-        )
-        assert [(f.task, f.action) for f in run.failures] == failures
-        assert (run.failures[0].attempts, run.failures[0].cause) == (attempts, cause)
-        assert run.stats.retries == retries
+
+        def run():
+            return run_program(
+                chain_graph(), {"x": np.arange(4.0)}, obs=obs, faults=plan,
+                retry=retry,
+                backend=InMemoryBackend() if backend == "driver" else None,
+            )
+
         backoff = 0.0
         for delay in delays:
             backoff += float.fromhex(delay)
-        assert run.stats.backoff_seconds == backoff
-        assert run.failures[0].backoff_seconds == (
-            0.0 if case == "deadline" else backoff)
-        # workers account backoff but never sleep it
-        assert [s.hex() for s in slept] == (delays if backend == "serial" else [])
+        if failures is GAVE_UP_B:
+            with pytest.raises(
+                RuntimeError, match=rf"^task 'b' failed after {attempts} attempt\(s\)"
+            ):
+                run()
+        else:
+            result = run()
+            assert [(f.task, f.action) for f in result.failures] == failures
+            assert result.failures[0].attempts == attempts
+            assert result.stats.retries == retries
+            assert result.stats.backoff_seconds == backoff
+            assert result.failures[0].backoff_seconds == backoff
+        # every backend accounts the backoff and none sleeps it
+        backoffs = histogram(obs, "runtime.backoff_seconds").values
+        assert [v.hex() for v in backoffs] == delays
         assert {c: obs.counter(c) for c in COUNTERS if obs.counter(c)} == counters
         assert len([s for s in obs.spans if s.name == "task"]) == spans
-        assert histogram(obs, "runtime.backoff_seconds").count == len(delays)
         assert histogram(obs, "task_retries").count == (1 if retries else 0)

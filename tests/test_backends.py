@@ -150,7 +150,6 @@ WORKER_BACKENDS = {
 FAULTY = dict(
     faults=FaultPlan(seed=11, failure_rate=0.3),
     retry=RetryPolicy(seed=11),
-    on_failure="degrade",
 )
 
 
@@ -195,7 +194,7 @@ class TestSerialPoolEquivalence:
 
     @pytest.mark.parametrize("kind", sorted(WORKER_BACKENDS))
     def test_speculating_degraded_run_resumes_bit_identically(self, kind, tmp_path):
-        """Speculation + ``on_failure="degrade"`` + journal resume at once.
+        """Speculation + injected faults + journal resume at once.
 
         The policy is armed (thresholds are computed from the live and
         the journaled history) but generous enough that no backup fires
@@ -210,7 +209,7 @@ class TestSerialPoolEquivalence:
             **FAULTY,
         )
         serial = run_program(body, dict(store), **kw)
-        assert serial.degraded or serial.stats.retries
+        assert serial.stats.retries
 
         def journaled(resume):
             journal = RunJournal(tmp_path / "journal.jsonl",

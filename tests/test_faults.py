@@ -1,5 +1,5 @@
 """Tests for the fault-tolerance subsystem: deterministic fault plans,
-retry policies, runtime retry/timeout/degradation, simulator fault
+retry policies, runtime retry/timeout/give-up, simulator fault
 costing, reschedule-on-core-loss and the fault-free equivalence
 guarantee (injection disabled => bit-identical results)."""
 
@@ -236,7 +236,7 @@ class TestFailureRecordDict:
     def test_backoff_absent_for_single_attempt(self):
         from repro.faults import FailureRecord
 
-        single = FailureRecord("t", "skipped", attempts=1)
+        single = FailureRecord("t", "gave_up", attempts=1)
         assert "backoff_seconds" not in single.to_dict()
 
 
@@ -254,7 +254,6 @@ class TestRuntimeFaults:
         assert len(recs) == 1 and recs[0].task == "b" and recs[0].attempts == 3
         assert res.stats.retries == 2
         assert res.stats.backoff_seconds > 0
-        assert not res.degraded
 
     def test_gave_up_raises_by_default(self):
         plan = FaultPlan(task_faults={"b": 99})
@@ -266,48 +265,33 @@ class TestRuntimeFaults:
                 retry=RetryPolicy(max_retries=2),
             )
 
-    def test_degrade_skips_downstream(self):
-        plan = FaultPlan(task_faults={"b": 99})
-        res = run_program(
-            chain_graph(),
-            {"x": np.arange(4.0)},
-            faults=plan,
-            retry=RetryPolicy(max_retries=1),
-            on_failure="degrade",
-        )
-        assert res.degraded
-        actions = {f.task: f.action for f in res.failures}
-        assert actions == {"b": "gave_up", "c": "skipped"}
-        assert "y" in res.variables  # a's output survived
-        assert "w" not in res.variables  # c never ran
-        skipped = [f for f in res.failures if f.action == "skipped"]
-        assert skipped[0].cause == "b"
-
     def test_timeout_via_injected_slowdown(self):
         # a huge straggler factor makes any measurable duration exceed the
         # timeout deterministically
         plan = FaultPlan(slowdowns={"b": 1e12})
-        res = run_program(
-            chain_graph(),
-            {"x": np.arange(4.0)},
-            faults=plan,
-            retry=RetryPolicy(max_retries=1, timeout=1.0),
-            on_failure="degrade",
-        )
-        gave = [f for f in res.failures if f.action == "gave_up"]
-        assert gave and gave[0].task == "b"
-        assert "exceeds timeout" in gave[0].error
+        obs = Instrumentation()
+        with pytest.raises(
+            RuntimeError, match="task 'b' failed after 2 attempt.*exceeds timeout"
+        ):
+            run_program(
+                chain_graph(),
+                {"x": np.arange(4.0)},
+                obs=obs,
+                faults=plan,
+                retry=RetryPolicy(max_retries=1, timeout=1.0),
+            )
+        assert obs.counter("faults.timeouts") == 2
+        assert obs.counter("faults.gave_up") == 1
 
     def test_injection_without_policy_gets_no_retries(self):
         plan = FaultPlan(task_faults={"b": 1})
-        res = run_program(
-            chain_graph(), {"x": np.arange(4.0)}, faults=plan, on_failure="degrade"
-        )
+        obs = Instrumentation()
         # one attempt only: the single injected failure exhausts the task
-        assert {f.task: f.action for f in res.failures} == {
-            "b": "gave_up",
-            "c": "skipped",
-        }
+        with pytest.raises(RuntimeError, match="task 'b' failed after 1 attempt"):
+            run_program(chain_graph(), {"x": np.arange(4.0)}, obs=obs, faults=plan)
+        assert obs.counter("faults.injected") == 1
+        assert obs.counter("faults.gave_up") == 1
+        assert obs.counter("faults.retries") == 0
 
     def test_obs_metrics_emitted(self):
         obs = Instrumentation()
@@ -322,18 +306,6 @@ class TestRuntimeFaults:
         assert obs.counter("faults.retries") == 1
         assert obs.counter("faults.injected") == 1
         assert histogram(obs, "task_retries").count == 1
-
-    def test_sleep_callable_receives_backoff(self):
-        slept = []
-        plan = FaultPlan(task_faults={"b": 1})
-        run_program(
-            chain_graph(),
-            {"x": np.arange(4.0)},
-            faults=plan,
-            retry=RetryPolicy(backoff=0.01, jitter=0.0),
-            sleep=slept.append,
-        )
-        assert slept == [pytest.approx(0.01)]
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +326,7 @@ class TestFaultFreeEquivalence:
         for k in base.variables:
             np.testing.assert_array_equal(base.variables[k], guarded.variables[k])
         assert base.stats.collective_counts() == guarded.stats.collective_counts()
-        assert guarded.failures == [] and not guarded.degraded
+        assert guarded.failures == []
 
     def test_irk_program_bit_identical(self):
         """Golden IRK functional run: same variables and collective

@@ -38,11 +38,12 @@ def task(name, inp=(), out=(), func=None, elements=4):
     return MTask(name, params=params, func=func)
 
 
-def chain_graph():
-    """a -> b -> c, each doubling its input."""
+def chain_graph(b_func=None):
+    """a -> b -> c, each doubling its input (``b_func`` replaces b's body)."""
     g = TaskGraph()
     a = g.add_task(task("a", inp=["x"], out=["y"], func=lambda c, v: {"y": v["x"] * 2}))
-    b = g.add_task(task("b", inp=["y"], out=["z"], func=lambda c, v: {"z": v["y"] * 2}))
+    b = g.add_task(task("b", inp=["y"], out=["z"],
+                        func=b_func or (lambda c, v: {"z": v["y"] * 2})))
     c = g.add_task(task("c", inp=["z"], out=["w"], func=lambda c, v: {"w": v["z"] * 2}))
     g.connect(a, b)
     g.connect(b, c)
@@ -253,23 +254,17 @@ class TestRunJournal:
             journal_at(tmp_path).load()
 
     def test_only_durable_failures_journaled(self, tmp_path):
-        from repro.faults import FailureRecord
-
-        journal = journal_at(tmp_path)
-        with journal:
-            journal.begin({"graph": "g"})
-            with pytest.raises(ValueError, match="gave_up/skipped"):
-                journal.record_failure(FailureRecord("a", "recovered"))
-            journal.record_failure(
-                FailureRecord("a", "gave_up", attempts=2, error="boom")
-            )
-            journal.record_failure(FailureRecord("b", "skipped", cause="a"))
-        failures = journal_at(tmp_path).load().failures()
-        assert [(f.task, f.action) for f in failures] == [
-            ("a", "gave_up"),
-            ("b", "skipped"),
-        ]
-        assert failures[0].attempts == 2 and failures[0].error == "boom"
+        """A retried task's failures are journaled only as the retry
+        accounting of its completion record: no line of their own."""
+        plan = FaultPlan(task_faults={"b": 2})
+        with journal_at(tmp_path) as journal:
+            run_program(chain_graph(), {"x": np.arange(4.0)}, faults=plan,
+                        retry=RetryPolicy(), journal=journal)
+        records = journal_at(tmp_path).load().records
+        assert [(r["kind"], r["task"]) for r in records] == [
+            ("task", "a"), ("task", "b"), ("task", "c")]
+        assert records[1]["attempts"] == 3
+        assert records[1]["error"] == "injected fault: task 'b', attempt 1"
 
 
 # ----------------------------------------------------------------------
@@ -331,27 +326,27 @@ class TestResume:
         assert resumed.stats.retries == reference.stats.retries
         assert resumed.stats.backoff_seconds == reference.stats.backoff_seconds
 
-    def test_resume_replays_durable_failures(self, tmp_path):
-        inputs = {"x": np.arange(4.0)}
-        plan = FaultPlan(task_faults={"b": 5})
-        retry = RetryPolicy(max_retries=1)
-        reference = run_program(
-            chain_graph(), inputs, faults=plan, retry=retry, on_failure="degrade"
-        )
-        with journal_at(tmp_path) as journal:
-            run_program(
-                chain_graph(), inputs, faults=plan, retry=retry,
-                on_failure="degrade", journal=journal,
-            )
-        with journal_at(tmp_path) as journal:
-            resumed = run_program(
-                chain_graph(), inputs, faults=plan, retry=retry,
-                on_failure="degrade", journal=journal, resume=True,
-            )
-        assert resumed.degraded and reference.degraded
-        assert resumed.failures == reference.failures
-        assert resumed.stats.tasks_executed == 1  # only "a", restored
-        assert "z" not in resumed.variables and "w" not in resumed.variables
+    @pytest.mark.parametrize("spec", ["serial", "pool:2", "cluster:2"])
+    def test_resumed_give_up_raises_again(self, spec, tmp_path):
+        """A task that gives up fails the run, uninterrupted or resumed:
+        the resume re-executes it instead of replaying a journaled
+        failure, and the journal never holds one."""
+        from repro.runtime import parse_backend_spec
+
+        def boom(ctx, values):
+            raise ValueError("b exploded")
+
+        message = r"^task 'b' failed after 1 attempt\(s\): b exploded$"
+        for resume in (False, True):
+            with journal_at(tmp_path) as journal:
+                with pytest.raises(RuntimeError, match=message):
+                    run_program(
+                        chain_graph(boom), {"x": np.arange(4.0)},
+                        retry=RetryPolicy(max_retries=0), journal=journal,
+                        resume=resume, backend=parse_backend_spec(spec),
+                    )
+        records = journal_at(tmp_path).load().records
+        assert [(r["kind"], r["task"]) for r in records] == [("task", "a")]
 
     def test_nonempty_journal_without_resume_raises(self, tmp_path):
         inputs = {"x": np.arange(4.0)}

@@ -32,7 +32,6 @@ from tests.test_recovery import truncate_to_task_records
 FAULTY = dict(
     faults=FaultPlan(seed=11, failure_rate=0.3),
     retry=RetryPolicy(seed=11),
-    on_failure="degrade",
 )
 CORES = 32
 

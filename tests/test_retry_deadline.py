@@ -3,6 +3,8 @@ retry budget, distinct from the per-attempt ``timeout`` -- validation,
 deterministic give-up across all three backends, overflow safety and
 the ``faults.deadline_exceeded`` surfacing."""
 
+import re
+
 import pytest
 
 from repro.faults import FaultPlan, RetryPolicy
@@ -10,6 +12,7 @@ from repro.obs import Instrumentation
 from repro.ode import MethodConfig
 from repro.runtime import ClusterBackend, ProcessPoolBackend, run_program
 
+from tests.test_backend_driver import fault_counters
 from tests.test_backends import functional_step, summarize
 
 PLAN = FaultPlan(seed=11, failure_rate=0.3)
@@ -47,24 +50,26 @@ class TestDeadlineGiveUp:
     def _run(self, retry, backend=None, obs=None):
         body, store = functional_step(MethodConfig("irk", K=4, m=3))
         return run_program(
-            body, dict(store), faults=PLAN, retry=retry,
-            on_failure="degrade", backend=backend, obs=obs,
+            body, dict(store), faults=PLAN, retry=retry, backend=backend, obs=obs,
         )
 
+    def _give_up(self, retry, backend=None):
+        """Run expecting a give-up: its error message and fault counters."""
+        obs = Instrumentation()
+        with pytest.raises(RuntimeError, match="failed after") as info:
+            self._run(retry, backend, obs)
+        return str(info.value), fault_counters(obs)
+
     def test_tiny_deadline_trips_on_the_first_failure(self):
-        run = self._run(RetryPolicy(seed=11, deadline_seconds=1e-9))
-        deadline_failures = [f for f in run.failures if f.cause == "deadline"]
-        assert deadline_failures, "no task gave up by deadline"
-        for f in deadline_failures:
-            assert f.action == "gave_up"
-            assert f.attempts == 1  # the budget admitted no retry at all
+        message, counters = self._give_up(RetryPolicy(seed=11, deadline_seconds=1e-9))
+        # the budget admitted no retry at all
+        assert "failed after 1 attempt(s)" in message
+        assert counters["faults.deadline_exceeded"] == 1
 
     def test_deadline_failures_are_counted(self):
-        obs = Instrumentation()
-        run = self._run(RetryPolicy(seed=11, deadline_seconds=1e-9), obs=obs)
-        expected = len([f for f in run.failures if f.cause == "deadline"])
-        assert obs.counter("faults.deadline_exceeded") == float(expected)
-        assert obs.counter("faults.gave_up") >= float(expected)
+        _, counters = self._give_up(RetryPolicy(seed=11, deadline_seconds=1e-9))
+        assert counters["faults.deadline_exceeded"] == 1.0
+        assert counters["faults.gave_up"] == 1.0
 
     @pytest.mark.parametrize("make_backend", [
         lambda: ProcessPoolBackend(workers=2),
@@ -72,9 +77,7 @@ class TestDeadlineGiveUp:
     ], ids=["pool", "cluster"])
     def test_give_up_is_bit_identical_across_backends(self, make_backend):
         retry = RetryPolicy(seed=11, deadline_seconds=1e-9)
-        serial = self._run(retry)
-        parallel = self._run(retry, backend=make_backend())
-        assert summarize(parallel) == summarize(serial)
+        assert self._give_up(retry, backend=make_backend()) == self._give_up(retry)
 
     def test_huge_deadline_never_trips(self):
         """A generous budget behaves exactly like no budget at all."""
@@ -101,14 +104,15 @@ class TestDeadlineGiveUp:
             max_delay=0.01, deadline_seconds=0.01,
         )
         body, store = functional_step(MethodConfig("irk", K=4, m=3))
-        run = run_program(
-            body, dict(store), retry=retry, on_failure="degrade",
-            faults=FaultPlan(seed=11, failure_rate=0.95),
-        )
-        gave_up = [f for f in run.failures if f.action == "gave_up"]
-        assert gave_up, "no task exhausted the deadline budget"
-        for f in gave_up:
-            assert f.cause == "deadline"
-            # the budget admitted a bounded number of attempts, far
-            # fewer than the policy's 10k retries
-            assert 1 <= f.attempts < 100
+        obs = Instrumentation()
+        with pytest.raises(RuntimeError, match=r"failed after (\d+) attempt") as info:
+            run_program(
+                body, dict(store), retry=retry, obs=obs,
+                faults=FaultPlan(seed=11, failure_rate=0.95),
+            )
+        # the budget admitted a bounded number of attempts, far fewer
+        # than the policy's 10k retries
+        attempts = int(re.search(r"failed after (\d+) attempt", str(info.value))[1])
+        assert 1 <= attempts < 100
+        assert obs.counter("faults.deadline_exceeded") == 1
+        assert obs.counter("faults.gave_up") == 1
