@@ -6,7 +6,7 @@ layer at every candidate group width.  The scalar path
 :class:`~repro.core.costmodel.CachedCostEvaluator`) evaluates those
 probes one Python call at a time, which dominates scheduling time once
 layers hold thousands of tasks.  This module evaluates the same costs as
-one numpy computation per layer:
+one numpy computation per layer (or per run of consecutive layers):
 
 * :func:`collective_time_symbolic_batch` -- the closed-form default-
   mapping-pattern collective costs of
@@ -16,7 +16,10 @@ one numpy computation per layer:
   tasks over a list of candidate widths, honouring each task's
   ``min_procs``/``max_procs`` clamp exactly like the scalar path;
 * :func:`symbolic_cost_pairs` -- ``Tsymb`` of ``(task, width)`` pairs,
-  one width per task: what pricing a finished schedule asks for.
+  one width per task: what pricing a finished schedule asks for;
+* :func:`stacked_cost_tables` -- the grids of several task lists (the
+  consecutive layers of one graph) cut from one table call over all
+  their tasks and widths, so the fixed cost of a call is paid once.
 
 **Bit-identity contract.**  Every arithmetic expression here mirrors the
 scalar code's operation order (IEEE-754 double operations are
@@ -44,6 +47,7 @@ __all__ = [
     "collective_time_symbolic_batch",
     "symbolic_cost_table",
     "symbolic_cost_pairs",
+    "stacked_cost_tables",
     "effective_widths",
 ]
 
@@ -133,6 +137,25 @@ def symbolic_cost_pairs(model, tasks: Sequence[MTask], widths) -> np.ndarray:
     if len(tasks) == 0:
         return np.zeros(0, dtype=np.float64)
     return _cost_grid(model, tasks, np.asarray(widths, dtype=np.int64)[:, np.newaxis])[:, 0]
+
+
+def stacked_cost_tables(table, requests):
+    """The ``Tsymb`` grids of several ``(tasks, widths)`` requests from one
+    ``table(tasks, widths)`` call over all their tasks (in request order)
+    and the union of their widths; each request's grid is cut from that
+    block.  A cell depends only on its own task and width, so every grid
+    is bitwise the one ``table`` prices for its request alone."""
+    if len(requests) == 1:
+        return [table(*requests[0])]
+    tasks = [t for ts, _ in requests for t in ts]
+    union = sorted(set().union(*(ws for _, ws in requests)))
+    block = table(tasks, union)
+    grids, row = [], 0
+    for ts, ws in requests:
+        cols = np.searchsorted(union, ws)
+        grids.append(block[row : row + len(ts), cols])
+        row += len(ts)
+    return grids
 
 
 def _cost_grid(model, tasks: Sequence[MTask], eff: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ edge and the two placements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cluster.architecture import CoreId
 from ..cluster.platforms import Platform
@@ -145,6 +145,17 @@ class CostModel:
         from .costbatch import symbolic_cost_table
 
         return symbolic_cost_table(self, tasks, widths)
+
+    def tsymb_tables(self, requests: Sequence[Tuple[Sequence[MTask], Sequence[int]]]):
+        """:meth:`tsymb_table` of every ``(tasks, widths)`` request, all
+        priced by one call (:func:`repro.core.costbatch.stacked_cost_tables`)."""
+        from .costbatch import stacked_cost_tables
+
+        return stacked_cost_tables(self.tsymb_table, requests)
+
+    def sequential_times(self, tasks: Sequence[MTask]) -> List[float]:
+        """``[sequential_time(t) for t in tasks]``."""
+        return [self.sequential_time(t) for t in tasks]
 
     def tsymb_pairs(self, tasks: Sequence[MTask], widths: Sequence[int]):
         """``[tsymb(t, q) for t, q in zip(tasks, widths)]`` as one numpy
@@ -406,28 +417,52 @@ class CachedCostEvaluator:
         self.stats._bump(self.stats.batched, "tsymb", int(table.size))
         return table
 
-    def tsymb_pairs(self, tasks: Sequence[MTask], widths: Sequence[int]) -> List[float]:
-        """``[self.tsymb(t, q) for t, q in zip(tasks, widths)]`` with the
-        misses priced in one batch evaluation.
+    def tsymb_tables(self, requests: Sequence[Tuple[Sequence[MTask], Sequence[int]]]):
+        """:meth:`CostModel.tsymb_tables` through the wrapped model's one
+        ``tsymb_table`` call; each request counts its own ``tasks x
+        widths`` cells in ``stats.batched``, as its own
+        :meth:`tsymb_table` call would."""
+        from .costbatch import stacked_cost_tables
 
-        Unlike :meth:`tsymb_table` this is the memoized request path:
-        it leaves the cache entries and the hit/miss counts those scalar
-        calls would leave (a pair repeated in the request misses once
-        and hits afterwards), so run records and cache counters do not
-        depend on whether a schedule was priced pair by pair or at once.
-        """
+        tables = stacked_cost_tables(self.model.tsymb_table, requests)
+        for table in tables:
+            self.stats._bump(self.stats.batched, "tsymb", int(table.size))
+        return tables
+
+    def _memo_batch(self, keys: List[tuple], compute) -> List[float]:
+        """What one :meth:`_memo` call per key returns, with the misses
+        priced by one ``compute(missing_keys)`` call.  It leaves the cache
+        entries and hit/miss counts those scalar calls would leave (a key
+        repeated in the request misses once and hits afterwards), so run
+        records and cache counters do not depend on whether values were
+        requested one by one or at once."""
         cache = self._cache
-        keys = [("tsymb", t, q) for t, q in zip(tasks, widths)]
         missing = list(dict.fromkeys(k for k in keys if k not in cache))
         if missing:
-            values = self.model.tsymb_pairs(
-                [k[1] for k in missing], [k[2] for k in missing]
-            )
-            cache.update(zip(missing, values.tolist()))
-            self.stats._bump(self.stats.misses, "tsymb", len(missing))
+            cache.update(zip(missing, compute(missing)))
+            self.stats._bump(self.stats.misses, keys[0][0], len(missing))
         if len(keys) > len(missing):
-            self.stats._bump(self.stats.hits, "tsymb", len(keys) - len(missing))
+            self.stats._bump(self.stats.hits, keys[0][0], len(keys) - len(missing))
         return [cache[k] for k in keys]
+
+    def sequential_times(self, tasks: Sequence[MTask]) -> List[float]:
+        """``[self.sequential_time(t) for t in tasks]`` in one pass over
+        the memo (:meth:`_memo_batch`)."""
+        return self._memo_batch(
+            [("sequential_time", t) for t in tasks],
+            lambda missing: self.model.sequential_times([k[1] for k in missing]),
+        )
+
+    def tsymb_pairs(self, tasks: Sequence[MTask], widths: Sequence[int]) -> List[float]:
+        """``[self.tsymb(t, q) for t, q in zip(tasks, widths)]`` with the
+        misses priced in one batch evaluation; unlike :meth:`tsymb_table`
+        this is the memoized request path (:meth:`_memo_batch`)."""
+        return self._memo_batch(
+            [("tsymb", t, q) for t, q in zip(tasks, widths)],
+            lambda missing: self.model.tsymb_pairs(
+                [k[1] for k in missing], [k[2] for k in missing]
+            ).tolist(),
+        )
 
     def redistribution_time_symbolic(
         self, flows: Sequence[DataFlow], q_src: int, q_dst: int

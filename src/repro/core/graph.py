@@ -165,8 +165,13 @@ class TaskGraph:
             )
         self._topo = None
 
-    def _snapshot(self) -> Tuple[Adjacency, Adjacency, Dict[str, MTask]]:
-        """Copies of the adjacency rows and the name table (O(V + E))."""
+    def _snapshot(self):
+        """What a failed transaction puts back: copies of the adjacency
+        rows and the name table (O(V + E)) -- or, for a graph without
+        edges yet (a generator's or a contraction's fresh graph), only its
+        task list, one list copy instead of two dicts per task."""
+        if not any(self._succ.values()):
+            return list(self._succ)
         return (
             {t: dict(row) for t, row in self._succ.items()},
             {t: dict(row) for t, row in self._pred.items()},
@@ -194,7 +199,12 @@ class TaskGraph:
             yield self
             self.validate()
         except BaseException:
-            self._succ, self._pred, self._by_name = saved
+            if isinstance(saved, list):  # these tasks and no edges
+                self._succ = {t: {} for t in saved}
+                self._pred = {t: {} for t in saved}
+                self._by_name = {t.name: t for t in saved}
+            else:
+                self._succ, self._pred, self._by_name = saved
             self._topo = None
             raise
         finally:

@@ -205,8 +205,7 @@ class MTask:
             raise ValueError("min_procs must be >= 1")
         if self.max_procs is not None and self.max_procs < self.min_procs:
             raise ValueError("max_procs must be >= min_procs")
-        names = [p.name for p in self.params]
-        if len(names) != len(set(names)):
+        if len(self.params) > 1 and len({p.name for p in self.params}) < len(self.params):
             raise ValueError(f"duplicate parameter names in task {self.name!r}")
 
     # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.graph import TaskGraph
 from ..core.task import CollectiveSpec, MTask
-from .synthetic import _assemble, _flow, fit_to_cores, layered_graph, random_dag
+from .synthetic import _assemble, _flow_maker, fit_to_cores, layered_graph, random_dag
 
 __all__ = ["Scenario", "adversarial_suite", "REGIMES"]
 
@@ -90,11 +90,12 @@ def _layered(
     elements: int = 64,
 ) -> TaskGraph:
     """Wire hand-built layers into a graph (each task keeps >= 1 pred)."""
+    flow = _flow_maker(rng, elements)
     edges = []
     prev: List[MTask] = []
     for layer in layers:
         if prev:
-            edges += [(rng.choice(prev), t, [_flow(rng, "x", elements)]) for t in layer]
+            edges += [(rng.choice(prev), t, flow("x")) for t in layer]
         prev = layer
     return _assemble(name, [t for layer in layers for t in layer], edges)
 

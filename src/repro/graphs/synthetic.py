@@ -35,6 +35,9 @@ _COMM_MENU = (
     ("allreduce", "group", False),
     ("ptp", "orthogonal", False),
 )
+#: the moldability bounds a generated task draws from
+_MIN_PROCS = (1, 1, 1, 1, 2, 4)
+_MAX_PROCS = (None, None, None, 256)
 
 
 def _fit_bounds(
@@ -92,43 +95,71 @@ def fit_to_cores(graph: TaskGraph, cores: int, *, strict: bool = False) -> TaskG
     return graph
 
 
-def _make_task(
-    rng: random.Random, name: str, elements: int, cores: Optional[int] = None
-) -> MTask:
-    """One synthetic task: lognormal-ish work, occasional moldability
-    bounds (clamped to ``cores`` when given), zero to two collective
-    specs."""
-    work = elements * rng.uniform(5.0, 50.0)
-    min_procs = rng.choice((1, 1, 1, 1, 2, 4))
-    max_procs: Optional[int] = rng.choice((None, None, None, 256))
-    min_procs, max_procs = _fit_bounds(name, min_procs, max_procs, cores)
-    comm = []
-    for _ in range(rng.randint(0, 2)):
-        op, scope, tpo = rng.choice(_COMM_MENU)
-        comm.append(
-            CollectiveSpec(
-                op=op,
-                total_elements=float(rng.randint(1, elements)),
-                count=float(rng.randint(1, 4)),
-                scope=scope,
-                task_parallel_only=tpo,
+def _task_maker(
+    rng: random.Random, elements: int, cores: Optional[int] = None
+) -> Callable[[str], MTask]:
+    """``make(name)``: one synthetic task per call -- lognormal-ish work,
+    occasional moldability bounds (clamped to ``cores`` when given), zero
+    to two collective specs -- drawn from ``rng`` in a fixed order.
+
+    The draws skip the argument handling of ``uniform`` / ``choice`` /
+    ``randint`` and make the calls those make: ``uniform(a, b)`` is
+    ``a + (b - a) * random()``, ``choice(seq)`` is
+    ``seq[_randbelow(len(seq))]`` and ``randint(a, b)`` is
+    ``a + _randbelow(b - a + 1)`` as CPython's ``random`` implements them,
+    so the stream is the same; ``tests/test_schedule_scale.py`` pins each
+    family's output."""
+    draw, below = rng.random, rng._randbelow
+
+    def make(name: str) -> MTask:
+        work = elements * (5.0 + 45.0 * draw())
+        min_procs = _MIN_PROCS[below(len(_MIN_PROCS))]
+        max_procs: Optional[int] = _MAX_PROCS[below(len(_MAX_PROCS))]
+        min_procs, max_procs = _fit_bounds(name, min_procs, max_procs, cores)
+        comm = []
+        for _ in range(below(3)):
+            op, scope, tpo = _COMM_MENU[below(len(_COMM_MENU))]
+            comm.append(
+                CollectiveSpec(
+                    op=op,
+                    total_elements=float(1 + below(elements)),
+                    count=float(1 + below(4)),
+                    scope=scope,
+                    task_parallel_only=tpo,
+                )
             )
+        return MTask(
+            name=name,
+            work=work,
+            comm=tuple(comm),
+            min_procs=min_procs,
+            max_procs=max_procs,
         )
-    return MTask(
-        name=name,
-        work=work,
-        comm=tuple(comm),
-        min_procs=min_procs,
-        max_procs=max_procs,
-    )
+
+    return make
 
 
 #: one generated edge: producer, consumer, its single flow
-Edge = Tuple[MTask, MTask, List[DataFlow]]
+Edge = Tuple[MTask, MTask, Sequence[DataFlow]]
 
 
-def _flow(rng: random.Random, var: str, elements: int) -> DataFlow:
-    return DataFlow(var=var, elements=rng.randint(1, elements))
+def _flow_maker(rng: random.Random, elements: int) -> Callable[[str], Tuple[DataFlow]]:
+    """``flow(var)``: the flows of one generated edge -- a single flow of
+    ``var`` whose size is drawn from ``rng``.  ``DataFlow`` is frozen and
+    compared by value, so one maker shares one instance per
+    ``(var, size)``.  The size is ``randint(1, elements)``, drawn as
+    :func:`_task_maker` draws it."""
+    below = rng._randbelow
+    shared: Dict[Tuple[str, int], Tuple[DataFlow]] = {}
+
+    def flow(var: str) -> Tuple[DataFlow]:
+        key = (var, 1 + below(elements))
+        flows = shared.get(key)
+        if flows is None:
+            flows = shared[key] = (DataFlow(var=var, elements=key[1]),)
+        return flows
+
+    return flow
 
 
 def _assemble(name: str, tasks: Sequence[MTask], edges: Sequence[Edge]) -> TaskGraph:
@@ -147,12 +178,13 @@ def chain_graph(
     if n <= 0:
         raise ValueError("n must be positive")
     rng = random.Random(seed)
+    make, flow = _task_maker(rng, elements, cores), _flow_maker(rng, elements)
     tasks: List[MTask] = []
     edges: List[Edge] = []
     for i in range(n):
-        t = _make_task(rng, f"c{i}", elements, cores)
+        t = make(f"c{i}")
         if tasks:
-            edges.append((tasks[-1], t, [_flow(rng, "x", elements)]))
+            edges.append((tasks[-1], t, flow("x")))
         tasks.append(t)
     return _assemble(f"synthetic/chain-{n}-s{seed}", tasks, edges)
 
@@ -173,21 +205,22 @@ def fork_join_graph(
     if n <= 0 or width <= 0:
         raise ValueError("n and width must be positive")
     rng = random.Random(seed)
+    make, flow = _task_maker(rng, elements, cores), _flow_maker(rng, elements)
     tasks: List[MTask] = []
     edges: List[Edge] = []
     stage = 0
     while len(tasks) < n:
-        fork = _make_task(rng, f"fork{stage}", elements, cores)
+        fork = make(f"fork{stage}")
         if tasks:  # behind the previous stage's join
-            edges.append((tasks[-1], fork, [_flow(rng, "y", elements)]))
+            edges.append((tasks[-1], fork, flow("y")))
         tasks.append(fork)
         body = []
         for j in range(width):
-            t = _make_task(rng, f"b{stage}_{j}", elements, cores)
-            edges.append((fork, t, [_flow(rng, "x", elements)]))
+            t = make(f"b{stage}_{j}")
+            edges.append((fork, t, flow("x")))
             body.append(t)
-        join = _make_task(rng, f"join{stage}", elements, cores)
-        edges.extend((t, join, [_flow(rng, "x", elements)]) for t in body)
+        join = make(f"join{stage}")
+        edges.extend((t, join, flow("x")) for t in body)
         tasks += body
         tasks.append(join)
         stage += 1
@@ -216,22 +249,21 @@ def layered_graph(
     if not 0.0 <= edge_density <= 1.0:
         raise ValueError("edge_density must be within [0, 1]")
     rng = random.Random(seed)
+    make, flow = _task_maker(rng, elements, cores), _flow_maker(rng, elements)
+    draw, below = rng.random, rng._randbelow
     tasks: List[MTask] = []
     edges: List[Edge] = []
     prev_layer: List[MTask] = []
     li = 0
     while len(tasks) < n:
-        cur = [
-            _make_task(rng, f"l{li}_{j}", elements, cores)
-            for j in range(min(width, n - len(tasks)))
-        ]
+        cur = [make(f"l{li}_{j}") for j in range(min(width, n - len(tasks)))]
         tasks += cur
         if prev_layer:
             for t in cur:
-                edges.append((rng.choice(prev_layer), t, [_flow(rng, "x", elements)]))
+                edges.append((prev_layer[below(len(prev_layer))], t, flow("x")))
                 for p in prev_layer:
-                    if rng.random() < edge_density:
-                        edges.append((p, t, [_flow(rng, "x", elements)]))
+                    if draw() < edge_density:
+                        edges.append((p, t, flow("x")))
         prev_layer = cur
         li += 1
     return _assemble(f"synthetic/layered-{n}-w{width}-s{seed}", tasks, edges)
@@ -254,15 +286,16 @@ def random_dag(
     if n <= 0:
         raise ValueError("n must be positive")
     rng = random.Random(seed)
+    make, flow = _task_maker(rng, elements, cores), _flow_maker(rng, elements)
     tasks: List[MTask] = []
     edges: List[Edge] = []
     for i in range(n):
-        t = _make_task(rng, f"r{i}", elements, cores)
+        t = make(f"r{i}")
         if tasks:
             window = tasks[-256:]
             k = rng.randint(1, max_preds)
             for p in rng.sample(window, min(k, len(window))):
-                edges.append((p, t, [_flow(rng, "x", elements)]))
+                edges.append((p, t, flow("x")))
         tasks.append(t)
     return _assemble(f"synthetic/random-{n}-s{seed}", tasks, edges)
 

@@ -23,7 +23,7 @@ performs roughly 2.2x the flops of SP per grid point per step).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.graph import TaskGraph
 from ..core.task import CollectiveSpec, DistributionSpec, MTask, Parameter, AccessMode
@@ -95,16 +95,15 @@ def _zone_task(zone: Zone, cfg: NPBConfig, grid: ZoneGrid) -> MTask:
 def build_npb_step_graph(
     cfg: NPBConfig, grid: Optional[ZoneGrid] = None
 ) -> Tuple[TaskGraph, ZoneGrid]:
-    """The M-task graph of one multi-zone time step.
+    """The M-task graph of one multi-zone time step: one layer of
+    independent zone tasks, in zone order, and no edges.
 
-    All zone tasks are independent (one layer); the border exchange of
-    the *previous* step appears as data flows from a structural source so
-    that re-distribution between steps stays visible to the simulator.
+    Nothing flows between tasks of the graph.  The border exchange with
+    the neighbouring zones is part of each zone task's own cost: an
+    orthogonal ``allgather`` of its ghost faces (:func:`_zone_task`).
     """
     if grid is None:
         grid = npb_zone_grid(cfg)
     graph = TaskGraph(f"{grid.name}-step")
-    tasks: Dict[int, MTask] = {}
-    for zone in grid.zones:
-        tasks[zone.id] = graph.add_task(_zone_task(zone, cfg, grid))
+    graph.add_tasks(_zone_task(zone, cfg, grid) for zone in grid.zones)
     return graph, grid

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.task import MTask
@@ -46,18 +47,28 @@ def lpt_assign_indices(
     accumulated time (the modified greedy scheduler with 4/3
     sub-optimality bound referenced in Section 3.2), ties to the
     lowest-indexed subset.  The open subsets live in a min-heap keyed on
-    ``(load, index)``, so one assignment costs ``O(log g)``.  The
-    ``g``-search calls it with one sort per distinct cost column, which
-    serves every candidate ``g`` probing that column.
+    ``(load, index)``, so one assignment costs ``O(log g)``.  While
+    subsets are still empty, a task of positive time goes straight to
+    the lowest-indexed one -- its load then sorts behind every empty
+    subset, so that is the heap's own choice -- and the heap starts
+    after those.  The ``g``-search calls it with one sort per distinct
+    cost column, which serves every candidate ``g`` probing that column.
     """
     if g <= 0:
         # the historical behaviour was an IndexError on heap[0] for any
         # non-empty order; fail with the same contract equal_partition uses
         raise ValueError("g must be positive")
-    groups: List[List[int]] = [[] for _ in range(g)]
-    heap = [(0.0, l) for l in range(g)]  # ascending indices: already a heap
+    head: List[int] = []
+    for i in islice(order, g):
+        if not times[i] > 0.0:
+            break
+        head.append(i)
+    k = len(head)
+    groups: List[List[int]] = [[i] for i in head] + [[] for _ in range(g - k)]
+    heap = [(times[i], l) for l, i in enumerate(head)] + [(0.0, l) for l in range(k, g)]
+    heapq.heapify(heap)
     replace = heapq.heapreplace
-    for i in order:
+    for i in islice(order, k, None):
         load, l = heap[0]
         groups[l].append(i)
         replace(heap, (load + times[i], l))

@@ -31,7 +31,8 @@ decided, ``gsearch.pruned`` those decided by the bound alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +51,11 @@ __all__ = ["LayerBasedScheduler"]
 #: a layer whose feasible group counts (``g`` up to its width and the core
 #: count) exceed this searches only powers of two plus the largest ``g``
 WIDE_LAYER_LIMIT = 64
+
+#: cells (tasks times distinct widths) one batched ``Tsymb`` call may
+#: cover when ``_plan`` prices consecutive layers together; a layer that
+#: is larger on its own is priced alone, as ``schedule_layer`` prices it
+PRICE_CELLS = 4096
 
 
 @dataclass
@@ -104,30 +110,80 @@ class LayerBasedScheduler(Scheduler):
             g *= 2
         return sorted(cands)
 
-    def _cost_table(
-        self, tasks: Sequence[MTask], feasible: Sequence[int]
-    ) -> Tuple[np.ndarray, List[int]]:
-        """Batch-evaluate every ``Tsymb`` column the ``g``-search reads.
+    def _feasible(self, tasks: Sequence[MTask]) -> List[int]:
+        """The group counts ``g`` whose narrowest subset fits every task
+        of a layer (empty for an empty or infeasible layer)."""
+        if not tasks:
+            return []
+        P = self.nprocs
+        max_minp = max(t.min_procs for t in tasks)
+        feasible = []
+        for g in self._candidates(len(tasks)):
+            if g <= 0:
+                # matches the scalar path: probing a degenerate group
+                # count fails inside equal_partition
+                equal_partition(P, g)
+            if max_minp <= P // g:
+                feasible.append(g)
+        return feasible
+
+    def _widths(self, feasible: Sequence[int]) -> List[int]:
+        """The ascending raw widths of every ``Tsymb`` column the
+        ``g``-search reads.
 
         The search probes each task at two kinds of width: the equal
         subset estimate ``P // g`` of every candidate, and the
         ``equal_partition`` sizes of every possible non-empty group count
         (``floor(P/k)`` and its ceiling) -- ``O(sqrt(P) + |candidates|)``
-        distinct widths in total.  One ``tsymb_table`` call scores all of
-        them; returns the table (bitwise equal to scalar ``tsymb``) and
-        the ascending raw widths its columns stand for.
+        distinct widths in total.
         """
         P = self.nprocs
         widths = set()
         for g in feasible:
             widths.add(P // g)
-        for k in range(1, max(feasible) + 1):
+        for k in range(1, max(feasible, default=0) + 1):
             base, rem = divmod(P, k)
             widths.add(base)
             if rem:
                 widths.add(base + 1)
-        ordered = sorted(widths)
-        return self.cost.tsymb_table(tasks, ordered), ordered
+        return sorted(widths)
+
+    def _priced_layers(
+        self, layers: Sequence[Sequence[MTask]]
+    ) -> Iterator[Tuple[List[int], List[int], Optional[np.ndarray]]]:
+        """``(feasible, widths, table)`` of each layer, in layer order
+        (no table for an empty layer or one with no feasible ``g``).
+        Consecutive layers are priced together: one ``tsymb_tables`` call
+        covers as many as fit in ``PRICE_CELLS`` cells (their tasks times
+        the union of their widths), made when the layer after them (or
+        the end) is reached."""
+        pending: List[Tuple[Sequence[MTask], List[int], List[int]]] = []
+        rows, cols = 0, set()
+        for tasks in layers:
+            feasible = self._feasible(tasks)
+            widths = self._widths(feasible)
+            union = cols.union(widths)
+            if pending and (not feasible or (rows + len(tasks)) * len(union) > PRICE_CELLS):
+                yield from self._price(pending)
+                pending, rows, cols = [], 0, set()
+                union = set(widths)
+            if feasible:
+                pending.append((tasks, feasible, widths))
+                rows, cols = rows + len(tasks), union
+            else:
+                yield feasible, widths, None
+        yield from self._price(pending)
+
+    def _price(
+        self, pending: List[Tuple[Sequence[MTask], List[int], List[int]]]
+    ) -> Iterator[Tuple[List[int], List[int], Optional[np.ndarray]]]:
+        """One ``tsymb_tables`` call for the layers :meth:`_priced_layers`
+        collected."""
+        if not pending:
+            return
+        tables = self.cost.tsymb_tables([(tasks, widths) for tasks, _, widths in pending])
+        for (_, feasible, widths), table in zip(pending, tables):
+            yield feasible, widths, table
 
     def _tact_bounds(
         self, table: np.ndarray, widths: Sequence[int], feasible: Sequence[int]
@@ -162,50 +218,63 @@ class LayerBasedScheduler(Scheduler):
         """Schedule one layer; returns the layer and its ``Tmin``.
 
         *Decide* and *cost* are split: all symbolic cost columns the
-        search can touch are batch-evaluated up front
-        (:meth:`_cost_table`), then the ``g``-search, LPT assignment
-        and load maximisation run on plain float lookups without calling
-        the cost model again.  Candidates are visited in increasing order
-        of :meth:`_tact_bounds` and skipped once the bound exceeds the
-        best ``Tact`` found; the ascending ``tact < best - 1e-15`` rule
-        then picks among the evaluated ones.  Decisions -- including
+        search can touch are batch-evaluated up front (:meth:`_widths`,
+        one ``tsymb_table`` call), then :meth:`_decide` runs the
+        ``g``-search, LPT assignment and load maximisation on plain float
+        lookups without calling the cost model again.
+        """
+        tasks = list(tasks)
+        feasible = self._feasible(tasks)
+        widths = self._widths(feasible)
+        table = self.cost.tsymb_table(tasks, widths) if feasible else None
+        return self._decide(tasks, feasible, widths, table, obs)
+
+    def _decide(
+        self,
+        tasks: List[MTask],
+        feasible: List[int],
+        widths: List[int],
+        table: Optional[np.ndarray],
+        obs: Optional[Instrumentation],
+    ) -> Tuple[Layer, float]:
+        """The ``g``-search of one layer over its priced ``table``.
+
+        Candidates are visited in increasing order of
+        :meth:`_tact_bounds` and skipped once the bound exceeds the best
+        ``Tact`` found; the ascending ``tact < best - 1e-15`` rule then
+        picks among the evaluated ones.  Decisions -- including
         floating-point accumulation order and tie-breaks -- are
         bit-identical to an exhaustive ascending scan of every candidate
         (see ``docs/guide/scaling.md`` for the argument).
         """
         obs = obs if obs is not None else Instrumentation()
         P = self.nprocs
-        tasks = list(tasks)
         if not tasks:
             # :func:`build_layers` never emits empty layers, but direct
             # callers (adversarial sweeps, reschedule suffixes) may; an
             # empty layer is one idle group spanning the whole machine
             return Layer(groups=[[]], group_sizes=[P]), 0.0
-        max_minp = max((t.min_procs for t in tasks), default=1)
-        feasible = []
-        for g in self._candidates(len(tasks)):
-            if g <= 0:
-                # matches the scalar path: probing a degenerate group
-                # count fails inside equal_partition
-                equal_partition(P, g)
-            if max_minp <= P // g:  # the narrowest subset fits every task
-                feasible.append(g)
         if not feasible:
             raise ValueError(
                 "no feasible group count for layer "
                 f"[{', '.join(t.name for t in tasks)}] on {P} cores"
             )
-        table, widths = self._cost_table(tasks, feasible)
         obs.count("gsearch.batch_widths", len(widths))
         obs.count("gsearch.probes", len(feasible))
-        bounds = self._tact_bounds(table, widths, feasible)
-        visit = np.argsort(bounds, kind="stable").tolist()
-        bounds = bounds.tolist()
+        if len(feasible) > 1:
+            bounds = self._tact_bounds(table, widths, feasible)
+            visit = np.argsort(bounds, kind="stable").tolist()
+            bounds = bounds.tolist()
+        else:  # a lone candidate is always evaluated
+            visit, bounds = [0], [-np.inf]
         columns = dict(zip(widths, table.T.tolist()))
         n = len(tasks)
         # LPT's task order depends only on the cost column, so one sort
-        # per distinct width serves every candidate probing it
+        # per distinct width serves every candidate probing it; a stable
+        # sort by decreasing cost over the layer's name order breaks ties
+        # by name without comparing names again per column
         order_cache: Dict[int, List[int]] = {}
+        by_name: List[int] = []
         # a skipped candidate's Tact exceeds the final minimum by more
         # than this, so it can neither win the ascending scan nor (each
         # disagreement between the scans uses up one evaluated candidate
@@ -213,7 +282,7 @@ class LayerBasedScheduler(Scheduler):
         # its rounding) change which near-minimal candidate does
         margin = (len(feasible) + 4) * 2e-15
         best_tact = float("inf")
-        probed: Dict[int, Tuple[float, List[List[int]], List[int]]] = {}
+        probed: Dict[int, Tuple[float, List[List[int]]]] = {}
         for k in visit:
             if bounds[k] > best_tact + margin:
                 continue
@@ -223,7 +292,9 @@ class LayerBasedScheduler(Scheduler):
             if self.assignment == "lpt":
                 order = order_cache.get(q_est)
                 if order is None:
-                    order = sorted(range(n), key=lambda i: (-est[i], tasks[i].name))
+                    if not by_name:
+                        by_name = sorted(range(n), key=lambda i: tasks[i].name)
+                    order = sorted(by_name, key=est.__getitem__, reverse=True)
                     order_cache[q_est] = order
                 groups = lpt_assign_indices(order, est, g)
             else:
@@ -236,26 +307,30 @@ class LayerBasedScheduler(Scheduler):
             if len(nonempty) < len(groups):
                 obs.count("gsearch.empty_groups", len(groups) - len(nonempty))
                 groups = nonempty
-            sizes = equal_partition(P, len(groups))
-            loads = []
-            for gi, grp in enumerate(groups):
-                col = columns[sizes[gi]]
-                loads.append(sum(map(col.__getitem__, grp)))
-            tact = max(loads) if loads else 0.0
-            probed[g] = (tact, groups, sizes)
+            # the equal_partition sizes: the first ``rem`` groups get
+            # one core more
+            base, rem = divmod(P, len(groups))
+            wide, narrow = columns.get(base + 1), columns[base]
+            loads = [sum(map(wide.__getitem__, grp)) for grp in groups[:rem]]
+            loads += [sum(map(narrow.__getitem__, grp)) for grp in groups[rem:]]
+            tact = max(loads)
+            probed[g] = (tact, groups)
             if tact < best_tact:
                 best_tact = tact
         if len(probed) < len(feasible):
             obs.count("gsearch.pruned", len(feasible) - len(probed))
-        best: Optional[Tuple[float, List[List[int]], List[int]]] = None
+        best: Optional[Tuple[float, List[List[int]]]] = None
         for g in sorted(probed):  # the ascending scan, over the evaluated
             if best is None or probed[g][0] < best[0] - 1e-15:
                 best = probed[g]
-        tact, idx_groups, sizes = best
+        tact, idx_groups = best
+        sizes = equal_partition(P, len(idx_groups))
         groups = [[tasks[i] for i in grp] for grp in idx_groups]
         if self.adjust and len(groups) > 1:
             with obs.span("adjust"):
-                sizes = adjust_group_sizes(groups, self.cost.sequential_time, self.nprocs)
+                seq = iter(self.cost.sequential_times([t for grp in groups for t in grp]))
+                tseq = [sum(islice(seq, len(grp))) for grp in groups]
+                sizes = adjust_group_sizes(groups, self.cost.sequential_time, P, tseq)
         return Layer(groups=groups, group_sizes=sizes), tact
 
     def _plan(self, graph: TaskGraph, obs: Instrumentation) -> SchedulingResult:
@@ -269,12 +344,13 @@ class LayerBasedScheduler(Scheduler):
         with obs.span("layers"):
             raw_layers = build_layers(work_graph)
         layers: List[Layer] = []
+        priced = self._priced_layers(raw_layers)
         with obs.span("gsearch"):
             for i, tasks in enumerate(raw_layers):
                 # one same-named span per layer; the unique span ids keep
                 # the reconstructed tree unambiguous
                 with obs.span("layer", index=i, tasks=len(tasks)):
-                    layer, tact = self.schedule_layer(tasks, obs)
+                    layer, tact = self._decide(tasks, *next(priced), obs)
                 obs.record(
                     "layer",
                     index=i,

@@ -34,9 +34,14 @@ def to_networkx(graph: TaskGraph) -> nx.DiGraph:
 
 def copy_graph(graph: TaskGraph) -> TaskGraph:
     """A graph on the same tasks from ``graph``'s snapshot, the one a
-    failed transaction rolls back to."""
+    failed transaction rolls back to (a graph without edges is saved as
+    its task list)."""
     out = TaskGraph(graph.name)
-    out._succ, out._pred, out._by_name = graph._snapshot()
+    saved = graph._snapshot()
+    if isinstance(saved, list):
+        out.add_tasks(saved)
+    else:
+        out._succ, out._pred, out._by_name = saved
     return out
 
 
@@ -282,6 +287,22 @@ class TestCycleRejection:
                 self.graph.add_dependency(self.c, self.d)
                 self.graph.add_dependency(self.d, self.a)
         self._assert_untouched()
+
+    def test_edge_less_graph_rolls_back_from_its_task_list(self):
+        """A graph with no edges yet is saved as its task list: a failed
+        block leaves its tasks and no edges, and drops the tasks the
+        block added."""
+        graph = TaskGraph("fresh")
+        graph.add_tasks((self.a, self.b))
+        before = _state(graph)
+        with pytest.raises(ValueError, match="cycle"):
+            with graph.deferred_validation():
+                graph.add_dependency(self.a, self.b, _flows([3]))
+                graph.add_dependency(self.b, self.d)
+                graph.add_dependency(self.d, self.a)
+        assert _state(graph) == before and graph.num_edges == 0
+        graph.add_dependency(self.b, MTask("d"))  # the name is free again
+        assert [t.name for t in graph.topological_order()] == ["a", "b", "d"]
 
     def test_deferred_block_that_raises(self):
         with pytest.raises(RuntimeError):

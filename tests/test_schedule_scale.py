@@ -8,6 +8,7 @@ central contract is *bit-identity*: every refactored decision path must
 reproduce the scalar reference exactly, not approximately.
 """
 
+import hashlib
 import time
 from dataclasses import replace
 
@@ -17,12 +18,18 @@ from hypothesis import strategies as st
 
 from repro.cluster import chic, generic_cluster
 from repro.core import CachedCostEvaluator, CollectiveSpec, CostModel, MTask, TaskGraph
-from repro.core.costbatch import symbolic_cost_pairs, symbolic_cost_table
+from repro.core.costbatch import stacked_cost_tables, symbolic_cost_pairs, symbolic_cost_table
 from repro.graphs import FAMILIES, chain_graph, layered_graph, synthesize
 from repro.obs import Instrumentation
 from repro.ode import PAPER_CONFIGS, bruss2d, step_graph
 from repro.runtime.backends.base import independent_batches
-from repro.scheduling import LayerBasedScheduler, contract_chains, find_linear_chains
+from repro.scheduling import (
+    LayerBasedScheduler,
+    build_layers,
+    contract_chains,
+    find_linear_chains,
+)
+from repro.scheduling import layered as layered_module
 from repro.scheduling.allocation import (
     adjust_group_sizes,
     equal_partition,
@@ -151,6 +158,23 @@ class TestBatchedCostBitIdentity:
             tasks[1], 64
         )
 
+    @given(tasks_widths_platform(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_tables_equal_their_own_tables(self, twp, data):
+        """Requests priced together (consecutive task lists, each with its
+        own widths) get bitwise the tables they get priced alone."""
+        tasks, widths, platform = twp
+        model = CostModel(platform)
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(tasks)), max_size=3)) | {len(tasks)})
+        requests, lo = [], 0
+        for hi in cuts:
+            picked = data.draw(st.lists(st.sampled_from(widths), min_size=1, unique=True))
+            requests.append((tasks[lo:hi], sorted(picked)))
+            lo = hi
+        stacked = stacked_cost_tables(model.tsymb_table, requests)
+        alone = [model.tsymb_table(ts, ws) for ts, ws in requests]
+        assert [t.tolist() for t in stacked] == [t.tolist() for t in alone]
+
     def test_cached_evaluator_counts_batched_cells(self):
         cost = CachedCostEvaluator(CostModel(chic().with_cores(64)))
         tasks = [MTask(f"b{i}", work=1e8) for i in range(5)]
@@ -278,13 +302,21 @@ def _adjust_reference(groups, seq_work, total_cores):
 
 @st.composite
 def lpt_case(draw):
+    """Tasks with times that tie (drawn from a small pool) or are zero,
+    dealt to up to ``n + 4`` groups, so the ``g``-th largest time is
+    sometimes positive (the first ``g`` tasks are handed out directly),
+    sometimes zero and sometimes missing (more groups than tasks)."""
     n = draw(st.integers(1, 24))
     tasks = [
         MTask(f"t{i}", work=draw(st.floats(0.0, 1e9, allow_nan=False)))
         for i in range(n)
     ]
-    times = [draw(st.floats(0.0, 1e3, allow_nan=False)) for _ in range(n)]
-    g = draw(st.integers(1, n))
+    pool = draw(st.lists(st.floats(0.0, 1e3, allow_nan=False), min_size=1, max_size=3))
+    times = [
+        draw(st.one_of(st.just(0.0), st.sampled_from(pool), st.floats(0.0, 1e3, allow_nan=False)))
+        for _ in range(n)
+    ]
+    g = draw(st.integers(1, n + 4))
     return tasks, dict(zip(tasks, times)), g
 
 
@@ -334,6 +366,22 @@ class TestAllocationEquivalence:
         idx_groups = lpt_assign_indices(order, tvals, g)
         task_groups = lpt_assign(tasks, times.__getitem__, g)
         assert [[tasks[i] for i in grp] for grp in idx_groups] == task_groups
+
+    @pytest.mark.parametrize(
+        "times, g",
+        [
+            ([5.0, 3.0, 3.0, 1.0, 1.0], 3),  # g-th largest positive: direct
+            ([5.0, 0.0, 0.0, 3.0], 3),  # g-th largest zero: heap from it
+            ([0.0, 0.0, 0.0], 2),  # nothing positive: all through the heap
+            ([2.0, 2.0], 5),  # more groups than tasks
+            ([0.0, 1.0], 4),  # more groups than tasks, zero first
+        ],
+    )
+    def test_direct_hand_out_matches_scan_reference(self, times, g):
+        """Both sides of the direct hand-out of the first ``g`` tasks."""
+        tasks = [MTask(f"t{i}") for i in range(len(times))]
+        time_of = dict(zip(tasks, times)).__getitem__
+        assert lpt_assign(tasks, time_of, g) == _lpt_reference(tasks, time_of, g)
 
     @given(adjust_case())
     @settings(max_examples=300, deadline=None)
@@ -451,7 +499,45 @@ class TestGraphBulkConstruction:
 # ----------------------------------------------------------------------
 # synthetic generators
 # ----------------------------------------------------------------------
+def _graph_digest(graph):
+    """sha256 over everything a generator draws: task names, work (as
+    ``float.hex``), bounds and collectives, every edge with its flows, and
+    the topological order."""
+    h = hashlib.sha256()
+    for t in graph:
+        comm = [(c.op, c.total_elements.hex(), c.itemsize, c.count.hex(), c.scope,
+                 c.task_parallel_only) for c in t.comm]
+        h.update(repr((t.name, t.work.hex(), t.min_procs, t.max_procs, comm)).encode())
+    for u, v, flows in graph.edges():
+        flows = [(f.var, f.elements, f.itemsize, f.src_dist, f.dst_dist) for f in flows]
+        h.update(repr((u.name, v.name, flows)).encode())
+    h.update(repr([t.name for t in graph.topological_order()]).encode())
+    return h.hexdigest()
+
+
+#: ``_graph_digest(synthesize(family, 300, seed=seed))``: a generator
+#: rewritten for speed must keep its RNG stream, so these never move
+GENERATOR_PINS = {
+    ("chain", 0): "23dcd298a3b53c3081adeb4fcb47c920e56e148965d1f98bdddf20a81ef36d6e",
+    ("chain", 1): "9a6bd81fbe04832f6fa14ea64f14df00d664b9767470c5231e1e9730cc35d4c4",
+    ("chain", 2): "62b218a282fdfc8c5eca5e6eec1a9f12eaa2e55258889690f4878ec90ea4a6e9",
+    ("forkjoin", 0): "cc330ab07b5602f3a165f6e12becc1189b8b879ff51d37895a2f775428746a95",
+    ("forkjoin", 1): "bc67b33e5c13a029d4d56979b6c169dce74734ab597f331f7b22e4b298c1c7a1",
+    ("forkjoin", 2): "b3de178bcaa943c98bed71245ad2d345d41e3cab0934a87abe3d065546200a30",
+    ("layered", 0): "229cadf33e411ee6a410da94b7e9d27e4bf4bacaeaa862bc3772677bb293accf",
+    ("layered", 1): "4233715e82e44f12c4b4bf2c358503e55c1b7a39ae77eebf6711100e752e33ef",
+    ("layered", 2): "7358205198916b43b03f3fa62e4488a7a9eb5e0d44f0f6ba23148a14c333ab5b",
+    ("random", 0): "1db2c87c8b1243966ad8cd0a8ef97558bcbc60d88659c18a563f38d697eef0b3",
+    ("random", 1): "75951786b1837df08d26d2bae5ac5470ec3ae9d755bf54913923567286e11039",
+    ("random", 2): "4f1842e23f33e89d59811bd29536b5167d1257bfe4dd3ab581e431b969ad3175",
+}
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("family, seed", sorted(GENERATOR_PINS))
+    def test_output_pinned(self, family, seed):
+        assert _graph_digest(synthesize(family, 300, seed=seed)) == GENERATOR_PINS[family, seed]
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_deterministic_and_valid(self, family):
         g1 = synthesize(family, 500, seed=11)
@@ -599,6 +685,59 @@ SCALE_PINS = {
     ("random", 10_000): (10000, 19902, 184, 8320, 1523, 421, 348576,
                          "0x1.8729b41d8d08bp-2"),
 }
+
+
+class TestChunkedPricing:
+    """``_plan`` prices consecutive layers in one table call; what it
+    decides and counts is what ``schedule_layer`` decides and counts
+    layer by layer -- whether every layer is priced alone (a one-cell
+    budget), in chunks (the default) or all at once."""
+
+    @pytest.mark.parametrize("budget", [1, layered_module.PRICE_CELLS, 10**9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_plan_matches_layer_by_layer(self, family, seed, budget, monkeypatch):
+        monkeypatch.setattr(layered_module, "PRICE_CELLS", budget)
+        graph = synthesize(family, 300, seed=seed)
+        platform = chic().with_cores(256)
+        plan_cost, plan_obs = CachedCostEvaluator(CostModel(platform)), Instrumentation()
+        result = LayerBasedScheduler(plan_cost).schedule(graph, plan_obs)
+        layer_cost, layer_obs = CachedCostEvaluator(CostModel(platform)), Instrumentation()
+        sched = LayerBasedScheduler(layer_cost)
+        ref = [
+            sched.schedule_layer(tasks, layer_obs)
+            for tasks in build_layers(contract_chains(graph)[0])
+        ]
+
+        def shape(layer):
+            return [[t.name for t in grp] for grp in layer.groups], layer.group_sizes
+
+        assert [shape(l) for l in result.layered.layers] == [shape(l) for l, _ in ref]
+        assert [r["tact"].hex() for r in plan_obs.records_of("layer")] == [
+            tact.hex() for _, tact in ref
+        ]
+
+        def gsearch(obs):
+            return {k: v for k, v in obs.counters.items() if k.startswith("gsearch.")}
+
+        assert gsearch(plan_obs) == gsearch(layer_obs)
+        assert plan_cost.stats.total_batched == layer_cost.stats.total_batched
+        assert plan_cost.stats == layer_cost.stats
+
+    def test_infeasible_layer_raises_in_turn(self):
+        """A layer no ``g`` fits ends the chunk before it; the search
+        raises on it after deciding the layers before it."""
+        a, b, c, d = (MTask(x, work=1e8) for x in "abcd")
+        wide = MTask("wide", work=1e8, min_procs=64)
+        graph = TaskGraph("infeasible")
+        graph.add_tasks((a, b, c, d, wide))
+        graph.add_edges_bulk([(a, c, ()), (b, c, ()), (c, wide, ()), (d, wide, ())])
+        obs = Instrumentation()
+        platform = generic_cluster(nodes=4, procs_per_node=2, cores_per_proc=2)
+        sched = LayerBasedScheduler(CostModel(platform))
+        with pytest.raises(ValueError, match=r"no feasible group count for layer \[wide\] on 16"):
+            sched.schedule(graph, obs)
+        assert [r["tasks"] for r in obs.records_of("layer")] == [3, 1]
 
 
 class TestScaleEndToEnd:
