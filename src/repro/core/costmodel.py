@@ -29,6 +29,12 @@ from ..comm.collectives import collective_time, collective_time_symbolic
 from ..comm.contention import NicLoad
 from ..comm.patterns import orthogonal_time
 from ..comm.redistribution import redistribution_time as _redist_time
+from .costbatch import (
+    TaskTable,
+    stacked_cost_tables,
+    symbolic_cost_pairs,
+    symbolic_cost_table,
+)
 from .graph import DataFlow
 from .task import MTask
 
@@ -141,28 +147,28 @@ class CostModel:
         -- the exact probe the layer scheduler's ``g``-search issues --
         computed in one numpy evaluation (see :mod:`repro.core.costbatch`).
         Results are bitwise identical to the scalar :meth:`tsymb`.
+        ``tasks`` may be a :class:`~repro.core.costbatch.TaskTable` row
+        view; a plain task list is tabulated for the call.
         """
-        from .costbatch import symbolic_cost_table
-
         return symbolic_cost_table(self, tasks, widths)
 
     def tsymb_tables(self, requests: Sequence[Tuple[Sequence[MTask], Sequence[int]]]):
         """:meth:`tsymb_table` of every ``(tasks, widths)`` request, all
         priced by one call (:func:`repro.core.costbatch.stacked_cost_tables`)."""
-        from .costbatch import stacked_cost_tables
-
         return stacked_cost_tables(self.tsymb_table, requests)
 
     def sequential_times(self, tasks: Sequence[MTask]) -> List[float]:
-        """``[sequential_time(t) for t in tasks]``."""
+        """``[sequential_time(t) for t in tasks]``, from the work column
+        when ``tasks`` is a :class:`~repro.core.costbatch.TaskTable`."""
+        if isinstance(tasks, TaskTable):
+            return (tasks.work / self.core_rate).tolist()
         return [self.sequential_time(t) for t in tasks]
 
     def tsymb_pairs(self, tasks: Sequence[MTask], widths: Sequence[int]):
         """``[tsymb(t, q) for t, q in zip(tasks, widths)]`` as one numpy
         evaluation (:func:`repro.core.costbatch.symbolic_cost_pairs`),
-        bitwise identical to the scalar calls."""
-        from .costbatch import symbolic_cost_pairs
-
+        bitwise identical to the scalar calls; ``tasks`` may be a
+        :class:`~repro.core.costbatch.TaskTable` row view."""
         return symbolic_cost_pairs(self, tasks, widths)
 
     # ------------------------------------------------------------------
@@ -300,6 +306,17 @@ class CostModel:
 # ----------------------------------------------------------------------
 # Memoized evaluation
 # ----------------------------------------------------------------------
+def _picked(items: Sequence, positions: Sequence[int]) -> Sequence:
+    """The items at ``positions``: all of them as they are for the
+    ``range`` of every position, a row view of a
+    :class:`~repro.core.costbatch.TaskTable`, a list otherwise."""
+    if isinstance(positions, range):
+        return items
+    if isinstance(items, TaskTable):
+        return items.take(positions)
+    return [items[p] for p in positions]
+
+
 @dataclass
 class CacheStats:
     """Hit/miss accounting of a :class:`CachedCostEvaluator`.
@@ -422,8 +439,6 @@ class CachedCostEvaluator:
         ``tsymb_table`` call; each request counts its own ``tasks x
         widths`` cells in ``stats.batched``, as its own
         :meth:`tsymb_table` call would."""
-        from .costbatch import stacked_cost_tables
-
         tables = stacked_cost_tables(self.model.tsymb_table, requests)
         for table in tables:
             self.stats._bump(self.stats.batched, "tsymb", int(table.size))
@@ -431,15 +446,21 @@ class CachedCostEvaluator:
 
     def _memo_batch(self, keys: List[tuple], compute) -> List[float]:
         """What one :meth:`_memo` call per key returns, with the misses
-        priced by one ``compute(missing_keys)`` call.  It leaves the cache
-        entries and hit/miss counts those scalar calls would leave (a key
-        repeated in the request misses once and hits afterwards), so run
-        records and cache counters do not depend on whether values were
-        requested one by one or at once."""
+        priced by one ``compute(positions)`` call: the position in
+        ``keys`` of each missing key, in first-seen order.  It leaves the
+        cache entries and hit/miss counts those scalar calls would leave
+        (a key repeated in the request misses once and hits afterwards),
+        so run records and cache counters do not depend on whether values
+        were requested one by one or at once."""
         cache = self._cache
-        missing = list(dict.fromkeys(k for k in keys if k not in cache))
+        missing = dict.fromkeys(k for k in keys if k not in cache)
         if missing:
-            cache.update(zip(missing, compute(missing)))
+            if len(missing) == len(keys):  # a cold request: every key, in order
+                positions = range(len(keys))
+            else:  # a repeated key has one value, so any of its positions does
+                at = dict(zip(keys, range(len(keys))))
+                positions = [at[k] for k in missing]
+            cache.update(zip(missing, compute(positions)))
             self.stats._bump(self.stats.misses, keys[0][0], len(missing))
         if len(keys) > len(missing):
             self.stats._bump(self.stats.hits, keys[0][0], len(keys) - len(missing))
@@ -447,20 +468,23 @@ class CachedCostEvaluator:
 
     def sequential_times(self, tasks: Sequence[MTask]) -> List[float]:
         """``[self.sequential_time(t) for t in tasks]`` in one pass over
-        the memo (:meth:`_memo_batch`)."""
+        the memo (:meth:`_memo_batch`); the misses of a
+        :class:`~repro.core.costbatch.TaskTable` are a row view of it."""
         return self._memo_batch(
             [("sequential_time", t) for t in tasks],
-            lambda missing: self.model.sequential_times([k[1] for k in missing]),
+            lambda pos: self.model.sequential_times(_picked(tasks, pos)),
         )
 
     def tsymb_pairs(self, tasks: Sequence[MTask], widths: Sequence[int]) -> List[float]:
         """``[self.tsymb(t, q) for t, q in zip(tasks, widths)]`` with the
         misses priced in one batch evaluation; unlike :meth:`tsymb_table`
-        this is the memoized request path (:meth:`_memo_batch`)."""
+        this is the memoized request path (:meth:`_memo_batch`).  The
+        misses of a :class:`~repro.core.costbatch.TaskTable` are priced
+        from a row view of it."""
         return self._memo_batch(
             [("tsymb", t, q) for t, q in zip(tasks, widths)],
-            lambda missing: self.model.tsymb_pairs(
-                [k[1] for k in missing], [k[2] for k in missing]
+            lambda pos: self.model.tsymb_pairs(
+                _picked(tasks, pos), _picked(widths, pos)
             ).tolist(),
         )
 

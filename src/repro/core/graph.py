@@ -91,16 +91,28 @@ class TaskGraph:
 
     @classmethod
     def assembled(
-        cls, name: str, succ: Adjacency, pred: Adjacency, order: List[MTask]
+        cls,
+        name: str,
+        succ: Adjacency,
+        pred: Adjacency,
+        order: Optional[List[MTask]] = None,
     ) -> "TaskGraph":
-        """A graph over prepared adjacency maps and their topological
-        order, taken as they are: no checks and no copies.  The fill step
-        of a compiled program template (:mod:`repro.spec.build`) hands in
-        fresh tasks and flow lists in the rows and order of a graph that
-        was checked when the template was compiled."""
+        """A graph over prepared adjacency maps, taken as they are: no
+        copies.  With their topological ``order`` nothing is checked --
+        the fill step of a compiled program template
+        (:mod:`repro.spec.build`) hands in fresh tasks and flow lists in
+        the rows and order of a graph that was checked when the template
+        was compiled.  Without it the task names must be unique and one
+        Kahn pass finds the order or the cycle (chain contraction's
+        assembled graph)."""
         graph = cls(name)
         graph._succ, graph._pred, graph._topo = succ, pred, order
-        graph._by_name = {t.name: t for t in succ}
+        graph._by_name = by_name = {t.name: t for t in succ}
+        if order is None:
+            if len(by_name) < len(succ):
+                dup = next(t.name for t in succ if by_name[t.name] is not t)
+                raise ValueError(f"duplicate task name {dup!r} in graph {name!r}")
+            graph._order()
         return graph
 
     def add_tasks(self, tasks: Iterable[MTask]) -> None:

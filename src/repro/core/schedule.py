@@ -261,8 +261,9 @@ def validate(schedule, platform, graph: Optional[TaskGraph] = None, tol: float =
       platform, overlapping occupations of one symbolic core, and (with
       ``graph``) precedence violations;
     * a :class:`LayeredSchedule` -- rejects group partitions that do not
-      cover the platform's cores, tasks assigned to two groups of one
-      layer (overlapping core assignments within a layer), groups
+      cover the platform's cores (a size that is not positive or sizes
+      that do not sum to its core count), tasks assigned to two groups
+      of one layer, groups
       narrower than a member task's ``min_procs``, duplicate task
       assignments across layers, and (with ``graph``) edges that point
       backwards or sideways across the layer order.
@@ -302,16 +303,14 @@ def _validate_layered(
                 f"layer {li}: group sizes {layer.group_sizes} do not cover "
                 f"the {P} platform cores"
             )
-        ranges = layer.symbolic_ranges()
-        claimed: Dict[int, int] = {}
-        for gi, r in enumerate(ranges):
-            for c in r:
-                if c in claimed:
-                    raise ValueError(
-                        f"layer {li}: groups {claimed[c]} and {gi} overlap on "
-                        f"symbolic core {c}"
-                    )
-                claimed[c] = gi
+        # the groups take consecutive core ranges, so sizes that are all
+        # positive and sum to P cover the cores without overlap; sizes
+        # changed after construction may not be (a ``[300, -44]`` layer
+        # sums to 256 with a group wider than the platform)
+        if not all(s > 0 for s in layer.group_sizes):
+            raise ValueError(
+                f"layer {li}: group sizes {layer.group_sizes} must all be positive"
+            )
         for gi, tasks in enumerate(layer.groups):
             width = layer.group_sizes[gi]
             for t in tasks:

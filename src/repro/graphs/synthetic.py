@@ -108,22 +108,38 @@ def _task_maker(
     ``seq[_randbelow(len(seq))]`` and ``randint(a, b)`` is
     ``a + _randbelow(b - a + 1)`` as CPython's ``random`` implements them,
     so the stream is the same; ``tests/test_schedule_scale.py`` pins each
-    family's output."""
-    draw, below = rng.random, rng._randbelow
+    family's output.  ``_randbelow(n)`` itself is written out as CPython
+    3.11's ``_randbelow_with_getrandbits`` draws: ``getrandbits(k)`` with
+    ``k = n.bit_length()`` until the value is below ``n``."""
+    draw, bits = rng.random, rng.getrandbits
+    n_min, k_min = len(_MIN_PROCS), len(_MIN_PROCS).bit_length()
+    n_max, k_max = len(_MAX_PROCS), len(_MAX_PROCS).bit_length()
+    n_menu, k_menu = len(_COMM_MENU), len(_COMM_MENU).bit_length()
+    k_elements = elements.bit_length()
 
     def make(name: str) -> MTask:
         work = elements * (5.0 + 45.0 * draw())
-        min_procs = _MIN_PROCS[below(len(_MIN_PROCS))]
-        max_procs: Optional[int] = _MAX_PROCS[below(len(_MAX_PROCS))]
-        min_procs, max_procs = _fit_bounds(name, min_procs, max_procs, cores)
+        while (lo := bits(k_min)) >= n_min:
+            pass
+        while (hi := bits(k_max)) >= n_max:
+            pass
+        min_procs, max_procs = _fit_bounds(name, _MIN_PROCS[lo], _MAX_PROCS[hi], cores)
         comm = []
-        for _ in range(below(3)):
-            op, scope, tpo = _COMM_MENU[below(len(_COMM_MENU))]
+        while (ncomm := bits(2)) >= 3:  # randint(0, 2)
+            pass
+        for _ in range(ncomm):
+            while (shape := bits(k_menu)) >= n_menu:
+                pass
+            op, scope, tpo = _COMM_MENU[shape]
+            while (size := bits(k_elements)) >= elements:  # randint(1, elements)
+                pass
+            while (count := bits(3)) >= 4:  # randint(1, 4)
+                pass
             comm.append(
                 CollectiveSpec(
                     op=op,
-                    total_elements=float(1 + below(elements)),
-                    count=float(1 + below(4)),
+                    total_elements=float(1 + size),
+                    count=float(1 + count),
                     scope=scope,
                     task_parallel_only=tpo,
                 )
@@ -149,11 +165,13 @@ def _flow_maker(rng: random.Random, elements: int) -> Callable[[str], Tuple[Data
     compared by value, so one maker shares one instance per
     ``(var, size)``.  The size is ``randint(1, elements)``, drawn as
     :func:`_task_maker` draws it."""
-    below = rng._randbelow
+    bits, k = rng.getrandbits, elements.bit_length()
     shared: Dict[Tuple[str, int], Tuple[DataFlow]] = {}
 
     def flow(var: str) -> Tuple[DataFlow]:
-        key = (var, 1 + below(elements))
+        while (size := bits(k)) >= elements:
+            pass
+        key = (var, 1 + size)
         flows = shared.get(key)
         if flows is None:
             flows = shared[key] = (DataFlow(var=var, elements=key[1]),)
@@ -261,9 +279,9 @@ def layered_graph(
         if prev_layer:
             for t in cur:
                 edges.append((prev_layer[below(len(prev_layer))], t, flow("x")))
-                for p in prev_layer:
-                    if draw() < edge_density:
-                        edges.append((p, t, flow("x")))
+                # one draw per candidate, a hit's flow size drawn before
+                # the next candidate's draw: the stream of the plain loop
+                edges += [(p, t, flow("x")) for p in prev_layer if draw() < edge_density]
         prev_layer = cur
         li += 1
     return _assemble(f"synthetic/layered-{n}-w{width}-s{seed}", tasks, edges)

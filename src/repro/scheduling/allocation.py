@@ -15,7 +15,7 @@ import heapq
 import math
 from collections import deque
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.task import MTask
 
@@ -38,7 +38,7 @@ def equal_partition(total: int, g: int) -> List[int]:
 
 def lpt_assign_indices(
     order: Sequence[int], times: Sequence[float], g: int
-) -> List[List[int]]:
+) -> Tuple[List[List[int]], List[float]]:
     """Longest-processing-time-first assignment of task indices to ``g``
     subsets.
 
@@ -53,6 +53,10 @@ def lpt_assign_indices(
     subset, so that is the heap's own choice -- and the heap starts
     after those.  The ``g``-search calls it with one sort per distinct
     cost column, which serves every candidate ``g`` probing that column.
+
+    Returns the groups and the load of each: its ``times`` added in
+    assignment order, the float sum ``sum(times[i] for i in group)``
+    gives (``0 + t == t`` for the non-negative times the search has).
     """
     if g <= 0:
         # the historical behaviour was an IndexError on heap[0] for any
@@ -72,7 +76,10 @@ def lpt_assign_indices(
         load, l = heap[0]
         groups[l].append(i)
         replace(heap, (load + times[i], l))
-    return groups
+    loads = [0.0] * g
+    for load, l in heap:
+        loads[l] = load
+    return groups, loads
 
 
 def adjust_group_sizes(
@@ -80,6 +87,7 @@ def adjust_group_sizes(
     seq_work: Callable[[MTask], float],
     total_cores: int,
     tseq: Optional[Sequence[float]] = None,
+    floors: Optional[Sequence[int]] = None,
 ) -> List[int]:
     """Group adjustment: sizes proportional to accumulated sequential work.
 
@@ -94,7 +102,9 @@ def adjust_group_sizes(
     ``tseq`` optionally supplies the per-group accumulated sequential
     work (one float per group, summed in group order); callers that
     already hold batch-evaluated costs pass it to skip the per-task
-    ``seq_work`` probes.  The repair loops run in ``O(g log g + d)`` for
+    ``seq_work`` probes; ``floors`` likewise the per-group largest
+    ``min_procs``, which a caller holding the tasks' bound columns has
+    at hand.  The repair loops run in ``O(g log g + d)`` for
     a core deficit ``d`` -- groups are ordered once and cycled through a
     deque, never re-sorted or re-scanned.
     """
@@ -110,7 +120,9 @@ def adjust_group_sizes(
         if len(tseq) != g:
             raise ValueError(f"tseq has {len(tseq)} entries for {g} groups")
     total_work = sum(tseq)
-    floors = [max((max((t.min_procs for t in grp), default=1)), 1) for grp in groups]
+    if floors is None:
+        floors = [max((t.min_procs for t in grp), default=1) for grp in groups]
+    floors = [max(f, 1) for f in floors]
     if sum(floors) > total_cores:
         raise ValueError("min_procs constraints exceed the available cores")
     if not math.isfinite(total_work):

@@ -17,6 +17,9 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
+from ..core.costbatch import TaskTable
 from ..core.costmodel import CostModel
 from ..core.graph import TaskGraph
 from ..core.schedule import LayeredSchedule, Schedule, ScheduledTask
@@ -52,6 +55,10 @@ class SchedulingResult:
     trace: Optional[object] = None
     #: free-form per-run statistics (probe counts, iterations, ...)
     stats: Dict[str, float] = field(default_factory=dict)
+    #: cost columns of the scheduled graph's tasks, when the scheduler
+    #: built them (the layer-based one does); pricing the result reads
+    #: its members' rows instead of tabulating them again
+    table: Optional[TaskTable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.layered is None and self.timeline is None and self.trace is None:
@@ -98,7 +105,7 @@ class SchedulingResult:
         trace's physical cores.
         """
         if self.layered is not None:
-            return symbolic_timeline(self.layered, cost)
+            return symbolic_timeline(self.layered, cost, self.table)
         if self.timeline is not None:
             if not self.expansion:
                 return self.timeline
@@ -138,7 +145,7 @@ class SchedulingResult:
         without building the timeline's ``ScheduledTask`` entries.
         """
         if self.layered is not None:
-            return _layered_makespan(self.layered, cost)
+            return _layered_makespan(self.layered, cost, self.table)
         return self.symbolic_timeline(cost).makespan
 
 
@@ -187,41 +194,76 @@ class Scheduler(abc.ABC):
         """Algorithm body; must return a :class:`SchedulingResult`."""
 
 
-def _priced_groups(schedule: LayeredSchedule, cost: CostModel):
+def _priced_groups(
+    schedule: LayeredSchedule, cost: CostModel, table: Optional[TaskTable] = None
+):
     """Member durations of a layered schedule, group by group.
 
     An iterator with one item per group of every layer, in order: the
     ``(member, width, Tsymb(member, width))`` triples of the group's
     tasks in execution order -- contracted chains expanded to their
     members, each priced at its own clamped width.  All pairs of the
-    schedule are priced by one ``cost.tsymb_pairs`` call;
-    :func:`symbolic_timeline` and :func:`_layered_makespan` both read
-    their durations from here.
+    schedule are priced by one ``cost.tsymb_pairs`` call, on a row view
+    of ``table`` when it holds every member (the clamps then read its
+    bound columns too); :func:`symbolic_timeline` and
+    :func:`_layered_makespan` both read their durations from here.
     """
     members: List[MTask] = []
-    widths: List[int] = []
+    sizes: List[int] = []
     ends: List[int] = []
+    expand = schedule.expansion.get
     for layer in schedule.layers:
         for size, tasks in zip(layer.group_sizes, layer.groups):
             for task in tasks:
-                for m in schedule.expand(task):
-                    members.append(m)
-                    widths.append(m.clamp_procs(size))
+                chain = expand(task)
+                if chain is None:
+                    members.append(task)
+                else:
+                    members += chain
+            sizes += [size] * (len(members) - len(sizes))
             ends.append(len(members))
-    priced = list(zip(members, widths, cost.tsymb_pairs(members, widths)))
+    rows = _member_rows(table, members, sizes)
+    if rows is None:
+        widths = [m.clamp_procs(size) for m, size in zip(members, sizes)]
+        priced = cost.tsymb_pairs(members, widths)
+    else:
+        rows, widths = rows
+        priced = cost.tsymb_pairs(rows, widths)
+    priced = list(zip(members, widths, priced))
     return (priced[lo:hi] for lo, hi in zip([0] + ends, ends))
 
 
-def symbolic_timeline(schedule: LayeredSchedule, cost: CostModel) -> Schedule:
+def _member_rows(table: Optional[TaskTable], members: List[MTask], sizes: List[int]):
+    """``(rows, widths)``: the row view of ``members`` in ``table`` and
+    their widths ``m.clamp_procs(size)`` from its bound columns -- or
+    ``None`` without a table, when a member has no row, or when a width
+    is below a member's ``min_procs`` (the scalar clamp then raises)."""
+    if table is None or not members:
+        return None
+    index = {t: i for i, t in enumerate(table.tasks)}
+    at = [index.get(m, -1) for m in members]
+    if min(at) < 0:
+        return None
+    rows = table.take(at, members)
+    size = np.array(sizes, dtype=np.int64)
+    if (size < rows.min_procs).any():
+        return None
+    return rows, np.minimum(size, rows.max_procs).tolist()
+
+
+def symbolic_timeline(
+    schedule: LayeredSchedule, cost: CostModel, table: Optional[TaskTable] = None
+) -> Schedule:
     """Estimate a start/finish timeline for a layered schedule.
 
     Uses the symbolic cost ``Tsymb`` (default mapping pattern); layers are
     separated by a barrier, groups execute their tasks one after another.
     This is the makespan the *scheduling* phase reasons about -- the
-    simulator recomputes the real timeline after mapping.
+    simulator recomputes the real timeline after mapping.  ``table``
+    optionally holds the members' cost columns (see :func:`_priced_groups`).
     """
     out = Schedule(schedule.nprocs)
-    groups = _priced_groups(schedule, cost)
+    groups = _priced_groups(schedule, cost, table)
     t_layer = 0.0
     for layer in schedule.layers:
         layer_end = t_layer
@@ -236,7 +278,9 @@ def symbolic_timeline(schedule: LayeredSchedule, cost: CostModel) -> Schedule:
     return out
 
 
-def _layered_makespan(schedule: LayeredSchedule, cost: CostModel) -> float:
+def _layered_makespan(
+    schedule: LayeredSchedule, cost: CostModel, table: Optional[TaskTable] = None
+) -> float:
     """``symbolic_timeline(schedule, cost).makespan`` without the timeline.
 
     Reads the same durations (:func:`_priced_groups`) and adds them with
@@ -244,7 +288,7 @@ def _layered_makespan(schedule: LayeredSchedule, cost: CostModel) -> float:
     request counts) equal the timeline's exactly;
     ``tests/test_schedule_scale.py`` pins both.
     """
-    groups = _priced_groups(schedule, cost)
+    groups = _priced_groups(schedule, cost, table)
     t_layer = 0.0
     for layer in schedule.layers:
         layer_end = t_layer

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..core.graph import TaskGraph
+from ..core.graph import DataFlow, TaskGraph
 from ..core.task import MTask
 
 __all__ = ["find_linear_chains", "contract_chains"]
@@ -92,20 +92,25 @@ def contract_chains(graph: TaskGraph) -> Tuple[TaskGraph, Dict[MTask, List[MTask
         for member in chain:
             node_of[member] = merged
 
-    # contracting maximal linear chains of a DAG preserves acyclicity;
-    # the closing validation of the bulk call sorts the contracted graph
-    # once, and the layering pass that follows reuses that order
-    out = TaskGraph(f"{graph.name}/chained")
+    # the rows are assembled directly: a merged node takes the place of
+    # its first member in task order.  A chain is entered only at its
+    # head and left only at its tail, so every contracted pair comes from
+    # one original edge and keeps that edge's flow list (stored lists
+    # are never changed in place, so the two graphs can share them)
     get = node_of.get
-    out.add_tasks(get(t, t) for t in graph)
-
-    def rewired():
-        for u, nbrs in graph.successor_index().items():
-            cu = get(u, u)
-            for v, flows in nbrs.items():
-                cv = get(v, v)
-                if cu is not cv:  # drop interior chain edges
-                    yield cu, cv, flows
-
-    out.add_edges_bulk(rewired())
-    return out, expansion
+    succ: Dict[MTask, Dict[MTask, List[DataFlow]]] = {}
+    pred: Dict[MTask, Dict[MTask, List[DataFlow]]] = {}
+    for t in graph:
+        c = get(t, t)
+        if c not in succ:
+            succ[c], pred[c] = {}, {}
+    for u, nbrs in graph.successor_index().items():
+        cu = get(u, u)
+        out = succ[cu]
+        for v, flows in nbrs.items():
+            cv = get(v, v)
+            if cu is not cv:  # drop interior chain edges
+                out[cv] = pred[cv][cu] = flows
+    # the assembled graph checks the names and, by its Kahn pass, that
+    # the contraction left no cycle; the layering pass reuses that order
+    return TaskGraph.assembled(f"{graph.name}/chained", succ, pred), expansion

@@ -36,6 +36,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.costbatch import TaskTable
 from ..core.costmodel import CostModel
 from ..core.graph import TaskGraph
 from ..core.schedule import Layer, LayeredSchedule
@@ -110,15 +111,15 @@ class LayerBasedScheduler(Scheduler):
             g *= 2
         return sorted(cands)
 
-    def _feasible(self, tasks: Sequence[MTask]) -> List[int]:
+    def _feasible(self, rows: TaskTable) -> List[int]:
         """The group counts ``g`` whose narrowest subset fits every task
         of a layer (empty for an empty or infeasible layer)."""
-        if not tasks:
+        if not len(rows):
             return []
         P = self.nprocs
-        max_minp = max(t.min_procs for t in tasks)
+        max_minp = int(rows.min_procs.max())
         feasible = []
-        for g in self._candidates(len(tasks)):
+        for g in self._candidates(len(rows)):
             if g <= 0:
                 # matches the scalar path: probing a degenerate group
                 # count fails inside equal_partition
@@ -149,41 +150,45 @@ class LayerBasedScheduler(Scheduler):
         return sorted(widths)
 
     def _priced_layers(
-        self, layers: Sequence[Sequence[MTask]]
-    ) -> Iterator[Tuple[List[int], List[int], Optional[np.ndarray]]]:
-        """``(feasible, widths, table)`` of each layer, in layer order
-        (no table for an empty layer or one with no feasible ``g``).
-        Consecutive layers are priced together: one ``tsymb_tables`` call
-        covers as many as fit in ``PRICE_CELLS`` cells (their tasks times
-        the union of their widths), made when the layer after them (or
-        the end) is reached."""
-        pending: List[Tuple[Sequence[MTask], List[int], List[int]]] = []
-        rows, cols = 0, set()
+        self, layers: Sequence[Sequence[MTask]], rows: TaskTable
+    ) -> Iterator[Tuple[TaskTable, List[int], List[int], Optional[np.ndarray]]]:
+        """``(rows, feasible, widths, table)`` of each layer, in layer
+        order: its row view of ``rows`` (the layers' tasks one after
+        another) and its ``Tsymb`` grid (none for an empty layer or one
+        with no feasible ``g``).  Consecutive layers are priced together:
+        one ``tsymb_tables`` call covers as many as fit in ``PRICE_CELLS``
+        cells (their tasks times the union of their widths), made when
+        the layer after them (or the end) is reached; its tasks are a
+        slice of ``rows``."""
+        pending: List[Tuple[TaskTable, List[int], List[int]]] = []
+        nrows, cols, lo = 0, set(), 0
         for tasks in layers:
-            feasible = self._feasible(tasks)
+            view = rows[lo : lo + len(tasks)]
+            lo += len(tasks)
+            feasible = self._feasible(view)
             widths = self._widths(feasible)
             union = cols.union(widths)
-            if pending and (not feasible or (rows + len(tasks)) * len(union) > PRICE_CELLS):
+            if pending and (not feasible or (nrows + len(view)) * len(union) > PRICE_CELLS):
                 yield from self._price(pending)
-                pending, rows, cols = [], 0, set()
+                pending, nrows, cols = [], 0, set()
                 union = set(widths)
             if feasible:
-                pending.append((tasks, feasible, widths))
-                rows, cols = rows + len(tasks), union
+                pending.append((view, feasible, widths))
+                nrows, cols = nrows + len(view), union
             else:
-                yield feasible, widths, None
+                yield view, feasible, widths, None
         yield from self._price(pending)
 
     def _price(
-        self, pending: List[Tuple[Sequence[MTask], List[int], List[int]]]
-    ) -> Iterator[Tuple[List[int], List[int], Optional[np.ndarray]]]:
+        self, pending: List[Tuple[TaskTable, List[int], List[int]]]
+    ) -> Iterator[Tuple[TaskTable, List[int], List[int], Optional[np.ndarray]]]:
         """One ``tsymb_tables`` call for the layers :meth:`_priced_layers`
         collected."""
         if not pending:
             return
-        tables = self.cost.tsymb_tables([(tasks, widths) for tasks, _, widths in pending])
-        for (_, feasible, widths), table in zip(pending, tables):
-            yield feasible, widths, table
+        tables = self.cost.tsymb_tables([(view, widths) for view, _, widths in pending])
+        for (view, feasible, widths), table in zip(pending, tables):
+            yield view, feasible, widths, table
 
     def _tact_bounds(
         self, table: np.ndarray, widths: Sequence[int], feasible: Sequence[int]
@@ -224,14 +229,16 @@ class LayerBasedScheduler(Scheduler):
         lookups without calling the cost model again.
         """
         tasks = list(tasks)
-        feasible = self._feasible(tasks)
+        rows = TaskTable.of(tasks)
+        feasible = self._feasible(rows)
         widths = self._widths(feasible)
-        table = self.cost.tsymb_table(tasks, widths) if feasible else None
-        return self._decide(tasks, feasible, widths, table, obs)
+        table = self.cost.tsymb_table(rows, widths) if feasible else None
+        return self._decide(tasks, rows, feasible, widths, table, obs)
 
     def _decide(
         self,
         tasks: List[MTask],
+        rows: TaskTable,
         feasible: List[int],
         widths: List[int],
         table: Optional[np.ndarray],
@@ -293,12 +300,13 @@ class LayerBasedScheduler(Scheduler):
                 order = order_cache.get(q_est)
                 if order is None:
                     if not by_name:
-                        by_name = sorted(range(n), key=lambda i: tasks[i].name)
+                        by_name = sorted(range(n), key=[t.name for t in tasks].__getitem__)
                     order = sorted(by_name, key=est.__getitem__, reverse=True)
                     order_cache[q_est] = order
-                groups = lpt_assign_indices(order, est, g)
+                groups, loads = lpt_assign_indices(order, est, g)
             else:
                 groups = [list(range(gi, n, g)) for gi in range(g)]  # roundrobin
+                loads = None
             # a candidate g larger than the number of tasks with distinct
             # loads leaves LPT groups empty; drop them *before* costing so
             # their cores widen the real groups instead of idling (the
@@ -306,13 +314,16 @@ class LayerBasedScheduler(Scheduler):
             nonempty = [grp for grp in groups if grp]
             if len(nonempty) < len(groups):
                 obs.count("gsearch.empty_groups", len(groups) - len(nonempty))
-                groups = nonempty
+                groups, loads = nonempty, None
             # the equal_partition sizes: the first ``rem`` groups get
-            # one core more
+            # one core more.  With every group kept, the narrow column is
+            # the estimate column LPT summed in assignment order, so only
+            # the wide groups are summed again
             base, rem = divmod(P, len(groups))
             wide, narrow = columns.get(base + 1), columns[base]
-            loads = [sum(map(wide.__getitem__, grp)) for grp in groups[:rem]]
-            loads += [sum(map(narrow.__getitem__, grp)) for grp in groups[rem:]]
+            if loads is None:
+                loads = [sum(map(narrow.__getitem__, grp)) for grp in groups]
+            loads[:rem] = [sum(map(wide.__getitem__, grp)) for grp in groups[:rem]]
             tact = max(loads)
             probed[g] = (tact, groups)
             if tact < best_tact:
@@ -328,13 +339,26 @@ class LayerBasedScheduler(Scheduler):
         groups = [[tasks[i] for i in grp] for grp in idx_groups]
         if self.adjust and len(groups) > 1:
             with obs.span("adjust"):
-                seq = iter(self.cost.sequential_times([t for grp in groups for t in grp]))
+                flat = [i for grp in idx_groups for i in grp]
+                seq = rows.take(flat, [tasks[i] for i in flat])
+                seq = iter(self.cost.sequential_times(seq))
                 tseq = [sum(islice(seq, len(grp))) for grp in groups]
-                sizes = adjust_group_sizes(groups, self.cost.sequential_time, P, tseq)
+                minp = rows.min_procs.tolist()
+                floors = [max(map(minp.__getitem__, grp)) for grp in idx_groups]
+                sizes = adjust_group_sizes(
+                    groups, self.cost.sequential_time, P, tseq, floors
+                )
         return Layer(groups=groups, group_sizes=sizes), tact
 
     def _plan(self, graph: TaskGraph, obs: Instrumentation) -> SchedulingResult:
-        """Run the complete three-step algorithm on an M-task graph."""
+        """Run the complete three-step algorithm on an M-task graph.
+
+        One :class:`~repro.core.costbatch.TaskTable` of the input graph's
+        tasks serves the run.  It lists them in layer order, each chain's
+        members one after another, so the contracted rows derive from it
+        without copying an entry (:meth:`TaskTable.chained`) and every
+        ``g``-search chunk is a row slice of those; the result keeps it
+        for :meth:`~SchedulingResult.predicted_makespan`."""
         with obs.span("contract"):
             if self.contract:
                 work_graph, expansion = contract_chains(graph)
@@ -343,8 +367,13 @@ class LayerBasedScheduler(Scheduler):
         obs.count("contract.chains", len(expansion))
         with obs.span("layers"):
             raw_layers = build_layers(work_graph)
+        ordered = [t for tasks in raw_layers for t in tasks]
+        get = expansion.get
+        members = [m for t in ordered for m in get(t, (t,))] if expansion else ordered
+        table = TaskTable.of(members)
+        rows = table.chained(ordered, expansion)
         layers: List[Layer] = []
-        priced = self._priced_layers(raw_layers)
+        priced = self._priced_layers(raw_layers, rows)
         with obs.span("gsearch"):
             for i, tasks in enumerate(raw_layers):
                 # one same-named span per layer; the unique span ids keep
@@ -371,6 +400,7 @@ class LayerBasedScheduler(Scheduler):
             scheduler=self.name,
             layered=layered,
             expansion=layered.expansion,
+            table=table,
             stats={
                 "layers": len(layers),
                 "gsearch_probes": obs.counter("gsearch.probes"),

@@ -30,7 +30,7 @@ def layer_index(graph: TaskGraph) -> Dict[MTask, int]:
     depth: Dict[MTask, int] = {}
     for t in graph.topological_order():
         ps = preds[t]
-        depth[t] = 1 + max(depth[p] for p in ps) if ps else 0
+        depth[t] = 1 + max(map(depth.__getitem__, ps)) if ps else 0
     return depth
 
 

@@ -287,6 +287,20 @@ class TestValidationStage:
         with pytest.raises(ValueError, match="precedence"):
             validate(bad, plat, graph=g)
 
+    @pytest.mark.parametrize("sizes", [[300, -44], [256, 0]])
+    def test_validate_rejects_a_size_that_is_not_positive(self, sizes):
+        """Sizes changed after construction can sum to the core count and
+        still not partition it: ``[300, -44]`` holds a group wider than
+        the platform, ``[256, 0]`` an empty one."""
+        plat = chic().with_cores(256)
+        a, b = MTask("a", work=1e9), MTask("b", work=1e9)
+        layer = Layer(groups=[[a, b], []], group_sizes=[128, 128])
+        sched = LayeredSchedule(nprocs=256, layers=[layer])
+        validate(sched, plat)
+        layer.group_sizes = sizes
+        with pytest.raises(ValueError, match="must all be positive"):
+            validate(sched, plat)
+
     def test_validate_rejects_wrong_core_count(self):
         plat = generic_cluster(nodes=2, procs_per_node=2, cores_per_proc=2)
         sched = LayeredSchedule(nprocs=4, layers=[])

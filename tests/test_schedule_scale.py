@@ -18,8 +18,13 @@ from hypothesis import strategies as st
 
 from repro.cluster import chic, generic_cluster
 from repro.core import CachedCostEvaluator, CollectiveSpec, CostModel, MTask, TaskGraph
-from repro.core.costbatch import stacked_cost_tables, symbolic_cost_pairs, symbolic_cost_table
-from repro.graphs import FAMILIES, chain_graph, layered_graph, synthesize
+from repro.core.costbatch import (
+    TaskTable,
+    stacked_cost_tables,
+    symbolic_cost_pairs,
+    symbolic_cost_table,
+)
+from repro.graphs import FAMILIES, chain_graph, fit_to_cores, layered_graph, synthesize
 from repro.obs import Instrumentation
 from repro.ode import PAPER_CONFIGS, bruss2d, step_graph
 from repro.runtime.backends.base import independent_batches
@@ -47,11 +52,18 @@ _SCOPES = ("group", "global", "orthogonal")
 
 
 @st.composite
-def mtask(draw, index: int = 0):
+def mtask(draw, index: int = 0, long_comm: bool = False):
+    """One task; with ``long_comm`` some carry 64-96 collectives, as a
+    contracted chain does, so a kernel that sums a task's slots in any
+    order but the sequential one (``reduce``/``reduceat`` sum pairwise
+    past eight terms) gives other bits than the scalar loop."""
     name = f"t{index}_{draw(st.integers(0, 10**6))}"
     work = draw(st.floats(0.0, 1e10, allow_nan=False, allow_infinity=False))
     min_procs = draw(st.integers(1, 16))
     max_procs = draw(st.one_of(st.none(), st.integers(min_procs, 64)))
+    slots = st.integers(0, 3)
+    if long_comm:
+        slots = st.one_of(slots, st.integers(64, 96))
     comm = tuple(
         CollectiveSpec(
             op=draw(st.sampled_from(_OPS)),
@@ -60,7 +72,7 @@ def mtask(draw, index: int = 0):
             scope=draw(st.sampled_from(_SCOPES)),
             task_parallel_only=draw(st.booleans()),
         )
-        for _ in range(draw(st.integers(0, 3)))
+        for _ in range(draw(slots))
     )
     return MTask(name=name, work=work, comm=comm,
                  min_procs=min_procs, max_procs=max_procs)
@@ -68,7 +80,7 @@ def mtask(draw, index: int = 0):
 
 @st.composite
 def tasks_widths_platform(draw):
-    tasks = [draw(mtask(i)) for i in range(draw(st.integers(1, 8)))]
+    tasks = [draw(mtask(i, long_comm=True)) for i in range(draw(st.integers(1, 8)))]
     platform = generic_cluster(
         nodes=draw(st.integers(1, 8)),
         procs_per_node=draw(st.integers(1, 4)),
@@ -201,7 +213,7 @@ def priced_schedule(draw):
     for i, t in enumerate(tasks):
         k = draw(st.integers(0, 3))
         if k >= 2:  # a contracted chain of k members, priced one by one
-            expansion[t] = [draw(mtask(100 * i + j)) for j in range(k)]
+            expansion[t] = [draw(mtask(100 * i + j, long_comm=True)) for j in range(k)]
             for m in expansion[t]:
                 m.min_procs = 1
     return groups, sizes, expansion, platform
@@ -239,6 +251,64 @@ class TestPairsKernelBitIdentity:
         assert symbolic_cost_pairs(model, [], []).tolist() == []
         cost = CachedCostEvaluator(model)
         assert cost.tsymb_pairs([], []) == [] and cost.stats.requests == 0
+
+
+class TestTaskTable:
+    """Row views of one table price exactly as the task lists they stand
+    for, and contraction's derived rows as a table of the contracted
+    tasks built from scratch."""
+
+    @given(tasks_widths_platform(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_views_price_as_their_task_lists(self, twp, data):
+        tasks, widths, platform = twp
+        model = CostModel(platform)
+        table = TaskTable.of(tasks)
+        lo = data.draw(st.integers(0, len(tasks) - 1))
+        hi = data.draw(st.integers(lo + 1, len(tasks)))
+        rows = data.draw(st.lists(st.integers(0, len(tasks) - 1), min_size=1))
+        for view, listed in (
+            (table[lo:hi], tasks[lo:hi]),
+            (table.take(rows), [tasks[i] for i in rows]),
+        ):
+            assert list(view) == listed
+            assert (
+                symbolic_cost_table(model, view, widths).tolist()
+                == symbolic_cost_table(model, listed, widths).tolist()
+            )
+            q = [widths[i % len(widths)] for i in range(len(listed))]
+            q = [t.clamp_procs(max(w, t.min_procs)) for t, w in zip(listed, q)]
+            assert symbolic_cost_pairs(model, view, q).tolist() == [
+                model.tsymb(t, w) for t, w in zip(listed, q)
+            ]
+
+    @pytest.mark.parametrize("family", ["chain", "forkjoin", "random"])
+    def test_contracted_rows_equal_a_fresh_table(self, family):
+        graph = synthesize(family, 400, seed=3)
+        work_graph, expansion = contract_chains(graph)
+        assert expansion
+        tasks = [t for layer in build_layers(work_graph) for t in layer]
+        table = TaskTable.of(m for t in tasks for m in expansion.get(t, (t,)))
+        derived = table.chained(tasks, expansion)
+        fresh = TaskTable.of(tasks)
+        assert list(derived) == tasks
+        for column in ("work", "min_procs", "max_procs", "nslots"):
+            assert getattr(derived, column).tolist() == getattr(fresh, column).tolist()
+        assert derived.cls is table.cls  # no entry copied
+        model = CostModel(chic().with_cores(256))
+        widths = [1, 3, 16, 85, 256]
+        assert (
+            symbolic_cost_table(model, derived, widths).tolist()
+            == symbolic_cost_table(model, fresh, widths).tolist()
+        )
+
+    def test_consecutive_slices_concatenate_to_a_slice(self):
+        table = TaskTable.of(MTask(f"t{i}", work=float(i)) for i in range(10))
+        joined = TaskTable.concat([table[2:4], table[4:7], table[7:7], table[7:9]])
+        assert joined._base is table and joined._start == 2
+        assert [t.name for t in joined] == [f"t{i}" for i in range(2, 9)]
+        gathered = TaskTable.concat([table[2:4], table.take([0, 1])])
+        assert [t.name for t in gathered] == ["t2", "t3", "t0", "t1"]
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +416,7 @@ def lpt_assign(tasks, time_of, g):
     tasks = list(tasks)
     times = [time_of(t) for t in tasks]
     order = sorted(range(len(tasks)), key=lambda i: (-times[i], tasks[i].name))
-    return [[tasks[i] for i in grp] for grp in lpt_assign_indices(order, times, g)]
+    return [[tasks[i] for i in grp] for grp in lpt_assign_indices(order, times, g)[0]]
 
 
 class TestAllocationEquivalence:
@@ -363,9 +433,14 @@ class TestAllocationEquivalence:
         tasks, times, g = case
         tvals = [times[t] for t in tasks]
         order = sorted(range(len(tasks)), key=lambda i: (-tvals[i], tasks[i].name))
-        idx_groups = lpt_assign_indices(order, tvals, g)
+        idx_groups, loads = lpt_assign_indices(order, tvals, g)
         task_groups = lpt_assign(tasks, times.__getitem__, g)
         assert [[tasks[i] for i in grp] for grp in idx_groups] == task_groups
+        # the loads LPT returns are the group sums the g-search would
+        # otherwise take again, bit for bit
+        assert [x.hex() for x in loads] == [
+            float(sum(tvals[i] for i in grp)).hex() for grp in idx_groups
+        ]
 
     @pytest.mark.parametrize(
         "times, g",
@@ -398,10 +473,11 @@ class TestAllocationEquivalence:
         groups, total = case
         seq_work = lambda t: t.work / 1e9
         tseq = [sum(seq_work(t) for t in grp) for grp in groups]
+        floors = [max(t.min_procs for t in grp) for grp in groups]
         fail = lambda t: pytest.fail("seq_work must not be called with tseq")
-        assert adjust_group_sizes(groups, fail, total, tseq=tseq) == adjust_group_sizes(
-            groups, seq_work, total
-        )
+        expected = adjust_group_sizes(groups, seq_work, total)
+        assert adjust_group_sizes(groups, fail, total, tseq=tseq) == expected
+        assert adjust_group_sizes(groups, fail, total, tseq, floors) == expected
 
     def test_tseq_length_validated(self):
         groups = [[MTask("a", work=1.0)], [MTask("b", work=2.0)]]
@@ -483,6 +559,27 @@ class TestGraphBulkConstruction:
         assert expansion[merged] == chains[0]
         # quadratic behaviour took minutes here; linear is well under 10 s
         assert elapsed < 10.0, f"contraction took {elapsed:.1f}s on a 10^4 chain"
+
+    def test_contraction_shares_flows_and_checks_names(self):
+        """The contracted rows keep every crossing edge's own flow list
+        (the same object, in the parent's edge order), and a chain node
+        whose name a task already has is rejected."""
+        graph = synthesize("forkjoin", 300, seed=1)
+        contracted, expansion = contract_chains(graph)
+        node_of = {m: node for node, members in expansion.items() for m in members}
+        crossing = [
+            (node_of.get(u, u), node_of.get(v, v), flows)
+            for u, v, flows in graph.edges()
+            if node_of.get(u, u) is not node_of.get(v, v)
+        ]
+        assert [(u, v) for u, v, _ in contracted.edges()] == [(u, v) for u, v, _ in crossing]
+        assert all(f is g for (*_, f), (*_, g) in zip(contracted.edges(), crossing))
+        a, b = MTask("a"), MTask("b")
+        clash = TaskGraph("clash")
+        clash.add_tasks([a, b, MTask("chain[a..b:2]")])
+        clash.add_edges_bulk([(a, b, ())])
+        with pytest.raises(ValueError, match=r"duplicate task name 'chain\[a..b:2\]'"):
+            contract_chains(clash)
 
     def test_independent_batches_uses_index_path(self):
         graph = synthesize("random", 300, seed=9)
@@ -881,6 +978,30 @@ class TestScaleEndToEnd:
         result = _assert_makespan_matches_timeline(graph, chic().with_cores(64))
         (layer,) = result.layered.layers
         assert layer.num_groups > 1 and len(set(layer.group_sizes)) > 1
+
+    def test_schedule_sees_bounds_fitted_in_place(self):
+        """Nothing keeps a graph's cost columns across ``schedule()`` calls:
+        after ``fit_to_cores`` rewrites the bounds in place, scheduling
+        the graph again decides what scheduling a freshly fitted copy
+        decides."""
+        cost = CachedCostEvaluator(CostModel(chic().with_cores(64)))
+
+        def fingerprint(graph):
+            result = LayerBasedScheduler(cost).schedule(graph)
+            return (
+                [
+                    ([[t.name for t in grp] for grp in layer.groups], layer.group_sizes)
+                    for layer in result.layered.layers
+                ],
+                result.predicted_makespan(cost).hex(),
+            )
+
+        graph = synthesize("random", 300, seed=2)
+        before = fingerprint(graph)
+        fit_to_cores(graph, 2)
+        after = fingerprint(graph)
+        assert after != before  # the fit changed the decisions
+        assert after == fingerprint(fit_to_cores(synthesize("random", 300, seed=2), 2))
 
     def test_scale_smoke_throughput(self):
         """A 20k-task layered DAG schedules end-to-end in bounded time."""
