@@ -60,6 +60,10 @@ _TRANSPORT = (
     "interface: DriverBackend is written against it; the pool and cluster "
     "transports implement it"
 )
+_CREW = (
+    "interface: the pool and cluster crews override it; a crew with no "
+    "processes (tests/test_backend_driver.py) keeps it"
+)
 _WITH = (
     "interface: `with backend:` for a caller that owns one; run_program opens "
     "and closes its own"
@@ -90,7 +94,9 @@ KEEP: Dict[str, str] = {
         "(tests/test_cluster.py::TestElasticMembership)"
     ),
     **{f"repro.runtime.backends.driver:Transport.{name}": _TRANSPORT
-       for name in ("start", "submit", "submit_backup", "poll", "idle", "stop")},
+       for name in ("fork_args", "fork", "reset", "end", "submit", "submit_backup",
+                    "poll", "idle")},
+    **{f"repro.runtime.backends.driver:Crew.{name}": _CREW for name in ("whole", "park", "stop")},
     "repro.runtime.backends.pool:ProcessPoolBackend.submit_backup": _BACKUP,
     "repro.runtime.backends.serial:SerialBackend._race": _BACKUP,
     "repro.scheduling.base:Scheduler._plan": _INTERFACE.format("scheduler"),

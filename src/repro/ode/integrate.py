@@ -175,9 +175,14 @@ def run_functional_step(
 
 
 def integrate_functional(
-    problem: ODEProblem, cfg: MethodConfig, max_steps: int = 10_000
+    problem: ODEProblem, cfg: MethodConfig, max_steps: int = 10_000, backend=None
 ) -> FunctionalIntegration:
-    """Run a solver program functionally until its loop condition fails."""
+    """Run a solver program functionally until its loop condition fails.
+
+    Every time step runs the same body graph on ``backend`` (serial when
+    ``None``), so a worker backend forks its workers for the first step
+    and keeps them for every later one.
+    """
     # 1. initialisation: run the upper graph once
     result, loop, body, store = functional_step(problem, cfg)
     cond: Compare = loop.meta["cond"]  # type: ignore[assignment]
@@ -187,7 +192,7 @@ def integrate_functional(
     # 2. time stepping
     steps = 0
     while _eval_cond(cond, store, result.consts) and steps < max_steps:
-        run = run_program(body, store)
+        run = run_program(body, store, backend=backend)
         store.update(run.variables)
         for op, k in run.stats.collective_counts().items():
             counts[op] = counts.get(op, 0) + k

@@ -180,7 +180,7 @@ class Arena:
         """The array ``desc`` names, as a read-only view of the arena.
 
         No copy: the view is valid until this process closes the arena
-        (a worker never does before it exits; the parent copies what it
+        (a worker does when its run ends; the parent copies what it
         keeps).
         """
         name, offset, shape, dtype = desc

@@ -13,13 +13,16 @@ in three layers, each written once:
 * the **batch driver** (:mod:`~repro.runtime.backends.driver`):
   prepare in order, submit, gather, age-based speculation, outcome
   assembly, commit in order and the ``backend_*`` gauges, for every
-  backend whose bodies run in worker processes;
+  backend whose bodies run in worker processes -- and the decision
+  whether the workers an earlier run forked (its *crew*) can run this
+  one, or must be stopped and forked anew;
 * a **transport** behind the driver, the only thing those backends
   differ in: :class:`~repro.runtime.backends.pool.ProcessPoolBackend`
   moves arrays through ``multiprocessing.shared_memory`` to a
-  persistent ``fork``-start worker pool,
+  ``fork``-start worker pool kept across runs,
   :class:`~repro.runtime.backends.cluster.ClusterBackend` frames them
-  over sockets to an elastic, failure-detected membership.
+  over sockets to an elastic, failure-detected membership kept the
+  same way.
 
 :class:`~repro.runtime.backends.serial.SerialBackend` calls the engine
 directly, one task at a time with accounted (not concurrent) timing.
@@ -175,14 +178,16 @@ class ExecutionBackend:
     Lifecycle: ``open(run_context)`` once per run, then one
     :meth:`run_batch` call per independent batch, then ``close()`` (in a
     ``finally``; backends must tolerate ``close()`` after errors and
-    double ``close()``).
+    double ``close()``).  A worker backend's processes may outlive
+    ``close()`` and serve the next run's ``open`` (see
+    :mod:`~repro.runtime.backends.driver`).
     """
 
     #: short name used by CLIs and run metadata
     name: str = "backend"
 
     def open(self, run: RunContext) -> None:
-        """Prepare for a run (fork workers, allocate queues, ...)."""
+        """Prepare for a run (fork or take over workers, allocate queues, ...)."""
 
     def run_batch(
         self,

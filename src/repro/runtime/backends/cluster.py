@@ -13,11 +13,23 @@ connection, stepped on the driver's own thread inside
 :meth:`ClusterBackend.poll` -- speaks a length-prefixed, array-chunked
 pickle protocol (:mod:`repro.runtime.backends.wire`), and each worker
 is a forked child
-(:mod:`repro.runtime.backends.cluster_worker`) that inherits the task
-registry, fault plan and retry policy at fork time, exactly like a pool
-worker.  The same per-``(task, attempt)`` seeded draws make every
-outcome independent of *which* worker executes it -- the basis of the
-serial/cluster bit-identity guarantee.
+(:mod:`repro.runtime.backends.cluster_worker`) that inherits the
+registered task bodies, fault plan and retry policy at fork time,
+exactly like a pool worker.  The same per-``(task, attempt)`` seeded
+draws make every outcome independent of *which* worker executes it --
+the basis of the serial/cluster bit-identity guarantee.
+
+The coordinator, its listening socket and the forked members are the
+backend's :class:`~repro.runtime.backends.driver.Crew`: they stay up
+after ``close`` and serve the next run whose bodies, worker count, fault
+plan, retry policy, ``host``, ``heartbeat_interval`` and
+``worker_delay`` they were forked with (the driver decides).  A crew
+that lost a member, grew one (:meth:`ClusterBackend.spawn_worker`, an
+external join) or still has a job out is stopped instead.  Between
+runs every member's array table and the coordinator's mirror of it are
+reset, and the members stop heartbeating until the next run starts
+(nobody reads their sockets meanwhile); a kept crew's silence is judged
+from the start of the run that takes it over.
 
 Robustness is the point of this backend:
 
@@ -51,7 +63,7 @@ Robustness is the point of this backend:
   strand a batch's tail.  A newly joined worker starts stealing
   immediately -- elasticity and stealing are one mechanism.
 * **arrays ship once per worker.**  A worker keeps every array it has
-  received or produced for the life of its connection
+  received or produced for the rest of the run
   (:mod:`~repro.runtime.backends.cluster_worker`), and the coordinator
   records per member what that worker holds.  A job frame names its
   inputs by token (from the parent's
@@ -101,7 +113,7 @@ import numpy as np
 from .arrays import ArrayLedger, Traffic
 from .base import RunContext, emit_worker_crash, pin_worker
 from .cluster_worker import serve
-from .driver import DriverBackend, Job
+from .driver import Body, Crew, DriverBackend, Job
 from .wire import WireError, recv_message, send_message
 
 __all__ = ["ClusterBackend"]
@@ -208,6 +220,28 @@ class _Coordinator:
             key.fileobj.close()
         self._sel.close()
         self._sel = self._listener = None
+
+    def reset(self) -> None:
+        """Forget the run: its jobs, results and events, each member's
+        queue, and each member's array table (a ``reset`` frame, which
+        also quiets the member's heartbeats until :meth:`resume`) with its
+        mirror ``held``.
+        """
+        self.jobs = {}
+        self.results.clear()
+        self.events.clear()
+        for member in self._live():
+            member.queue.clear()
+            member.held.clear()
+            self._send(member, {"type": "reset"})
+
+    def resume(self) -> None:
+        """Start a run: a ``run`` frame restarts each member's heartbeats,
+        and its silence counts from now, not from before the idle time."""
+        now = time.monotonic()
+        for member in self._live():
+            member.last_seen = now
+            self._send(member, {"type": "run"})
 
     def step(self, timeout: float) -> None:
         """One turn: wait for sockets, judge liveness, read, sweep deadlines.
@@ -504,21 +538,64 @@ class _Coordinator:
 # backend (main thread)
 # ----------------------------------------------------------------------
 def _forked_worker(
-    host, port, wid, registry, faults, retry, parent_pid, heartbeat_interval, delay
+    host, port, wid, bodies, faults, retry, parent_pid, heartbeat_interval, delay
 ) -> None:
-    """Fork target: serve the coordinator from a fresh child process."""
+    """Fork target: serve the coordinator from a fresh child process,
+    looking each job's body up by its token."""
     pin_worker(wid)
     serve(
         host,
         port,
         wid,
-        registry,
+        bodies,
         faults=faults,
         retry=retry,
         parent_pid=parent_pid,
         heartbeat_interval=heartbeat_interval,
         delay=delay,
+        by="body",
     )
+
+
+class _ClusterCrew(Crew):
+    """The coordinator and the members it forked (by worker id)."""
+
+    def __init__(self, size: int, coord: _Coordinator, bodies: Dict[int, Body]) -> None:
+        super().__init__(size)
+        self.coord = coord
+        self.bodies = bodies
+        self.procs: Dict[int, Any] = {}
+        self.next_wid = 0
+
+    def whole(self) -> bool:
+        """Exactly the forked members, all alive, none holding a job.
+
+        Between runs the members are quiet and nobody reads their
+        sockets, so whether a forked member lives is its process's
+        say-so.
+        """
+        coord = self.coord
+        idle = {m.wid for m in coord.members.values() if m.alive and m.inflight is None}
+        return (
+            idle == set(coord.members) == set(self.procs) == set(range(self.size))
+            and all(p.is_alive() for p in self.procs.values())
+        )
+
+    def park(self) -> bool:
+        """Reset the members' tables and the coordinator's run state."""
+        self.coord.reset()
+        return True
+
+    def stop(self) -> None:
+        """Stop the coordinator, reap every member."""
+        self.coord.stop()
+        for proc in self.procs.values():
+            proc.join(timeout=0.25)
+        for proc in self.procs.values():
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=1.0)
+        self.procs = {}
 
 
 class ClusterBackend(DriverBackend):
@@ -527,9 +604,10 @@ class ClusterBackend(DriverBackend):
     Parameters
     ----------
     workers:
-        Workers forked at :meth:`open` (default ``os.cpu_count()``, at
-        least 2).  More can join later (:meth:`spawn_worker`); the run
-        survives any number of departures as long as one member lives.
+        Workers forked at the first :meth:`open` and kept for later runs
+        (default ``os.cpu_count()``, at least 2).  More can join later
+        (:meth:`spawn_worker`); the run survives any number of
+        departures as long as one member lives.
     heartbeat_interval / heartbeat_timeout:
         Workers heartbeat every ``heartbeat_interval`` seconds; the
         coordinator declares a silent worker dead after
@@ -585,20 +663,24 @@ class ClusterBackend(DriverBackend):
         self.chaos_kill = chaos_kill
         self.host = host
         super().__init__()
-        self._coord: Optional[_Coordinator] = None
         self._results: Deque[Tuple] = collections.deque()
         self._events: Deque[Tuple] = collections.deque()
-        self._procs: Dict[int, Any] = {}
-        self._next_wid = 0
         self._gathered = 0
         self._chaos_fired = False
-        self._registry: Dict[str, Any] = {}
         self._ledger = ArrayLedger()
         self._tokens = itertools.count()
         self._traffic = Traffic()
 
     # ------------------------------------------------------------------
-    def start(self, run: RunContext) -> int:
+    def fork_args(self, run: RunContext) -> Tuple:
+        """What a member inherits or was started with: worker count, fault
+        plan, retry policy, coordinator host, heartbeat interval and the
+        per-worker straggler delays."""
+        n = self.workers if self.workers is not None else max(2, os.cpu_count() or 1)
+        return (n, run.faults, run.retry, self.host, self.heartbeat_interval,
+                sorted(self.worker_delay.items()))
+
+    def fork(self, run: RunContext, bodies: Dict[int, Body]) -> _ClusterCrew:
         """Start the coordinator, fork the workers, await the handshakes."""
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
@@ -606,35 +688,64 @@ class ClusterBackend(DriverBackend):
                 "are closures and cannot be pickled); it is not available on "
                 "this platform -- use the serial backend"
             )
-        self._results = collections.deque()
-        self._events = collections.deque()
-        self._gathered = 0
-        self._chaos_fired = False
-        self._registry = {t.name: t for t in run.graph.topological_order()}
-        self._traffic = Traffic()
-        self._coord = _Coordinator(
+        coord = _Coordinator(
             heartbeat_timeout=self.heartbeat_timeout,
             dispatch_retry=self.dispatch_retry,
-            results=self._results,
-            events=self._events,
+            results=collections.deque(),
+            events=collections.deque(),
         )
-        self._coord.start(self.host)
-        n = self.workers if self.workers is not None else max(2, os.cpu_count() or 1)
-        for _ in range(n):
-            self.spawn_worker()
-        deadline = time.monotonic() + 15.0
-        while len(self._coord.members) < n:
-            left = deadline - time.monotonic()
-            if left <= 0.0:
-                raise RuntimeError(
-                    f"cluster backend: only {len(self._coord.members)} of {n} "
-                    "workers joined within 15s"
-                )
-            self._coord.step(left)
+        # spawn_worker forks into the open backend's crew: this one
+        crew = self._crew = _ClusterCrew(self.fork_args(run)[0], coord, bodies)
+        try:
+            coord.start(self.host)
+            for _ in range(crew.size):
+                self.spawn_worker()
+            deadline = time.monotonic() + 15.0
+            while len(coord.members) < crew.size:
+                left = deadline - time.monotonic()
+                if left <= 0.0:
+                    raise RuntimeError(
+                        f"cluster backend: only {len(coord.members)} of "
+                        f"{crew.size} workers joined within 15s"
+                    )
+                coord.step(left)
+        except BaseException:
+            self._crew = None
+            crew.stop()
+            raise
+        return crew
+
+    def reset(self, run: RunContext) -> None:
+        """Point the coordinator at this run: its timeouts and queues, and
+        the members' heartbeats (:meth:`_Coordinator.resume`).
+
+        On a fresh crew the join events of the fork are reported here.
+        """
+        coord = self._coord
+        coord.heartbeat_timeout = self.heartbeat_timeout
+        coord.dispatch_retry = self.dispatch_retry
+        for member in coord.members.values():
+            if member.alive:
+                member.sock.settimeout(self.heartbeat_timeout)
+        coord.resume()
+        self._results, self._events = coord.results, coord.events
+        self._gathered = 0
+        self._chaos_fired = False
+        self._tokens = itertools.count()
+        self._traffic = Traffic()
         self._drain_events()
-        return n
+
+    def end(self) -> None:
+        """Thaw the ledger's arrays (a kept crew's tables are reset when
+        it parks)."""
+        self._ledger.clear()
 
     # ------------------------------------------------------------------
+    @property
+    def _coord(self) -> Optional[_Coordinator]:
+        """The open crew's coordinator (``None`` while closed)."""
+        return self._crew.coord if self._crew is not None else None
+
     @property
     def coordinator_address(self) -> Optional[Tuple[str, int]]:
         """``(host, port)`` external workers can join, once open."""
@@ -648,21 +759,22 @@ class ClusterBackend(DriverBackend):
         Returns the new worker id at once, at fork; the worker becomes a
         member when the coordinator reads its ``hello``, at the next
         :meth:`poll`.  ``delay`` overrides the per-worker straggler
-        injection for this worker.
+        injection for this worker.  The grown crew is not kept for
+        another run.
         """
-        run, coord = self._run, self._coord
-        if run is None or coord is None or coord.port is None:
+        run, crew = self._run, self._crew
+        if run is None or crew is None or crew.coord.port is None:
             raise RuntimeError("spawn_worker() requires an open backend")
-        wid = self._next_wid
-        self._next_wid += 1
+        wid = crew.next_wid
+        crew.next_wid += 1
         mp_ctx = multiprocessing.get_context("fork")
         proc = mp_ctx.Process(
             target=_forked_worker,
             args=(
                 self.host,
-                coord.port,
+                crew.coord.port,
                 wid,
-                self._registry,
+                crew.bodies,
                 run.faults,
                 run.retry,
                 os.getpid(),
@@ -672,12 +784,12 @@ class ClusterBackend(DriverBackend):
             daemon=True,
         )
         proc.start()
-        self._procs[wid] = proc
+        crew.procs[wid] = proc
         return wid
 
     def kill_worker(self, wid: int) -> None:
         """SIGKILL a forked worker (chaos testing)."""
-        proc = self._procs.get(wid)
+        proc = self._crew.procs.get(wid) if self._crew is not None else None
         if proc is not None and proc.is_alive() and proc.pid:
             os.kill(proc.pid, signal.SIGKILL)
 
@@ -702,6 +814,7 @@ class ClusterBackend(DriverBackend):
         return {
             "type": "task",
             "job": job.jid,
+            "body": job.body,
             "name": req.task.name,
             "q": req.q,
             "env": dict(req.ctx.env),
@@ -826,18 +939,3 @@ class ClusterBackend(DriverBackend):
                 self._traffic.to_workers += nbytes
                 self._traffic.reused += reused
                 self._traffic.publish(self._publish)
-
-    # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Stop the coordinator, reap every worker, thaw the ledger's arrays."""
-        if self._coord is not None:
-            self._coord.stop()
-            self._coord = None
-        self._ledger.clear()
-        for proc in self._procs.values():
-            proc.join(timeout=0.25)
-        for proc in self._procs.values():
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        self._procs = {}

@@ -1,7 +1,7 @@
 """Cluster worker: connects to a coordinator socket and executes tasks.
 
-A worker is one OS process serving one coordinator connection.  Its
-life cycle:
+A worker is one OS process serving one coordinator connection -- for
+one run, or for every run of a kept crew.  Its life cycle:
 
 1. connect to ``host:port`` and send a ``hello`` frame (worker id, pid);
 2. start a **heartbeat thread** that sends a ``heartbeat`` frame every
@@ -15,26 +15,32 @@ life cycle:
    an attempt never changes its outcome), and the result (output arrays
    chunked by the wire layer) is sent back as a ``result`` frame
    echoing the job id and dispatch attempt;
-4. a ``stop`` frame -- or the connection closing -- ends the loop.
+4. a ``reset`` frame ends a run: the worker stays for the next one and
+   its heartbeat thread goes quiet (it keeps watching the parent) until
+   the next frame -- the ``run`` frame that starts a run -- so an idle
+   crew fills no socket nobody reads; a ``stop`` frame -- or the
+   connection closing -- ends the loop.
 
-**The array table.**  For the life of its connection a worker keeps
-every array it has received or produced, keyed by the token the
-coordinator knows it under: a ``task`` frame names each input by token
-(``values``) and carries bytes only for the tokens this worker lacks
-(``new``); the task's outputs enter the table as ``(job id, output
-name)``.  The coordinator mirrors what it has sent and heard back, so a
-token it sends alone is always resolvable.  The table is a cache and
-nothing else -- the parent receives and owns every output -- so it is
-simply dropped when the connection ends.
+**The array table.**  For the rest of a run a worker keeps every array
+it has received or produced, keyed by the token the coordinator knows
+it under: a ``task`` frame names each input by token (``values``) and
+carries bytes only for the tokens this worker lacks (``new``); the
+task's outputs enter the table as ``(job id, output name)``.  The
+coordinator mirrors what it has sent and heard back, so a token it
+sends alone is always resolvable.  The table is a cache and nothing
+else -- the parent receives and owns every output -- so it is simply
+dropped at the ``reset`` that ends the run (the next run numbers its
+tokens from 0 again) and when the connection ends.
 
 Workers are normally **forked** by :class:`~repro.runtime.backends.cluster.ClusterBackend`
-so they inherit the task registry (task bodies are closures and cannot
-be pickled) plus the run's fault plan and retry policy.  For programs
-whose bodies *are* importable, ``python -m repro.runtime.backends.cluster_worker
+so they inherit the registered task bodies (closures, which cannot be
+pickled) plus the run's fault plan and retry policy, and look each
+job's body up by the token it was registered under (``by="body"``).
+For programs whose bodies *are* importable, ``python -m repro.runtime.backends.cluster_worker
 HOST:PORT --program pkg.mod:factory`` joins an already-running
 coordinator from a fresh interpreter -- the elastic-membership path: the
 coordinator admits any worker that completes the hello handshake, at
-any point of the run.
+any point of the run; such a worker looks bodies up by task name.
 
 ``delay`` turns the worker into a *deliberate straggler* (it sleeps
 that long before every task body) -- the chaos harness uses it to prove
@@ -69,11 +75,14 @@ def serve(
     parent_pid: Optional[int] = None,
     heartbeat_interval: float = 0.05,
     delay: float = 0.0,
+    by: str = "name",
 ) -> None:
     """Serve one coordinator connection until ``stop`` or disconnect.
 
-    ``registry`` maps task names to the :class:`~repro.core.task.MTask`
-    objects whose bodies this worker can execute; ``faults``/``retry``
+    ``registry`` maps the ``by`` field of a ``task`` frame -- the task
+    ``"name"``, or the ``"body"`` token a forked worker inherited its
+    bodies under -- to what runs: an object with the ``name`` and
+    ``func`` of a :class:`~repro.core.task.MTask`.  ``faults``/``retry``
     drive the same deterministic attempt loop as the serial and pool
     backends.  ``parent_pid`` arms the orphan watchdog.
     """
@@ -81,6 +90,7 @@ def serve(
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     send_lock = threading.Lock()
     stop = threading.Event()
+    quiet = threading.Event()  # between runs: no heartbeats
     send_message(
         sock,
         {"type": "hello", "worker": worker_id, "pid": os.getpid()},
@@ -91,6 +101,8 @@ def serve(
         while not stop.wait(heartbeat_interval):
             if parent_pid is not None and os.getppid() != parent_pid:
                 os._exit(0)  # orphaned: the coordinator process is gone
+            if quiet.is_set():
+                continue
             try:
                 send_message(
                     sock, {"type": "heartbeat", "worker": worker_id}, lock=send_lock
@@ -109,11 +121,16 @@ def serve(
                 break
             if msg["type"] == "stop":
                 break
+            if msg["type"] == "reset":
+                table.clear()
+                quiet.set()
+                continue
+            quiet.clear()
             if msg["type"] != "task":
                 continue
             if delay > 0.0:
                 time.sleep(delay)
-            payload = _run_task(table, registry[msg["name"]], msg, faults, retry)
+            payload = _run_task(table, registry[msg[by]], msg, faults, retry)
             try:
                 send_message(
                     sock,

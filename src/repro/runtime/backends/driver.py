@@ -6,6 +6,9 @@ queues for the pool, framed sockets for the cluster.  That difference
 is the :class:`Transport` interface; everything else lives here, once,
 in :class:`DriverBackend`:
 
+* keep each transport's forked workers -- its :class:`Crew` -- for the
+  next run, and decide at every ``open`` whether the kept crew can run
+  the new one (see below);
 * prepare the batch in order, submit one :class:`Job` per request;
 * gather results as they arrive, in any order;
 * watch the age of every outstanding primary and race a speculative
@@ -19,15 +22,52 @@ in :class:`DriverBackend`:
   (tasks done/total, workers, per-worker busy fraction, speculation in
   flight).
 
-A backend is a :class:`DriverBackend` subclass that fills in the six
+**Crews outlive a run.**  A solver runs its step body once per time
+step on the same workers (:func:`~repro.ode.integrate_functional` with a
+``backend``); forking them anew for every
+:func:`~repro.runtime.run_program` would cost more than the step.  So
+the workers a transport forks form a :class:`Crew` that stays alive
+after ``close`` in a process-wide slot, one per transport name, and the
+next ``open`` of a backend of the same class takes it over when all of
+these hold:
+
+* it is **whole**: every member alive and nothing of the last run still
+  running (:meth:`Crew.whole`) -- no member was lost, spawned or
+  joined from outside, and no job (a lost speculation backup, say) was
+  outstanding when that run closed, which also ended without an
+  exception;
+* it was forked with the same **fork-time arguments**
+  (:meth:`Transport.fork_args`: worker count, fault plan, retry policy,
+  and whatever else a member inherits);
+* it **inherited every body** of the new graph: each task is registered
+  at ``open`` under a token that is never reused, keyed on the task
+  object *and* its ``func`` (rebinding ``task.func`` registers it
+  again), and a crew holds exactly the bodies registered before it
+  forked.  Jobs name their body by token, so a member runs this run's
+  exact task, never a same-named task of an earlier graph.
+
+Otherwise the kept crew is stopped and a fresh one forked.  Whatever
+the transport keeps *per run* (the pool's arena, the cluster members'
+array tables) is set up in :meth:`Transport.reset` and dropped in
+:meth:`Transport.end`; a kept crew's members let go of it
+(:meth:`Crew.park`: the pool's workers detach the arena) before the
+next run takes the crew over.  An :mod:`atexit` hook stops every crew
+of the process, on a normal exit and on ``SystemExit``; a forked child
+starts with none.
+
+A backend is a :class:`DriverBackend` subclass that fills in the
 :class:`Transport` methods; the tests drive the same loop through an
 in-memory transport with no processes at all.
 """
 
 from __future__ import annotations
 
+import atexit
+import os
+import threading
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple
+import weakref
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ...recovery.speculation import SpeculationRecord
 from .attempts import backup_finish
@@ -39,26 +79,147 @@ from .base import (
     TaskRequest,
 )
 
-__all__ = ["Job", "Transport", "DriverBackend"]
+__all__ = ["Body", "Crew", "Job", "Transport", "DriverBackend"]
+
+
+class Body(NamedTuple):
+    """A task body as a forked worker runs it: the name and the ``func``
+    the task had when it was registered (what
+    :func:`~repro.runtime.backends.attempts.run_job` reads of a task)."""
+
+    name: str
+    func: Optional[Callable]
+
+
+class Crew:
+    """The workers a transport forked, kept from one run to the next.
+
+    A transport's :meth:`Transport.fork` returns its subclass (the
+    processes, channels or coordinator it started); the driver owns the
+    rest: ``key`` (the backend class and its fork-time arguments),
+    ``issued`` (tokens below it were registered before the fork, so the
+    members inherited those bodies) and ``busy`` (a run holds it).
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.key: Any = None
+        self.issued = 0
+        self.busy = True
+
+    def whole(self) -> bool:
+        """Every member alive, and none still busy with an earlier job
+        or still holding what it let go of in :meth:`park`."""
+        return True
+
+    def park(self) -> bool:
+        """Have every member let go of the finished run as the crew is
+        kept (the next take-over may wait for that in :meth:`whole`);
+        ``False`` if one cannot (the crew is stopped instead)."""
+        return True
+
+    def stop(self) -> None:
+        """Stop every member; must tolerate a partial fork."""
+
+
+# ----------------------------------------------------------------------
+# the process-wide bodies and crews
+# ----------------------------------------------------------------------
+_LOCK = threading.Lock()
+#: task -> (its ``func`` when registered, token); tokens are never reused
+_TOKENS: "weakref.WeakKeyDictionary[Any, Tuple[Optional[Callable], int]]" = (
+    weakref.WeakKeyDictionary()
+)
+_issued = 0
+#: the crew of each transport name, idle or busy
+_CREWS: Dict[str, Crew] = {}
+#: every crew not stopped yet (a busy slot makes a concurrent run fork
+#: a crew of its own, stopped when that run closes)
+_LIVE: Set[Crew] = set()
+_exit_hook = False
+
+
+def _register(graph) -> Dict[str, int]:
+    """Token of every task of ``graph``, registering what is new.
+
+    A task is new when it was never registered or its ``func`` is not
+    the one it was registered with.  Call with :data:`_LOCK` held.
+    """
+    global _issued
+    tokens = {}
+    for task in graph.topological_order():
+        entry = _TOKENS.get(task)
+        if entry is None or entry[0] is not task.func:
+            entry = _TOKENS[task] = (task.func, _issued)
+            _issued += 1
+        tokens[task.name] = entry[1]
+    return tokens
+
+
+def _bodies() -> Tuple[Dict[int, Body], int]:
+    """``(token -> body, first unissued token)``: what a crew forked now
+    inherits.  Call with :data:`_LOCK` held."""
+    bodies = {token: Body(task.name, func) for task, (func, token) in list(_TOKENS.items())}
+    return bodies, _issued
+
+
+def _release(name: str, crew: Crew, keep: bool) -> None:
+    """Park ``crew`` for the next run, or stop it."""
+    with _LOCK:
+        parked = _CREWS.get(name) is crew
+        if keep and parked:
+            crew.busy = False
+            return
+        if parked:
+            del _CREWS[name]
+        _LIVE.discard(crew)
+    crew.stop()
+
+
+def _stop_crews() -> None:
+    """Stop every crew of this process (at interpreter exit)."""
+    with _LOCK:
+        crews = list(_LIVE)
+        _LIVE.clear()
+        _CREWS.clear()
+    for crew in crews:
+        crew.stop()
+
+
+def _forget_crews() -> None:
+    """In a forked child: the parent's crews are not this process's."""
+    global _LOCK
+    _LOCK = threading.Lock()
+    _LIVE.clear()
+    _CREWS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_crews)
 
 
 class Job:
     """Driver-side state of one dispatched job (a primary or a backup).
 
-    ``arrived`` marks a job whose result is in (a second result for it
-    is a duplicate and is dropped).  A primary leaves the job table only
-    once its own result *and* its backup's have arrived, so a backup that
-    lost its race is still accounted for when it finally reports.
+    ``body`` is the token of the task's registered body (what a forked
+    worker looks the body up by); ``arrived`` marks a job whose result
+    is in (a second result for it is a duplicate and is dropped).  A
+    primary leaves the job table only once its own result *and* its
+    backup's have arrived, so a backup that lost its race is still
+    accounted for when it finally reports.
     """
 
     __slots__ = (
-        "jid", "request", "backup_of", "dispatched", "threshold",
+        "jid", "request", "body", "backup_of", "dispatched", "threshold",
         "backup_jid", "arrived",
     )
 
-    def __init__(self, jid: int, request: TaskRequest, backup_of: Optional[int] = None):
+    def __init__(
+        self, jid: int, request: TaskRequest, body: int, backup_of: Optional[int] = None
+    ):
         self.jid = jid
         self.request = request
+        self.body = body
         self.backup_of = backup_of
         self.dispatched = time.perf_counter()
         self.threshold: Optional[float] = None
@@ -76,8 +237,25 @@ class Transport:
     owns, or ``None``) in place of ``"produced"``.
     """
 
-    def start(self, run: RunContext) -> int:
-        """Bring the workers up for ``run``; returns how many there are."""
+    def fork_args(self, run: RunContext) -> Tuple:
+        """What a member inherits at fork besides the bodies: a kept crew
+        runs ``run`` only if these equal the ones it was forked with."""
+        return ()
+
+    def fork(self, run: RunContext, bodies: Dict[int, "Body"]) -> Crew:
+        """Fork a crew whose members inherit ``bodies`` (token -> body).
+
+        On failure, stop whatever was started before raising.
+        """
+        raise NotImplementedError
+
+    def reset(self, run: RunContext) -> None:
+        """Set up the per-run state of ``self._crew``, fresh or kept."""
+        raise NotImplementedError
+
+    def end(self) -> None:
+        """Drop the per-run state; must tolerate a failed :meth:`reset`,
+        no crew at all and a second call."""
         raise NotImplementedError
 
     def submit(self, jobs: List[Job]) -> None:
@@ -104,10 +282,6 @@ class Transport:
         """
         raise NotImplementedError
 
-    def stop(self) -> None:
-        """Shut the workers down; must tolerate a failed :meth:`start`."""
-        raise NotImplementedError
-
 
 class DriverBackend(Transport, ExecutionBackend):
     """Execute batches on workers reached through the :class:`Transport`.
@@ -121,6 +295,9 @@ class DriverBackend(Transport, ExecutionBackend):
 
     def __init__(self) -> None:
         self._run: Optional[RunContext] = None
+        self._crew: Optional[Crew] = None
+        self._bodies: Dict[str, int] = {}
+        self._failed = False
         self._jobs: Dict[int, Job] = {}
         self._next_jid = 0
         self._offset = 0.0
@@ -131,7 +308,7 @@ class DriverBackend(Transport, ExecutionBackend):
 
     # ------------------------------------------------------------------
     def open(self, run: RunContext) -> None:
-        """Start the transport and publish the progress baseline."""
+        """Take over or fork a crew and publish the progress baseline."""
         self._run = run
         # worker events use time.monotonic(); instrumentation spans use
         # time.perf_counter() -- convert at the boundary
@@ -139,15 +316,56 @@ class DriverBackend(Transport, ExecutionBackend):
         self._done = 0
         self._opened = time.perf_counter()
         self._busy = {}
+        self._failed = False
         try:
-            workers = self.start(run)
-        except Exception:
+            self._crew = self._acquire(run)
+            self.reset(run)
+        except BaseException:
+            self._failed = True
             self.close()
             raise
         self._publish("backend_tasks_total", len(run.graph))
         self._publish("backend_tasks_done", 0)
-        self._publish("backend_workers", workers)
+        self._publish("backend_workers", self._crew.size)
         self._publish("backend_speculation_in_flight", 0)
+
+    def _acquire(self, run: RunContext) -> Crew:
+        """The kept crew if it can run ``run`` (module docstring), else a fresh one."""
+        global _exit_hook
+        key = (type(self), self.fork_args(run))
+        with _LOCK:
+            self._bodies = _register(run.graph)
+            crew = _CREWS.get(self.name)
+            if crew is not None and crew.busy:
+                crew = None  # a concurrent run holds it
+            elif crew is not None:
+                crew.busy = True
+        if crew is not None:
+            kept = False
+            try:
+                kept = (
+                    crew.key == key
+                    and max(self._bodies.values(), default=-1) < crew.issued
+                    and crew.whole()
+                )
+            finally:
+                if not kept:
+                    _release(self.name, crew, keep=False)
+            if kept:
+                return crew
+        with _LOCK:
+            bodies, issued = _bodies()
+        crew = self.fork(run, bodies)
+        crew.key, crew.issued = key, issued
+        with _LOCK:
+            _LIVE.add(crew)
+            _CREWS.setdefault(self.name, crew)
+            if not _exit_hook:
+                # registered after a fork, so it runs before
+                # multiprocessing's own exit hook reaps the daemons
+                atexit.register(_stop_crews)
+                _exit_hook = True
+        return crew
 
     def _publish(self, gauge: str, value: float, **labels: Any) -> None:
         self._run.obs.publish(gauge, float(value), backend=self.name, **labels)
@@ -160,21 +378,29 @@ class DriverBackend(Transport, ExecutionBackend):
 
     # ------------------------------------------------------------------
     def run_batch(self, tasks, prepare, commit) -> None:
-        """Prepare in order, execute on the workers, commit in order."""
+        """Prepare in order, execute on the workers, commit in order.
+
+        An exception on the way (a worker lost for good, a task that
+        gave up) keeps the crew from the next run.
+        """
         assert self._run is not None, "open() must be called before run_batch()"
-        requests = [r for r in (prepare(t) for t in tasks) if r is not None]
-        self._advance(len(tasks) - len(requests))
-        if not requests:
-            return
-        jobs = [self._new_job(request) for request in requests]
-        self.submit(jobs)
-        resolved = self._gather({job.jid for job in jobs})
-        for job in jobs:
-            commit(job.request, resolved[job.jid])
-            self._advance(1)
+        try:
+            requests = [r for r in (prepare(t) for t in tasks) if r is not None]
+            self._advance(len(tasks) - len(requests))
+            if not requests:
+                return
+            jobs = [self._new_job(request) for request in requests]
+            self.submit(jobs)
+            resolved = self._gather({job.jid for job in jobs})
+            for job in jobs:
+                commit(job.request, resolved[job.jid])
+                self._advance(1)
+        except BaseException:
+            self._failed = True
+            raise
 
     def _new_job(self, request: TaskRequest, backup_of: Optional[int] = None) -> Job:
-        job = Job(self._next_jid, request, backup_of)
+        job = Job(self._next_jid, request, self._bodies[request.task.name], backup_of)
         self._next_jid += 1
         self._jobs[job.jid] = job
         return job
@@ -302,8 +528,21 @@ class DriverBackend(Transport, ExecutionBackend):
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the transport, forget every outstanding job."""
-        self.stop()
+        """End the run; keep the crew for the next one if it is whole,
+        nothing is outstanding, the run raised nothing and the members
+        parked, else stop it."""
+        crew = self._crew
+        keep = False
+        try:
+            self.end()
+            keep = (
+                crew is not None and not self._failed and not self._jobs
+                and crew.whole() and crew.park()
+            )
+        finally:
+            self._crew = None
+            if crew is not None:
+                _release(self.name, crew, keep)
         self._jobs = {}
         if self._run is not None:
             # lost backups still running when the run ends never report

@@ -12,10 +12,17 @@ the pool:
 * **fork start method.**  Task bodies are closures defined inside the
   program builders (e.g. the IRK stage functions), which cannot be
   pickled; the pool therefore *requires* the ``fork`` start method so
-  workers inherit the task registry -- and with it every body -- from
-  the parent's address space.  On platforms without ``fork`` (Windows,
-  and macOS defaults since Python 3.8) :meth:`ProcessPoolBackend.open`
-  raises with a one-line explanation.
+  workers inherit the registered bodies from the parent's address
+  space.  On platforms without ``fork`` (Windows, and macOS defaults
+  since Python 3.8) :meth:`ProcessPoolBackend.open` raises with a
+  one-line explanation.
+* **workers outlive a run.**  The workers and their two queues are the
+  pool's :class:`~repro.runtime.backends.driver.Crew`: forked at the
+  first ``open``, kept after ``close`` and taken over by the next run
+  whose bodies, worker count, fault plan and retry policy they
+  inherited (the driver decides; a worker that died, an exception or a
+  job still running -- a lost speculation backup -- retires them).  A
+  job names its body by the token it was registered under.
 * **one arena per run.**  Arrays cross the process boundary through a
   per-run shared-memory arena (:class:`~repro.runtime.backends.arrays.Arena`):
   the parent writes an input into it the first time any task needs it,
@@ -30,14 +37,20 @@ the pool:
   is a handful of chunks (the first sized from the graph's declared
   ``elements``, more only when something does not fit), each
   registered with the fork-shared ``resource_tracker`` by its creator
-  and unlinked by the parent in :meth:`ProcessPoolBackend.stop`, on
-  every exit path.
+  and unlinked by name by the parent when the run closes, on every exit
+  path -- kept workers or not, ``/dev/shm`` is back to where it was.
+  When a crew is kept, every worker drops its mappings of the run's
+  chunks (:meth:`_PoolCrew.park`), and the next run takes the crew over
+  only once all have: the pages of an unlinked chunk are freed only
+  when nobody maps it, so an idle crew holds none and ``/dev/shm``
+  never holds two runs' arenas.
 * **deterministic faults.**  Workers inherit the run's
   :class:`~repro.faults.FaultPlan` and :class:`~repro.faults.RetryPolicy`
-  at fork time; because both draw from per-``(task, attempt)`` seeded
-  streams, injected failures, straggler factors and backoff jitter are
-  identical no matter which worker runs which attempt -- the basis of
-  the serial/pool equivalence guarantee.
+  at fork time (a kept crew serves only runs with equal ones); because
+  both draw from per-``(task, attempt)`` seeded streams, injected
+  failures, straggler factors and backoff jitter are identical no
+  matter which worker runs which attempt -- the basis of the
+  serial/pool equivalence guarantee.
 * **backups on the shared queue.**  A speculative backup carries the
   descriptors the primary's inputs already have and goes on the same
   queue, so whichever worker is free takes it -- never the one still
@@ -56,23 +69,28 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
+import time
 from multiprocessing import resource_tracker
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .arrays import Arena, ArrayLedger, Descriptor, Traffic, declared_bytes
 from .attempts import crash_result, run_job
 from .base import RunContext, emit_worker_crash, pin_worker
-from .driver import DriverBackend, Job
+from .driver import Body, Crew, DriverBackend, Job
 
 __all__ = ["ProcessPoolBackend"]
+
+
+#: how long a take-over waits for every worker of a kept crew to park
+_PARK_SECONDS = 5.0
 
 
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _execute(arena: Arena, registry, faults, retry, msg) -> Dict[str, Any]:
+def _execute(arena: Arena, bodies, faults, retry, msg) -> Dict[str, Any]:
     """Run one ``task`` message against ``arena``; returns the result.
 
     Inputs are read-only views of the arena (bodies are pure, and the
@@ -80,10 +98,10 @@ def _execute(arena: Arena, registry, faults, retry, msg) -> Dict[str, Any]:
     outputs are written into this worker's chunks and travel as
     descriptors in ``result["outputs"]``.
     """
-    _, _job_id, name, q, env, payload, backup = msg
+    _, _job_id, body, q, env, payload, backup, _arena = msg
     try:
         values = {key: arena.view(desc) for key, desc in payload.items()}
-        result = run_job(registry[name], q, env, values, faults, retry, backup)
+        result = run_job(bodies[body], q, env, values, faults, retry, backup)
         outputs = None
         if result["produced"] is not None:
             outputs = {
@@ -97,17 +115,21 @@ def _execute(arena: Arena, registry, faults, retry, msg) -> Dict[str, Any]:
     return result
 
 
-def _worker_main(worker_id, parent_pid, inq, outq, arena, registry, faults, retry) -> None:
+def _worker_main(worker_id, parent_pid, inq, outq, resume, bodies, faults, retry) -> None:
     """Entry point of one pool worker (forked child).
 
     Loops on the shared job queue until a ``stop`` message arrives or
     the parent disappears (``getppid`` watchdog -- the journal's
     ``crash_after`` chaos hook kills the parent with ``os._exit``, which
-    skips any orderly shutdown).  Worker processes are best-effort
-    pinned to distinct cores.
+    skips any orderly shutdown); one worker serves every run of its
+    crew.  A ``park`` message ends a run: the worker detaches the run's
+    chunks, says so, and waits for ``resume`` before it reads the queue
+    again, so each worker takes exactly one.  A job names its run's
+    arena; the first job of a run opens the worker's side of it.
+    Worker processes are best-effort pinned to distinct cores.
     """
     pin_worker(worker_id)
-    arena.grow()  # now, off the first result's critical path
+    arena = Arena("", str(worker_id), 0)  # no run yet: every prefix is new
     while True:
         try:
             msg = inq.get(timeout=1.0)
@@ -117,7 +139,18 @@ def _worker_main(worker_id, parent_pid, inq, outq, arena, registry, faults, retr
             continue
         if msg[0] == "stop":
             break
-        result = _execute(arena, registry, faults, retry, msg)
+        if msg[0] == "park":
+            arena.close()
+            outq.put(("parked", None, worker_id, None))
+            while not resume.acquire(timeout=1.0):
+                if os.getppid() != parent_pid:
+                    return
+            continue
+        prefix, chunk_bytes = msg[-1]
+        if prefix != arena.prefix:
+            arena.close()
+            arena = Arena(prefix, str(worker_id), chunk_bytes)
+        result = _execute(arena, bodies, faults, retry, msg)
         outq.put(("result", msg[1], worker_id, result))
     arena.close()
 
@@ -125,6 +158,84 @@ def _worker_main(worker_id, parent_pid, inq, outq, arena, registry, faults, retr
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
+class _PoolCrew(Crew):
+    """The forked workers, their two queues, the semaphore that lets
+    parked workers go and the open run's arena."""
+
+    def __init__(self, size: int, inq, outq) -> None:
+        super().__init__(size)
+        self.inq = inq
+        self.outq = outq
+        self.resume: Any = None
+        self.parked = False
+        self.procs: List[Any] = []
+        self.arena: Optional[Arena] = None
+
+    def whole(self) -> bool:
+        """Every forked worker is alive -- and, on a parked crew, has
+        detached the last run's chunks; then they are let go."""
+        if not all(p.is_alive() for p in self.procs):
+            return False
+        if self.parked:
+            deadline = time.monotonic() + _PARK_SECONDS
+            for _ in self.procs:
+                try:
+                    self.outq.get(timeout=max(0.0, deadline - time.monotonic()))
+                except queue.Empty:
+                    return False
+            self._let_go()
+        return True
+
+    def park(self) -> bool:
+        """Ask every worker to detach the run's chunks; does not wait.
+
+        A worker that took its ``park`` message waits for :attr:`resume`,
+        so it cannot take a second; :meth:`whole` collects the answers
+        when the next run takes the crew over.
+        """
+        for _ in self.procs:
+            self.inq.put(("park",))
+        self.parked = True
+        return True
+
+    def _let_go(self) -> None:
+        for _ in self.procs:
+            self.resume.release()
+        self.parked = False
+
+    def unlink(self) -> None:
+        """Unlink the open run's arena -- by name, so the chunks of a
+        worker that died before reporting them go too."""
+        if self.arena is not None:
+            self.arena.destroy(["p", *map(str, range(self.size))])
+            self.arena = None
+
+    def stop(self) -> None:
+        """Stop the workers, unlink the arena, close the queues."""
+        if self.parked:
+            self._let_go()
+        for _ in self.procs:
+            try:
+                self.inq.put(("stop",))
+            except Exception:  # pragma: no cover - queue torn down
+                break
+        # a worker still computing holds a lost speculation race (or a
+        # stale result) nobody will read -- give it a short grace
+        # period, then terminate it rather than wait out the very
+        # straggler speculation already beat
+        for proc in self.procs:
+            proc.join(timeout=0.25)
+        for proc in self.procs:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=1.0)
+        self.unlink()
+        self.procs = []
+        for chan in (self.inq, self.outq):
+            chan.cancel_join_thread()
+            chan.close()
+
+
 class ProcessPoolBackend(DriverBackend):
     """Run independent M-tasks concurrently on forked worker processes.
 
@@ -150,16 +261,17 @@ class ProcessPoolBackend(DriverBackend):
         super().__init__()
         self.workers = workers
         self.poll_interval = poll_interval
-        self._procs: List[Any] = []
-        self._inq: Optional[Any] = None
-        self._outq: Optional[Any] = None
-        self._arena: Optional[Arena] = None
         self._ledger = ArrayLedger()
         self._traffic = Traffic()
 
     # ------------------------------------------------------------------
-    def start(self, run: RunContext) -> int:
-        """Fork the workers (inheriting task bodies and fault plans)."""
+    def fork_args(self, run: RunContext) -> Tuple:
+        """Worker count, fault plan and retry policy: what a worker inherits."""
+        n = self.workers if self.workers is not None else max(2, os.cpu_count() or 1)
+        return (n, run.faults, run.retry)
+
+    def fork(self, run: RunContext, bodies: Dict[int, Body]) -> _PoolCrew:
+        """Fork the workers (inheriting ``bodies`` and the fault plan)."""
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
                 "ProcessPoolBackend requires the 'fork' start method (task "
@@ -171,24 +283,33 @@ class ProcessPoolBackend(DriverBackend):
         # lazily afterwards, every worker would spawn a private tracker
         # and register/unregister pairs would land on different ones
         resource_tracker.ensure_running()
-        self._inq = mp_ctx.Queue()
-        self._outq = mp_ctx.Queue()
-        registry = {t.name: t for t in run.graph.topological_order()}
-        n = self.workers if self.workers is not None else max(2, os.cpu_count() or 1)
-        prefix, chunk_bytes = Arena.new_prefix(), declared_bytes(run.graph)
-        self._arena = Arena(prefix, "p", chunk_bytes)
+        crew = _PoolCrew(self.fork_args(run)[0], mp_ctx.Queue(), mp_ctx.Queue())
+        crew.resume = mp_ctx.Semaphore(0)
+        try:
+            for wid in range(crew.size):
+                proc = mp_ctx.Process(
+                    target=_worker_main,
+                    args=(wid, os.getpid(), crew.inq, crew.outq, crew.resume,
+                          bodies, run.faults, run.retry),
+                    daemon=True,
+                )
+                proc.start()
+                crew.procs.append(proc)
+        except BaseException:
+            crew.stop()
+            raise
+        return crew
+
+    def reset(self, run: RunContext) -> None:
+        """Create the run's arena, its first chunk sized from the graph."""
+        self._crew.arena = Arena(Arena.new_prefix(), "p", declared_bytes(run.graph))
         self._traffic = Traffic()
-        for wid in range(n):
-            proc = mp_ctx.Process(
-                target=_worker_main,
-                args=(wid, os.getpid(), self._inq, self._outq,
-                      Arena(prefix, str(wid), chunk_bytes), registry,
-                      run.faults, run.retry),
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
-        return n
+
+    def end(self) -> None:
+        """Unlink the run's arena, thaw the ledger's arrays."""
+        self._ledger.clear()
+        if self._crew is not None:
+            self._crew.unlink()
 
     # ------------------------------------------------------------------
     def submit(self, jobs: List[Job]) -> None:
@@ -206,20 +327,20 @@ class ProcessPoolBackend(DriverBackend):
         self.submit([backup])
 
     def _enqueue(self, job: Job) -> None:
-        req = job.request
+        req, crew = job.request, self._crew
         payload: Dict[str, Descriptor] = {}
         for key, arr in req.values.items():
             desc = self._ledger.get(arr)
             if desc is None:
-                desc = self._arena.put(arr)
+                desc = crew.arena.put(arr)
                 self._ledger.add(arr, desc)
                 self._traffic.to_workers += arr.nbytes
             else:
                 self._traffic.reused += 1
             payload[key] = desc
-        self._inq.put(
-            ("task", job.jid, req.task.name, req.q, dict(req.ctx.env), payload,
-             job.backup_of is not None)
+        crew.inq.put(
+            ("task", job.jid, job.body, req.q, dict(req.ctx.env), payload,
+             job.backup_of is not None, (crew.arena.prefix, crew.arena.chunk_bytes))
         )
 
     def poll(self, timeout: float):
@@ -230,13 +351,13 @@ class ProcessPoolBackend(DriverBackend):
         writes those bytes again.
         """
         try:
-            _, jid, wid, payload = self._outq.get(timeout=timeout)
+            _, jid, wid, payload = self._crew.outq.get(timeout=timeout)
         except queue.Empty:
             return None
         if payload["outputs"] is not None:
             outputs = {}
             for name, desc in payload["outputs"].items():
-                outputs[name] = arr = np.array(self._arena.view(desc))
+                outputs[name] = arr = np.array(self._crew.arena.view(desc))
                 self._ledger.add(arr, desc)
                 self._traffic.to_parent += arr.nbytes
             payload["outputs"] = outputs
@@ -253,7 +374,7 @@ class ProcessPoolBackend(DriverBackend):
         ``worker_crash`` record the cluster backend shares.
         """
         dead = [
-            (wid, proc) for wid, proc in enumerate(self._procs)
+            (wid, proc) for wid, proc in enumerate(self._crew.procs)
             if not proc.is_alive()
         ]
         if not dead:
@@ -287,36 +408,3 @@ class ProcessPoolBackend(DriverBackend):
             f"pool {dead_desc} died while tasks were in flight; "
             f"at-risk task(s): {tasks_desc}"
         )
-
-    # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Stop the workers, unlink the arena, thaw the ledger's arrays."""
-        if self._inq is not None:
-            for _ in self._procs:
-                try:
-                    self._inq.put(("stop",))
-                except Exception:  # pragma: no cover - queue torn down
-                    break
-        # every batch has committed by now, so a worker still computing
-        # holds a lost speculation race (or a stale result) nobody will
-        # read -- give it a short grace period, then terminate it rather
-        # than wait out the very straggler speculation already beat
-        for proc in self._procs:
-            proc.join(timeout=0.25)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        if self._arena is not None:
-            # by name, so the chunks of a worker that died (or was just
-            # terminated) before reporting them go too
-            self._arena.destroy(["p", *map(str, range(len(self._procs)))])
-            self._arena = None
-        self._ledger.clear()
-        self._procs = []
-        for chan in (self._inq, self._outq):
-            if chan is not None:
-                chan.cancel_join_thread()
-                chan.close()
-        self._inq = None
-        self._outq = None

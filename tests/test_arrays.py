@@ -27,7 +27,7 @@ from repro.ode import MethodConfig
 from repro.runtime import ClusterBackend, ProcessPoolBackend, run_program
 from repro.runtime.backends import cluster_worker, wire
 from repro.runtime.backends.arrays import Arena, ArrayLedger, declared_bytes
-from repro.runtime.backends.pool import _execute
+from repro.runtime.backends.pool import _PoolCrew, _execute
 
 from tests.test_backends import FAULTY, functional_step, summarize, task
 from tests.test_obs import gauges
@@ -294,44 +294,54 @@ class _InProcessWorker:
         pass
 
 
+class _InProcessCrew(_PoolCrew):
+    """A pool crew bound to the one scripted backend that forked it."""
+
+    def whole(self):
+        return False
+
+    def stop(self):
+        super().stop()
+        for arena in self.worker_arenas:
+            arena.close()
+
+
 class ScriptedPool(ProcessPoolBackend):
-    """The pool's submit / poll / stop, ledger and arena -- unchanged -- with
-    the worker side (``pool._execute``, one ``Arena`` per worker) run in
-    this process the moment a job is enqueued.  ``route(backend, result)``
+    """The pool's submit / poll / reset / end, ledger and arena -- unchanged --
+    with the worker side (``pool._execute``, one ``Arena`` per worker) run
+    in this process the moment a job is enqueued.  ``route(backend, result)``
     decides when each result reaches the result queue."""
 
     def __init__(self, route=None, workers=2):
         super().__init__(workers=workers, poll_interval=0.0)
-        self.route = route or (lambda backend, result: backend._outq.put(result))
+        self.route = route or (lambda backend, result: backend._crew.outq.put(result))
         self.parent_puts = []
 
-    def start(self, run):
-        prefix, chunk_bytes = Arena.new_prefix(), declared_bytes(run.graph)
-        self.prefix = prefix
-        self._arena = Arena(prefix, "p", chunk_bytes)
-        put = self._arena.put
-        self._arena.put = lambda arr: self.parent_puts.append(arr) or put(arr)
-        self.worker_arenas = [Arena(prefix, str(w), chunk_bytes) for w in range(self.workers)]
-        self._procs = [_InProcessWorker() for _ in range(self.workers)]
-        registry = {t.name: t for t in run.graph.topological_order()}
-
+    def fork(self, run, bodies):
         def on_put(msg):
             if msg[0] != "task":
                 return
             wid = msg[1] % self.workers
-            result = _execute(self.worker_arenas[wid], registry, run.faults, run.retry, msg)
+            prefix, chunk_bytes = msg[-1]
+            if crew.worker_arenas[wid].prefix != prefix:
+                crew.worker_arenas[wid] = Arena(prefix, str(wid), chunk_bytes)
+            result = _execute(crew.worker_arenas[wid], bodies, run.faults, run.retry, msg)
             self.route(self, ("result", msg[1], wid, result))
 
-        self._inq, self._outq = _Jobs(on_put), _Inbox()
-        return self.workers
+        crew = self.forked = _InProcessCrew(self.workers, _Jobs(on_put), _Inbox())
+        crew.procs = [_InProcessWorker() for _ in range(self.workers)]
+        crew.worker_arenas = [Arena("", str(w), 0) for w in range(self.workers)]
+        return crew
+
+    def reset(self, run):
+        super().reset(run)
+        arena = self._crew.arena
+        self.prefix = arena.prefix
+        put = arena.put
+        arena.put = lambda arr: self.parent_puts.append(arr) or put(arr)
 
     def idle(self, waiting):
         assert False, "a scripted result was never routed"
-
-    def stop(self):
-        super().stop()
-        for arena in getattr(self, "worker_arenas", ()):
-            arena.close()
 
 
 @needs_shm
@@ -357,7 +367,8 @@ class TestPoolDataPlane:
     def test_results_are_thawed_and_the_ledger_dropped_at_close(self, shm_clean):
         backend = ScriptedPool()
         run = run_program(fan_graph(3), {"x": np.ones(4)}, backend=backend)
-        assert not backend._ledger._entries and backend._arena is None
+        assert not backend._ledger._entries and backend._crew is None
+        assert backend.forked.arena is None
         for arr in run.variables.values():
             assert arr.flags.writeable and arr.flags.owndata
 
@@ -373,7 +384,7 @@ class TestPoolDataPlane:
                 x[0] = 99.0
             except ValueError as exc:
                 attempts.append(str(exc))
-            b._outq.put(result)
+            b._crew.outq.put(result)
 
         backend.route = route
         run_program(fan_graph(2), {"x": np.ones(4)}, backend=backend)
@@ -391,7 +402,7 @@ class TestPoolDataPlane:
         def route(backend, result):
             chunks.append(sorted(n for n in os.listdir(SHM)
                                  if n.startswith(backend.prefix + "0-")))
-            backend._outq.put(result)
+            backend._crew.outq.put(result)
 
         run = run_program(graph, {"x": np.ones(1)}, backend=ScriptedPool(route, workers=1))
         assert summarize(run) == summarize(serial)
@@ -419,8 +430,8 @@ class TestPoolDataPlane:
             held.append(result)
             if len(held) == want[0]:
                 for i in data.draw(st.permutations(range(len(held)))):
-                    backend._outq.put(held[i])
-                    backend._outq.put(stale)
+                    backend._crew.outq.put(held[i])
+                    backend._crew.outq.put(stale)
                 held.clear()
                 want[0] = next(batches, 0)
 
@@ -504,7 +515,7 @@ class TestNothingIsLeftBehind:
         backend = ProcessPoolBackend(workers=2)
         with pytest.raises(OSError, match="temporarily unavailable"):
             run_program(fan_graph(2), {"x": np.ones(4)}, backend=backend)
-        assert backend._arena is None and backend._procs == []
+        assert backend._crew is None
         assert not calls[0].is_alive()
 
 

@@ -20,7 +20,7 @@ from repro.obs import Instrumentation
 from repro.recovery import SpeculationPolicy
 from repro.runtime import run_program
 from repro.runtime.backends.attempts import run_job
-from repro.runtime.backends.driver import DriverBackend
+from repro.runtime.backends.driver import Crew, DriverBackend
 
 from tests.test_backends import summarize, task
 from tests.test_faults import chain_graph
@@ -59,8 +59,11 @@ class InMemoryBackend(DriverBackend):
         payload["outputs"] = payload.pop("produced")
         return (job.jid, worker, payload)
 
-    def start(self, run):
-        return 2
+    def fork(self, run, bodies):
+        return Crew(2)
+
+    def reset(self, run):
+        pass
 
     def submit(self, jobs):
         for job in jobs:
@@ -76,7 +79,7 @@ class InMemoryBackend(DriverBackend):
         self.idles += 1
         assert self.idles < 200_000, "driver spins: a result was never routed"
 
-    def stop(self):
+    def end(self):
         # close() calls this first: what the driver still tracks by then
         self.jobs_at_stop = sorted(self._jobs)
         self.inbox.clear()

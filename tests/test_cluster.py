@@ -539,7 +539,7 @@ SUBPROCESS_ENV = dict(
 
 def worker_pids(backend: ClusterBackend):
     """Live mapping of worker id to process id (forked workers only)."""
-    return {wid: p.pid for wid, p in backend._procs.items() if p.is_alive()}
+    return {wid: p.pid for wid, p in backend._crew.procs.items() if p.is_alive()}
 
 
 def external_program():
@@ -581,13 +581,12 @@ class TestCoordinatorOnTheDriversThread:
         monkeypatch.setattr(_Coordinator, "_mark_lost", spy)
 
         class WithStalledPeer(ClusterBackend):
-            def start(self, run):
-                n = super().start(run)
+            def reset(self, run):
+                super().reset(run)
                 self.peer = socket.create_connection(self.coordinator_address)
                 send_message(self.peer, {"type": "hello", "worker": 99, "pid": 0})
                 self.peer.sendall(struct.pack("!I", 64) + b"abc")
                 self.stalled_at = time.monotonic()
-                return n
 
         backend = WithStalledPeer(
             workers=2, heartbeat_timeout=0.3, poll_interval=0.005,
@@ -645,10 +644,9 @@ class TestCoordinatorOnTheDriversThread:
         serial = run_program(body, dict(store))
 
         class Away(ClusterBackend):
-            def start(self, run):
-                n = super().start(run)
+            def reset(self, run):
+                super().reset(run)
                 time.sleep(1.0)
-                return n
 
         obs = Instrumentation()
         cluster = run_program(
