@@ -22,9 +22,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .base import ODESolution, integrate_fixed
 from .problems import ODEProblem
@@ -35,6 +32,10 @@ __all__ = ["diirk_step", "solve_diirk"]
 
 def _make_solver(M) -> Callable[[np.ndarray], np.ndarray]:
     """Factorise ``M`` once; returns a solve closure."""
+    import scipy.linalg as sla
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if sp.issparse(M):
         lu = spla.splu(M.tocsc())
         return lu.solve
@@ -54,6 +55,8 @@ def diirk_step(
     gamma: Optional[float] = None,
 ) -> Tuple[np.ndarray, int, int]:
     """One DIIRK step; returns ``(y_next, iterations_I, f_evaluations)``."""
+    import scipy.sparse as sp
+
     s = tab.stages
     n = len(y)
     g = gamma if gamma is not None else float(np.mean(np.diag(tab.A)))

@@ -75,6 +75,11 @@ def _eval_cond(cond: Compare, store: Dict[str, np.ndarray], consts: Dict[str, in
     }[cond.op]
 
 
+def _time(store: Dict[str, np.ndarray], problem: ODEProblem) -> float:
+    """The integration time a program's store holds."""
+    return float(np.atleast_1d(store.get("t", np.array([problem.t0])))[0])
+
+
 def _solution_name(loop: MTask) -> str:
     """Name of a program's solution variable (``eta_k`` for EPOL)."""
     params = {p.name for p in loop.params}
@@ -189,9 +194,15 @@ def integrate_functional(
     counts: Dict[str, int] = {}
     moved = 0
 
-    # 2. time stepping
+    # 2. time stepping; the program's bound is ``ceil(t_end)``, so a
+    # fractional ``t_end`` also ends the loop, within the tolerance of
+    # ``integrate_fixed``
     steps = 0
-    while _eval_cond(cond, store, result.consts) and steps < max_steps:
+    while (
+        _eval_cond(cond, store, result.consts)
+        and _time(store, problem) < cfg.t_end - 1e-14
+        and steps < max_steps
+    ):
         run = run_program(body, store, backend=backend)
         store.update(run.variables)
         for op, k in run.stats.collective_counts().items():
@@ -201,9 +212,8 @@ def integrate_functional(
     if steps >= max_steps:
         raise RuntimeError(f"loop did not terminate within {max_steps} steps")
 
-    t_final = float(np.atleast_1d(store.get("t", np.array([problem.t0])))[0])
     return FunctionalIntegration(
-        t=t_final,
+        t=_time(store, problem),
         y=np.asarray(store[_solution_name(loop)]),
         steps=steps,
         collective_counts=counts,

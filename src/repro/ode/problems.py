@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["ODEProblem", "bruss2d", "schroed"]
 
@@ -102,6 +101,8 @@ def bruss2d(N: int = 32, alpha: float = 2e-3) -> ODEProblem:
         return np.concatenate([du.ravel(), dv.ravel()])
 
     def jac(t: float, y: np.ndarray):
+        import scipy.sparse as sp
+
         m = N * N
         u = y[:m]
         v = y[m:]
@@ -132,8 +133,10 @@ def bruss2d(N: int = 32, alpha: float = 2e-3) -> ODEProblem:
     )
 
 
-def _laplace_matrix(N: int) -> sp.csr_matrix:
-    """5-point Neumann Laplacian on an ``N x N`` grid (row-major)."""
+def _laplace_matrix(N: int):
+    """5-point Neumann Laplacian on an ``N x N`` grid (row-major), CSR."""
+    import scipy.sparse as sp
+
     main = np.full(N, -2.0)
     main[0] = main[-1] = -1.0  # edge replication folded into the diagonal
     off = np.ones(N - 1)

@@ -439,7 +439,11 @@ def _diirk_functional(problem: ODEProblem, cfg: MethodConfig) -> Dict[str, TaskC
 def _jacobi_functional(
     problem: ODEProblem, cfg: MethodConfig, tab, implicit: bool
 ) -> Dict[str, TaskCost]:
-    import scipy.sparse as sp
+    if implicit:
+        # at build time, so forked workers inherit scipy instead of
+        # loading it inside a task
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
 
     f, n, h0 = problem.f, problem.n, cfg.h
     K = tab.stages
@@ -472,7 +476,7 @@ def _jacobi_functional(
         J = problem.jac(t, eta)
         if sp.issparse(J):
             M = sp.identity(n, format="csc") - (h * gamma) * J.tocsc()
-            delta = sp.linalg.spsolve(M, target - mu[l - 1])
+            delta = spla.spsolve(M, target - mu[l - 1])
         else:
             M = np.eye(n) - (h * gamma) * np.asarray(J)
             delta = np.linalg.solve(M, target - mu[l - 1])

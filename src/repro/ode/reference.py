@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .problems import ODEProblem
 
@@ -28,6 +27,8 @@ def reference_solution(
     exact = getattr(problem, "exact", None)
     if exact is not None:
         return np.asarray(exact(t_end))
+    from scipy.integrate import solve_ivp
+
     if method is None:
         method = "RK45"
     res = solve_ivp(

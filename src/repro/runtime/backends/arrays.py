@@ -22,6 +22,7 @@ transport move each *array version* at most once per destination:
 from __future__ import annotations
 
 import os
+import threading
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -35,6 +36,10 @@ _ALIGN = 64
 #: ``(chunk name, byte offset, shape, dtype)`` -- how an array in the
 #: arena travels in a job or result message
 Descriptor = Tuple[str, int, Tuple[int, ...], str]
+
+#: held around the tracker swap of :func:`_attach` and the create of
+#: :meth:`Arena.grow`, so no chunk is created while ``register`` is a no-op
+_TRACKER_LOCK = threading.Lock()
 
 
 def _aligned(nbytes: int) -> int:
@@ -100,19 +105,24 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     the safe protocol is exactly one register (the creator's) and one
     unregister (the final ``unlink``) per chunk.  Python 3.13 exposes
     ``track=False`` for this; on older versions the tracker's
-    ``register`` is swapped for a no-op around the attach (the worker
-    loop and the parent's driver loop are single-threaded, so the swap
-    cannot race).
+    ``register`` is swapped for a no-op around the attach.  The swap is
+    process-wide, so it holds ``_TRACKER_LOCK``, which
+    :meth:`Arena.grow` holds around its create: a chunk another thread
+    creates meanwhile is registered once the swap is undone.  Not
+    guarded: a process that forks while another of its threads holds
+    the lock hands the child a held copy, and the child's next attach
+    or create waits for good.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # pragma: no cover - depends on Python version
-        register = resource_tracker.register
-        resource_tracker.register = lambda *a, **k: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = register
+        with _TRACKER_LOCK:
+            register = resource_tracker.register
+            resource_tracker.register = lambda *a, **k: None
+            try:
+                return shared_memory.SharedMemory(name=name)
+            finally:
+                resource_tracker.register = register
 
 
 class Arena:
@@ -122,10 +132,10 @@ class Arena:
     ``owner`` is ``"p"`` for the parent and the worker id for a worker,
     ``k`` counts that owner's chunks from 0.  Every process allocates
     only in its own chunks (:meth:`put`, a bump pointer -- nothing is
-    freed before the run ends, so no lock and no free list) and reads
-    anybody's (:meth:`view`), attaching a chunk the first time a
-    descriptor names it.  A chunk is ``chunk_bytes`` long, or as long as
-    the array that did not fit.
+    freed before the run ends, so no free list and no lock between
+    processes) and reads anybody's (:meth:`view`), attaching a chunk
+    the first time a descriptor names it.  A chunk is ``chunk_bytes``
+    long, or as long as the array that did not fit.
 
     Ownership follows the single-owner protocol of :func:`_attach`: the
     creator registers a chunk with the resource tracker, everybody else
@@ -156,11 +166,12 @@ class Arena:
         :meth:`put` calls it when an array does not fit; a worker calls
         it once before its first job, while it has nothing else to do.
         """
-        self._tail = shared_memory.SharedMemory(
-            name=f"{self.prefix}{self.owner}-{self._created}",
-            create=True,
-            size=max(self.chunk_bytes, nbytes),
-        )
+        with _TRACKER_LOCK:
+            self._tail = shared_memory.SharedMemory(
+                name=f"{self.prefix}{self.owner}-{self._created}",
+                create=True,
+                size=max(self.chunk_bytes, nbytes),
+            )
         self._open[self._tail.name] = self._tail
         self._created += 1
         self._offset = 0

@@ -7,14 +7,17 @@ through the ``backend_bytes_shipped_total`` / ``backend_arrays_reused_total``
 gauges.  Every test that creates shared memory asserts ``/dev/shm`` is
 back to what it was."""
 
+import collections
 import gc
 import os
 import pickle
 import queue
 import socket
 import struct
+import sys
 import threading
 import weakref
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from repro.obs import Instrumentation
 from repro.ode import MethodConfig
 from repro.runtime import ClusterBackend, ProcessPoolBackend, run_program
 from repro.runtime.backends import cluster_worker, wire
-from repro.runtime.backends.arrays import Arena, ArrayLedger, declared_bytes
+from repro.runtime.backends.arrays import Arena, ArrayLedger, _attach, declared_bytes
 from repro.runtime.backends.pool import _PoolCrew, _execute
 
 from tests.test_backends import FAULTY, functional_step, summarize, task
@@ -160,6 +163,43 @@ class TestArena:
         lost.grow(5000)  # two chunks the parent never saw a descriptor of
         lost.close()
         parent.destroy(["p", "0", "1"])  # owner "0" never created anything
+
+    def test_a_chunk_created_during_an_attach_is_registered(self, shm_clean, monkeypatch):
+        """One thread attaches in a loop while another creates chunks:
+        each created chunk is registered with the resource tracker
+        exactly once (before Python 3.13 an attach swaps the tracker's
+        ``register`` for a no-op, process-wide)."""
+        prefix = Arena.new_prefix()
+        seen, maker = Arena(prefix, "p", 64), Arena(prefix, "1", 64)
+        seen.grow()
+        registered = []
+        register = resource_tracker.register
+        monkeypatch.setattr(resource_tracker, "register",
+                            lambda name, rtype: registered.append(name.lstrip("/"))
+                            or register(name, rtype))
+        stop = threading.Event()
+
+        def attach():
+            while not stop.is_set():
+                _attach(f"{prefix}p-0").close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        attacher = threading.Thread(target=attach)
+        attacher.start()
+        try:
+            for _ in range(300):
+                maker.grow()
+        finally:
+            stop.set()
+            attacher.join(timeout=60)
+            sys.setswitchinterval(interval)
+            maker.close()
+            seen.destroy(["p", "1"])
+        assert not attacher.is_alive()
+        created = [f"{prefix}1-{k}" for k in range(300)]
+        counts = collections.Counter(registered)
+        assert [counts[name] for name in created] == [1] * 300
 
     def test_declared_bytes_covers_every_parameter(self):
         graph = fan_graph(3)

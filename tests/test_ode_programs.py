@@ -13,6 +13,7 @@ from repro.ode import (
     bruss2d,
     build_ode_program,
     counts_from_step_graph,
+    functional_step,
     integrate_functional,
     reference_solution,
     relative_error,
@@ -25,6 +26,7 @@ from repro.ode import (
     table1_expected,
 )
 from repro.experiments.common import paper_group_count
+from repro.runtime import run_program
 from repro.scheduling import (
     LayerBasedScheduler,
     build_layers,
@@ -198,3 +200,31 @@ class TestAdaptiveFunctionalEPOL:
         cfg = MethodConfig("epol", K=4, t_end=1.0, h=0.05)
         fi = integrate_functional(lin, cfg)
         assert fi.steps == 20
+
+
+class TestFunctionalTimeBound:
+    """The programs loop ``while (t < Tend)`` with ``Tend = ceil(t_end)``;
+    the integration also stops once ``t`` reaches ``t_end``, within the
+    tolerance of the sequential solvers' ``integrate_fixed``."""
+
+    def test_fractional_t_end_stops_there(self):
+        p = bruss2d(6)
+        half = integrate_functional(p, MethodConfig("irk", K=3, m=2, t_end=0.5, h=0.05))
+        _, _, body, store = functional_step(p, MethodConfig("irk", K=3, m=2, t_end=1.0, h=0.05))
+        for _ in range(10):
+            store.update(run_program(body, store).variables)
+        assert half.steps == 10 and half.t == pytest.approx(0.5, abs=1e-14)
+        assert half.t == float(store["t"][0])
+        assert half.y.tobytes() == store["eta"].tobytes()
+
+    def test_integer_t_end_unchanged(self):
+        full = integrate_functional(bruss2d(6), MethodConfig("irk", K=3, m=2, t_end=1.0, h=0.05))
+        assert full.steps == 20 and full.t == 1.0000000000000002
+
+    def test_step_count_matches_the_sequential_solver(self, lin):
+        """Ten steps of 0.1 sum to 0.9999999999999999 < 1: the program's
+        own condition would take an eleventh step to t = 1.1."""
+        fi = integrate_functional(lin, MethodConfig("irk", K=3, m=5, t_end=1.0, h=0.1))
+        seq = solve_irk(lin, 1.0, 0.1, K=3, m=5)
+        assert fi.steps == seq.steps == 10 and fi.t == seq.t
+        np.testing.assert_allclose(fi.y, seq.y, rtol=0, atol=1e-14)
