@@ -18,7 +18,6 @@ from repro.scheduling import (
     contract_chains,
     find_linear_chains,
     fixed_group_scheduler,
-    symbolic_timeline,
 )
 from repro.spec import TaskCost, build_program
 
@@ -97,10 +96,10 @@ def main() -> None:
         print(f"  {label:<38s} groups={mid.group_sizes}  "
               f"est. step time {makespan * 1e3:7.2f} ms")
 
-    auto = LayerBasedScheduler(cost).schedule(body).layered
-    makespan = symbolic_timeline(auto, cost).makespan
+    auto = LayerBasedScheduler(cost).schedule(body)
+    makespan = auto.symbolic_timeline(cost).makespan
     print(f"  {'Algorithm 1 (searched g)':<38s} "
-          f"groups={auto.layers[1].group_sizes}  est. step time {makespan * 1e3:7.2f} ms")
+          f"groups={auto.layered.layers[1].group_sizes}  est. step time {makespan * 1e3:7.2f} ms")
 
 
 if __name__ == "__main__":

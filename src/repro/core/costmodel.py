@@ -157,12 +157,11 @@ class CostModel:
         priced by one call (:func:`repro.core.costbatch.stacked_cost_tables`)."""
         return stacked_cost_tables(self.tsymb_table, requests)
 
-    def sequential_times(self, tasks: Sequence[MTask]) -> List[float]:
-        """``[sequential_time(t) for t in tasks]``, from the work column
-        when ``tasks`` is a :class:`~repro.core.costbatch.TaskTable`."""
-        if isinstance(tasks, TaskTable):
-            return (tasks.work / self.core_rate).tolist()
-        return [self.sequential_time(t) for t in tasks]
+    def sequential_times(self, tasks: TaskTable) -> List[float]:
+        """``[sequential_time(t) for t in tasks]`` of a
+        :class:`~repro.core.costbatch.TaskTable` row view, from its work
+        column."""
+        return (tasks.work / self.core_rate).tolist()
 
     def tsymb_pairs(self, tasks: Sequence[MTask], widths: Sequence[int]):
         """``[tsymb(t, q) for t, q in zip(tasks, widths)]`` as one numpy
@@ -466,10 +465,10 @@ class CachedCostEvaluator:
             self.stats._bump(self.stats.hits, keys[0][0], len(keys) - len(missing))
         return [cache[k] for k in keys]
 
-    def sequential_times(self, tasks: Sequence[MTask]) -> List[float]:
-        """``[self.sequential_time(t) for t in tasks]`` in one pass over
-        the memo (:meth:`_memo_batch`); the misses of a
-        :class:`~repro.core.costbatch.TaskTable` are a row view of it."""
+    def sequential_times(self, tasks: TaskTable) -> List[float]:
+        """``[self.sequential_time(t) for t in tasks]`` of a
+        :class:`~repro.core.costbatch.TaskTable` row view in one pass over
+        the memo (:meth:`_memo_batch`); the misses are a row view of it."""
         return self._memo_batch(
             [("sequential_time", t) for t in tasks],
             lambda pos: self.model.sequential_times(_picked(tasks, pos)),

@@ -10,7 +10,7 @@ from .allocation import (
     equal_partition,
 )
 from .amtha import AMTHAScheduler
-from .base import Scheduler, SchedulingResult, symbolic_timeline
+from .base import Scheduler, SchedulingResult
 from .baselines import (
     data_parallel_scheduler,
     fixed_group_scheduler,
@@ -43,7 +43,6 @@ __all__ = [
     "SCHEDULERS",
     "Scheduler",
     "SchedulingResult",
-    "symbolic_timeline",
     "LayerBasedScheduler",
     "AMTHAScheduler",
     "MoldableLayerScheduler",

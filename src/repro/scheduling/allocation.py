@@ -15,9 +15,7 @@ import heapq
 import math
 from collections import deque
 from itertools import islice
-from typing import Callable, List, Optional, Sequence, Tuple
-
-from ..core.task import MTask
+from typing import List, Sequence, Tuple
 
 __all__ = [
     "equal_partition",
@@ -83,45 +81,31 @@ def lpt_assign_indices(
 
 
 def adjust_group_sizes(
-    groups: Sequence[Sequence[MTask]],
-    seq_work: Callable[[MTask], float],
-    total_cores: int,
-    tseq: Optional[Sequence[float]] = None,
-    floors: Optional[Sequence[int]] = None,
+    tseq: Sequence[float], floors: Sequence[int], total_cores: int
 ) -> List[int]:
     """Group adjustment: sizes proportional to accumulated sequential work.
 
-    ``g_l = P * Tseq(G_l) / sum_j Tseq(G_j)`` apportioned by the largest
-    remainder (floor everyone, hand the leftover cores to the largest
-    fractional parts), so the sizes sum to ``total_cores``, every group
-    keeps at least one core, and no group shrinks below the ``min_procs``
-    of its widest task.  Largest remainder avoids Python's banker's
-    rounding (``round(2.5) == 2``), which biased ``.5`` ideals toward
-    even group sizes.
-
-    ``tseq`` optionally supplies the per-group accumulated sequential
-    work (one float per group, summed in group order); callers that
-    already hold batch-evaluated costs pass it to skip the per-task
-    ``seq_work`` probes; ``floors`` likewise the per-group largest
-    ``min_procs``, which a caller holding the tasks' bound columns has
-    at hand.  The repair loops run in ``O(g log g + d)`` for
-    a core deficit ``d`` -- groups are ordered once and cycled through a
-    deque, never re-sorted or re-scanned.
+    ``tseq`` holds each group's accumulated sequential work ``Tseq(G_l)``
+    (its tasks' sequential times summed in group order) and ``floors``
+    the largest ``min_procs`` of its tasks.
+    ``g_l = P * Tseq(G_l) / sum_j Tseq(G_j)`` is apportioned by the
+    largest remainder (floor everyone, hand the leftover cores to the
+    largest fractional parts), so the sizes sum to ``total_cores``, every
+    group keeps at least one core, and no group shrinks below its floor.
+    Largest remainder avoids Python's banker's rounding
+    (``round(2.5) == 2``), which biased ``.5`` ideals toward even group
+    sizes.  The repair loops run in ``O(g log g + d)`` for a core deficit
+    ``d`` -- groups are ordered once and cycled through a deque, never
+    re-sorted or re-scanned.
     """
-    g = len(groups)
+    g = len(tseq)
+    if len(floors) != g:
+        raise ValueError(f"floors has {len(floors)} entries for {g} groups")
     if g == 0:
         return []
     if g > total_cores:
         raise ValueError(f"{g} groups cannot share {total_cores} cores")
-    if tseq is None:
-        tseq = [sum(seq_work(t) for t in grp) for grp in groups]
-    else:
-        tseq = list(tseq)
-        if len(tseq) != g:
-            raise ValueError(f"tseq has {len(tseq)} entries for {g} groups")
     total_work = sum(tseq)
-    if floors is None:
-        floors = [max((t.min_procs for t in grp), default=1) for grp in groups]
     floors = [max(f, 1) for f in floors]
     if sum(floors) > total_cores:
         raise ValueError("min_procs constraints exceed the available cores")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ from ..core.schedule import LayeredSchedule, Schedule, ScheduledTask
 from ..core.task import MTask
 from ..obs import Instrumentation
 
-__all__ = ["Scheduler", "SchedulingResult", "symbolic_timeline"]
+__all__ = ["Scheduler", "SchedulingResult"]
 
 
 @dataclass
@@ -55,9 +56,9 @@ class SchedulingResult:
     trace: Optional[object] = None
     #: free-form per-run statistics (probe counts, iterations, ...)
     stats: Dict[str, float] = field(default_factory=dict)
-    #: cost columns of the scheduled graph's tasks, when the scheduler
-    #: built them (the layer-based one does); pricing the result reads
-    #: its members' rows instead of tabulating them again
+    #: cost columns of the scheduled graph's tasks; a layered result
+    #: always carries the table its scheduler built, and pricing it
+    #: reads its members' rows instead of tabulating them again
     table: Optional[TaskTable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -70,6 +71,8 @@ class SchedulingResult:
                 "SchedulingResult carries either a layered schedule or a "
                 "timeline, not both"
             )
+        if self.layered is not None and self.table is None:
+            raise ValueError("a layered SchedulingResult needs its TaskTable")
 
     # ------------------------------------------------------------------
     @property
@@ -99,13 +102,15 @@ class SchedulingResult:
     def symbolic_timeline(self, cost: CostModel) -> Schedule:
         """The symbolic-core timeline the scheduling phase reasoned about.
 
-        For layered results this runs :func:`symbolic_timeline`; timeline
-        results already are one (contracted chains expanded to their
-        members); dynamic results rebuild a symbolic view from the
+        For layered results this is :meth:`_walk_layers`' timeline;
+        timeline results already are one (contracted chains expanded to
+        their members); dynamic results rebuild a symbolic view from the
         trace's physical cores.
         """
         if self.layered is not None:
-            return symbolic_timeline(self.layered, cost, self.table)
+            out = Schedule(self.layered.nprocs)
+            self._walk_layers(cost, out)
+            return out
         if self.timeline is not None:
             if not self.expansion:
                 return self.timeline
@@ -141,12 +146,58 @@ class SchedulingResult:
     def predicted_makespan(self, cost: CostModel) -> float:
         """Makespan of the symbolic timeline (the scheduler's estimate).
 
-        A layered result is summed directly (:func:`_layered_makespan`),
-        without building the timeline's ``ScheduledTask`` entries.
+        A layered result is summed by :meth:`_walk_layers` without
+        building the timeline's ``ScheduledTask`` entries.
         """
         if self.layered is not None:
-            return _layered_makespan(self.layered, cost, self.table)
+            return self._walk_layers(cost)
         return self.symbolic_timeline(cost).makespan
+
+    def _walk_layers(self, cost: CostModel, out: Optional[Schedule] = None) -> float:
+        """The symbolic makespan of a layered result (Algorithm 1).
+
+        Uses the symbolic cost ``Tsymb`` (default mapping pattern); layers
+        are separated by a barrier, groups execute their tasks one after
+        another -- contracted chains expanded to their members, each
+        priced at its own clamped width.  This is the makespan the
+        *scheduling* phase reasons about; the simulator recomputes the
+        real timeline after mapping.  All pairs are priced by one
+        ``cost.tsymb_pairs`` call on a row view of :attr:`table`.  With
+        ``out``, each member's ``ScheduledTask`` is added to it, so the
+        timeline and the makespan come from the same float operations.
+        Returns the last layer's end.
+        """
+        layers = self.layered.layers
+        expand = self.layered.expansion.get
+        members, sizes, counts = [], [], []  # counts: members per group
+        for layer in layers:
+            for size, tasks in zip(layer.group_sizes, layer.groups):
+                for task in tasks:
+                    members += expand(task, (task,))
+                counts.append(len(members) - len(sizes))
+                sizes += [size] * counts[-1]
+        index = {t: i for i, t in enumerate(self.table.tasks)}
+        rows = self.table.take([index[m] for m in members], members)
+        size = np.array(sizes, dtype=np.int64)
+        short = np.flatnonzero(size < rows.min_procs)
+        if len(short):  # the first member given too few cores raises its error
+            members[short[0]].clamp_procs(sizes[short[0]])
+        widths = np.minimum(size, rows.max_procs).tolist()
+        priced = zip(members, widths, cost.tsymb_pairs(rows, widths))
+        per_group = iter(counts)
+        t_layer = 0.0
+        for layer in layers:
+            layer_end = t_layer
+            # zip draws from ``per_group`` only while the layer has ranges left
+            for cores, count in zip(layer.symbolic_ranges(), per_group):
+                t = t_layer
+                for m, width, dur in islice(priced, count):
+                    if out is not None:
+                        out.add(ScheduledTask(m, t, t + dur, tuple(cores[:width])))
+                    t += dur
+                layer_end = max(layer_end, t)
+            t_layer = layer_end
+        return t_layer
 
 
 class Scheduler(abc.ABC):
@@ -154,9 +205,8 @@ class Scheduler(abc.ABC):
 
     Concrete schedulers implement :meth:`_plan` and set ``cost`` (the
     cost model binding the target platform).  :meth:`schedule` wraps the
-    run in an instrumentation span and normalizes the contract: every
-    scheduler returns a :class:`SchedulingResult`, never a raw
-    ``LayeredSchedule`` or ``Schedule``.
+    run in an instrumentation span; every scheduler returns a
+    :class:`SchedulingResult`.
     """
 
     #: cost model bound to the target platform (set by subclasses)
@@ -180,122 +230,8 @@ class Scheduler(abc.ABC):
         """Compute a schedule for ``graph`` on the scheduler's platform."""
         obs = obs if obs is not None else Instrumentation()
         with obs.span("schedule", scheduler=self.name):
-            result = self._plan(graph, obs)
-        if not isinstance(result, SchedulingResult):
-            raise TypeError(
-                f"{self.name}._plan returned {type(result).__name__}; "
-                "returning raw LayeredSchedule/Schedule objects is no longer "
-                "supported -- wrap the artefact in a SchedulingResult"
-            )
-        return result
+            return self._plan(graph, obs)
 
     @abc.abstractmethod
     def _plan(self, graph: TaskGraph, obs: Instrumentation) -> SchedulingResult:
         """Algorithm body; must return a :class:`SchedulingResult`."""
-
-
-def _priced_groups(
-    schedule: LayeredSchedule, cost: CostModel, table: Optional[TaskTable] = None
-):
-    """Member durations of a layered schedule, group by group.
-
-    An iterator with one item per group of every layer, in order: the
-    ``(member, width, Tsymb(member, width))`` triples of the group's
-    tasks in execution order -- contracted chains expanded to their
-    members, each priced at its own clamped width.  All pairs of the
-    schedule are priced by one ``cost.tsymb_pairs`` call, on a row view
-    of ``table`` when it holds every member (the clamps then read its
-    bound columns too); :func:`symbolic_timeline` and
-    :func:`_layered_makespan` both read their durations from here.
-    """
-    members: List[MTask] = []
-    sizes: List[int] = []
-    ends: List[int] = []
-    expand = schedule.expansion.get
-    for layer in schedule.layers:
-        for size, tasks in zip(layer.group_sizes, layer.groups):
-            for task in tasks:
-                chain = expand(task)
-                if chain is None:
-                    members.append(task)
-                else:
-                    members += chain
-            sizes += [size] * (len(members) - len(sizes))
-            ends.append(len(members))
-    rows = _member_rows(table, members, sizes)
-    if rows is None:
-        widths = [m.clamp_procs(size) for m, size in zip(members, sizes)]
-        priced = cost.tsymb_pairs(members, widths)
-    else:
-        rows, widths = rows
-        priced = cost.tsymb_pairs(rows, widths)
-    priced = list(zip(members, widths, priced))
-    return (priced[lo:hi] for lo, hi in zip([0] + ends, ends))
-
-
-def _member_rows(table: Optional[TaskTable], members: List[MTask], sizes: List[int]):
-    """``(rows, widths)``: the row view of ``members`` in ``table`` and
-    their widths ``m.clamp_procs(size)`` from its bound columns -- or
-    ``None`` without a table, when a member has no row, or when a width
-    is below a member's ``min_procs`` (the scalar clamp then raises)."""
-    if table is None or not members:
-        return None
-    index = {t: i for i, t in enumerate(table.tasks)}
-    at = [index.get(m, -1) for m in members]
-    if min(at) < 0:
-        return None
-    rows = table.take(at, members)
-    size = np.array(sizes, dtype=np.int64)
-    if (size < rows.min_procs).any():
-        return None
-    return rows, np.minimum(size, rows.max_procs).tolist()
-
-
-def symbolic_timeline(
-    schedule: LayeredSchedule, cost: CostModel, table: Optional[TaskTable] = None
-) -> Schedule:
-    """Estimate a start/finish timeline for a layered schedule.
-
-    Uses the symbolic cost ``Tsymb`` (default mapping pattern); layers are
-    separated by a barrier, groups execute their tasks one after another.
-    This is the makespan the *scheduling* phase reasons about -- the
-    simulator recomputes the real timeline after mapping.  ``table``
-    optionally holds the members' cost columns (see :func:`_priced_groups`).
-    """
-    out = Schedule(schedule.nprocs)
-    groups = _priced_groups(schedule, cost, table)
-    t_layer = 0.0
-    for layer in schedule.layers:
-        layer_end = t_layer
-        # zip draws from ``groups`` only while the layer has ranges left
-        for cores, priced in zip(map(tuple, layer.symbolic_ranges()), groups):
-            t = t_layer
-            for m, width, dur in priced:
-                out.add(ScheduledTask(m, t, t + dur, cores[:width]))
-                t += dur
-            layer_end = max(layer_end, t)
-        t_layer = layer_end
-    return out
-
-
-def _layered_makespan(
-    schedule: LayeredSchedule, cost: CostModel, table: Optional[TaskTable] = None
-) -> float:
-    """``symbolic_timeline(schedule, cost).makespan`` without the timeline.
-
-    Reads the same durations (:func:`_priced_groups`) and adds them with
-    the same float operations, so the value (and a caching evaluator's
-    request counts) equal the timeline's exactly;
-    ``tests/test_schedule_scale.py`` pins both.
-    """
-    groups = _priced_groups(schedule, cost, table)
-    t_layer = 0.0
-    for layer in schedule.layers:
-        layer_end = t_layer
-        for _, priced in zip(layer.groups, groups):
-            t = t_layer
-            for _m, _width, dur in priced:
-                t += dur
-            layer_end = max(layer_end, t)
-        t_layer = layer_end
-    return t_layer

@@ -118,15 +118,7 @@ class LayerBasedScheduler(Scheduler):
             return []
         P = self.nprocs
         max_minp = int(rows.min_procs.max())
-        feasible = []
-        for g in self._candidates(len(rows)):
-            if g <= 0:
-                # matches the scalar path: probing a degenerate group
-                # count fails inside equal_partition
-                equal_partition(P, g)
-            if max_minp <= P // g:
-                feasible.append(g)
-        return feasible
+        return [g for g in self._candidates(len(rows)) if max_minp <= P // g]
 
     def _widths(self, feasible: Sequence[int]) -> List[int]:
         """The ascending raw widths of every ``Tsymb`` column the
@@ -345,9 +337,7 @@ class LayerBasedScheduler(Scheduler):
                 tseq = [sum(islice(seq, len(grp))) for grp in groups]
                 minp = rows.min_procs.tolist()
                 floors = [max(map(minp.__getitem__, grp)) for grp in idx_groups]
-                sizes = adjust_group_sizes(
-                    groups, self.cost.sequential_time, P, tseq, floors
-                )
+                sizes = adjust_group_sizes(tseq, floors, P)
         return Layer(groups=groups, group_sizes=sizes), tact
 
     def _plan(self, graph: TaskGraph, obs: Instrumentation) -> SchedulingResult:

@@ -19,11 +19,12 @@ from repro.obs.cli import main as obs_main
 from repro.obs.gantt import render_trace
 from repro.obs.perfetto import execution_trace_events
 from repro.obs.registry import RunRecord, RunRegistry
-from repro.scheduling import LayerBasedScheduler, adjust_group_sizes
+from repro.scheduling import LayerBasedScheduler
 from repro.scheduling.allocation import lpt_assign_indices
 from repro.sim.trace import ExecutionTrace, TraceEntry
 
 from tests.test_perfetto import validate_trace_events
+from tests.test_schedule_scale import adjust_groups
 
 
 @pytest.fixture(scope="module")
@@ -68,13 +69,13 @@ class TestDegenerateLayers:
 
     def test_adjust_group_sizes_zero_work_splits_equally(self):
         groups = [[MTask(f"a{i}", work=0.0)] for i in range(3)]
-        sizes = adjust_group_sizes(groups, lambda t: 0.0, 8)
+        sizes = adjust_groups(groups, lambda t: 0.0, 8)
         assert sum(sizes) == 8
         assert all(s >= 1 for s in sizes)
 
     def test_adjust_group_sizes_nan_work_degrades_to_equal_split(self):
         groups = [[MTask(f"n{i}", work=1.0)] for i in range(2)]
-        sizes = adjust_group_sizes(groups, lambda t: float("nan"), 8)
+        sizes = adjust_groups(groups, lambda t: float("nan"), 8)
         assert sum(sizes) == 8
         assert all(s >= 1 for s in sizes)
 

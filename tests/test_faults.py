@@ -26,11 +26,11 @@ from repro.ode import MethodConfig, build_ode_program, bruss2d
 from repro.pipeline import SchedulingPipeline
 from repro.runtime import run_program
 from repro.scheduling import LayerBasedScheduler
-from repro.scheduling.allocation import adjust_group_sizes
 from repro.sim.executor import SimulationOptions
 
 from tests.test_obs import histogram
 from tests.test_ode_solvers import linear_test_problem
+from tests.test_schedule_scale import adjust_groups
 
 
 # ----------------------------------------------------------------------
@@ -555,7 +555,7 @@ class TestAdjustGroupSizesProperty:
     def test_sizes_sum_and_floors(self, works, extra):
         groups = [[MTask(f"t{i}", work=w)] for i, w in enumerate(works)]
         total = len(groups) + extra
-        sizes = adjust_group_sizes(groups, lambda t: t.work, total)
+        sizes = adjust_groups(groups, lambda t: t.work, total)
         assert sum(sizes) == total
         assert all(s >= 1 for s in sizes)
 
@@ -576,7 +576,7 @@ class TestAdjustGroupSizesProperty:
             [MTask(f"t{i}", work=w, min_procs=mp)] for i, (w, mp) in enumerate(data)
         ]
         total = sum(mp for _, mp in data) + extra
-        sizes = adjust_group_sizes(groups, lambda t: t.work, total)
+        sizes = adjust_groups(groups, lambda t: t.work, total)
         assert sum(sizes) == total
         for s, (_, mp) in zip(sizes, data):
             assert s >= mp
@@ -589,7 +589,7 @@ class TestAdjustGroupSizesProperty:
             [MTask("b", work=1.0)],
             [MTask("c", work=2.0)],
         ]
-        sizes = adjust_group_sizes(groups, lambda t: t.work, 10)
+        sizes = adjust_groups(groups, lambda t: t.work, 10)
         assert sum(sizes) == 10
         assert sorted(sizes) == [2, 3, 5]
 

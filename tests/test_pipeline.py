@@ -326,6 +326,9 @@ class TestMisuseGuards:
 
         with pytest.raises(ValueError):
             SchedulingResult(nprocs=8, layered=lay, timeline=Schedule(8))
+        # a layered result is priced from its table's rows
+        with pytest.raises(ValueError, match="needs its TaskTable"):
+            SchedulingResult(nprocs=8, layered=lay)
 
 
 class TestPipelineResult:

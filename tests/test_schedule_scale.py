@@ -200,7 +200,7 @@ class TestBatchedCostBitIdentity:
 @st.composite
 def priced_schedule(draw):
     """What pricing a finished schedule asks for: tasks dealt to groups,
-    group sizes from ``adjust_group_sizes`` (widths that are columns of
+    group sizes from :func:`adjust_groups` (widths that are columns of
     no g-search table), some tasks contracted chains to be expanded."""
     tasks, _widths, platform = draw(tasks_widths_platform())
     cores = platform.total_cores
@@ -208,7 +208,7 @@ def priced_schedule(draw):
         st.none(), st.integers(1, 2 * cores)))) for t in tasks]
     g = draw(st.integers(1, min(len(tasks), cores)))
     groups = [tasks[i::g] for i in range(g)]
-    sizes = adjust_group_sizes(groups, lambda t: t.work + 1.0, cores)
+    sizes = adjust_groups(groups, lambda t: t.work + 1.0, cores)
     expansion = {}
     for i, t in enumerate(tasks):
         k = draw(st.integers(0, 3))
@@ -419,6 +419,16 @@ def lpt_assign(tasks, time_of, g):
     return [[tasks[i] for i in grp] for grp in lpt_assign_indices(order, times, g)[0]]
 
 
+def adjust_groups(groups, seq_work, total_cores):
+    """:func:`adjust_group_sizes` over task groups: each group's
+    ``seq_work`` summed in group order, and its largest ``min_procs``."""
+    return adjust_group_sizes(
+        [sum(seq_work(t) for t in grp) for grp in groups],
+        [max((t.min_procs for t in grp), default=1) for grp in groups],
+        total_cores,
+    )
+
+
 class TestAllocationEquivalence:
     @given(lpt_case())
     @settings(max_examples=300, deadline=None)
@@ -463,26 +473,13 @@ class TestAllocationEquivalence:
     def test_deque_adjust_matches_multipass_reference(self, case):
         groups, total = case
         seq_work = lambda t: t.work / 1e9
-        assert adjust_group_sizes(groups, seq_work, total) == _adjust_reference(
+        assert adjust_groups(groups, seq_work, total) == _adjust_reference(
             groups, seq_work, total
         )
 
-    @given(adjust_case())
-    @settings(max_examples=100, deadline=None)
-    def test_precomputed_tseq_changes_nothing(self, case):
-        groups, total = case
-        seq_work = lambda t: t.work / 1e9
-        tseq = [sum(seq_work(t) for t in grp) for grp in groups]
-        floors = [max(t.min_procs for t in grp) for grp in groups]
-        fail = lambda t: pytest.fail("seq_work must not be called with tseq")
-        expected = adjust_group_sizes(groups, seq_work, total)
-        assert adjust_group_sizes(groups, fail, total, tseq=tseq) == expected
-        assert adjust_group_sizes(groups, fail, total, tseq, floors) == expected
-
-    def test_tseq_length_validated(self):
-        groups = [[MTask("a", work=1.0)], [MTask("b", work=2.0)]]
-        with pytest.raises(ValueError, match="tseq has 1 entries for 2 groups"):
-            adjust_group_sizes(groups, lambda t: t.work, 8, tseq=[1.0])
+    def test_floors_length_validated(self):
+        with pytest.raises(ValueError, match="floors has 1 entries for 2 groups"):
+            adjust_group_sizes([1.0, 2.0], [1], 8)
 
 
 # ----------------------------------------------------------------------
@@ -717,7 +714,7 @@ def _exhaustive_layer(sched, tasks):
             best = (max(loads), groups, sizes)
     tact, groups, sizes = best
     if sched.adjust and len(groups) > 1:
-        sizes = adjust_group_sizes(groups, cost.sequential_time, P)
+        sizes = adjust_groups(groups, cost.sequential_time, P)
     return groups, sizes, tact, candidates
 
 

@@ -7,7 +7,6 @@ from repro.cluster import generic_cluster
 from repro.core import CollectiveSpec, CostModel, MTask, TaskGraph
 from repro.scheduling import (
     LayerBasedScheduler,
-    adjust_group_sizes,
     build_layers,
     contract_chains,
     data_parallel_scheduler,
@@ -15,10 +14,9 @@ from repro.scheduling import (
     find_linear_chains,
     fixed_group_scheduler,
     layer_index,
-    symbolic_timeline,
 )
 
-from tests.test_schedule_scale import lpt_assign
+from tests.test_schedule_scale import adjust_groups, lpt_assign
 
 
 def chain_graph(lengths):
@@ -149,25 +147,25 @@ class TestAssignment:
     def test_adjust_proportional(self):
         g1 = [MTask("a", work=30.0)]
         g2 = [MTask("b", work=10.0)]
-        sizes = adjust_group_sizes([g1, g2], lambda t: t.work, 8)
+        sizes = adjust_groups([g1, g2], lambda t: t.work, 8)
         assert sizes == [6, 2]
         assert sum(sizes) == 8
 
     def test_adjust_keeps_floors(self):
         g1 = [MTask("a", work=100.0)]
         g2 = [MTask("b", work=1.0, min_procs=2)]
-        sizes = adjust_group_sizes([g1, g2], lambda t: t.work, 8)
+        sizes = adjust_groups([g1, g2], lambda t: t.work, 8)
         assert sizes[1] >= 2
         assert sum(sizes) == 8
 
     def test_adjust_zero_work_equal_split(self):
         groups = [[MTask("a")], [MTask("b")]]
-        assert adjust_group_sizes(groups, lambda t: 0.0, 4) == [2, 2]
+        assert adjust_groups(groups, lambda t: 0.0, 4) == [2, 2]
 
     def test_adjust_infeasible(self):
         groups = [[MTask("a", min_procs=3)], [MTask("b", min_procs=3)]]
         with pytest.raises(ValueError):
-            adjust_group_sizes(groups, lambda t: 1.0, 4)
+            adjust_groups(groups, lambda t: 1.0, 4)
 
 
 @pytest.fixture
@@ -232,22 +230,43 @@ class TestLayerBasedScheduler:
         g.add_task(MTask("only", work=1e9))
         sched = fixed_group_scheduler(cost, 4).schedule(g).layered
         assert sched.layers[0].num_groups == 1
+        # counts below one clamp to one group, on every layer
+        sched = LayerBasedScheduler(cost, candidate_groups=[0, -3]).schedule(
+            self.epol_like()
+        ).layered
+        assert [layer.num_groups for layer in sched.layers] == [1, 1, 1]
+        assert len(sched.layers[1].groups[0]) == 4  # the four chains, in one group
 
     def test_roundrobin_ablation_not_better(self, cost):
         g = self.epol_like()
-        lpt = LayerBasedScheduler(cost, assignment="lpt").schedule(g).layered
-        rr = LayerBasedScheduler(cost, assignment="roundrobin").schedule(g).layered
-        t_lpt = symbolic_timeline(lpt, cost).makespan
-        t_rr = symbolic_timeline(rr, cost).makespan
+        lpt = LayerBasedScheduler(cost, assignment="lpt").schedule(g)
+        rr = LayerBasedScheduler(cost, assignment="roundrobin").schedule(g)
+        t_lpt = lpt.symbolic_timeline(cost).makespan
+        t_rr = rr.symbolic_timeline(cost).makespan
         assert t_lpt <= t_rr * 1.0001
 
     def test_symbolic_timeline_valid(self, cost):
         g = self.epol_like()
-        sched = LayerBasedScheduler(cost).schedule(g).layered
-        tl = symbolic_timeline(sched, cost)
+        tl = LayerBasedScheduler(cost).schedule(g).symbolic_timeline(cost)
         tl.validate()
         assert tl.makespan > 0
         assert len(tl) == len(g)
+
+    def test_pricing_a_group_narrower_than_its_task_fails(self, cost):
+        """A group narrowed below a member's ``min_procs`` (sizes still
+        summing to P) is refused with that member's own error, by the
+        makespan and by the timeline."""
+        g = TaskGraph()
+        wide = g.add_task(MTask("wide", work=1e9, min_procs=4))
+        g.add_task(MTask("other", work=1e9))
+        result = fixed_group_scheduler(cost, 2).schedule(g)
+        layer = result.layered.layers[0]
+        at = next(i for i, grp in enumerate(layer.groups) if wide in grp)
+        P = cost.platform.total_cores
+        layer.group_sizes[at], layer.group_sizes[1 - at] = 3, P - 3
+        for price in (result.predicted_makespan, result.symbolic_timeline):
+            with pytest.raises(ValueError, match="'wide' needs at least 4 cores, got 3"):
+                price(cost)
 
     def test_invalid_assignment_name(self, cost):
         with pytest.raises(ValueError):
