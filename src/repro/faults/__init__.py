@@ -7,7 +7,8 @@ The subsystem has three pillars, mirroring the tentpole:
   identically for the simulator and the functional runtime;
 * :class:`RetryPolicy` / :class:`FailureRecord` -- bounded retries with
   per-attempt timeout, exponential backoff and seeded jitter, plus the
-  structured failure records ``RunResult.failures`` surfaces;
+  record of each task that retried and recovered, which
+  ``RunResult.failures`` surfaces (a task that gives up fails the run);
 * :func:`reschedule_on_core_loss` / :class:`RescheduleOutcome` -- re-plan
   the remaining layers of a layered schedule on the reduced platform
   through a fresh scheduling pipeline; the pipeline's reschedule stage

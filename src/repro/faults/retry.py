@@ -1,16 +1,21 @@
-"""Retry policies and failure records for fault-tolerant execution.
+"""Retry policies and the record of a recovered task.
 
 The policy's backoff delays are *seeded*: the jitter of attempt ``a`` of
 task ``t`` is drawn from ``random.Random(f"{seed}:{t}:{a}")``, so a
 retried run is bit-reproducible no matter in which order tasks execute
 and which executor (simulator or functional runtime) asks.
+
+A task that exhausts its attempts (or its deadline budget) has no
+record: it fails the run with :class:`RuntimeError`, so a
+:class:`FailureRecord` always describes a task that retried and then
+completed.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 __all__ = [
@@ -62,9 +67,9 @@ class RetryPolicy:
         across all attempts -- distinct from the per-attempt
         ``timeout``.  When retrying a failed attempt would push the
         accumulated budget past the deadline, the task gives up
-        immediately with a ``"gave_up"`` failure record whose ``cause``
-        is ``"deadline"`` (the functional runtime counts
-        ``faults.deadline_exceeded`` and raises).  The check gates
+        immediately: the functional runtime counts ``faults.gave_up``
+        and ``faults.deadline_exceeded`` and raises
+        :class:`RuntimeError`.  The check gates
         *retries* only: an attempt that eventually succeeds is never cut
         short.  Because every single delay is already
         clamped to ``max_delay``, the accumulated budget stays finite
@@ -132,32 +137,20 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class FailureRecord:
-    """One task that did not complete normally.
-
-    ``action`` is ``"recovered"`` (failed attempts, but a retry
-    eventually succeeded; what ``RunResult.failures`` holds) or
-    ``"gave_up"`` (all attempts, or the deadline budget, spent: the
-    attempt engine's verdict, on which the functional runtime raises).
-    """
+    """One task that failed ``attempts - 1`` attempts and then completed
+    (what ``RunResult.failures`` holds); ``error`` is the last failed
+    attempt's, ``backoff_seconds`` the delay accounted between them."""
 
     task: str
-    action: str
     attempts: int = 1
     error: str = ""
-    cause: str = ""
     backoff_seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         """Export the failure record as a dict."""
-        out: Dict[str, Any] = {
-            "task": self.task,
-            "action": self.action,
-            "attempts": self.attempts,
-        }
+        out: Dict[str, Any] = {"task": self.task, "attempts": self.attempts}
         if self.error:
             out["error"] = self.error
-        if self.cause:
-            out["cause"] = self.cause
         # emitted whenever retries happened: a retried task with zero
         # accumulated backoff ("no backoff configured") must stay
         # distinguishable from a record where the field is simply absent

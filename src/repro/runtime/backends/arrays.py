@@ -41,6 +41,18 @@ Descriptor = Tuple[str, int, Tuple[int, ...], str]
 #: :meth:`Arena.grow`, so no chunk is created while ``register`` is a no-op
 _TRACKER_LOCK = threading.Lock()
 
+if hasattr(os, "register_at_fork"):
+    # as ``logging`` guards its locks: a fork waits until no other thread
+    # holds the lock, so no child inherits it held, nor a no-op
+    # ``register``.  The tracker that ``grow`` may start under the lock is
+    # spawned by ``_posixsubprocess`` without a ``preexec_fn``, which runs
+    # no fork hook.
+    os.register_at_fork(
+        before=_TRACKER_LOCK.acquire,
+        after_in_parent=_TRACKER_LOCK.release,
+        after_in_child=_TRACKER_LOCK.release,
+    )
+
 
 def _aligned(nbytes: int) -> int:
     return -(-nbytes // _ALIGN) * _ALIGN
@@ -108,10 +120,9 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     ``register`` is swapped for a no-op around the attach.  The swap is
     process-wide, so it holds ``_TRACKER_LOCK``, which
     :meth:`Arena.grow` holds around its create: a chunk another thread
-    creates meanwhile is registered once the swap is undone.  Not
-    guarded: a process that forks while another of its threads holds
-    the lock hands the child a held copy, and the child's next attach
-    or create waits for good.
+    creates meanwhile is registered once the swap is undone.  A fork
+    waits for the lock (the fork hook above), so a child never starts
+    with it held or with the swap in place.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)

@@ -13,13 +13,14 @@ backoff are decided in exactly one place:
 
 Both are pure functions of their arguments: they touch no
 instrumentation and no run statistics.  What happened is returned as
-plain data -- the produced arrays, an optional
-:class:`~repro.faults.FailureRecord`, the journal ``info`` and one
-*event dict* per attempt (``attempt``, ``start``, ``duration``,
-``kind``, ``error``, ``backoff``; the keys of
+plain data -- the produced arrays, the give-up cause of a task that
+spent its attempts, the journal ``info`` and one *event dict* per
+attempt (``attempt``, ``start``, ``duration``, ``kind``, ``error``,
+``backoff``; the keys of
 :class:`~repro.runtime.backends.base.AttemptEvent`) -- and
 :func:`~repro.runtime.run_program` turns the events into spans,
-counters and failure records when the task commits.  Because the
+counters and the record of a recovered task when the task commits, or
+raises for a task that gave up.  Because the
 fault/retry draws are seeded per ``(task, attempt)``, the result does
 not depend on which process ran the attempt: the basis of the
 serial/pool/cluster bit-identity guarantee.
@@ -36,7 +37,7 @@ import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional
 
-from ...faults.retry import FailureRecord, InjectedFault, TaskTimeout
+from ...faults.retry import InjectedFault, TaskTimeout
 from ..context import RuntimeContext
 
 __all__ = ["run_attempts", "run_backup", "backup_finish", "run_job", "crash_result"]
@@ -53,11 +54,12 @@ def run_attempts(
 ) -> Dict[str, Any]:
     """Execute one task body under the fault plan and retry policy.
 
-    Returns ``{"produced", "failure", "info", "events", "collectives"}``:
-    ``produced`` is the body's output dict on success, ``failure`` the
-    ``"gave_up"`` record when every attempt (or the deadline budget) was
-    spent; ``info`` carries the journal accounting (attempts used,
-    effective seconds, last error, total backoff).  Backoff delays are
+    Returns ``{"produced", "gave_up", "info", "events", "collectives"}``:
+    ``produced`` is the body's output dict on success, ``gave_up`` the
+    cause when the task gave up instead -- ``"attempts"`` (every attempt
+    spent) or ``"deadline"`` (the budget spent) -- and ``""`` otherwise;
+    ``info`` carries the journal accounting (attempts used, effective
+    seconds, last error, total backoff).  Backoff delays are
     accounted in the events, never slept.
     A real error with neither a plan nor a policy in force propagates
     unchanged -- there is no retry boundary to stop it.
@@ -71,7 +73,8 @@ def run_attempts(
     budget_used = 0.0  # effective attempt seconds + accounted backoff
     last_error = ""
     events: List[Dict[str, Any]] = []
-    produced = failure = None
+    produced = None
+    gave_up = ""
     seconds = 0.0
     for attempt in range(attempts):
         start = clock()
@@ -107,13 +110,14 @@ def run_attempts(
         produced = None  # a timed-out body's outputs are discarded
         last_error = str(error)
         budget_used += duration * slowdown
-        cause = ""
         backoff = 0.0
-        if retry is not None and attempt + 1 < attempts:
+        if attempt + 1 == attempts:
+            gave_up = "attempts"
+        else:
             backoff = retry.delay(name, attempt)
             if deadline is not None and budget_used + backoff > deadline:
                 # retrying would bust the overall budget: give up now
-                cause, backoff = "deadline", 0.0
+                gave_up, backoff = "deadline", 0.0
             else:
                 total_backoff += backoff
                 budget_used += backoff
@@ -124,19 +128,11 @@ def run_attempts(
             error=last_error,
             backoff=backoff,
         )
-        if cause or attempt + 1 == attempts:
-            failure = FailureRecord(
-                task=name,
-                action="gave_up",
-                attempts=attempt + 1,
-                error=last_error,
-                cause=cause,
-                backoff_seconds=total_backoff,
-            )
+        if gave_up:
             break
     return {
         "produced": produced,
-        "failure": failure,
+        "gave_up": gave_up,
         "info": {
             "attempts": len(events),
             "seconds": seconds,
@@ -188,7 +184,6 @@ def run_backup(
     lost = produced is None
     return {
         "produced": produced,
-        "failure": None,
         "info": {
             "attempts": 1,
             "seconds": -1.0 if lost else duration,
@@ -217,7 +212,7 @@ def crash_result() -> Dict[str, Any]:
     """
     return {
         "produced": None,
-        "failure": None,
+        "gave_up": "",
         "info": {"crash": traceback.format_exc()},
         "events": [],
     }

@@ -152,19 +152,21 @@ class AttemptEvent:
 class TaskOutcome:
     """What executing one :class:`TaskRequest` produced.
 
-    Exactly one of ``produced`` / ``failure`` is non-``None`` (both are
-    ``None`` for a worker-side crash, reported in ``info["crash"]``).
-    ``info`` carries the journal accounting (attempts, effective
-    seconds, last error, total backoff); ``events`` the per-attempt
-    wall-clock records, ``collectives`` the body's collective log and
-    ``speculation`` an optional ``(SpeculationRecord, backup event or
-    None)`` pair.  The executor turns all of it into spans, counters,
-    histograms and failure records when the task commits -- no backend
-    touches the instrumentation's counters or the run statistics.
+    ``produced`` is the body's outputs; it is ``None`` when the task
+    gave up, with the cause (``"attempts"`` or ``"deadline"``) in
+    ``gave_up``, and for a worker-side crash, reported in
+    ``info["crash"]``.  ``info`` carries the journal accounting
+    (attempts, effective seconds, last error, total backoff); ``events``
+    the per-attempt wall-clock records, ``collectives`` the body's
+    collective log and ``speculation`` an optional ``(SpeculationRecord,
+    backup event or None)`` pair.  The executor turns all of it into
+    spans, counters, histograms and the record of a recovered task when
+    the task commits -- no backend touches the instrumentation's
+    counters or the run statistics.
     """
 
     produced: Optional[Dict[str, Any]] = None
-    failure: Optional[Any] = None
+    gave_up: str = ""
     info: Dict[str, Any] = field(default_factory=dict)
     events: List[AttemptEvent] = field(default_factory=list)
     collectives: List[Any] = field(default_factory=list)

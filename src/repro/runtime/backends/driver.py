@@ -483,7 +483,7 @@ class DriverBackend(Transport, ExecutionBackend):
     def _primary_outcome(self, payload, wid, owner: Job) -> TaskOutcome:
         outcome = TaskOutcome(
             produced=payload["outputs"],
-            failure=payload["failure"],
+            gave_up=payload["gave_up"],
             info=dict(payload["info"]),
             events=[self._event(e, wid) for e in payload["events"]],
             collectives=payload.get("collectives", []),

@@ -73,13 +73,13 @@ class SerialBackend(ExecutionBackend):
         )
         outcome = TaskOutcome(
             produced=result["produced"],
-            failure=result["failure"],
+            gave_up=result["gave_up"],
             info=result["info"],
             events=[AttemptEvent(**e) for e in result["events"]],
             collectives=result["collectives"],
         )
         if (
-            outcome.failure is None
+            not outcome.gave_up
             and run.speculation is not None
             and run.history is not None
         ):

@@ -23,9 +23,12 @@ Fault tolerance
 :class:`~repro.faults.FaultPlan` (deterministic fault injection) and a
 :class:`~repro.faults.RetryPolicy` (per-task timeout, bounded retries
 with seeded exponential backoff).  Backoff is accounted, never slept.
-A task that retried and then succeeded leaves a ``"recovered"`` record
-in ``RunResult.failures``.  A task whose attempts (or deadline budget)
-are exhausted fails the run: it counts ``faults.gave_up`` and raises
+A task that retried and then succeeded leaves a
+:class:`~repro.faults.FailureRecord` in ``RunResult.failures``, and the
+run's ``retries`` and ``backoff_seconds`` are totals of those records.
+A task whose attempts (or deadline budget) are exhausted leaves no
+record: it fails the run, counts ``faults.gave_up`` (and
+``faults.deadline_exceeded`` for the budget) and raises
 :class:`RuntimeError` -- like a program step in the CM-task model,
 which either completes all its M-tasks or produces no outputs.  With no
 plan and no policy the execution path is exactly the historical one --
@@ -93,18 +96,32 @@ class RunStats:
     #: per-task collective logs
     contexts: Dict[MTask, RuntimeContext] = field(default_factory=dict)
     tasks_executed: int = 0
-    #: tasks that retried and recovered, in completion order
+    #: tasks that retried and recovered, in commit order
     failures: List[FailureRecord] = field(default_factory=list)
-    #: total failed attempts over all tasks
-    retries: int = 0
-    #: accumulated backoff delay (accounted, not necessarily slept)
-    backoff_seconds: float = 0.0
     #: tasks restored from the journal instead of re-executed
     resumed_tasks: int = 0
     #: bytes newly written to the checkpoint store this run
     checkpoint_bytes: int = 0
     #: tasks whose slow attempt raced a speculative backup
     speculations: List[SpeculationRecord] = field(default_factory=list)
+
+    @property
+    def retries(self) -> int:
+        """Failed attempts over all recovered tasks."""
+        return sum(f.attempts - 1 for f in self.failures)
+
+    @property
+    def backoff_seconds(self) -> float:
+        """Backoff accounted (not slept) over all recovered tasks.
+
+        Added up one record at a time in commit order, the same on a
+        resumed run: builtin ``sum`` of floats is compensated from
+        Python 3.12 on, and this total must not move with the version.
+        """
+        total = 0.0
+        for f in self.failures:
+            total += f.backoff_seconds
+        return total
 
     def collective_counts(self) -> Dict[str, int]:
         """Total recorded collectives per operation, over all groups."""
@@ -127,9 +144,24 @@ class RunResult:
 
     @property
     def failures(self) -> List[FailureRecord]:
-        """The ``"recovered"`` record of every task that retried (empty
+        """The record of every task that retried and recovered (empty
         for a clean run)."""
         return self.stats.failures
+
+
+def _recovered(
+    task_name: str, info: Mapping[str, Any], obs: Instrumentation, stats: RunStats
+) -> None:
+    """Account a task that completed after failed attempts: executed
+    now (``info`` is the attempt engine's) or restored from the journal
+    (``info`` is its record; both carry ``attempts``, ``error`` and
+    ``backoff_seconds``)."""
+    attempts = info["attempts"]
+    obs.observe("task_retries", attempts - 1)
+    obs.count("faults.retries", attempts - 1)
+    stats.failures.append(
+        FailureRecord(task_name, attempts, info["error"], info["backoff_seconds"])
+    )
 
 
 def _replay_events(
@@ -144,8 +176,8 @@ def _replay_events(
     Backends run attempts through the pure engine
     (:mod:`repro.runtime.backends.attempts`) and report one
     :class:`~repro.runtime.backends.AttemptEvent` each; this helper is
-    the single place that turns them into counters, histograms and
-    ``"recovered"`` failure records, plus one wall-clock span per
+    the single place that turns them into counters, histograms and the
+    record of a recovered task, plus one wall-clock span per
     attempt -- tagged with the executing worker when there was one
     (rendered as per-worker Perfetto tracks).
     """
@@ -159,18 +191,7 @@ def _replay_events(
             obs.emit_span("task", ev.start, ev.duration, **meta)
             obs.observe("runtime.task_seconds", ev.duration)
             if ev.attempt:
-                stats.retries += ev.attempt
-                obs.observe("task_retries", ev.attempt)
-                obs.count("faults.retries", ev.attempt)
-                stats.failures.append(
-                    FailureRecord(
-                        task=task_name,
-                        action="recovered",
-                        attempts=ev.attempt + 1,
-                        error=str(outcome.info.get("error", "")),
-                        backoff_seconds=float(outcome.info.get("backoff_seconds", 0.0)),
-                    )
-                )
+                _recovered(task_name, outcome.info, obs, stats)
         else:
             meta["error"] = ev.kind
             obs.emit_span("task", ev.start, ev.duration, **meta)
@@ -180,7 +201,6 @@ def _replay_events(
             elif ev.kind == "injected":
                 obs.count("faults.injected")
             if ev.backoff:
-                stats.backoff_seconds += ev.backoff
                 obs.observe("runtime.backoff_seconds", ev.backoff)
 
 
@@ -321,22 +341,8 @@ def run_program(
             stats.redistributed_bytes += int(rec.get("redist_bytes", 0))
             if history is not None:
                 history.append(float(rec.get("seconds", 0.0)))
-            attempts = int(rec.get("attempts", 1))
-            if attempts > 1:
-                backoff = float(rec.get("backoff_seconds", 0.0))
-                stats.retries += attempts - 1
-                stats.backoff_seconds += backoff
-                obs.observe("task_retries", attempts - 1)
-                obs.count("faults.retries", attempts - 1)
-                stats.failures.append(
-                    FailureRecord(
-                        task=task.name,
-                        action="recovered",
-                        attempts=attempts,
-                        error=str(rec.get("error", "")),
-                        backoff_seconds=backoff,
-                    )
-                )
+            if rec["attempts"] > 1:
+                _recovered(task.name, rec, obs, stats)
             stats.contexts[task] = RuntimeContext(task.name, q_rec)
             return None
         # --- collect inputs, accounting re-distribution ------------------
@@ -406,14 +412,13 @@ def run_program(
                 journal.record_speculation(spec_record.to_dict())
         if history is not None and outcome.produced is not None:
             history.append(float(outcome.info.get("seconds", 0.0)))
-        failure = outcome.failure
-        if failure is not None:
+        if outcome.gave_up:
             obs.count("faults.gave_up")
-            if failure.cause == "deadline":
+            if outcome.gave_up == "deadline":
                 obs.count("faults.deadline_exceeded")
             raise RuntimeError(
-                f"task {task.name!r} failed after {failure.attempts} "
-                f"attempt(s): {failure.error}"
+                f"task {task.name!r} failed after {outcome.info['attempts']} "
+                f"attempt(s): {outcome.info['error']}"
             )
         produced = outcome.produced
         if produced is None and "crash" in outcome.info:

@@ -490,15 +490,24 @@ def request_view(request: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+#: version of each endpoint's response body (``repro.serve.<endpoint>/<v>``)
+BODY_VERSIONS = {"schedule": 1, "simulate": 1, "run": 2}
+
+
 def cache_key(endpoint: str, digests: Mapping[str, str]) -> str:
-    """Content-addressed cache key of one request."""
+    """Content-addressed cache key of one request.
+
+    The key's schema carries the version of the endpoint's body, so a
+    new body moves that endpoint's keys and a disk cache written by an
+    older server cannot serve the old bytes.
+    """
     return json_digest(
         {
             "endpoint": endpoint,
             "program": digests["program"],
             "topology": digests["topology"],
             "options": digests["options"],
-            "schema": "repro.serve.key/1",
+            "schema": f"repro.serve.key/{BODY_VERSIONS[endpoint]}",
         }
     )
 
@@ -680,7 +689,7 @@ def _compute_pipeline(
     result, record = run_pipeline(request, compiled)
     digests = compiled.digests
     body: Dict[str, Any] = {
-        "schema": f"repro.serve.{endpoint}/1",
+        "schema": f"repro.serve.{endpoint}/{BODY_VERSIONS[endpoint]}",
         "key": cache_key(endpoint, digests),
         "digests": digests,
         "request": request_view(request),
@@ -707,7 +716,9 @@ def _compute_run(
     computation of every ``--checkpoint-dir`` run: the step body executes
     for real on numpy arrays.  The response carries the content digests
     of every output array -- deterministic, so run responses cache like
-    schedules do.
+    schedules do.  No fault plan or retry policy is in force, so the
+    body carries no failure accounting: a task that fails fails the
+    request with a structured ``422``.
     """
     from ..ode import bruss2d, run_functional_step
     from ..recovery import array_digest
@@ -716,20 +727,14 @@ def _compute_run(
     run, _, _ = run_functional_step(bruss2d(wl["n"]), PAPER_CONFIGS[wl["solver"]])
     digests = compiled.digests
     body = {
-        "schema": "repro.serve.run/1",
+        "schema": f"repro.serve.run/{BODY_VERSIONS['run']}",
         "key": cache_key("run", digests),
         "digests": digests,
         "request": request_view(request),
-        "tasks": int(run.stats.tasks_executed),
         "tasks_executed": int(run.stats.tasks_executed),
-        "retries": int(run.stats.retries),
-        # a task that gives up fails the run, so a served run never
-        # degraded and its failure records are all "recovered"
-        "degraded": False,
-        "failures": len(run.failures),
         "variables": {
             name: array_digest(arr)
             for name, arr in sorted(run.variables.items())
         },
     }
-    return body, int(run.stats.tasks_executed)
+    return body, body["tasks_executed"]

@@ -29,7 +29,13 @@ from repro.obs import Instrumentation
 from repro.ode import MethodConfig
 from repro.runtime import ClusterBackend, ProcessPoolBackend, run_program
 from repro.runtime.backends import cluster_worker, wire
-from repro.runtime.backends.arrays import Arena, ArrayLedger, _attach, declared_bytes
+from repro.runtime.backends.arrays import (
+    _TRACKER_LOCK,
+    Arena,
+    ArrayLedger,
+    _attach,
+    declared_bytes,
+)
 from repro.runtime.backends.pool import _PoolCrew, _execute
 
 from tests.test_backends import FAULTY, functional_step, summarize, task
@@ -200,6 +206,38 @@ class TestArena:
         created = [f"{prefix}1-{k}" for k in range(300)]
         counts = collections.Counter(registered)
         assert [counts[name] for name in created] == [1] * 300
+
+    def test_fork_waits_for_the_tracker_lock(self):
+        """A fork while another thread holds ``_TRACKER_LOCK`` with the
+        tracker's ``register`` swapped out, as ``_attach`` does, waits
+        for the lock: the child can take it and has the real
+        ``register``."""
+        register = resource_tracker.register
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with _TRACKER_LOCK:
+                resource_tracker.register = lambda *a, **k: None
+                held.set()
+                release.wait(10)
+                resource_tracker.register = register
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(10)
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            ok = (_TRACKER_LOCK.acquire(timeout=2.0)
+                  and resource_tracker.register is register)
+            os._exit(0 if ok else 1)
+        release.set()
+        holder.join(10)
+        timer.cancel()
+        _, status = os.waitpid(pid, 0)
+        assert not holder.is_alive()
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_declared_bytes_covers_every_parameter(self):
         graph = fan_graph(3)
@@ -461,7 +499,7 @@ class TestPoolDataPlane:
         body, store = functional_step(MethodConfig("irk", K=4, m=2))
         serial = run_program(body, dict(store), **FAULTY)
         before = set(os.listdir(SHM))
-        stale = ("result", 999, 0, {"outputs": None, "failure": None,
+        stale = ("result", 999, 0, {"outputs": None, "gave_up": "",
                                     "info": {}, "events": []})
         batches = iter([len(b) for b in _dispatched_batches(body)])
         held, want = [], [next(batches)]

@@ -247,7 +247,7 @@ class TestArrivalOrder:
         recovers = dict(faults=FaultPlan(seed=3, failure_rate=0.4), retry=retry)
         gives_up = dict(faults=FaultPlan(task_faults={"w1": 99, "w3": 99}),
                         retry=retry)
-        stale = (999, 0, {"outputs": None, "failure": None,
+        stale = (999, 0, {"outputs": None, "gave_up": "",
                           "info": {}, "events": []})
 
         batch = []
@@ -293,11 +293,11 @@ class TestArrivalOrder:
 # ----------------------------------------------------------------------
 COUNTERS = ("faults.failed_attempts", "faults.injected", "faults.timeouts",
             "faults.retries", "faults.gave_up", "faults.deadline_exceeded")
-RECOVERED_B = [("b", "recovered")]
+RECOVERED_B = ["b"]
 #: ``b`` spends its attempts: the run raises and ``c`` never runs
 GAVE_UP_B = None
 
-#: name -> (plan, policy, failures as (task, action) or GAVE_UP_B,
+#: name -> (plan, policy, recovered tasks or GAVE_UP_B,
 #:          attempts of b, retries, backoff delays (hex), counters, task spans)
 GRID = {
     "recovers": (
@@ -377,7 +377,7 @@ class TestAttemptEngineGrid:
                 run()
         else:
             result = run()
-            assert [(f.task, f.action) for f in result.failures] == failures
+            assert [f.task for f in result.failures] == failures
             assert result.failures[0].attempts == attempts
             assert result.stats.retries == retries
             assert result.stats.backoff_seconds == backoff

@@ -228,15 +228,15 @@ class TestFailureRecordDict:
 
         # retried with zero accumulated backoff: field still present,
         # distinguishable from "absent"
-        rec = FailureRecord("t", "recovered", attempts=3, backoff_seconds=0.0)
+        rec = FailureRecord("t", attempts=3, backoff_seconds=0.0)
         assert rec.to_dict()["backoff_seconds"] == 0.0
-        rec = FailureRecord("t", "gave_up", attempts=2, backoff_seconds=0.5)
+        rec = FailureRecord("t", attempts=2, backoff_seconds=0.5)
         assert rec.to_dict()["backoff_seconds"] == 0.5
 
     def test_backoff_absent_for_single_attempt(self):
         from repro.faults import FailureRecord
 
-        single = FailureRecord("t", "gave_up", attempts=1)
+        single = FailureRecord("t", attempts=1)
         assert "backoff_seconds" not in single.to_dict()
 
 
@@ -250,7 +250,7 @@ class TestRuntimeFaults:
             chain_graph(), {"x": np.arange(4.0)}, faults=plan, retry=RetryPolicy()
         )
         np.testing.assert_array_equal(res["w"], np.arange(4.0) * 8)
-        recs = [f for f in res.failures if f.action == "recovered"]
+        recs = res.failures
         assert len(recs) == 1 and recs[0].task == "b" and recs[0].attempts == 3
         assert res.stats.retries == 2
         assert res.stats.backoff_seconds > 0

@@ -310,21 +310,32 @@ class TestResume:
         assert again.stats.resumed_tasks == 3
 
     def test_resume_replays_retry_accounting(self, tmp_path):
+        """One retrying task, then three over several seeds: a resumed
+        run totals the journaled records in commit order, as the
+        uninterrupted run totals its own, to the last bit."""
         inputs = {"x": np.arange(4.0)}
-        plan = FaultPlan(task_faults={"b": 2})
-        retry = RetryPolicy()
-        reference = run_program(chain_graph(), inputs, faults=plan, retry=retry)
-        with journal_at(tmp_path) as journal:
-            run_program(chain_graph(), inputs, faults=plan, retry=retry, journal=journal)
-        with journal_at(tmp_path) as journal:
-            resumed = run_program(
-                chain_graph(), inputs, faults=plan, retry=retry,
-                journal=journal, resume=True,
-            )
-        assert resumed.stats.resumed_tasks == 3
-        assert resumed.failures == reference.failures
-        assert resumed.stats.retries == reference.stats.retries
-        assert resumed.stats.backoff_seconds == reference.stats.backoff_seconds
+        cases = [(FaultPlan(task_faults={"b": 2}), RetryPolicy())] + [
+            (FaultPlan(task_faults={"a": 2, "b": 3, "c": 2}),
+             RetryPolicy(seed=seed, max_retries=4))
+            for seed in range(8)
+        ]
+        for i, (plan, retry) in enumerate(cases):
+            reference = run_program(chain_graph(), inputs, faults=plan, retry=retry)
+            with journal_at(tmp_path / str(i)) as journal:
+                run_program(chain_graph(), inputs, faults=plan, retry=retry,
+                            journal=journal)
+            with journal_at(tmp_path / str(i)) as journal:
+                resumed = run_program(
+                    chain_graph(), inputs, faults=plan, retry=retry,
+                    journal=journal, resume=True,
+                )
+            assert resumed.stats.resumed_tasks == 3
+            assert resumed.failures == reference.failures
+            assert [f.to_dict() for f in resumed.failures] == [
+                f.to_dict() for f in reference.failures]
+            assert resumed.stats.retries == reference.stats.retries
+            assert (resumed.stats.backoff_seconds.hex()
+                    == reference.stats.backoff_seconds.hex()), (i, retry.seed)
 
     @pytest.mark.parametrize("spec", ["serial", "pool:2", "cluster:2"])
     def test_resumed_give_up_raises_again(self, spec, tmp_path):

@@ -359,6 +359,15 @@ class TestEndpoints:
                  for g in layer["groups"] for t in g["tasks"]]
         assert len(names) == body["tasks"]
 
+    def test_run_response_shape(self, svc):
+        r = call(svc, "POST", "/v1/run", {"workload": {"solver": "pab", "n": 24}})
+        assert r.status == 200, r.body
+        body = decoded(r)
+        assert body["schema"] == "repro.serve.run/2"
+        assert set(body) == {"schema", "key", "digests", "request",
+                             "tasks_executed", "variables"}
+        assert body["key"] == r.headers["X-Cache-Key"]
+
     def test_dsl_program_end_to_end(self, svc):
         req = {"program": {"dsl": DSL, "sizes": {"vector": 64},
                            "work": {"prep": 4.0, "left": 2.0,
@@ -421,6 +430,27 @@ class TestPersistence:
             assert hit.body == cold.body
         finally:
             second.close()
+
+    def test_run_bytes_of_an_older_server_are_not_served(self, tmp_path):
+        """A run/1 body stored under the run/1 key of the same request
+        (what an older server left in the disk cache) is a miss."""
+        from repro.recovery.checkpoint import json_digest
+        from repro.serve.api import compile_request
+
+        req = {"workload": {"solver": "pab", "n": 24}}
+        digests = compile_request(validate_request("run", req)).digests
+        old_key = json_digest({"endpoint": "run", **digests,
+                               "schema": "repro.serve.key/1"})
+        svc = ScheduleService(workers=0, cache_dir=tmp_path / "cache")
+        try:
+            svc.cache.put(old_key, b'{"schema":"repro.serve.run/1"}\n')
+            r = call(svc, "POST", "/v1/run", req)
+            assert r.status == 200, r.body
+            assert r.headers["X-Cache"] == "miss"
+            assert r.headers["X-Cache-Key"] != old_key
+            assert decoded(r)["schema"] == "repro.serve.run/2"
+        finally:
+            svc.close()
 
     def test_run_registry_receives_records(self, tmp_path):
         from repro.obs import RunRegistry
