@@ -6,7 +6,10 @@ cheaper or more expensive depending on where its participants sit in the
 machine -- this is the mechanism behind Figures 14-17 of the paper.  It
 prices one group or several groups running the operation at once, as
 rounds of ``(sender, receiver)`` rank arrays priced by
-:func:`~repro.comm.contention.edge_costs`.
+:func:`~repro.comm.contention.edge_prices`.  The rounds of one operation
+on one set of groups do not depend on the load, so they are a
+:class:`CollectiveRounds` table a caller can build once and price under
+many loads; :func:`collective_time` builds one for a single price.
 
 Algorithms modelled (following the MPI implementations the paper used):
 
@@ -30,15 +33,15 @@ scheduling, before any physical mapping exists.
 from __future__ import annotations
 
 from math import ceil, log2
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cluster.architecture import CoreId, Machine
 from ..cluster.network import HierarchicalNetwork
-from .contention import NicLoad, edge_costs, link_levels, node_counts
+from .contention import NicLoad, edge_prices, edge_table, link_levels, node_counts
 
-__all__ = ["collective_time", "collective_time_symbolic"]
+__all__ = ["CollectiveRounds", "collective_time", "collective_time_symbolic"]
 
 
 _FIRST, _LAST, _ALL = slice(0, 1), slice(-1, None), slice(None)
@@ -86,6 +89,99 @@ def _rank_rounds(op: str, q: int) -> List[Tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
+class CollectiveRounds:
+    """One collective run at once by several groups, with everything its
+    price reads except the bytes and the NIC load.
+
+    ``groups`` are the groups' dense core index arrays, each in rank
+    order.  Groups of one size run the same rounds: their messages are one
+    (groups x edges) :class:`~repro.comm.contention.EdgeTable`, the rounds
+    side by side, built here once; :meth:`time` prices it under a load.
+    The load the groups' own rounds put on the NICs
+    (:data:`_SHARED_ROUND`) is counted here too, as is the whole price of
+    a barrier, which reads neither.
+    """
+
+    def __init__(
+        self,
+        op: str,
+        machine: Machine,
+        network: HierarchicalNetwork,
+        groups: Sequence[np.ndarray],
+    ) -> None:
+        if op not in _OPS:
+            raise ValueError(f"unknown collective op {op!r}")
+        self.op = op
+        #: per group size: the edge table and the first column of every
+        #: round, or a barrier's price per group
+        self.blocks: Dict[int, object] = {}
+        idle = np.zeros(machine.num_nodes, dtype=np.intp)
+        #: the load of :meth:`time` without one
+        self.default_load: NicLoad = (idle, idle)
+        sizes = np.array([len(g) for g in groups], dtype=np.intp)
+        if not (sizes > 1).any():
+            return
+        flat = np.concatenate(groups)
+        starts = np.cumsum(sizes) - sizes
+        shared = _SHARED_ROUND.get(op, (None, None))[len(groups) > 1]
+        loading = []
+        for q in set(sizes[sizes > 1].tolist()):
+            rounds = _rank_rounds(op, q)
+            first = starts[sizes == q][:, None]
+            u = flat[first + np.concatenate([s for s, _ in rounds])]
+            v = flat[first + np.concatenate([r for _, r in rounds])]
+            if op == "barrier":
+                latency = np.array([link.latency for link in network.levels])
+                level = link_levels(machine, u, v).max(axis=1)
+                self.blocks[q] = ceil(log2(q)) * 2.0 * latency[level]
+                continue
+            columns = [np.arange(len(s)) for s, _ in rounds]
+            bounds = np.cumsum([0] + [len(c) for c in columns[:-1]])
+            self.blocks[q] = (edge_table(machine, network, u, v), bounds)
+            if shared is not None:
+                cols = np.concatenate([c + b for c, b in zip(columns, bounds)][shared])
+                loading.append((u[:, cols].ravel(), v[:, cols].ravel()))
+        if loading:
+            self.default_load = node_counts(
+                machine,
+                np.concatenate([u for u, _ in loading]),
+                np.concatenate([v for _, v in loading]),
+            )
+
+    def time(self, total_bytes: float, load: Optional[NicLoad] = None) -> float:
+        """Time of the operation on ``total_bytes`` under ``load``
+        (:attr:`default_load` when ``None``): each group runs the algorithm
+        over its rank order, a round ends with its slowest edge, and the
+        phase with the slowest group."""
+        op = self.op
+        if op not in ("scatter", "gather", "barrier"):
+            if load is None:
+                load = self.default_load
+            out_count, in_count = np.maximum(load[0], 1), np.maximum(load[1], 1)
+        slowest = 0.0
+        for q, block in self.blocks.items():
+            if op == "barrier":
+                per_group = block
+            elif op in ("scatter", "gather"):
+                # one message after the other, summed in rank order
+                edges, _ = block
+                message = edges.latency + (total_bytes / q) * edges.beta
+                per_group = np.cumsum(message, axis=1)[:, -1]
+            else:
+                edges, bounds = block
+                nbytes = total_bytes if op in ("bcast", "reduce", "ptp") else total_bytes / q
+                prices = edge_prices(edges, nbytes, out_count, in_count)
+                rounds = np.maximum.reduceat(prices, bounds, axis=1)
+                if op == "allgather":
+                    per_group = (q - 1) * rounds[:, 0]
+                elif op == "allreduce":
+                    per_group = 2.0 * ((q - 1) * rounds[:, 0])
+                else:  # the rounds one after the other
+                    per_group = np.cumsum(rounds, axis=1)[:, -1]
+            slowest = max(slowest, float(per_group.max()))
+        return slowest
+
+
 def collective_time(
     op: str,
     machine: Machine,
@@ -105,63 +201,11 @@ def collective_time(
     ``load`` is the :data:`~repro.comm.contention.NicLoad` every
     inter-node edge shares its NIC under.  Without it, the groups' own rounds named in
     :data:`_SHARED_ROUND` load the NICs.  Scatter, gather and barrier
-    share no NIC.
+    share no NIC.  The core tuples are converted to index arrays and
+    priced by :class:`CollectiveRounds`.
     """
-    if op not in _OPS:
-        raise ValueError(f"unknown collective op {op!r}")
-    if not groups:
-        return 0.0
-    flat = machine.core_index([c for g in groups for c in g])
-    sizes = np.array([len(g) for g in groups])
-    starts = np.cumsum(sizes) - sizes
-    # groups of one size run the same rounds: one (groups x edges) block
-    # of sender / receiver core indices per round
-    blocks = {}
-    for q in set(sizes[sizes > 1].tolist()):
-        first = starts[sizes == q][:, None]
-        blocks[q] = [(flat[first + s], flat[first + r]) for s, r in _rank_rounds(op, q)]
-    if not blocks:
-        return 0.0
-
-    if load is None:
-        idle = np.zeros(machine.num_nodes, dtype=np.intp)
-        load = idle, idle
-        shared = _SHARED_ROUND.get(op, (None, None))[len(groups) > 1]
-        if shared is not None:
-            loading = [edge for rounds in blocks.values() for edge in rounds[shared]]
-            load = node_counts(
-                machine,
-                np.concatenate([u.ravel() for u, _ in loading]),
-                np.concatenate([v.ravel() for _, v in loading]),
-            )
-    out_count, in_count = np.maximum(load[0], 1), np.maximum(load[1], 1)
-
-    latency = np.array([link.latency for link in network.levels])
-    beta = np.array([link.beta for link in network.levels])
-    slowest = 0.0
-    for q, rounds in blocks.items():
-        if op in ("scatter", "gather", "barrier"):
-            ((u, v),) = rounds
-            level = link_levels(machine, u, v)
-            if op == "barrier":
-                per_group = ceil(log2(q)) * 2.0 * latency[level.max(axis=1)]
-            else:  # one message after the other, summed in rank order
-                message = latency[level] + (total_bytes / q) * beta[level]
-                per_group = np.cumsum(message, axis=1)[:, -1]
-        else:
-            nbytes = total_bytes if op in ("bcast", "reduce", "ptp") else total_bytes / q
-            costs = [
-                edge_costs(machine, network, u, v, nbytes, out_count, in_count).max(axis=1)
-                for u, v in rounds
-            ]
-            if op == "allgather":
-                per_group = (q - 1) * costs[0]
-            elif op == "allreduce":
-                per_group = 2.0 * ((q - 1) * costs[0])
-            else:
-                per_group = sum(costs)
-        slowest = max(slowest, float(per_group.max()))
-    return slowest
+    rounds = CollectiveRounds(op, machine, network, [machine.core_index(g) for g in groups])
+    return rounds.time(total_bytes, load)
 
 
 # ----------------------------------------------------------------------

@@ -14,12 +14,16 @@ inter-node message under a load with the effective bandwidth
 ``eff_beta = max(1/link_bw, out(node_src)/nic_bw, in(node_dst)/nic_bw)``.
 
 Messages are given as dense core indices
-(:meth:`~repro.cluster.architecture.Machine.core_index`).
+(:meth:`~repro.cluster.architecture.Machine.core_index`).  What a price
+reads of where its messages run -- their nodes, link levels, latencies
+and betas -- is an :class:`EdgeTable`, built once by :func:`edge_table`;
+:func:`edge_prices` prices it under a load, and :func:`edge_costs` is
+the two in one call.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +35,9 @@ from ..cluster.architecture import (
 )
 from ..cluster.network import HierarchicalNetwork
 
-__all__ = ["NicLoad", "link_levels", "edge_costs", "node_counts"]
+__all__ = [
+    "NicLoad", "EdgeTable", "link_levels", "edge_table", "edge_prices", "edge_costs", "node_counts"
+]
 
 #: The NIC load of a phase: concurrent inter-node messages leaving and
 #: entering every node, the ``(out_count, in_count)`` arrays
@@ -67,6 +73,60 @@ def node_counts(machine: Machine, u: np.ndarray, v: np.ndarray) -> NicLoad:
     )
 
 
+class EdgeTable(NamedTuple):
+    """What pricing the messages ``u[k] -> v[k]`` reads besides their
+    bytes and the NIC load: fixed by where the messages run, so a caller
+    that prices them under many loads builds it once
+    (:func:`edge_table`) and prices it with :func:`edge_prices`."""
+
+    node_u: np.ndarray
+    node_v: np.ndarray
+    #: the messages that cross nodes and so share a NIC
+    inter: np.ndarray
+    latency: np.ndarray
+    beta: np.ndarray
+    #: the self-messages, free; ``None`` when there is none
+    local: Optional[np.ndarray]
+    nic_bandwidth: float
+
+
+def edge_table(
+    machine: Machine, network: HierarchicalNetwork, u: np.ndarray, v: np.ndarray
+) -> EdgeTable:
+    """The load-independent part of pricing messages from core index
+    ``u[k]`` to ``v[k]`` (arrays of any shape)."""
+    nodes = machine.core_nodes
+    level = link_levels(machine, u, v)
+    local = u == v
+    return EdgeTable(
+        nodes[u],
+        nodes[v],
+        level == LEVEL_NETWORK,
+        np.array([link.latency for link in network.levels])[level],
+        np.array([link.beta for link in network.levels])[level],
+        local if local.any() else None,
+        network.nic_bandwidth,
+    )
+
+
+def edge_prices(
+    table: EdgeTable, nbytes, out_count: np.ndarray, in_count: np.ndarray
+) -> np.ndarray:
+    """Cost of the messages of ``table`` sent at once, ``nbytes`` each
+    (an array of the table's shape or a scalar), under the load
+    ``out_count`` / ``in_count`` (at least 1 each)."""
+    # inter-node: share the NIC among the phase's concurrent messages
+    shared = np.maximum(
+        out_count[table.node_u] / table.nic_bandwidth,
+        in_count[table.node_v] / table.nic_bandwidth,
+    )
+    per_byte = np.where(table.inter, np.maximum(table.beta, shared), table.beta)
+    cost = table.latency + nbytes * per_byte
+    if table.local is not None:
+        cost[table.local] = 0.0  # a self-message is already local
+    return cost
+
+
 def edge_costs(
     machine: Machine,
     network: HierarchicalNetwork,
@@ -85,17 +145,4 @@ def edge_costs(
     least 1 each.  A self-message (``u[k] == v[k]``) is free: the data is
     already local.
     """
-    nodes = machine.core_nodes
-    node_u, node_v = nodes[u], nodes[v]
-    level = link_levels(machine, u, v)
-    latency = np.array([link.latency for link in network.levels])[level]
-    per_byte = np.array([link.beta for link in network.levels])[level]
-    # inter-node: share the NIC among the phase's concurrent messages
-    shared = np.maximum(
-        out_count[node_u] / network.nic_bandwidth,
-        in_count[node_v] / network.nic_bandwidth,
-    )
-    per_byte = np.where(level == LEVEL_NETWORK, np.maximum(per_byte, shared), per_byte)
-    cost = latency + nbytes * per_byte
-    cost[u == v] = 0.0  # a self-message is already local
-    return cost
+    return edge_prices(edge_table(machine, network, u, v), nbytes, out_count, in_count)

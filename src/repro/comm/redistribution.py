@@ -32,6 +32,7 @@ def _physical_messages(
     src_dist: Distribution1D,
     dst_dist: Distribution1D,
     itemsize: int,
+    may_repeat: bool,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sender id, receiver id and bytes of every physical message.
 
@@ -40,7 +41,8 @@ def _physical_messages(
     labelling).  Messages come in row-major order of the transfer matrix;
     transfers between the same two cores (several ranks on one core)
     merge into the first of them, and transfers within one core are
-    dropped -- the data never leaves the core.
+    dropped -- the data never leaves the core.  Only a caller whose id
+    sequences ``may_repeat`` a core pays for looking for such ranks.
     """
     if len(src_ids) != src_dist.nprocs:
         raise ValueError(
@@ -56,7 +58,9 @@ def _physical_messages(
     off_core = u != v
     u, v, nbytes = u[off_core], v[off_core], nbytes[off_core]
     # two cells can only name the same core pair when ranks share a core
-    if len(np.unique(src_ids)) < len(src_ids) or len(np.unique(dst_ids)) < len(dst_ids):
+    if may_repeat and (
+        len(np.unique(src_ids)) < len(src_ids) or len(np.unique(dst_ids)) < len(dst_ids)
+    ):
         pair = u * (int(dst_ids.max()) + 1) + v
         _, first, group = np.unique(pair, return_index=True, return_inverse=True)
         keep = np.sort(first)
@@ -87,6 +91,7 @@ def redistribution_messages(
         src_dist,
         dst_dist,
         itemsize,
+        may_repeat=True,
     )
     return {
         (cores[a], cores[b]): n for a, b, n in zip(u.tolist(), v.tolist(), nbytes.tolist())
@@ -101,6 +106,8 @@ def redistribution_time(
     src_dist: Distribution1D,
     dst_dist: Distribution1D,
     itemsize: int = 8,
+    *,
+    may_repeat: bool = True,
 ) -> float:
     """Time of the re-distribution phase.
 
@@ -108,7 +115,12 @@ def redistribution_time(
     posts them one after another); different cores proceed concurrently,
     so the phase lasts as long as the busiest core.  Inter-node transfers
     additionally share each node's NIC with the other transfers of the
-    phase.
+    phase.  The core tuples are priced as dense core indices.  Several
+    ranks may share a core, unless the caller says with
+    ``may_repeat=False`` that neither tuple repeats one -- a mapped
+    group's, which :meth:`Placement.validate
+    <repro.core.schedule.Placement.validate>` has checked -- and so skips
+    the search for such ranks.
     """
     u, v, nbytes = _physical_messages(
         machine.core_index(src_cores),
@@ -116,6 +128,7 @@ def redistribution_time(
         src_dist,
         dst_dist,
         itemsize,
+        may_repeat,
     )
     if not len(u):
         return 0.0

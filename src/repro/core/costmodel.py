@@ -27,7 +27,7 @@ from ..cluster.architecture import CoreId
 from ..cluster.platforms import Platform
 from ..comm.collectives import collective_time, collective_time_symbolic
 from ..comm.contention import NicLoad
-from ..comm.patterns import orthogonal_time
+from ..comm.patterns import CommPlan, orthogonal_time
 from ..comm.redistribution import redistribution_time as _redist_time
 from .costbatch import (
     TaskTable,
@@ -181,6 +181,7 @@ class CostModel:
         peer_groups: Optional[Sequence[Sequence[CoreId]]] = None,
         all_cores: Optional[Sequence[CoreId]] = None,
         task_parallel_program: Optional[bool] = None,
+        plan: Optional[CommPlan] = None,
     ) -> float:
         """Internal communication on a physical core tuple.
 
@@ -196,17 +197,37 @@ class CostModel:
         operations marked ``task_parallel_only`` are skipped otherwise.
         When ``None``, a task spanning all cores is assumed to live in a
         data-parallel program.
+        ``plan`` is the :class:`~repro.comm.patterns.CommPlan` to take the
+        collectives' round tables from, so that a caller pricing many
+        requests builds each table once; without one, each price converts
+        its core tuples and builds its tables for this call.
         """
         machine = self.platform.machine
         network = self.platform.network
         if all_cores is None:
             all_cores = machine.cores()
+        if plan is None:
+
+            def collective(op, group, nbytes):
+                return collective_time(op, machine, network, [group], nbytes, load)
+
+            def orthogonal(op, groups, nbytes):
+                return orthogonal_time(op, machine, network, groups, nbytes)
+
+        else:
+
+            def collective(op, group, nbytes):
+                return plan.collective(op, group).time(nbytes, load)
+
+            def orthogonal(op, groups, nbytes):
+                return plan.orthogonal(op, groups).time(nbytes)
+
         total = 0.0
         for c in task.comm:
             if c.scope == "group":
                 if len(cores) <= 1:
                     continue
-                t = collective_time(c.op, machine, network, [cores], c.total_bytes, load)
+                t = collective(c.op, cores, c.total_bytes)
             elif c.scope == "global":
                 is_tp = (
                     task_parallel_program
@@ -215,9 +236,7 @@ class CostModel:
                 )
                 if c.task_parallel_only and not is_tp:
                     continue
-                t = collective_time(
-                    c.op, machine, network, [all_cores], c.total_bytes, load
-                )
+                t = collective(c.op, all_cores, c.total_bytes)
             else:  # orthogonal
                 groups = self._orthogonal_groups(cores, peer_groups)
                 if groups is None:
@@ -226,7 +245,7 @@ class CostModel:
                 # orthogonal set at one position exchanges the g slices of
                 # that position, i.e. g * E / q elements in total
                 per_set = c.total_bytes * len(groups) / max(1, len(cores))
-                t = orthogonal_time(c.op, machine, network, groups, per_set)
+                t = orthogonal(c.op, groups, per_set)
             total += c.count * t
         return total
 
@@ -271,7 +290,9 @@ class CostModel:
         """``TRe(M1, M2)`` for all data flows of one graph edge.
 
         Flows are re-distributed one after another (MPI programs issue
-        them sequentially per variable).
+        them sequentially per variable).  ``src_cores`` / ``dst_cores``
+        are mapped groups, so neither repeats a core
+        (:meth:`~repro.core.schedule.Placement.validate`).
         """
         machine = self.platform.machine
         network = self.platform.network
@@ -280,7 +301,8 @@ class CostModel:
             src_dist = f.src_dist.instantiate(f.elements, len(src_cores))
             dst_dist = f.dst_dist.instantiate(f.elements, len(dst_cores))
             total += _redist_time(
-                machine, network, src_cores, dst_cores, src_dist, dst_dist, f.itemsize
+                machine, network, src_cores, dst_cores, src_dist, dst_dist, f.itemsize,
+                may_repeat=False,
             )
         return total
 
@@ -367,8 +389,8 @@ class CachedCostEvaluator:
 
     The layer-based ``g``-search and the CPA/CPR allocation loops probe
     ``Tsymb(M, q)`` for the same ``(task, q)`` pairs over and over; the
-    simulator re-costs the same re-distribution edges on every contention
-    pass.  This wrapper caches those pure evaluations keyed on the task
+    simulations of one program ask for the same re-distribution edges.
+    This wrapper caches those pure evaluations keyed on the task
     identity, the core count / core tuple and (for re-distributions) the
     flow tuple, and counts hits and misses per method.
 
@@ -502,8 +524,7 @@ class CachedCostEvaluator:
         src_cores: Sequence[CoreId],
         dst_cores: Sequence[CoreId],
     ) -> float:
-        """Memoized mapped redistribution cost ``TRe`` (the simulator
-        re-costs the same edges on every contention pass)."""
+        """Memoized mapped redistribution cost ``TRe``."""
         key = (
             "redistribution_time",
             tuple(flows),
@@ -514,6 +535,21 @@ class CachedCostEvaluator:
             key,
             lambda: self.model.redistribution_time(flows, src_cores, dst_cores),
         )
+
+    def redistribution_times(
+        self,
+        edges: Sequence[Tuple[Sequence[DataFlow], Sequence[CoreId], Sequence[CoreId]]],
+        requests: Sequence[int],
+    ) -> List[float]:
+        """:meth:`redistribution_time` of every distinct ``(flows,
+        src_cores, dst_cores)`` edge, looked up once each; the other
+        ``requests[i] - 1`` requests edge ``i`` answers count as the hits
+        they would have been, as :meth:`_memo_batch` counts a repeated key."""
+        prices = [self.redistribution_time(*edge) for edge in edges]
+        repeats = sum(requests) - len(edges)
+        if repeats:
+            self.stats._bump(self.stats.hits, "redistribution_time", repeats)
+        return prices
 
     # ------------------------------------------------------------------
     def __getattr__(self, name: str):

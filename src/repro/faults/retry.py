@@ -142,18 +142,21 @@ class FailureRecord:
     attempt's, ``backoff_seconds`` the delay accounted between them."""
 
     task: str
-    attempts: int = 1
+    attempts: int
     error: str = ""
     backoff_seconds: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.attempts < 2:
+            raise ValueError(
+                f"a recovered task made at least two attempts, not {self.attempts}"
+            )
+
     def to_dict(self) -> Dict[str, Any]:
-        """Export the failure record as a dict."""
+        """Export the failure record as a dict; ``backoff_seconds`` is
+        always there, also when no backoff was configured."""
         out: Dict[str, Any] = {"task": self.task, "attempts": self.attempts}
         if self.error:
             out["error"] = self.error
-        # emitted whenever retries happened: a retried task with zero
-        # accumulated backoff ("no backoff configured") must stay
-        # distinguishable from a record where the field is simply absent
-        if self.backoff_seconds or self.attempts > 1:
-            out["backoff_seconds"] = self.backoff_seconds
+        out["backoff_seconds"] = self.backoff_seconds
         return out

@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence
 
 from ..cluster.architecture import CoreId
 from ..comm.contention import NicLoad
+from ..comm.patterns import CommPlan
 from ..core.costmodel import CostModel
 from ..core.task import MTask
 
@@ -119,12 +120,16 @@ class HybridCostModel(CostModel):
         peer_groups: Optional[Sequence[Sequence[CoreId]]] = None,
         all_cores: Optional[Sequence[CoreId]] = None,
         task_parallel_program: Optional[bool] = None,
+        plan: Optional[CommPlan] = None,
     ) -> float:
-        """Mapped communication cost plus thread-synchronisation term."""
+        """Mapped communication cost plus thread-synchronisation term.
+
+        With ``h > 1`` the collectives run over process leaders, core
+        tuples of their own, so ``plan`` serves only the pure-MPI case."""
         h = self.threads_per_process
         if h == 1:
             return super().tcomm_mapped(
-                task, cores, load, peer_groups, all_cores, task_parallel_program
+                task, cores, load, peer_groups, all_cores, task_parallel_program, plan
             )
         spans = self._check_team_placement(cores)
         machine = self.platform.machine

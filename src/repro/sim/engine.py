@@ -11,17 +11,13 @@ every run is reproducible.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 __all__ = ["Simulator"]
 
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    fn: Callable[[], None] = field(compare=False)
+#: ``(time, sequence, callback)``: ordered by the first two, which the
+#: unique sequence number decides, so the callback is never compared
+_Event = Tuple[float, int, Callable[[], None]]
 
 
 class Simulator:
@@ -42,7 +38,7 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule event at {time} before current time {self._now}"
             )
-        heapq.heappush(self._heap, _Event(max(time, self._now), self._seq, fn))
+        heapq.heappush(self._heap, (max(time, self._now), self._seq, fn))
         self._seq += 1
 
     def run(self, until: Optional[float] = None) -> float:
@@ -51,10 +47,9 @@ class Simulator:
         Returns the final virtual time.
         """
         while self._heap:
-            if until is not None and self._heap[0].time > until:
+            if until is not None and self._heap[0][0] > until:
                 self._now = until
                 return self._now
-            ev = heapq.heappop(self._heap)
-            self._now = ev.time
-            ev.fn()
+            self._now, _, fn = heapq.heappop(self._heap)
+            fn()
         return self._now

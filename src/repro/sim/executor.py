@@ -20,16 +20,30 @@ from the previous pass's overlap intervals.  Two passes suffice
 in practice (the layer structure changes little between passes); the
 iteration count is configurable for the contention ablation.
 
-One :func:`simulate` call prices each distinct communication request
-once: a memo shared by all passes, keyed on what ``tcomm_mapped`` reads
--- the task's ``comm`` and ``sync_points``, its core tuple, the
-contention counts as bytes and the ordered distinct core tuples of its
-concurrent groups (the program version and ``all_cores`` are fixed for
-the call) -- so the tasks of a stage chain share a price and a pass
-whose concurrent sets did not change evaluates nothing.  Core occupancy
-is one ``free_from`` array indexed by :meth:`Machine.core_index
-<repro.cluster.architecture.Machine.core_index>` with one index array
-per distinct core tuple, so a dispatch is one gather and one scatter.
+One :func:`simulate` call works out what its communication reads of the
+mapping once, in a price plan that lives as long as the call:
+
+* every distinct core tuple gets a group id and one dense index array
+  (:meth:`Machine.core_index <repro.cluster.architecture.Machine.core_index>`),
+  kept with the collectives' round tables in a
+  :class:`~repro.comm.patterns.CommPlan`;
+* every distinct ``(flows, source group, target group)`` edge is priced
+  once, before the first pass, and both passes read the price
+  (:func:`_successors`);
+* every ``(op, core tuple)`` and ``(op, orthogonal peer set)`` collective
+  gets its load-independent round table the first time a price needs it
+  (:class:`~repro.comm.collectives.CollectiveRounds`), so a later price
+  only reads the NIC load;
+* each distinct communication request is priced once: a memo shared by
+  all passes, keyed on what ``tcomm_mapped`` reads -- the task's
+  ``comm`` and ``sync_points``, its core tuple, the contention counts as
+  bytes and the ordered distinct core tuples of its concurrent groups
+  (the program version and ``all_cores`` are fixed for the call) -- so
+  the tasks of a stage chain share a price and a pass whose concurrent
+  sets did not change evaluates nothing.
+
+Core occupancy is one ``free_from`` array over the same dense indices, so
+a dispatch is one gather and one scatter.
 """
 
 from __future__ import annotations
@@ -42,7 +56,8 @@ import numpy as np
 
 from ..cluster.architecture import CoreId, Machine
 from ..comm.contention import NicLoad, node_counts
-from ..core.costmodel import CostModel
+from ..comm.patterns import CommPlan
+from ..core.costmodel import CachedCostEvaluator, CostModel
 from ..core.graph import TaskGraph
 from ..core.schedule import Placement
 from ..core.task import MTask
@@ -96,7 +111,7 @@ def _phase_counts(
         idle = np.zeros(machine.num_nodes, dtype=np.intp)
         return idle, idle
     ring = machine.core_index(cores)
-    return node_counts(machine, ring, np.roll(ring, -1))
+    return node_counts(machine, ring, np.concatenate((ring[1:], ring[:1])))
 
 
 class _Occupancy:
@@ -126,41 +141,81 @@ class _Occupancy:
 
 class _Layout:
     """Where the tasks run -- everything about a placement the passes of
-    one :func:`simulate` call share."""
+    one :func:`simulate` call share: each task's group in the call's
+    :class:`~repro.comm.patterns.CommPlan`, which holds every distinct core
+    tuple with its dense core indices and the collectives' round tables."""
 
-    def __init__(self, machine: Machine, graph: TaskGraph, placement: Placement) -> None:
+    def __init__(self, cost: CostModel, graph: TaskGraph, placement: Placement) -> None:
+        machine = cost.platform.machine
         self.tasks: List[MTask] = list(graph)
+        self.plan = CommPlan(machine, cost.platform.network)
         #: distinct core tuples and their dense core indices, by group id
-        self.tuples: List[Tuple[CoreId, ...]] = []
-        self.index: List[np.ndarray] = []
-        #: group id of every task
-        self.group: Dict[MTask, int] = {}
+        self.tuples = self.plan.tuples
+        self.index = self.plan.index
         # tasks of one group share their tuple object (``Placement.validate``
-        # relies on it too), so most tasks are recognised without hashing
-        # their cores; ``tuple()`` admits placements given as lists
-        by_object: Dict[int, int] = {}
-        by_value: Dict[Tuple[CoreId, ...], int] = {}
-        for t in self.tasks:
-            given = placement.cores_of(t)
-            g = by_object.get(id(given))
-            if g is None:
-                cores = tuple(given)
-                g = by_value.get(cores)
-                if g is None:
-                    g = by_value[cores] = len(self.tuples)
-                    self.tuples.append(cores)
-                    self.index.append(machine.core_index(cores))
-                by_object[id(given)] = g
-            self.group[t] = g
+        # relies on it too), so the plan knows most of them without hashing
+        # their cores; placements given as lists become tuples
+        #: group id of every task
+        self.group: Dict[MTask, int] = {
+            t: self.plan.group(placement.cores_of(t)) for t in self.tasks
+        }
         #: dispatch order of simultaneously ready tasks
         self.rank: Dict[MTask, Tuple[float, str]] = {
             t: (placement.priority.get(t, 0.0), t.name) for t in self.tasks
         }
         # program version: task parallel iff any task leaves cores to others
-        self.is_tp = any(len(c) < machine.total_cores for c in self.tuples)
+        is_tp = any(len(c) < machine.total_cores for c in self.tuples)
+        #: the keyword arguments of every ``tcomm_mapped`` call; the plan
+        #: goes to the cost objects of this package, any other object gets
+        #: the call it was written against
+        self.tcomm_kw = dict(all_cores=placement.all_cores, task_parallel_program=is_tp)
+        if isinstance(cost, (CostModel, CachedCostEvaluator)):
+            self.tcomm_kw["plan"] = self.plan
 
     def cores_of(self, task: MTask) -> Tuple[CoreId, ...]:
         return self.tuples[self.group[task]]
+
+
+def _successors(
+    graph: TaskGraph, layout: _Layout, cost: CostModel, options: SimulationOptions
+) -> Dict[MTask, List[Tuple[MTask, float]]]:
+    """Every task's successors with the re-distribution price of the edge
+    to each (0.0 without re-distribution), in ``graph.successors`` order.
+
+    Each distinct ``(flows, source group, target group)`` edge is priced
+    once, before the first pass.  A
+    :class:`~repro.core.costmodel.CachedCostEvaluator` is consulted through
+    :meth:`~repro.core.costmodel.CachedCostEvaluator.redistribution_times`,
+    which credits it with the one request per graph edge and pass the
+    passes read the price for, so its counters are what those requests
+    would have left.
+    """
+    slot: Dict[tuple, int] = {}
+    edges: List[tuple] = []
+    requests: List[int] = []
+    rows = {}
+    for t in layout.tasks:
+        row = []
+        for s in graph.successors(t):
+            i = None
+            if options.redistribution:
+                flows = graph.flows(t, s)
+                key = (tuple(flows), layout.group[t], layout.group[s])
+                i = slot.get(key)
+                if i is None:
+                    i = slot[key] = len(edges)
+                    edges.append((flows, layout.cores_of(t), layout.cores_of(s)))
+                    requests.append(0)
+                requests[i] += options.contention_passes
+            row.append((s, i))
+        rows[t] = row
+    if isinstance(cost, CachedCostEvaluator):
+        prices = cost.redistribution_times(edges, requests)
+    else:
+        prices = [cost.redistribution_time(*edge) for edge in edges]
+    return {
+        t: [(s, 0.0 if i is None else prices[i]) for s, i in row] for t, row in rows.items()
+    }
 
 
 #: what a task's communication price depends on besides the task and its
@@ -205,6 +260,7 @@ def _concurrent_sets(
         load[lo : lo + _ROW_BLOCK] = overlap[lo : lo + _ROW_BLOCK] @ rounds
 
     group_of = np.array([layout.group[t] for t in tasks])
+    nodes = machine.num_nodes
     by_members: Dict[bytes, _Concurrent] = {}
     sets: Dict[MTask, _Concurrent] = {}
     for i, t in enumerate(tasks):
@@ -216,7 +272,7 @@ def _concurrent_sets(
             # dropped, first-seen order kept, a single group means none
             distinct = tuple(dict.fromkeys(groups))
             shared = by_members[members] = (
-                tuple(np.split(load[i], 2)),
+                (load[i, :nodes], load[i, nodes:]),
                 [layout.tuples[g] for g in groups],
                 (load[i].tobytes(), distinct if len(distinct) > 1 else ()),
             )
@@ -242,7 +298,8 @@ def simulate(
         raise ValueError("contention_passes must be >= 1")
     obs = obs if obs is not None else Instrumentation()
 
-    layout = _Layout(machine, graph, placement)
+    layout = _Layout(cost, graph, placement)
+    successors = _successors(graph, layout, cost, options)
     #: ``tcomm_mapped`` results of this call, by what they depend on
     prices: Dict[tuple, float] = {}
     # pass 1: own edges only, no peers
@@ -254,7 +311,7 @@ def simulate(
                 concurrent = _concurrent_sets(machine, layout, trace)
             with obs.span("contention_pass", index=pass_no):
                 trace = _run_once(
-                    graph, placement, cost, options, layout, concurrent, prices
+                    graph, placement, cost, options, layout, successors, concurrent, prices
                 )
             obs.count("sim.passes")
     obs.count("sim.tasks", len(trace))
@@ -282,6 +339,7 @@ def _run_once(
     cost: CostModel,
     options: SimulationOptions,
     layout: _Layout,
+    successors: Dict[MTask, List[Tuple[MTask, float]]],
     concurrent: Dict[MTask, _Concurrent],
     prices: Dict[tuple, float],
 ) -> ExecutionTrace:
@@ -330,12 +388,7 @@ def _run_once(
             comm = prices.get(key)
             if comm is None:
                 comm = prices[key] = cost.tcomm_mapped(
-                    t,
-                    tcores,
-                    nic_load,
-                    peers,
-                    all_cores=placement.all_cores,
-                    task_parallel_program=layout.is_tp,
+                    t, tcores, nic_load, peers, **layout.tcomm_kw
                 )
             comp_clean = comp
             retries = 0
@@ -435,15 +488,9 @@ def _run_once(
 
     def complete(t: MTask) -> None:
         t_finish = sim.now
-        for s in graph.successors(t):
-            arrival = t_finish
-            if options.redistribution:
-                flows = graph.flows(t, s)
-                rd = cost.redistribution_time(
-                    flows, layout.cores_of(t), layout.cores_of(s)
-                )
-                arrival += rd
-                redist_charged[s] = max(redist_charged[s], rd)
+        for s, rd in successors[t]:
+            arrival = t_finish + rd
+            redist_charged[s] = max(redist_charged[s], rd)
             data_ready[s] = max(data_ready[s], arrival)
             remaining_preds[s] -= 1
             if remaining_preds[s] == 0:

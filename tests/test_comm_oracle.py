@@ -32,15 +32,17 @@ from hypothesis import strategies as st
 from repro.cluster import Machine, chic
 from repro.cluster.architecture import LEVEL_NETWORK, LEVEL_NODE, LEVEL_PROCESSOR, CoreId
 from repro.cluster.network import HierarchicalNetwork
-from repro.comm import collectives, orthogonal_sets
-from repro.core import CachedCostEvaluator, CostModel
+from repro.cluster.platforms import Platform
+from repro.comm import collectives, orthogonal_sets, orthogonal_time, patterns, redistribution_time
+from repro.comm.patterns import CommPlan
+from repro.core import CachedCostEvaluator, CostModel, DataFlow, DistributionSpec
 from repro.experiments.common import paper_group_count
 from repro.hybrid import HybridCostModel
 from repro.hybrid.model import process_leaders
-from repro.mapping import consecutive, place_result
+from repro.mapping import consecutive, mixed, place_result, scattered
 from repro.ode import PAPER_CONFIGS, bruss2d, step_graph
 from repro.scheduling import fixed_group_scheduler
-from repro.sim import simulate
+from repro.sim import SimulationOptions, executor, simulate
 
 Edge = Tuple[CoreId, CoreId]
 
@@ -565,3 +567,143 @@ class TestTcommMapped:
         requests = simulated_requests(platform, model, PAPER_CONFIGS["diirk"], n=60)
         assert any(task.sync_points for task, *_ in requests)
         assert_requests_match(model, reference_hybrid_tcomm_mapped, requests)
+
+
+# ----------------------------------------------------------------------
+# the simulator's price plan against the CoreId entry points
+# ----------------------------------------------------------------------
+#: the two machines the plan is drawn on: ``HET`` and 64 CHiC cores
+PLATFORMS = {"het": Platform(HET, NET), "chic": chic().with_cores(64)}
+STRATEGIES = {"consecutive": consecutive(), "scattered": scattered(), "mixed": mixed(2)}
+DIST_KINDS = {
+    "block": DistributionSpec("block"),
+    "cyclic": DistributionSpec("cyclic"),
+    "blockcyclic": DistributionSpec("blockcyclic", 3),
+    "replic": DistributionSpec("replic"),
+}
+
+
+@st.composite
+def mapped_layers(draw):
+    """A platform and 1-5 disjoint groups of distinct cores, cut one after
+    the other from a mapping strategy's core sequence, as a layer is."""
+    platform = PLATFORMS[draw(st.sampled_from(sorted(PLATFORMS)))]
+    seq = STRATEGIES[draw(st.sampled_from(sorted(STRATEGIES)))].sequence(platform.machine)
+    count = draw(st.integers(1, 5))
+    sizes = draw(
+        st.lists(st.integers(1, len(seq) // count), min_size=count, max_size=count)
+    )
+    starts = np.cumsum([0] + sizes)
+    return platform, [tuple(seq[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+def nic_loads(machine):
+    """No load, or random per-node message counts."""
+    side = st.lists(
+        st.integers(0, 9), min_size=machine.num_nodes, max_size=machine.num_nodes
+    ).map(lambda counts: np.array(counts, dtype=np.intp))
+    return st.one_of(st.none(), st.tuples(side, side))
+
+
+class TestPricePlan:
+    """A :class:`CommPlan` prices what the ``CoreId`` entry points price,
+    bit for bit, and the edge-list engine agrees with both."""
+
+    @given(
+        layer=mapped_layers(),
+        op=st.sampled_from(sorted(_MAPPED) + ["ptp"]),
+        nbytes=st.sampled_from([0, 8.0, 12345.0, 1e6 / 3, 1 << 20]),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_collectives_equal_entry_points(self, layer, op, nbytes, data):
+        platform, groups = layer
+        machine, network = platform.machine, platform.network
+        load = data.draw(nic_loads(machine))
+        plan = CommPlan(machine, network)
+        for cores in [*groups, machine.cores()]:
+            want = collectives.collective_time(op, machine, network, [cores], nbytes, load)
+            assert want.hex() == reference_time(op, machine, network, [cores], nbytes, load).hex()
+            # a second price reads the table the first one built, and a
+            # list of the same cores is the same group
+            for given_as in (cores, list(cores)):
+                assert plan.collective(op, given_as).time(nbytes, load).hex() == want.hex()
+        if len(groups) < 2:
+            return
+        # orthogonal sets of the groups truncated to one width, as
+        # ``CostModel._orthogonal_groups`` hands them on
+        width = min(len(g) for g in groups)
+        peers = [g[:width] for g in groups]
+        want = orthogonal_time(op, machine, network, peers, nbytes)
+        oracle = reference_time(op, machine, network, orthogonal_sets(peers), nbytes)
+        assert want.hex() == oracle.hex()
+        for given_as in (peers, peers[::-1]):  # the sets do not depend on the order
+            assert plan.orthogonal(op, given_as).time(nbytes).hex() == want.hex()
+
+    @given(
+        layer=mapped_layers(),
+        kinds=st.lists(st.tuples(*[st.sampled_from(sorted(DIST_KINDS))] * 2), min_size=1, max_size=3),
+        elements=st.sampled_from([1, 7, 100, 1000]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_redistribution_equals_entry_point(self, layer, kinds, elements):
+        """``CostModel.redistribution_time`` -- what the simulator's plan
+        prices each distinct edge with -- skips the search for ranks
+        sharing a core, which mapped groups never do, and still equals
+        ``comm.redistribution_time`` flow by flow."""
+        platform, groups = layer
+        src, dst = groups[0], groups[-1]
+        flows = [
+            DataFlow(f"x{i}", elements, src_dist=DIST_KINDS[a], dst_dist=DIST_KINDS[b])
+            for i, (a, b) in enumerate(kinds)
+        ]
+        want = 0.0
+        for f in flows:
+            want += redistribution_time(
+                platform.machine,
+                platform.network,
+                src,
+                dst,
+                f.src_dist.instantiate(f.elements, len(src)),
+                f.dst_dist.instantiate(f.elements, len(dst)),
+                f.itemsize,
+            )
+        got = CostModel(platform).redistribution_time(flows, src, dst)
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("solver", sorted(PAPER_CONFIGS))
+    def test_each_round_table_is_built_once(self, solver, monkeypatch):
+        """One ``simulate`` call builds each round table at most once: the
+        first pass every table of a task's own group and of all cores, the
+        second only those of the orthogonal peer sets the first pass
+        produced, the third none."""
+        built = []
+
+        class Counted(collectives.CollectiveRounds):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        new_keys = []
+
+        def run_once(*args):
+            tables = args[4].plan._tables  # the call's layout
+            before = set(tables)
+            trace = run_pass(*args)
+            new_keys.append(set(tables) - before)
+            return trace
+
+        run_pass = executor._run_once
+        monkeypatch.setattr(patterns, "CollectiveRounds", Counted)
+        monkeypatch.setattr(executor, "_run_once", run_once)
+        platform = chic().with_cores(64)
+        graph = step_graph(bruss2d(60), PAPER_CONFIGS[solver])
+        cost = CachedCostEvaluator(CostModel(platform))
+        result = fixed_group_scheduler(cost, paper_group_count(PAPER_CONFIGS[solver])).schedule(graph)
+        placement = place_result(result, platform.machine, consecutive())
+        simulate(graph, placement, cost, SimulationOptions(contention_passes=3))
+        first, second, third = new_keys
+        assert len(built) == len(first) + len(second) + len(third)
+        assert first and all(isinstance(group, int) for _, group in first)
+        assert all(isinstance(peer_set, tuple) for _, peer_set in second)
+        assert not third

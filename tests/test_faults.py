@@ -233,11 +233,19 @@ class TestFailureRecordDict:
         rec = FailureRecord("t", attempts=2, backoff_seconds=0.5)
         assert rec.to_dict()["backoff_seconds"] == 0.5
 
-    def test_backoff_absent_for_single_attempt(self):
+    def test_single_attempt_record_refused(self):
+        """A record is a task that retried and recovered: one attempt is
+        no record, and every record carries ``backoff_seconds``."""
         from repro.faults import FailureRecord
 
-        single = FailureRecord("t", attempts=1)
-        assert "backoff_seconds" not in single.to_dict()
+        for attempts in (1, 0, -1):
+            with pytest.raises(ValueError, match="at least two attempts"):
+                FailureRecord("t", attempts=attempts)
+        assert FailureRecord("t", attempts=2).to_dict() == {
+            "task": "t",
+            "attempts": 2,
+            "backoff_seconds": 0.0,
+        }
 
 
 # ----------------------------------------------------------------------

@@ -292,6 +292,18 @@ class TestArrayKernel:
         # ... so the per-core busy sums round identically
         assert redistribution_time(HET, NET, *args) == redistribution_time_by_loop(*args)
 
+    def test_ranks_sharing_a_core_merge_their_messages(self):
+        """Ranks 0 and 1 share core ``a``: their two messages to ``c``
+        become one, which pays one latency.  ``redistribution_time`` looks
+        for such ranks; told that no core repeats (the simulator's mapped
+        groups), it prices the two messages apart."""
+        a, b, c = HET_CORES[0], HET_CORES[1], HET_CORES[4]
+        args = ([a, a, b], [c], BlockCyclic(6, 3, 2), BlockCyclic(6, 1, 6), 8)
+        assert redistribution_messages(*args) == {(a, c): 32, (b, c): 16}
+        merged = redistribution_time(HET, NET, *args)
+        assert merged == redistribution_time_by_loop(*args)
+        assert merged < redistribution_time(HET, NET, *args, may_repeat=False)
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="source has 2 cores"):
             redistribution_time(
